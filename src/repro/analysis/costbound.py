@@ -1,9 +1,10 @@
 """Static cost-bound analyzer: certified worst-case plan cost (``S405``).
 
 Dual to the planner's cardinality *estimator* (which aims at the likely
-case and may err in either direction), this pass composes per-operator
-**upper bounds** that provably hold for any data consistent with the
-graph statistics:
+case and may err in either direction), this pass composes the **upper
+bounds** every operator states for itself
+(:meth:`PhysicalOperator.cardinality_bound`), which provably hold for
+any data consistent with the graph statistics:
 
 * a leaf emits at most its label-alternation count (predicates only
   filter — the selectivity floor of any CNF is taken as 1.0, never a
@@ -32,7 +33,10 @@ is rejected at submit time, before any operator executes.
 import math
 from typing import List, Optional
 
+from repro.engine.embedding import ENTRY_WIDTH, PATH_COUNT_WIDTH
+
 from .diagnostics import Diagnostic
+from .flow import verify_flow
 
 #: assumed worst-case serialized size of one property record (2-byte
 #: length prefix + value).  Property values are statically unbounded, so
@@ -148,106 +152,41 @@ def certify_plan(root, statistics):
     """Compose per-operator upper bounds over the plan under ``root``.
 
     Requires :class:`~repro.engine.statistics.GraphStatistics`; without
-    data-graph counts nothing is provable.  An operator with no bound
-    rule is priced as unbounded, which makes the plan inadmissible under
-    any finite threshold — conservative by construction.
+    data-graph counts nothing is provable.  An operator declaring an
+    infinite bound makes the plan inadmissible under any finite
+    threshold — conservative by construction.
     """
-    if statistics is None:
-        raise ValueError("certify_plan requires graph statistics")
-    analyzer = _BoundAnalyzer(statistics)
-    analyzer.visit(root)
     return CostCertificate(
-        analyzer.records,
+        [record for _operator, record in operator_bounds(root, statistics)],
         statistics_version=getattr(statistics, "version", 0),
     )
 
 
-class _BoundAnalyzer:
-    """One bottom-up pass composing cardinality and byte bounds."""
-
-    def __init__(self, statistics):
-        self.statistics = statistics
-        self.records = []
-        #: path variable -> declared upper hop bound, for byte pricing
-        self._path_uppers = {}
-
-    def visit(self, op):
-        child_bounds = [self.visit(child) for child in op.children]
-        cardinality = self._cardinality_bound(op, child_bounds)
-        record = OperatorBound(
-            op.describe(), cardinality, self._row_bytes_bound(op.meta)
+def operator_bounds(root, statistics):
+    """``(operator, OperatorBound)`` pairs of the plan, children first."""
+    if statistics is None:
+        raise ValueError("certify_plan requires graph statistics")
+    # path slots are priced at the hop ceiling of the derived layout
+    flow = verify_flow(root)
+    bounds = {}
+    pairs = []
+    for op in root.postorder():
+        bounds[id(op)] = cardinality = op.cardinality_bound(
+            [bounds[id(child)] for child in op.children], statistics
         )
-        self.records.append(record)
-        return cardinality
+        row_bytes = _row_bytes_bound(op.meta, flow.layout_of(op).path_bounds)
+        pairs.append((op, OperatorBound(op.describe(), cardinality, row_bytes)))
+    return pairs
 
-    # Cardinality bounds -------------------------------------------------------
 
-    def _cardinality_bound(self, op, child_bounds):
-        from repro.engine.operators.expand import ExpandEmbeddings
-        from repro.engine.operators.filter_project import (
-            ProjectEmbeddings,
-            SelectEmbeddings,
-        )
-        from repro.engine.operators.join import (
-            CartesianEmbeddings,
-            JoinEmbeddings,
-        )
-        from repro.engine.operators.leaves import (
-            SelectAndProjectEdges,
-            SelectAndProjectVertices,
-        )
-        from repro.engine.operators.value_join import JoinEmbeddingsOnProperty
-
-        stats = self.statistics
-        if isinstance(op, SelectAndProjectVertices):
-            return stats.vertices_with_labels(op.query_vertex.labels)
-        if isinstance(op, SelectAndProjectEdges):
-            count = stats.edges_with_labels(op.query_edge.types)
-            # undirected leaves emit both orientations of every edge
-            return count * 2 if op.query_edge.undirected else count
-        if isinstance(op, (SelectEmbeddings, ProjectEmbeddings)):
-            return child_bounds[0]
-        if isinstance(
-            op, (JoinEmbeddings, CartesianEmbeddings, JoinEmbeddingsOnProperty)
-        ):
-            return child_bounds[0] * child_bounds[1]
-        if isinstance(op, ExpandEmbeddings):
-            return self._expand_bound(op, child_bounds[0])
-        return math.inf  # no bound rule: conservatively unbounded
-
-    def _expand_bound(self, op, input_bound):
-        edge = op.query_edge
-        self._path_uppers[edge.variable] = edge.upper or 0
-        if edge.undirected:
-            fanout = (
-                self.statistics.max_out_degree(edge.types)
-                + self.statistics.max_in_degree(edge.types)
-            )
-        elif op.reverse:
-            fanout = self.statistics.max_in_degree(edge.types)
-        else:
-            fanout = self.statistics.max_out_degree(edge.types)
-        lower = max(edge.lower or 0, 0)
-        upper = edge.upper if edge.upper is not None else lower
-        paths = sum(
-            fanout ** hops for hops in range(max(lower, 1), upper + 1)
-        )
-        if lower == 0:
-            paths += 1  # the zero-hop emission keeps the input row
-        return input_bound * paths
-
-    # Byte bounds --------------------------------------------------------------
-
-    def _row_bytes_bound(self, meta):
-        """Worst-case serialized size of one embedding of this shape."""
-        from repro.engine.embedding import ENTRY_WIDTH, PATH_COUNT_WIDTH
-
-        if meta is None:
-            return 0
-        total = meta.column_count * ENTRY_WIDTH
-        for variable in meta.variables:
-            if meta.entry_kind(variable) == "p":
-                upper = self._path_uppers.get(variable, 0)
-                total += PATH_COUNT_WIDTH + max(2 * upper - 1, 0) * 8
-        total += meta.property_count * PROPERTY_RECORD_BOUND
-        return total
+def _row_bytes_bound(meta, path_bounds):
+    """Worst-case serialized size of one embedding of this shape."""
+    if meta is None:
+        return 0
+    total = meta.column_count * ENTRY_WIDTH
+    for variable in meta.variables:
+        if meta.entry_kind(variable) == "p":
+            _lower, upper = path_bounds.get(variable, (0, 0))
+            total += PATH_COUNT_WIDTH + max(2 * upper - 1, 0) * 8
+    total += meta.property_count * PROPERTY_RECORD_BOUND
+    return total

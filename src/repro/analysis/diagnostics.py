@@ -177,9 +177,6 @@ CODES = {
              "property)"),
     "S307": (Severity.ERROR, "layout-projection-provenance",
              "projection keeps a property its input does not provide"),
-    "S308": (Severity.WARNING, "layout-unknown-operator",
-             "operator without a layout transfer rule — the plan may be "
-             "legal but cannot be statically proven"),
     "P401": (Severity.ERROR, "captured-synchronization",
              "callable captures a lock, thread, thread-local or other "
              "synchronization primitive that cannot cross processes"),
@@ -204,9 +201,6 @@ CODES = {
     "S403": (Severity.WARNING, "dead-path-hops",
              "path contents (the hop sequence) are carried but never read "
              "— only the column slot is required downstream"),
-    "S404": (Severity.WARNING, "liveness-unknown-operator",
-             "operator without a liveness transfer rule — everything below "
-             "it is conservatively assumed live"),
     "S405": (Severity.ERROR, "cost-bound-exceeded",
              "a statically proven operator cost bound exceeds the "
              "configured admission threshold"),

@@ -79,7 +79,7 @@ def audit_estimates(root, max_q_error=DEFAULT_MAX_Q_ERROR):
     cache = {}
     records = []
     diagnostics = []
-    for operator in _postorder(root):
+    for operator in root.postorder():
         if operator.estimated_cardinality is None:
             continue
         actual = operator.actual_cardinality(cache)
@@ -123,16 +123,11 @@ def audit_bound_soundness(root, statistics):
     estimates are, this measures whether the *bounds* are bounds —
     groundwork for letting the adaptive planner trust them.
     """
-    from .costbound import certify_plan
+    from .costbound import operator_bounds
 
-    certificate = certify_plan(root, statistics)
-    bounds = {}
-    for operator, record in zip(_postorder(root), certificate.records):
-        bounds[id(operator)] = record
     cache = {}
     diagnostics = []
-    for operator in _postorder(root):
-        record = bounds[id(operator)]
+    for operator, record in operator_bounds(root, statistics):
         actual = operator.actual_cardinality(cache)
         if actual > record.cardinality_bound:
             diagnostics.append(
@@ -144,16 +139,3 @@ def audit_bound_soundness(root, statistics):
                 )
             )
     return diagnostics
-
-
-def _postorder(root):
-    """Children before parents, so leaves are measured first."""
-    stack = [(root, False)]
-    while stack:
-        operator, expanded = stack.pop()
-        if expanded:
-            yield operator
-        else:
-            stack.append((operator, True))
-            for child in reversed(operator.children):
-                stack.append((child, False))

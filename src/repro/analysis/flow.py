@@ -6,10 +6,10 @@ proves the same contracts *per plan at compile time*: an abstract
 interpretation walks the physical operator tree bottom-up, propagating a
 symbolic :class:`EmbeddingLayout` — column kinds in column order, the
 physical property-record sequence, path-slot hop bounds and a morphism
-guarantee bit — through the transfer rule of every operator in
-``engine/operators/*``, then compares the derived layout against the
-metadata each operator actually declares.  The correspondence to the
-dynamic checks is one-to-one:
+guarantee bit — through the forward rule every operator states for
+itself (:meth:`PhysicalOperator.derive_layout`), then compares the
+derived layout against the metadata each operator actually declares.
+The correspondence to the dynamic checks is one-to-one:
 
 =====  ==============================  ============================
 code   statically proves               dynamic mirror
@@ -21,7 +21,6 @@ S304   property sequence provenance    S206 / S207
 S305   morphism guarantee per node     S208
 S306   join-key offset compatibility   S209 (join half)
 S307   projection column provenance    S209 (projection half)
-S308   unknown operator (unprovable)   —
 =====  ==============================  ============================
 
 A plan whose :class:`FlowReport` is ``proven`` cannot produce an ``S2xx``
@@ -30,42 +29,23 @@ soundness claim), which is what licenses dropping the runner to
 ``sanitize="sample"`` — or all the way off — on hot paths.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
+
+from repro.engine.embedding import ENTRY_WIDTH
+from repro.engine.morphism import (
+    DEFAULT_EDGE_STRATEGY,
+    DEFAULT_VERTEX_STRATEGY,
+    MatchStrategy,
+)
+from repro.engine.operators.base import EmbeddingLayout
 
 from .diagnostics import Diagnostic, sort_diagnostics
 
-#: pairs like ``('a', 'v')``: variable and entry kind in column order
-_Entries = Tuple[Tuple[str, str], ...]
-#: pairs like ``('a', 'name')``: the physical property-record sequence
-_Props = Tuple[Tuple[str, str], ...]
-
 
 def operator_span(operator):
-    """Best-effort source :class:`~repro.cypher.span.Span` for an operator.
-
-    Leaves and expansions carry the pattern element they were compiled
-    from; a selection points at its first predicate atom.  Joins and
-    projections synthesize columns from *two* source locations (or none),
-    so they return ``None`` — the diagnostic still names the operator.
-    """
-    query_vertex = getattr(operator, "query_vertex", None)
-    if query_vertex is not None:
-        return getattr(query_vertex, "span", None)
-    query_edge = getattr(operator, "query_edge", None)
-    if query_edge is not None:
-        return getattr(query_edge, "span", None)
-    cnf = getattr(operator, "cnf", None)
-    if cnf is not None:
-        for clause in getattr(cnf, "clauses", ()):
-            for atom in clause.atoms:
-                for side in (atom.comparison.left, atom.comparison.right):
-                    span = getattr(side, "span", None)
-                    if span is not None:
-                        return span
-                span = getattr(atom.comparison, "span", None)
-                if span is not None:
-                    return span
-    return None
+    """Best-effort source :class:`~repro.cypher.span.Span` for an operator
+    (see :meth:`~repro.engine.operators.base.PhysicalOperator.span`)."""
+    return operator.span()
 
 
 class FlowVerificationError(AssertionError):
@@ -77,58 +57,6 @@ class FlowVerificationError(AssertionError):
                  % len(self.diagnostics)]
         lines += ["  " + d.format() for d in self.diagnostics]
         super().__init__("\n".join(lines))
-
-
-class EmbeddingLayout:
-    """The abstract value: everything the §3.3 layout determines statically.
-
-    ``entries`` is the derived ``(variable, kind)`` tuple in column order
-    — column ``i`` occupies ``id_data`` bytes ``[i*9, (i+1)*9)``.
-    ``properties`` is the derived *physical* record sequence of
-    ``prop_data`` as ``(variable, key)`` pairs; in a sound plan it equals
-    the operator's property mapping enumerated by index (a pair loaded on
-    both join sides would leave dead bytes and break the equality — the
-    static analogue of ``S207``).  ``path_bounds`` maps each path variable
-    to its declared ``*lower..upper`` hop bounds, and ``morphism_ok``
-    records whether every embedding this operator emits provably satisfies
-    the configured morphism strategies.
-    """
-
-    __slots__ = ("entries", "properties", "path_bounds", "morphism_ok")
-
-    def __init__(self, entries=(), properties=(), path_bounds=None,
-                 morphism_ok=True):
-        self.entries: _Entries = tuple(entries)
-        self.properties: _Props = tuple(properties)
-        self.path_bounds: Dict[str, Tuple[int, int]] = dict(path_bounds or {})
-        self.morphism_ok = morphism_ok
-
-    @property
-    def variables(self):
-        return [variable for variable, _kind in self.entries]
-
-    def kind_of(self, variable):
-        for candidate, kind in self.entries:
-            if candidate == variable:
-                return kind
-        return None
-
-    def column_of(self, variable):
-        for column, (candidate, _kind) in enumerate(self.entries):
-            if candidate == variable:
-                return column
-        return None
-
-    def id_width(self):
-        """The derived ``id_data`` byte width (merge width arithmetic)."""
-        from repro.engine.embedding import ENTRY_WIDTH
-
-        return len(self.entries) * ENTRY_WIDTH
-
-    def __repr__(self):
-        return "EmbeddingLayout(%r, %r, bounds=%r, morphism_ok=%r)" % (
-            self.entries, self.properties, self.path_bounds, self.morphism_ok
-        )
 
 
 class FlowReport:
@@ -153,12 +81,7 @@ class FlowReport:
 
     @property
     def proven(self):
-        """True when the plan's layout contracts hold *statically*.
-
-        Any error refutes the plan; an ``S308`` warning (operator without
-        a transfer rule) merely leaves it unproven — the plan may be
-        legal, but the verifier cannot certify it.
-        """
+        """True when the plan's layout contracts hold *statically*."""
         return not self.diagnostics
 
     def format_summary(self):
@@ -196,280 +119,44 @@ def assert_flow(root, vertex_strategy=None, edge_strategy=None):
 
 
 class _FlowVerifier:
-    """One verification pass: transfer rules + declared-metadata checks."""
+    """One verification pass: forward rules + declared-metadata checks."""
 
     def __init__(self, vertex_strategy, edge_strategy):
-        from repro.engine.morphism import (
-            DEFAULT_EDGE_STRATEGY,
-            DEFAULT_VERTEX_STRATEGY,
-        )
-
         self.vertex_strategy = vertex_strategy or DEFAULT_VERTEX_STRATEGY
         self.edge_strategy = edge_strategy or DEFAULT_EDGE_STRATEGY
         self._diagnostics = []
         self._layouts = {}
 
     def verify(self, root):
-        self._visit(root)
+        vertex_iso = self.vertex_strategy is MatchStrategy.ISOMORPHISM
+        for operator in root.postorder():
+            layout = operator.derive_layout(
+                [self._layouts[id(child)] for child in operator.children],
+                vertex_iso,
+                lambda code, detail, operator=operator: self._flag(
+                    code, operator, detail
+                ),
+            )
+            self._layouts[id(operator)] = layout
+            self._check_declared(operator, layout)
+            self._check_morphism(operator, layout)
         return FlowReport(
             root, sort_diagnostics(self._diagnostics), self._layouts
         )
-
-    # Reporting ----------------------------------------------------------------
 
     def _flag(self, code, operator, detail):
         self._diagnostics.append(
             Diagnostic.of(
                 code,
                 "%s: %s" % (operator.describe(), detail),
-                span=operator_span(operator),
+                span=operator.span(),
             )
-        )
-
-    # Traversal ----------------------------------------------------------------
-
-    def _visit(self, operator):
-        child_layouts = [self._visit(child) for child in operator.children]
-        layout = self._transfer(operator, child_layouts)
-        self._layouts[id(operator)] = layout
-        self._check_declared(operator, layout)
-        self._check_morphism(operator, layout)
-        return layout
-
-    def _transfer(self, op, child_layouts):
-        """The abstract transfer function of one operator."""
-        from repro.engine.operators.expand import ExpandEmbeddings
-        from repro.engine.operators.filter_project import (
-            ProjectEmbeddings,
-            SelectEmbeddings,
-        )
-        from repro.engine.operators.join import (
-            CartesianEmbeddings,
-            JoinEmbeddings,
-        )
-        from repro.engine.operators.leaves import (
-            SelectAndProjectEdges,
-            SelectAndProjectVertices,
-        )
-        from repro.engine.operators.value_join import JoinEmbeddingsOnProperty
-
-        if isinstance(op, SelectAndProjectVertices):
-            return self._leaf_vertex(op)
-        if isinstance(op, SelectAndProjectEdges):
-            return self._leaf_edge(op)
-        if isinstance(op, JoinEmbeddings):
-            return self._join(op, child_layouts, op.join_variables)
-        if isinstance(op, CartesianEmbeddings):
-            return self._join(op, child_layouts, [])
-        if isinstance(op, JoinEmbeddingsOnProperty):
-            return self._value_join(op, child_layouts)
-        if isinstance(op, ExpandEmbeddings):
-            return self._expand(op, child_layouts[0])
-        if isinstance(op, SelectEmbeddings):
-            return child_layouts[0]
-        if isinstance(op, ProjectEmbeddings):
-            return self._project(op, child_layouts[0])
-        return self._unknown(op, child_layouts)
-
-    # Transfer rules -----------------------------------------------------------
-
-    def _leaf_vertex(self, op):
-        variable = op.query_vertex.variable
-        return EmbeddingLayout(
-            entries=((variable, "v"),),
-            properties=tuple((variable, key) for key in op.property_keys),
-            morphism_ok=True,  # one vertex column is trivially injective
-        )
-
-    def _leaf_edge(self, op):
-        from repro.engine.morphism import MatchStrategy
-
-        edge = op.query_edge
-        entries = [(edge.source, "v"), (edge.variable, "e")]
-        if not op.is_loop:
-            entries.append((edge.target, "v"))
-        # Under vertex isomorphism a data self-loop binds one vertex to
-        # both endpoint columns; only ``distinct_endpoints`` (or a loop
-        # edge, which has a single endpoint column) rules that out.
-        morphism_ok = (
-            self.vertex_strategy is not MatchStrategy.ISOMORPHISM
-            or op.is_loop
-            or op.distinct_endpoints
-        )
-        return EmbeddingLayout(
-            entries=entries,
-            properties=tuple((edge.variable, key) for key in op.property_keys),
-            morphism_ok=morphism_ok,
-        )
-
-    def _join(self, op, child_layouts, join_variables):
-        left, right = child_layouts
-        drop_columns = set()
-        for variable in join_variables:
-            left_kind = left.kind_of(variable)
-            right_kind = right.kind_of(variable)
-            if left_kind is None or right_kind is None:
-                self._flag(
-                    "S306", op,
-                    "join variable %r is not bound on the %s side"
-                    % (variable, "left" if left_kind is None else "right"),
-                )
-                continue
-            if "p" in (left_kind, right_kind):
-                self._flag(
-                    "S306", op,
-                    "join variable %r is a PATH column — its entry holds a "
-                    "path_data offset, not a comparable identifier" % variable,
-                )
-                continue
-            if left_kind != right_kind:
-                self._flag(
-                    "S306", op,
-                    "join variable %r has kind %r on the left but %r on the "
-                    "right" % (variable, left_kind, right_kind),
-                )
-                continue
-            drop_columns.add(right.column_of(variable))
-        return self._combine(op, left, right, drop_columns)
-
-    def _value_join(self, op, child_layouts):
-        left, right = child_layouts
-        for side, layout, pair in (
-            ("left", left, op.left_property),
-            ("right", right, op.right_property),
-        ):
-            if tuple(pair) not in layout.properties:
-                self._flag(
-                    "S306", op,
-                    "%s join key %s.%s is not projected into the %s input"
-                    % (side, pair[0], pair[1], side),
-                )
-        return self._combine(op, left, right, set())
-
-    def _combine(self, op, left, right, drop_columns):
-        """The static mirror of :meth:`EmbeddingMetaData.combine`."""
-        entries = list(left.entries)
-        bound = {variable for variable, _kind in entries}
-        for column, (variable, kind) in enumerate(right.entries):
-            if column in drop_columns:
-                continue
-            if variable in bound:
-                self._flag(
-                    "S302", op,
-                    "variable %r is bound on both inputs but not joined — "
-                    "the merged embedding would carry it twice" % variable,
-                )
-                continue
-            bound.add(variable)
-            entries.append((variable, kind))
-        bounds = dict(left.path_bounds)
-        bounds.update(right.path_bounds)
-        return EmbeddingLayout(
-            entries=entries,
-            # prop_data is appended wholesale: the physical sequence is
-            # the concatenation, duplicates and all (§3.3 append-only)
-            properties=left.properties + right.properties,
-            path_bounds=bounds,
-            # the join's compiled morphism check (or its vacuous-truth
-            # condition) guarantees the configured strategies on output
-            morphism_ok=True,
-        )
-
-    def _expand(self, op, child):
-        edge = op.query_edge
-        start_kind = child.kind_of(op.start_variable)
-        if start_kind != "v":
-            self._flag(
-                "S306", op,
-                "expansion start %r is %s in the input"
-                % (
-                    op.start_variable,
-                    "not bound" if start_kind is None
-                    else "a %r column, not a vertex" % start_kind,
-                ),
-            )
-        if op.closing and child.kind_of(op.end_variable) != "v":
-            self._flag(
-                "S306", op,
-                "closing expansion end %r is not a vertex column of the "
-                "input" % op.end_variable,
-            )
-        lower, upper = edge.lower, edge.upper
-        if lower is None or upper is None or lower < 0 or upper < lower:
-            self._flag(
-                "S303", op,
-                "path %r declares malformed hop bounds *%s..%s"
-                % (edge.variable, lower, upper),
-            )
-            lower, upper = 0, 0  # keep interpreting with a harmless bound
-        entries = list(child.entries)
-        entries.append((edge.variable, "p"))
-        if not op.closing:
-            entries.append((op.end_variable, "v"))
-        bounds = dict(child.path_bounds)
-        bounds[edge.variable] = (lower, upper)
-        return EmbeddingLayout(
-            entries=entries,
-            properties=child.properties,
-            path_bounds=bounds,
-            # the superstep join checks every new path element (and the
-            # unbound end) against the input's vertex/edge id sets, so
-            # the guarantee carries over from the input
-            morphism_ok=child.morphism_ok,
-        )
-
-    def _project(self, op, child):
-        known = set(child.properties)
-        kept = []
-        for variable, key in op.keep_pairs:
-            if (variable, key) not in known:
-                self._flag(
-                    "S307", op,
-                    "projection keeps %s.%s but the input provides no such "
-                    "property record" % (variable, key),
-                )
-                continue
-            kept.append((variable, key))
-        return EmbeddingLayout(
-            entries=child.entries,
-            properties=kept,
-            path_bounds=child.path_bounds,
-            morphism_ok=child.morphism_ok,
-        )
-
-    def _unknown(self, op, child_layouts):
-        self._flag(
-            "S308", op,
-            "no layout transfer rule for %s — the plan cannot be statically "
-            "proven" % type(op).__name__,
-        )
-        # Fall back to trusting the declared metadata so interpretation
-        # can continue above this node; the report stays unproven.
-        meta = op.meta
-        if meta is None:
-            return EmbeddingLayout()
-        bounds = {}
-        for layout in child_layouts:
-            bounds.update(layout.path_bounds)
-        bounds.update(op.sanitizer_context().get("path_bounds", {}))
-        return EmbeddingLayout(
-            entries=tuple(
-                (variable, meta.entry_kind(variable))
-                for variable in meta.variables
-            ),
-            properties=tuple(meta.property_entries()),
-            path_bounds=bounds,
-            morphism_ok=all(
-                layout.morphism_ok for layout in child_layouts
-            ) if child_layouts else True,
         )
 
     # Declared-metadata comparison ----------------------------------------------
 
     def _check_declared(self, op, layout):
         """Derived layout vs. the metadata the operator declares."""
-        from repro.engine.embedding import ENTRY_WIDTH
-
         meta = op.meta
         if meta is None:
             self._flag("S301", op, "operator declares no metadata")

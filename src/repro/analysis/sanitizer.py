@@ -299,7 +299,7 @@ class EmbeddingSanitizer:
         path bounds), then resets the plan so already-built datasets are
         rebuilt with instrumentation.
         """
-        for operator in _walk(root):
+        for operator in root.postorder():
             context = operator.sanitizer_context()
             self.path_bounds.update(context.get("path_bounds", {}))
             operator._sanitizer = self
@@ -308,7 +308,7 @@ class EmbeddingSanitizer:
 
     def detach(self, root):
         """Remove the instrumentation installed by :meth:`attach`."""
-        for operator in _walk(root):
+        for operator in root.postorder():
             operator._sanitizer = None
         root.reset()
 
@@ -395,11 +395,3 @@ class EmbeddingSanitizer:
                     % (index, source_index, original.hex(), kept.hex()),
                 )
 
-
-def _walk(root):
-    """Every operator of the plan, root first."""
-    stack = [root]
-    while stack:
-        operator = stack.pop()
-        yield operator
-        stack.extend(operator.children)

@@ -9,10 +9,12 @@ planner alike) and checks the invariants every correct plan satisfies:
 
 * metadata is present and its columns form a contiguous ``0..n-1`` range
   with valid entry kinds;
-* every variable is bound exactly once: binary operators introduce no
-  accidental rebinding beyond their declared join variables, expands
-  bind a fresh end vertex (unless closing) and a fresh edge;
-* filters only reference variables and properties their input provides;
+* every operator passes the structural self-check it states for itself
+  (:meth:`PhysicalOperator.check_structure`) — every variable is bound
+  exactly once: binary operators introduce no accidental rebinding
+  beyond their declared join variables, expands bind a fresh end vertex
+  (unless closing) and a fresh edge; filters only reference variables
+  and properties their input provides;
 * the root binds every query variable with the right kind and retains
   every property the RETURN clause will read;
 * morphism strategies are consistent across the whole tree;
@@ -25,17 +27,6 @@ violation; :class:`PlanVerifier` returns them for programmatic use.
 import math
 
 from repro.cypher.ast import FunctionCall, PropertyAccess
-from repro.engine.operators.expand import ExpandEmbeddings
-from repro.engine.operators.filter_project import (
-    ProjectEmbeddings,
-    SelectEmbeddings,
-)
-from repro.engine.operators.join import CartesianEmbeddings, JoinEmbeddings
-from repro.engine.operators.leaves import (
-    SelectAndProjectEdges,
-    SelectAndProjectVertices,
-)
-from repro.engine.operators.value_join import JoinEmbeddingsOnProperty
 
 _VALID_KINDS = {"v", "e", "p"}
 
@@ -98,39 +89,26 @@ class PlanVerifier:
         """All violations in the tree under (and including) ``root``."""
         self._violations = []
         self._strategies = set()
-        self._walk(root)
+        for op in root.postorder():
+            self._check_meta(op)
+            self._check_cardinality(op)
+            # the self-checks are stated against the inputs' metadata; an
+            # input without any was already reported at its own node
+            if all(child.meta is not None for child in op.children):
+                op.check_structure(
+                    lambda rule, detail, op=op: self._flag(rule, op, detail)
+                )
+            if op.vertex_strategy is not None:
+                self._strategies.add((op.vertex_strategy, op.edge_strategy))
         self._check_strategies(root)
         if self.handler is not None:
             self._check_root(root)
         return list(self._violations)
 
-    # Traversal ------------------------------------------------------------------
-
     def _flag(self, rule, op, detail):
         self._violations.append(Violation(rule, op.describe(), detail))
 
-    def _walk(self, op):
-        for child in op.children:
-            self._walk(child)
-        self._check_meta(op)
-        self._check_cardinality(op)
-        if isinstance(op, JoinEmbeddings):
-            self._check_join(op)
-        elif isinstance(op, (CartesianEmbeddings, JoinEmbeddingsOnProperty)):
-            self._check_disjoint_join(op)
-        elif isinstance(op, ExpandEmbeddings):
-            self._check_expand(op)
-        elif isinstance(op, SelectEmbeddings):
-            self._check_select(op)
-        elif isinstance(op, ProjectEmbeddings):
-            self._check_project(op)
-        elif isinstance(op, (SelectAndProjectVertices, SelectAndProjectEdges)):
-            self._check_leaf(op)
-        if isinstance(op, (JoinEmbeddings, CartesianEmbeddings,
-                           JoinEmbeddingsOnProperty, ExpandEmbeddings)):
-            self._strategies.add((op.vertex_strategy, op.edge_strategy))
-
-    # Per-operator invariants ----------------------------------------------------
+    # Invariants of every operator -----------------------------------------------
 
     def _check_meta(self, op):
         meta = op.meta
@@ -178,159 +156,6 @@ class PlanVerifier:
                 "cardinality-invalid", op,
                 "estimate %r is not a finite non-negative number" % estimate,
             )
-
-    def _check_join(self, op):
-        left, right = op.children
-        if left.meta is None or right.meta is None:
-            return
-        join_variables = set(op.join_variables)
-        left_variables = set(left.meta.variables)
-        right_variables = set(right.meta.variables)
-        for variable in op.join_variables:
-            for side, bound in (("left", left_variables), ("right", right_variables)):
-                if variable not in bound:
-                    self._flag(
-                        "join-column-missing", op,
-                        "join variable %r is not bound by the %s input"
-                        % (variable, side),
-                    )
-        rebound = (left_variables & right_variables) - join_variables
-        if rebound:
-            self._flag(
-                "binding-duplicated", op,
-                "variables %s are bound by both inputs but are not join "
-                "variables" % sorted(rebound),
-            )
-        if op.meta is not None:
-            expected = left_variables | right_variables
-            if set(op.meta.variables) != expected:
-                self._flag(
-                    "binding-dropped", op,
-                    "output binds %s, inputs bind %s"
-                    % (sorted(op.meta.variables), sorted(expected)),
-                )
-
-    def _check_disjoint_join(self, op):
-        left, right = op.children
-        if left.meta is None or right.meta is None:
-            return
-        shared = set(left.meta.variables) & set(right.meta.variables)
-        if shared:
-            self._flag(
-                "binding-duplicated", op,
-                "%s binds %s on both inputs; only JoinEmbeddings may "
-                "overlap" % (type(op).__name__, sorted(shared)),
-            )
-
-    def _check_expand(self, op):
-        (child,) = op.children
-        if child.meta is None:
-            return
-        bound = set(child.meta.variables)
-        if op.start_variable not in bound:
-            self._flag(
-                "expand-start-unbound", op,
-                "expand starts at %r which the input does not bind"
-                % op.start_variable,
-            )
-        edge_variable = op.query_edge.variable
-        if edge_variable in bound:
-            self._flag(
-                "binding-duplicated", op,
-                "path variable %r is already bound by the input" % edge_variable,
-            )
-        if op.closing:
-            if op.end_variable not in bound:
-                self._flag(
-                    "expand-close-unbound", op,
-                    "closing expand targets %r which the input does not bind"
-                    % op.end_variable,
-                )
-        elif op.end_variable in bound:
-            self._flag(
-                "binding-duplicated", op,
-                "non-closing expand would rebind %r" % op.end_variable,
-            )
-
-    def _check_select(self, op):
-        (child,) = op.children
-        if child.meta is None:
-            return
-        meta = child.meta
-        bound = set(meta.variables)
-        unbound = op.cnf.variables() - bound
-        if unbound:
-            self._flag(
-                "select-unbound", op,
-                "predicate references unbound variables %s" % sorted(unbound),
-            )
-        for variable, keys in op.cnf.property_keys().items():
-            if variable not in bound:
-                continue  # already reported as select-unbound
-            if meta.entry_kind(variable) == "p":
-                continue  # paths carry no projected properties
-            for key in sorted(keys):
-                if not meta.has_property(variable, key):
-                    self._flag(
-                        "select-property-missing", op,
-                        "predicate reads %s.%s which the input does not "
-                        "project" % (variable, key),
-                    )
-
-    def _check_project(self, op):
-        (child,) = op.children
-        if child.meta is None or op.meta is None:
-            return
-        for variable, key in op.keep_pairs:
-            if not child.meta.has_property(variable, key):
-                self._flag(
-                    "project-source-missing", op,
-                    "projection keeps %s.%s which the input does not "
-                    "provide" % (variable, key),
-                )
-            if not op.meta.has_property(variable, key):
-                self._flag(
-                    "project-dropped", op,
-                    "projection output lost %s.%s" % (variable, key),
-                )
-        if set(op.meta.variables) != set(child.meta.variables):
-            self._flag(
-                "binding-dropped", op,
-                "projection changed the bound variables",
-            )
-
-    def _check_leaf(self, op):
-        if op.meta is None:
-            return
-        if isinstance(op, SelectAndProjectVertices):
-            variable = op.query_vertex.variable
-            expected_kinds = {variable: "v"}
-        else:
-            edge = op.query_edge
-            expected_kinds = {
-                edge.source: "v",
-                edge.variable: "p" if edge.is_variable_length else "e",
-                edge.target: "v",
-            }
-        for variable, kind in expected_kinds.items():
-            if not op.meta.has_variable(variable):
-                self._flag(
-                    "leaf-unbound", op,
-                    "leaf does not bind its own variable %r" % variable,
-                )
-            elif op.meta.entry_kind(variable) != kind:
-                self._flag(
-                    "binding-kind-mismatch", op,
-                    "variable %r bound as %r, expected %r"
-                    % (variable, op.meta.entry_kind(variable), kind),
-                )
-        for variable, key in op.meta.property_entries():
-            if key not in op.property_keys:
-                self._flag(
-                    "leaf-property-unprojected", op,
-                    "meta promises %s.%s but the leaf only projects %s"
-                    % (variable, key, op.property_keys),
-                )
 
     # Whole-plan invariants ------------------------------------------------------
 

@@ -1,9 +1,122 @@
-"""Base class for physical query operators.
+"""Base class for physical query operators, and the operator contract.
 
 A query plan is a tree of physical operators (Fig. 2).  Each operator
 carries the :class:`~repro.engine.embedding.EmbeddingMetaData` of its
 output and knows how to build the dataflow ``DataSet`` that computes it.
+
+Each operator also states its own rules — the *operator contract* the
+static analyses walk generically: the output layout from the child
+layouts (``repro.analysis.flow``), the demand on the children from the
+demand on the output (``liveness``), a worst-case cardinality bound
+(``costbound``), a structural self-check (``verifier``), a rebuild over
+new children (``engine.planning.prune``) and a source span.  The two
+value types the rules exchange, :class:`EmbeddingLayout` and
+:class:`Demand`, live here so operators never import the analyses.
 """
+
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+from repro.cypher.span import Span
+
+from ..embedding import ENTRY_WIDTH
+from ..morphism import MatchStrategy
+
+#: pairs like ``('a', 'v')``: variable and entry kind in column order
+_Entries = Tuple[Tuple[str, str], ...]
+#: pairs like ``('a', 'name')``: the physical property-record sequence
+_Props = Tuple[Tuple[str, str], ...]
+#: how a rule reports a finding: ``flag(code_or_rule_name, detail)``
+Flag = Callable[[str, str], None]
+
+
+class EmbeddingLayout:
+    """The abstract value: everything the §3.3 layout determines statically.
+
+    ``entries`` is the derived ``(variable, kind)`` tuple in column order
+    — column ``i`` occupies ``id_data`` bytes ``[i*9, (i+1)*9)``.
+    ``properties`` is the derived *physical* record sequence of
+    ``prop_data`` as ``(variable, key)`` pairs; in a sound plan it equals
+    the operator's property mapping enumerated by index (a pair loaded on
+    both join sides would leave dead bytes and break the equality — the
+    static analogue of ``S207``).  ``path_bounds`` maps each path variable
+    to its declared ``*lower..upper`` hop bounds, and ``morphism_ok``
+    records whether every embedding this operator emits provably satisfies
+    the configured morphism strategies.
+    """
+
+    __slots__ = ("entries", "properties", "path_bounds", "morphism_ok")
+
+    def __init__(self, entries=(), properties=(), path_bounds=None,
+                 morphism_ok=True):
+        self.entries: _Entries = tuple(entries)
+        self.properties: _Props = tuple(properties)
+        self.path_bounds: Dict[str, Tuple[int, int]] = dict(path_bounds or {})
+        self.morphism_ok = morphism_ok
+
+    @property
+    def variables(self):
+        return [variable for variable, _kind in self.entries]
+
+    def kind_of(self, variable):
+        for candidate, kind in self.entries:
+            if candidate == variable:
+                return kind
+        return None
+
+    def column_of(self, variable):
+        for column, (candidate, _kind) in enumerate(self.entries):
+            if candidate == variable:
+                return column
+        return None
+
+    def id_width(self):
+        """The derived ``id_data`` byte width (merge width arithmetic)."""
+        return len(self.entries) * ENTRY_WIDTH
+
+    def __repr__(self):
+        return "EmbeddingLayout(%r, %r, bounds=%r, morphism_ok=%r)" % (
+            self.entries, self.properties, self.path_bounds, self.morphism_ok
+        )
+
+
+class Demand:
+    """The abstract value: what downstream consumers read of an output.
+
+    ``variables`` holds variables whose *id column bytes* are read (join
+    keys, morphism checks, expansion starts, returned bindings);
+    ``properties`` holds ``(variable, key)`` pairs whose ``prop_data``
+    record is read; ``paths`` holds path variables whose *contents* (the
+    hop sequence, not just the column slot) are read.
+    """
+
+    __slots__ = ("variables", "properties", "paths")
+
+    def __init__(self, variables=(), properties=(), paths=()):
+        self.variables: Set[str] = set(variables)
+        self.properties: Set[Tuple[str, str]] = set(properties)
+        self.paths: Set[str] = set(paths)
+
+    def copy(self):
+        return Demand(self.variables, self.properties, self.paths)
+
+    def restricted_to(self, meta):
+        """The demand intersected with what ``meta`` actually provides."""
+        if meta is None:
+            return self.copy()
+        provided = set(meta.variables)
+        pairs = set(meta.property_entries())
+        return Demand(
+            self.variables & provided,
+            self.properties & pairs,
+            self.paths & provided,
+        )
+
+    def __repr__(self):
+        return "Demand(vars=%r, props=%r, paths=%r)" % (
+            sorted(self.variables),
+            sorted(self.properties),
+            sorted(self.paths),
+        )
 
 
 class PhysicalOperator:
@@ -11,6 +124,10 @@ class PhysicalOperator:
 
     #: human-readable operator name used in EXPLAIN output and metrics
     display = "physical-operator"
+    #: the morphism semantics this operator enforces on its output
+    #: (``None`` on operators that check none)
+    vertex_strategy: Optional[MatchStrategy] = None
+    edge_strategy: Optional[MatchStrategy] = None
 
     def __init__(self, children=()):
         self.children = list(children)
@@ -18,6 +135,18 @@ class PhysicalOperator:
         self.estimated_cardinality = None  # set by the planner
         self._dataset = None
         self._sanitizer = None  # set via EmbeddingSanitizer.attach()
+
+    def postorder(self) -> Iterator["PhysicalOperator"]:
+        """Every operator of this sub-plan, children before parents."""
+        for child in self.children:
+            yield from child.postorder()
+        yield self
+
+    def preorder(self) -> Iterator["PhysicalOperator"]:
+        """Every operator of this sub-plan, parents before children."""
+        yield self
+        for child in self.children:
+            yield from child.preorder()
 
     def evaluate(self):
         """The output DataSet (built once, cached).
@@ -57,6 +186,79 @@ class PhysicalOperator:
 
     def _build(self):
         raise NotImplementedError
+
+    # The operator contract ------------------------------------------------------
+    #
+    # One rule per analysis, stated by every concrete operator.  A class
+    # without a rule fails loudly the first time an analysis asks for it.
+
+    def _no_rule(self, rule):
+        return NotImplementedError(
+            "%s states no %s() rule" % (type(self).__name__, rule)
+        )
+
+    def derive_layout(
+        self, child_layouts: Sequence[EmbeddingLayout], vertex_iso: bool,
+        flag: Flag,
+    ) -> EmbeddingLayout:
+        """Forward rule: the output layout from the children's layouts.
+
+        Reads operator parameters and ``child_layouts`` only — never
+        ``self.meta``, which is what the flow verifier compares the
+        result *against*.  ``vertex_iso`` tells whether the plan will run
+        under vertex isomorphism; defects are reported as ``S3xx`` codes.
+        """
+        raise self._no_rule("derive_layout")
+
+    def demand_on_children(
+        self, demand: Demand, vertex_iso: bool, edge_iso: bool, flag: Flag,
+    ) -> List[Demand]:
+        """Backward rule: what this operator reads of each child, given
+        what is read of its output; dead bytes it introduces are reported
+        as ``S4xx`` codes."""
+        raise self._no_rule("demand_on_children")
+
+    def cardinality_bound(self, child_bounds: Sequence[float], statistics) -> float:
+        """Worst-case output rows for any data consistent with
+        ``statistics``, given the children's worst cases."""
+        raise self._no_rule("cardinality_bound")
+
+    def check_structure(self, flag: Flag) -> None:
+        """The plan verifier's per-operator invariants, reported by rule
+        name.  Only called when every child declares metadata."""
+        raise self._no_rule("check_structure")
+
+    def rebuild(
+        self, children: List["PhysicalOperator"],
+        live_properties: Set[Tuple[str, str]],
+    ) -> "PhysicalOperator":
+        """This operator over ``children``, extracting only the property
+        records in ``live_properties``; ``self`` when nothing changes.
+
+        A fresh operator rather than a mutation: every operator
+        precomputes byte offsets from its children's metadata at
+        construction time.
+        """
+        raise self._no_rule("rebuild")
+
+    def span(self) -> Optional[Span]:
+        """Best-effort source :class:`~repro.cypher.span.Span`.
+
+        Leaves and expansions carry the pattern element they were
+        compiled from; a selection points at its first predicate atom.
+        Joins and projections synthesize columns from *two* source
+        locations (or none), so they return ``None`` — a diagnostic
+        still names the operator.
+        """
+        return None
+
+    def projected_to(self, keep_pairs) -> "PhysicalOperator":
+        """A projection above this operator keeping ``keep_pairs``."""
+        from .filter_project import ProjectEmbeddings
+
+        projection = ProjectEmbeddings(self, keep_pairs)
+        projection.estimated_cardinality = self.estimated_cardinality
+        return projection
 
     def describe(self):
         """One line for EXPLAIN trees."""

@@ -15,7 +15,7 @@ from repro.epgm.indexed import IndexedLogicalGraph
 
 from ..embedding import ElementBindings
 from ..morphism import MatchStrategy
-from .base import PhysicalOperator
+from .base import EmbeddingLayout, PhysicalOperator
 
 
 class ExpandEmbeddings(PhysicalOperator):
@@ -80,6 +80,138 @@ class ExpandEmbeddings(PhysicalOperator):
                 )
             }
         }
+
+    def derive_layout(self, child_layouts, vertex_iso, flag):
+        (child,) = child_layouts
+        edge = self.query_edge
+        start_kind = child.kind_of(self.start_variable)
+        if start_kind != "v":
+            flag(
+                "S306",
+                "expansion start %r is %s in the input"
+                % (
+                    self.start_variable,
+                    "not bound" if start_kind is None
+                    else "a %r column, not a vertex" % start_kind,
+                ),
+            )
+        if self.closing and child.kind_of(self.end_variable) != "v":
+            flag(
+                "S306",
+                "closing expansion end %r is not a vertex column of the "
+                "input" % self.end_variable,
+            )
+        lower, upper = edge.lower, edge.upper
+        if lower is None or upper is None or lower < 0 or upper < lower:
+            flag(
+                "S303",
+                "path %r declares malformed hop bounds *%s..%s"
+                % (edge.variable, lower, upper),
+            )
+            lower, upper = 0, 0  # keep interpreting with a harmless bound
+        entries = list(child.entries)
+        entries.append((edge.variable, "p"))
+        if not self.closing:
+            entries.append((self.end_variable, "v"))
+        bounds = dict(child.path_bounds)
+        bounds[edge.variable] = (lower, upper)
+        return EmbeddingLayout(
+            entries=entries,
+            properties=child.properties,
+            path_bounds=bounds,
+            # the superstep join checks every new path element (and the
+            # unbound end) against the input's vertex/edge id sets, so
+            # the guarantee carries over from the input
+            morphism_ok=child.morphism_ok,
+        )
+
+    def demand_on_children(self, demand, vertex_iso, edge_iso, flag):
+        child_meta = self.children[0].meta
+        if self.query_edge.variable not in demand.paths:
+            flag(
+                "S403",
+                "path contents of %r are carried but never read — only "
+                "the column slot is required downstream"
+                % self.query_edge.variable,
+            )
+        if not self.closing and self.end_variable not in demand.variables:
+            flag(
+                "S401",
+                "id column %r is never read downstream" % self.end_variable,
+            )
+        child = demand.restricted_to(child_meta)
+        child.variables.add(self.start_variable)
+        if self.closing:
+            child.variables.add(self.end_variable)
+        if (vertex_iso or edge_iso) and child_meta is not None:
+            # the superstep seeds its seen-sets from every base vertex and
+            # edge id column and the contents of every base path column
+            for variable in child_meta.variables:
+                if child_meta.entry_kind(variable) in ("v", "e"):
+                    child.variables.add(variable)
+                else:
+                    child.paths.add(variable)
+        return [child.restricted_to(child_meta)]
+
+    def cardinality_bound(self, child_bounds, statistics):
+        """``|input| · Σ d_max^h`` over the admissible hop counts."""
+        edge = self.query_edge
+        if edge.undirected:
+            fanout = (
+                statistics.max_out_degree(edge.types)
+                + statistics.max_in_degree(edge.types)
+            )
+        elif self.reverse:
+            fanout = statistics.max_in_degree(edge.types)
+        else:
+            fanout = statistics.max_out_degree(edge.types)
+        lower = max(edge.lower or 0, 0)
+        upper = edge.upper if edge.upper is not None else lower
+        paths = sum(
+            fanout ** hops for hops in range(max(lower, 1), upper + 1)
+        )
+        if lower == 0:
+            paths += 1  # the zero-hop emission keeps the input row
+        return child_bounds[0] * paths
+
+    def check_structure(self, flag):
+        bound = set(self.children[0].meta.variables)
+        if self.start_variable not in bound:
+            flag(
+                "expand-start-unbound",
+                "expand starts at %r which the input does not bind"
+                % self.start_variable,
+            )
+        edge_variable = self.query_edge.variable
+        if edge_variable in bound:
+            flag(
+                "binding-duplicated",
+                "path variable %r is already bound by the input" % edge_variable,
+            )
+        if self.closing:
+            if self.end_variable not in bound:
+                flag(
+                    "expand-close-unbound",
+                    "closing expand targets %r which the input does not bind"
+                    % self.end_variable,
+                )
+        elif self.end_variable in bound:
+            flag(
+                "binding-duplicated",
+                "non-closing expand would rebind %r" % self.end_variable,
+            )
+
+    def rebuild(self, children, live_properties):
+        if children == self.children:
+            return self
+        return ExpandEmbeddings(
+            children[0], self.graph, self.query_edge,
+            self.vertex_strategy, self.edge_strategy,
+            self.closing, reverse=self.reverse,
+        )
+
+    def span(self):
+        return self.query_edge.span
 
     # ------------------------------------------------------------------------
 

@@ -4,7 +4,7 @@ from repro.cypher.predicates import compile_cnf
 
 from ..columnar import project_kernel, select_kernel
 from ..embedding import EmbeddingMetaData, compile_property_projector
-from .base import PhysicalOperator
+from .base import EmbeddingLayout, PhysicalOperator
 
 
 class SelectEmbeddings(PhysicalOperator):
@@ -38,6 +38,61 @@ class SelectEmbeddings(PhysicalOperator):
 
     def describe(self):
         return "SelectEmbeddings(%s)" % self.cnf
+
+    def derive_layout(self, child_layouts, vertex_iso, flag):
+        return child_layouts[0]
+
+    def demand_on_children(self, demand, vertex_iso, edge_iso, flag):
+        child = demand.copy()
+        child.variables |= self.cnf.variables()
+        for variable, keys in self.cnf.property_keys().items():
+            for key in keys:
+                child.properties.add((variable, key))
+        return [child.restricted_to(self.children[0].meta)]
+
+    def cardinality_bound(self, child_bounds, statistics):
+        return child_bounds[0]
+
+    def check_structure(self, flag):
+        meta = self.children[0].meta
+        bound = set(meta.variables)
+        unbound = self.cnf.variables() - bound
+        if unbound:
+            flag(
+                "select-unbound",
+                "predicate references unbound variables %s" % sorted(unbound),
+            )
+        for variable, keys in self.cnf.property_keys().items():
+            if variable not in bound:
+                continue  # already reported as select-unbound
+            if meta.entry_kind(variable) == "p":
+                continue  # paths carry no projected properties
+            for key in sorted(keys):
+                if not meta.has_property(variable, key):
+                    flag(
+                        "select-property-missing",
+                        "predicate reads %s.%s which the input does not "
+                        "project" % (variable, key),
+                    )
+
+    def rebuild(self, children, live_properties):
+        if children == self.children:
+            return self
+        return SelectEmbeddings(children[0], self.cnf)
+
+    def span(self):
+        """The first predicate atom that carries a source location."""
+        for clause in self.cnf.clauses:
+            for atom in clause.atoms:
+                comparison = atom.comparison
+                for side in (comparison.left, comparison.right):
+                    # a bound ``$parameter`` slot has no source location
+                    span = getattr(side, "span", None)
+                    if span is not None:
+                        return span
+                if comparison.span is not None:
+                    return comparison.span
+        return None
 
 
 class ProjectEmbeddings(PhysicalOperator):
@@ -87,3 +142,66 @@ class ProjectEmbeddings(PhysicalOperator):
         return "ProjectEmbeddings(%s)" % ", ".join(
             "%s.%s" % pair for pair in self.keep_pairs
         )
+
+    def derive_layout(self, child_layouts, vertex_iso, flag):
+        (child,) = child_layouts
+        kept = []
+        for variable, key in self.keep_pairs:
+            if (variable, key) not in child.properties:
+                flag(
+                    "S307",
+                    "projection keeps %s.%s but the input provides no such "
+                    "property record" % (variable, key),
+                )
+                continue
+            kept.append((variable, key))
+        return EmbeddingLayout(
+            entries=child.entries,
+            properties=kept,
+            path_bounds=child.path_bounds,
+            morphism_ok=child.morphism_ok,
+        )
+
+    def demand_on_children(self, demand, vertex_iso, edge_iso, flag):
+        # the projection copies its kept records; copying is not reading,
+        # so only records something *above* still reads stay demanded —
+        # this is what lets pruning narrow transitively down to the leaf
+        child = demand.restricted_to(self.children[0].meta)
+        child.properties = {
+            tuple(pair) for pair in self.keep_pairs
+            if tuple(pair) in demand.properties
+        }
+        return [child.restricted_to(self.children[0].meta)]
+
+    def cardinality_bound(self, child_bounds, statistics):
+        return child_bounds[0]
+
+    def check_structure(self, flag):
+        child_meta = self.children[0].meta
+        if self.meta is None:
+            return
+        for variable, key in self.keep_pairs:
+            if not child_meta.has_property(variable, key):
+                flag(
+                    "project-source-missing",
+                    "projection keeps %s.%s which the input does not "
+                    "provide" % (variable, key),
+                )
+            if not self.meta.has_property(variable, key):
+                flag(
+                    "project-dropped",
+                    "projection output lost %s.%s" % (variable, key),
+                )
+        if set(self.meta.variables) != set(child_meta.variables):
+            flag("binding-dropped", "projection changed the bound variables")
+
+    def rebuild(self, children, live_properties):
+        (child,) = children
+        pairs = [tuple(pair) for pair in self.keep_pairs]
+        keep = [
+            pair for pair in pairs
+            if pair in live_properties and child.meta.has_property(*pair)
+        ]
+        if children == self.children and keep == pairs:
+            return self
+        return ProjectEmbeddings(child, keep)

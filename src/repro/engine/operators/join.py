@@ -8,12 +8,130 @@ materialized (paper §3.1).
 from ..columnar import columnar_join_spec, shuffle_kernel
 from ..embedding import EmbeddingMetaData, compile_merge
 from ..morphism import compile_morphism_check
-from .base import PhysicalOperator
+from .base import EmbeddingLayout, PhysicalOperator
 
 from repro.dataflow import JoinStrategy
 
 
-class JoinEmbeddings(PhysicalOperator):
+class TwoInputOperator(PhysicalOperator):
+    """What the three two-input operators share: the merged layout, the
+    morphism check on the merged embedding, and the ``|L| · |R|`` bound.
+
+    Subclasses state their join key through :meth:`_check_keys` /
+    :meth:`_demand_keys` and how to re-instantiate through :meth:`_over`.
+    """
+
+    def __init__(self, left, right, vertex_strategy, edge_strategy,
+                 join_variables=()):
+        super().__init__([left, right])
+        self.vertex_strategy = vertex_strategy
+        self.edge_strategy = edge_strategy
+        self.meta, self._drop_columns = EmbeddingMetaData.combine(
+            left.meta, right.meta, join_variables
+        )
+
+    def _check_keys(self, left, right, flag):
+        """Check the join key against the input layouts (``S306``);
+        returns the right-side columns the merge drops."""
+        return set()
+
+    def _demand_keys(self, left, right):
+        """Add what the join itself reads of its inputs."""
+
+    def _over(self, left, right):
+        """The same operator over new inputs."""
+        raise NotImplementedError
+
+    def derive_layout(self, child_layouts, vertex_iso, flag):
+        """The static mirror of :meth:`EmbeddingMetaData.combine`."""
+        left, right = child_layouts
+        drop_columns = self._check_keys(left, right, flag)
+        entries = list(left.entries)
+        bound = {variable for variable, _kind in entries}
+        for column, (variable, kind) in enumerate(right.entries):
+            if column in drop_columns:
+                continue
+            if variable in bound:
+                flag(
+                    "S302",
+                    "variable %r is bound on both inputs but not joined — "
+                    "the merged embedding would carry it twice" % variable,
+                )
+                continue
+            bound.add(variable)
+            entries.append((variable, kind))
+        bounds = dict(left.path_bounds)
+        bounds.update(right.path_bounds)
+        return EmbeddingLayout(
+            entries=entries,
+            # prop_data is appended wholesale: the physical sequence is
+            # the concatenation, duplicates and all (§3.3 append-only)
+            properties=left.properties + right.properties,
+            path_bounds=bounds,
+            # the join's compiled morphism check (or its vacuous-truth
+            # condition) guarantees the configured strategies on output
+            morphism_ok=True,
+        )
+
+    def demand_on_children(self, demand, vertex_iso, edge_iso, flag):
+        metas = [child.meta for child in self.children]
+        sides = [demand.restricted_to(meta) for meta in metas]
+        self._demand_keys(*sides)
+        self._demand_morphism(sides, vertex_iso, edge_iso)
+        return [side.restricted_to(meta) for side, meta in zip(sides, metas)]
+
+    def _demand_morphism(self, sides, vertex_iso, edge_iso):
+        """What the merge's compiled morphism check reads of its output.
+
+        Mirrors :func:`~repro.engine.morphism.compile_morphism_check`
+        exactly, including its vacuous-truth conditions: no isomorphism
+        strategy → nothing; a path-bearing shape falls back to the full
+        check (every watched id column plus every path's contents);
+        otherwise a kind is only inspected when it has two or more
+        columns to compare.
+        """
+        meta = self.meta
+        if meta is None or not (vertex_iso or edge_iso):
+            return
+        vertex_vars, edge_vars, path_vars = [], [], []
+        for variable in meta.variables:
+            kind = meta.entry_kind(variable)
+            if kind == "v" and vertex_iso:
+                vertex_vars.append(variable)
+            elif kind == "e" and edge_iso:
+                edge_vars.append(variable)
+            elif kind == "p":
+                path_vars.append(variable)
+        if path_vars:
+            watched = set(vertex_vars) | set(edge_vars)
+        else:
+            watched = set()
+            if len(vertex_vars) > 1:
+                watched |= set(vertex_vars)
+            if len(edge_vars) > 1:
+                watched |= set(edge_vars)
+        for side in sides:
+            side.variables |= watched
+            side.paths |= set(path_vars)
+
+    def cardinality_bound(self, child_bounds, statistics):
+        return child_bounds[0] * child_bounds[1]
+
+    def check_structure(self, flag):
+        left, right = self.children
+        shared = set(left.meta.variables) & set(right.meta.variables)
+        if shared:
+            flag(
+                "binding-duplicated",
+                "%s binds %s on both inputs; only JoinEmbeddings may "
+                "overlap" % (type(self).__name__, sorted(shared)),
+            )
+
+    def rebuild(self, children, live_properties):
+        return self if children == self.children else self._over(*children)
+
+
+class JoinEmbeddings(TwoInputOperator):
     """Equi-join of two embedding relations on one or more variables."""
 
     display = "JoinEmbeddings"
@@ -27,20 +145,17 @@ class JoinEmbeddings(PhysicalOperator):
         edge_strategy,
         strategy=JoinStrategy.AUTO,
     ):
-        super().__init__([left, right])
         if not join_variables:
             raise ValueError("JoinEmbeddings requires at least one join variable")
         self.join_variables = list(join_variables)
-        self.vertex_strategy = vertex_strategy
-        self.edge_strategy = edge_strategy
         self.strategy = strategy
         for variable in self.join_variables:
             if not left.meta.has_variable(variable):
                 raise ValueError("join variable %r missing on left side" % variable)
             if not right.meta.has_variable(variable):
                 raise ValueError("join variable %r missing on right side" % variable)
-        self.meta, self._drop_columns = EmbeddingMetaData.combine(
-            left.meta, right.meta, self.join_variables
+        super().__init__(
+            left, right, vertex_strategy, edge_strategy, self.join_variables
         )
         self._left_columns = [left.meta.entry_column(v) for v in self.join_variables]
         self._right_columns = [right.meta.entry_column(v) for v in self.join_variables]
@@ -119,8 +234,71 @@ class JoinEmbeddings(PhysicalOperator):
     def describe(self):
         return "JoinEmbeddings(on %s)" % ", ".join(self.join_variables)
 
+    def _check_keys(self, left, right, flag):
+        drop_columns = set()
+        for variable in self.join_variables:
+            left_kind = left.kind_of(variable)
+            right_kind = right.kind_of(variable)
+            if left_kind is None or right_kind is None:
+                flag(
+                    "S306",
+                    "join variable %r is not bound on the %s side"
+                    % (variable, "left" if left_kind is None else "right"),
+                )
+            elif "p" in (left_kind, right_kind):
+                flag(
+                    "S306",
+                    "join variable %r is a PATH column — its entry holds a "
+                    "path_data offset, not a comparable identifier" % variable,
+                )
+            elif left_kind != right_kind:
+                flag(
+                    "S306",
+                    "join variable %r has kind %r on the left but %r on the "
+                    "right" % (variable, left_kind, right_kind),
+                )
+            else:
+                drop_columns.add(right.column_of(variable))
+        return drop_columns
 
-class CartesianEmbeddings(PhysicalOperator):
+    def _demand_keys(self, left, right):
+        left.variables.update(self.join_variables)
+        right.variables.update(self.join_variables)
+
+    def _over(self, left, right):
+        return JoinEmbeddings(
+            left, right, self.join_variables,
+            self.vertex_strategy, self.edge_strategy, strategy=self.strategy,
+        )
+
+    def check_structure(self, flag):
+        left_variables = set(self.children[0].meta.variables)
+        right_variables = set(self.children[1].meta.variables)
+        for variable in self.join_variables:
+            for side, bound in (("left", left_variables), ("right", right_variables)):
+                if variable not in bound:
+                    flag(
+                        "join-column-missing",
+                        "join variable %r is not bound by the %s input"
+                        % (variable, side),
+                    )
+        rebound = (left_variables & right_variables) - set(self.join_variables)
+        if rebound:
+            flag(
+                "binding-duplicated",
+                "variables %s are bound by both inputs but are not join "
+                "variables" % sorted(rebound),
+            )
+        expected = left_variables | right_variables
+        if self.meta is not None and set(self.meta.variables) != expected:
+            flag(
+                "binding-dropped",
+                "output binds %s, inputs bind %s"
+                % (sorted(self.meta.variables), sorted(expected)),
+            )
+
+
+class CartesianEmbeddings(TwoInputOperator):
     """Cross product of two disconnected sub-patterns.
 
     Needed when a MATCH clause contains disconnected components; still
@@ -129,12 +307,9 @@ class CartesianEmbeddings(PhysicalOperator):
 
     display = "CartesianEmbeddings"
 
-    def __init__(self, left, right, vertex_strategy, edge_strategy):
-        super().__init__([left, right])
-        self.vertex_strategy = vertex_strategy
-        self.edge_strategy = edge_strategy
-        self.meta, self._drop_columns = EmbeddingMetaData.combine(
-            left.meta, right.meta, []
+    def _over(self, left, right):
+        return CartesianEmbeddings(
+            left, right, self.vertex_strategy, self.edge_strategy
         )
 
     def _build(self):

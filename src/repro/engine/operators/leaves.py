@@ -10,7 +10,7 @@ from repro.epgm.indexed import IndexedLogicalGraph
 
 from ..columnar import leaf_edge_kernel, leaf_vertex_kernel
 from ..embedding import Embedding, ElementBindings, EmbeddingMetaData
-from .base import PhysicalOperator
+from .base import EmbeddingLayout, PhysicalOperator
 
 
 def _label_scoped_dataset(graph, labels, kind):
@@ -29,20 +29,116 @@ def _label_scoped_dataset(graph, labels, kind):
     return full
 
 
-class SelectAndProjectVertices(PhysicalOperator):
+class _ElementLeaf(PhysicalOperator):
+    """What the two leaves share: one pattern element scanned off the
+    graph, its id columns, and the property keys projected from it."""
+
+    def __init__(self, graph, property_keys):
+        super().__init__()
+        self.graph = graph
+        self.property_keys = sorted(property_keys)
+
+    def _element(self):
+        """The pattern element (query vertex or edge) this leaf scans."""
+        raise NotImplementedError
+
+    def _entries(self):
+        """The ``(variable, kind)`` id columns, in column order."""
+        raise NotImplementedError
+
+    def _with_keys(self, keys):
+        """The same leaf projecting only ``keys``."""
+        raise NotImplementedError
+
+    def _morphism_ok(self, vertex_iso):
+        return True  # one vertex column is trivially injective
+
+    def derive_layout(self, child_layouts, vertex_iso, flag):
+        variable = self._element().variable
+        return EmbeddingLayout(
+            entries=self._entries(),
+            properties=tuple((variable, key) for key in self.property_keys),
+            morphism_ok=self._morphism_ok(vertex_iso),
+        )
+
+    def demand_on_children(self, demand, vertex_iso, edge_iso, flag):
+        for variable, _kind in self._entries():
+            if variable not in demand.variables:
+                flag("S401", "id column %r is never read downstream" % variable)
+        # S402 at the introduction site.  Element-local predicates
+        # evaluate on the *element* inside the leaf's flat-map, before
+        # projection — so a key loaded only for them is dead weight in
+        # every embedding above the leaf.
+        variable = self._element().variable
+        for key in self.property_keys:
+            if (variable, key) not in demand.properties:
+                flag(
+                    "S402",
+                    "property record %s.%s is loaded into embeddings but "
+                    "never read downstream" % (variable, key),
+                )
+        return []
+
+    def check_structure(self, flag):
+        if self.meta is None:
+            return
+        for variable, kind in self._entries():
+            if not self.meta.has_variable(variable):
+                flag(
+                    "leaf-unbound",
+                    "leaf does not bind its own variable %r" % variable,
+                )
+            elif self.meta.entry_kind(variable) != kind:
+                flag(
+                    "binding-kind-mismatch",
+                    "variable %r bound as %r, expected %r"
+                    % (variable, self.meta.entry_kind(variable), kind),
+                )
+        for variable, key in self.meta.property_entries():
+            if key not in self.property_keys:
+                flag(
+                    "leaf-property-unprojected",
+                    "meta promises %s.%s but the leaf only projects %s"
+                    % (variable, key, self.property_keys),
+                )
+
+    def rebuild(self, children, live_properties):
+        variable = self._element().variable
+        keys = [
+            key for key in self.property_keys
+            if (variable, key) in live_properties
+        ]
+        return self if keys == self.property_keys else self._with_keys(keys)
+
+    def span(self):
+        return self._element().span
+
+
+class SelectAndProjectVertices(_ElementLeaf):
     """Vertices satisfying a query vertex's predicates, as embeddings."""
 
     display = "SelectAndProjectVertices"
 
     def __init__(self, graph, query_vertex, property_keys):
-        super().__init__()
-        self.graph = graph
+        super().__init__(graph, property_keys)
         self.query_vertex = query_vertex
-        self.property_keys = sorted(property_keys)
         meta = EmbeddingMetaData().with_entry(query_vertex.variable, "v")
         for key in self.property_keys:
             meta = meta.with_property(query_vertex.variable, key)
         self.meta = meta
+
+    def _element(self):
+        return self.query_vertex
+
+    def _entries(self):
+        return [(self.query_vertex.variable, "v")]
+
+    def _with_keys(self, keys):
+        return SelectAndProjectVertices(self.graph, self.query_vertex, keys)
+
+    def cardinality_bound(self, child_bounds, statistics):
+        # predicates only filter: the selectivity floor of any CNF is 1.0
+        return statistics.vertices_with_labels(self.query_vertex.labels)
 
     def _build(self):
         variable = self.query_vertex.variable
@@ -75,7 +171,7 @@ class SelectAndProjectVertices(PhysicalOperator):
         return "SelectAndProjectVertices(%s%s)" % (self.query_vertex.variable, label)
 
 
-class SelectAndProjectEdges(PhysicalOperator):
+class SelectAndProjectEdges(_ElementLeaf):
     """Edges satisfying a query edge's predicates, as embeddings.
 
     The output embedding has columns ``[source, edge, target]`` (``[source,
@@ -90,14 +186,12 @@ class SelectAndProjectEdges(PhysicalOperator):
         planner under vertex isomorphism when the query edge's endpoints
         are different variables — a leaf-only plan has no downstream join
         to enforce the injectivity of the two endpoint bindings."""
-        super().__init__()
+        super().__init__(graph, property_keys)
         if query_edge.is_variable_length:
             raise ValueError(
                 "variable-length edge %r needs ExpandEmbeddings" % query_edge.variable
             )
-        self.graph = graph
         self.query_edge = query_edge
-        self.property_keys = sorted(property_keys)
         self.is_loop = query_edge.source == query_edge.target
         self.distinct_endpoints = distinct_endpoints and not self.is_loop
         meta = EmbeddingMetaData().with_entry(query_edge.source, "v")
@@ -107,6 +201,33 @@ class SelectAndProjectEdges(PhysicalOperator):
         for key in self.property_keys:
             meta = meta.with_property(query_edge.variable, key)
         self.meta = meta
+
+    def _element(self):
+        return self.query_edge
+
+    def _entries(self):
+        edge = self.query_edge
+        entries = [(edge.source, "v"), (edge.variable, "e")]
+        if not self.is_loop:
+            entries.append((edge.target, "v"))
+        return entries
+
+    def _with_keys(self, keys):
+        return SelectAndProjectEdges(
+            self.graph, self.query_edge, keys,
+            distinct_endpoints=self.distinct_endpoints,
+        )
+
+    def _morphism_ok(self, vertex_iso):
+        # Under vertex isomorphism a data self-loop binds one vertex to
+        # both endpoint columns; only ``distinct_endpoints`` (or a loop
+        # edge, which has a single endpoint column) rules that out.
+        return not vertex_iso or self.is_loop or self.distinct_endpoints
+
+    def cardinality_bound(self, child_bounds, statistics):
+        count = statistics.edges_with_labels(self.query_edge.types)
+        # undirected leaves emit both orientations of every edge
+        return count * 2 if self.query_edge.undirected else count
 
     def _build(self):
         variable = self.query_edge.variable

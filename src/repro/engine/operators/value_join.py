@@ -10,9 +10,9 @@ NULL never joins (Cypher: ``NULL = NULL`` is unknown), and numeric keys
 compare across int/float like the predicate evaluator does.
 """
 
-from ..embedding import EmbeddingMetaData, compile_merge
+from ..embedding import compile_merge
 from ..morphism import compile_morphism_check
-from .base import PhysicalOperator
+from .join import TwoInputOperator
 
 
 def _join_key(value):
@@ -22,7 +22,7 @@ def _join_key(value):
     return (value.type_name, value.to_bytes())
 
 
-class JoinEmbeddingsOnProperty(PhysicalOperator):
+class JoinEmbeddingsOnProperty(TwoInputOperator):
     """Join on ``left_var.left_key = right_var.right_key``."""
 
     display = "JoinEmbeddingsOnProperty"
@@ -38,16 +38,11 @@ class JoinEmbeddingsOnProperty(PhysicalOperator):
     ):
         """``left_property``/``right_property``: ``(variable, key)`` pairs
         that must be projected into the respective inputs."""
-        super().__init__([left, right])
+        super().__init__(left, right, vertex_strategy, edge_strategy)
         self.left_property = left_property
         self.right_property = right_property
-        self.vertex_strategy = vertex_strategy
-        self.edge_strategy = edge_strategy
         self._left_index = left.meta.property_index(*left_property)
         self._right_index = right.meta.property_index(*right_property)
-        self.meta, self._drop_columns = EmbeddingMetaData.combine(
-            left.meta, right.meta, []
-        )
 
     def _build(self):
         left_index = self._left_index
@@ -120,4 +115,27 @@ class JoinEmbeddingsOnProperty(PhysicalOperator):
     def describe(self):
         return "JoinEmbeddingsOnProperty(%s.%s = %s.%s)" % (
             self.left_property + self.right_property
+        )
+
+    def _check_keys(self, left, right, flag):
+        for side, layout, pair in (
+            ("left", left, self.left_property),
+            ("right", right, self.right_property),
+        ):
+            if tuple(pair) not in layout.properties:
+                flag(
+                    "S306",
+                    "%s join key %s.%s is not projected into the %s input"
+                    % (side, pair[0], pair[1], side),
+                )
+        return set()
+
+    def _demand_keys(self, left, right):
+        left.properties.add(tuple(self.left_property))
+        right.properties.add(tuple(self.right_property))
+
+    def _over(self, left, right):
+        return JoinEmbeddingsOnProperty(
+            left, right, self.left_property, self.right_property,
+            self.vertex_strategy, self.edge_strategy,
         )

@@ -30,8 +30,7 @@ def prune_plan(root, handler=None, vertex_strategy=None, edge_strategy=None):
 
     Returns the (possibly new) plan root; when liveness finds nothing to
     prune the original operator objects are returned untouched, so leaf
-    dataset sharing and cached evaluations survive.  Unknown operators
-    act as rewrite barriers: nothing below them is changed.
+    dataset sharing and cached evaluations survive.
     """
     from repro.analysis.liveness import verify_liveness
 
@@ -39,153 +38,25 @@ def prune_plan(root, handler=None, vertex_strategy=None, edge_strategy=None):
         root, handler,
         vertex_strategy=vertex_strategy, edge_strategy=edge_strategy,
     )
-    rewriter = _Pruner(report, vertex_strategy, edge_strategy)
-    new_root = rewriter.rewrite(root)
-    return rewriter.narrow(new_root, root)
+    return _rewrite(root, report)
 
 
-class _Pruner:
-    """Bottom-up rebuild applying one liveness report."""
+def _rewrite(op, report):
+    """``op``'s sub-plan rebuilt bottom-up, then narrowed to its demand.
 
-    def __init__(self, report, vertex_strategy, edge_strategy):
-        self.report = report
-
-    def rewrite(self, op):
-        from repro.engine.operators.expand import ExpandEmbeddings
-        from repro.engine.operators.filter_project import (
-            ProjectEmbeddings,
-            SelectEmbeddings,
-        )
-        from repro.engine.operators.join import (
-            CartesianEmbeddings,
-            JoinEmbeddings,
-        )
-        from repro.engine.operators.leaves import (
-            SelectAndProjectEdges,
-            SelectAndProjectVertices,
-        )
-        from repro.engine.operators.value_join import JoinEmbeddingsOnProperty
-
-        demand = self.report.demand_of(op)
-        if demand is None:
-            return op  # below an unknown operator: rewrite barrier
-
-        if isinstance(op, SelectAndProjectVertices):
-            keys = [
-                key for key in op.property_keys
-                if (op.query_vertex.variable, key) in demand.properties
-            ]
-            if keys == op.property_keys:
-                return op
-            return self._copy_estimate(
-                SelectAndProjectVertices(op.graph, op.query_vertex, keys), op
-            )
-        if isinstance(op, SelectAndProjectEdges):
-            keys = [
-                key for key in op.property_keys
-                if (op.query_edge.variable, key) in demand.properties
-            ]
-            if keys == op.property_keys:
-                return op
-            return self._copy_estimate(
-                SelectAndProjectEdges(
-                    op.graph, op.query_edge, keys,
-                    distinct_endpoints=op.distinct_endpoints,
-                ),
-                op,
-            )
-        if isinstance(op, SelectEmbeddings):
-            child = self.narrow(self.rewrite(op.children[0]), op.children[0])
-            if child is op.children[0]:
-                return op
-            return self._copy_estimate(SelectEmbeddings(child, op.cnf), op)
-        if isinstance(op, ProjectEmbeddings):
-            child = self.narrow(self.rewrite(op.children[0]), op.children[0])
-            keep = [
-                tuple(pair) for pair in op.keep_pairs
-                if tuple(pair) in demand.properties
-                and child.meta.has_property(*pair)
-            ]
-            if child is op.children[0] and keep == [
-                tuple(pair) for pair in op.keep_pairs
-            ]:
-                return op
-            return self._copy_estimate(ProjectEmbeddings(child, keep), op)
-        if isinstance(op, JoinEmbeddings):
-            left, right = self._rewrite_sides(op)
-            if left is op.children[0] and right is op.children[1]:
-                return op
-            return self._copy_estimate(
-                JoinEmbeddings(
-                    left, right, op.join_variables,
-                    op.vertex_strategy, op.edge_strategy,
-                    strategy=op.strategy,
-                ),
-                op,
-            )
-        if isinstance(op, CartesianEmbeddings):
-            left, right = self._rewrite_sides(op)
-            if left is op.children[0] and right is op.children[1]:
-                return op
-            return self._copy_estimate(
-                CartesianEmbeddings(
-                    left, right, op.vertex_strategy, op.edge_strategy
-                ),
-                op,
-            )
-        if isinstance(op, JoinEmbeddingsOnProperty):
-            left, right = self._rewrite_sides(op)
-            if left is op.children[0] and right is op.children[1]:
-                return op
-            return self._copy_estimate(
-                JoinEmbeddingsOnProperty(
-                    left, right, op.left_property, op.right_property,
-                    op.vertex_strategy, op.edge_strategy,
-                ),
-                op,
-            )
-        if isinstance(op, ExpandEmbeddings):
-            child = self.narrow(self.rewrite(op.children[0]), op.children[0])
-            if child is op.children[0]:
-                return op
-            return self._copy_estimate(
-                ExpandEmbeddings(
-                    child, op.graph, op.query_edge,
-                    op.vertex_strategy, op.edge_strategy,
-                    op.closing, reverse=op.reverse,
-                ),
-                op,
-            )
-        return op  # no rebuild rule: leave the subtree untouched
-
-    def _rewrite_sides(self, op):
-        """Rewrite and narrow both inputs of a binary operator."""
-        left = self.narrow(self.rewrite(op.children[0]), op.children[0])
-        right = self.narrow(self.rewrite(op.children[1]), op.children[1])
-        return left, right
-
-    def narrow(self, new_op, original):
-        """Project away records dead at ``original``'s output, if any.
-
-        ``new_op`` is the rewritten operator, ``original`` the operator it
-        replaced (whose identity keys the liveness report).  Placing the
-        projection here — directly above the last consumer — is the
-        earliest point liveness allows.
-        """
-        from repro.engine.operators.filter_project import ProjectEmbeddings
-
-        demand = self.report.demand_of(original)
-        if demand is None or new_op.meta is None:
-            return new_op
-        carried = list(new_op.meta.property_entries())
-        keep = [pair for pair in carried if pair in demand.properties]
-        if keep == carried:
-            return new_op
-        projection = ProjectEmbeddings(new_op, keep)
-        projection.estimated_cardinality = new_op.estimated_cardinality
-        return projection
-
-    @staticmethod
-    def _copy_estimate(new_op, original):
-        new_op.estimated_cardinality = original.estimated_cardinality
+    Every operator rebuilds itself over its rewritten inputs
+    (:meth:`PhysicalOperator.rebuild`); a projection then drops the
+    records still carried but dead at ``op``'s output.  Placing it here —
+    directly above the last consumer — is the earliest point liveness
+    allows.
+    """
+    live = report.demand_of(op).properties
+    new_op = op.rebuild(
+        [_rewrite(child, report) for child in op.children], live
+    )
+    new_op.estimated_cardinality = op.estimated_cardinality
+    if new_op.meta is None:
         return new_op
+    carried = list(new_op.meta.property_entries())
+    keep = [pair for pair in carried if pair in live]
+    return new_op if keep == carried else new_op.projected_to(keep)

@@ -198,8 +198,8 @@ class CypherRunner:
                 edge_strategy=self.edge_strategy,
             )
         if self.verify_plans:
-            # imported lazily: the verifier imports the operator modules,
-            # which are mid-initialization when this module first loads
+            # imported lazily: the analysis package imports the engine,
+            # which is mid-initialization when this module first loads
             from repro.analysis.verifier import verify_plan
 
             verify_plan(
@@ -360,18 +360,9 @@ class CypherRunner:
         compiled from span-less operators (joins, projections) simply stay
         unstamped.
         """
-        from repro.analysis.flow import operator_span
-
         spans = {}
-        stack = [(root, False)]
-        while stack:
-            operator, expanded = stack.pop()
-            if not expanded:
-                stack.append((operator, True))
-                for child in reversed(operator.children):
-                    stack.append((child, False))
-                continue
-            span = operator_span(operator)
+        for operator in root.postorder():
+            span = operator.span()
             walk = [operator.evaluate().operator]
             while walk:
                 node = walk.pop()

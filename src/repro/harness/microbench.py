@@ -60,18 +60,6 @@ DEFAULT_WORKER_SWEEP = (1, 2, 4, 8)
 SWEEP_PARALLELISM = 8
 
 
-def _physical_postorder(root):
-    stack = [(root, False)]
-    while stack:
-        operator, expanded = stack.pop()
-        if expanded:
-            yield operator
-        else:
-            stack.append((operator, True))
-            for child in reversed(operator.children):
-                stack.append((child, False))
-
-
 def plan_bytes_moved(root):
     """Embedding bytes crossing every operator boundary of one plan.
 
@@ -84,7 +72,7 @@ def plan_bytes_moved(root):
     """
     cache = {}
     total = 0
-    for operator in _physical_postorder(root):
+    for operator in root.postorder():
         dataset = operator.evaluate()
         partitions = dataset.environment.run(
             dataset.operator, cache=cache, fused=False

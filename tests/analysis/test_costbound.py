@@ -8,7 +8,6 @@ from repro.analysis import audit_bound_soundness, certify_plan
 from repro.analysis.costbound import CostCertificate
 from repro.dataflow import ExecutionEnvironment
 from repro.engine import CypherRunner
-from repro.engine.operators.base import PhysicalOperator
 from repro.engine.statistics import GraphStatistics
 from repro.harness.queries import ALL_QUERIES, instantiate
 from repro.ldbc import LDBCGenerator
@@ -18,6 +17,7 @@ from repro.server import (
     GraphRegistry,
     QueryService,
 )
+from tests.analysis.test_operator_contract import PassThrough
 
 ONE_HOP = "MATCH (a:Person)-[e:knows]->(b:Person) RETURN a, e, b"
 EXPAND_1 = "MATCH (a:Person)-[e:knows*1..1]->(b:Person) RETURN a, b"
@@ -107,25 +107,18 @@ class TestBoundRules:
         assert "card<=" in certificate.format_table()
 
 
-class _Opaque(PhysicalOperator):
-    """An operator the bound analyzer has no pricing rule for."""
+class _Unbounded(PassThrough):
+    """A complete operator that declares no finite worst case."""
 
-    display = "Opaque"
-
-    def __init__(self, children, meta):
-        super().__init__(children)
-        self.meta = meta
+    def cardinality_bound(self, child_bounds, statistics):
+        return math.inf
 
 
-class TestUnknownOperators:
-    def test_unknown_operator_is_unbounded_hence_inadmissible(
-        self, figure1_graph
-    ):
+class TestDeclaredInfinity:
+    def test_infinite_bound_is_inadmissible(self, figure1_graph):
         runner = CypherRunner(figure1_graph)
         _, root = runner.compile(ONE_HOP)
-        certificate = certify_plan(
-            _Opaque([root], root.meta), runner.statistics
-        )
+        certificate = certify_plan(_Unbounded(root), runner.statistics)
         assert certificate.max_cardinality_bound == math.inf
         assert certificate.admissible(None)  # no threshold, no gate
         assert not certificate.admissible(10**18)

@@ -3,7 +3,7 @@
 Mirrors ``test_sanitizer.py``'s corruption corpus one layer up: each
 ``S3xx`` code gets a fixture planting the *specific* plan defect it
 exists to refute — a corrupted declared metadata, a mutated join-variable
-list, malformed hop bounds, an operator without a transfer rule — while
+list, malformed hop bounds, a layout rule that forgets them — while
 the acceptance contract proves LDBC Q1–Q6 layout-safe under every
 planner without executing a single embedding.
 """
@@ -25,13 +25,18 @@ from repro.engine import (
     MatchStrategy,
     PhysicalOperator,
 )
+from repro.engine.operators.base import EmbeddingLayout
 from repro.engine.operators.expand import ExpandEmbeddings
-from repro.engine.operators.filter_project import ProjectEmbeddings
-from repro.engine.operators.join import JoinEmbeddings
+from repro.engine.operators.filter_project import (
+    ProjectEmbeddings,
+    SelectEmbeddings,
+)
+from repro.engine.operators.join import CartesianEmbeddings, JoinEmbeddings
 from repro.engine.operators.leaves import (
     SelectAndProjectEdges,
     SelectAndProjectVertices,
 )
+from repro.engine.operators.value_join import JoinEmbeddingsOnProperty
 from repro.engine.planning import (
     ExhaustivePlanner,
     GreedyPlanner,
@@ -106,14 +111,17 @@ class TestProvenPlans:
         assert assert_flow(root).proven
 
 
-class _Opaque(PhysicalOperator):
-    """An operator the verifier has no transfer rule for."""
+class _BoundlessPath(PhysicalOperator):
+    """A leaf binding a PATH column whose layout rule states no hop bounds."""
 
-    display = "Opaque"
+    display = "BoundlessPath"
 
-    def __init__(self, children, meta):
-        super().__init__(children)
-        self.meta = meta
+    def __init__(self):
+        super().__init__()
+        self.meta = EmbeddingMetaData().with_entry("p", "p")
+
+    def derive_layout(self, child_layouts, vertex_iso, flag):
+        return EmbeddingLayout(entries=[("p", "p")])
 
 
 class TestPlantedViolations:
@@ -156,12 +164,9 @@ class TestPlantedViolations:
         assert "S303" in codes_of(verify_flow(root))
 
     def test_path_column_without_bounds_is_s303(self, figure1_graph):
-        # an unknown operator declaring a PATH column but no hop bounds
-        meta = EmbeddingMetaData().with_entry("p", "p")
-        report = verify_flow(_Opaque([], meta))
-        codes = codes_of(report)
-        assert "S303" in codes
-        assert "S308" in codes
+        report = verify_flow(_BoundlessPath())
+        assert codes_of(report) == ["S303"]
+        assert "no declared hop bounds" in report.diagnostics[0].message
 
     def test_property_sequence_drift_is_s304(self, figure1_graph):
         leaf = SelectAndProjectVertices(
@@ -211,20 +216,82 @@ class TestPlantedViolations:
         project.keep_pairs = [("a", "gender")]  # never loaded upstream
         assert "S307" in codes_of(verify_flow(project))
 
-    def test_unknown_operator_is_s308_warning(self, figure1_graph):
-        _, root = CypherRunner(figure1_graph).compile(EDGE_QUERY)
-        wrapped = _Opaque([root], root.meta)
-        report = verify_flow(wrapped)
-        assert [d.code for d in report.warnings] == ["S308"]
-        assert report.errors == []
-        assert not report.proven  # legal, but not certifiable
-
     def test_assert_flow_raises_with_diagnostics(self, figure1_graph):
         _, root = CypherRunner(figure1_graph).compile(EDGE_QUERY)
         root.meta = root.meta.with_entry("zz", "v")
         with pytest.raises(FlowVerificationError) as excinfo:
             assert_flow(root)
         assert any(d.code == "S301" for d in excinfo.value.diagnostics)
+
+
+#: one query per concrete operator class whose greedy plan contains it
+QUERY_CONTAINING = {
+    SelectAndProjectVertices: "MATCH (a:Person) WHERE a.name = 'Alice' RETURN a.name",
+    SelectAndProjectEdges: EDGE_QUERY,
+    JoinEmbeddings: TWO_HOP,
+    CartesianEmbeddings: CARTESIAN,
+    JoinEmbeddingsOnProperty: (
+        "MATCH (a:Person), (b:Person) WHERE a.name = b.name "
+        "RETURN a.gender, b.gender"
+    ),
+    ExpandEmbeddings: PATH_QUERY,
+    SelectEmbeddings: (
+        "MATCH (a:Person)-[e:knows]->(b:Person) WHERE a.name < b.name "
+        "RETURN a, b"
+    ),
+    ProjectEmbeddings: (
+        "MATCH (a:Person)-[e:knows]->(b:Person) WHERE a.name = 'Alice' "
+        "RETURN b.name"
+    ),
+}
+
+
+def _widened(meta):
+    return meta.with_entry("zz", "v").with_property("zz", "ghost")
+
+
+def _rekinded(meta):
+    first = meta.variables[0]
+    entries = {
+        variable: (meta.entry_column(variable), meta.entry_kind(variable))
+        for variable in meta.variables
+    }
+    entries[first] = (0, "p" if meta.entry_kind(first) != "p" else "v")
+    properties = {
+        pair: index for index, pair in enumerate(meta.property_entries())
+    }
+    return EmbeddingMetaData(entries, properties)
+
+
+class TestForwardRuleIgnoresDeclaredMeta:
+    """The derived layout must not be computed from ``op.meta``.
+
+    Tampering with one operator's declared metadata after planning has to
+    surface at exactly that operator: a layout rule peeking at
+    ``self.meta`` would derive the tampered layout and prove it.
+    """
+
+    @pytest.mark.parametrize(
+        "tamper, expected",
+        [(_widened, {"S301", "S304"}), (_rekinded, {"S302"})],
+    )
+    @pytest.mark.parametrize(
+        "operator_cls", QUERY_CONTAINING, ids=lambda cls: cls.__name__
+    )
+    def test_tampered_meta_is_refuted_at_its_operator(
+        self, figure1_graph, operator_cls, tamper, expected
+    ):
+        _, root = CypherRunner(figure1_graph).compile(
+            QUERY_CONTAINING[operator_cls]
+        )
+        assert verify_flow(root).proven
+        op = find_op(root, operator_cls)
+        op.meta = tamper(op.meta)
+        report = verify_flow(root)
+        assert expected <= set(codes_of(report))
+        assert set(codes_of(report)) <= {"S301", "S302", "S303", "S304"}
+        prefix = op.describe() + ": "
+        assert all(d.message.startswith(prefix) for d in report.diagnostics)
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,6 @@ from repro.analysis import (
 )
 from repro.dataflow import ExecutionEnvironment
 from repro.engine import CypherRunner, MatchStrategy
-from repro.engine.operators.base import PhysicalOperator
 from repro.engine.operators.leaves import SelectAndProjectVertices
 from repro.engine.planning import (
     ExhaustivePlanner,
@@ -142,31 +141,6 @@ class TestDeadByteFindings:
         assert any(d.code == "S402" for d in excinfo.value.diagnostics)
 
 
-class _Opaque(PhysicalOperator):
-    """An operator the liveness pass has no transfer rule for."""
-
-    display = "Opaque"
-
-    def __init__(self, children, meta):
-        super().__init__(children)
-        self.meta = meta
-
-
-class TestUnknownOperators:
-    def test_unknown_operator_is_s404_and_children_stay_live(
-        self, figure1_graph
-    ):
-        _, handler, root = compiled(figure1_graph, ALL_LIVE_QUERY)
-        wrapped = _Opaque([root], root.meta)
-        report = verify_liveness(wrapped)
-        assert "S404" in codes_of(report)
-        # everything below the opaque operator is conservatively live
-        demand = report.demand_of(root)
-        assert demand.variables == set(root.meta.variables)
-        assert demand.properties == set(root.meta.property_entries())
-        assert report.demand_of(wrapped) is not None
-
-
 class TestDemandIntrospection:
     def test_root_demand_matches_return_items(self, figure1_graph):
         _, handler, root = compiled(
@@ -208,15 +182,16 @@ class TestLDBCAcceptance:
     @pytest.mark.parametrize("name", sorted(ALL_QUERIES))
     @pytest.mark.parametrize("planner_cls", PLANNERS)
     def test_every_plan_interprets_fully(self, ldbc, name, planner_cls):
-        # no S404: all five operator modules have a transfer rule, so the
-        # analysis covers every operator of every paper-query plan
+        # every operator of every paper-query plan gets a demand
         dataset, graph = ldbc
         query = instantiate(ALL_QUERIES[name], dataset.first_name("medium"))
         runner = CypherRunner(graph, planner_cls=planner_cls)
         report = runner.livecheck(query)
-        assert "S404" not in codes_of(report)
         _, root = runner.compile(query)
-        assert report.demand_of(root) is not None
+        assert all(
+            report.demand_of(operator) is not None
+            for operator in root.postorder()
+        )
 
 
 class TestLeafNarrowingGround:
