@@ -5,7 +5,10 @@ Generates a tiny LDBC graph, starts ``python -m repro serve`` as a child
 process, waits for its "listening" line, then exercises the wire
 protocol — health, a parameterized ad-hoc query, prepare/execute with two
 different bindings, metrics — and finally POSTs ``/shutdown`` and asserts
-the process exits cleanly with status 0.
+the process exits cleanly with status 0.  One stock ``http.client``
+keep-alive connection also times 20 small requests (a response held back
+by a delayed ACK costs a constant 40 ms; see "What a request waits for"
+in ``docs/server.md``), and ``/metrics`` must show the frozen graph heap.
 
 Run directly (``python scripts/serve_smoke.py``) or via ``make
 serve-smoke``.  Any extra command-line arguments are forwarded to the
@@ -16,12 +19,14 @@ failed assertion.
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -144,10 +149,33 @@ def main():
             })
             check(status == 404, "unknown graph -> 404")
 
+            # a stock client: keep-alive, ACKs delayed as the kernel defaults
+            host, _, port = address.rpartition(":")
+            connection = HTTPConnection(host, int(port), timeout=30)
+            request = json.dumps({
+                "statement_id": prepared["statement_id"],
+                "parameters": {"name": rare_name},
+            })
+            latencies, statuses = [], set()
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("POST", "/execute", body=request)
+                response = connection.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - started)
+                statuses.add(response.status)
+            connection.close()
+            check(statuses == {200}, "20 keep-alive POST /execute")
+            median_ms = statistics.median(latencies) * 1e3
+            check(median_ms < 20.0,
+                  "median of 20 small requests %.2f ms < 20 ms" % median_ms)
+
             status, metrics = http("GET", base + "/metrics")
             check(status == 200 and metrics["completed"] >= 3, "GET /metrics")
             check(metrics["plan_cache"]["hits"] >= 1,
                   "plan cache saw warm hits")
+            check(metrics["gc"]["frozen"] > 0,
+                  "graph heap frozen (%d objects)" % metrics["gc"]["frozen"])
 
             status, body = http("POST", base + "/shutdown")
             check(status == 200, "POST /shutdown acknowledged")

@@ -15,6 +15,7 @@
 """
 
 import argparse
+import gc
 import sys
 
 from repro.cypher.errors import CypherSyntaxError
@@ -616,6 +617,12 @@ def cmd_serve(args):
            args.max_concurrency, args.max_queue),
         file=sys.stderr,
     )
+    # everything built so far (the graph, its statistics, the service)
+    # lives as long as the process: move it out of the collector's reach
+    # so full collections inside requests stop walking it.  Only here,
+    # never in serve_in_thread, whose callers own their process.
+    gc.collect()
+    gc.freeze()
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -21,8 +21,22 @@ POST   /execute    ``{statement_id, parameters?, timeout?}`` → result
 POST   /shutdown   acknowledges, then stops the listener
 ====== =========== ====================================================
 
-Error mapping: saturation → 503, deadline → 504, unknown graph or
-statement → 404, syntax/semantic/lint/binding errors → 400.
+Error mapping, the same for every route: saturation → 503, deadline →
+504, cancelled → 499, unknown graph, statement or route → 404,
+syntax/semantic/lint/binding errors → 400, anything else → 500.
+
+**Errors are JSON, always.**  Every response this module sends, whatever
+its status, is ``application/json`` with at least an ``"error"`` key on
+a failure.  That includes the errors ``http.server`` raises before a
+route is reached (an unsupported method, a malformed request line):
+:meth:`ServiceRequestHandler.send_error` answers those as
+``{"error": ..., "kind": "protocol"}`` with the stdlib's status code and
+``Connection: close``.
+
+**A response is one write.**  :meth:`ServiceRequestHandler._send_json`
+is the only function that writes to the socket, and it hands the kernel
+head and body together; accepted connections have ``TCP_NODELAY`` set.
+See "What a request waits for" in ``docs/server.md``.
 """
 
 import json
@@ -42,11 +56,31 @@ def _json_default(value):
     return str(value)
 
 
+def _send_gathered(sock, *buffers):
+    """``sendall`` of several buffers as one gathered write.
+
+    One ``sendmsg``: the kernel sees head and body together, so no
+    segment of a response waits on the ACK of an earlier one, and a
+    megabyte body is not copied into a joined buffer first.  The loop
+    only runs again when a signal cut the send short.
+    """
+    buffers = [memoryview(buffer) for buffer in buffers]
+    while buffers:
+        sent = sock.sendmsg(buffers)
+        while buffers and sent >= len(buffers[0]):
+            sent -= len(buffers.pop(0))
+        if sent:
+            buffers[0] = buffers[0][sent:]
+
+
 class ServiceRequestHandler(BaseHTTPRequestHandler):
     """Routes HTTP requests to the owning server's :class:`QueryService`."""
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
+    # TCP_NODELAY on every accepted connection: a segment never waits
+    # for the client's (delayed) ACK of the one before it
+    disable_nagle_algorithm = True
 
     # quiet by default; the smoke test parses stdout for the listen line
     def log_message(self, format, *args):
@@ -59,13 +93,49 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     # Plumbing ----------------------------------------------------------------
 
-    def _send_json(self, status, payload):
+    def _send_json(self, status, payload, close=False):
+        """Write one whole response; the only writer to the socket.
+
+        The head is built here rather than with ``send_response`` /
+        ``end_headers``, which flush it as a write of its own: the body
+        would then sit behind Nagle until the client ACKs the head, and
+        a stock client's kernel delays that ACK by 40 ms.
+        """
         body = json.dumps(payload, default=_json_default).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        reason = self.responses.get(status, ("",))[0]
+        head = [
+            "%s %d %s" % (self.protocol_version, status, reason),
+            "Server: " + self.version_string(),
+            "Date: " + self.date_time_string(),
+        ]
+        if close:
+            head.append("Connection: close")
+            self.close_connection = True
+        head += [
+            "Content-Type: application/json",
+            "Content-Length: %d" % len(body),
+            "", "",
+        ]
+        self.log_request(status, len(body))
+        if self.command == "HEAD":
+            body = b""
+        _send_gathered(
+            self.connection, "\r\n".join(head).encode("latin-1"), body
+        )
+
+    def send_error(self, code, message=None, explain=None):
+        """The stdlib's own errors, as JSON instead of its HTML page.
+
+        ``http.server`` calls this for what never reaches a route: an
+        unsupported method, a malformed or oversized request line.  It
+        keeps the stdlib's status code and ``Connection: close``, and
+        always writes a status line, garbage request line or not.
+        """
+        if message is None:
+            message = self.responses.get(code, ("???",))[0]
+        self.log_error("code %d, message %s", code, message)
+        self._send_json(code, {"error": message, "kind": "protocol"},
+                        close=True)
 
     def _read_json(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -86,53 +156,65 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             raise _BadRequest("missing field(s): %s" % ", ".join(missing))
         return [payload[key] for key in keys]
 
-    # Routing -----------------------------------------------------------------
+    # Routes ------------------------------------------------------------------
 
-    def do_GET(self):
-        if self.path == "/health":
-            self._send_json(200, {
-                "status": "ok",
-                "graphs": self.service.registry.names(),
-            })
-        elif self.path == "/metrics":
-            self._send_json(200, self.service.metrics_snapshot())
-        else:
-            self._send_json(404, {"error": "no such route: %s" % self.path})
+    def _health(self, payload):
+        self._send_json(200, {
+            "status": "ok",
+            "graphs": self.service.registry.names(),
+        })
 
-    def do_POST(self):
+    def _metrics(self, payload):
+        self._send_json(200, self.service.metrics_snapshot())
+
+    def _query(self, payload):
+        graph, query = self._require(payload, "graph", "query")
+        result = self.service.execute(
+            graph, query,
+            parameters=payload.get("parameters"),
+            timeout=payload.get("timeout"),
+        )
+        self._send_json(200, result.to_dict())
+
+    def _prepare(self, payload):
+        graph, query = self._require(payload, "graph", "query")
+        self._send_json(200, self.service.prepare(graph, query).to_dict())
+
+    def _execute(self, payload):
+        (statement_id,) = self._require(payload, "statement_id")
+        result = self.service.execute_prepared(
+            statement_id,
+            parameters=payload.get("parameters"),
+            timeout=payload.get("timeout"),
+        )
+        self._send_json(200, result.to_dict())
+
+    def _shutdown(self, payload):
+        self._send_json(200, {"status": "shutting down"})
+        # shutdown() must not run on the handler thread: it joins
+        # the serve loop, which is waiting on this very request
+        threading.Thread(target=self.server.stop, daemon=True).start()
+
+    _ROUTES = {
+        ("GET", "/health"): _health,
+        ("GET", "/metrics"): _metrics,
+        ("POST", "/query"): _query,
+        ("POST", "/prepare"): _prepare,
+        ("POST", "/execute"): _execute,
+        ("POST", "/shutdown"): _shutdown,
+    }
+
+    def _dispatch(self):
+        """Run the route for ``(method, path)`` under the one error net."""
         try:
             payload = self._read_json()
-            if self.path == "/query":
-                graph, query = self._require(payload, "graph", "query")
-                result = self.service.execute(
-                    graph, query,
-                    parameters=payload.get("parameters"),
-                    timeout=payload.get("timeout"),
-                )
-                self._send_json(200, result.to_dict())
-            elif self.path == "/prepare":
-                graph, query = self._require(payload, "graph", "query")
-                handle = self.service.prepare(graph, query)
-                self._send_json(200, handle.to_dict())
-            elif self.path == "/execute":
-                (statement_id,) = self._require(payload, "statement_id")
-                result = self.service.execute_prepared(
-                    statement_id,
-                    parameters=payload.get("parameters"),
-                    timeout=payload.get("timeout"),
-                )
-                self._send_json(200, result.to_dict())
-            elif self.path == "/shutdown":
-                self._send_json(200, {"status": "shutting down"})
-                # shutdown() must not run on the handler thread: it joins
-                # the serve loop, which is waiting on this very request
-                threading.Thread(
-                    target=self.server.stop, daemon=True
-                ).start()
-            else:
+            route = self._ROUTES.get((self.command, self.path))
+            if route is None:
                 self._send_json(404, {
                     "error": "no such route: %s" % self.path
                 })
+            else:
+                route(self, payload)
         except _BadRequest as error:
             self._send_json(400, {"error": str(error)})
         except (QueryLintError, CypherError, ValueError, TypeError) as error:
@@ -153,6 +235,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_json(500, {
                 "error": str(error), "kind": type(error).__name__,
             })
+
+    do_GET = do_POST = _dispatch
 
 
 class _BadRequest(ValueError):

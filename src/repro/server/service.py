@@ -21,6 +21,7 @@ serializes executions per statement) and compilation mutates runner
 bookkeeping (one compile lock per runner).
 """
 
+import gc
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -432,6 +433,15 @@ class QueryService:
         }
         with self._statement_lock:
             snapshot["statements"] = len(self._statements)
+        # ``frozen`` > 0 says the serving process froze its graph heap
+        # (``repro serve`` does); ``collections[2]`` counts the full
+        # collections requests have absorbed since start-up
+        snapshot["gc"] = {
+            "frozen": gc.get_freeze_count(),
+            "collections": [
+                generation["collections"] for generation in gc.get_stats()
+            ],
+        }
         return snapshot
 
     @property

@@ -1,13 +1,22 @@
 """The HTTP wire protocol, end to end over a real socket."""
 
+import gc
 import json
+import re
+import socket
+import statistics
+import sys
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.dataflow import ExecutionEnvironment
+from repro.epgm import LogicalGraph
 from repro.server import GraphRegistry, QueryService, serve_in_thread
+from repro.server.protocol import _send_gathered
+from tests.conftest import build_figure1_elements
 
 PARAM_QUERY = "MATCH (p:Person) WHERE p.name = $name RETURN p.name"
 
@@ -25,10 +34,9 @@ def http(method, url, payload=None):
         return error.code, json.loads(error.read())
 
 
-@pytest.fixture
-def endpoint(figure1_graph):
+def serve_figure1(graph):
     registry = GraphRegistry()
-    registry.register("fig1", figure1_graph)
+    registry.register("fig1", graph)
     service = QueryService(registry, max_concurrency=2)
     server, thread = serve_in_thread(service)
     base = "http://%s:%d" % server.address
@@ -36,6 +44,98 @@ def endpoint(figure1_graph):
     server.stop()
     thread.join(timeout=30)
     assert not thread.is_alive()
+
+
+@pytest.fixture
+def endpoint(figure1_graph):
+    yield from serve_figure1(figure1_graph)
+
+
+@pytest.fixture(scope="module")
+def wire():
+    """One server for the raw-socket tests: stopping one costs 0.5 s."""
+    head, vertices, edges = build_figure1_elements()
+    yield from serve_figure1(LogicalGraph.from_collections(
+        ExecutionEnvironment(parallelism=4), vertices, edges, graph_head=head
+    ))
+
+
+def raw_request(method, path, payload=None):
+    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+    return (
+        "%s %s HTTP/1.1\r\nHost: test\r\nContent-Length: %d\r\n\r\n"
+        % (method, path, len(body))
+    ).encode("ascii") + body
+
+
+def raw_exchange(sock, request):
+    """Send raw bytes; return ``(head, body)`` of one framed response."""
+    sock.sendall(request)
+    buffer = b""
+    while b"\r\n\r\n" not in buffer:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed inside the head: %r" % buffer
+        buffer += chunk
+    head, _, body = buffer.partition(b"\r\n\r\n")
+    length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+    while len(body) < length:
+        chunk = sock.recv(1 << 20)
+        assert chunk, "connection closed inside the body"
+        body += chunk
+    assert len(body) == length
+    return head, body
+
+
+def status_of(head):
+    return int(head.split(b" ", 2)[1])
+
+
+@pytest.fixture
+def stock_socket(wire):
+    """A stock client's socket: no TCP_NODELAY, no TCP_QUICKACK."""
+    _, server, _ = wire
+    with socket.create_connection(server.address, timeout=30) as sock:
+        yield sock
+
+
+class _CountingSocket:
+    """An accepted connection that records each write made to it."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.writes = []
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+    def send(self, data, *args):
+        self.writes.append(len(data))
+        return self._sock.send(data, *args)
+
+    def sendall(self, data, *args):
+        self.writes.append(len(data))
+        return self._sock.sendall(data, *args)
+
+    def sendmsg(self, buffers, *args):
+        buffers = list(buffers)
+        self.writes.append(sum(len(buffer) for buffer in buffers))
+        return self._sock.sendmsg(buffers, *args)
+
+
+@pytest.fixture
+def accepted(wire, monkeypatch):
+    """The server side of every connection accepted during the test."""
+    _, server, _ = wire
+    connections = []
+    accept = server.get_request
+
+    def counting_accept():
+        sock, address = accept()
+        connections.append(_CountingSocket(sock))
+        return connections[-1], address
+
+    monkeypatch.setattr(server, "get_request", counting_accept)
+    return connections
 
 
 class TestEndpoints:
@@ -124,6 +224,138 @@ class TestErrorMapping:
         base, _, _ = endpoint
         status, _ = http("GET", base + "/nope")
         assert status == 404
+
+
+class TestResponsePath:
+    """One write per response on a TCP_NODELAY connection, same bytes."""
+
+    SMALL = raw_request("POST", "/query", {
+        "graph": "fig1", "query": PARAM_QUERY,
+        "parameters": {"name": "Alice"},
+    })
+
+    def test_stock_client_sees_no_delayed_ack_stall(self, stock_socket):
+        # a response split over two writes on a Nagle socket waits for
+        # the client kernel's delayed ACK: a >= 40 ms constant per request
+        latencies = []
+        for _ in range(20):
+            started = time.perf_counter()
+            head, _ = raw_exchange(stock_socket, self.SMALL)
+            latencies.append(time.perf_counter() - started)
+            assert status_of(head) == 200
+        assert statistics.median(latencies) < 0.020
+
+    def test_accepted_connection_has_tcp_nodelay(self, accepted, stock_socket):
+        raw_exchange(stock_socket, raw_request("GET", "/health"))
+        (connection,) = accepted
+        assert connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_one_write_per_response(
+        self, wire, accepted, stock_socket, monkeypatch
+    ):
+        _, server, _ = wire
+        monkeypatch.setattr(
+            server.service, "metrics_snapshot", lambda: {"pad": "x" * 100_000}
+        )
+        exchanges = [
+            (self.SMALL, 200),
+            (raw_request("GET", "/metrics"), 200),  # > 64 KB
+            (raw_request("POST", "/query", {"graph": "fig1"}), 400),
+        ]
+        sizes = []
+        for request, expected in exchanges:
+            head, body = raw_exchange(stock_socket, request)
+            assert status_of(head) == expected
+            sizes.append(len(head) + 4 + len(body))
+        assert sizes[1] > 64 * 1024
+        (connection,) = accepted
+        assert connection.writes == sizes
+
+    def test_gathered_send_resumes_a_short_write(self):
+        class ShortWriter:
+            """Takes at most 5 bytes per call, as an interrupted send."""
+
+            def __init__(self):
+                self.received = b""
+
+            def sendmsg(self, buffers):
+                taken = b"".join(buffers)[:5]
+                self.received += taken
+                return len(taken)
+
+        sock = ShortWriter()
+        _send_gathered(sock, b"head\r\n", b"", b"0123456789")
+        assert sock.received == b"head\r\n0123456789"
+
+    def test_bytes_are_the_stdlib_writers(self, stock_socket):
+        # what send_response/send_header/end_headers + write(body) sent
+        # before the one-write path replaced them, Date aside
+        server_header = b"Server: repro-serve/1.0 Python/%s" % (
+            sys.version.split()[0].encode("ascii")
+        )
+        expected = [
+            (raw_request("GET", "/health"), [
+                b"HTTP/1.1 200 OK", server_header, b"Date: *",
+                b"Content-Type: application/json", b"Content-Length: 36",
+            ], b'{"status": "ok", "graphs": ["fig1"]}'),
+            (raw_request("GET", "/nope"), [
+                b"HTTP/1.1 404 Not Found", server_header, b"Date: *",
+                b"Content-Type: application/json", b"Content-Length: 33",
+            ], b'{"error": "no such route: /nope"}'),
+        ]
+        for request, head_lines, body in expected:
+            head, got = raw_exchange(stock_socket, request)
+            head = re.sub(rb"Date: [^\r]+", b"Date: *", head)
+            assert head.split(b"\r\n") == head_lines
+            assert got == body
+
+    def test_serve_in_thread_does_not_freeze_the_callers_heap(self, wire):
+        # gc.freeze() belongs to ``repro serve``, which owns its process
+        base, _, _ = wire
+        frozen = gc.get_freeze_count()
+        status, metrics = http("GET", base + "/metrics")
+        assert status == 200
+        assert metrics["gc"]["frozen"] == frozen == gc.get_freeze_count()
+        assert len(metrics["gc"]["collections"]) == 3
+
+
+class TestProtocolErrors:
+    """Errors raised outside a route still answer JSON."""
+
+    def test_unsupported_method_is_json(self, stock_socket):
+        head, body = raw_exchange(stock_socket, raw_request("PUT", "/query"))
+        assert status_of(head) == 501
+        assert b"Content-Type: application/json" in head
+        assert b"Connection: close" in head
+        assert json.loads(body) == {
+            "error": "Unsupported method ('PUT')", "kind": "protocol",
+        }
+
+    def test_garbage_request_line_is_json_with_a_status_line(
+        self, stock_socket
+    ):
+        head, body = raw_exchange(stock_socket, b"GARBAGE\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"Content-Type: application/json" in head
+        assert json.loads(body)["kind"] == "protocol"
+        assert stock_socket.recv(1) == b""  # Connection: close
+
+    def test_raising_get_route_is_500_and_keeps_the_connection(
+        self, wire, stock_socket, monkeypatch
+    ):
+        _, server, _ = wire
+
+        def boom():
+            raise RuntimeError("snapshot exploded")
+
+        monkeypatch.setattr(server.service, "metrics_snapshot", boom)
+        head, body = raw_exchange(stock_socket, raw_request("GET", "/metrics"))
+        assert status_of(head) == 500
+        assert json.loads(body) == {
+            "error": "snapshot exploded", "kind": "RuntimeError",
+        }
+        head, _ = raw_exchange(stock_socket, raw_request("GET", "/health"))
+        assert status_of(head) == 200
 
 
 class TestShutdownEndpoint:
