@@ -76,9 +76,11 @@ bench-micro:
 	python -m repro bench-micro
 
 # start `repro serve` as a subprocess, run a parameterized query over the
-# wire, prepare/execute with two bindings, shut down cleanly
+# wire, prepare/execute with two bindings, shut down cleanly — once on
+# the default (columnar) engine, once on the batched path
 serve-smoke:
 	python scripts/serve_smoke.py
+	python scripts/serve_smoke.py --no-columnar
 
 # closed-loop concurrent load (8 clients, Q1-Q6) with differential
 # verification, deadline and admission-control checks

@@ -13,8 +13,9 @@ in ``docs/server.md``), and ``/metrics`` must show the frozen graph heap.
 Run directly (``python scripts/serve_smoke.py``) or via ``make
 serve-smoke``.  Any extra command-line arguments are forwarded to the
 ``repro serve`` invocation (``python scripts/serve_smoke.py --workers
-2`` exercises the multi-process pool).  Exits non-zero on the first
-failed assertion.
+2`` exercises the multi-process pool, ``--no-columnar`` the batched
+path; ``/metrics`` must name the mode the flags select).  Exits non-zero
+on the first failed assertion.
 """
 
 import json
@@ -176,6 +177,11 @@ def main():
                   "plan cache saw warm hits")
             check(metrics["gc"]["frozen"] > 0,
                   "graph heap frozen (%d objects)" % metrics["gc"]["frozen"])
+            mode = "batched" if "--no-columnar" in extra_args else "columnar"
+            check(metrics["engine"]["mode"] == mode,
+                  "engine mode %r, chunk fallbacks %s" % (
+                      metrics["engine"]["mode"],
+                      metrics["engine"]["chunk_fallbacks"]))
 
             status, body = http("POST", base + "/shutdown")
             check(status == 200, "POST /shutdown acknowledged")

@@ -39,11 +39,14 @@ def _environment(args):
     # --workers on a subcommand (dest process_workers) means real OS
     # worker processes; the global --workers stays the *simulated*
     # cluster size fed to the cost model
+    options = {}
+    if hasattr(args, "columnar"):  # only ``serve`` can turn the default off
+        options["columnar"] = args.columnar
     return ExecutionEnvironment(
         cost_model=model,
         batch_size=getattr(args, "batch_size", None),
         workers=getattr(args, "process_workers", None),
-        columnar=getattr(args, "columnar", False),
+        **options
     )
 
 
@@ -885,10 +888,11 @@ def build_parser():
         "global --workers, which sets the simulated cluster size",
     )
     serve.add_argument(
-        "--columnar", action="store_true",
+        "--columnar", action=argparse.BooleanOptionalAction, default=True,
         help="run fused chains over columnar embedding chunks "
-        "(vectorized kernels, zero-copy worker transfer); results, "
-        "metrics and diagnostics are identical to batched execution",
+        "(vectorized kernels, zero-copy worker transfer; the default); "
+        "--no-columnar selects batched execution over embedding lists, "
+        "with identical results, metrics and diagnostics",
     )
     serve.add_argument(
         "--vertex-strategy", choices=["homo", "iso"], default="homo"

@@ -5,6 +5,8 @@ nothing runs until an action (:meth:`DataSet.collect`, :meth:`DataSet.count`)
 is triggered through the owning :class:`~repro.dataflow.environment.ExecutionEnvironment`.
 """
 
+from itertools import chain
+
 from .errors import PlanError
 from .operators import (
     CrossOperator,
@@ -20,6 +22,23 @@ from .operators import (
     RebalanceOperator,
     UnionOperator,
 )
+
+
+def _batches(partitions):
+    """The result partitions' records, as a sequence of lists.
+
+    A columnar partition (recognized by its ``chunks`` attribute) yields
+    one decoded list per chunk and releases the chunk, so a result never
+    exists in both forms at once.
+    """
+    for partition in partitions:
+        chunks = getattr(partition, "chunks", None)
+        if chunks is None:
+            yield partition
+            continue
+        chunks.reverse()
+        while chunks:
+            yield chunks.pop().to_embeddings()
 
 
 class DataSet:
@@ -127,10 +146,18 @@ class DataSet:
         for this execution, ``columnar`` its chunk-kernel sub-mode
         (``None`` inherits them).
         """
-        partitions = self.environment.run(
-            self.operator, fused=fused, columnar=columnar
-        )
-        return [record for partition in partitions for record in partition]
+        return list(self.stream(fused=fused, columnar=columnar))
+
+    def stream(self, fused=None, columnar=None):
+        """Execute the DAG now; returns a one-shot iterator of its records.
+
+        Columnar partitions decode chunk by chunk as the iterator
+        advances, so a consumer that builds its own rows (the query
+        service) never holds the whole result as embeddings.
+        """
+        return chain.from_iterable(_batches(
+            self.environment.run(self.operator, fused=fused, columnar=columnar)
+        ))
 
     def collect_partitions(self, fused=None, columnar=None):
         """Execute the DAG and return records per worker."""

@@ -43,6 +43,12 @@ class ExecutionEnvironment:
             adjacent partition-local operators (map / filter / flat-map)
             are collapsed into compiled batched loops.  Per-call ``fused``
             arguments override it; shared-cache runs are always unfused.
+        columnar: Default chunk-kernel mode of fused runs (on): fused
+            chains, shuffles and hash joins operate on
+            :class:`~repro.engine.columnar.EmbeddingChunk` batches and
+            fall back per-record, counted in
+            :attr:`JobMetrics.chunk_fallbacks`, where a stage has no
+            kernel.  ``False`` selects the batched embedding-list path.
         certify_fusion: When True, every fused chain is certified
             process-shippable (zero ``P4xx`` findings) at fusion compile
             time — :class:`~repro.analysis.udfcheck.ShippabilityError`
@@ -63,7 +69,7 @@ class ExecutionEnvironment:
 
     def __init__(self, parallelism=None, cost_model=None, batch_size=None,
                  fusion=True, certify_fusion=False, workers=None,
-                 columnar=False):
+                 columnar=True):
         if cost_model is None:
             cost_model = ClusterCostModel(workers=parallelism or 4)
         elif parallelism is not None and parallelism != cost_model.workers:
@@ -78,8 +84,10 @@ class ExecutionEnvironment:
         self.batch_size = batch_size  # unsynchronized: immutable after init
         self.fusion = bool(fusion)  # unsynchronized: immutable after init
         self.certify_fusion = bool(certify_fusion)  # unsynchronized: immutable
-        # columnar is a sub-mode of fusion: chunk kernels only run inside
-        # fused chains / fused-run shuffles, never per-record
+        # the default engine: fused chains run their chunk kernels over
+        # typed-array embedding chunks.  A sub-mode of fusion — chunk
+        # kernels never run per-record — so ``columnar=False`` is the
+        # batched path and ``fusion=False`` the per-record reference
         self.columnar = bool(columnar)  # unsynchronized: immutable after init
         # the shared default accumulator: concurrent service queries never
         # record here (each runs under a per-thread job scope); only

@@ -182,9 +182,7 @@ class FusedChainOperator(Operator):
         chunk_fn = self._chunk
         fns = self._fns
         zeros = (0,) * sum(1 for kind in self._shape if kind != "map")
-        columnar = getattr(ctx, "columnar", False) and (
-            self._chunk_capable or self._leaf_capable
-        )
+        columnar = self._columnar_capable(ctx)
         out = []
         worker_counts = []
         for partition in partitions:
@@ -195,6 +193,13 @@ class FusedChainOperator(Operator):
                     out.append(columnar_out)
                     worker_counts.append(totals)
                     continue
+                # chunks met a kernel gap, or a plain record list met a
+                # chain without a leaf builder
+                ctx.count_fallback(
+                    "no_kernel"
+                    if getattr(partition, "chunks", None) is not None
+                    else "non_uniform_batch"
+                )
             produced = []
             append = produced.append
             totals = zeros
@@ -216,6 +221,16 @@ class FusedChainOperator(Operator):
             worker_counts.append(totals)
         self._record_stage_runs(ctx, partitions, worker_counts, out)
         return out
+
+    def _columnar_capable(self, ctx):
+        """Whether this run executes the chain as chunk kernels; a
+        columnar run of a chain without them is a counted fallback."""
+        if not getattr(ctx, "columnar", False):
+            return False
+        if self._chunk_capable or self._leaf_capable:
+            return True
+        ctx.count_fallback("no_kernel")
+        return False
 
     def _execute_columnar(self, token, partition, zeros):
         """Run the chain as chunk kernels over one partition.
@@ -319,12 +334,9 @@ class FusedChainOperator(Operator):
 
         parent = self.parents[0]
         source_key = parent.id if type(parent) is SourceOperator else None
-        columnar = getattr(ctx, "columnar", False) and (
-            self._chunk_capable or self._leaf_capable
-        )
         out, worker_counts = pool.run_chain(
             self, partitions, ctx.cancellation, source_key=source_key,
-            columnar=columnar,
+            columnar=self._columnar_capable(ctx),
         )
         self._record_stage_runs(ctx, partitions, worker_counts, out)
         return out

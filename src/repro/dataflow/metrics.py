@@ -59,12 +59,22 @@ class OperatorRun:
         return self.max_worker_records_in / mean
 
 
+#: why a columnar run executed a stage per-record instead of through a
+#: chunk kernel: the input partition was a plain record list (an upstream
+#: stage already fell back), the stage has no kernel, or the join carries
+#: a PATH column its merge must rewrite
+CHUNK_FALLBACK_REASONS = ("non_uniform_batch", "no_kernel", "path_join")
+
+
 class JobMetrics:
     """Accumulates :class:`OperatorRun` entries for one logical job."""
 
     def __init__(self, name="job"):
         self.name = name
         self.runs = []
+        #: reason → per-record fallbacks taken by this job's columnar
+        #: runs (one per kernel-less chain, un-chunked partition or join)
+        self.chunk_fallbacks = dict.fromkeys(CHUNK_FALLBACK_REASONS, 0)
 
     def add(self, run):
         self.runs.append(run)

@@ -82,6 +82,10 @@ class ExecutionContext:
         if self.cancellation is not None:
             self.cancellation.poll()
 
+    def count_fallback(self, reason):
+        """Record that this columnar run took a per-record path."""
+        self._metrics.chunk_fallbacks[reason] += 1
+
     @property
     def parallelism(self):
         return self._environment.parallelism
@@ -613,6 +617,18 @@ class JoinOperator(Operator):
         strategy = self._choose(left_count, right_count)
         self.chosen_strategy = strategy
 
+        spec = getattr(self.join_fn, "columnar_join", None)
+        if (
+            ctx.columnar
+            and spec is None
+            and any(
+                getattr(partition, "chunks", None) is not None
+                for partition in left_parts + right_parts
+            )
+        ):
+            # chunks decode to feed a join without a chunk kernel (the
+            # engine compiles none for PATH-bearing sides)
+            ctx.count_fallback("path_join")
         stats = ShuffleStats(ctx.parallelism)
         pool = (
             ctx.pool if strategy is JoinStrategy.REPARTITION_HASH else None
@@ -669,7 +685,6 @@ class JoinOperator(Operator):
         else:
             out = []
             spilled = 0
-            spec = getattr(self.join_fn, "columnar_join", None)
             for left_partition, right_partition in zip(
                 left_local, right_local
             ):
@@ -692,6 +707,8 @@ class JoinOperator(Operator):
                         spec, build, probe, build_is_left, ctx
                     )
                 else:
+                    if spec is not None and ctx.columnar:
+                        ctx.count_fallback("non_uniform_batch")
                     produced = self._hash_join(
                         build, probe, build_is_left, ctx
                     )

@@ -1,7 +1,7 @@
 """Function and record shipping across the process boundary.
 
 Two serialization problems stand between a fused chain and a worker
-process, and this module solves both with the standard library only:
+process, and this module solves both:
 
 * **Functions.**  The chain stages hold compiled closures (predicate
   specializations, merge/morphism accessors) that standard ``pickle``
@@ -44,6 +44,8 @@ import pickle
 import struct
 import types
 
+import numpy as np
+
 __all__ = [
     "ChainSpec",
     "JoinSpec",
@@ -70,6 +72,8 @@ FORMAT_PICKLE = b"P"
 _LENGTHS = struct.Struct("<III")
 _CHUNK_COUNT = struct.Struct("<I")
 _CHUNK_HEADER = struct.Struct("<IIII")
+#: one entry of a chunk frame's packed offset tables
+_OFFSET = np.dtype("<u4")
 
 
 # --- function shipping ------------------------------------------------------
@@ -284,41 +288,40 @@ def _encode_chunks(partition):
     ENTRY_WIDTH`` bytes), the packed path offset table (``count + 1``
     little-endian u32), the path buffer, the packed prop offset table,
     the prop buffer.  No per-record object is touched — the frame is a
-    concatenation of buffers the chunk already holds.
+    concatenation of buffers the chunk already holds (an absent offset
+    array, i.e. an empty buffer, ships as the all-zero table).
     """
-    from repro.engine.columnar import offset_struct  # lazy: layering
-
     chunks = partition.chunks
     pieces = [_CHUNK_COUNT.pack(len(chunks))]
     append = pieces.append
     for chunk in chunks:
-        count = chunk.count
         path_buf = chunk.path_buf
         prop_buf = chunk.prop_buf
         append(_CHUNK_HEADER.pack(
-            count, chunk.columns, len(path_buf), len(prop_buf)
+            chunk.count, chunk.columns, len(path_buf), len(prop_buf)
         ))
         append(chunk.id_buf())
-        offsets = offset_struct(count + 1)
-        append(offsets.pack(*chunk.path_offsets))
-        append(path_buf)
-        append(offsets.pack(*chunk.prop_offsets))
-        append(prop_buf)
+        for offsets, buf in (
+            (chunk.path_offsets, path_buf), (chunk.prop_offsets, prop_buf)
+        ):
+            if offsets is None:
+                append(bytes(_OFFSET.itemsize * (chunk.count + 1)))
+            else:
+                append(offsets.astype(_OFFSET).tobytes())
+            append(buf)
     return b"".join(pieces)
 
 
 def _decode_chunks(payload):
     """Reverse of :func:`_encode_chunks`; returns a ColumnarPartition.
 
-    The decoded chunks arrive with their id buffer pre-populated (it is
-    the frame's entry block verbatim), so re-encoding — a relay, or the
-    response leg of a worker task — never re-packs the entries.
+    Column arrays are read straight off the frame with ``frombuffer``
+    and copied into native arrays, so the chunks do not pin the frame.
     """
     from repro.engine.columnar import (  # lazy: layering
         ColumnarPartition,
         EmbeddingChunk,
-        entry_struct,
-        offset_struct,
+        decode_entries,
     )
     from repro.engine.embedding import ENTRY_WIDTH  # lazy: layering
 
@@ -328,36 +331,22 @@ def _decode_chunks(payload):
     header = _CHUNK_HEADER.unpack_from
     header_width = _CHUNK_HEADER.size
     chunks = []
-    append = chunks.append
     for _ in range(nchunks):
         count, columns, path_len, prop_len = header(view, cursor)
         cursor += header_width
-        entries = count * columns
-        id_end = cursor + entries * ENTRY_WIDTH
-        id_buf = bytes(view[cursor:id_end])
-        flat = entry_struct(entries).unpack(id_buf)
-        cursor = id_end
-        offsets = offset_struct(count + 1)
-        offsets_width = offsets.size
-        path_offsets = offsets.unpack_from(view, cursor)
-        cursor += offsets_width
-        path_buf = bytes(view[cursor:cursor + path_len])
-        cursor += path_len
-        prop_offsets = offsets.unpack_from(view, cursor)
-        cursor += offsets_width
-        prop_buf = bytes(view[cursor:cursor + prop_len])
-        cursor += prop_len
-        append(EmbeddingChunk(
-            count,
-            columns,
-            flat[0::2],
-            flat[1::2],
-            path_buf,
-            path_offsets,
-            prop_buf,
-            prop_offsets,
-            id_buf=id_buf,
-        ))
+        values, flags = decode_entries(view, count, columns, cursor)
+        cursor += count * columns * ENTRY_WIDTH
+        payloads = []
+        for length in (path_len, prop_len):
+            offsets = None
+            if length:
+                offsets = np.frombuffer(
+                    view, dtype=_OFFSET, count=count + 1, offset=cursor
+                ).astype(np.int64)
+            cursor += _OFFSET.itemsize * (count + 1)
+            payloads += [bytes(view[cursor:cursor + length]), offsets]
+            cursor += length
+        chunks.append(EmbeddingChunk(values, flags, *payloads))
     return ColumnarPartition(chunks)
 
 

@@ -1,14 +1,16 @@
 """Columnar embedding chunks: batch execution over the §3.3 layout.
 
 A :class:`EmbeddingChunk` stores a batch of embeddings column-wise instead
-of row-wise: the fixed-width id entries of all rows live in two flat
-tuples (``flags``, ``values``), while the variable-width ``path_data`` /
-``prop_data`` payloads are concatenated into single buffers with per-row
-offset tables.  Because every §3.3 id entry is exactly
-``ENTRY_WIDTH`` bytes, the whole id column block decodes with **one**
-``struct.unpack`` and a column projects as a tuple slice
-(``values[c::columns]``) — no per-record dispatch, no per-record
-``Embedding`` allocation.
+of row-wise: the fixed-width id entries of all rows live in one
+``uint64`` ``(count, columns)`` array (plus a ``uint8`` flag array only
+when some entry is not a plain id), while the variable-width
+``path_data`` / ``prop_data`` payloads are concatenated into single
+buffers with per-row offset arrays — absent when the buffer is empty.
+Because every §3.3 id entry is exactly ``ENTRY_WIDTH`` bytes, the whole
+id block decodes and encodes through **one** structured-dtype view
+(:data:`_ENTRY`) and a column projects as an array slice
+(``values[:, c]``) — no per-record dispatch, no per-record ``Embedding``
+allocation, no boxed integers.
 
 The codec is exact and bidirectional: ``chunk_from_embeddings``
 followed by ``to_embeddings`` reproduces every record byte-for-byte.
@@ -25,19 +27,20 @@ back to the per-record closures whenever a kernel is missing, the input
 is not columnar, or the run is sanitized (sanitized runs are per-record
 by construction, so the sanitizer always validates the decoded view).
 
-The per-row property *span tables* (:meth:`EmbeddingChunk.prop_spans`)
-are the precomputed offset tables that replace the per-call length-field
-walks of the per-record accessors on hot paths;
+The property *span table* (:meth:`EmbeddingChunk.prop_spans`) is the
+precomputed offset array that replaces the per-call length-field walks
+of the per-record accessors on hot paths;
 :func:`repro.engine.embedding.iter_property_records` remains the public
 walk for the sanitizer and tests.
 """
 
-import struct
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.epgm import GradoopId, PropertyValue
 from repro.epgm.property_value import NULL_VALUE
-from repro.locks import named_lock
 
 from .embedding import (
     ENTRY_WIDTH,
@@ -45,61 +48,63 @@ from .embedding import (
     PROP_LEN_WIDTH,
     ElementBindings,
     Embedding,
-    _ENTRY,
     _PROP_LEN,
 )
 from .morphism import MatchStrategy
 
-try:  # vectorized shuffle hashing; the pure-Python loops below are the
-    # always-available fallback (the module must import without numpy)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the standard image
-    _np = None
-
-_MASK = (1 << 64) - 1
-
-# Compiled struct formats are keyed by entry count, which varies with every
-# tail-chunk length — the cache is bounded so pathological batch sizes
-# cannot grow it without limit.  Leaf lock role (see docs/architecture.md,
-# "Lock hierarchy"): nothing is acquired while it is held.
-_struct_lock = named_lock("engine.columnar")
-_STRUCT_CACHE_LIMIT = 256
-_entry_structs: Dict[int, struct.Struct] = {}  # guarded-by: _struct_lock
-_offset_structs: Dict[int, struct.Struct] = {}  # guarded-by: _struct_lock
+#: one §3.3 id entry — flag byte, big-endian u64, packed: the single view
+#: through which id blocks are decoded and encoded
+_ENTRY = np.dtype([("flag", "u1"), ("value", ">u8")])
 
 
-def entry_struct(n: int) -> struct.Struct:
-    """The big-endian struct of ``n`` consecutive §3.3 id entries."""
-    with _struct_lock:
-        compiled = _entry_structs.get(n)
-    if compiled is None:
-        compiled = struct.Struct(">" + "BQ" * n)
-        with _struct_lock:
-            if len(_entry_structs) < _STRUCT_CACHE_LIMIT:
-                _entry_structs[n] = compiled
-    return compiled
+def decode_entries(buffer, count: int, columns: int, offset: int = 0):
+    """``(values, flags)`` of the §3.3 id block at ``buffer[offset:]``.
+
+    ``flags`` is ``None`` when every entry is a plain id.
+    """
+    entries = np.frombuffer(
+        buffer, dtype=_ENTRY, count=count * columns, offset=offset
+    )
+    values = entries["value"].astype(np.uint64).reshape(count, columns)
+    flags = entries["flag"]
+    if (flags != FLAG_ID).any():
+        return values, flags.reshape(count, columns).copy()
+    return values, None
 
 
-def offset_struct(n: int) -> struct.Struct:
-    """The little-endian struct of an ``n``-entry offset table (wire frames)."""
-    with _struct_lock:
-        compiled = _offset_structs.get(n)
-    if compiled is None:
-        compiled = struct.Struct("<%dI" % n)
-        with _struct_lock:
-            if len(_offset_structs) < _STRUCT_CACHE_LIMIT:
-                _offset_structs[n] = compiled
-    return compiled
+def _offsets(lengths) -> Optional[np.ndarray]:
+    """The offset array of per-row ``lengths``; ``None`` when all are 0."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets if offsets[-1] else None
+
+
+def _concat(parts: Sequence[bytes]) -> Tuple[bytes, Optional[np.ndarray]]:
+    """One part per row → ``(buffer, offsets)``."""
+    buf = b"".join(parts)
+    if not buf:
+        return b"", None
+    return buf, _offsets(np.fromiter(map(len, parts), np.int64, len(parts)))
+
+
+def _row_slices(buf: bytes, offsets, count: int) -> List[bytes]:
+    """Each row's slice of a payload buffer."""
+    if offsets is None:
+        return [b""] * count
+    bounds = offsets.tolist()
+    return [buf[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 class EmbeddingChunk:
     """A batch of same-shape embeddings in columnar form.
 
-    ``flags`` and ``values`` are row-major flat tuples of length
-    ``count * columns``; row ``r``'s ``path_data`` is
+    ``values`` is a ``uint64`` ``(count, columns)`` array; ``flags`` a
+    ``uint8`` array of the same shape, or ``None`` when every entry is an
+    id.  Row ``r``'s ``path_data`` is
     ``path_buf[path_offsets[r]:path_offsets[r + 1]]`` (``prop_data``
-    likewise).  Instances are immutable once built and may be shared
-    between partitions (broadcast) without copying.
+    likewise); an offset array is ``None`` exactly when its buffer is
+    empty.  Instances are immutable once built and may be shared between
+    partitions (broadcast) without copying.
     """
 
     __slots__ = (
@@ -111,44 +116,33 @@ class EmbeddingChunk:
         "path_offsets",
         "prop_buf",
         "prop_offsets",
-        "_id_buf",
         "_prop_spans",
     )
 
     def __init__(
         self,
-        count: int,
-        columns: int,
-        flags: Tuple[int, ...],
-        values: Tuple[int, ...],
-        path_buf: bytes,
-        path_offsets: Tuple[int, ...],
-        prop_buf: bytes,
-        prop_offsets: Tuple[int, ...],
-        id_buf: Optional[bytes] = None,
+        values: np.ndarray,
+        flags: Optional[np.ndarray] = None,
+        path_buf: bytes = b"",
+        path_offsets: Optional[np.ndarray] = None,
+        prop_buf: bytes = b"",
+        prop_offsets: Optional[np.ndarray] = None,
     ) -> None:
-        self.count = count
-        self.columns = columns
+        self.count, self.columns = values.shape
         self.flags = flags
         self.values = values
         self.path_buf = path_buf
         self.path_offsets = path_offsets
         self.prop_buf = prop_buf
         self.prop_offsets = prop_offsets
-        self._id_buf = id_buf
-        self._prop_spans: Optional[Tuple[Tuple[Tuple[int, int], ...], ...]] = None
+        self._prop_spans: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def id_buf(self) -> bytes:
         """The canonical §3.3 id bytes of all rows, concatenated."""
-        buf = self._id_buf
-        if buf is None:
-            n = self.count * self.columns
-            flat: List[int] = [0] * (2 * n)
-            flat[0::2] = self.flags
-            flat[1::2] = self.values
-            buf = entry_struct(n).pack(*flat)
-            self._id_buf = buf
-        return buf
+        entries = np.empty(self.count * self.columns, dtype=_ENTRY)
+        entries["flag"] = FLAG_ID if self.flags is None else self.flags.ravel()
+        entries["value"] = self.values.ravel()
+        return entries.tobytes()
 
     def byte_size(self) -> int:
         """Total serialized size — equals the sum of per-row sizes."""
@@ -158,30 +152,51 @@ class EmbeddingChunk:
             + len(self.prop_buf)
         )
 
-    def prop_spans(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        """Per-row tuples of absolute ``(start, end)`` property-record spans.
+    def row_sizes(self) -> np.ndarray:
+        """Per-row serialized sizes."""
+        sizes = np.full(self.count, self.columns * ENTRY_WIDTH, dtype=np.int64)
+        for offsets in (self.path_offsets, self.prop_offsets):
+            if offsets is not None:
+                sizes += np.diff(offsets)
+        return sizes
 
-        Built once per chunk by walking the length fields a single time;
-        every columnar property access afterwards is a table lookup plus a
-        buffer slice (the payload of record ``(s, e)`` is
-        ``prop_buf[s + PROP_LEN_WIDTH:e]``).
+    def prop_spans(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The property-record span table ``(starts, first)``.
+
+        ``starts`` holds the start of every property record in buffer
+        order plus a final ``len(prop_buf)``; records are back to back,
+        so record ``k`` of row ``r`` spans ``starts[first[r] + k]`` to
+        ``starts[first[r] + k + 1]`` (its payload begins
+        ``PROP_LEN_WIDTH`` in) and row ``r`` has ``first[r + 1] -
+        first[r]`` records.  Built once per chunk: round ``k`` reads the
+        length field of every row's ``k``-th record in one step.
         """
         table = self._prop_spans
         if table is None:
-            buf = self.prop_buf
-            unpack_from = _PROP_LEN.unpack_from
             offsets = self.prop_offsets
-            rows: List[Tuple[Tuple[int, int], ...]] = []
-            for row in range(self.count):
-                cursor = offsets[row]
-                end = offsets[row + 1]
-                spans: List[Tuple[int, int]] = []
-                while cursor < end:
-                    nxt = cursor + PROP_LEN_WIDTH + unpack_from(buf, cursor)[0]
-                    spans.append((cursor, nxt))
-                    cursor = nxt
-                rows.append(tuple(spans))
-            table = tuple(rows)
+            if offsets is None:
+                table = (
+                    np.zeros(1, dtype=np.int64),
+                    np.zeros(self.count + 1, dtype=np.int64),
+                )
+            else:
+                raw = np.frombuffer(self.prop_buf, dtype=np.uint8)
+                ends = offsets[1:]
+                rows = np.nonzero(offsets[:-1] < ends)[0]
+                cursor = offsets[rows]
+                found = []
+                while cursor.size:
+                    found.append(cursor)
+                    # the big-endian u16 length field (_PROP_LEN)
+                    length = raw[cursor].astype(np.int64) << 8 | raw[cursor + 1]
+                    cursor = cursor + PROP_LEN_WIDTH + length
+                    more = cursor < ends[rows]
+                    rows = rows[more]
+                    cursor = cursor[more]
+                found.append(offsets[-1:])
+                starts = np.concatenate(found)
+                starts.sort()
+                table = (starts, np.searchsorted(starts, offsets))
             self._prop_spans = table
         return table
 
@@ -189,51 +204,23 @@ class EmbeddingChunk:
         """Decode every row back to the exact per-record §3.3 layout."""
         id_buf = self.id_buf()
         width = self.columns * ENTRY_WIDTH
-        path_buf = self.path_buf
-        prop_buf = self.prop_buf
-        path_offsets = self.path_offsets
-        prop_offsets = self.prop_offsets
-        out = []
-        append = out.append
-        for row in range(self.count):
-            append(
-                Embedding(
-                    id_buf[row * width:(row + 1) * width],
-                    path_buf[path_offsets[row]:path_offsets[row + 1]],
-                    prop_buf[prop_offsets[row]:prop_offsets[row + 1]],
-                )
+        count = self.count
+        return list(
+            map(
+                Embedding,
+                [id_buf[row * width:(row + 1) * width] for row in range(count)],
+                _row_slices(self.path_buf, self.path_offsets, count),
+                _row_slices(self.prop_buf, self.prop_offsets, count),
             )
-        return out
+        )
 
-    def gather(self, rows: Sequence[int]) -> "EmbeddingChunk":
+    def gather(self, rows) -> "EmbeddingChunk":
         """A new chunk holding ``rows`` (in the given order).
 
-        Row-relative path offsets make this pure slicing — no entry is
+        Row-relative path offsets make this pure indexing — no entry is
         unpacked or rewritten.
         """
-        columns = self.columns
-        flags = self.flags
-        values = self.values
-        if columns == 1:
-            new_flags = tuple(flags[row] for row in rows)
-            new_values = tuple(values[row] for row in rows)
-        else:
-            if self.path_buf:
-                gathered_flags: List[int] = []
-                extend_flags = gathered_flags.extend
-                for row in rows:
-                    base = row * columns
-                    extend_flags(flags[base:base + columns])
-                new_flags = tuple(gathered_flags)
-            else:
-                # no paths ⇒ every entry is a plain id
-                new_flags = (FLAG_ID,) * (len(rows) * columns)
-            gathered: List[int] = []
-            extend = gathered.extend
-            for row in rows:
-                base = row * columns
-                extend(values[base:base + columns])
-            new_values = tuple(gathered)
+        rows = np.asarray(rows, dtype=np.intp)
         path_buf, path_offsets = _gather_buffer(
             self.path_buf, self.path_offsets, rows
         )
@@ -241,10 +228,8 @@ class EmbeddingChunk:
             self.prop_buf, self.prop_offsets, rows
         )
         return EmbeddingChunk(
-            len(rows),
-            columns,
-            new_flags,
-            new_values,
+            self.values[rows],
+            None if self.flags is None else self.flags[rows],
             path_buf,
             path_offsets,
             prop_buf,
@@ -255,22 +240,48 @@ class EmbeddingChunk:
         return "EmbeddingChunk(%d rows x %d columns)" % (self.count, self.columns)
 
 
-def _gather_buffer(
-    buf: bytes, offsets: Tuple[int, ...], rows: Sequence[int]
-) -> Tuple[bytes, Tuple[int, ...]]:
-    if not buf:
-        return b"", (0,) * (len(rows) + 1)
-    parts = []
-    new_offsets = [0]
-    total = 0
-    for row in rows:
-        start = offsets[row]
-        end = offsets[row + 1]
-        if end > start:
-            parts.append(buf[start:end])
-            total += end - start
-        new_offsets.append(total)
-    return b"".join(parts), tuple(new_offsets)
+def _gather_buffer(buf: bytes, offsets, rows):
+    if offsets is None:
+        return b"", None
+    starts = offsets[rows]
+    ends = offsets[rows + 1]
+    new_offsets = _offsets(ends - starts)
+    if new_offsets is None:
+        return b"", None
+    return (
+        b"".join(
+            [buf[start:end] for start, end in zip(starts.tolist(), ends.tolist())]
+        ),
+        new_offsets,
+    )
+
+
+def concat_chunks(chunks: Sequence[EmbeddingChunk]) -> EmbeddingChunk:
+    """One chunk holding the rows of same-shape ``chunks``, in order."""
+    if len(chunks) == 1:
+        return chunks[0]
+    flags = None
+    if any(chunk.flags is not None for chunk in chunks):
+        flags = np.concatenate([
+            np.zeros(chunk.values.shape, dtype=np.uint8)
+            if chunk.flags is None else chunk.flags
+            for chunk in chunks
+        ])
+    payloads: List[Any] = []
+    for buf, offsets in (("path_buf", "path_offsets"), ("prop_buf", "prop_offsets")):
+        joined = b"".join([getattr(chunk, buf) for chunk in chunks])
+        lengths = None
+        if joined:
+            lengths = _offsets(np.concatenate([
+                np.zeros(chunk.count, dtype=np.int64)
+                if getattr(chunk, offsets) is None
+                else np.diff(getattr(chunk, offsets))
+                for chunk in chunks
+            ]))
+        payloads += [joined, lengths]
+    return EmbeddingChunk(
+        np.concatenate([chunk.values for chunk in chunks]), flags, *payloads
+    )
 
 
 def chunk_from_embeddings(records: Sequence[Any]) -> Optional[EmbeddingChunk]:
@@ -291,35 +302,16 @@ def chunk_from_embeddings(records: Sequence[Any]) -> Optional[EmbeddingChunk]:
     columns, remainder = divmod(width, ENTRY_WIDTH)
     if remainder:
         return None
-    id_parts = []
-    path_parts = []
-    prop_parts = []
-    path_offsets = [0]
-    prop_offsets = [0]
-    path_total = 0
-    prop_total = 0
     for record in records:
         if type(record) is not Embedding or len(record.id_data) != width:
             return None
-        id_parts.append(record.id_data)
-        path_parts.append(record.path_data)
-        path_total += len(record.path_data)
-        path_offsets.append(path_total)
-        prop_parts.append(record.prop_data)
-        prop_total += len(record.prop_data)
-        prop_offsets.append(prop_total)
-    id_buf = b"".join(id_parts)
-    flat = entry_struct(count * columns).unpack(id_buf)
+    values, flags = decode_entries(
+        b"".join([record.id_data for record in records]), count, columns
+    )
+    path_buf, path_offsets = _concat([record.path_data for record in records])
+    prop_buf, prop_offsets = _concat([record.prop_data for record in records])
     return EmbeddingChunk(
-        count,
-        columns,
-        flat[0::2],
-        flat[1::2],
-        b"".join(path_parts),
-        tuple(path_offsets),
-        b"".join(prop_parts),
-        tuple(prop_offsets),
-        id_buf=id_buf,
+        values, flags, path_buf, path_offsets, prop_buf, prop_offsets
     )
 
 
@@ -328,9 +320,10 @@ class ColumnarPartition:
 
     Quacks like the list of embeddings it encodes: ``len``, iteration,
     indexing and slicing all work (decoding at most once, cached), so
-    every operator without a columnar kernel — and every consumer like
-    ``DataSet.collect`` — reads it transparently.  The dataflow layer
-    recognizes columnar partitions by their ``chunks`` attribute.
+    every operator without a columnar kernel reads it transparently.  The
+    dataflow layer recognizes columnar partitions by their ``chunks``
+    attribute; ``DataSet.collect`` drains that list chunk by chunk, so a
+    collected result never exists in both forms.
     """
 
     __slots__ = ("chunks", "_rows")
@@ -380,25 +373,31 @@ class ChunkRowBindings:
     """CNF bindings over one chunk row (no Embedding materialization).
 
     Property reads go through the chunk's precomputed span table instead
-    of a per-call length-field walk.
+    of a per-call length-field walk: ``starts`` is the table's record
+    starts as a list, ``first`` the index of this row's first record.
     """
 
-    __slots__ = ("chunk", "row", "_prop_indexes", "_id_columns", "_spans")
+    __slots__ = ("chunk", "row", "_prop_indexes", "_id_columns", "_starts", "_first")
 
-    def __init__(self, chunk, row, prop_indexes, id_columns, spans):
+    def __init__(self, chunk, row, prop_indexes, id_columns, starts, first):
         self.chunk = chunk
         self.row = row
         self._prop_indexes = prop_indexes
         self._id_columns = id_columns
-        self._spans = spans
+        self._starts = starts
+        self._first = first
 
     def property_value(self, variable, key):
         index = self._prop_indexes.get((variable, key))
         if index is None:
             return NULL_VALUE
-        start, end = self._spans[index]
-        buf = self.chunk.prop_buf
-        return PropertyValue.from_bytes(buf[start + PROP_LEN_WIDTH:end])[0]
+        record = self._first + index
+        starts = self._starts
+        return PropertyValue.from_bytes(
+            self.chunk.prop_buf[
+                starts[record] + PROP_LEN_WIDTH:starts[record + 1]
+            ]
+        )[0]
 
     def label(self, variable):
         raise KeyError(
@@ -409,8 +408,7 @@ class ChunkRowBindings:
         column = self._id_columns.get(variable)
         if column is None:
             raise KeyError("variable %r not in embedding" % variable)
-        chunk = self.chunk
-        return GradoopId(chunk.values[self.row * chunk.columns + column])
+        return GradoopId(int(self.chunk.values[self.row, column]))
 
 
 def select_kernel(evaluate, meta):
@@ -425,12 +423,15 @@ def select_kernel(evaluate, meta):
     }
 
     def kernel(chunk):
-        spans = chunk.prop_spans()
+        starts, first = chunk.prop_spans()
+        starts = starts.tolist()
         kept = [
             row
-            for row in range(chunk.count)
+            for row, row_first in enumerate(first[:-1].tolist())
             if evaluate(
-                ChunkRowBindings(chunk, row, prop_indexes, id_columns, spans[row])
+                ChunkRowBindings(
+                    chunk, row, prop_indexes, id_columns, starts, row_first
+                )
             )
         ]
         if len(kept) == chunk.count:
@@ -442,31 +443,29 @@ def select_kernel(evaluate, meta):
 
 def project_kernel(keep_indices):
     """Chunk kernel of ``ProjectEmbeddings``: slice kept property records."""
-    keep = tuple(keep_indices)
+    keep = np.array(tuple(keep_indices), dtype=np.int64)
 
     def kernel(chunk):
-        span_table = chunk.prop_spans()
+        starts, first = chunk.prop_spans()
+        records = first[:-1, None] + keep
+        begins = starts[records]
+        ends = starts[records + 1]
         buf = chunk.prop_buf
-        parts = []
-        offsets = [0]
-        total = 0
-        for row in range(chunk.count):
-            spans = span_table[row]
-            for index in keep:
-                start, end = spans[index]
-                parts.append(buf[start:end])
-                total += end - start
-            offsets.append(total)
+        prop_offsets = _offsets((ends - begins).sum(axis=1))
         return EmbeddingChunk(
-            chunk.count,
-            chunk.columns,
-            chunk.flags,
             chunk.values,
+            chunk.flags,
             chunk.path_buf,
             chunk.path_offsets,
-            b"".join(parts),
-            tuple(offsets),
-            id_buf=chunk._id_buf,
+            b"" if prop_offsets is None else b"".join(
+                [
+                    buf[begin:end]
+                    for begin, end in zip(
+                        begins.ravel().tolist(), ends.ravel().tolist()
+                    )
+                ]
+            ),
+            prop_offsets,
         )
 
     return kernel
@@ -484,6 +483,28 @@ def _encode_properties(element, keys, parts):
         parts.append(payload)
         total += PROP_LEN_WIDTH + len(payload)
     return total
+
+
+def _leaf_chunk(values, columns, prop_parts, prop_offsets):
+    """The all-id chunk a leaf kernel has gathered into Python lists."""
+    if not values:
+        # most partitions of a small or selectively scanned label
+        return _EMPTY_LEAVES[columns]
+    prop_buf = b"".join(prop_parts)
+    return EmbeddingChunk(
+        np.array(values, dtype=np.uint64).reshape(-1, columns),
+        prop_buf=prop_buf,
+        prop_offsets=(
+            np.array(prop_offsets, dtype=np.int64) if prop_buf else None
+        ),
+    )
+
+
+#: the (immutable, hence shared) empty chunk of each leaf width
+_EMPTY_LEAVES = {
+    columns: EmbeddingChunk(np.empty((0, columns), dtype=np.uint64))
+    for columns in (1, 2, 3)
+}
 
 
 def leaf_vertex_kernel(variable, keep, keys):
@@ -509,17 +530,7 @@ def leaf_vertex_kernel(variable, keep, keys):
             if keys:
                 total += _encode_properties(vertex, keys, prop_parts)
             prop_offsets.append(total)
-        count = len(values)
-        return EmbeddingChunk(
-            count,
-            1,
-            (FLAG_ID,) * count,
-            tuple(values),
-            b"",
-            (0,) * (count + 1),
-            b"".join(prop_parts),
-            tuple(prop_offsets),
-        )
+        return _leaf_chunk(values, 1, prop_parts, prop_offsets)
 
     return kernel
 
@@ -535,7 +546,6 @@ def leaf_edge_kernel(variable, keep, keys, is_loop, undirected, distinct_endpoin
         prop_parts: List[bytes] = []
         prop_offsets = [0]
         total = 0
-        count = 0
         for edge in elements:
             if not keep(ElementBindings(variable, edge)):
                 continue
@@ -556,20 +566,10 @@ def leaf_edge_kernel(variable, keep, keys, is_loop, undirected, distinct_endpoin
                 orientations = ((source, edge.id.value, target),)
             for ids in orientations:
                 extend_values(ids)
-                count += 1
                 if keys:
                     total += _encode_properties(edge, keys, prop_parts)
                 prop_offsets.append(total)
-        return EmbeddingChunk(
-            count,
-            columns,
-            (FLAG_ID,) * (count * columns),
-            tuple(values),
-            b"",
-            (0,) * (count + 1),
-            b"".join(prop_parts),
-            tuple(prop_offsets),
-        )
+        return _leaf_chunk(values, columns, prop_parts, prop_offsets)
 
     return kernel
 
@@ -577,38 +577,26 @@ def leaf_edge_kernel(variable, keep, keys, is_loop, undirected, distinct_endpoin
 # Shuffle ---------------------------------------------------------------------
 
 
-#: below this row count the fixed numpy conversion overhead outweighs the
-#: vectorization win and the pure-Python loops run instead
-_VECTOR_MIN_ROWS = 32
-
-
-def _splitmix64_np(z):
+def _splitmix64(z):
     """Vectorized splitmix64 finalizer over a uint64 array (wrapping)."""
-    z = z + _np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> _np.uint64(30))) * _np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _np.uint64(27))) * _np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> _np.uint64(31))
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def _shuffle_targets(chunk, key_columns, single, parallelism):
-    """Per-row target workers of one chunk, as a uint64 numpy array.
+def _hash_keys(values, key_columns):
+    """Each row's :func:`repro.dataflow.partitioner.stable_hash` of its key.
 
-    Vectorizes the exact arithmetic of
-    :func:`repro.dataflow.partitioner.stable_hash` — int keys through the
-    splitmix64 finalizer, tuple keys through the chained accumulator — so
-    the placement matches the per-record shuffle bit for bit.
+    Vectorizes the exact arithmetic — int keys through the splitmix64
+    finalizer, tuple keys through the chained accumulator.
     """
-    columns = chunk.columns
-    arr = _np.array(chunk.values, dtype=_np.uint64)
-    if single is not None:
-        keys = arr[single::columns] if columns > 1 else arr
-        hashed = _splitmix64_np(keys)
-    else:
-        hashed = _np.full(chunk.count, 0x345678, dtype=_np.uint64)
-        for column in key_columns:
-            part = arr[column::columns] if columns > 1 else arr
-            hashed = _splitmix64_np(hashed ^ _splitmix64_np(part))
-    return hashed % _np.uint64(parallelism)
+    if len(key_columns) == 1:
+        return _splitmix64(values[:, key_columns[0]])
+    hashed = np.full(len(values), 0x345678, dtype=np.uint64)
+    for column in key_columns:
+        hashed = _splitmix64(hashed ^ _splitmix64(values[:, column]))
+    return hashed
 
 
 def shuffle_split(chunks, key_columns, parallelism, source):
@@ -616,123 +604,40 @@ def shuffle_split(chunks, key_columns, parallelism, source):
 
     Returns ``(splits, moved_records, moved_bytes, bytes_in)``:
     ``splits[target]`` is the list of chunks routed to ``target`` (rows
-    in input order, gathered by slicing).  The splitmix64 avalanche of
-    :func:`repro.dataflow.partitioner.stable_hash` runs vectorized over
-    the raw key column(s) (pure-Python loops without numpy), and
-    multi-column keys replicate the tuple accumulator chain exactly, so
-    placement matches the per-record shuffle bit for bit.  Byte
-    accounting is identical too — per-row serialized sizes, cross-worker
-    moves only.  The in-process :func:`shuffle_kernel` and the worker
-    runtime's repartition shuffle share this one definition.
+    in input order, gathered by indexing).  The key hash runs vectorized
+    over the raw key column(s) (:func:`_hash_keys`), so placement matches
+    the per-record shuffle bit for bit.  Byte accounting is identical too
+    — per-row serialized sizes, cross-worker moves only.  The in-process
+    :func:`shuffle_kernel` and the worker runtime's repartition shuffle
+    share this one definition.
     """
     key_columns = tuple(key_columns)
-    single = key_columns[0] if len(key_columns) == 1 else None
     out_chunks: List[List[EmbeddingChunk]] = [[] for _ in range(parallelism)]
     moved_records = 0
     moved_bytes = 0
     bytes_in = [0] * parallelism
     for chunk in chunks:
-        columns = chunk.columns
-        values = chunk.values
-        row_width = columns * ENTRY_WIDTH
-        path_offsets = chunk.path_offsets
-        prop_offsets = chunk.prop_offsets
-        if _np is not None and chunk.count >= _VECTOR_MIN_ROWS:
-            targets = _shuffle_targets(
-                chunk, key_columns, single, parallelism
+        targets = (
+            _hash_keys(chunk.values, key_columns) % np.uint64(parallelism)
+        ).astype(np.intp)
+        moved = targets != source
+        moved_count = int(np.count_nonzero(moved))
+        if moved_count:
+            moved_records += moved_count
+            # float weights are exact below 2**53
+            received = np.bincount(
+                targets[moved],
+                weights=chunk.row_sizes()[moved],
+                minlength=parallelism,
             )
-            moved_mask = targets != _np.uint64(source)
-            moved = int(moved_mask.sum())
-            if moved:
-                moved_records += moved
-                if not chunk.path_buf and not chunk.prop_buf:
-                    # fixed-width rows: counting is enough
-                    moved_bytes += moved * row_width
-                    counted = _np.bincount(
-                        targets[moved_mask].astype(_np.int64),
-                        minlength=parallelism,
-                    )
-                    for target in range(parallelism):
-                        bytes_in[target] += (
-                            int(counted[target]) * row_width
-                        )
-                else:
-                    sizes = row_width + _np.diff(
-                        _np.array(path_offsets, dtype=_np.int64)
-                    ) + _np.diff(
-                        _np.array(prop_offsets, dtype=_np.int64)
-                    )
-                    moved_sizes = sizes[moved_mask]
-                    moved_bytes += int(moved_sizes.sum())
-                    counted = _np.bincount(
-                        targets[moved_mask].astype(_np.int64),
-                        weights=moved_sizes,
-                        minlength=parallelism,
-                    )
-                    for target in range(parallelism):
-                        bytes_in[target] += int(counted[target])
             for target in range(parallelism):
-                rows = _np.nonzero(targets == _np.uint64(target))[0]
-                if not rows.size:
-                    continue
-                if rows.size == chunk.count:
-                    out_chunks[target].append(chunk)
-                else:
-                    out_chunks[target].append(
-                        chunk.gather(rows.tolist())
-                    )
-            continue
-        buckets: List[List[int]] = [[] for _ in range(parallelism)]
-        if single is not None:
-            keys = (
-                values[single::columns] if columns > 1 else values
-            )
-            row_targets = []
-            for key in keys:
-                # splitmix64(key & _MASK) % parallelism, inlined
-                z = (key + 0x9E3779B97F4A7C15) & _MASK
-                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-                row_targets.append(
-                    ((z ^ (z >> 31)) & _MASK) % parallelism
-                )
-        else:
-            row_targets = []
-            for row in range(chunk.count):
-                base = row * columns
-                # stable_hash of the key tuple: acc chained through
-                # splitmix64 over each part's own splitmix64 hash
-                acc = 0x345678
-                for c in key_columns:
-                    part = values[base + c]
-                    z = (part + 0x9E3779B97F4A7C15) & _MASK
-                    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-                    z = acc ^ ((z ^ (z >> 31)) & _MASK)
-                    z = (z + 0x9E3779B97F4A7C15) & _MASK
-                    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-                    acc = (z ^ (z >> 31)) & _MASK
-                row_targets.append(acc % parallelism)
-        for row, target in enumerate(row_targets):
-            buckets[target].append(row)
-            if target != source:
-                size = (
-                    row_width
-                    + path_offsets[row + 1]
-                    - path_offsets[row]
-                    + prop_offsets[row + 1]
-                    - prop_offsets[row]
-                )
-                moved_records += 1
-                moved_bytes += size
-                bytes_in[target] += size
-        for target, rows in enumerate(buckets):
-            if not rows:
-                continue
-            if len(rows) == chunk.count:
+                bytes_in[target] += int(received[target])
+            moved_bytes += int(received.sum())
+        for target in range(parallelism):
+            rows = np.nonzero(targets == target)[0]
+            if rows.size == chunk.count:
                 out_chunks[target].append(chunk)
-            else:
+            elif rows.size:
                 out_chunks[target].append(chunk.gather(rows))
     return out_chunks, moved_records, moved_bytes, bytes_in
 
@@ -740,7 +645,7 @@ def shuffle_split(chunks, key_columns, parallelism, source):
 def shuffle_kernel(key_columns):
     """Columnar hash-repartition over one or more id key columns.
 
-    Splits every chunk by slicing columns (:func:`shuffle_split`) — no
+    Splits every chunk by indexing columns (:func:`shuffle_split`) — no
     record is decoded and placement/accounting match the per-record
     shuffle bit for bit.  Returns ``(partitions, moved_records,
     moved_bytes, bytes_in)``.
@@ -768,6 +673,38 @@ def shuffle_kernel(key_columns):
 
 
 # Hash join -------------------------------------------------------------------
+
+
+#: probe chunks are merged into runs of at least this many rows: every
+#: shuffle splits each chunk ``parallelism`` ways, so a join behind a few
+#: of them would otherwise probe slivers at a fixed numpy cost apiece
+_PROBE_ROWS = 4096
+#: ... and matches are merged about this many output rows at a time, which
+#: bounds every array a high-fan-out join builds along the way
+_OUTPUT_ROWS = 4096
+
+
+def _probe_runs(chunks) -> Iterator[EmbeddingChunk]:
+    run: List[EmbeddingChunk] = []
+    rows = 0
+    for chunk in chunks:
+        if chunk.count:
+            run.append(chunk)
+            rows += chunk.count
+        if rows >= _PROBE_ROWS:
+            yield concat_chunks(run)
+            run, rows = [], 0
+    if run:
+        yield concat_chunks(run)
+
+
+def _prop_rows(chunk):
+    """``(per-row prop bytes, their lengths)`` of ``chunk``, or ``None``
+    when it carries no property bytes."""
+    if chunk.prop_offsets is None:
+        return None
+    rows = _row_slices(chunk.prop_buf, chunk.prop_offsets, chunk.count)
+    return rows, np.diff(chunk.prop_offsets)
 
 
 class ColumnarJoinSpec:
@@ -812,283 +749,130 @@ class ColumnarJoinSpec:
         for slot, value in zip(self.__slots__, state):
             setattr(self, slot, value)
 
-    def _build_table(self, build_chunks, build_is_left):
-        """Key → list of pre-sliced ``(merge_values, prop_bytes)`` pairs.
-
-        Build rows are sliced once here instead of once per match in the
-        probe loop: a left-side build stores the full left row tuple, a
-        right-side build stores only its kept columns.
-        """
-        key_columns = self.left_columns if build_is_left else self.right_columns
-        keep = self.keep_columns
-        table: Dict[Any, List[Tuple[Tuple[int, ...], bytes]]] = {}
-        setdefault = table.setdefault
-        single = key_columns[0] if len(key_columns) == 1 else None
-        has_props = False
-        for chunk in build_chunks:
-            columns = chunk.columns
-            values = chunk.values
-            prop_buf = chunk.prop_buf
-            prop_offsets = chunk.prop_offsets
-            if prop_buf:
-                has_props = True
-            for row in range(chunk.count):
-                base = row * columns
-                if single is not None:
-                    key = values[base + single]
-                else:
-                    key = tuple(values[base + c] for c in key_columns)
-                if build_is_left:
-                    merge_values = values[base:base + columns]
-                else:
-                    merge_values = tuple(values[base + c] for c in keep)
-                start = prop_offsets[row]
-                end = prop_offsets[row + 1]
-                setdefault(key, []).append(
-                    (merge_values, prop_buf[start:end] if end > start else b"")
-                )
-        return table, has_props
-
     def hash_join(self, build_chunks, probe_chunks, build_is_left, token=None):
         """Join two chunk lists; returns the output chunks.
 
-        Output rows appear in exactly the order of the per-record
+        The build side is stable-sorted by key once; every run of probe
+        chunks finds its match ranges with two ``searchsorted`` calls
+        and gathers both sides' rows by ``repeat``-expanded indexes,
+        about ``_OUTPUT_ROWS`` output rows at a time.  Output rows
+        therefore appear in exactly the order of the per-record
         ``_hash_join`` loop: probe rows in input order, each matched
         against build rows in build-insertion order.
         """
-        table, build_has_props = self._build_table(build_chunks, build_is_left)
-        if not table:
+        build_chunks = [chunk for chunk in build_chunks if chunk.count]
+        if not build_chunks:
             return []
-        get = table.get
-        keep = self.keep_columns
-        vertex_watch = self.vertex_columns
-        edge_watch = self.edge_columns
-        out_columns = self.left_count + len(keep)
-        probe_key_columns = (
-            self.right_columns if build_is_left else self.left_columns
-        )
-        single = (
-            probe_key_columns[0] if len(probe_key_columns) == 1 else None
-        )
-        # distinctness as short-circuit pairwise comparisons: for the small
-        # watch sets real patterns produce this beats building a set per
-        # candidate row; large sets (quadratic pairs) keep the set check
-        pairs = [
-            (watch[i], watch[j])
-            for watch in (vertex_watch, edge_watch)
-            for i in range(len(watch))
-            for j in range(i + 1, len(watch))
-        ]
-        check_pairs = tuple(pairs) if len(pairs) <= 8 else None
-        # selective single-key joins skip most probe rows: an exact-integer
-        # ``isin`` against the build keys drops the misses at C speed and
-        # leaves the Python loop only the rows that actually match
-        build_keys_arr = None
-        if _np is not None and single is not None and len(table) > 0:
-            build_keys_arr = _np.fromiter(
-                table.keys(), dtype=_np.uint64, count=len(table)
-            )
+        build = concat_chunks(build_chunks)
+        build_columns = self.left_columns if build_is_left else self.right_columns
+        probe_columns = self.right_columns if build_is_left else self.left_columns
+        # one id column joins on the id itself; several join on the rows'
+        # stable hash and drop the (astronomically rare) collisions after
+        exact = len(build_columns) == 1
+        if exact:
+            build_keys = build.values[:, build_columns[0]]
+        else:
+            build_keys = _hash_keys(build.values, build_columns)
+        order = np.argsort(build_keys, kind="stable")
+        sorted_keys = build_keys[order]
+        build_props = _prop_rows(build)
         out_chunks = []
-        for chunk in probe_chunks:
+        for probe in _probe_runs(probe_chunks):
             if token is not None:
-                # batch boundary: one poll per probe chunk
+                # batch boundary: one poll per run of probe chunks
                 token.poll()
-            columns = chunk.columns
-            values = chunk.values
-            prop_buf = chunk.prop_buf
-            prop_offsets = chunk.prop_offsets
-            # with no prop bytes on either side the whole prop bookkeeping
-            # collapses to a zero offset table
-            track_props = build_has_props or bool(prop_buf)
-            if single is not None:
-                probe_keys = (
-                    values[single::columns] if columns > 1 else values
-                )
-            elif len(probe_key_columns) == 2:
-                c0, c1 = probe_key_columns
-                probe_keys = list(
-                    zip(values[c0::columns], values[c1::columns])
-                )
+            if exact:
+                probe_keys = probe.values[:, probe_columns[0]]
             else:
-                probe_keys = [
-                    tuple(
-                        values[row * columns + c]
-                        for c in probe_key_columns
-                    )
-                    for row in range(chunk.count)
-                ]
-            if (
-                build_keys_arr is not None
-                and chunk.count >= _VECTOR_MIN_ROWS
-            ):
-                keys_arr = _np.array(probe_keys, dtype=_np.uint64)
-                hit_rows = _np.nonzero(
-                    _np.isin(keys_arr, build_keys_arr)
-                )[0].tolist()
-                probe_items = [(row, probe_keys[row]) for row in hit_rows]
-            else:
-                probe_items = enumerate(probe_keys)
-            out_values: List[int] = []
-            extend = out_values.extend
-            prop_parts: List[bytes] = []
-            out_prop_offsets = [0]
-            total = 0
-            count = 0
-            probe_prop = b""
-            if not track_props and check_pairs == ():
-                # fast path: no prop payloads, vacuous morphism — every
-                # match merges unconditionally
-                if build_is_left:
-                    for row, key in probe_items:
-                        matches = get(key)
-                        if not matches:
-                            continue
-                        base = row * columns
-                        probe_values = tuple(
-                            values[base + c] for c in keep
-                        )
-                        for build_values, _ in matches:
-                            extend(build_values)
-                            extend(probe_values)
-                        count += len(matches)
-                else:
-                    for row, key in probe_items:
-                        matches = get(key)
-                        if not matches:
-                            continue
-                        base = row * columns
-                        probe_values = values[base:base + columns]
-                        for build_values, _ in matches:
-                            extend(probe_values)
-                            extend(build_values)
-                        count += len(matches)
-                if count:
-                    out_chunks.append(
-                        EmbeddingChunk(
-                            count,
-                            out_columns,
-                            (FLAG_ID,) * (count * out_columns),
-                            tuple(out_values),
-                            b"",
-                            (0,) * (count + 1),
-                            b"",
-                            (0,) * (count + 1),
-                        )
-                    )
-                continue
-            if not track_props and check_pairs:
-                # no prop payloads, small watch set: pairwise distinctness
-                # with the build_is_left branch hoisted out of the loops
-                if build_is_left:
-                    for row, key in probe_items:
-                        matches = get(key)
-                        if not matches:
-                            continue
-                        base = row * columns
-                        probe_values = tuple(
-                            values[base + c] for c in keep
-                        )
-                        for build_values, _ in matches:
-                            merged = build_values + probe_values
-                            for a, b in check_pairs:
-                                if merged[a] == merged[b]:
-                                    break
-                            else:
-                                extend(merged)
-                                count += 1
-                else:
-                    for row, key in probe_items:
-                        matches = get(key)
-                        if not matches:
-                            continue
-                        base = row * columns
-                        probe_values = values[base:base + columns]
-                        for build_values, _ in matches:
-                            merged = probe_values + build_values
-                            for a, b in check_pairs:
-                                if merged[a] == merged[b]:
-                                    break
-                            else:
-                                extend(merged)
-                                count += 1
-                if count:
-                    out_chunks.append(
-                        EmbeddingChunk(
-                            count,
-                            out_columns,
-                            (FLAG_ID,) * (count * out_columns),
-                            tuple(out_values),
-                            b"",
-                            (0,) * (count + 1),
-                            b"",
-                            (0,) * (count + 1),
-                        )
-                    )
-                continue
-            for row, key in probe_items:
-                matches = get(key)
-                if not matches:
-                    continue
-                # the probe row's merge slice and prop bytes, once per row
-                base = row * columns
-                if build_is_left:
-                    probe_values = tuple(values[base + c] for c in keep)
-                else:
-                    probe_values = values[base:base + columns]
-                if track_props:
-                    start = prop_offsets[row]
-                    end = prop_offsets[row + 1]
-                    probe_prop = prop_buf[start:end] if end > start else b""
-                for build_values, build_prop in matches:
-                    if build_is_left:
-                        merged = build_values + probe_values
-                        left_prop, right_prop = build_prop, probe_prop
-                    else:
-                        merged = probe_values + build_values
-                        left_prop, right_prop = probe_prop, build_prop
-                    if check_pairs is not None:
-                        collision = False
-                        for a, b in check_pairs:
-                            if merged[a] == merged[b]:
-                                collision = True
-                                break
-                        if collision:
-                            continue
-                    else:
-                        if vertex_watch and len(
-                            {merged[c] for c in vertex_watch}
-                        ) != len(vertex_watch):
-                            continue
-                        if edge_watch and len(
-                            {merged[c] for c in edge_watch}
-                        ) != len(edge_watch):
-                            continue
-                    extend(merged)
-                    count += 1
-                    if track_props:
-                        if left_prop:
-                            prop_parts.append(left_prop)
-                            total += len(left_prop)
-                        if right_prop:
-                            prop_parts.append(right_prop)
-                            total += len(right_prop)
-                        out_prop_offsets.append(total)
-            if count:
-                out_chunks.append(
-                    EmbeddingChunk(
-                        count,
-                        out_columns,
-                        (FLAG_ID,) * (count * out_columns),
-                        tuple(out_values),
-                        b"",
-                        (0,) * (count + 1),
-                        b"".join(prop_parts) if track_props else b"",
-                        tuple(out_prop_offsets)
-                        if track_props
-                        else (0,) * (count + 1),
-                    )
+                probe_keys = _hash_keys(probe.values, probe_columns)
+            low = np.searchsorted(sorted_keys, probe_keys, "left")
+            matches = np.searchsorted(sorted_keys, probe_keys, "right") - low
+            ends = np.cumsum(matches)
+            probe_props = _prop_rows(probe)
+            start = done = 0
+            while start < probe.count:
+                # the next probe rows with about _OUTPUT_ROWS matches
+                stop = max(
+                    start + 1,
+                    int(np.searchsorted(ends, done + _OUTPUT_ROWS, "right")),
                 )
+                total = int(ends[stop - 1]) - done
+                if total:
+                    counts = matches[start:stop]
+                    probe_rows = np.repeat(np.arange(start, stop), counts)
+                    # each output row's position in the sorted build side:
+                    # its probe row's ``low`` plus its rank among that
+                    # row's matches
+                    first = ends[start:stop] - counts - done
+                    build_rows = order[
+                        np.arange(total)
+                        + np.repeat(low[start:stop] - first, counts)
+                    ]
+                    sides = [
+                        (build.values, build_rows, build_props),
+                        (probe.values, probe_rows, probe_props),
+                    ]
+                    if not build_is_left:
+                        sides.reverse()
+                    chunk = self._merge(*sides, check_keys=not exact)
+                    if chunk is not None:
+                        out_chunks.append(chunk)
+                start, done = stop, done + total
         return out_chunks
+
+    def _merge(self, left_side, right_side, check_keys):
+        """The output chunk of matched ``(values, rows, props)`` sides."""
+        left, left_rows, left_props = left_side
+        right, right_rows, right_props = right_side
+        left_count = self.left_count
+        keep = np.array(self.keep_columns, dtype=np.intp)
+
+        def column(index):
+            """Column ``index`` of the merged rows, unmaterialized."""
+            if index < left_count:
+                return left[left_rows, index]
+            return right[right_rows, keep[index - left_count]]
+
+        # the row mask: hash collisions of multi-column keys out, then
+        # pairwise distinctness of the watched merged columns
+        kept = None
+        if check_keys:
+            kept = (
+                left[left_rows][:, self.left_columns]
+                == right[right_rows][:, self.right_columns]
+            ).all(axis=1)
+        for watch in (self.vertex_columns, self.edge_columns):
+            for i, a in enumerate(watch):
+                for b in watch[i + 1:]:
+                    distinct = column(a) != column(b)
+                    kept = distinct if kept is None else kept & distinct
+        if kept is not None and not kept.all():
+            left_rows = left_rows[kept]
+            right_rows = right_rows[kept]
+            if not left_rows.size:
+                return None
+        merged = np.empty(
+            (left_rows.size, left_count + keep.size), dtype=np.uint64
+        )
+        merged[:, :left_count] = left[left_rows]
+        merged[:, left_count:] = right[right_rows[:, None], keep]
+        # each output row's props: its left row's, then its right row's
+        props = [
+            (side, rows)
+            for side, rows in ((left_props, left_rows), (right_props, right_rows))
+            if side is not None
+        ]
+        if not props:
+            return EmbeddingChunk(merged)
+        prop_offsets = _offsets(
+            sum(lengths[rows] for (_, lengths), rows in props)
+        )
+        prop_buf = b"".join(chain.from_iterable(zip(*(
+            [parts[row] for row in rows.tolist()] for (parts, _), rows in props
+        ))))
+        return EmbeddingChunk(
+            merged, prop_buf=prop_buf, prop_offsets=prop_offsets
+        )
 
 
 def columnar_join_spec(

@@ -137,6 +137,19 @@ class PreparedStatement:
         ``cancellation`` passes an externally controlled token instead.
         ``validate`` defaults to the runner's ``lint`` setting.
         """
+        embeddings, meta, metrics = self.stream(
+            parameters, timeout=timeout, cancellation=cancellation,
+            validate=validate,
+        )
+        return list(embeddings), meta, metrics
+
+    def stream(self, parameters=None, timeout=None, cancellation=None,
+               validate=None):
+        """:meth:`run`, with the embeddings as a one-shot iterator.
+
+        The plan has executed when this returns; the iterator only
+        decodes (see :meth:`repro.dataflow.DataSet.stream`).
+        """
         if validate is None:
             validate = self.runner.lint_enabled
         diagnostics = self.validate(parameters) if validate else None
@@ -155,7 +168,7 @@ class PreparedStatement:
                 False if self.sanitizer is not None else self.runner.columnar
             )
             with environment.job("prepared", cancellation=token) as metrics:
-                embeddings = self.root.evaluate().collect(
+                embeddings = self.root.evaluate().stream(
                     fused=fused, columnar=columnar
                 )
             self.executions += 1

@@ -9,6 +9,7 @@ of the bucket the rank falls into, i.e. a conservative (pessimistic)
 estimate with <2x resolution error.
 """
 
+from repro.dataflow.metrics import CHUNK_FALLBACK_REASONS
 from repro.locks import named_lock
 
 
@@ -96,6 +97,10 @@ class ServiceMetrics:
         self.max_in_flight = 0  # guarded-by: _lock
         self.latency = LatencyHistogram()  # guarded-by: _lock
         self.queue_wait = LatencyHistogram()  # guarded-by: _lock
+        #: reason → per-record fallbacks taken by executed columnar jobs
+        self.chunk_fallbacks = dict.fromkeys(  # guarded-by: _lock
+            CHUNK_FALLBACK_REASONS, 0
+        )
 
     # Lifecycle hooks (called by the service) --------------------------------
 
@@ -130,6 +135,12 @@ class ServiceMetrics:
             else:
                 self.failed += 1
 
+    def on_job(self, job_metrics):
+        """Fold one executed job's per-record fallback counts in."""
+        with self._lock:
+            for reason, count in job_metrics.chunk_fallbacks.items():
+                self.chunk_fallbacks[reason] += count
+
     def on_abandon(self):
         """An admitted query never started (service shut down first)."""
         with self._lock:
@@ -151,6 +162,7 @@ class ServiceMetrics:
                 "max_in_flight": self.max_in_flight,
                 "latency": self.latency.snapshot(),
                 "queue_wait": self.queue_wait.snapshot(),
+                "engine": {"chunk_fallbacks": dict(self.chunk_fallbacks)},
             }
         if plan_cache is not None:
             data["plan_cache"] = plan_cache.stats.snapshot()

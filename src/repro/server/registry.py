@@ -134,6 +134,11 @@ class GraphRegistry:
         with self._lock:
             return sorted(self._graphs)
 
+    def entries(self):
+        """The registered graphs, by name, as one consistent snapshot."""
+        with self._lock:
+            return [self._graphs[name] for name in sorted(self._graphs)]
+
     def __contains__(self, name):
         with self._lock:
             return name in self._graphs

@@ -373,7 +373,8 @@ class QueryService:
                 runner, compile_lock, query
             )
             self._admit_cost(statement.cost_certificate)
-            embeddings, meta, job_metrics = statement.run(
+            # rows are built while the result decodes chunk by chunk
+            embeddings, meta, job_metrics = statement.stream(
                 parameters, cancellation=token
             )
             rows = runner.build_rows(statement.handler, embeddings, meta)
@@ -392,9 +393,10 @@ class QueryService:
             with environment.job(
                 "service:%s" % graph, cancellation=token
             ) as job_metrics:
-                embeddings = root.evaluate().collect()
+                embeddings = root.evaluate().stream()
             rows = runner.build_rows(handler, embeddings, root.meta)
 
+        self.metrics.on_job(job_metrics)
         self.result_cache.put(runner, query, parameters, rows)
         return QueryResult(
             graph, query, parameters, rows,
@@ -407,6 +409,14 @@ class QueryService:
             result_cache_hit=False,
             prepared=use_prepared,
         )
+
+    def _mode(self, environment):
+        if not environment.fusion:
+            return "per-record"
+        columnar = (
+            environment.columnar if self.columnar is None else self.columnar
+        )
+        return "columnar" if columnar else "batched"
 
     def _admit_cost(self, certificate):
         """Reject a plan whose certified bound exceeds the service limit."""
@@ -426,7 +436,13 @@ class QueryService:
                 self.result_cache._cache if self.result_cache.enabled else None
             ),
         )
-        snapshot["graphs"] = self.registry.names()
+        entries = self.registry.entries()
+        snapshot["graphs"] = [entry.name for entry in entries]
+        # the mode requests actually run in; every stage of a columnar
+        # run that executed per-record instead is in ``chunk_fallbacks``
+        snapshot["engine"]["mode"] = "/".join(sorted({
+            self._mode(entry.graph.environment) for entry in entries
+        }))
         snapshot["capacity"] = {
             "max_concurrency": self.max_concurrency,
             "max_queue": self.max_queue,

@@ -11,18 +11,30 @@ placement and byte accounting against the per-record
 ``stable_hash`` loop; a differential suite pins end-to-end columnar
 execution against the per-record interpreter for every paper query ×
 planner × morphism strategy, including sanitized runs and the pooled
-multi-process path.
+multi-process path.  Memory tests pin what made columnar the default:
+no module-level cache keyed by chunk length, no lazy ``numpy.ma`` import
+inside a request, and a peak below the batched path's.
 """
 
+import gc
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow import ExecutionEnvironment, partition_index
+import repro
+from repro.dataflow import DEFAULT_BATCH_SIZE, ExecutionEnvironment, partition_index
 from repro.engine import CypherRunner, GraphStatistics, MatchStrategy
+from repro.engine import columnar as columnar_module
 from repro.engine.columnar import (
+    ColumnarJoinSpec,
     ColumnarPartition,
     EmbeddingChunk,
     chunk_from_embeddings,
@@ -92,6 +104,7 @@ def test_roundtrip_reproduces_exact_bytes(rows):
     assert chunk is not None
     assert chunk.count == len(rows)
     assert _canon(chunk.to_embeddings()) == _canon(rows)
+    assert chunk.id_buf() == b"".join(r.id_data for r in rows)
     # total size is conserved: columnar is a re-arrangement, not a recode
     assert chunk.byte_size() == sum(r.serialized_size() for r in rows)
 
@@ -110,18 +123,21 @@ def test_partition_quacks_like_the_record_list(rows):
 @given(rows=uniform_batches())
 def test_prop_spans_match_per_record_walk(rows):
     chunk = chunk_from_embeddings(rows)
-    spans = chunk.prop_spans()
-    assert len(spans) == chunk.count
+    starts, first = chunk.prop_spans()
+    assert len(first) == chunk.count + 1
+    assert starts[-1] == len(chunk.prop_buf)
+    base = 0
     for row, record in enumerate(rows):
-        base = chunk.prop_offsets[row]
         # iter_property_records yields (payload_start, payload_length);
         # a chunk span covers the whole record, length prefix included
         expected = [
             (base + start - 2, base + start + length)
             for start, length in iter_property_records(record.prop_data)
         ]
-        assert list(spans[row]) == expected
-        assert len(spans[row]) == record.property_count
+        records = range(first[row], first[row + 1])
+        assert [(starts[k], starts[k + 1]) for k in records] == expected
+        assert len(records) == record.property_count
+        base += len(record.prop_data)
 
 
 @settings(max_examples=100, deadline=None)
@@ -146,6 +162,46 @@ def test_non_uniform_batches_fall_back():
     assert chunk_from_embeddings([one, two]) is None  # mixed widths
     assert chunk_from_embeddings([("frontier", 1)]) is None
     assert chunk_from_embeddings([one, ("frontier", 1)]) is None
+
+
+@pytest.mark.parametrize("with_payload", [False, True])
+@pytest.mark.parametrize(
+    "count",
+    # one row, a tail batch either side of the batch size, >= 100 000 entries
+    [1, DEFAULT_BATCH_SIZE - 1, DEFAULT_BATCH_SIZE + 1, 34_000],
+)
+def test_roundtrip_is_exact_at_every_size(count, with_payload):
+    rows = _make_rows(count, columns=3, with_payload=with_payload)
+    chunk = chunk_from_embeddings(rows)
+    assert chunk.count == count
+    assert chunk.id_buf() == b"".join(r.id_data for r in rows)
+    assert _canon(chunk.to_embeddings()) == _canon(rows)
+    # an empty payload buffer has no offset array at all, and only a
+    # chunk with a non-id entry (the PATH column) carries flags
+    assert (chunk.path_offsets is None) == (not chunk.path_buf)
+    assert (chunk.prop_offsets is None) == (not chunk.prop_buf)
+    assert (chunk.flags is None) == (not with_payload)
+
+
+def _module_containers():
+    return {
+        name: len(value)
+        for name, value in vars(columnar_module).items()
+        if isinstance(value, (dict, list, set))
+    }
+
+
+def test_no_module_state_grows_with_chunk_lengths():
+    # the tuple-backed codec compiled (and kept) one struct format per
+    # distinct entry count
+    rows = _make_rows(300, columns=2, with_payload=True)
+    before = _module_containers()
+    for length in range(1, 301):
+        batch = rows[:length]
+        assert _canon(chunk_from_embeddings(batch).to_embeddings()) == _canon(
+            batch
+        )
+    assert _module_containers() == before
 
 
 # --- shuffle placement and byte accounting ----------------------------------
@@ -230,6 +286,99 @@ def test_shuffle_split_keeps_whole_chunk_without_slicing():
     placed = [chunks for chunks in splits if chunks]
     assert len(placed) == 1
     assert placed[0][0] is chunk
+
+
+# --- hash join ---------------------------------------------------------------
+
+
+def _assert_join_matches_model(keys, build_is_left, with_props):
+    left_keys, right_keys = keys
+
+    def side(count, salt):
+        draw = random.Random(salt)
+        rows = []
+        for index in range(count):
+            embedding = Embedding()
+            for _ in range(3):
+                # few distinct values: many matches, some repeated ids
+                embedding = embedding.append_id(GradoopId(draw.randrange(5)))
+            if with_props and index % 3:
+                embedding = embedding.append_properties(
+                    [PropertyValue("%d-%d" % (salt, index))]
+                )
+            rows.append(embedding)
+        return rows
+
+    left, right = side(45, 3), side(70, 4)
+    keep = tuple(c for c in range(3) if c not in right_keys)
+    distinct = (0, 1, 2 + len(keep))  # watched columns of the merged row
+    spec = ColumnarJoinSpec(3, left_keys, right_keys, keep, distinct, ())
+
+    def merged_ids(l, r):
+        return [l.raw_id_at(c) for c in range(3)] + [r.raw_id_at(c) for c in keep]
+
+    def matches(l, r):
+        ids = merged_ids(l, r)
+        return [l.raw_id_at(c) for c in left_keys] == [
+            r.raw_id_at(c) for c in right_keys
+        ] and len({ids[c] for c in distinct}) == len(distinct)
+
+    # probe order x build-insertion order, like the per-record loop
+    build, probe = (left, right) if build_is_left else (right, left)
+    expected = [
+        (merged_ids(l, r), l.prop_data + r.prop_data)
+        for p in probe
+        for b in build
+        for l, r in [(b, p) if build_is_left else (p, b)]
+        if matches(l, r)
+    ]
+    assert expected  # the model exercises the kernel
+
+    def chunks(rows, size):
+        return [
+            chunk_from_embeddings(rows[start:start + size])
+            for start in range(0, len(rows), size)
+        ]
+
+    produced = [
+        row
+        for chunk in spec.hash_join(chunks(build, 16), chunks(probe, 32), build_is_left)
+        for row in chunk.to_embeddings()
+    ]
+    assert [
+        ([row.raw_id_at(c) for c in range(3 + len(keep))], row.prop_data)
+        for row in produced
+    ] == expected
+    assert all(row.path_data == b"" for row in produced)
+
+
+@pytest.mark.parametrize("build_is_left", [True, False])
+@pytest.mark.parametrize("keys", [((0,), (1,)), ((0, 2), (1, 0))])
+@pytest.mark.parametrize("with_props", [False, True])
+def test_hash_join_matches_nested_loop_model(keys, build_is_left, with_props):
+    _assert_join_matches_model(keys, build_is_left, with_props)
+
+
+@pytest.mark.parametrize("probe_rows, output_rows", [(1, 7), (40, 1), (40, 50)])
+def test_hash_join_is_exact_for_any_run_and_piece_size(
+    monkeypatch, probe_rows, output_rows
+):
+    # probe chunks merge into runs, matches leave in bounded pieces:
+    # neither boundary may show in the output
+    monkeypatch.setattr(columnar_module, "_PROBE_ROWS", probe_rows)
+    monkeypatch.setattr(columnar_module, "_OUTPUT_ROWS", output_rows)
+    for build_is_left in (True, False):
+        _assert_join_matches_model(((0,), (1,)), build_is_left, True)
+
+
+def test_multi_column_join_drops_hash_collisions(monkeypatch):
+    # every key hashes alike: only the key-column comparison keeps it exact
+    monkeypatch.setattr(
+        columnar_module,
+        "_hash_keys",
+        lambda values, key_columns: np.zeros(len(values), dtype=np.uint64),
+    )
+    _assert_join_matches_model(((0, 2), (1, 0)), True, True)
 
 
 # --- end-to-end differential -------------------------------------------------
@@ -326,3 +475,77 @@ def test_pooled_columnar_equals_per_record():
         assert pooled_env.worker_pool()._started
     finally:
         pooled_env.shutdown_workers()
+
+
+# --- memory ------------------------------------------------------------------
+
+_KNOWS_CREATOR = (
+    "MATCH (p:Person)-[:knows]->(q:Person)<-[:hasCreator]-(c:Comment) RETURN *"
+)
+
+
+def test_join_request_does_not_import_numpy_ma():
+    # np.isin / np.unique pull in numpy.ma lazily — 10 ms and a megabyte,
+    # inside whichever request joins first; no kernel may call them
+    script = """
+import sys
+from repro.dataflow import ExecutionEnvironment
+from repro.engine import CypherRunner
+from repro.ldbc import LDBCGenerator
+graph = LDBCGenerator(scale_factor=0.2, seed=11).generate().to_logical_graph(
+    ExecutionEnvironment(parallelism=4, columnar=True))
+assert len(CypherRunner(graph).execute_embeddings(%r)[0]) > 1000
+assert "numpy.ma" not in sys.modules, "numpy.ma imported"
+""" % _KNOWS_CREATOR
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
+def test_collect_releases_the_chunks_it_decodes(monkeypatch):
+    environment = ExecutionEnvironment(parallelism=2)
+    rows = _make_rows(8, columns=2, with_payload=True)
+    partitions = [
+        ColumnarPartition([chunk_from_embeddings(rows[:3])]),
+        ColumnarPartition(
+            [chunk_from_embeddings(rows[3:5]), chunk_from_embeddings(rows[5:])]
+        ),
+    ]
+    # stand in for a plan whose root operator produced these partitions
+    monkeypatch.setattr(environment, "run", lambda *args, **flags: partitions)
+    assert _canon(environment.from_collection([]).collect()) == _canon(rows)
+    # ``chunks`` is still the recognition handle, now drained
+    assert [partition.chunks for partition in partitions] == [[], []]
+
+
+def _traced_collect(dataset, **flags):
+    """``(peak, retained)`` bytes of one ``collect`` of a warm plan."""
+    dataset.collect(**flags)  # warm: compiled templates, memoized payloads
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        result = dataset.collect(**flags)
+        _, peak = tracemalloc.get_traced_memory()
+        del result
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base, retained - base
+
+
+def test_columnar_peak_is_below_batched_and_nothing_is_retained():
+    dataset = LDBCGenerator(scale_factor=0.5, seed=42).generate()
+    graph = dataset.to_logical_graph(ExecutionEnvironment(parallelism=4))
+    runner = CypherRunner(graph, statistics=GraphStatistics.from_graph(graph))
+    _, root = runner.compile(_KNOWS_CREATOR)
+    plan = root.evaluate()
+    columnar_peak, retained = _traced_collect(plan, fused=True, columnar=True)
+    batched_peak, _ = _traced_collect(plan, fused=True, columnar=False)
+    assert columnar_peak <= batched_peak
+    assert retained <= 1_000_000

@@ -191,3 +191,29 @@ class TestLifecycle:
         assert snapshot["capacity"] == {"max_concurrency": 2, "max_queue": 4}
         assert "plan_cache" in snapshot
         assert snapshot["latency"]["count"] == 1
+
+    def test_metrics_name_the_engine_mode_and_count_fallbacks(self, service):
+        # every stage of a plain join has a chunk kernel ...
+        service.execute(
+            "fig1", "MATCH (a:Person)-[:knows]->(b:Person) RETURN a.name"
+        )
+        engine = service.metrics_snapshot()["engine"]
+        assert engine["mode"] == "columnar"
+        assert engine["chunk_fallbacks"] == {
+            "non_uniform_batch": 0, "no_kernel": 0, "path_join": 0,
+        }
+        # ... a variable-length expansion has none: its supersteps run
+        # per record, and the join around it decodes its chunked side
+        service.execute(
+            "fig1", "MATCH (a:Person)-[:knows*1..2]->(b:Person) RETURN *"
+        )
+        fallbacks = service.metrics_snapshot()["engine"]["chunk_fallbacks"]
+        assert fallbacks["no_kernel"] > 0
+        assert fallbacks["path_join"] > 0
+
+    def test_batched_service_reports_its_mode(self, registry):
+        with QueryService(registry, columnar=False) as batched:
+            batched.execute("fig1", PLAIN_QUERY)
+            engine = batched.metrics_snapshot()["engine"]
+        assert engine["mode"] == "batched"
+        assert not any(engine["chunk_fallbacks"].values())
