@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Smoke test for ``repro serve``: the full lifecycle over a real socket.
 
-Generates a tiny LDBC graph, starts ``python -m repro serve`` as a child
+Generates a small LDBC graph, starts ``python -m repro serve`` as a child
 process, waits for its "listening" line, then exercises the wire
 protocol — health, a parameterized ad-hoc query, prepare/execute with two
 different bindings, metrics — and finally POSTs ``/shutdown`` and asserts
@@ -9,6 +9,10 @@ the process exits cleanly with status 0.  One stock ``http.client``
 keep-alive connection also times 20 small requests (a response held back
 by a delayed ACK costs a constant 40 ms; see "What a request waits for"
 in ``docs/server.md``), and ``/metrics`` must show the frozen graph heap.
+One answer of several result batches and more than a megabyte is read off
+a raw socket: its ``Content-Length`` must be the bytes that arrive, and
+``/metrics`` must say how it crossed the result boundary (as chunks, or
+per record and re-encoded under ``--no-columnar``).
 
 Run directly (``python scripts/serve_smoke.py``) or via ``make
 serve-smoke``.  Any extra command-line arguments are forwarded to the
@@ -20,6 +24,8 @@ on the first failed assertion.
 
 import json
 import os
+import re
+import socket
 import statistics
 import subprocess
 import sys
@@ -33,8 +39,14 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
 sys.path.insert(0, SRC)
 
-SCALE_FACTOR = 0.01
+SCALE_FACTOR = 0.5
 SEED = 7
+#: 10 273 rows, 1.6 MB at this scale and seed
+BIG_QUERY = (
+    "MATCH (p:Person)-[:knows]->(q:Person)<-[:hasCreator]-(c:Comment|Post) "
+    "RETURN p.firstName, p.lastName, q.firstName, q.lastName, "
+    "c.content, c.creationDate, c"
+)
 STARTUP_TIMEOUT = 60.0
 SHUTDOWN_TIMEOUT = 30.0
 
@@ -50,6 +62,25 @@ def http(method, url, payload=None):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def raw_post(address, path, payload):
+    """``(Content-Length, body bytes until the server stops sending)``."""
+    host, _, port = address.rpartition(":")
+    body = json.dumps(payload).encode("utf-8")
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall((
+            "POST %s HTTP/1.1\r\nHost: smoke\r\nConnection: close\r\n"
+            "Content-Length: %d\r\n\r\n" % (path, len(body))
+        ).encode("ascii") + body)
+        received = b""
+        while True:
+            data = sock.recv(1 << 20)
+            if not data:
+                break
+            received += data
+    head, _, body = received.partition(b"\r\n\r\n")
+    return int(re.search(rb"Content-Length: (\d+)", head).group(1)), body
 
 
 def main():
@@ -171,8 +202,30 @@ def main():
             check(median_ms < 20.0,
                   "median of 20 small requests %.2f ms < 20 ms" % median_ms)
 
+            before = http("GET", base + "/metrics")[1]["engine"]["result"]
+            length, body = raw_post(address, "/query", {
+                "graph": "smoke", "query": BIG_QUERY,
+            })
+            check(length == len(body) >= 1 << 20,
+                  "Content-Length %d == %d bytes read, >= 1 MB"
+                  % (length, len(body)))
+            answer = json.loads(body)
+            check(answer["row_count"] == len(answer["rows"]) > 0,
+                  "row_count == len(rows) == %d" % answer["row_count"])
+
             status, metrics = http("GET", base + "/metrics")
             check(status == 200 and metrics["completed"] >= 3, "GET /metrics")
+            crossed = {
+                key: value - before[key]
+                for key, value in metrics["engine"]["result"].items()
+            }
+            per_record = (
+                crossed["chunks"] if "--no-columnar" in extra_args else 0
+            )
+            check(crossed["rows"] == answer["row_count"]
+                  and crossed["chunks"] > 1
+                  and crossed["reencoded_partitions"] == per_record,
+                  "the big answer crossed the result boundary as %s" % crossed)
             check(metrics["plan_cache"]["hits"] >= 1,
                   "plan cache saw warm hits")
             check(metrics["gc"]["frozen"] > 0,

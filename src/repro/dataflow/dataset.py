@@ -5,8 +5,6 @@ nothing runs until an action (:meth:`DataSet.collect`, :meth:`DataSet.count`)
 is triggered through the owning :class:`~repro.dataflow.environment.ExecutionEnvironment`.
 """
 
-from itertools import chain
-
 from .errors import PlanError
 from .operators import (
     CrossOperator,
@@ -25,11 +23,12 @@ from .operators import (
 
 
 def _batches(partitions):
-    """The result partitions' records, as a sequence of lists.
+    """The result partitions, batch by batch.
 
     A columnar partition (recognized by its ``chunks`` attribute) yields
-    one decoded list per chunk and releases the chunk, so a result never
-    exists in both forms at once.
+    its chunks as they are and lets go of each, so a consumer that
+    decodes them never holds the result in both forms at once; a
+    per-record partition is one batch, the list itself.
     """
     for partition in partitions:
         chunks = getattr(partition, "chunks", None)
@@ -38,7 +37,16 @@ def _batches(partitions):
             continue
         chunks.reverse()
         while chunks:
-            yield chunks.pop().to_embeddings()
+            yield chunks.pop()
+
+
+def records_of(batches):
+    """All records of result ``batches`` as one list, chunks decoded."""
+    records = []
+    for batch in batches:
+        decode = getattr(batch, "to_embeddings", None)
+        records.extend(batch if decode is None else decode())
+    return records
 
 
 class DataSet:
@@ -146,18 +154,19 @@ class DataSet:
         for this execution, ``columnar`` its chunk-kernel sub-mode
         (``None`` inherits them).
         """
-        return list(self.stream(fused=fused, columnar=columnar))
+        return records_of(self.batches(fused=fused, columnar=columnar))
 
-    def stream(self, fused=None, columnar=None):
-        """Execute the DAG now; returns a one-shot iterator of its records.
+    def batches(self, fused=None, columnar=None):
+        """Execute the DAG now; returns a one-shot iterator of its result.
 
-        Columnar partitions decode chunk by chunk as the iterator
-        advances, so a consumer that builds its own rows (the query
-        service) never holds the whole result as embeddings.
+        Each batch is a chunk (columnar partitions pass theirs through
+        undecoded) or a list of records (a per-record partition): the
+        form the result table is built from, so the served path decodes
+        columns and never an embedding.
         """
-        return chain.from_iterable(_batches(
+        return _batches(
             self.environment.run(self.operator, fused=fused, columnar=columnar)
-        ))
+        )
 
     def collect_partitions(self, fused=None, columnar=None):
         """Execute the DAG and return records per worker."""

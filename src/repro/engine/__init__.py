@@ -37,6 +37,7 @@ from .planning import (
     PlanningError,
 )
 from .prepared import PreparedStatement
+from .result import ResultTable
 from .runner import DEFAULT_PLAN_CACHE_SIZE, CypherRunner
 from .statistics import GraphStatistics
 
@@ -63,6 +64,7 @@ __all__ = [
     "PhysicalOperator",
     "PlanningError",
     "ProjectEmbeddings",
+    "ResultTable",
     "SelectAndProjectEdges",
     "SelectAndProjectVertices",
     "SelectEmbeddings",

@@ -27,6 +27,11 @@ back to the per-record closures whenever a kernel is missing, the input
 is not columnar, or the run is sanitized (sanitized runs are per-record
 by construction, so the sanitizer always validates the decoded view).
 
+At the result boundary the same layout is read column-wise:
+:func:`id_column`, :func:`path_column` and :func:`property_column` decode
+one RETURN item of a whole chunk to plain values
+(:mod:`repro.engine.result` builds the result table from them).
+
 The property *span table* (:meth:`EmbeddingChunk.prop_spans`) is the
 precomputed offset array that replaces the per-call length-field walks
 of the per-record accessors on hot paths;
@@ -34,8 +39,9 @@ of the per-record accessors on hot paths;
 walk for the sanitizer and tests.
 """
 
+import struct
 from itertools import chain
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,9 +51,11 @@ from repro.epgm.property_value import NULL_VALUE
 from .embedding import (
     ENTRY_WIDTH,
     FLAG_ID,
+    PATH_COUNT_WIDTH,
     PROP_LEN_WIDTH,
     ElementBindings,
     Embedding,
+    _PATH_LEN,
     _PROP_LEN,
 )
 from .morphism import MatchStrategy
@@ -315,6 +323,65 @@ def chunk_from_embeddings(records: Sequence[Any]) -> Optional[EmbeddingChunk]:
     )
 
 
+# Column decode ---------------------------------------------------------------
+#
+# The result boundary: one decode per RETURN item per chunk, straight to
+# the Python values a result row holds.  No ``Embedding`` is built.
+
+
+def id_column(chunk: EmbeddingChunk, column: int) -> List[int]:
+    """The bare ids of entry ``column``, one per row."""
+    return chunk.values[:, column].tolist()
+
+
+def path_column(chunk: EmbeddingChunk, column: int) -> List[List[int]]:
+    """The id lists of the PATH entries in ``column``, one per row."""
+    if chunk.path_offsets is None:
+        return [[] for _ in range(chunk.count)]
+    buf = chunk.path_buf
+    paths = []
+    # an entry's value is the offset of its path in the row's path_data
+    for start in (
+        chunk.path_offsets[:-1] + chunk.values[:, column].astype(np.int64)
+    ).tolist():
+        (count,) = _PATH_LEN.unpack_from(buf, start)
+        paths.append(list(
+            struct.unpack_from(">%dQ" % count, buf, start + PATH_COUNT_WIDTH)
+        ))
+    return paths
+
+
+class PropertyMemo(Dict[bytes, Any]):
+    """Serialized property value (type byte included) → its raw value.
+
+    One per request: a first name is decoded once and every row holding
+    it shares the object.  Only scalars are kept — a list is mutable, so
+    each row gets its own.
+    """
+
+    def __missing__(self, record: bytes) -> Any:
+        value = PropertyValue.from_bytes(record)[0].raw()
+        if type(value) is not list:
+            self[record] = value
+        return value
+
+
+def property_column(
+    chunk: EmbeddingChunk, index: int, memo: PropertyMemo
+) -> List[Any]:
+    """The raw values of property record ``index``, one per row."""
+    starts, first = chunk.prop_spans()
+    records = first[:-1] + index
+    buf = chunk.prop_buf
+    return list(map(memo.__getitem__, [
+        buf[begin:end]
+        for begin, end in zip(
+            (starts[records] + PROP_LEN_WIDTH).tolist(),
+            starts[records + 1].tolist(),
+        )
+    ]))
+
+
 class ColumnarPartition:
     """A partition stored as a list of chunks, decoding lazily.
 
@@ -322,8 +389,8 @@ class ColumnarPartition:
     indexing and slicing all work (decoding at most once, cached), so
     every operator without a columnar kernel reads it transparently.  The
     dataflow layer recognizes columnar partitions by their ``chunks``
-    attribute; ``DataSet.collect`` drains that list chunk by chunk, so a
-    collected result never exists in both forms.
+    attribute; ``DataSet.batches`` drains that list chunk by chunk, so a
+    result never exists in both forms.
     """
 
     __slots__ = ("chunks", "_rows")

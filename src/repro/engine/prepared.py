@@ -32,6 +32,7 @@ from repro.cypher.parameters import (
 from repro.cypher.parser import parse
 from repro.cypher.query_graph import QueryHandler
 from repro.dataflow.cancellation import CancellationToken
+from repro.dataflow.dataset import records_of
 from repro.locks import named_rlock
 
 
@@ -137,18 +138,19 @@ class PreparedStatement:
         ``cancellation`` passes an externally controlled token instead.
         ``validate`` defaults to the runner's ``lint`` setting.
         """
-        embeddings, meta, metrics = self.stream(
+        batches, meta, metrics = self.batches(
             parameters, timeout=timeout, cancellation=cancellation,
             validate=validate,
         )
-        return list(embeddings), meta, metrics
+        return records_of(batches), meta, metrics
 
-    def stream(self, parameters=None, timeout=None, cancellation=None,
-               validate=None):
-        """:meth:`run`, with the embeddings as a one-shot iterator.
+    def batches(self, parameters=None, timeout=None, cancellation=None,
+                validate=None):
+        """:meth:`run`, with the result as a one-shot iterator of batches.
 
-        The plan has executed when this returns; the iterator only
-        decodes (see :meth:`repro.dataflow.DataSet.stream`).
+        The plan has executed when this returns; the batches are what
+        the result table is built from
+        (see :meth:`repro.dataflow.DataSet.batches`).
         """
         if validate is None:
             validate = self.runner.lint_enabled
@@ -168,11 +170,11 @@ class PreparedStatement:
                 False if self.sanitizer is not None else self.runner.columnar
             )
             with environment.job("prepared", cancellation=token) as metrics:
-                embeddings = self.root.evaluate().stream(
+                batches = self.root.evaluate().batches(
                     fused=fused, columnar=columnar
                 )
             self.executions += 1
-            return embeddings, self.root.meta, metrics
+            return batches, self.root.meta, metrics
 
     def execute_embeddings(self, parameters=None, timeout=None,
                            cancellation=None, validate=None):
@@ -186,11 +188,11 @@ class PreparedStatement:
     def execute_table(self, parameters=None, timeout=None, cancellation=None,
                       validate=None):
         """Neo4j-style rows honouring the RETURN clause (see the runner)."""
-        embeddings, meta = self.execute_embeddings(
+        batches, meta, _ = self.batches(
             parameters, timeout=timeout, cancellation=cancellation,
             validate=validate,
         )
-        return self.runner.build_rows(self.handler, embeddings, meta)
+        return self.runner.build_table(self.handler, batches, meta).rows()
 
     def execute(self, parameters=None, attach_bindings=True, timeout=None,
                 cancellation=None, validate=None):

@@ -1,0 +1,297 @@
+"""The result boundary: embedding chunks in, a column-wise table out.
+
+:func:`build_table` is the one evaluator of the RETURN clause.  Every
+RETURN item is decoded once per result chunk into a column of plain
+Python values (:mod:`repro.engine.columnar` reads ids, paths and
+property records at their offsets, §3.3); aggregates, DISTINCT,
+ORDER BY, SKIP and LIMIT then run on those columns.  A row — a dict per
+embedding — exists only if a caller asks for :meth:`ResultTable.rows`.
+
+Result partitions that arrive per record (sanitized or ``fused=False``
+runs, stages without a chunk kernel) are re-encoded with the exact
+:func:`~repro.engine.columnar.chunk_from_embeddings` first, so there is
+no second evaluator to keep in step.
+"""
+
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.cypher.ast import FunctionCall, PropertyAccess, VariableRef
+from repro.cypher.errors import CypherSemanticError
+
+from .columnar import (
+    EmbeddingChunk,
+    PropertyMemo,
+    chunk_from_embeddings,
+    id_column,
+    path_column,
+    property_column,
+)
+
+Column = List[Any]
+#: one output column: name, kind, ``chunk -> column`` and, for an
+#: aggregate (whose reader yields its *inputs*), the call
+Item = Tuple[str, str, Callable[[EmbeddingChunk], Column], Optional[FunctionCall]]
+
+#: column kinds: every value an int id / every value a list of int ids /
+#: any value a property or an aggregate can take
+KIND_ID, KIND_PATH, KIND_VALUE = "i", "p", "o"
+
+
+class ResultTable:
+    """Column names plus, per result batch, one list per column.
+
+    ``batches`` keeps the result's chunk boundaries (one tuple of
+    columns per non-empty chunk) until post-processing has to see all
+    rows at once.  A table is not mutated after it is built, so the
+    result cache may hand the same one to every caller.  ``chunks`` and
+    ``reencoded`` say how the result arrived: in how many batches, and
+    how many of those were per-record partitions.
+    """
+
+    __slots__ = ("names", "kinds", "batches", "chunks", "reencoded")
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        kinds: Sequence[str],
+        batches: List[Tuple[Column, ...]],
+        chunks: int = 0,
+        reencoded: int = 0,
+    ) -> None:
+        self.names = tuple(names)
+        self.kinds = tuple(kinds)
+        self.batches = batches
+        self.chunks = chunks
+        self.reencoded = reencoded
+
+    def __len__(self) -> int:
+        return sum(len(batch[0]) for batch in self.batches)
+
+    def columns(self) -> Tuple[Column, ...]:
+        """Each column over all batches."""
+        if len(self.batches) == 1:
+            return self.batches[0]
+        merged: Tuple[Column, ...] = tuple([] for _ in self.names)
+        for batch in self.batches:
+            for column, part in zip(merged, batch):
+                column.extend(part)
+        return merged
+
+    def with_columns(
+        self, columns: Sequence[Column], kinds: Optional[Sequence[str]] = None
+    ) -> "ResultTable":
+        """These names over other ``columns``, as one batch."""
+        return ResultTable(
+            self.names,
+            self.kinds if kinds is None else kinds,
+            [tuple(columns)] if columns[0] else [],
+            self.chunks, self.reencoded,
+        )
+
+    def take(self, indices: Sequence[int]) -> "ResultTable":
+        """The rows at ``indices``, in that order."""
+        return self.with_columns([
+            [column[index] for index in indices] for column in self.columns()
+        ])
+
+    def rows(self) -> List[Dict[str, Any]]:
+        """A fresh list of dicts, one per row."""
+        names = self.names
+        return [
+            dict(zip(names, row))
+            for batch in self.batches
+            for row in zip(*batch)
+        ]
+
+
+def _return_items(returns: Any, meta: Any) -> List[Item]:
+    """The output columns of a RETURN clause over ``meta``'s layout.
+
+    ``RETURN *`` (or no RETURN) yields one column per variable.  With
+    aggregates the group items come first, as the implicit grouping
+    emits them.  Built through a dict, as a row is: of two items with one
+    name the later one's value lands in the earlier one's place.
+    """
+    memo = PropertyMemo()
+
+    def expression(node: Any) -> Tuple[str, Callable[[EmbeddingChunk], Column]]:
+        if isinstance(node, VariableRef):
+            column = meta.entry_column(node.name)
+            if meta.entry_kind(node.name) == "p":
+                return KIND_PATH, lambda chunk: path_column(chunk, column)
+            return KIND_ID, lambda chunk: id_column(chunk, column)
+        if isinstance(node, PropertyAccess):
+            if not meta.has_property(node.variable, node.key):
+                return KIND_VALUE, lambda chunk: [None] * chunk.count
+            index = meta.property_index(node.variable, node.key)
+            return KIND_VALUE, lambda chunk: property_column(chunk, index, memo)
+        raise ValueError("unsupported RETURN expression %r" % (node,))
+
+    items: Dict[str, Item] = {}
+    if returns is None or returns.star:
+        for name in meta.variables:
+            items[name] = (name, *expression(VariableRef(name)), None)
+        return list(items.values())
+    calls = []
+    for item in returns.items:
+        name = item.alias or str(item.expression)
+        if isinstance(item.expression, FunctionCall):
+            calls.append((name, item.expression))
+        else:
+            items[name] = (name, *expression(item.expression), None)
+    for name, call in calls:
+        if call.argument is None:  # count(*)
+            items[name] = (name, KIND_VALUE, lambda chunk: [1] * chunk.count, call)
+        else:
+            items[name] = (name, *expression(call.argument), call)
+    return list(items.values())
+
+
+def build_table(
+    returns: Any,
+    batches: Iterable[Any],
+    meta: Any,
+    token: Optional[Any] = None,
+) -> ResultTable:
+    """The table of a RETURN clause over result ``batches``.
+
+    A batch is an :class:`EmbeddingChunk` or a list of embeddings (a
+    per-record partition; re-encoded here).  ``token`` is polled once per
+    batch, so a deadline that passes while the result is being built
+    still ends the query.
+    """
+    items = _return_items(returns, meta)
+    parts: List[Tuple[Column, ...]] = []
+    reencoded = 0
+    for batch in batches:
+        if token is not None:
+            token.poll()
+        if not isinstance(batch, EmbeddingChunk):
+            if not batch:
+                continue
+            batch = chunk_from_embeddings(batch)
+            if batch is None:
+                raise ValueError("result partition is not a uniform embedding batch")
+            reencoded += 1
+        if batch.count:
+            parts.append(tuple(read(batch) for _, _, read, _ in items))
+    table = ResultTable(
+        [name for name, _, _, _ in items],
+        [kind for _, kind, _, _ in items],
+        parts, len(parts), reencoded,
+    )
+    if returns is None:
+        return table
+    if returns.has_aggregates:
+        table = _grouped(items, table)
+    indices: Sequence[int] = range(len(table))
+    if returns.distinct:
+        seen = set()
+        unique = []
+        for index, key in enumerate(_keys(table.columns())):
+            if key not in seen:
+                seen.add(key)
+                unique.append(index)
+        indices = unique
+    if returns.order_by:
+        indices = _ordered(returns.order_by, table, indices)
+    if returns.skip is not None:
+        indices = indices[returns.skip:]
+    if returns.limit is not None:
+        indices = indices[:returns.limit]
+    if indices != range(len(table)):
+        table = table.take(indices)
+    return table
+
+
+def _keys(columns: Sequence[Column]) -> List[Tuple[Any, ...]]:
+    """Each row as a hashable tuple (a list value becomes a tuple)."""
+    return list(zip(*[
+        [tuple(value) if isinstance(value, list) else value for value in column]
+        for column in columns
+    ]))
+
+
+def _grouped(items: Sequence[Item], source: ResultTable) -> ResultTable:
+    """Implicit grouping: the non-aggregate items are the group key.
+
+    ``source`` holds the group columns and, under each aggregate's name,
+    that aggregate's inputs.  Groups come out in first-seen order.
+    """
+    columns = source.columns()
+    grouped = [
+        column for column, item in zip(columns, items) if item[3] is None
+    ]
+    keys = _keys(grouped) if grouped else [()] * len(source)
+    groups: Dict[Tuple[Any, ...], List[int]] = {}
+    for index, key in enumerate(keys):
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [index]
+        else:
+            members.append(index)
+    out: List[Column] = []
+    for column, (_, _, _, call) in zip(columns, items):
+        if call is None:
+            out.append([column[members[0]] for members in groups.values()])
+        else:
+            out.append([
+                _aggregate(call.name, call.argument, [column[i] for i in members])
+                for members in groups.values()
+            ])
+    return source.with_columns(out, [KIND_VALUE] * len(out))
+
+
+def _aggregate(name: str, argument: Any, values: Sequence[Any]) -> Any:
+    """Cypher aggregate semantics: NULL inputs are skipped."""
+    if name == "count":
+        if argument is None:
+            return len(values)
+        return sum(1 for value in values if value is not None)
+    present = [value for value in values if value is not None]
+    if name == "collect":
+        return present
+    if name == "sum":
+        return sum(present) if present else 0
+    if not present:
+        return None
+    if name == "min":
+        return min(present)
+    if name == "max":
+        return max(present)
+    if name == "avg":
+        return sum(present) / len(present)
+    raise CypherSemanticError("unknown aggregate %r" % name)
+
+
+class _Descending:
+    """Sort-order inverter usable with non-numeric values."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
+
+    def __lt__(self, other: "_Descending") -> bool:
+        return other.value < self.value
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Descending) and self.value == other.value
+
+
+def _ordered(
+    order_by: Sequence[Any], table: ResultTable, indices: Sequence[int]
+) -> List[int]:
+    """``indices`` stably sorted by the ORDER BY items; NULLs go last."""
+    columns = dict(zip(table.names, table.columns()))
+    keys = []
+    for order in order_by:
+        name = str(order.expression)
+        if name not in columns:
+            raise CypherSemanticError(
+                "ORDER BY expression %r is not among the returned columns" % name,
+                span=getattr(order.expression, "span", None),
+            )
+        wrap = _Descending if order.descending else (lambda value: value)
+        keys.append([(value is None, wrap(value)) for value in columns[name]])
+    return sorted(indices, key=list(zip(*keys)).__getitem__)

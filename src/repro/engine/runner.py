@@ -13,14 +13,12 @@ import itertools
 from repro.analysis.diagnostics import QueryLintError
 from repro.analysis.linter import lint_query
 from repro.cache import LRUCache
-from repro.cypher.ast import FunctionCall, PropertyAccess, VariableRef
-from repro.cypher.errors import CypherSemanticError
 from repro.cypher.query_graph import QueryHandler
 from repro.epgm import GraphCollection, GraphHead, PropertyValue
 
-from .embedding import EmbeddingBindings
 from .morphism import DEFAULT_EDGE_STRATEGY, DEFAULT_VERTEX_STRATEGY
 from .planning import GreedyPlanner
+from .result import build_table
 from .statistics import GraphStatistics
 
 #: default bound of a runner-private plan cache; the serving layer passes
@@ -420,150 +418,25 @@ class CypherRunner:
         SKIP and LIMIT.
         """
         handler, root = self.compile(query, parameters)
-        embeddings = root.evaluate().collect(
+        batches = root.evaluate().batches(
             fused=self.execution_fused(),
             columnar=self.execution_columnar(),
         )
-        return self.build_rows(handler, embeddings, root.meta)
+        return self.build_table(handler, batches, root.meta).rows()
 
-    def build_rows(self, handler, embeddings, meta):
-        """Tabular rows for already-collected embeddings.
+    def build_table(self, handler, batches, meta, token=None):
+        """The :class:`~repro.engine.result.ResultTable` of result ``batches``.
 
         The post-processing half of :meth:`execute_table`, split out so
         callers that manage execution themselves (prepared statements, the
-        query service) can share the RETURN-clause semantics.
+        query service) share the one RETURN evaluator.  ``batches`` is
+        what :meth:`repro.dataflow.DataSet.batches` yields.
         """
-        returns = handler.ast.returns
+        return build_table(handler.ast.returns, batches, meta, token)
 
-        if returns is not None and returns.has_aggregates:
-            rows = self._aggregate_rows(returns, embeddings, meta)
-        else:
-            rows = [
-                self._plain_row(returns, embedding, meta) for embedding in embeddings
-            ]
-
-        if returns is not None and returns.distinct:
-            seen = set()
-            unique = []
-            for row in rows:
-                key = tuple(sorted((k, _hashable(v)) for k, v in row.items()))
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(row)
-            rows = unique
-        if returns is not None and returns.order_by:
-            rows = self._order_rows(returns, rows)
-        if returns is not None and returns.skip is not None:
-            rows = rows[returns.skip :]
-        if returns is not None and returns.limit is not None:
-            rows = rows[: returns.limit]
-        return rows
-
-    def _plain_row(self, returns, embedding, meta):
-        if returns is None or returns.star:
-            row = {}
-            for variable in meta.variables:
-                column = meta.entry_column(variable)
-                if meta.entry_kind(variable) == "p":
-                    row[variable] = [g.value for g in embedding.path_at(column)]
-                else:
-                    row[variable] = embedding.raw_id_at(column)
-            return row
-        bindings = EmbeddingBindings(embedding, meta)
-        row = {}
-        for item in returns.items:
-            name = item.alias or str(item.expression)
-            row[name] = self._evaluate_return_item(
-                item.expression, bindings, embedding, meta
-            )
-        return row
-
-    def _aggregate_rows(self, returns, embeddings, meta):
-        """Implicit grouping: non-aggregate items are the group key."""
-        group_items = [
-            item
-            for item in returns.items
-            if not isinstance(item.expression, FunctionCall)
-        ]
-        agg_items = [
-            item for item in returns.items if isinstance(item.expression, FunctionCall)
-        ]
-        groups = {}
-        order = []
-        for embedding in embeddings:
-            bindings = EmbeddingBindings(embedding, meta)
-            key_values = tuple(
-                _hashable(
-                    self._evaluate_return_item(
-                        item.expression, bindings, embedding, meta
-                    )
-                )
-                for item in group_items
-            )
-            if key_values not in groups:
-                groups[key_values] = []
-                order.append(key_values)
-            inputs = []
-            for item in agg_items:
-                argument = item.expression.argument
-                if argument is None:  # count(*)
-                    inputs.append(1)
-                else:
-                    inputs.append(
-                        self._evaluate_return_item(argument, bindings, embedding, meta)
-                    )
-            groups[key_values].append(inputs)
-        rows = []
-        for key_values in order:
-            row = {}
-            for item, value in zip(group_items, key_values):
-                row[item.alias or str(item.expression)] = (
-                    list(value) if isinstance(value, tuple) else value
-                )
-            for index, item in enumerate(agg_items):
-                values = [inputs[index] for inputs in groups[key_values]]
-                row[item.alias or str(item.expression)] = _aggregate(
-                    item.expression.name, item.expression.argument, values
-                )
-            rows.append(row)
-        return rows
-
-    def _order_rows(self, returns, rows):
-        column_names = None
-        if rows:
-            column_names = set(rows[0])
-
-        def sort_key(row):
-            key = []
-            for order in returns.order_by:
-                name = str(order.expression)
-                if column_names is not None and name not in column_names:
-                    raise CypherSemanticError(
-                        "ORDER BY expression %r is not among the returned columns"
-                        % name,
-                        span=getattr(order.expression, "span", None),
-                    )
-                value = row[name] if rows else None
-                # None sorts last regardless of direction
-                key.append(
-                    (value is None, _negate_if(value, order.descending))
-                )
-            return tuple(key)
-
-        return sorted(rows, key=sort_key)
-
-    @staticmethod
-    def _evaluate_return_item(expression, bindings, embedding, meta):
-        if isinstance(expression, PropertyAccess):
-            return bindings.property_value(expression.variable, expression.key).raw()
-        if isinstance(expression, VariableRef):
-            variable = expression.name
-            if meta.entry_kind(variable) == "p":
-                return [
-                    g.value for g in embedding.path_at(meta.entry_column(variable))
-                ]
-            return embedding.raw_id_at(meta.entry_column(variable))
-        raise ValueError("unsupported RETURN expression %r" % (expression,))
+    def build_rows(self, handler, embeddings, meta):
+        """Tabular rows (a list of dicts) for already-collected embeddings."""
+        return self.build_table(handler, [list(embeddings)], meta).rows()
 
     # Post-processing -----------------------------------------------------------------
 
@@ -625,50 +498,3 @@ class CypherRunner:
                 list(result_edges.values()), name="match-edges"
             ),
         )
-
-
-def _hashable(value):
-    if isinstance(value, list):
-        return tuple(value)
-    return value
-
-
-def _aggregate(name, argument, values):
-    """Cypher aggregate semantics: NULL inputs are skipped."""
-    if name == "count":
-        if argument is None:
-            return len(values)
-        return sum(1 for value in values if value is not None)
-    present = [value for value in values if value is not None]
-    if name == "collect":
-        return present
-    if name == "sum":
-        return sum(present) if present else 0
-    if not present:
-        return None
-    if name == "min":
-        return min(present)
-    if name == "max":
-        return max(present)
-    if name == "avg":
-        return sum(present) / len(present)
-    raise CypherSemanticError("unknown aggregate %r" % name)
-
-
-class _Descending:
-    """Sort-order inverter usable with non-numeric values."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return other.value < self.value
-
-    def __eq__(self, other):
-        return isinstance(other, _Descending) and self.value == other.value
-
-
-def _negate_if(value, descending):
-    return _Descending(value) if descending else value

@@ -13,7 +13,7 @@ a distinct tag:
   built by :meth:`CypherRunner.plan_cache_key`, parameters included.
 - ``("prepared", ...)`` — prepared statements; parameters *excluded*,
   the whole point being one plan for all bindings.
-- ``("result", ...)`` — materialized row tables, parameters included.
+- ``("result", ...)`` — result tables, parameters included.
 """
 
 from repro.cache import LRUCache
@@ -31,19 +31,20 @@ def prepared_cache_key(runner, query):
 
 
 def result_cache_key(runner, query, parameters=None):
-    """Cache key for the materialized rows of one (query, binding)."""
+    """Cache key for the result table of one (query, binding)."""
     base = runner.plan_cache_key(query, parameters)
     return ("result",) + base[1:]
 
 
 class ResultCache:
-    """A bounded LRU of materialized row tables.
+    """A bounded LRU of result tables.
 
     Off by default (``maxsize=0`` stores nothing): result caching only
     pays off for repeated identical read-only queries, and every entry
-    pins its full result set in memory.  Rows are returned as-is — the
-    engine materializes fresh row dicts per execution, so entries are
-    effectively immutable as long as callers treat them as such.
+    pins its full result set in memory.  The service stores the
+    :class:`~repro.engine.result.ResultTable`, which nothing mutates
+    once built; every hit gets a ``QueryResult`` of its own, and with it
+    its own row list.
     """
 
     def __init__(self, maxsize=0):
@@ -58,19 +59,19 @@ class ResultCache:
         return self._cache.stats
 
     def get(self, runner, query, parameters=None):
-        """``(hit, rows)`` — a miss returns ``(False, None)``."""
+        """``(hit, table)`` — a miss returns ``(False, None)``."""
         if not self.enabled:
             return False, None
         key = result_cache_key(runner, query, parameters)
         sentinel = object()
-        rows = self._cache.get(key, sentinel)
-        if rows is sentinel:
+        table = self._cache.get(key, sentinel)
+        if table is sentinel:
             return False, None
-        return True, rows
+        return True, table
 
-    def put(self, runner, query, parameters, rows):
+    def put(self, runner, query, parameters, table):
         if self.enabled:
-            self._cache.put(result_cache_key(runner, query, parameters), rows)
+            self._cache.put(result_cache_key(runner, query, parameters), table)
 
     def invalidate(self, predicate=None):
         return self._cache.invalidate(predicate)

@@ -101,6 +101,11 @@ class ServiceMetrics:
         self.chunk_fallbacks = dict.fromkeys(  # guarded-by: _lock
             CHUNK_FALLBACK_REASONS, 0
         )
+        #: what crossed the result boundary: rows, the batches they came
+        #: in, and how many of those arrived per record and were re-encoded
+        self.result = {  # guarded-by: _lock
+            "rows": 0, "chunks": 0, "reencoded_partitions": 0,
+        }
 
     # Lifecycle hooks (called by the service) --------------------------------
 
@@ -135,11 +140,14 @@ class ServiceMetrics:
             else:
                 self.failed += 1
 
-    def on_job(self, job_metrics):
-        """Fold one executed job's per-record fallback counts in."""
+    def on_job(self, job_metrics, table):
+        """Fold in one executed job's fallback counts and its result."""
         with self._lock:
             for reason, count in job_metrics.chunk_fallbacks.items():
                 self.chunk_fallbacks[reason] += count
+            self.result["rows"] += len(table)
+            self.result["chunks"] += table.chunks
+            self.result["reencoded_partitions"] += table.reencoded
 
     def on_abandon(self):
         """An admitted query never started (service shut down first)."""
@@ -162,7 +170,10 @@ class ServiceMetrics:
                 "max_in_flight": self.max_in_flight,
                 "latency": self.latency.snapshot(),
                 "queue_wait": self.queue_wait.snapshot(),
-                "engine": {"chunk_fallbacks": dict(self.chunk_fallbacks)},
+                "engine": {
+                    "chunk_fallbacks": dict(self.chunk_fallbacks),
+                    "result": dict(self.result),
+                },
             }
         if plan_cache is not None:
             data["plan_cache"] = plan_cache.stats.snapshot()

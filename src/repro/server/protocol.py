@@ -33,13 +33,16 @@ route is reached (an unsupported method, a malformed request line):
 ``{"error": ..., "kind": "protocol"}`` with the stdlib's status code and
 ``Connection: close``.
 
-**A response is one write.**  :meth:`ServiceRequestHandler._send_json`
+**A response is one write.**  :meth:`ServiceRequestHandler._send_body`
 is the only function that writes to the socket, and it hands the kernel
 head and body together; accepted connections have ``TCP_NODELAY`` set.
+A query result's body is the buffer list of
+:meth:`~repro.server.service.QueryResult.encode` — it is never joined.
 See "What a request waits for" in ``docs/server.md``.
 """
 
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -48,29 +51,30 @@ from repro.cypher.errors import CypherError
 from repro.dataflow.cancellation import QueryCancelled, QueryTimeout
 
 from .registry import UnknownGraphError
-from .service import AdmissionError, ServiceClosedError
+from .service import AdmissionError, ServiceClosedError, _json_default
 
-
-def _json_default(value):
-    """Rows may hold GradoopIds and other engine objects; stringify them."""
-    return str(value)
+#: the most buffers one ``sendmsg`` takes; one more is ``EMSGSIZE``
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 def _send_gathered(sock, *buffers):
-    """``sendall`` of several buffers as one gathered write.
+    """``sendall`` of several buffers as gathered writes.
 
-    One ``sendmsg``: the kernel sees head and body together, so no
-    segment of a response waits on the ACK of an earlier one, and a
-    megabyte body is not copied into a joined buffer first.  The loop
-    only runs again when a signal cut the send short.
+    One ``sendmsg`` per ``_IOV_MAX`` buffers — one in all for any
+    response this server builds: the kernel sees head and body together,
+    so no segment of a response waits on the ACK of an earlier one, and a
+    megabyte body is not copied into a joined buffer first.  A send cut
+    short (by a signal, a full socket buffer) resumes where it stopped.
     """
     buffers = [memoryview(buffer) for buffer in buffers]
-    while buffers:
-        sent = sock.sendmsg(buffers)
-        while buffers and sent >= len(buffers[0]):
-            sent -= len(buffers.pop(0))
+    done = 0
+    while done < len(buffers):
+        sent = sock.sendmsg(buffers[done:done + _IOV_MAX])
+        while done < len(buffers) and sent >= len(buffers[done]):
+            sent -= len(buffers[done])
+            done += 1
         if sent:
-            buffers[0] = buffers[0][sent:]
+            buffers[done] = buffers[done][sent:]
 
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
@@ -94,14 +98,22 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # Plumbing ----------------------------------------------------------------
 
     def _send_json(self, status, payload, close=False):
+        self._send_body(
+            status,
+            [json.dumps(payload, default=_json_default).encode("utf-8")],
+            close,
+        )
+
+    def _send_body(self, status, body, close=False):
         """Write one whole response; the only writer to the socket.
 
-        The head is built here rather than with ``send_response`` /
-        ``end_headers``, which flush it as a write of its own: the body
-        would then sit behind Nagle until the client ACKs the head, and
-        a stock client's kernel delays that ACK by 40 ms.
+        ``body`` is a list of buffers.  The head is built here rather
+        than with ``send_response`` / ``end_headers``, which flush it as
+        a write of its own: the body would then sit behind Nagle until
+        the client ACKs the head, and a stock client's kernel delays
+        that ACK by 40 ms.
         """
-        body = json.dumps(payload, default=_json_default).encode("utf-8")
+        length = sum(map(len, body))
         reason = self.responses.get(status, ("",))[0]
         head = [
             "%s %d %s" % (self.protocol_version, status, reason),
@@ -113,14 +125,14 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self.close_connection = True
         head += [
             "Content-Type: application/json",
-            "Content-Length: %d" % len(body),
+            "Content-Length: %d" % length,
             "", "",
         ]
-        self.log_request(status, len(body))
+        self.log_request(status, length)
         if self.command == "HEAD":
-            body = b""
+            body = []
         _send_gathered(
-            self.connection, "\r\n".join(head).encode("latin-1"), body
+            self.connection, "\r\n".join(head).encode("latin-1"), *body
         )
 
     def send_error(self, code, message=None, explain=None):
@@ -174,7 +186,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             parameters=payload.get("parameters"),
             timeout=payload.get("timeout"),
         )
-        self._send_json(200, result.to_dict())
+        self._send_body(200, result.encode())
 
     def _prepare(self, payload):
         graph, query = self._require(payload, "graph", "query")
@@ -187,7 +199,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             parameters=payload.get("parameters"),
             timeout=payload.get("timeout"),
         )
-        self._send_json(200, result.to_dict())
+        self._send_body(200, result.encode())
 
     def _shutdown(self, payload):
         self._send_json(200, {"status": "shutting down"})

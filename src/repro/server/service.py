@@ -23,12 +23,14 @@ bookkeeping (one compile lock per runner).
 
 import gc
 import itertools
+import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.cache import LRUCache
 from repro.dataflow.cancellation import CancellationToken, QueryTimeout
 from repro.engine import CypherRunner, GreedyPlanner
+from repro.engine.result import KIND_ID, KIND_VALUE
 from repro.engine.runner import _graph_cache_token
 from repro.locks import named_lock
 
@@ -65,6 +67,37 @@ class ServiceClosedError(RuntimeError):
     """The service has been shut down and accepts no new queries."""
 
 
+def _json_default(value):
+    """Rows may hold GradoopIds and other engine objects; stringify them."""
+    return str(value)
+
+
+def _dumps(value):
+    return json.dumps(value, default=_json_default)
+
+
+class _JsonMemo(dict):
+    """``str -> its JSON text``, filled on first sight.
+
+    Strings are what repeats in a result column and what costs to
+    escape.  Nothing else is kept: ``1``, ``1.0`` and ``True`` are one
+    dict key and three JSON texts.
+    """
+
+    def __missing__(self, value):
+        text = _dumps(value)
+        if type(value) is str:
+            self[value] = text
+        return text
+
+    def column(self, values):
+        """The JSON text of each value of a column."""
+        try:
+            return list(map(self.__getitem__, values))
+        except TypeError:  # a list value is no dict key
+            return list(map(_dumps, values))
+
+
 class QueryResult:
     """Everything the service reports about one completed query."""
 
@@ -72,7 +105,8 @@ class QueryResult:
         "graph",
         "query",
         "parameters",
-        "rows",
+        "table",
+        "_rows",
         "elapsed_seconds",
         "queue_seconds",
         "simulated_seconds",
@@ -81,13 +115,15 @@ class QueryResult:
         "prepared",
     )
 
-    def __init__(self, graph, query, parameters, rows, elapsed_seconds,
+    def __init__(self, graph, query, parameters, table, elapsed_seconds,
                  queue_seconds, simulated_seconds, plan_cache_hit,
                  result_cache_hit, prepared):
         self.graph = graph
         self.query = query
         self.parameters = parameters
-        self.rows = rows
+        #: the :class:`~repro.engine.result.ResultTable`, column-wise
+        self.table = table
+        self._rows = None
         self.elapsed_seconds = elapsed_seconds
         self.queue_seconds = queue_seconds
         self.simulated_seconds = simulated_seconds
@@ -96,13 +132,18 @@ class QueryResult:
         self.prepared = prepared
 
     @property
-    def row_count(self):
-        return len(self.rows)
+    def rows(self):
+        """The result as a list of dicts, built on first use."""
+        if self._rows is None:
+            self._rows = self.table.rows()
+        return self._rows
 
-    def to_dict(self):
+    @property
+    def row_count(self):
+        return len(self.table)
+
+    def _report(self):
         return {
-            "graph": self.graph,
-            "rows": self.rows,
             "row_count": self.row_count,
             "elapsed_seconds": self.elapsed_seconds,
             "queue_seconds": self.queue_seconds,
@@ -111,6 +152,39 @@ class QueryResult:
             "result_cache_hit": self.result_cache_hit,
             "prepared": self.prepared,
         }
+
+    def to_dict(self):
+        return {"graph": self.graph, "rows": self.rows, **self._report()}
+
+    def encode(self):
+        """The JSON body as a list of buffers: head, row fragments, tail.
+
+        Byte for byte ``json.dumps(self.to_dict(), default=_json_default)``,
+        written from the table's columns: one fragment per result batch,
+        each row through one ``%`` of a template, ids as ``%d``, id lists
+        as their ``str`` and every other value through a
+        :class:`_JsonMemo`.  No row dict is built.
+        """
+        table = self.table
+        template = "{%s}" % ", ".join(
+            "%s: %s" % (
+                json.dumps(name).replace("%", "%%"),
+                "%d" if kind == KIND_ID else "%s",
+            )
+            for name, kind in zip(table.names, table.kinds)
+        )
+        memo = _JsonMemo()
+        buffers = ['{"graph": %s, "rows": [' % json.dumps(self.graph)]
+        for batch in table.batches:
+            buffers.append(", ".join(map(template.__mod__, zip(*[
+                memo.column(column) if kind == KIND_VALUE else column
+                for column, kind in zip(batch, table.kinds)
+            ]))))
+            buffers.append(", ")
+        if table.batches:
+            buffers.pop()
+        buffers.append("], " + json.dumps(self._report())[1:])
+        return [buffer.encode("ascii") for buffer in buffers]
 
     def __repr__(self):
         return "QueryResult(%d rows, %.3fs, plan_hit=%s)" % (
@@ -184,7 +258,7 @@ class QueryService:
         #: one LRU shared by every runner the service creates; holds both
         #: ("plan", ...) entries and ("prepared", ...) statements
         self.plan_cache = LRUCache(plan_cache_size, name="cache.plan")
-        #: materialized rows; off unless result_cache_size > 0
+        #: result tables; off unless result_cache_size > 0
         self.result_cache = ResultCache(result_cache_size)
         self.metrics = ServiceMetrics()
         self._executor = ThreadPoolExecutor(
@@ -354,30 +428,29 @@ class QueryService:
         token.poll()
         queue_seconds = started - submitted
 
-        hit, rows = self.result_cache.get(runner, query, parameters)
+        use_prepared = bool(prepared or parameters or "$" in query)
+        hit, table = self.result_cache.get(runner, query, parameters)
         if hit:
             return QueryResult(
-                graph, query, parameters, rows,
+                graph, query, parameters, table,
                 elapsed_seconds=time.perf_counter() - submitted,
                 queue_seconds=queue_seconds,
                 simulated_seconds=0.0,
                 plan_cache_hit=True,
                 result_cache_hit=True,
-                prepared=False,
+                prepared=use_prepared,
             )
 
         environment = entry.graph.environment
-        use_prepared = bool(prepared or parameters or "$" in query)
         if use_prepared:
             statement, plan_hit = self._prepared_statement(
                 runner, compile_lock, query
             )
             self._admit_cost(statement.cost_certificate)
-            # rows are built while the result decodes chunk by chunk
-            embeddings, meta, job_metrics = statement.stream(
+            handler = statement.handler
+            batches, meta, job_metrics = statement.batches(
                 parameters, cancellation=token
             )
-            rows = runner.build_rows(statement.handler, embeddings, meta)
         else:
             # __contains__ does not touch hit/miss stats, so probing here
             # keeps the plan-hit flag accurate without double counting
@@ -393,13 +466,18 @@ class QueryService:
             with environment.job(
                 "service:%s" % graph, cancellation=token
             ) as job_metrics:
-                embeddings = root.evaluate().stream()
-            rows = runner.build_rows(handler, embeddings, root.meta)
+                batches = root.evaluate().batches(
+                    fused=runner.execution_fused(),
+                    columnar=runner.execution_columnar(),
+                )
+            meta = root.meta
+        # the deadline still holds while the result's columns decode
+        table = runner.build_table(handler, batches, meta, token)
 
-        self.metrics.on_job(job_metrics)
-        self.result_cache.put(runner, query, parameters, rows)
+        self.metrics.on_job(job_metrics, table)
+        self.result_cache.put(runner, query, parameters, table)
         return QueryResult(
-            graph, query, parameters, rows,
+            graph, query, parameters, table,
             elapsed_seconds=time.perf_counter() - submitted,
             queue_seconds=queue_seconds,
             simulated_seconds=environment.simulated_runtime_seconds(

@@ -12,10 +12,10 @@ import urllib.request
 
 import pytest
 
-from repro.dataflow import ExecutionEnvironment
+from repro.dataflow import DataSet, ExecutionEnvironment
 from repro.epgm import LogicalGraph
 from repro.server import GraphRegistry, QueryService, serve_in_thread
-from repro.server.protocol import _send_gathered
+from repro.server.protocol import _IOV_MAX, _send_gathered
 from tests.conftest import build_figure1_elements
 
 PARAM_QUERY = "MATCH (p:Person) WHERE p.name = $name RETURN p.name"
@@ -32,6 +32,21 @@ def http(method, url, payload=None):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def expire_after_the_dataflow(monkeypatch):
+    """Make every query's deadline pass between its last operator and
+    the first result batch."""
+    run = DataSet.batches
+
+    def batches(self, **flags):
+        result = run(self, **flags)
+        token = self.environment.current_cancellation
+        if token is not None:  # a query's job, not a statistics scan
+            token.deadline = time.monotonic() - 1
+        return result
+
+    monkeypatch.setattr(DataSet, "batches", batches)
 
 
 def serve_figure1(graph):
@@ -220,6 +235,19 @@ class TestErrorMapping:
         })
         assert status == 504
 
+    def test_deadline_passing_while_the_result_is_built_is_504(
+        self, endpoint, monkeypatch
+    ):
+        base, _, _ = endpoint
+        expire_after_the_dataflow(monkeypatch)
+        payload = {"graph": "fig1", "query": PARAM_QUERY,
+                   "parameters": {"name": "Alice"}, "timeout": 60.0}
+        status, body = http("POST", base + "/query", payload)
+        assert (status, body["kind"]) == (504, "timeout")
+        monkeypatch.undo()
+        status, body = http("POST", base + "/query", payload)
+        assert (status, body["row_count"]) == (200, 1)
+
     def test_unknown_route_is_404(self, endpoint):
         base, _, _ = endpoint
         status, _ = http("GET", base + "/nope")
@@ -259,6 +287,10 @@ class TestResponsePath:
         )
         exchanges = [
             (self.SMALL, 200),
+            # a result of several batches: head, fragments and tail
+            (raw_request("POST", "/query", {
+                "graph": "fig1", "query": "MATCH (p:Person) RETURN *",
+            }), 200),
             (raw_request("GET", "/metrics"), 200),  # > 64 KB
             (raw_request("POST", "/query", {"graph": "fig1"}), 400),
         ]
@@ -267,7 +299,7 @@ class TestResponsePath:
             head, body = raw_exchange(stock_socket, request)
             assert status_of(head) == expected
             sizes.append(len(head) + 4 + len(body))
-        assert sizes[1] > 64 * 1024
+        assert sizes[2] > 64 * 1024
         (connection,) = accepted
         assert connection.writes == sizes
 
@@ -286,6 +318,40 @@ class TestResponsePath:
         sock = ShortWriter()
         _send_gathered(sock, b"head\r\n", b"", b"0123456789")
         assert sock.received == b"head\r\n0123456789"
+
+    def test_gathered_send_takes_more_buffers_than_one_sendmsg(self):
+        # Linux answers EMSGSIZE to more than IOV_MAX (1024) buffers
+        buffers = [bytes([index % 251]) for index in range(3000)]
+        left, right = socket.socketpair()
+        with left, right:
+            right.settimeout(30)
+            _send_gathered(left, *buffers)
+            received = b""
+            while len(received) < len(buffers):
+                received += right.recv(65536)
+        assert received == b"".join(buffers)
+
+    def test_gathered_send_resumes_inside_a_slice_boundary(self):
+        class SliceWriter:
+            """Refuses what Linux refuses; stops one byte short of a
+            full slice, inside its last buffer."""
+
+            def __init__(self):
+                self.received = b""
+                self.calls = 0
+
+            def sendmsg(self, buffers):
+                assert len(buffers) <= _IOV_MAX, "EMSGSIZE"
+                self.calls += 1
+                taken = b"".join(buffers)[:2 * _IOV_MAX - 1]
+                self.received += taken
+                return len(taken)
+
+        buffers = [b"%02d" % (index % 100) for index in range(2 * _IOV_MAX + 3)]
+        sock = SliceWriter()
+        _send_gathered(sock, *buffers)
+        assert sock.received == b"".join(buffers)
+        assert sock.calls == 3
 
     def test_bytes_are_the_stdlib_writers(self, stock_socket):
         # what send_response/send_header/end_headers + write(body) sent

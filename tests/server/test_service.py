@@ -14,6 +14,7 @@ from repro.server import (
     UnknownGraphError,
 )
 from repro.server.bench import rows_multiset
+from tests.server.test_protocol import expire_after_the_dataflow
 
 PLAIN_QUERY = "MATCH (p:Person) RETURN p.name"
 PARAM_QUERY = "MATCH (p:Person) WHERE p.name = $name RETURN p.name"
@@ -104,6 +105,25 @@ class TestResultCache:
         assert cold.result_cache_hit is False
         assert warm.result_cache_hit is True
         assert warm.rows == cold.rows
+        # one immutable table, a row list of one's own
+        assert warm.table is cold.table
+        assert warm.rows is not cold.rows
+        warm.rows.clear()
+        again = caching_service.execute("fig1", PARAM_QUERY, {"name": "Alice"})
+        assert again.rows == cold.rows != []
+
+    def test_cache_hit_reports_prepared_truthfully(self, caching_service):
+        handle = caching_service.prepare("fig1", PARAM_QUERY)
+        for _ in range(2):
+            result = caching_service.execute_prepared(
+                handle.statement_id, {"name": "Eve"}
+            )
+            assert result.prepared is True
+        assert result.result_cache_hit is True
+        for _ in range(2):
+            result = caching_service.execute("fig1", PLAIN_QUERY)
+            assert result.prepared is False
+        assert result.result_cache_hit is True
 
     def test_different_bindings_do_not_share_rows(self, caching_service):
         caching_service.execute("fig1", PARAM_QUERY, {"name": "Alice"})
@@ -157,6 +177,21 @@ class TestDeadlines:
             service.execute("fig1", PLAIN_QUERY, timeout=0.0)
         result = service.execute("fig1", PLAIN_QUERY)
         assert result.row_count == 3
+
+    @pytest.mark.parametrize("query, parameters", [
+        (PLAIN_QUERY, None), (PARAM_QUERY, {"name": "Alice"}),
+    ])
+    def test_deadline_holds_while_the_result_is_built(
+        self, service, monkeypatch, query, parameters
+    ):
+        # the dataflow finishes in time; the token expires before the
+        # first result batch is decoded
+        expire_after_the_dataflow(monkeypatch)
+        with pytest.raises(QueryTimeout):
+            service.execute("fig1", query, parameters, timeout=60.0)
+        assert service.metrics.snapshot()["timeouts"] == 1
+        monkeypatch.undo()
+        assert service.execute("fig1", query, parameters).row_count > 0
 
     def test_default_timeout_applies_to_every_query(self, registry):
         with QueryService(registry, default_timeout=0.0) as service:
@@ -217,3 +252,23 @@ class TestLifecycle:
             engine = batched.metrics_snapshot()["engine"]
         assert engine["mode"] == "batched"
         assert not any(engine["chunk_fallbacks"].values())
+        # ... and every result partition arrived per record
+        result = engine["result"]
+        assert result["rows"] == 3
+        assert result["reencoded_partitions"] == result["chunks"] > 0
+
+    def test_metrics_count_what_crosses_the_result_boundary(self, service):
+        assert service.metrics_snapshot()["engine"]["result"] == {
+            "rows": 0, "chunks": 0, "reencoded_partitions": 0,
+        }
+        service.execute("fig1", PLAIN_QUERY)
+        result = service.metrics_snapshot()["engine"]["result"]
+        assert result["rows"] == 3
+        assert result["chunks"] > 0 == result["reencoded_partitions"]
+        # an expansion has no chunk kernel: its answer arrives per record
+        answer = service.execute(
+            "fig1", "MATCH (a:Person)-[:knows*1..2]->(b:Person) RETURN *"
+        )
+        after = service.metrics_snapshot()["engine"]["result"]
+        assert after["rows"] == 3 + answer.row_count
+        assert after["reencoded_partitions"] > 0
