@@ -12,7 +12,11 @@ in ``docs/server.md``), and ``/metrics`` must show the frozen graph heap.
 One answer of several result batches and more than a megabyte is read off
 a raw socket: its ``Content-Length`` must be the bytes that arrive, and
 ``/metrics`` must say how it crossed the result boundary (as chunks, or
-per record and re-encoded under ``--no-columnar``).
+per record and re-encoded under ``--no-columnar``).  One variable-length
+request (``knows*1..3`` from a bound name) must return the rows of the
+per-record reference loop, computed in this process — on the default
+engine as chunks from the expand kernel, with no fallback counted; under
+``--no-columnar`` from the reference loop itself.
 
 Run directly (``python scripts/serve_smoke.py``) or via ``make
 serve-smoke``.  Any extra command-line arguments are forwarded to the
@@ -46,6 +50,10 @@ BIG_QUERY = (
     "MATCH (p:Person)-[:knows]->(q:Person)<-[:hasCreator]-(c:Comment|Post) "
     "RETURN p.firstName, p.lastName, q.firstName, q.lastName, "
     "c.content, c.creationDate, c"
+)
+PATH_QUERY = (
+    "MATCH (p:Person)-[:knows*1..3]->(q:Person) "
+    "WHERE p.firstName = $name RETURN *"
 )
 STARTUP_TIMEOUT = 60.0
 SHUTDOWN_TIMEOUT = 30.0
@@ -85,7 +93,8 @@ def raw_post(address, path, payload):
 
 def main():
     from repro.dataflow import ExecutionEnvironment
-    from repro.epgm.io import CSVDataSink
+    from repro.engine import CypherRunner
+    from repro.epgm.io import CSVDataSink, CSVDataSource
     from repro.ldbc import LDBCGenerator
 
     failures = []
@@ -226,6 +235,39 @@ def main():
                   and crossed["chunks"] > 1
                   and crossed["reencoded_partitions"] == per_record,
                   "the big answer crossed the result boundary as %s" % crossed)
+            # one expansion: the kernel's chunks on the default engine,
+            # the iterated join under --no-columnar, the same rows
+            before = metrics["engine"]
+            status, paths = http("POST", base + "/query", {
+                "graph": "smoke", "query": PATH_QUERY,
+                "parameters": {"name": rare_name},
+            })
+            reference = CypherRunner(
+                CSVDataSource(graph_dir).get_logical_graph(
+                    ExecutionEnvironment()
+                ),
+                fused=False,
+            ).execute_table(PATH_QUERY, {"name": rare_name})
+            canonical = json.JSONEncoder(sort_keys=True, default=str).encode
+            check(status == 200 and paths["row_count"] > 0
+                  and sorted(map(canonical, paths["rows"]))
+                  == sorted(map(canonical, reference)),
+                  "knows*1..3: %d rows, the reference loop's multiset"
+                  % paths["row_count"])
+            engine = http("GET", base + "/metrics")[1]["engine"]
+            crossed = {
+                key: value - before["result"][key]
+                for key, value in engine["result"].items()
+            }
+            check(engine["chunk_fallbacks"] == before["chunk_fallbacks"]
+                  and crossed["reencoded_partitions"] == (
+                      crossed["chunks"] if "--no-columnar" in extra_args
+                      else 0),
+                  "knows*1..3 crossed as %s, no fallback taken" % crossed)
+            check(engine["adjacency"]["edges"] > 0
+                  and engine["adjacency"]["bytes"] > 0,
+                  "resident adjacency %s" % engine["adjacency"])
+
             check(metrics["plan_cache"]["hits"] >= 1,
                   "plan cache saw warm hits")
             check(metrics["gc"]["frozen"] > 0,

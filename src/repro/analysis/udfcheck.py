@@ -453,8 +453,9 @@ def iter_dataflow_udfs(root, spans=None):
     """Yield ``(name, fn)`` for every UDF reachable from ``root``.
 
     Walks the operator DAG through ``parents`` exactly like the
-    evaluator; the name identifies the operator and the slot so a finding
-    points at where the callable was installed.  With ``spans`` — a map
+    evaluator, and into the ``subplans`` a node evaluates itself; the
+    name identifies the operator and the slot so a finding points at
+    where the callable was installed.  With ``spans`` — a map
     from ``id(dataflow node)`` to a source :class:`~repro.cypher.span
     .Span` (the runner builds one from the physical plan) — yields
     ``(name, fn, span)`` triples instead so findings locate the query
@@ -472,7 +473,8 @@ def iter_dataflow_udfs(root, spans=None):
                     yield name, fn
                 else:
                     yield name, fn, spans.get(id(node))
-        for parent in getattr(node, "parents", ()):
+        for parent in (*getattr(node, "parents", ()),
+                       *getattr(node, "subplans", ())):
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)

@@ -61,9 +61,14 @@ class OperatorRun:
 
 #: why a columnar run executed a stage per-record instead of through a
 #: chunk kernel: the input partition was a plain record list (an upstream
-#: stage already fell back), the stage has no kernel, or the join carries
-#: a PATH column its merge must rewrite
-CHUNK_FALLBACK_REASONS = ("non_uniform_batch", "no_kernel", "path_join")
+#: stage already fell back), the stage has no kernel, the join carries a
+#: PATH column its merge must rewrite, or an expansion took the iterated
+#: join — its input already carries a PATH column an isomorphism strategy
+#: must read, or its graph has no resident adjacency (not label-indexed)
+CHUNK_FALLBACK_REASONS = (
+    "non_uniform_batch", "no_kernel", "path_join",
+    "expand_base_path", "expand_no_adjacency",
+)
 
 
 class JobMetrics:

@@ -77,6 +77,17 @@ class ExecutionContext:
             else getattr(environment, "batch_size", None)
         )
 
+    def derived(self, **overrides):
+        """This run's context with ``iteration`` / ``columnar`` / ...
+        overridden — a superstep's, or a sub-run's on another path."""
+        options = dict(
+            iteration=self.iteration, cancellation=self.cancellation,
+            fused=self.fused, batch_size=self.batch_size, pool=self.pool,
+            columnar=self.columnar,
+        )
+        options.update(overrides)
+        return ExecutionContext(self._environment, self._metrics, **options)
+
     def poll(self):
         """Raise if the run's cancellation token is cancelled or expired."""
         if self.cancellation is not None:
@@ -211,14 +222,15 @@ class ExecutionContext:
         self._metrics.add(run)
         return run
 
-    def record_stage_run(self, name, worker_in, worker_out):
+    def record_stage_run(self, name, worker_in, worker_out, iteration=None):
         """Append the OperatorRun of one stage inside a fused chain.
 
         Fused chains execute several logical operators in one loop but
         must leave the metrics stream indistinguishable from per-record
         execution (the simulated cost model reads it); this produces
         exactly what :meth:`record_run` records for a partition-local
-        operator — no shuffle, no spills, the evaluating run's iteration.
+        operator — no shuffle, no spills, the evaluating run's iteration
+        (or ``iteration``, for a node that steps its own supersteps).
         """
         from .metrics import OperatorRun
 
@@ -228,7 +240,7 @@ class ExecutionContext:
             records_out=sum(worker_out),
             worker_records_in=list(worker_in),
             worker_records_out=list(worker_out),
-            iteration=self.iteration,
+            iteration=self.iteration if iteration is None else iteration,
         )
         self._metrics.add(run)
         return run
@@ -238,6 +250,9 @@ class Operator:
     """Base class for DAG nodes."""
 
     display = "operator"
+    #: roots of dataflow this node may evaluate itself, inside ``execute``
+    #: (never evaluated for it like ``parents``); static walkers follow them
+    subplans = ()
 
     def __init__(self, environment, parents, name=None):
         self.id = next(_ids)
@@ -430,16 +445,7 @@ class BulkIterationOperator(Operator):
         for iteration in range(1, self.max_iterations + 1):
             if sum(len(p) for p in working) == 0:
                 break
-            iter_ctx = ExecutionContext(
-                environment,
-                ctx._metrics,
-                iteration=iteration,
-                cancellation=ctx.cancellation,
-                fused=ctx.fused,
-                batch_size=ctx.batch_size,
-                pool=ctx.pool,
-                columnar=ctx.columnar,
-            )
+            iter_ctx = ctx.derived(iteration=iteration)
             working_ds = environment.from_partitions(
                 working, name="iteration-working-set"
             )

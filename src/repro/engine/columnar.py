@@ -51,7 +51,9 @@ from repro.epgm.property_value import NULL_VALUE
 from .embedding import (
     ENTRY_WIDTH,
     FLAG_ID,
+    FLAG_PATH,
     PATH_COUNT_WIDTH,
+    PATH_ID_WIDTH,
     PROP_LEN_WIDTH,
     ElementBindings,
     Embedding,
@@ -777,8 +779,9 @@ def _prop_rows(chunk):
 class ColumnarJoinSpec:
     """Compiled columnar hash-join: key columns, merge shape, morphism.
 
-    Exists only for path-free join shapes (PATH-bearing sides fall back to
-    the per-record merge, which must rewrite offsets).  ``vertex_columns``
+    Exists for path-free join shapes and for PATH columns on one side
+    only (see :func:`columnar_join_spec`; other PATH-bearing shapes fall
+    back to the per-record merge, which rewrites offsets).  ``vertex_columns``
     / ``edge_columns`` are the merged-layout columns each isomorphism
     strategy watches — empty when the check is vacuous, mirroring
     :func:`repro.engine.morphism.compile_morphism_check`.
@@ -876,8 +879,8 @@ class ColumnarJoinSpec:
                         + np.repeat(low[start:stop] - first, counts)
                     ]
                     sides = [
-                        (build.values, build_rows, build_props),
-                        (probe.values, probe_rows, probe_props),
+                        (build, build_rows, build_props),
+                        (probe, probe_rows, probe_props),
                     ]
                     if not build_is_left:
                         sides.reverse()
@@ -888,9 +891,10 @@ class ColumnarJoinSpec:
         return out_chunks
 
     def _merge(self, left_side, right_side, check_keys):
-        """The output chunk of matched ``(values, rows, props)`` sides."""
-        left, left_rows, left_props = left_side
-        right, right_rows, right_props = right_side
+        """The output chunk of matched ``(chunk, rows, props)`` sides."""
+        left_chunk, left_rows, left_props = left_side
+        right_chunk, right_rows, right_props = right_side
+        left, right = left_chunk.values, right_chunk.values
         left_count = self.left_count
         keep = np.array(self.keep_columns, dtype=np.intp)
 
@@ -929,17 +933,211 @@ class ColumnarJoinSpec:
             for side, rows in ((left_props, left_rows), (right_props, right_rows))
             if side is not None
         ]
-        if not props:
-            return EmbeddingChunk(merged)
-        prop_offsets = _offsets(
-            sum(lengths[rows] for (_, lengths), rows in props)
-        )
-        prop_buf = b"".join(chain.from_iterable(zip(*(
-            [parts[row] for row in rows.tolist()] for (parts, _), rows in props
-        ))))
+        prop_buf, prop_offsets = b"", None
+        if props:
+            prop_offsets = _offsets(
+                sum(lengths[rows] for (_, lengths), rows in props)
+            )
+            prop_buf = b"".join(chain.from_iterable(zip(*(
+                [parts[row] for row in rows.tolist()]
+                for (parts, _), rows in props
+            ))))
+        flags = None
+        path_buf, path_offsets = b"", None
+        if left_chunk.flags is not None or right_chunk.flags is not None:
+            # a PATH-bearing side — only ever one (columnar_join_spec), so
+            # its entries' row-relative offsets hold in the merged rows
+            flags = np.zeros(merged.shape, dtype=np.uint8)
+            if left_chunk.flags is not None:
+                flags[:, :left_count] = left_chunk.flags[left_rows]
+            if right_chunk.flags is not None:
+                flags[:, left_count:] = right_chunk.flags[right_rows[:, None], keep]
+            for chunk, rows in ((left_chunk, left_rows), (right_chunk, right_rows)):
+                if chunk.path_offsets is not None:
+                    path_buf, path_offsets = _gather_buffer(
+                        chunk.path_buf, chunk.path_offsets, rows
+                    )
         return EmbeddingChunk(
-            merged, prop_buf=prop_buf, prop_offsets=prop_offsets
+            merged, flags, path_buf, path_offsets, prop_buf, prop_offsets
         )
+
+
+# Expand ----------------------------------------------------------------------
+
+
+def _distinct(candidates, values, rows, columns, path_ids):
+    """Per candidate: it differs from ``values[rows, c]`` for every watched
+    column ``c`` and from every id in its row of ``path_ids``."""
+    keep = np.ones(len(candidates), dtype=bool)
+    for column in columns:
+        keep &= values[rows, column] != candidates
+    if path_ids.shape[1]:
+        keep &= (path_ids != candidates[:, None]).all(axis=1)
+    return keep
+
+
+class ColumnarExpandSpec:
+    """Compiled chunk kernel of ``ExpandEmbeddings`` over a resident
+    :class:`~repro.epgm.indexed.Adjacency`.
+
+    The supersteps of the reference dataflow — the same morphism checks
+    on every extension, the same emission rule (closing / bound end /
+    zero hop), the same frontier after every superstep — with a hop as a
+    ``searchsorted`` probe and a ``repeat`` fan-out instead of a shuffle
+    of the edge relation.  A frontier *piece* is ``(chunk, origin, ends,
+    path)``: row ``i`` left input row ``origin[i]`` of ``chunk``, walked
+    ``path[i]`` (``e1, v1, e2, ..., ek``, equally long in every row) and
+    stands at ``ends[i]``.  ``vertex_columns`` / ``edge_columns`` are the
+    input's id columns an isomorphism strategy watches, ``None`` under
+    homomorphism; an input PATH column is carried, never read.
+    """
+
+    def __init__(self, adjacency, start_column, end_column, vertex_columns,
+                 edge_columns, lower, upper, reverse):
+        self.adjacency = adjacency
+        self.start_column = start_column
+        #: the bound far endpoint of a closing expansion, else ``None``
+        self.end_column = end_column
+        self.vertex_columns = vertex_columns
+        self.edge_columns = edge_columns
+        self.lower = lower
+        self.upper = upper
+        self.reverse = reverse
+
+    def start(self, chunks, emitted):
+        """The zero-hop pieces of one partition's chunks (their emissions,
+        when the lower bound is 0, are appended to ``emitted``)."""
+        pieces = [
+            (chunk, np.arange(chunk.count), chunk.values[:, self.start_column],
+             np.empty((chunk.count, 0), dtype=np.uint64))
+            for chunk in _probe_runs(chunks)
+        ]
+        if self.lower == 0:
+            for piece in pieces:
+                self._emit(piece, emitted)
+        return pieces
+
+    def hop(self, piece, emit, edge_mask, token, emitted):
+        """The pieces one hop beyond ``piece``; with ``emit``, their result
+        chunks are appended to ``emitted``.  The fan-out is built about
+        ``_OUTPUT_ROWS`` candidates at a time, one deadline poll each."""
+        chunk, origin, ends, path = piece
+        if path.shape[1] and self.vertex_columns is not None:
+            # the previous end becomes path-internal: it must be new
+            fresh = _distinct(
+                ends, chunk.values, origin, self.vertex_columns, path[:, 1::2]
+            )
+            origin, ends, path = origin[fresh], ends[fresh], path[fresh]
+        sources, offsets = self.adjacency.sources, self.adjacency.offsets
+        pieces = []
+        if not (len(ends) and len(sources)):
+            return pieces
+        slot = np.minimum(np.searchsorted(sources, ends), len(sources) - 1)
+        degree = np.where(
+            sources[slot] == ends, offsets[slot + 1] - offsets[slot], 0
+        )
+        reached = np.cumsum(degree)
+        start = done = 0
+        while start < len(ends):
+            stop = max(
+                start + 1,
+                int(np.searchsorted(reached, done + _OUTPUT_ROWS, "right")),
+            )
+            total = int(reached[stop - 1]) - done
+            if total:
+                if token is not None:
+                    token.poll()
+                counts = degree[start:stop]
+                rows = np.repeat(np.arange(start, stop), counts)
+                first = reached[start:stop] - counts - done
+                position = np.arange(total) + np.repeat(
+                    offsets[slot[start:stop]] - first, counts
+                )
+                extended = self._extend(
+                    chunk, origin, ends, path, rows, position, edge_mask
+                )
+                if len(extended[1]):
+                    pieces.append(extended)
+                    if emit:
+                        self._emit(extended, emitted)
+            start, done = stop, done + total
+        return pieces
+
+    def _extend(self, chunk, origin, ends, path, rows, position, edge_mask):
+        """The admissible extensions among candidate ``position``s of the
+        adjacency, each continuing frontier row ``rows[i]``."""
+        adjacency = self.adjacency
+        keep = None
+        if edge_mask is not None:
+            keep = edge_mask[adjacency.edge_rows[position]]
+        if self.edge_columns is not None:
+            distinct = _distinct(
+                adjacency.edge_ids[position], chunk.values, origin[rows],
+                self.edge_columns, path[rows, 0::2],
+            )
+            keep = distinct if keep is None else keep & distinct
+        if keep is not None and not keep.all():
+            rows, position = rows[keep], position[keep]
+        length = path.shape[1]
+        new_path = np.empty(
+            (len(rows), length + 1 + bool(length)), dtype=np.uint64
+        )
+        if length:
+            new_path[:, :length] = path[rows]
+            new_path[:, length] = ends[rows]
+        new_path[:, -1] = adjacency.edge_ids[position]
+        return chunk, origin[rows], adjacency.targets[position], new_path
+
+    def _emit(self, piece, emitted):
+        """Append the result chunk of ``piece``'s admissible paths."""
+        chunk, origin, ends, path = piece
+        closing = self.end_column is not None
+        keep = None
+        if closing:
+            keep = ends == chunk.values[origin, self.end_column]
+        elif self.vertex_columns is not None:
+            keep = _distinct(
+                ends, chunk.values, origin, self.vertex_columns, path[:, 1::2]
+            )
+        if keep is not None and not keep.all():
+            origin, ends, path = origin[keep], ends[keep], path[keep]
+        count, hops = path.shape
+        if not count:
+            return
+        # one PATH entry per row: count + ids, appended to the row's
+        # path_data — so the entry's value is that data's old length
+        record = np.empty(count, dtype=np.dtype(
+            [("count", ">u4"), ("ids", ">u8", (hops,))]
+        ))
+        record["count"] = hops
+        record["ids"] = path[:, ::-1] if self.reverse else path
+        path_buf = record.tobytes()
+        path_offsets = np.arange(count + 1, dtype=np.int64) * (
+            PATH_COUNT_WIDTH + PATH_ID_WIDTH * hops
+        )
+        columns = chunk.columns
+        values = np.zeros((count, columns + 2 - closing), dtype=np.uint64)
+        values[:, :columns] = chunk.values[origin]
+        flags = np.zeros(values.shape, dtype=np.uint8)
+        if chunk.flags is not None:
+            flags[:, :columns] = chunk.flags[origin]
+        flags[:, columns] = FLAG_PATH
+        if not closing:
+            values[:, -1] = ends
+        old_buf, old_offsets = _gather_buffer(
+            chunk.path_buf, chunk.path_offsets, origin
+        )
+        if old_offsets is not None:
+            values[:, columns] = np.diff(old_offsets)
+            path_buf = b"".join(chain.from_iterable(zip(
+                _row_slices(old_buf, old_offsets, count),
+                _row_slices(path_buf, path_offsets, count),
+            )))
+            path_offsets = path_offsets + old_offsets
+        emitted.append(EmbeddingChunk(
+            values, flags, path_buf, path_offsets,
+            *_gather_buffer(chunk.prop_buf, chunk.prop_offsets, origin)
+        ))
 
 
 def columnar_join_spec(
@@ -953,14 +1151,14 @@ def columnar_join_spec(
 ):
     """The :class:`ColumnarJoinSpec` of a join shape, or ``None``.
 
-    Unsupported (``None``): any PATH column on either side — the merge
-    would rewrite offsets and the morphism check would walk paths, both of
-    which stay on the per-record fallback.
+    PATH columns may sit on one side only, and only when the other side
+    contributes no column of a kind an active isomorphism strategy
+    watches: the merge then rewrites no offset, and the path contents —
+    already distinct from every id of their own side, which the operator
+    that bound the path checked — meet no new id, so comparing the watched
+    id columns pairwise is the whole morphism check.  Any other PATH shape
+    is unsupported (``None``) and stays on the per-record fallback.
     """
-    for meta in (left_meta, right_meta):
-        for variable in meta.variables:
-            if meta.entry_kind(variable) == "p":
-                return None
     drop = frozenset(drop_columns)
     keep_columns = tuple(
         column
@@ -969,6 +1167,21 @@ def columnar_join_spec(
     )
     vertex_iso = vertex_strategy is MatchStrategy.ISOMORPHISM
     edge_iso = edge_strategy is MatchStrategy.ISOMORPHISM
+    watched_kinds = "v" * vertex_iso + "e" * edge_iso
+    # what each side adds to the other: its columns bar the join columns
+    kinds = [
+        [
+            meta.entry_kind(variable)
+            for variable in meta.variables
+            if variable not in join_variables
+        ]
+        for meta in (left_meta, right_meta)
+    ]
+    for side, other in (kinds, reversed(kinds)):
+        if "p" in side and any(
+            kind == "p" or kind in watched_kinds for kind in other
+        ):
+            return None
     vertex_columns: Tuple[int, ...] = ()
     edge_columns: Tuple[int, ...] = ()
     if vertex_iso:

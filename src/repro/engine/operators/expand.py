@@ -8,14 +8,102 @@ reached the lower bound.  The result embedding gains a PATH column with
 the ``via`` identifiers (Table 2b) and — unless the target vertex was
 already bound ("closing" an existing binding) — an ID column for the path
 end.
+
+That dataflow is the *reference*.  A columnar run over a label-indexed
+graph takes the same supersteps as a chunk kernel over the graph's
+resident adjacency instead (:class:`~repro.engine.columnar.ColumnarExpandSpec`):
+one dataflow node, :class:`_ExpandOperator`, picks between the two.
 """
 
-from repro.cypher.predicates import compile_cnf
+import numpy as np
+
+from repro.cypher.predicates import CNF, compile_cnf, label_predicate
+from repro.dataflow import DataSet
+from repro.dataflow.operators import Operator
+from repro.epgm import GradoopId
 from repro.epgm.indexed import IndexedLogicalGraph
 
+from ..columnar import ColumnarExpandSpec, ColumnarPartition
 from ..embedding import ElementBindings
 from ..morphism import MatchStrategy
 from .base import EmbeddingLayout, PhysicalOperator
+from .leaves import _label_scoped_dataset
+
+
+class _ExpandOperator(Operator):
+    """The dataflow node of one expansion: kernel or reference loop.
+
+    Its one sub-plan, ``reference``, is the root of the iterated-join
+    dataflow built over this node's own parent.  It runs whenever the
+    kernel does not: a run that is not columnar (per-record, batched,
+    sanitized, shared-cache), and the counted fallbacks of a columnar
+    run — no compiled kernel (``fallback`` names why) or an input that
+    is not chunks.  The kernel records one ``ExpandEmbeddings:hop`` run
+    per superstep: the frontier in and out, no shuffle.
+    """
+
+    display = "expand"
+
+    def __init__(self, environment, parent, reference, kernel, fallback,
+                 edge_mask):
+        super().__init__(environment, [parent], "ExpandEmbeddings")
+        #: the one sub-plan this node evaluates itself: the reference
+        self.subplans = (reference,)
+        self.kernel = kernel
+        self.fallback = fallback
+        self.edge_mask = edge_mask
+
+    def execute(self, ctx, parent_partition_sets):
+        (partitions,) = parent_partition_sets
+        if ctx.columnar:
+            reason = self.fallback
+            if reason is None and any(
+                getattr(partition, "chunks", None) is None
+                for partition in partitions
+            ):
+                reason = "non_uniform_batch"
+            if reason is None:
+                return self._call(self._run_kernel, ctx, partitions)
+            ctx.count_fallback(reason)
+            ctx = ctx.derived(columnar=False)
+        (reference,) = self.subplans
+        return ctx.evaluate(reference, {self.parents[0].id: partitions})
+
+    def _run_kernel(self, ctx, partitions):
+        kernel, token = self.kernel, ctx.cancellation
+        # once per execution: re-bound $parameters keep one plan
+        edge_mask = self.edge_mask and self.edge_mask()
+        out = [[] for _ in partitions]
+        frontier = [
+            kernel.start(partition.chunks, emitted)
+            for partition, emitted in zip(partitions, out)
+        ]
+
+        def sizes():
+            return [sum(len(piece[1]) for piece in pieces) for pieces in frontier]
+
+        worker_out = sizes()
+        for iteration in range(1, kernel.upper + 1):
+            if not any(worker_out):
+                break
+            ctx.poll()
+            frontier = [
+                [
+                    reached
+                    for piece in pieces
+                    for reached in kernel.hop(
+                        piece, iteration >= kernel.lower, edge_mask, token,
+                        emitted,
+                    )
+                ]
+                for pieces, emitted in zip(frontier, out)
+            ]
+            worker_in, worker_out = worker_out, sizes()
+            ctx.record_stage_run(
+                "ExpandEmbeddings:hop", worker_in, worker_out,
+                iteration=iteration,
+            )
+        return [ColumnarPartition(emitted) for emitted in out]
 
 
 class ExpandEmbeddings(PhysicalOperator):
@@ -238,16 +326,9 @@ class ExpandEmbeddings(PhysicalOperator):
                 return [(target, edge.id.value, source)]
             return [(source, edge.id.value, target)]
 
-        labels = query_edge.types
-        if labels and (isinstance(self.graph, IndexedLogicalGraph) or len(labels) == 1):
-            dataset = self.graph.edges_by_label(labels[0])
-            for label in labels[1:]:
-                dataset = dataset.union(self.graph.edges_by_label(label))
-        else:
-            dataset = self.graph.edges
-        return dataset.flat_map(
-            to_tuples, name="ExpandEmbeddings(%s):edges" % variable
-        )
+        return _label_scoped_dataset(
+            self.graph, query_edge.types, "e"
+        ).flat_map(to_tuples, name="ExpandEmbeddings(%s):edges" % variable)
 
     def _build(self):
         child_meta = self.children[0].meta
@@ -325,8 +406,6 @@ class ExpandEmbeddings(PhysicalOperator):
                 return [embedding.append_path(via)]
             if vertex_iso and end in vertex_ids:
                 return []
-            from repro.epgm import GradoopId
-
             return [embedding.append_path(via).append_id(GradoopId(end))]
 
         def step(working, iteration):
@@ -358,7 +437,60 @@ class ExpandEmbeddings(PhysicalOperator):
                 emit_result, name="ExpandEmbeddings:zero-hop"
             )
             result = result.union(zero_hop)
-        return result
+        return DataSet(environment, _ExpandOperator(
+            environment, input_ds.operator, result.operator,
+            *self._compile_kernel(child_meta, vertex_iso, edge_iso,
+                                  bool(base_path_columns)),
+        ))
+
+    def _compile_kernel(self, child_meta, vertex_iso, edge_iso, base_paths):
+        """``(kernel, fallback reason, edge mask)`` of the columnar path.
+
+        The kernel needs the graph's resident adjacency, and an input
+        whose PATH columns no active isomorphism strategy has to read.
+        What the edge predicate says beyond the label (the adjacency is
+        per label already) becomes ``edge mask``: a function evaluating it
+        over the adjacency's edge list, ``None`` when nothing is left.
+        """
+        if not isinstance(self.graph, IndexedLogicalGraph):
+            return None, "expand_no_adjacency", None
+        if base_paths and (vertex_iso or edge_iso):
+            return None, "expand_base_path", None
+        query_edge = self.query_edge
+        variable = query_edge.variable
+        adjacency, edges = self.graph.adjacency(
+            query_edge.types, self.reverse, query_edge.undirected
+        )
+
+        def watched(kind):
+            return tuple(
+                child_meta.entry_column(v) for v in child_meta.variables
+                if child_meta.entry_kind(v) == kind
+            )
+
+        kernel = ColumnarExpandSpec(
+            adjacency,
+            child_meta.entry_column(self.start_variable),
+            child_meta.entry_column(self.end_variable)
+            if self.closing else None,
+            watched("v") if vertex_iso else None,
+            watched("e") if edge_iso else None,
+            query_edge.lower,
+            query_edge.upper,
+            self.reverse,
+        )
+        label_clauses = label_predicate(variable, query_edge.types).clauses
+        residual = CNF([
+            clause for clause in query_edge.predicates.clauses
+            if clause not in label_clauses
+        ])
+        if residual.is_trivial:
+            return kernel, None, None
+        keep = compile_cnf(residual)
+        return kernel, None, lambda: np.fromiter(
+            (keep(ElementBindings(variable, edge)) for edge in edges),
+            bool, len(edges),
+        )
 
     def describe(self):
         types = (

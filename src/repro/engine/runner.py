@@ -368,6 +368,7 @@ class CypherRunner:
                     continue  # a child's node: already attributed
                 spans[id(node)] = span
                 walk.extend(getattr(node, "parents", ()))
+                walk.extend(getattr(node, "subplans", ()))
         return {key: value for key, value in spans.items() if value is not None}
 
     def prepare(self, query):

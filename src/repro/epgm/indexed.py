@@ -4,9 +4,60 @@ Gradoop's ``IndexedLogicalGraph`` partitions vertices and edges by type
 label and manages a separate dataset per label.  When a query vertex or
 edge carries a label predicate, the planner loads only that label's
 dataset instead of scanning (and filtering) the union of all elements.
+
+The index also keeps the edge relation *resident*: one :class:`Adjacency`
+(compressed sparse rows) per edge label and direction, built once, which a
+variable-length expansion walks instead of re-shuffling the edge bag every
+superstep.
 """
 
+from operator import attrgetter
+
+import numpy as np
+
 from .logical_graph import LogicalGraph
+
+
+class Adjacency:
+    """The edges of an edge list as compressed sparse rows.
+
+    ``sources`` holds the distinct "from" ids in ascending order; the
+    neighbours of ``sources[i]`` sit at ``offsets[i]`` to ``offsets[i + 1]``
+    of ``targets`` / ``edge_ids`` / ``edge_rows``, in edge-list order (so a
+    walk's output order is deterministic).  ``edge_rows`` is each entry's
+    position in ``edges`` — the row an edge predicate's mask is indexed by.
+    ``reverse`` walks edges target to source; ``undirected`` both ways, a
+    self-loop once.
+    """
+
+    __slots__ = ("sources", "offsets", "targets", "edge_ids", "edge_rows")
+
+    def __init__(self, edges, reverse=False, undirected=False):
+        froms, ids, tos = (
+            np.fromiter((get(edge).value for edge in edges), np.uint64, len(edges))
+            for get in map(attrgetter, ("source_id", "id", "target_id"))
+        )
+        rows = np.arange(len(edges), dtype=np.int64)
+        if reverse:
+            froms, tos = tos, froms
+        if undirected:
+            back = froms != tos
+            froms, tos, ids, rows = (
+                np.concatenate([there, back_again[back]])
+                for there, back_again in (
+                    (froms, tos), (tos, froms), (ids, ids), (rows, rows)
+                )
+            )
+        order = np.argsort(froms, kind="stable")
+        self.sources, starts = np.unique(froms[order], return_index=True)
+        self.offsets = np.append(starts, len(order)).astype(np.int64)
+        self.targets = tos[order]
+        self.edge_ids = ids[order]
+        self.edge_rows = rows[order]
+
+    @property
+    def nbytes(self):
+        return sum(getattr(self, name).nbytes for name in self.__slots__)
 
 
 class IndexedLogicalGraph(LogicalGraph):
@@ -16,6 +67,8 @@ class IndexedLogicalGraph(LogicalGraph):
         super().__init__(environment, graph_head, vertices, edges, id_factory)
         self._vertex_index = {}
         self._edge_index = {}
+        #: label -> (edge list, forward Adjacency, reverse Adjacency)
+        self._adjacency = {}
 
     @classmethod
     def from_logical_graph(cls, graph):
@@ -47,6 +100,19 @@ class IndexedLogicalGraph(LogicalGraph):
         indexed._build_index(vertices, edges)
         return indexed
 
+    @classmethod
+    def from_elements(cls, environment, graph_head, vertices, edges):
+        """Index element lists as they are (a loader's output): graph
+        membership is not restamped and placement is round-robin."""
+        indexed = cls(
+            environment,
+            graph_head,
+            environment.from_collection(vertices, name="vertices"),
+            environment.from_collection(edges, name="edges"),
+        )
+        indexed._build_index(vertices, edges)
+        return indexed
+
     def _build_index(self, vertices, edges):
         by_vertex_label = {}
         for vertex in vertices:
@@ -65,6 +131,41 @@ class IndexedLogicalGraph(LogicalGraph):
                 elements, name="edges[:%s]" % label
             )
             for label, elements in by_edge_label.items()
+        }
+        self._adjacency = {
+            label: (elements, Adjacency(elements), Adjacency(elements, True))
+            for label, elements in by_edge_label.items()
+        }
+
+    def adjacency(self, labels, reverse=False, undirected=False):
+        """``(Adjacency, edges)`` of an expansion along ``labels`` (none:
+        every label), ``edges`` being the list its ``edge_rows`` index.
+
+        One directed label is the resident adjacency itself; anything
+        else is built here from the labels' edge lists, so call this once
+        per compiled plan, not per execution.
+        """
+        labels = [
+            label for label in (labels or self.edge_labels)
+            if label in self._adjacency
+        ]
+        if len(labels) == 1 and not undirected:
+            edges, forward, backward = self._adjacency[labels[0]]
+            return (backward if reverse else forward), edges
+        edges = [
+            edge for label in labels for edge in self._adjacency[label][0]
+        ]
+        return Adjacency(edges, reverse, undirected), edges
+
+    def adjacency_stats(self):
+        """``{labels, edges, bytes}`` of the resident adjacency."""
+        return {
+            "labels": len(self._adjacency),
+            "edges": sum(len(entry[0]) for entry in self._adjacency.values()),
+            "bytes": sum(
+                entry[1].nbytes + entry[2].nbytes
+                for entry in self._adjacency.values()
+            ),
         }
 
     @property

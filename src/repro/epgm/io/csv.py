@@ -18,7 +18,7 @@ import os
 from ..elements import Edge, GraphHead, Vertex
 from ..graph_collection import GraphCollection
 from ..identifiers import GradoopId
-from ..logical_graph import LogicalGraph
+from ..indexed import IndexedLogicalGraph
 from ..property_value import PropertyValue
 
 _KIND_GRAPH = "g"
@@ -266,11 +266,9 @@ class CSVDataSource:
             )
         vertices = list(self._read_vertices(metadata))
         edges = list(self._read_edges(metadata))
-        return LogicalGraph(
-            environment,
-            heads[0],
-            environment.from_collection(vertices, name="vertices"),
-            environment.from_collection(edges, name="edges"),
+        # label-indexed (paper §3.4): a loaded graph is what gets queried
+        return IndexedLogicalGraph.from_elements(
+            environment, heads[0], vertices, edges
         )
 
     def get_statistics(self):

@@ -9,6 +9,7 @@ the *shapes* listed in DESIGN.md §4.
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.cypher.query_graph import QueryHandler
 from repro.dataflow import ClusterCostModel, ExecutionEnvironment
 from repro.engine import CypherRunner, GraphStatistics
 from repro.ldbc import LDBCGenerator
@@ -100,6 +101,12 @@ def run_query(
     kwargs = {"statistics": statistics}
     if planner_cls is not None:
         kwargs["planner_cls"] = planner_cls
+    if any(edge.is_variable_length
+           for edge in QueryHandler(query).edges.values()):
+        # the figures price the paper's dataflow — an iterated 1-hop join
+        # that shuffles the edge relation every superstep — not the
+        # resident-adjacency kernel a columnar run takes on indexed graphs
+        kwargs["fused"] = False
     runner = CypherRunner(graph, **kwargs)
     embeddings, _ = runner.execute_embeddings(query)
     return QueryRun(

@@ -32,6 +32,7 @@ from repro.dataflow.cancellation import CancellationToken, QueryTimeout
 from repro.engine import CypherRunner, GreedyPlanner
 from repro.engine.result import KIND_ID, KIND_VALUE
 from repro.engine.runner import _graph_cache_token
+from repro.epgm.indexed import IndexedLogicalGraph
 from repro.locks import named_lock
 
 from .cache import ResultCache, prepared_cache_key
@@ -521,6 +522,13 @@ class QueryService:
         snapshot["engine"]["mode"] = "/".join(sorted({
             self._mode(entry.graph.environment) for entry in entries
         }))
+        # what the registered graphs keep resident for expansions
+        adjacency = {"labels": 0, "edges": 0, "bytes": 0}
+        for entry in entries:
+            if isinstance(entry.graph, IndexedLogicalGraph):
+                for key, value in entry.graph.adjacency_stats().items():
+                    adjacency[key] += value
+        snapshot["engine"]["adjacency"] = adjacency
         snapshot["capacity"] = {
             "max_concurrency": self.max_concurrency,
             "max_queue": self.max_queue,

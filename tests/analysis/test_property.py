@@ -8,21 +8,24 @@ paths):
    greedy, exhaustive *and* naive-order planner — into a physical plan
    the verifier accepts;
 2. its *sanitized* execution raises no sanitizer finding and all three
-   planners return the same result multiset.
+   planners return the same result multiset — which the columnar engine
+   over a label-indexed copy of the graph returns too.
 """
+
+from collections import Counter
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import differential_check, lint_query, verify_plan
 from repro.dataflow import ExecutionEnvironment
-from repro.engine import CypherRunner
+from repro.engine import CypherRunner, canonical_rows_from_embeddings
 from repro.engine.planning import (
     ExhaustivePlanner,
     GreedyPlanner,
     LeftDeepPlanner,
 )
-from repro.epgm import LogicalGraph
+from repro.epgm import IndexedLogicalGraph, LogicalGraph
 from tests.conftest import build_figure1_elements
 
 PLANNERS = [GreedyPlanner, ExhaustivePlanner, LeftDeepPlanner]
@@ -127,7 +130,8 @@ def test_lint_clean_implies_plan_verifies(query):
 )
 @given(query=cypher_queries())
 def test_lint_clean_implies_sanitized_planners_agree(query):
-    """Lint-clean ⇒ sanitized execution is finding-free ⇒ planners agree.
+    """Lint-clean ⇒ sanitized execution is finding-free ⇒ planners agree
+    ⇒ columnar ≡ reference.
 
     The full dynamic contract: the sanitizer validates every embedding at
     every operator boundary (raising nothing), and the three planners
@@ -143,3 +147,11 @@ def test_lint_clean_implies_sanitized_planners_agree(query):
         query, [str(d) for d in report.diagnostics]
     )
     assert all(run.checked >= run.row_count for run in report.runs)
+    # ... and the columnar engine over the label-indexed graph (expand
+    # kernel, one-sided PATH join) returns the reference's multiset
+    columnar, meta = CypherRunner(
+        IndexedLogicalGraph.from_logical_graph(graph)
+    ).execute_embeddings(query)
+    assert Counter(canonical_rows_from_embeddings(columnar, meta)) == (
+        report.runs[0].rows
+    ), query

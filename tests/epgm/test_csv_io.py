@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.epgm import GraphCollection, LogicalGraph
+from repro.epgm import GraphCollection, IndexedLogicalGraph, LogicalGraph
 from repro.epgm.io import CSVDataSink, CSVDataSource
 
 
@@ -57,6 +57,67 @@ class TestRoundTrip:
             if v.get_property("name").raw() == "Alice"
         ][0]
         assert alice.get_property("yob").is_null
+
+
+class TestLoadsIndexed:
+    """A loaded graph is the §3.4 indexed graph: per-label datasets and
+    the resident adjacency, over exactly the elements the sink was given."""
+
+    def test_round_trip_returns_the_same_graph_indexed(
+        self, env, graph_dir, figure1_graph
+    ):
+        restored = CSVDataSource(graph_dir).get_logical_graph(env)
+        assert isinstance(restored, IndexedLogicalGraph)
+        assert restored.graph_head == figure1_graph.graph_head
+        for collect in ("collect_vertices", "collect_edges"):
+            def signature(graph):
+                return sorted(
+                    (e.id.value, e.label, sorted(e.properties.to_dict().items()))
+                    for e in getattr(graph, collect)()
+                )
+            assert signature(restored) == signature(figure1_graph)
+        assert restored.edge_labels == ["isLocatedIn", "knows", "studyAt"]
+        assert restored.edges_by_label("knows").count() == 4
+        assert restored.edges_by_label("absent").collect() == []
+        assert restored.vertices_by_label("absent").collect() == []
+
+    def test_adjacency_agrees_with_the_edge_list(self, env, graph_dir):
+        restored = CSVDataSource(graph_dir).get_logical_graph(env)
+        edges = restored.collect_edges()
+        for label in restored.edge_labels + ["absent"]:
+            for reverse in (False, True):
+                expected = {}
+                for edge in restored.edges_by_label(label).collect():
+                    ends = (edge.source_id.value, edge.target_id.value)
+                    expected.setdefault(ends[reverse], []).append(
+                        (edge.id.value, ends[not reverse])
+                    )
+                adjacency, listed = restored.adjacency([label], reverse)
+                assert adjacency.sources.tolist() == sorted(expected)
+                for index, source in enumerate(adjacency.sources.tolist()):
+                    span = slice(*adjacency.offsets[index:index + 2])
+                    # neighbours in edge-insertion order
+                    assert list(zip(
+                        adjacency.edge_ids[span].tolist(),
+                        adjacency.targets[span].tolist(),
+                    )) == expected[source]
+                    assert [
+                        listed[row].id.value
+                        for row in adjacency.edge_rows[span].tolist()
+                    ] == adjacency.edge_ids[span].tolist()
+                assert adjacency.offsets[-1] == len(adjacency.targets)
+        # every label, both directions, a self-loop once
+        merged, listed = restored.adjacency([], undirected=True)
+        assert len(listed) == len(edges)
+        assert len(merged.targets) == 2 * len(edges)
+        assert restored.adjacency_stats() == {
+            "labels": 3, "edges": len(edges),
+            "bytes": sum(
+                restored.adjacency([label], reverse)[0].nbytes
+                for label in restored.edge_labels
+                for reverse in (False, True)
+            ),
+        }
 
 
 class TestEdgeCases:

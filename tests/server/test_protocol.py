@@ -13,7 +13,9 @@ import urllib.request
 import pytest
 
 from repro.dataflow import DataSet, ExecutionEnvironment
-from repro.epgm import LogicalGraph
+from repro.engine import columnar as columnar_module
+from repro.engine.columnar import ColumnarExpandSpec
+from repro.epgm import IndexedLogicalGraph, LogicalGraph
 from repro.server import GraphRegistry, QueryService, serve_in_thread
 from repro.server.protocol import _IOV_MAX, _send_gathered
 from tests.conftest import build_figure1_elements
@@ -247,6 +249,45 @@ class TestErrorMapping:
         monkeypatch.undo()
         status, body = http("POST", base + "/query", payload)
         assert (status, body["row_count"]) == (200, 1)
+
+    def test_deadline_inside_an_expansion_superstep_is_504(
+        self, figure1_graph, monkeypatch
+    ):
+        """The expand kernel builds its fan-out in slices and polls the
+        deadline between them: a token expiring inside the second
+        superstep ends the request there, and the service goes on."""
+        hops, slices = [], []
+        hop, extend = ColumnarExpandSpec.hop, ColumnarExpandSpec._extend
+
+        def counting_hop(self, frontier, emit, edge_mask, token, emitted):
+            hops.append(token)
+            return hop(self, frontier, emit, edge_mask, token, emitted)
+
+        def expiring_extend(self, *args):
+            slices.append(len(hops))
+            if len(hops) == 2:  # this slice is the deadline's last
+                hops[-1].deadline = time.monotonic() - 1
+            return extend(self, *args)
+
+        monkeypatch.setattr(columnar_module, "_OUTPUT_ROWS", 1)
+        monkeypatch.setattr(ColumnarExpandSpec, "hop", counting_hop)
+        monkeypatch.setattr(ColumnarExpandSpec, "_extend", expiring_extend)
+        payload = {"graph": "fig1", "timeout": 60.0, "query":
+                   "MATCH (a:Person {name: 'Eve'})-[e:knows*1..10]->(b) "
+                   "RETURN *"}
+        indexed = IndexedLogicalGraph.from_logical_graph(figure1_graph)
+        for base, _, _ in serve_figure1(indexed):
+            status, body = http("POST", base + "/query", payload)
+            assert (status, body["kind"]) == (504, "timeout")
+            # a slice is at least one frontier row: Eve's in the first
+            # superstep; her two friends' in the second, of which only
+            # the one that saw the deadline pass ran
+            assert slices == [1, 2]
+            monkeypatch.undo()
+            status, body = http("POST", base + "/query", payload)
+            assert status == 200 and body["row_count"] > 2
+            engine = http("GET", base + "/metrics")[1]["engine"]
+            assert not any(engine["chunk_fallbacks"].values())
 
     def test_unknown_route_is_404(self, endpoint):
         base, _, _ = endpoint

@@ -6,6 +6,7 @@ import pytest
 
 from repro.dataflow import QueryTimeout
 from repro.engine import CypherRunner
+from repro.epgm import IndexedLogicalGraph
 from repro.server import (
     AdmissionError,
     GraphRegistry,
@@ -18,6 +19,7 @@ from tests.server.test_protocol import expire_after_the_dataflow
 
 PLAIN_QUERY = "MATCH (p:Person) RETURN p.name"
 PARAM_QUERY = "MATCH (p:Person) WHERE p.name = $name RETURN p.name"
+VAR_LENGTH_QUERY = "MATCH (a:Person)-[:knows*1..2]->(b:Person) RETURN *"
 
 
 @pytest.fixture
@@ -234,17 +236,35 @@ class TestLifecycle:
         )
         engine = service.metrics_snapshot()["engine"]
         assert engine["mode"] == "columnar"
-        assert engine["chunk_fallbacks"] == {
-            "non_uniform_batch": 0, "no_kernel": 0, "path_join": 0,
-        }
-        # ... a variable-length expansion has none: its supersteps run
-        # per record, and the join around it decodes its chunked side
-        service.execute(
-            "fig1", "MATCH (a:Person)-[:knows*1..2]->(b:Person) RETURN *"
-        )
+        assert not any(engine["chunk_fallbacks"].values())
+        assert engine["adjacency"] == {"labels": 0, "edges": 0, "bytes": 0}
+        # ... a variable-length expansion over a graph built in code has
+        # no resident adjacency to walk: it runs the iterated join, under
+        # its own reason, and the join around it meets a per-record side
+        service.execute("fig1", VAR_LENGTH_QUERY)
         fallbacks = service.metrics_snapshot()["engine"]["chunk_fallbacks"]
-        assert fallbacks["no_kernel"] > 0
-        assert fallbacks["path_join"] > 0
+        assert fallbacks["expand_no_adjacency"] == 1
+        assert fallbacks["non_uniform_batch"] > 0
+        assert fallbacks["no_kernel"] == fallbacks["path_join"] == 0
+
+    def test_indexed_graph_expands_without_a_fallback(self, figure1_graph):
+        registry = GraphRegistry()
+        registry.register(
+            "fig1", IndexedLogicalGraph.from_logical_graph(figure1_graph)
+        )
+        with QueryService(registry) as service:
+            answer = service.execute("fig1", VAR_LENGTH_QUERY)
+            engine = service.metrics_snapshot()["engine"]
+        reference = CypherRunner(figure1_graph, fused=False).execute_table(
+            VAR_LENGTH_QUERY
+        )
+        assert rows_multiset(answer.rows) == rows_multiset(reference)
+        assert not any(engine["chunk_fallbacks"].values())
+        # the kernel's chunks and the one-sided PATH join reach the result
+        assert engine["result"]["reencoded_partitions"] == 0
+        assert engine["adjacency"]["labels"] == 3
+        assert engine["adjacency"]["edges"] == 8
+        assert engine["adjacency"]["bytes"] > 0
 
     def test_batched_service_reports_its_mode(self, registry):
         with QueryService(registry, columnar=False) as batched:
@@ -265,10 +285,9 @@ class TestLifecycle:
         result = service.metrics_snapshot()["engine"]["result"]
         assert result["rows"] == 3
         assert result["chunks"] > 0 == result["reencoded_partitions"]
-        # an expansion has no chunk kernel: its answer arrives per record
-        answer = service.execute(
-            "fig1", "MATCH (a:Person)-[:knows*1..2]->(b:Person) RETURN *"
-        )
+        # an expansion over a graph without adjacency runs the reference
+        # loop: its answer arrives per record
+        answer = service.execute("fig1", VAR_LENGTH_QUERY)
         after = service.metrics_snapshot()["engine"]["result"]
         assert after["rows"] == 3 + answer.row_count
         assert after["reencoded_partitions"] > 0
