@@ -4,7 +4,8 @@
 Generates a small LDBC graph, starts ``python -m repro serve`` as a child
 process, waits for its "listening" line, then exercises the wire
 protocol — health, a parameterized ad-hoc query, prepare/execute with two
-different bindings, metrics — and finally POSTs ``/shutdown`` and asserts
+different bindings (each an index probe over the one resident leaf table
+on the default engine, per ``/metrics``), metrics — and finally POSTs ``/shutdown`` and asserts
 the process exits cleanly with status 0.  One stock ``http.client``
 keep-alive connection also times 20 small requests (a response held back
 by a delayed ACK costs a constant 40 ms; see "What a request waits for"
@@ -167,6 +168,7 @@ def main():
                   "statement declares $name")
 
             rows_by_name = {}
+            leaves = []  # engine.leaves after each execution
             for name in (common_name, rare_name):
                 status, result = http("POST", base + "/execute", {
                     "statement_id": prepared["statement_id"],
@@ -174,6 +176,17 @@ def main():
                 })
                 check(status == 200, "POST /execute (name=%s)" % name)
                 rows_by_name[name] = result["rows"]
+                leaves.append(
+                    http("GET", base + "/metrics")[1]["engine"]["leaves"])
+            if "--no-columnar" in extra_args:
+                check(not any(leaves[-1].values()),
+                      "the batched path keeps no leaf table: %s" % leaves[-1])
+            else:
+                check(leaves[-1]["probes"] >= 2 and leaves[-1]["scans"] == 0,
+                      "each binding probed the firstName index: %s"
+                      % leaves[-1])
+                check(0 < leaves[0]["tables"] == leaves[1]["tables"],
+                      "the second execution built no leaf table")
             check(
                 all(row["p.firstName"] == common_name
                     for row in rows_by_name[common_name]),

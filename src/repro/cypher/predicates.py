@@ -576,6 +576,42 @@ def label_predicate(variable, labels):
     return CNF([Clause(atoms)])
 
 
+def without_label_clause(cnf, variable, labels):
+    """``cnf`` minus the clause of the alternation ``(variable:labels)`` —
+    what is left to check on a dataset already scoped to ``labels``."""
+    label_clauses = label_predicate(variable, labels).clauses
+    return CNF([
+        clause for clause in cnf.clauses if clause not in label_clauses
+    ])
+
+
+def equality_probe(cnf, variable):
+    """``(key, value)`` of the first clause of ``cnf`` that is one
+    non-negated ``variable.key = <literal | $slot>`` atom (either way
+    round), else ``None``.  ``value()`` is the compared
+    :class:`PropertyValue` as of the call, so a re-bound ``$slot`` is read
+    per execution.  Every row ``cnf`` accepts carries that value under
+    ``key``: an index lookup may stand in for a scan of the rest."""
+    for clause in cnf.clauses:
+        if len(clause.atoms) != 1 or clause.atoms[0].negated:
+            continue
+        comparison = clause.atoms[0].comparison
+        if comparison.operator != "=":
+            continue
+        for access, other in (
+            (comparison.left, comparison.right),
+            (comparison.right, comparison.left),
+        ):
+            if (
+                isinstance(access, PropertyAccess)
+                and access.variable == variable
+                and (isinstance(other, Literal) or hasattr(other, "current"))
+            ):
+                resolve = _compile_side(other)
+                return access.key, lambda: resolve(None)
+    return None
+
+
 def property_map_predicate(variable, entries):
     """CNF for an inline property map ``{key: literal, ...}``."""
     clauses = [

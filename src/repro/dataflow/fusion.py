@@ -146,31 +146,14 @@ class FusedChainOperator(Operator):
         )
         self._chunk = _chunk_template(self._shape)
         # columnar kernels ride on the stage closures as plain attributes
-        # (attached by the engine layer).  A chain is chunk-capable when
-        # every stage carries a chunk→chunk kernel, and leaf-capable when
-        # some flat-map stage carries an elements→chunk builder, every
-        # stage after it has a chunk kernel, and the stages before it are
-        # element-level (they run per-element over the batch — e.g. the
-        # label scan feeding a leaf transform).
+        # (attached by the engine layer); a chain runs over chunks when
+        # every stage carries a chunk→chunk kernel
         self._kernels = tuple(
             getattr(fn, "columnar_kernel", None) for fn in self._fns
         )
         self._chunk_capable = all(
             kernel is not None for kernel in self._kernels
         )
-        self._leaf_index = None
-        self._leaf_kernel = None
-        for index, (kind, fn) in enumerate(zip(self._shape, self._fns)):
-            leaf = getattr(fn, "columnar_leaf", None)
-            if kind == "flatmap" and leaf is not None:
-                if all(
-                    kernel is not None
-                    for kernel in self._kernels[index + 1:]
-                ):
-                    self._leaf_index = index
-                    self._leaf_kernel = leaf
-                break
-        self._leaf_capable = self._leaf_index is not None
 
     def execute(self, ctx, parent_partition_sets):
         (partitions,) = parent_partition_sets
@@ -182,24 +165,18 @@ class FusedChainOperator(Operator):
         chunk_fn = self._chunk
         fns = self._fns
         zeros = (0,) * sum(1 for kind in self._shape if kind != "map")
-        columnar = self._columnar_capable(ctx)
+        columnar = self._columnar_capable(ctx, partitions)
         out = []
         worker_counts = []
         for partition in partitions:
-            if columnar:
-                result = self._execute_columnar(token, partition, zeros)
-                if result is not None:
-                    columnar_out, totals = result
-                    out.append(columnar_out)
-                    worker_counts.append(totals)
-                    continue
-                # chunks met a kernel gap, or a plain record list met a
-                # chain without a leaf builder
-                ctx.count_fallback(
-                    "no_kernel"
-                    if getattr(partition, "chunks", None) is not None
-                    else "non_uniform_batch"
+            chunks_in = getattr(partition, "chunks", None)
+            if columnar and chunks_in is not None:
+                columnar_out, totals = self._execute_columnar(
+                    token, chunks_in, zeros
                 )
+                out.append(columnar_out)
+                worker_counts.append(totals)
+                continue
             produced = []
             append = produced.append
             totals = zeros
@@ -222,44 +199,34 @@ class FusedChainOperator(Operator):
         self._record_stage_runs(ctx, partitions, worker_counts, out)
         return out
 
-    def _columnar_capable(self, ctx):
-        """Whether this run executes the chain as chunk kernels; a
-        columnar run of a chain without them is a counted fallback."""
+    def _columnar_capable(self, ctx, partitions):
+        """Whether this run executes the chain as chunk kernels.  In a
+        columnar run, chunks meeting a chain with a kernel gap and plain
+        embedding lists meeting a chain of kernels (an upstream stage
+        fell back) are counted fallbacks; a chain over anything else —
+        graph elements, frontier tuples — has nothing columnar about it."""
         if not getattr(ctx, "columnar", False):
             return False
-        if self._chunk_capable or self._leaf_capable:
-            return True
-        ctx.count_fallback("no_kernel")
-        return False
+        chunked = [
+            getattr(partition, "chunks", None) is not None
+            for partition in partitions
+        ]
+        if not self._chunk_capable:
+            if any(chunked):
+                ctx.count_fallback("no_kernel")
+            return False
+        for is_chunked in chunked:
+            if not is_chunked:
+                ctx.count_fallback("non_uniform_batch")
+        return True
 
-    def _execute_columnar(self, token, partition, zeros):
-        """Run the chain as chunk kernels over one partition.
+    def _execute_columnar(self, token, chunks_in, zeros):
+        """Run the chain as chunk kernels over one partition's chunks.
 
-        Returns ``(ColumnarPartition, stage_totals)`` or ``None`` when the
-        partition's shape does not fit the compiled kernels (a plain
-        record list feeding a chain without a leaf builder, or chunks
-        feeding a chain with a kernel gap) — the caller falls back to the
-        per-record loop for that partition.  Stage totals count chunk rows
-        after each non-map stage, matching the per-record counters.
+        Returns ``(ColumnarPartition, stage_totals)``.  Stage totals count
+        chunk rows after each non-map stage, matching the per-record
+        counters.
         """
-        chunks_in = getattr(partition, "chunks", None)
-        if chunks_in is not None:
-            if not self._chunk_capable:
-                return None
-            sources = chunks_in
-            leaf_index = None
-        else:
-            if not self._leaf_capable:
-                return None
-            leaf_index = self._leaf_index
-            batch = self.batch_size
-            if len(partition) <= batch:
-                sources = [partition]
-            else:
-                sources = [
-                    partition[start:start + batch]
-                    for start in range(0, len(partition), batch)
-                ]
         global _columnar_partition_cls
         if _columnar_partition_cls is None:
             from repro.engine.columnar import ColumnarPartition
@@ -267,52 +234,22 @@ class FusedChainOperator(Operator):
             _columnar_partition_cls = ColumnarPartition
         shape = self._shape
         kernels = self._kernels
-        fns = self._fns
-        leaf = self._leaf_kernel
         totals = list(zeros)
         produced = []
-        for source in sources:
+        for source in chunks_in:
             # one cancellation poll per chunk, like the per-record loop
             if token is not None:
                 token.poll()
             current = source
             counter = 0
             try:
-                for index, (kind, kernel) in enumerate(zip(shape, kernels)):
-                    if leaf_index is not None and index < leaf_index:
-                        # element-level prefix (e.g. the label scan):
-                        # per-element, exactly like the per-record loop
-                        fn = fns[index]
-                        if kind == "map":
-                            current = [fn(element) for element in current]
-                        elif kind == "filter":
-                            current = [
-                                element for element in current
-                                if fn(element)
-                            ]
-                            totals[counter] += len(current)
-                            counter += 1
-                        else:
-                            flattened = []
-                            for element in current:
-                                flattened.extend(fn(element))
-                            current = flattened
-                            totals[counter] += len(current)
-                            counter += 1
-                        continue
-                    if index == leaf_index:
-                        current = leaf(current)
-                    else:
-                        current = kernel(current)
+                for kind, kernel in zip(shape, kernels):
+                    current = kernel(current)
                     if kind != "map":
                         totals[counter] += current.count
                         counter += 1
             except Exception as exc:  # noqa: BLE001 — re-attributed below
-                records = (
-                    list(source) if leaf_index is not None
-                    else source.to_embeddings()
-                )
-                self._replay_chunk(records, exc)
+                self._replay_chunk(source.to_embeddings(), exc)
             if current.count:
                 produced.append(current)
         return _columnar_partition_cls(produced), tuple(totals)
@@ -336,7 +273,7 @@ class FusedChainOperator(Operator):
         source_key = parent.id if type(parent) is SourceOperator else None
         out, worker_counts = pool.run_chain(
             self, partitions, ctx.cancellation, source_key=source_key,
-            columnar=self._columnar_capable(ctx),
+            columnar=self._columnar_capable(ctx, partitions),
         )
         self._record_stage_runs(ctx, partitions, worker_counts, out)
         return out

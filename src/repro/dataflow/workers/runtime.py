@@ -283,87 +283,43 @@ class _Worker:
         """Run a columnar-enabled chain as chunk kernels, or ``None``.
 
         The worker-side mirror of
-        ``FusedChainOperator._execute_columnar``: chunk input needs a
-        kernel at every stage, a plain record list needs the leaf builder
-        (element-level prefix stages run per element); stage totals count
-        rows after each non-map stage.  ``None`` means the input shape
-        does not fit the shipped kernels and the caller falls back to the
-        compiled per-record chunk loop — the same transparent per-record
-        fallback the in-process path takes.  A failing source batch is
-        decoded and replayed per record for stage attribution.
+        ``FusedChainOperator._execute_columnar``: chunk input through a
+        kernel at every stage; stage totals count rows after each
+        non-map stage.  ``None`` means the input shape does not fit the
+        shipped kernels and the caller falls back to the compiled
+        per-record chunk loop — the same transparent per-record fallback
+        the in-process path takes.  A failing chunk is decoded and
+        replayed per record for stage attribution.
         """
         from repro.engine.columnar import ColumnarPartition  # lazy: layering
 
         kernels = spec.kernels
         chunks_in = getattr(records, "chunks", None)
-        if chunks_in is not None:
-            if not all(kernel is not None for kernel in kernels):
-                return None
-            sources = chunks_in
-            leaf_index = None
-        else:
-            leaf_index = spec.leaf_index
-            if leaf_index is None:
-                return None
-            batch = spec.batch_size
-            if len(records) <= batch:
-                sources = [records]
-            else:
-                sources = [
-                    records[start:start + batch]
-                    for start in range(0, len(records), batch)
-                ]
+        if chunks_in is None or not all(
+            kernel is not None for kernel in kernels
+        ):
+            return None
         shape = spec.shape
-        fns = spec.fns
-        leaf = spec.leaf
         totals = list(
             (0,) * sum(1 for kind in shape if kind != "map")
         )
         produced = []
-        for source in sources:
+        for source in chunks_in:
             # one cancellation poll per source chunk, like the fused loop
             if self._job_cancelled(job):
                 raise _Cancelled()
             current = source
             counter = 0
             try:
-                for index, (kind, kernel) in enumerate(zip(shape, kernels)):
-                    if leaf_index is not None and index < leaf_index:
-                        # element-level prefix (e.g. the label scan):
-                        # per-element, exactly like the per-record loop
-                        fn = fns[index]
-                        if kind == "map":
-                            current = [fn(element) for element in current]
-                        elif kind == "filter":
-                            current = [
-                                element for element in current
-                                if fn(element)
-                            ]
-                            totals[counter] += len(current)
-                            counter += 1
-                        else:
-                            flattened = []
-                            for element in current:
-                                flattened.extend(fn(element))
-                            current = flattened
-                            totals[counter] += len(current)
-                            counter += 1
-                        continue
-                    if index == leaf_index:
-                        current = leaf(current)
-                    else:
-                        current = kernel(current)
+                for kind, kernel in zip(shape, kernels):
+                    current = kernel(current)
                     if kind != "map":
                         totals[counter] += current.count
                         counter += 1
             except _Cancelled:
                 raise
             except Exception as exc:  # noqa: BLE001 — re-attributed below
-                source_records = (
-                    list(source) if leaf_index is not None
-                    else source.to_embeddings()
-                )
-                self._replay_chunk(spec, source_records, exc)
+                self._replay_chunk(spec, source.to_embeddings(), exc)
             if current.count:
                 produced.append(current)
         return ColumnarPartition(produced), tuple(totals)

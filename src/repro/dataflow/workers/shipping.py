@@ -200,10 +200,10 @@ class ChainSpec:
     """
 
     __slots__ = ("key", "shape", "names", "fns", "batch_size", "chain_name",
-                 "kernels", "leaf_index", "leaf")
+                 "kernels")
 
     def __init__(self, key, shape, names, fns, batch_size, chain_name,
-                 kernels=None, leaf_index=None, leaf=None):
+                 kernels=None):
         self.key = key
         self.shape = tuple(shape)
         self.names = tuple(names)
@@ -214,25 +214,18 @@ class ChainSpec:
         # *attributes*, which by-value function shipping does not carry —
         # a columnar spec therefore ships them as explicit fields
         self.kernels = tuple(kernels) if kernels is not None else None
-        self.leaf_index = leaf_index
-        self.leaf = leaf
 
     @classmethod
     def from_chain(cls, chain, columnar=False):
         """Build the spec of one ``FusedChainOperator``.
 
-        ``columnar=True`` additionally ships the chain's chunk kernels
-        (``kernels``/``leaf_index``/``leaf``) so the worker runs the same
-        chunk-level loop the in-process columnar path runs.  A
+        ``columnar=True`` additionally ships the chain's chunk
+        ``kernels`` so the worker runs the same chunk-level loop the
+        in-process columnar path runs.  A
         non-columnar spec carries no kernels, so the two variants have
         distinct content digests and cache independently — toggling the
         environment's columnar flag re-ships rather than mis-hits.
         """
-        kernels = leaf_index = leaf = None
-        if columnar:
-            kernels = chain._kernels
-            leaf_index = chain._leaf_index
-            leaf = chain._leaf_kernel
         return cls(
             key=("chain",) + tuple(stage.id for stage in chain.stages),
             shape=chain._shape,
@@ -240,9 +233,7 @@ class ChainSpec:
             fns=chain._fns,
             batch_size=chain.batch_size,
             chain_name=chain.name,
-            kernels=kernels,
-            leaf_index=leaf_index,
-            leaf=leaf,
+            kernels=chain._kernels if columnar else None,
         )
 
 

@@ -19,13 +19,16 @@ PATH entry values stay *row-relative* (offsets into the row's own
 them back out — never rewrites offsets.
 
 Operators gain *columnar kernels* built here and attached as plain
-attributes (``columnar_kernel`` / ``columnar_leaf`` / ``columnar_join`` /
+attributes (``columnar_kernel`` / ``columnar_join`` /
 ``columnar_shuffle``) on the per-record closures the engine already hands
 to the dataflow layer.  The dataflow layer discovers them with
 ``getattr`` — it never imports this module at module scope — and falls
 back to the per-record closures whenever a kernel is missing, the input
 is not columnar, or the run is sanitized (sanitized runs are per-record
 by construction, so the sanitizer always validates the decoded view).
+Leaves and expansions are dataflow nodes of their own that pick between
+a kernel compiled here (:class:`ColumnarLeaf`,
+:class:`ColumnarExpandSpec`) and their per-record reference sub-plan.
 
 At the result boundary the same layout is read column-wise:
 :func:`id_column`, :func:`path_column` and :func:`property_column` decode
@@ -431,7 +434,7 @@ class ColumnarPartition:
 
 # Kernels ---------------------------------------------------------------------
 #
-# A *chunk kernel* is ``EmbeddingChunk -> EmbeddingChunk``; a *leaf kernel*
+# A *chunk kernel* is ``EmbeddingChunk -> EmbeddingChunk``; the *leaf kernel*
 # is ``list[element] -> EmbeddingChunk``.  All kernels are semantically
 # identical to the per-record closures they shadow — the decoded output of
 # the kernel equals the per-record outputs byte-for-byte, in the same
@@ -576,71 +579,192 @@ _EMPTY_LEAVES = {
 }
 
 
-def leaf_vertex_kernel(variable, keep, keys):
-    """Leaf kernel of ``SelectAndProjectVertices``: elements → one chunk.
+#: a scanning select polls the deadline once per this many elements
+_SCAN_ROWS = 4096
 
-    The per-element CNF (including the label-equality fast path, which
-    needs the element at hand) still runs per vertex, but surviving rows
-    are written straight into column buffers — no intermediate
-    ``Embedding`` objects, no per-record ``struct.pack``.
+
+class LeafTable:
+    """The resident, unfiltered rows of one leaf.
+
+    One ``(chunk, first)`` per source partition, in the order the label
+    dataset(s) deliver elements: ``chunk`` holds every row the leaf can
+    emit — ids in column order under its orientation rules, the §3.3
+    records of its property keys — and element ``i`` owns rows
+    ``first[i]`` to ``first[i + 1]`` (``first`` is ``None`` when that is
+    row ``i`` alone).  Nothing a request binds is in here.
     """
-    keys = tuple(keys)
 
-    def kernel(elements):
-        values = []
-        append_value = values.append
-        prop_parts: List[bytes] = []
-        prop_offsets = [0]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = parts
+        for chunk, _ in parts:
+            chunk.prop_spans()  # shared by every gather and RETURN decode
+            chunk.values.setflags(write=False)
+
+    @property
+    def nbytes(self):
         total = 0
-        for vertex in elements:
-            if not keep(ElementBindings(variable, vertex)):
-                continue
-            append_value(vertex.id.value)
-            if keys:
-                total += _encode_properties(vertex, keys, prop_parts)
-            prop_offsets.append(total)
-        return _leaf_chunk(values, 1, prop_parts, prop_offsets)
-
-    return kernel
+        for chunk, first in self.parts:
+            arrays = (chunk.values, chunk.prop_offsets, first, *chunk.prop_spans())
+            total += len(chunk.prop_buf) + sum(
+                array.nbytes for array in arrays if array is not None
+            )
+        return total
 
 
-def leaf_edge_kernel(variable, keep, keys, is_loop, undirected, distinct_endpoints):
-    """Leaf kernel of ``SelectAndProjectEdges``: elements → one chunk."""
-    keys = tuple(keys)
-    columns = 2 if is_loop else 3
+def value_index(partitions, key, token=None):
+    """Per partition: property value → the positions of the elements
+    holding it under ``key``.  Keyed by :class:`PropertyValue`, whose
+    ``==`` / ``hash`` are the ``=`` atom's own, so a lookup returns every
+    element the atom accepts (never fewer); NULL equals nothing and is
+    not indexed."""
+    index = []
+    for elements in partitions:
+        if token is not None:
+            token.poll()
+        positions: Dict[PropertyValue, List[int]] = {}
+        for position, element in enumerate(elements):
+            value = element.get_property(key)
+            if not value.is_null:
+                positions.setdefault(value, []).append(position)
+        index.append(positions)
+    return index
 
-    def kernel(elements):
+
+class ColumnarLeaf:
+    """Compiled columnar leaf: *select* elements, then *encode* them.
+
+    ``select`` runs the compiled CNF ``keep`` (all of it, on every
+    candidate; ``None``: no predicate) over one partition's elements and
+    returns the survivors' positions; ``encode`` turns elements into the
+    leaf's chunk.  Over a
+    graph that keeps derived structures (``tables``) the encode half runs
+    once, over everything, and a request gathers its survivors' rows from
+    the :class:`LeafTable`; its candidates are all elements (no predicate:
+    the resident chunk itself is the answer), the hits of a
+    :func:`value_index` (``probe``, the CNF's ``key = value`` clause), or
+    a scan.  Without ``tables`` every run scans and encodes the survivors.
+    ``orient(element)`` is the id tuples the element emits, in order.
+    """
+
+    __slots__ = ("tables", "key", "variable", "keep", "probe", "outcome",
+                 "orient", "columns", "keys")
+
+    def __init__(self, tables, key, variable, keep, probe, orient, columns,
+                 keys):
+        self.tables = tables
+        #: what the table is a function of, beside the graph
+        self.key = key
+        self.variable = variable
+        self.keep = keep
+        self.probe = probe
+        self.outcome = (
+            "all_rows" if keep is None
+            else "scans" if probe is None else "probes"
+        )
+        self.orient = orient
+        self.columns = columns
+        self.keys = tuple(keys)
+
+    def encode(self, elements):
+        """``(chunk, first)`` of ``elements`` (see :class:`LeafTable`)."""
+        orient, keys = self.orient, self.keys
         values: List[int] = []
-        extend_values = values.extend
         prop_parts: List[bytes] = []
         prop_offsets = [0]
+        first = [0]
         total = 0
-        for edge in elements:
-            if not keep(ElementBindings(variable, edge)):
-                continue
-            source = edge.source_id.value
-            target = edge.target_id.value
-            if distinct_endpoints and source == target:
-                continue
-            if is_loop:
-                if source != target:
-                    continue
-                orientations = ((source, edge.id.value),)
-            elif undirected and source != target:
-                orientations = (
-                    (source, edge.id.value, target),
-                    (target, edge.id.value, source),
-                )
-            else:
-                orientations = ((source, edge.id.value, target),)
-            for ids in orientations:
-                extend_values(ids)
+        for element in elements:
+            for ids in orient(element):
+                values.extend(ids)
                 if keys:
-                    total += _encode_properties(edge, keys, prop_parts)
+                    total += _encode_properties(element, keys, prop_parts)
                 prop_offsets.append(total)
-        return _leaf_chunk(values, columns, prop_parts, prop_offsets)
+            first.append(len(prop_offsets) - 1)
+        chunk = _leaf_chunk(values, self.columns, prop_parts, prop_offsets)
+        offsets = np.array(first, dtype=np.int64)
+        return chunk, None if (np.diff(offsets) == 1).all() else offsets
 
-    return kernel
+    def select(self, elements, candidates, token):
+        """The positions among ``candidates`` (``None``: all) whose
+        element satisfies the CNF, ascending."""
+        keep, variable = self.keep, self.variable
+        if candidates is not None:
+            return [
+                position for position in candidates
+                if keep(ElementBindings(variable, elements[position]))
+            ]
+        kept: List[int] = []
+        for start in range(0, len(elements), _SCAN_ROWS):
+            if token is not None:
+                token.poll()
+            kept.extend(
+                position
+                for position, element in enumerate(
+                    elements[start:start + _SCAN_ROWS], start
+                )
+                if keep(ElementBindings(variable, element))
+            )
+        return kept
+
+    def run(self, partitions, token):
+        """One chunk per partition of elements."""
+        tables = self.tables
+        if tables is None:
+            return [
+                self.encode(elements if self.keep is None else [
+                    elements[position]
+                    for position in self.select(elements, None, token)
+                ])[0]
+                for elements in partitions
+            ]
+
+        def build():
+            parts = []
+            for elements in partitions:
+                if token is not None:
+                    token.poll()
+                parts.append(self.encode(elements))
+            return LeafTable(parts)
+
+        parts = tables.resident(("table",) + self.key, build, self.outcome).parts
+        if self.outcome == "all_rows":
+            return [chunk for chunk, _ in parts]
+        hits = [None] * len(partitions)
+        if self.probe is not None:
+            prop_key, value = self.probe
+            value = value()
+            if value.is_null:
+                return [_EMPTY_LEAVES[self.columns]] * len(partitions)
+            index = tables.resident(
+                ("index",) + self.key[:2] + (prop_key,),
+                lambda: value_index(partitions, prop_key, token),
+            )
+            hits = [positions.get(value, ()) for positions in index]
+        return [
+            self._gather(chunk, first, len(elements), self.select(
+                elements, candidates, token
+            ))
+            for (chunk, first), elements, candidates
+            in zip(parts, partitions, hits)
+        ]
+
+    def _gather(self, chunk, first, count, positions):
+        """The rows of ``chunk`` the elements at ``positions`` own."""
+        if len(positions) == count:
+            return chunk
+        if not positions:
+            return _EMPTY_LEAVES[self.columns]
+        rows = np.array(positions, dtype=np.intp)
+        if first is not None:
+            starts = first[rows]
+            counts = first[rows + 1] - starts
+            ends = np.cumsum(counts)
+            rows = np.arange(ends[-1]) + np.repeat(
+                starts - (ends - counts), counts
+            )
+        return chunk.gather(rows)
 
 
 # Shuffle ---------------------------------------------------------------------

@@ -17,7 +17,7 @@ one dataflow node, :class:`_ExpandOperator`, picks between the two.
 
 import numpy as np
 
-from repro.cypher.predicates import CNF, compile_cnf, label_predicate
+from repro.cypher.predicates import compile_cnf, without_label_clause
 from repro.dataflow import DataSet
 from repro.dataflow.operators import Operator
 from repro.epgm import GradoopId
@@ -479,11 +479,9 @@ class ExpandEmbeddings(PhysicalOperator):
             query_edge.upper,
             self.reverse,
         )
-        label_clauses = label_predicate(variable, query_edge.types).clauses
-        residual = CNF([
-            clause for clause in query_edge.predicates.clauses
-            if clause not in label_clauses
-        ])
+        residual = without_label_clause(
+            query_edge.predicates, variable, query_edge.types
+        )
         if residual.is_trivial:
             return kernel, None, None
         keep = compile_cnf(residual)

@@ -3,14 +3,32 @@
 Each combines Select → Project → Transform in a single FlatMap (paper
 §3.1): filter by the element's pushed-down CNF, keep only the property
 keys later operators need, and emit an embedding.
+
+That flat-map is the *reference*.  A columnar run selects the surviving
+elements and gathers their rows from a table encoded once per graph
+(:class:`~repro.engine.columnar.ColumnarLeaf`): one dataflow node,
+:class:`_LeafOperator`, picks between the two.
 """
 
-from repro.cypher.predicates import compile_cnf
+from repro.cypher.predicates import (
+    compile_cnf,
+    equality_probe,
+    without_label_clause,
+)
+from repro.dataflow import DataSet
+from repro.dataflow.operators import Operator
 from repro.epgm.indexed import IndexedLogicalGraph
 
-from ..columnar import leaf_edge_kernel, leaf_vertex_kernel
+from ..columnar import ColumnarLeaf, ColumnarPartition
 from ..embedding import Embedding, ElementBindings, EmbeddingMetaData
 from .base import EmbeddingLayout, PhysicalOperator
+
+
+def _label_scoped(graph, labels):
+    """Whether :func:`_label_scoped_dataset` holds ``labels`` alone."""
+    return bool(labels) and (
+        isinstance(graph, IndexedLogicalGraph) or len(labels) == 1
+    )
 
 
 def _label_scoped_dataset(graph, labels, kind):
@@ -21,12 +39,52 @@ def _label_scoped_dataset(graph, labels, kind):
     """
     by_label = graph.vertices_by_label if kind == "v" else graph.edges_by_label
     full = graph.vertices if kind == "v" else graph.edges
-    if labels and (isinstance(graph, IndexedLogicalGraph) or len(labels) == 1):
+    if _label_scoped(graph, labels):
         dataset = by_label(labels[0])
         for label in labels[1:]:
             dataset = dataset.union(by_label(label))
         return dataset
     return full
+
+
+class _LeafOperator(Operator):
+    """The dataflow node of one leaf: columnar kernel or reference.
+
+    Its parent is the label-scoped element dataset; its one sub-plan,
+    ``reference``, is the per-record flat-map over that parent, and runs
+    whenever the run is not columnar (per-record, batched, sanitized,
+    shared-cache).  A columnar run hands the parent's partitions to the
+    kernel — in the serving process also when a pool is attached, its cost
+    being its output — and records the flat-map's run: elements in, rows
+    out.  Partition ``p`` of the parent is the same element list in every
+    run, which is what lets the kernel keep partition ``p``'s encoded rows.
+    """
+
+    display = "leaf"
+
+    def __init__(self, environment, parent, reference, kernel):
+        super().__init__(environment, [parent], reference.name)
+        #: the one sub-plan this node evaluates itself: the reference
+        self.subplans = (reference,)
+        self.kernel = kernel
+
+    def execute(self, ctx, parent_partition_sets):
+        (partitions,) = parent_partition_sets
+        if not ctx.columnar:
+            (reference,) = self.subplans
+            return ctx.evaluate(reference, {self.parents[0].id: partitions})
+        if self.kernel.tables is None:
+            ctx.count_fallback("leaf_no_table")
+        chunks = self._call(self.kernel.run, partitions, ctx.cancellation)
+        ctx.record_stage_run(
+            self.name,
+            [len(partition) for partition in partitions],
+            [chunk.count for chunk in chunks],
+        )
+        return [
+            ColumnarPartition([chunk] if chunk.count else [])
+            for chunk in chunks
+        ]
 
 
 class _ElementLeaf(PhysicalOperator):
@@ -52,6 +110,35 @@ class _ElementLeaf(PhysicalOperator):
 
     def _morphism_ok(self, vertex_iso):
         return True  # one vertex column is trivially injective
+
+    def _leaf_dataset(self, kind, labels, transform, orient, *orientation):
+        """The leaf's dataset: ``transform`` is the per-record flat-map
+        function, ``orient(element)`` the id tuples the element emits
+        (what ``orientation``, the flags it closes over, decides)."""
+        graph = self.graph
+        element = self._element()
+        variable = element.variable
+        source = _label_scoped_dataset(graph, labels, kind)
+        reference = source.flat_map(
+            transform, name="%s(%s)" % (self.display, variable)
+        )
+        residual = element.predicates
+        if _label_scoped(graph, labels):
+            # the dataset is the label check; the kernel does not repeat it
+            residual = without_label_clause(residual, variable, labels)
+        kernel = ColumnarLeaf(
+            graph if isinstance(graph, IndexedLogicalGraph) else None,
+            (kind, tuple(labels), tuple(self.property_keys)) + orientation,
+            variable,
+            None if residual.is_trivial else compile_cnf(residual),
+            equality_probe(residual, variable),
+            orient,
+            len(self._entries()),
+            self.property_keys,
+        )
+        return DataSet(graph.environment, _LeafOperator(
+            graph.environment, source.operator, reference.operator, kernel
+        ))
 
     def derive_layout(self, child_layouts, vertex_iso, flag):
         variable = self._element().variable
@@ -155,15 +242,9 @@ class SelectAndProjectVertices(_ElementLeaf):
                 )
             return [embedding]
 
-        # columnar fused chains bulk-build the surviving rows into one
-        # chunk; the per-element CNF (label fast path included) is shared
-        select_project_transform.columnar_leaf = leaf_vertex_kernel(
-            variable, keep, keys
-        )
-
-        source = _label_scoped_dataset(self.graph, self.query_vertex.labels, "v")
-        return source.flat_map(
-            select_project_transform, name="SelectAndProjectVertices(%s)" % variable
+        return self._leaf_dataset(
+            "v", self.query_vertex.labels, select_project_transform,
+            lambda vertex: ((vertex.id.value,),),
         )
 
     def describe(self):
@@ -260,13 +341,23 @@ class SelectAndProjectEdges(_ElementLeaf):
                 results.append(embedding)
             return results
 
-        select_project_transform.columnar_leaf = leaf_edge_kernel(
-            variable, keep, keys, is_loop, undirected, distinct_endpoints
-        )
+        def orient(edge):
+            source, target = edge.source_id.value, edge.target_id.value
+            if source == target:
+                if distinct_endpoints:
+                    return ()
+                return ((source, edge.id.value) if is_loop
+                        else (source, edge.id.value, target),)
+            if is_loop:
+                return ()
+            if undirected:
+                return ((source, edge.id.value, target),
+                        (target, edge.id.value, source))
+            return ((source, edge.id.value, target),)
 
-        source = _label_scoped_dataset(self.graph, self.query_edge.types, "e")
-        return source.flat_map(
-            select_project_transform, name="SelectAndProjectEdges(%s)" % variable
+        return self._leaf_dataset(
+            "e", self.query_edge.types, select_project_transform, orient,
+            is_loop, undirected, distinct_endpoints,
         )
 
     def describe(self):

@@ -8,14 +8,25 @@ dataset instead of scanning (and filtering) the union of all elements.
 The index also keeps the edge relation *resident*: one :class:`Adjacency`
 (compressed sparse rows) per edge label and direction, built once, which a
 variable-length expansion walks instead of re-shuffling the edge bag every
-superstep.
+superstep.  Beside it sits a bounded memo of *derived* structures the
+engine builds on first use — the encoded table of a leaf, the value index
+of a property key — which are functions of the elements alone and are
+dropped as one when the elements change (:meth:`drop_resident`).
 """
 
+from collections import OrderedDict
 from operator import attrgetter
 
 import numpy as np
 
+from repro.locks import named_lock
+
 from .logical_graph import LogicalGraph
+
+#: derived structures one graph keeps; the least recently used goes first.
+#: A schema's (label, key-set) pairs stay far below it — the bound is for
+#: traffic that enumerates key subsets
+_RESIDENT_CAPACITY = 64
 
 
 class Adjacency:
@@ -69,6 +80,13 @@ class IndexedLogicalGraph(LogicalGraph):
         self._edge_index = {}
         #: label -> (edge list, forward Adjacency, reverse Adjacency)
         self._adjacency = {}
+        self._resident_lock = named_lock("graph.resident")
+        #: ``(family, ...)`` -> derived structure, least recently used first
+        self._resident = OrderedDict()  # guarded-by: _resident_lock
+        #: how the columnar leaves that ran on this graph picked their rows
+        self._leaf_selects = dict.fromkeys(  # guarded-by: _resident_lock
+            ("all_rows", "probes", "scans"), 0
+        )
 
     @classmethod
     def from_logical_graph(cls, graph):
@@ -167,6 +185,46 @@ class IndexedLogicalGraph(LogicalGraph):
                 for entry in self._adjacency.values()
             ),
         }
+
+    def resident(self, key, build, select=None):
+        """The derived structure ``key`` names, ``build()`` on first use.
+
+        ``key[0]`` is its family (``"table"`` / ``"index"``).  The build
+        runs under the lock, so threads racing for a first use build one
+        structure, not two; a build that raises (a deadline) leaves
+        nothing behind.  ``select`` counts a leaf execution's outcome.
+        """
+        with self._resident_lock:
+            if select is not None:
+                self._leaf_selects[select] += 1
+            found = self._resident.get(key)
+            if found is None:
+                found = self._resident[key] = build()
+                if len(self._resident) > _RESIDENT_CAPACITY:
+                    self._resident.popitem(last=False)
+            else:
+                self._resident.move_to_end(key)
+            return found
+
+    def drop_resident(self):
+        """Forget every derived structure: the elements changed in place."""
+        with self._resident_lock:
+            self._resident.clear()
+
+    def leaf_stats(self):
+        """``{tables, bytes, indexes}`` resident now, ``{all_rows, probes,
+        scans}`` leaf executions so far; ``bytes`` is the tables'."""
+        with self._resident_lock:
+            tables = [
+                table for key, table in self._resident.items()
+                if key[0] == "table"
+            ]
+            return dict(
+                self._leaf_selects,
+                tables=len(tables),
+                bytes=sum(table.nbytes for table in tables),
+                indexes=len(self._resident) - len(tables),
+            )
 
     @property
     def vertex_labels(self):

@@ -12,6 +12,7 @@ registry having to know which caches exist.
 """
 
 from repro.engine import GraphStatistics
+from repro.epgm.indexed import IndexedLogicalGraph
 from repro.locks import named_lock
 
 
@@ -67,14 +68,18 @@ class RegisteredGraph:
 
         Callers that change the data in place (or learn it changed) must
         call this; cached plans and results keyed on the old version
-        become unreachable and age out of their LRU caches.  Returns the
-        new version.  The read-bump-return runs under the entry lock, so
-        concurrent touches never lose a bump (every caller gets a
+        become unreachable and age out of their LRU caches, and what the
+        graph derived from the old data (leaf tables, value indexes) is
+        dropped, so the plans compiled next read the new data.  Returns
+        the new version.  The read-bump-return runs under the entry lock,
+        so concurrent touches never lose a bump (every caller gets a
         distinct version).
         """
         with self._lock:
             statistics = self._statistics_locked()
             statistics.version += 1
+            if isinstance(self.graph, IndexedLogicalGraph):
+                self.graph.drop_resident()
             return statistics.version
 
     def replace(self, graph, statistics=None):

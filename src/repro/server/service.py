@@ -522,13 +522,21 @@ class QueryService:
         snapshot["engine"]["mode"] = "/".join(sorted({
             self._mode(entry.graph.environment) for entry in entries
         }))
-        # what the registered graphs keep resident for expansions
+        # what the registered graphs keep resident: the adjacency for
+        # expansions, the tables and value indexes of the leaves (and how
+        # the leaves that ran selected their rows)
         adjacency = {"labels": 0, "edges": 0, "bytes": 0}
+        leaves = dict.fromkeys(
+            ("tables", "bytes", "indexes", "all_rows", "probes", "scans"), 0
+        )
         for entry in entries:
             if isinstance(entry.graph, IndexedLogicalGraph):
                 for key, value in entry.graph.adjacency_stats().items():
                     adjacency[key] += value
+                for key, value in entry.graph.leaf_stats().items():
+                    leaves[key] += value
         snapshot["engine"]["adjacency"] = adjacency
+        snapshot["engine"]["leaves"] = leaves
         snapshot["capacity"] = {
             "max_concurrency": self.max_concurrency,
             "max_queue": self.max_queue,

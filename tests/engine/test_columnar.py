@@ -46,7 +46,8 @@ from repro.engine.planning import (
     GreedyPlanner,
     LeftDeepPlanner,
 )
-from repro.epgm import GradoopId, PropertyValue
+from repro.epgm import Edge, GradoopId, LogicalGraph, PropertyValue, Vertex
+from repro.epgm.indexed import IndexedLogicalGraph
 from repro.harness.queries import ALL_QUERIES, instantiate
 from repro.ldbc import LDBCGenerator
 
@@ -498,6 +499,145 @@ def test_columnar_equals_per_record(graphs, name, planner_cls, strategy):
     else:
         # byte-exact, same order: the kernels are drop-in replacements
         assert _canon(columnar_embeddings) == _canon(per_record_embeddings)
+
+
+# The resident leaf (select, then gather from the table encoded once) is
+# pinned against the per-record flat-map on a graph made of its corner
+# cases: a key some elements lack, 1 / 1.0 / true and lists under one key,
+# self-loops, an unlabelled vertex, ids >= 2**63, partitions longer than
+# the batch size.
+
+_BIG = 2**63 + 5
+
+
+def _leaf_graph(parallelism, graph_cls=IndexedLogicalGraph):
+    environment = ExecutionEnvironment(parallelism=parallelism, batch_size=2)
+    ks = [1.0, 1, True, "x", [1, 2], None, 2, "x", 1.0, [1, 2], 7, False]
+    vertices = []
+    for n, k in enumerate(ks):
+        properties = {"n": n, "s": ("ab" if n % 3 == 0 else "cd") + str(n)}
+        if k is not None:
+            properties["k"] = k
+        vertices.append(Vertex(GradoopId(n + 1), "A", properties))
+    vertices.append(Vertex(GradoopId(_BIG), "A", {"n": 100, "k": "x"}))
+    vertices += [Vertex(GradoopId(50 + n), "B", {"n": n}) for n in range(3)]
+    vertices.append(Vertex(GradoopId(90), "", {"n": 5}))
+
+    def edge(edge_id, label, source, target, **properties):
+        return Edge(
+            GradoopId(edge_id), label, GradoopId(source), GradoopId(target),
+            properties or None,
+        )
+
+    edges = [
+        edge(200, "x", 1, 2, w=1), edge(201, "x", 2, 2, w=2),
+        edge(202, "x", 3, 1), edge(203, "x", _BIG, 4, w=2),
+        edge(204, "x", 5, 5), edge(205, "x", 4, _BIG, w=2.0),
+        edge(206, "y", 1, 50, w=2), edge(207, "y", 51, 51),
+        edge(2**63 + 9, "x", 6, 7, w=3),
+    ]
+    return graph_cls.from_collections(environment, vertices, edges)
+
+
+@pytest.fixture(scope="module")
+def leaf_graphs():
+    return {parallelism: _leaf_graph(parallelism) for parallelism in (1, 4)}
+
+
+LEAF_QUERIES = [
+    # what is projected: zero, one, several keys; a key some lack
+    "MATCH (v:A) RETURN *",
+    "MATCH (v:A) RETURN v.k",
+    "MATCH (v:A) RETURN v.k, v.n, v.s",
+    # what is scanned: an alternation, an absent label, no label
+    "MATCH (v:A|B) RETURN v.n",
+    "MATCH (v:Nope) RETURN v.n",
+    "MATCH (v) RETURN v.n",
+    # probes: the index holds 1 / 1.0 / true and lists under one key
+    "MATCH (v:A) WHERE v.k = 1 RETURN v.k",
+    "MATCH (v:A) WHERE v.k = true RETURN v.k",
+    "MATCH (v:A) WHERE v.k = 'x' RETURN v.n",
+    "MATCH (v:A) WHERE v.k = [1, 2] RETURN v.k",
+    "MATCH (v:A {k: 'x'}) WHERE v.n > 3 RETURN v.n",
+    "MATCH (v:A|B) WHERE v.n = 1 RETURN v.n",
+    "MATCH (v) WHERE v.n = 5 RETURN v.n",
+    # scans: everything that is not one `key = value` clause
+    "MATCH (v:A) WHERE v.n <> 3 RETURN v.n",
+    "MATCH (v:A) WHERE v.n > 2 AND v.n <= 7 RETURN v.s",
+    "MATCH (v:A) WHERE v.n = 1 OR v.s = 'ab3' RETURN v.s",
+    "MATCH (v:A) WHERE v.n IN [1, 2, 99] RETURN v.n",
+    "MATCH (v:A) WHERE v.s STARTS WITH 'ab' RETURN v.s",
+    # edge leaves: directed (distinct endpoints under isomorphism),
+    # undirected over a self-loop, a loop edge, alternation, no type
+    "MATCH (a)-[e:x]->(b) RETURN *",
+    "MATCH (a)-[e:x]-(b) RETURN e.w",
+    "MATCH (a)-[e:x]->(a) RETURN e.w",
+    "MATCH (a)-[e:x|y]->(b) WHERE e.w = 2 RETURN e.w",
+    "MATCH (a)-[e:x|y]-(b) WHERE e.w = 2 RETURN e.w",
+    "MATCH (a)-[e]->(b) RETURN *",
+    "MATCH (a)-[e:nope]->(b) RETURN *",
+]
+
+
+def _leaf_runners(graph, strategy):
+    options = dict(vertex_strategy=strategy, edge_strategy=strategy)
+    return (
+        CypherRunner(graph, fused=True, **options),
+        CypherRunner(graph, fused=False, **options),
+    )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
+@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize("query", LEAF_QUERIES)
+def test_resident_leaf_equals_per_record(
+    leaf_graphs, query, parallelism, strategy
+):
+    graph = leaf_graphs[parallelism]
+    columnar, per_record = _leaf_runners(graph, strategy)
+    with graph.environment.job("columnar") as metrics:
+        columnar_embeddings, _ = columnar.execute_embeddings(query)
+    per_record_embeddings, _ = per_record.execute_embeddings(query)
+    assert not any(metrics.chunk_fallbacks.values())
+    assert _canon(columnar_embeddings) == _canon(per_record_embeddings)
+
+
+def test_leaf_without_tables_scans_and_encodes():
+    # a graph built in code keeps no tables: same two functions, per
+    # request, and the run says so
+    graph = _leaf_graph(4, LogicalGraph)
+    columnar, per_record = _leaf_runners(graph, MatchStrategy.ISOMORPHISM)
+    for query in LEAF_QUERIES:
+        with graph.environment.job("columnar") as metrics:
+            columnar_embeddings, _ = columnar.execute_embeddings(query)
+        per_record_embeddings, _ = per_record.execute_embeddings(query)
+        assert _canon(columnar_embeddings) == _canon(per_record_embeddings)
+        assert {k for k, v in metrics.chunk_fallbacks.items() if v} == {
+            "leaf_no_table"
+        }, query
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_rebound_parameter_probes_one_plan(leaf_graphs, parallelism):
+    graph = leaf_graphs[parallelism]
+    columnar, per_record = _leaf_runners(graph, MatchStrategy.HOMOMORPHISM)
+    text = "MATCH (v:A) WHERE v.k = $p RETURN v.k, v.n"
+    statement, reference = columnar.prepare(text), per_record.prepare(text)
+    before = graph.leaf_stats()
+    # 1 meets the stored 1.0s (and not true), true not the stored 1s,
+    # NULL equals nothing, a list is a value like any other
+    sizes = []
+    for value in (1, "x", "nothing", None, True, [1, 2], 1.0):
+        embeddings = statement.run({"p": value})[0]
+        assert _canon(embeddings) == _canon(reference.run({"p": value})[0])
+        sizes.append(len(embeddings))
+    assert sizes == [3, 3, 0, 0, 1, 2, 3]
+    after = graph.leaf_stats()
+    assert after["probes"] - before["probes"] == 7
+    assert after["scans"] == before["scans"]
+    # one table and one index, whatever was bound
+    assert after["tables"] - before["tables"] <= 1
+    assert after["indexes"] - before["indexes"] <= 1
 
 
 def test_sanitized_run_equals_columnar(graphs):

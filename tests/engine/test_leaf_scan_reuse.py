@@ -1,5 +1,10 @@
-"""Tests for shared leaf scans (recurring-subquery reuse, paper §5)."""
+"""Tests for shared leaf scans (recurring-subquery reuse, paper §5) and
+for what outlives a plan: the leaf tables a label-indexed graph keeps."""
 
+import threading
+import time
+
+import pytest
 
 from repro.cypher import QueryHandler
 from repro.engine import (
@@ -8,6 +13,8 @@ from repro.engine import (
     GreedyPlanner,
     canonical_rows_from_embeddings,
 )
+from repro.engine.columnar import ColumnarLeaf
+from repro.epgm import IndexedLogicalGraph, indexed
 
 TRIANGLE = (
     "MATCH (p1:Person)-[:knows]->(p2:Person),"
@@ -99,3 +106,94 @@ def test_signature_distinguishes_property_keys(figure1_graph):
     signatures = list(planner._leaf_dataset_cache)
     vertex_signatures = [s for s in signatures if s[0] == "v"]
     assert len(vertex_signatures) == 2
+
+
+# --- resident leaf tables: what a graph keeps, and for how long --------------
+
+
+@pytest.fixture
+def indexed_graph(figure1_graph):
+    return IndexedLogicalGraph.from_logical_graph(figure1_graph)
+
+
+NAMED = "MATCH (p:Person) WHERE p.name = $name RETURN p.name, p.gender"
+
+
+def test_second_execution_builds_no_table(indexed_graph):
+    statement = CypherRunner(indexed_graph).prepare(NAMED)
+    statement.run({"name": "Alice"})
+    first = indexed_graph.leaf_stats()
+    assert (first["tables"], first["indexes"], first["probes"]) == (1, 1, 1)
+    assert first["bytes"] > 0
+    statement.run({"name": "Eve"})
+    # ... nor does a second plan over the same leaf: the tables are the
+    # graph's, not the plan's
+    CypherRunner(indexed_graph).execute_embeddings(
+        "MATCH (q:Person) WHERE q.gender = 'male' RETURN q.name, q.gender"
+    )
+    later = indexed_graph.leaf_stats()
+    assert (later["tables"], later["bytes"]) == (first["tables"], first["bytes"])
+    assert (later["indexes"], later["probes"]) == (2, 3)
+
+
+def test_adhoc_literals_leave_the_tables_alone(indexed_graph):
+    runner = CypherRunner(indexed_graph)
+    sizes = set()
+    for number in range(1000):
+        embeddings, _ = runner.execute_embeddings(
+            "MATCH (p:Person) WHERE p.name = 'nobody-%d' RETURN p.name" % number
+        )
+        assert not embeddings
+        stats = indexed_graph.leaf_stats()
+        sizes.add((stats["tables"], stats["bytes"], stats["indexes"]))
+    assert len(sizes) == 1 and stats["probes"] == 1000
+
+
+def test_key_subsets_are_bounded(indexed_graph):
+    # every subset of projected keys is its own table; the graph keeps a
+    # fixed number of them, least recently used first out
+    runner = CypherRunner(indexed_graph)
+    keys = ["name", "gender", "yob", "a", "b", "c", "d"]
+    for mask in range(1, 2 ** len(keys)):
+        chosen = [key for bit, key in enumerate(keys) if mask >> bit & 1]
+        runner.execute_embeddings(
+            "MATCH (p:Person) RETURN %s" % ", ".join("p." + k for k in chosen)
+        )
+    assert indexed_graph.leaf_stats()["tables"] == indexed._RESIDENT_CAPACITY
+    assert len(runner.execute_table("MATCH (p:Person) RETURN p.name")) == 3
+
+
+def test_racing_first_uses_build_one_table(indexed_graph, monkeypatch):
+    encoded = []
+    encode = ColumnarLeaf.encode
+
+    def slow_encode(self, elements):
+        encoded.append(len(elements))
+        time.sleep(0.01)  # hold the build open for the other thread
+        return encode(self, elements)
+
+    monkeypatch.setattr(ColumnarLeaf, "encode", slow_encode)
+    statements = [
+        CypherRunner(indexed_graph).prepare(NAMED) for _ in range(2)
+    ]
+    barrier = threading.Barrier(2)
+    results = []
+
+    def first_use(statement):
+        barrier.wait(timeout=30)
+        results.append(statement.run({"name": "Bob"})[0])
+
+    threads = [
+        threading.Thread(target=first_use, args=(statement,))
+        for statement in statements
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert len(results) == 2 and results[0] == results[1]
+    assert indexed_graph.leaf_stats()["tables"] == 1
+    # one encode per partition of the one table, not two
+    assert len(encoded) == indexed_graph.environment.parallelism
+

@@ -1,11 +1,13 @@
 """QueryService: admission control, deadlines, caching, lifecycle."""
 
 import threading
+import time
 
 import pytest
 
 from repro.dataflow import QueryTimeout
 from repro.engine import CypherRunner
+from repro.engine.columnar import ColumnarLeaf
 from repro.epgm import IndexedLogicalGraph
 from repro.server import (
     AdmissionError,
@@ -139,6 +141,58 @@ class TestResultCache:
         after = caching_service.execute("fig1", PARAM_QUERY, {"name": "Alice"})
         assert after.result_cache_hit is False
 
+    def test_touch_drops_what_the_graph_derived(self, figure1_graph):
+        # a property set in place: without the drop, the statement would
+        # go on answering from the old leaf table and value index
+        graph = IndexedLogicalGraph.from_logical_graph(figure1_graph)
+        registry = GraphRegistry()
+        entry = registry.register("fig1", graph)
+
+        def names(service, handle, name):
+            result = service.execute_prepared(
+                handle.statement_id, {"name": name}
+            )
+            return [row["p.name"] for row in result.rows]
+
+        with QueryService(registry) as service:
+            handle = service.prepare("fig1", PARAM_QUERY)
+            assert names(service, handle, "Alice") == ["Alice"]
+            assert graph.leaf_stats()["tables"] == 1
+            (alice,) = [
+                vertex for vertex in graph.collect_vertices()
+                if vertex.get_property("name").raw() == "Alice"
+            ]
+            alice.set_property("name", "Alicia")
+            entry.touch()
+            assert graph.leaf_stats()["tables"] == 0
+            assert names(service, handle, "Alicia") == ["Alicia"]
+            assert names(service, handle, "Alice") == []
+
+    def test_deadline_during_a_table_build_spares_the_next_request(
+        self, figure1_graph, monkeypatch
+    ):
+        registry = GraphRegistry()
+        registry.register(
+            "fig1", IndexedLogicalGraph.from_logical_graph(figure1_graph)
+        )
+        encode = ColumnarLeaf.encode
+
+        def slow_encode(self, elements):
+            time.sleep(0.2)  # the first partition outlives the deadline
+            return encode(self, elements)
+
+        monkeypatch.setattr(ColumnarLeaf, "encode", slow_encode)
+        with QueryService(registry) as service:
+            with pytest.raises(QueryTimeout):
+                service.execute("fig1", PLAIN_QUERY, timeout=0.1)
+            assert service.metrics.snapshot()["timeouts"] == 1
+            # the abandoned build left nothing behind
+            assert not service.metrics_snapshot()["engine"]["leaves"]["tables"]
+            monkeypatch.undo()
+            assert service.execute("fig1", PLAIN_QUERY).row_count == 3
+            leaves = service.metrics_snapshot()["engine"]["leaves"]
+        assert (leaves["tables"], leaves["all_rows"]) == (1, 2)
+
 
 class TestAdmissionControl:
     def test_saturated_service_fast_fails(self, registry):
@@ -230,14 +284,19 @@ class TestLifecycle:
         assert snapshot["latency"]["count"] == 1
 
     def test_metrics_name_the_engine_mode_and_count_fallbacks(self, service):
-        # every stage of a plain join has a chunk kernel ...
+        # every stage of a plain join has a chunk kernel; over a graph
+        # built in code its three leaves have no resident table to gather
+        # from and say so — they scan and encode per request ...
         service.execute(
             "fig1", "MATCH (a:Person)-[:knows]->(b:Person) RETURN a.name"
         )
         engine = service.metrics_snapshot()["engine"]
         assert engine["mode"] == "columnar"
-        assert not any(engine["chunk_fallbacks"].values())
+        assert {k: v for k, v in engine["chunk_fallbacks"].items() if v} == {
+            "leaf_no_table": 3
+        }
         assert engine["adjacency"] == {"labels": 0, "edges": 0, "bytes": 0}
+        assert not any(engine["leaves"].values())
         # ... a variable-length expansion over a graph built in code has
         # no resident adjacency to walk: it runs the iterated join, under
         # its own reason, and the join around it meets a per-record side
