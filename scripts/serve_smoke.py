@@ -17,7 +17,13 @@ per record and re-encoded under ``--no-columnar``).  One variable-length
 request (``knows*1..3`` from a bound name) must return the rows of the
 per-record reference loop, computed in this process — on the default
 engine as chunks from the expand kernel, with no fallback counted; under
-``--no-columnar`` from the reference loop itself.
+``--no-columnar`` from the reference loop itself.  One fixed-length
+pattern and one triangle must return the per-record reference's rows too
+(so every leg agrees with every other): on the default engine — and with
+``--workers 2``, where the kernel runs in the serving process — as a hop
+over the resident adjacency and a probe of its pair index
+(``engine.adjacency.hop_joins`` / ``pair_joins`` grow, no fallback is
+counted); under ``--no-columnar`` both counters stay 0.
 
 Run directly (``python scripts/serve_smoke.py``) or via ``make
 serve-smoke``.  Any extra command-line arguments are forwarded to the
@@ -55,6 +61,11 @@ BIG_QUERY = (
 PATH_QUERY = (
     "MATCH (p:Person)-[:knows*1..3]->(q:Person) "
     "WHERE p.firstName = $name RETURN *"
+)
+JOIN_QUERIES = (
+    "MATCH (p:Person)-[:knows]->(q:Person) RETURN p.firstName, q.firstName",
+    "MATCH (a:Person)-[:knows]->(b:Person), (b)-[:knows]->(c:Person), "
+    "(a)-[:knows]->(c) RETURN a.firstName, b.firstName, c.firstName",
 )
 STARTUP_TIMEOUT = 60.0
 SHUTDOWN_TIMEOUT = 30.0
@@ -255,12 +266,14 @@ def main():
                 "graph": "smoke", "query": PATH_QUERY,
                 "parameters": {"name": rare_name},
             })
-            reference = CypherRunner(
+            per_record = CypherRunner(
                 CSVDataSource(graph_dir).get_logical_graph(
                     ExecutionEnvironment()
                 ),
                 fused=False,
-            ).execute_table(PATH_QUERY, {"name": rare_name})
+            )
+            reference = per_record.execute_table(
+                PATH_QUERY, {"name": rare_name})
             canonical = json.JSONEncoder(sort_keys=True, default=str).encode
             check(status == 200 and paths["row_count"] > 0
                   and sorted(map(canonical, paths["rows"]))
@@ -280,6 +293,32 @@ def main():
             check(engine["adjacency"]["edges"] > 0
                   and engine["adjacency"]["bytes"] > 0,
                   "resident adjacency %s" % engine["adjacency"])
+            # fixed-length edges: a hop, and a pair probe for the edge
+            # that closes the triangle, in place of edge-leaf hash joins
+            before = engine
+            for text in JOIN_QUERIES:
+                status, joined = http("POST", base + "/query", {
+                    "graph": "smoke", "query": text,
+                })
+                check(status == 200 and joined["row_count"] > 0
+                      and sorted(map(canonical, joined["rows"]))
+                      == sorted(map(canonical, per_record.execute_table(text))),
+                      "%d rows, the per-record reference's multiset: %s"
+                      % (joined["row_count"], text[:48]))
+            engine = http("GET", base + "/metrics")[1]["engine"]
+            grown = {
+                key: engine["adjacency"][key] - before["adjacency"][key]
+                for key in ("hop_joins", "pair_joins")
+            }
+            if "--no-columnar" in extra_args:
+                check(not any(grown.values())
+                      and not engine["adjacency"]["hop_joins"],
+                      "the batched path joins no adjacency: %s" % grown)
+            else:
+                check(grown["hop_joins"] >= 3 and grown["pair_joins"] >= 1
+                      and engine["chunk_fallbacks"]
+                      == before["chunk_fallbacks"],
+                      "joined through the adjacency, no fallback: %s" % grown)
 
             check(metrics["plan_cache"]["hits"] >= 1,
                   "plan cache saw warm hits")

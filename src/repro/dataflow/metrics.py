@@ -66,10 +66,12 @@ class OperatorRun:
 #: join — its input already carries a PATH column an isomorphism strategy
 #: must read, or its graph has no resident adjacency (not label-indexed) —
 #: or a leaf scanned and encoded its survivors because its graph keeps no
-#: leaf tables (not label-indexed: still chunks out, but per request)
+#: leaf tables (not label-indexed: still chunks out, but per request), or
+#: a join hashed an edge leaf for want of an adjacency to walk (likewise)
 CHUNK_FALLBACK_REASONS = (
     "non_uniform_batch", "no_kernel", "path_join",
     "expand_base_path", "expand_no_adjacency", "leaf_no_table",
+    "join_no_adjacency",
 )
 
 

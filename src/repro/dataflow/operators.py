@@ -50,9 +50,13 @@ class ExecutionContext:
     """Per-run services handed to operators: shuffling, metrics, memory."""
 
     def __init__(self, environment, metrics, iteration=None, cancellation=None,
-                 fused=False, batch_size=None, pool=None, columnar=False):
+                 fused=False, batch_size=None, pool=None, columnar=False,
+                 subplans=None):
         self._environment = environment
         self._metrics = metrics
+        #: operator id → partitions of the ``Operator.subplans`` this run
+        #: evaluated: shared, so a scan two of them read still runs once
+        self.subplans = {} if subplans is None else subplans
         self.iteration = iteration
         #: :class:`~repro.dataflow.cancellation.CancellationToken` or None.
         #: Operators read it into a local and poll at batch boundaries;
@@ -83,7 +87,7 @@ class ExecutionContext:
         options = dict(
             iteration=self.iteration, cancellation=self.cancellation,
             fused=self.fused, batch_size=self.batch_size, pool=self.pool,
-            columnar=self.columnar,
+            columnar=self.columnar, subplans=self.subplans,
         )
         options.update(overrides)
         return ExecutionContext(self._environment, self._metrics, **options)
@@ -635,6 +639,10 @@ class JoinOperator(Operator):
             # chunks decode to feed a join without a chunk kernel (the
             # engine compiles none for PATH-bearing sides)
             ctx.count_fallback("path_join")
+        declared = getattr(self.join_fn, "columnar_fallback", None)
+        if ctx.columnar and declared is not None:
+            # the engine compiled this join in place of a cheaper kernel
+            ctx.count_fallback(declared)
         stats = ShuffleStats(ctx.parallelism)
         pool = (
             ctx.pool if strategy is JoinStrategy.REPARTITION_HASH else None

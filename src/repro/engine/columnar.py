@@ -26,9 +26,10 @@ to the dataflow layer.  The dataflow layer discovers them with
 back to the per-record closures whenever a kernel is missing, the input
 is not columnar, or the run is sanitized (sanitized runs are per-record
 by construction, so the sanitizer always validates the decoded view).
-Leaves and expansions are dataflow nodes of their own that pick between
-a kernel compiled here (:class:`ColumnarLeaf`,
-:class:`ColumnarExpandSpec`) and their per-record reference sub-plan.
+Leaves, expansions and joins with an edge leaf are dataflow nodes of
+their own that pick between a kernel compiled here (:class:`ColumnarLeaf`,
+:class:`ColumnarExpandSpec`, :class:`ColumnarAdjacencyJoin`) and their
+per-record reference sub-plan.
 
 At the result boundary the same layout is read column-wise:
 :func:`id_column`, :func:`path_column` and :func:`property_column` decode
@@ -891,6 +892,29 @@ def _probe_runs(chunks) -> Iterator[EmbeddingChunk]:
         yield concat_chunks(run)
 
 
+def _fan_out(base, counts, token=None):
+    """The ``(row, position)`` pairs in which row ``i`` meets positions
+    ``base[i]`` to ``base[i] + counts[i]``, in order, about ``_OUTPUT_ROWS``
+    pairs a slice (whole rows) and one deadline poll each."""
+    ends = np.cumsum(counts)
+    start = done = 0
+    while start < len(counts):
+        if token is not None:
+            token.poll()
+        reach = np.searchsorted(ends, done + _OUTPUT_ROWS, "right")
+        stop = max(start + 1, int(reach))
+        total = int(ends[stop - 1]) - done
+        if total:
+            sliced = counts[start:stop]
+            # a pair's position: its row's base plus its rank in the row
+            first = ends[start:stop] - sliced - done
+            yield (
+                np.repeat(np.arange(start, stop), sliced),
+                np.arange(total) + np.repeat(base[start:stop] - first, sliced),
+            )
+        start, done = stop, done + total
+
+
 def _prop_rows(chunk):
     """``(per-row prop bytes, their lengths)`` of ``chunk``, or ``None``
     when it carries no property bytes."""
@@ -898,6 +922,17 @@ def _prop_rows(chunk):
         return None
     rows = _row_slices(chunk.prop_buf, chunk.prop_offsets, chunk.count)
     return rows, np.diff(chunk.prop_offsets)
+
+
+def _all_distinct(column, watches, kept=None):
+    """``kept`` and: within every watch list the columns ``column(i)``
+    yields differ pairwise, row by row (``None``: nothing to check)."""
+    for watch in watches:
+        for i, a in enumerate(watch):
+            for b in watch[i + 1:]:
+                distinct = column(a) != column(b)
+                kept = distinct if kept is None else kept & distinct
+    return kept
 
 
 class ColumnarJoinSpec:
@@ -948,8 +983,8 @@ class ColumnarJoinSpec:
 
         The build side is stable-sorted by key once; every run of probe
         chunks finds its match ranges with two ``searchsorted`` calls
-        and gathers both sides' rows by ``repeat``-expanded indexes,
-        about ``_OUTPUT_ROWS`` output rows at a time.  Output rows
+        and gathers both sides' rows by ``repeat``-expanded indexes
+        (:func:`_fan_out`).  Output rows
         therefore appear in exactly the order of the per-record
         ``_hash_join`` loop: probe rows in input order, each matched
         against build rows in build-insertion order.
@@ -972,46 +1007,23 @@ class ColumnarJoinSpec:
         build_props = _prop_rows(build)
         out_chunks = []
         for probe in _probe_runs(probe_chunks):
-            if token is not None:
-                # batch boundary: one poll per run of probe chunks
-                token.poll()
             if exact:
                 probe_keys = probe.values[:, probe_columns[0]]
             else:
                 probe_keys = _hash_keys(probe.values, probe_columns)
             low = np.searchsorted(sorted_keys, probe_keys, "left")
             matches = np.searchsorted(sorted_keys, probe_keys, "right") - low
-            ends = np.cumsum(matches)
             probe_props = _prop_rows(probe)
-            start = done = 0
-            while start < probe.count:
-                # the next probe rows with about _OUTPUT_ROWS matches
-                stop = max(
-                    start + 1,
-                    int(np.searchsorted(ends, done + _OUTPUT_ROWS, "right")),
-                )
-                total = int(ends[stop - 1]) - done
-                if total:
-                    counts = matches[start:stop]
-                    probe_rows = np.repeat(np.arange(start, stop), counts)
-                    # each output row's position in the sorted build side:
-                    # its probe row's ``low`` plus its rank among that
-                    # row's matches
-                    first = ends[start:stop] - counts - done
-                    build_rows = order[
-                        np.arange(total)
-                        + np.repeat(low[start:stop] - first, counts)
-                    ]
-                    sides = [
-                        (build, build_rows, build_props),
-                        (probe, probe_rows, probe_props),
-                    ]
-                    if not build_is_left:
-                        sides.reverse()
-                    chunk = self._merge(*sides, check_keys=not exact)
-                    if chunk is not None:
-                        out_chunks.append(chunk)
-                start, done = stop, done + total
+            for probe_rows, position in _fan_out(low, matches, token):
+                sides = [
+                    (build, order[position], build_props),
+                    (probe, probe_rows, probe_props),
+                ]
+                if not build_is_left:
+                    sides.reverse()
+                chunk = self._merge(*sides, check_keys=not exact)
+                if chunk is not None:
+                    out_chunks.append(chunk)
         return out_chunks
 
     def _merge(self, left_side, right_side, check_keys):
@@ -1036,11 +1048,9 @@ class ColumnarJoinSpec:
                 left[left_rows][:, self.left_columns]
                 == right[right_rows][:, self.right_columns]
             ).all(axis=1)
-        for watch in (self.vertex_columns, self.edge_columns):
-            for i, a in enumerate(watch):
-                for b in watch[i + 1:]:
-                    distinct = column(a) != column(b)
-                    kept = distinct if kept is None else kept & distinct
+        kept = _all_distinct(
+            column, (self.vertex_columns, self.edge_columns), kept
+        )
         if kept is not None and not kept.all():
             left_rows = left_rows[kept]
             right_rows = right_rows[kept]
@@ -1143,8 +1153,7 @@ class ColumnarExpandSpec:
 
     def hop(self, piece, emit, edge_mask, token, emitted):
         """The pieces one hop beyond ``piece``; with ``emit``, their result
-        chunks are appended to ``emitted``.  The fan-out is built about
-        ``_OUTPUT_ROWS`` candidates at a time, one deadline poll each."""
+        chunks are appended to ``emitted``."""
         chunk, origin, ends, path = piece
         if path.shape[1] and self.vertex_columns is not None:
             # the previous end becomes path-internal: it must be new
@@ -1152,39 +1161,17 @@ class ColumnarExpandSpec:
                 ends, chunk.values, origin, self.vertex_columns, path[:, 1::2]
             )
             origin, ends, path = origin[fresh], ends[fresh], path[fresh]
-        sources, offsets = self.adjacency.sources, self.adjacency.offsets
         pieces = []
-        if not (len(ends) and len(sources)):
-            return pieces
-        slot = np.minimum(np.searchsorted(sources, ends), len(sources) - 1)
-        degree = np.where(
-            sources[slot] == ends, offsets[slot + 1] - offsets[slot], 0
-        )
-        reached = np.cumsum(degree)
-        start = done = 0
-        while start < len(ends):
-            stop = max(
-                start + 1,
-                int(np.searchsorted(reached, done + _OUTPUT_ROWS, "right")),
+        for rows, position in _fan_out(
+            *self.adjacency.neighbours(ends), token
+        ):
+            extended = self._extend(
+                chunk, origin, ends, path, rows, position, edge_mask
             )
-            total = int(reached[stop - 1]) - done
-            if total:
-                if token is not None:
-                    token.poll()
-                counts = degree[start:stop]
-                rows = np.repeat(np.arange(start, stop), counts)
-                first = reached[start:stop] - counts - done
-                position = np.arange(total) + np.repeat(
-                    offsets[slot[start:stop]] - first, counts
-                )
-                extended = self._extend(
-                    chunk, origin, ends, path, rows, position, edge_mask
-                )
-                if len(extended[1]):
-                    pieces.append(extended)
-                    if emit:
-                        self._emit(extended, emitted)
-            start, done = stop, done + total
+            if len(extended[1]):
+                pieces.append(extended)
+                if emit:
+                    self._emit(extended, emitted)
         return pieces
 
     def _extend(self, chunk, origin, ends, path, rows, position, edge_mask):
@@ -1262,6 +1249,99 @@ class ColumnarExpandSpec:
             values, flags, path_buf, path_offsets,
             *_gather_buffer(chunk.prop_buf, chunk.prop_offsets, origin)
         ))
+
+
+# Adjacency join --------------------------------------------------------------
+
+#: output columns of an adjacency join that no input column feeds
+EDGE_ID, FAR_END = -1, -2
+
+
+class ColumnarAdjacencyJoin:
+    """Compiled chunk kernel of ``JoinEmbeddings(x, SelectAndProjectEdges)``
+    over a resident :class:`~repro.epgm.indexed.Adjacency`: the rows the
+    hash join of ``x`` with the edge leaf produces, without the leaf.
+
+    A join on one endpoint *hops* from input column ``near``; one on both
+    *probes* a :class:`~repro.epgm.indexed.PairIndex` with ``(near, far)``.
+    ``columns`` feeds each output column: an input column, :data:`EDGE_ID`
+    or :data:`FAR_END`; ``spec`` (the hash join's) names the watched ones.
+    """
+
+    __slots__ = ("adjacency", "near", "far", "take", "fresh",
+                 "edge_position", "far_position", "watches")
+
+    def __init__(self, adjacency, near, far, columns, spec):
+        self.adjacency = adjacency
+        self.near = near
+        #: the bound far endpoint of a closing join, else ``None``
+        self.far = far
+        self.take = np.maximum(columns, 0).astype(np.intp)
+        self.fresh = [at for at, feed in enumerate(columns) if feed < 0]
+        self.edge_position = columns.index(EDGE_ID)
+        self.far_position = columns.index(FAR_END) if far is None else None
+        self.watches = (spec.vertex_columns, spec.edge_columns)
+
+    def run(self, chunks, pairs, edge_mask, token):
+        """One partition's output chunks; ``pairs``: a closing join's."""
+        out = []
+        for probe in _probe_runs(chunks):
+            near = probe.values[:, self.near]
+            if pairs is None:
+                found = self.adjacency.neighbours(near)
+            else:
+                found = pairs.matches(near, probe.values[:, self.far])
+            kept, size = [], 0
+            for rows, position in _fan_out(*found, token):
+                if pairs is not None:
+                    position = pairs.order[position]
+                keep = self._admissible(probe.values, rows, position, edge_mask)
+                if keep is not None and not keep.all():
+                    rows, position = rows[keep], position[keep]
+                kept.append((rows, position))
+                size += len(rows)
+                if size >= _OUTPUT_ROWS:
+                    out.append(self._merge(probe, kept))
+                    kept, size = [], 0
+            if size:
+                out.append(self._merge(probe, kept))
+        # merged across slices and runs: a selective join would emit
+        # slivers, and every chunk costs its consumers a fixed amount
+        return list(_probe_runs(out))
+
+    def _admissible(self, values, rows, position, edge_mask):
+        """Per candidate: edge mask and morphism check pass (``None``: all)."""
+        adjacency, take = self.adjacency, self.take
+
+        def column(index):
+            if index == self.edge_position:
+                return adjacency.edge_ids[position]
+            if index == self.far_position:
+                return adjacency.targets[position]
+            return values[rows, take[index]]
+
+        keep = None
+        if edge_mask is not None:
+            keep = edge_mask[adjacency.edge_rows[position]]
+        return _all_distinct(column, self.watches, keep)
+
+    def _merge(self, probe, kept):
+        """The output chunk of ``(rows, position)`` survivor slices."""
+        rows, position = (np.concatenate(side) for side in zip(*kept))
+        # the input's PATH entries are row-relative: they move as they are
+        carried = probe.gather(rows)
+        values = carried.values.take(self.take, axis=1)
+        values[:, self.edge_position] = self.adjacency.edge_ids[position]
+        if self.far_position is not None:
+            values[:, self.far_position] = self.adjacency.targets[position]
+        flags = carried.flags
+        if flags is not None:
+            flags = flags.take(self.take, axis=1)
+            flags[:, self.fresh] = FLAG_ID
+        return EmbeddingChunk(
+            values, flags, carried.path_buf, carried.path_offsets,
+            carried.prop_buf, carried.prop_offsets,
+        )
 
 
 def columnar_join_spec(

@@ -12,14 +12,14 @@ end.
 That dataflow is the *reference*.  A columnar run over a label-indexed
 graph takes the same supersteps as a chunk kernel over the graph's
 resident adjacency instead (:class:`~repro.engine.columnar.ColumnarExpandSpec`):
-one dataflow node, :class:`_ExpandOperator`, picks between the two.
+one dataflow node, a :class:`~.leaves.LoweredOperator`, picks between the
+two.
 """
 
-import numpy as np
+from functools import partial
 
-from repro.cypher.predicates import compile_cnf, without_label_clause
+from repro.cypher.predicates import compile_cnf
 from repro.dataflow import DataSet
-from repro.dataflow.operators import Operator
 from repro.epgm import GradoopId
 from repro.epgm.indexed import IndexedLogicalGraph
 
@@ -27,83 +27,47 @@ from ..columnar import ColumnarExpandSpec, ColumnarPartition
 from ..embedding import ElementBindings
 from ..morphism import MatchStrategy
 from .base import EmbeddingLayout, PhysicalOperator
-from .leaves import _label_scoped_dataset
+from .leaves import LoweredOperator, _label_scoped_dataset, edge_mask
 
 
-class _ExpandOperator(Operator):
-    """The dataflow node of one expansion: kernel or reference loop.
+def _run_kernel(kernel, edge_mask, ctx, partitions):
+    """The supersteps of ``kernel`` over chunk ``partitions``: one
+    ``ExpandEmbeddings:hop`` run each, the frontier in and out, no
+    shuffle."""
+    token = ctx.cancellation
+    # once per execution: re-bound $parameters keep one plan
+    edge_mask = edge_mask and edge_mask()
+    out = [[] for _ in partitions]
+    frontier = [
+        kernel.start(partition.chunks, emitted)
+        for partition, emitted in zip(partitions, out)
+    ]
 
-    Its one sub-plan, ``reference``, is the root of the iterated-join
-    dataflow built over this node's own parent.  It runs whenever the
-    kernel does not: a run that is not columnar (per-record, batched,
-    sanitized, shared-cache), and the counted fallbacks of a columnar
-    run — no compiled kernel (``fallback`` names why) or an input that
-    is not chunks.  The kernel records one ``ExpandEmbeddings:hop`` run
-    per superstep: the frontier in and out, no shuffle.
-    """
+    def sizes():
+        return [sum(len(piece[1]) for piece in pieces) for pieces in frontier]
 
-    display = "expand"
-
-    def __init__(self, environment, parent, reference, kernel, fallback,
-                 edge_mask):
-        super().__init__(environment, [parent], "ExpandEmbeddings")
-        #: the one sub-plan this node evaluates itself: the reference
-        self.subplans = (reference,)
-        self.kernel = kernel
-        self.fallback = fallback
-        self.edge_mask = edge_mask
-
-    def execute(self, ctx, parent_partition_sets):
-        (partitions,) = parent_partition_sets
-        if ctx.columnar:
-            reason = self.fallback
-            if reason is None and any(
-                getattr(partition, "chunks", None) is None
-                for partition in partitions
-            ):
-                reason = "non_uniform_batch"
-            if reason is None:
-                return self._call(self._run_kernel, ctx, partitions)
-            ctx.count_fallback(reason)
-            ctx = ctx.derived(columnar=False)
-        (reference,) = self.subplans
-        return ctx.evaluate(reference, {self.parents[0].id: partitions})
-
-    def _run_kernel(self, ctx, partitions):
-        kernel, token = self.kernel, ctx.cancellation
-        # once per execution: re-bound $parameters keep one plan
-        edge_mask = self.edge_mask and self.edge_mask()
-        out = [[] for _ in partitions]
+    worker_out = sizes()
+    for iteration in range(1, kernel.upper + 1):
+        if not any(worker_out):
+            break
+        ctx.poll()
         frontier = [
-            kernel.start(partition.chunks, emitted)
-            for partition, emitted in zip(partitions, out)
-        ]
-
-        def sizes():
-            return [sum(len(piece[1]) for piece in pieces) for pieces in frontier]
-
-        worker_out = sizes()
-        for iteration in range(1, kernel.upper + 1):
-            if not any(worker_out):
-                break
-            ctx.poll()
-            frontier = [
-                [
-                    reached
-                    for piece in pieces
-                    for reached in kernel.hop(
-                        piece, iteration >= kernel.lower, edge_mask, token,
-                        emitted,
-                    )
-                ]
-                for pieces, emitted in zip(frontier, out)
+            [
+                reached
+                for piece in pieces
+                for reached in kernel.hop(
+                    piece, iteration >= kernel.lower, edge_mask, token,
+                    emitted,
+                )
             ]
-            worker_in, worker_out = worker_out, sizes()
-            ctx.record_stage_run(
-                "ExpandEmbeddings:hop", worker_in, worker_out,
-                iteration=iteration,
-            )
-        return [ColumnarPartition(emitted) for emitted in out]
+            for pieces, emitted in zip(frontier, out)
+        ]
+        worker_in, worker_out = worker_out, sizes()
+        ctx.record_stage_run(
+            "ExpandEmbeddings:hop", worker_in, worker_out,
+            iteration=iteration,
+        )
+    return [ColumnarPartition(emitted) for emitted in out]
 
 
 class ExpandEmbeddings(PhysicalOperator):
@@ -437,10 +401,12 @@ class ExpandEmbeddings(PhysicalOperator):
                 emit_result, name="ExpandEmbeddings:zero-hop"
             )
             result = result.union(zero_hop)
-        return DataSet(environment, _ExpandOperator(
+        kernel, fallback, mask = self._compile_kernel(
+            child_meta, vertex_iso, edge_iso, bool(base_path_columns)
+        )
+        return DataSet(environment, LoweredOperator(
             environment, input_ds.operator, result.operator,
-            *self._compile_kernel(child_meta, vertex_iso, edge_iso,
-                                  bool(base_path_columns)),
+            partial(_run_kernel, kernel, mask), fallback, "ExpandEmbeddings",
         ))
 
     def _compile_kernel(self, child_meta, vertex_iso, edge_iso, base_paths):
@@ -448,16 +414,13 @@ class ExpandEmbeddings(PhysicalOperator):
 
         The kernel needs the graph's resident adjacency, and an input
         whose PATH columns no active isomorphism strategy has to read.
-        What the edge predicate says beyond the label (the adjacency is
-        per label already) becomes ``edge mask``: a function evaluating it
-        over the adjacency's edge list, ``None`` when nothing is left.
+        ``edge mask`` is :func:`~.leaves.edge_mask` of the query edge.
         """
         if not isinstance(self.graph, IndexedLogicalGraph):
             return None, "expand_no_adjacency", None
         if base_paths and (vertex_iso or edge_iso):
             return None, "expand_base_path", None
         query_edge = self.query_edge
-        variable = query_edge.variable
         adjacency, edges = self.graph.adjacency(
             query_edge.types, self.reverse, query_edge.undirected
         )
@@ -479,16 +442,7 @@ class ExpandEmbeddings(PhysicalOperator):
             query_edge.upper,
             self.reverse,
         )
-        residual = without_label_clause(
-            query_edge.predicates, variable, query_edge.types
-        )
-        if residual.is_trivial:
-            return kernel, None, None
-        keep = compile_cnf(residual)
-        return kernel, None, lambda: np.fromiter(
-            (keep(ElementBindings(variable, edge)) for edge in edges),
-            bool, len(edges),
-        )
+        return kernel, None, edge_mask(query_edge, edges)
 
     def describe(self):
         types = (

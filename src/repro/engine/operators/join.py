@@ -3,14 +3,56 @@
 Implemented with the dataflow FlatJoin so embeddings violating the
 configured morphism semantics are dropped inside the join, never
 materialized (paper §3.1).
+
+That join is the *reference*, and what joins two intermediates.  Where one
+input is an edge leaf joined on its endpoints, a columnar run over a
+label-indexed graph walks the resident adjacency instead
+(:class:`~repro.engine.columnar.ColumnarAdjacencyJoin`): a
+:class:`~.leaves.LoweredOperator` over the *other* input picks.
 """
 
-from ..columnar import columnar_join_spec, shuffle_kernel
+from functools import partial
+
+from ..columnar import (
+    EDGE_ID,
+    FAR_END,
+    ColumnarAdjacencyJoin,
+    ColumnarPartition,
+    columnar_join_spec,
+    shuffle_kernel,
+)
 from ..embedding import EmbeddingMetaData, compile_merge
 from ..morphism import compile_morphism_check
 from .base import EmbeddingLayout, PhysicalOperator
+from .leaves import LoweredOperator, SelectAndProjectEdges, edge_mask
 
-from repro.dataflow import JoinStrategy
+from repro.dataflow import DataSet, JoinStrategy
+from repro.epgm.indexed import IndexedLogicalGraph, PairIndex
+
+
+def _run_kernel(graph, kernel, edge_mask, name, ctx, partitions):
+    """``kernel`` over chunk ``partitions`` (in the serving process, pool
+    or not): one ``<name>[adjacency]`` run, rows in and out, no shuffle."""
+    pairs = None
+    if kernel.far is None:
+        graph.count("hop_joins")
+    else:
+        pairs = graph.resident(
+            ("pairs", kernel.adjacency), lambda: PairIndex(kernel.adjacency),
+            "pair_joins",
+        )
+    # once per execution: re-bound $parameters keep one plan
+    edge_mask = edge_mask and edge_mask()
+    out = [
+        kernel.run(partition.chunks, pairs, edge_mask, ctx.cancellation)
+        for partition in partitions
+    ]
+    ctx.record_stage_run(
+        "%s[adjacency]" % name,
+        [len(partition) for partition in partitions],
+        [sum(chunk.count for chunk in chunks) for chunks in out],
+    )
+    return [ColumnarPartition(chunks) for chunks in out]
 
 
 class TwoInputOperator(PhysicalOperator):
@@ -201,10 +243,18 @@ class JoinEmbeddings(TwoInputOperator):
             self.vertex_strategy,
             self.edge_strategy,
         )
+        side = None
         if spec is not None:
             flat_join.columnar_join = spec
             left_key.columnar_shuffle = shuffle_kernel(left_columns)
             right_key.columnar_shuffle = shuffle_kernel(right_columns)
+            side = self._edge_leaf_side()
+            if side is not None and not isinstance(
+                self.children[side].graph, IndexedLogicalGraph
+            ):
+                # no adjacency to walk instead: the hash join, counted
+                flat_join.columnar_fallback = "join_no_adjacency"
+                side = None
 
         sanitizer = self._sanitizer
         if sanitizer is not None:
@@ -222,7 +272,7 @@ class JoinEmbeddings(TwoInputOperator):
                 )
                 return plain_flat_join(left_embedding, right_embedding)
 
-        return self.children[0].evaluate().join(
+        reference = self.children[0].evaluate().join(
             self.children[1].evaluate(),
             left_key,
             right_key,
@@ -230,6 +280,50 @@ class JoinEmbeddings(TwoInputOperator):
             strategy=self.strategy,
             name="JoinEmbeddings(%s)" % ",".join(self.join_variables),
         )
+        if side is None:
+            return reference
+        return self._over_adjacency(side, spec, reference.operator)
+
+    def _edge_leaf_side(self):
+        """The child an adjacency walk can stand in for, if any: an edge
+        leaf of id-only rows, one per edge, joined on its endpoints alone."""
+        joined = set(self.join_variables)
+        for side in (1, 0):
+            leaf = self.children[side]
+            if (
+                isinstance(leaf, SelectAndProjectEdges)
+                and not (leaf.is_loop or leaf.property_keys
+                         or leaf.distinct_endpoints)
+                and joined <= {leaf.query_edge.source, leaf.query_edge.target}
+            ):
+                return side
+        return None
+
+    def _over_adjacency(self, side, spec, reference):
+        """The node joining child ``1 - side`` with the edge leaf ``side``:
+        a hop from the one joined endpoint, a pair probe for two."""
+        leaf, other = self.children[side], self.children[1 - side]
+        graph, edge, meta = leaf.graph, leaf.query_edge, other.meta
+        closing = len(self.join_variables) == 2
+        reverse = not closing and edge.target in self.join_variables
+        near, far = (edge.source, edge.target)[::-1 if reverse else 1]
+        adjacency, edges = graph.adjacency(edge.types, reverse, edge.undirected)
+        kernel = ColumnarAdjacencyJoin(
+            adjacency,
+            meta.entry_column(near),
+            meta.entry_column(far) if closing else None,
+            [
+                meta.entry_column(variable) if meta.has_variable(variable)
+                else EDGE_ID if variable == edge.variable else FAR_END
+                for variable in self.meta.variables
+            ],
+            spec,
+        )
+        return DataSet(graph.environment, LoweredOperator(
+            graph.environment, other.evaluate().operator, reference,
+            partial(_run_kernel, graph, kernel, edge_mask(edge, edges),
+                    reference.name),
+        ))
 
     def describe(self):
         return "JoinEmbeddings(on %s)" % ", ".join(self.join_variables)

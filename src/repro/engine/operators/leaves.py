@@ -7,8 +7,12 @@ keys later operators need, and emit an embedding.
 That flat-map is the *reference*.  A columnar run selects the surviving
 elements and gathers their rows from a table encoded once per graph
 (:class:`~repro.engine.columnar.ColumnarLeaf`): one dataflow node,
-:class:`_LeafOperator`, picks between the two.
+:class:`LoweredOperator`, picks between the two.
 """
+
+from functools import partial
+
+import numpy as np
 
 from repro.cypher.predicates import (
     compile_cnf,
@@ -47,44 +51,77 @@ def _label_scoped_dataset(graph, labels, kind):
     return full
 
 
-class _LeafOperator(Operator):
-    """The dataflow node of one leaf: columnar kernel or reference.
+def edge_mask(query_edge, edges):
+    """What ``query_edge``'s predicate says beyond its label (an adjacency
+    is per label already) as a function evaluating it over ``edges``, the
+    list the adjacency's ``edge_rows`` index; ``None``: nothing left."""
+    variable = query_edge.variable
+    residual = without_label_clause(
+        query_edge.predicates, variable, query_edge.types
+    )
+    if residual.is_trivial:
+        return None
+    keep = compile_cnf(residual)
+    return lambda: np.fromiter(
+        (keep(ElementBindings(variable, edge)) for edge in edges),
+        bool, len(edges),
+    )
 
-    Its parent is the label-scoped element dataset; its one sub-plan,
-    ``reference``, is the per-record flat-map over that parent, and runs
-    whenever the run is not columnar (per-record, batched, sanitized,
-    shared-cache).  A columnar run hands the parent's partitions to the
-    kernel — in the serving process also when a pool is attached, its cost
-    being its output — and records the flat-map's run: elements in, rows
-    out.  Partition ``p`` of the parent is the same element list in every
-    run, which is what lets the kernel keep partition ``p``'s encoded rows.
+
+class LoweredOperator(Operator):
+    """A dataflow node that is a chunk kernel or its reference sub-plan.
+
+    ``reference`` is the root of the per-record dataflow built over this
+    node's own parent.  It runs whenever ``run_kernel(ctx, partitions)``
+    does not: a run that is not columnar (per-record, batched, sanitized,
+    shared-cache), and the counted fallbacks of a columnar run — no kernel
+    (``fallback`` names why) or, unless the kernel reads elements (a
+    leaf's: not ``chunked``), an input that is not chunks.
     """
 
-    display = "leaf"
-
-    def __init__(self, environment, parent, reference, kernel):
-        super().__init__(environment, [parent], reference.name)
+    def __init__(self, environment, parent, reference, run_kernel,
+                 fallback=None, name=None, chunked=True):
+        super().__init__(environment, [parent], name or reference.name)
         #: the one sub-plan this node evaluates itself: the reference
         self.subplans = (reference,)
-        self.kernel = kernel
+        self.run_kernel = run_kernel
+        self.fallback = fallback
+        self.chunked = chunked
 
     def execute(self, ctx, parent_partition_sets):
         (partitions,) = parent_partition_sets
-        if not ctx.columnar:
-            (reference,) = self.subplans
-            return ctx.evaluate(reference, {self.parents[0].id: partitions})
-        if self.kernel.tables is None:
-            ctx.count_fallback("leaf_no_table")
-        chunks = self._call(self.kernel.run, partitions, ctx.cancellation)
-        ctx.record_stage_run(
-            self.name,
-            [len(partition) for partition in partitions],
-            [chunk.count for chunk in chunks],
-        )
-        return [
-            ColumnarPartition([chunk] if chunk.count else [])
-            for chunk in chunks
-        ]
+        if ctx.columnar:
+            reason = self.fallback
+            if reason is None and self.chunked and any(
+                getattr(partition, "chunks", None) is None
+                for partition in partitions
+            ):
+                reason = "non_uniform_batch"
+            if reason is None:
+                return self._call(self.run_kernel, ctx, partitions)
+            ctx.count_fallback(reason)
+            ctx = ctx.derived(columnar=False)
+        (reference,) = self.subplans
+        ctx.subplans[self.parents[0].id] = partitions
+        return ctx.evaluate(reference, ctx.subplans)
+
+
+def _run_kernel(kernel, name, ctx, partitions):
+    """A columnar leaf run over the parent's element partitions (in the
+    serving process, pool or not: its cost is its output), recorded as the
+    flat-map's: elements in, rows out.  Partition ``p`` is the same element
+    list in every run, which lets the kernel keep its encoded rows."""
+    if kernel.tables is None:
+        ctx.count_fallback("leaf_no_table")
+    chunks = kernel.run(partitions, ctx.cancellation)
+    ctx.record_stage_run(
+        name,
+        [len(partition) for partition in partitions],
+        [chunk.count for chunk in chunks],
+    )
+    return [
+        ColumnarPartition([chunk] if chunk.count else []) for chunk in chunks
+    ]
 
 
 class _ElementLeaf(PhysicalOperator):
@@ -136,8 +173,10 @@ class _ElementLeaf(PhysicalOperator):
             len(self._entries()),
             self.property_keys,
         )
-        return DataSet(graph.environment, _LeafOperator(
-            graph.environment, source.operator, reference.operator, kernel
+        return DataSet(graph.environment, LoweredOperator(
+            graph.environment, source.operator, reference.operator,
+            partial(_run_kernel, kernel, reference.operator.name),
+            chunked=False,
         ))
 
     def derive_layout(self, child_layouts, vertex_iso, flag):

@@ -8,10 +8,12 @@ dataset instead of scanning (and filtering) the union of all elements.
 The index also keeps the edge relation *resident*: one :class:`Adjacency`
 (compressed sparse rows) per edge label and direction, built once, which a
 variable-length expansion walks instead of re-shuffling the edge bag every
-superstep.  Beside it sits a bounded memo of *derived* structures the
-engine builds on first use — the encoded table of a leaf, the value index
-of a property key — which are functions of the elements alone and are
-dropped as one when the elements change (:meth:`drop_resident`).
+superstep and a fixed-length edge join hops over.  Beside it sits a bounded
+memo of *derived* structures the engine builds on first use — a leaf's
+encoded table, a property key's value index, the adjacency of an
+alternation or an undirected edge, a :class:`PairIndex` — which are
+functions of the elements alone and dropped as one when they change
+(:meth:`drop_resident`).
 """
 
 from collections import OrderedDict
@@ -27,6 +29,16 @@ from .logical_graph import LogicalGraph
 #: A schema's (label, key-set) pairs stay far below it — the bound is for
 #: traffic that enumerates key subsets
 _RESIDENT_CAPACITY = 64
+_LEAF_SELECTS = ("all_rows", "probes", "scans")
+_JOIN_LOWERINGS = ("hop_joins", "pair_joins")
+
+
+def _find(haystack, ids):
+    """``(slot, found)``: where each id sits in sorted ``haystack``."""
+    if not len(haystack):
+        return np.zeros(len(ids), dtype=np.intp), np.zeros(len(ids), dtype=bool)
+    slot = np.minimum(np.searchsorted(haystack, ids), len(haystack) - 1)
+    return slot, haystack[slot] == ids
 
 
 class Adjacency:
@@ -70,6 +82,44 @@ class Adjacency:
     def nbytes(self):
         return sum(getattr(self, name).nbytes for name in self.__slots__)
 
+    def neighbours(self, ids):
+        """``(first, counts)``: the neighbours of ``ids[i]`` sit at
+        ``first[i]`` to ``first[i] + counts[i]``."""
+        slot, found = _find(self.sources, ids)
+        first = self.offsets[slot]
+        return first, self.offsets[slot + found] - first
+
+
+class PairIndex:
+    """Every ``(source, target)`` pair of an :class:`Adjacency`, sorted:
+    what a join on both endpoints probes instead of fanning a skewed
+    degree out and filtering.  An entry's key is ``source slot *
+    len(targets) + target rank`` (exact: no collision to re-check);
+    ``keys`` holds them ascending, ``order`` the entry each came from."""
+
+    __slots__ = ("sources", "targets", "keys", "order")
+
+    def __init__(self, adjacency):
+        self.sources = adjacency.sources  # shared, not counted in nbytes
+        self.targets, rank = np.unique(adjacency.targets, return_inverse=True)
+        slot = np.repeat(np.arange(len(self.sources)), np.diff(adjacency.offsets))
+        keys = slot * len(self.targets) + rank
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+
+    @property
+    def nbytes(self):
+        return self.targets.nbytes + self.keys.nbytes + self.order.nbytes
+
+    def matches(self, froms, tos):
+        """``(first, counts)``: the edges from ``froms[i]`` to ``tos[i]``
+        are adjacency entries ``order[first[i]:first[i] + counts[i]]``."""
+        slot, found = _find(self.sources, froms)
+        rank, also = _find(self.targets, tos)
+        key = np.where(found & also, slot * len(self.targets) + rank, -1)
+        first = np.searchsorted(self.keys, key, "left")
+        return first, np.searchsorted(self.keys, key, "right") - first
+
 
 class IndexedLogicalGraph(LogicalGraph):
     """A logical graph with one dataset per vertex/edge label."""
@@ -83,9 +133,10 @@ class IndexedLogicalGraph(LogicalGraph):
         self._resident_lock = named_lock("graph.resident")
         #: ``(family, ...)`` -> derived structure, least recently used first
         self._resident = OrderedDict()  # guarded-by: _resident_lock
-        #: how the columnar leaves that ran on this graph picked their rows
-        self._leaf_selects = dict.fromkeys(  # guarded-by: _resident_lock
-            ("all_rows", "probes", "scans"), 0
+        #: kernel executions on this graph: how its columnar leaves picked
+        #: their rows, which lowering its adjacency joins took
+        self._counts = dict.fromkeys(  # guarded-by: _resident_lock
+            _LEAF_SELECTS + _JOIN_LOWERINGS, 0
         )
 
     @classmethod
@@ -160,43 +211,64 @@ class IndexedLogicalGraph(LogicalGraph):
         every label), ``edges`` being the list its ``edge_rows`` index.
 
         One directed label is the resident adjacency itself; anything
-        else is built here from the labels' edge lists, so call this once
-        per compiled plan, not per execution.
+        else is built from the labels' edge lists on first use and shared
+        through :meth:`resident` by every plan that walks it.
         """
-        labels = [
+        labels = tuple(
             label for label in (labels or self.edge_labels)
             if label in self._adjacency
-        ]
+        )
         if len(labels) == 1 and not undirected:
             edges, forward, backward = self._adjacency[labels[0]]
             return (backward if reverse else forward), edges
-        edges = [
-            edge for label in labels for edge in self._adjacency[label][0]
+
+        def build():
+            edges = [e for label in labels for e in self._adjacency[label][0]]
+            return Adjacency(edges, reverse, undirected), edges
+
+        return self.resident(
+            ("adjacency", labels, reverse and not undirected, undirected), build
+        )
+
+    def _kept(self, family):  # requires-lock: _resident_lock
+        return [
+            found for key, found in self._resident.items() if key[0] == family
         ]
-        return Adjacency(edges, reverse, undirected), edges
 
     def adjacency_stats(self):
-        """``{labels, edges, bytes}`` of the resident adjacency."""
-        return {
-            "labels": len(self._adjacency),
-            "edges": sum(len(entry[0]) for entry in self._adjacency.values()),
-            "bytes": sum(
-                entry[1].nbytes + entry[2].nbytes
-                for entry in self._adjacency.values()
-            ),
-        }
+        """``{labels, edges, bytes, pair_indexes}`` kept now (``bytes``
+        counts the memo's), ``{hop_joins, pair_joins}`` executed so far."""
+        with self._resident_lock:
+            pairs = self._kept("pairs")
+            shared = [found[0] for found in self._kept("adjacency")]
+            return dict(
+                {name: self._counts[name] for name in _JOIN_LOWERINGS},
+                labels=len(self._adjacency),
+                edges=sum(len(entry[0]) for entry in self._adjacency.values()),
+                bytes=sum(found.nbytes for found in pairs + shared) + sum(
+                    entry[1].nbytes + entry[2].nbytes
+                    for entry in self._adjacency.values()
+                ),
+                pair_indexes=len(pairs),
+            )
 
-    def resident(self, key, build, select=None):
+    def count(self, execution):
+        """Count one kernel execution (see :meth:`resident`)."""
+        with self._resident_lock:
+            self._counts[execution] += 1
+
+    def resident(self, key, build, count=None):
         """The derived structure ``key`` names, ``build()`` on first use.
 
-        ``key[0]`` is its family (``"table"`` / ``"index"``).  The build
+        ``key[0]`` is its family (``"table"`` / ``"index"`` /
+        ``"adjacency"`` / ``"pairs"``).  The build
         runs under the lock, so threads racing for a first use build one
         structure, not two; a build that raises (a deadline) leaves
-        nothing behind.  ``select`` counts a leaf execution's outcome.
+        nothing behind.  ``count`` names the kernel execution asking.
         """
         with self._resident_lock:
-            if select is not None:
-                self._leaf_selects[select] += 1
+            if count is not None:
+                self._counts[count] += 1
             found = self._resident.get(key)
             if found is None:
                 found = self._resident[key] = build()
@@ -215,15 +287,12 @@ class IndexedLogicalGraph(LogicalGraph):
         """``{tables, bytes, indexes}`` resident now, ``{all_rows, probes,
         scans}`` leaf executions so far; ``bytes`` is the tables'."""
         with self._resident_lock:
-            tables = [
-                table for key, table in self._resident.items()
-                if key[0] == "table"
-            ]
+            tables = self._kept("table")
             return dict(
-                self._leaf_selects,
+                {name: self._counts[name] for name in _LEAF_SELECTS},
                 tables=len(tables),
                 bytes=sum(table.nbytes for table in tables),
-                indexes=len(self._resident) - len(tables),
+                indexes=len(self._kept("index")),
             )
 
     @property

@@ -525,7 +525,10 @@ class QueryService:
         # what the registered graphs keep resident: the adjacency for
         # expansions, the tables and value indexes of the leaves (and how
         # the leaves that ran selected their rows)
-        adjacency = {"labels": 0, "edges": 0, "bytes": 0}
+        adjacency = dict.fromkeys(
+            ("labels", "edges", "bytes", "pair_indexes", "hop_joins",
+             "pair_joins"), 0
+        )
         leaves = dict.fromkeys(
             ("tables", "bytes", "indexes", "all_rows", "probes", "scans"), 0
         )

@@ -34,6 +34,8 @@ from repro.dataflow import DEFAULT_BATCH_SIZE, ExecutionEnvironment, partition_i
 from repro.engine import CypherRunner, GraphStatistics, MatchStrategy
 from repro.engine import columnar as columnar_module
 from repro.engine.columnar import (
+    EDGE_ID,
+    ColumnarAdjacencyJoin,
     ColumnarJoinSpec,
     ColumnarPartition,
     EmbeddingChunk,
@@ -41,13 +43,21 @@ from repro.engine.columnar import (
     shuffle_split,
 )
 from repro.engine.embedding import Embedding, iter_property_records
+from repro.cypher import QueryHandler
+from repro.engine.operators import (
+    ExpandEmbeddings,
+    JoinEmbeddings,
+    SelectAndProjectEdges,
+    SelectAndProjectVertices,
+)
+from repro.engine.operators.leaves import LoweredOperator
 from repro.engine.planning import (
     ExhaustivePlanner,
     GreedyPlanner,
     LeftDeepPlanner,
 )
 from repro.epgm import Edge, GradoopId, LogicalGraph, PropertyValue, Vertex
-from repro.epgm.indexed import IndexedLogicalGraph
+from repro.epgm.indexed import Adjacency, IndexedLogicalGraph, PairIndex
 from repro.harness.queries import ALL_QUERIES, instantiate
 from repro.ldbc import LDBCGenerator
 
@@ -490,11 +500,22 @@ def test_columnar_equals_per_record(graphs, name, planner_cls, strategy):
     # that a PATH meets new watched ids (the counted ``path_join``)
     assert not any(
         count for reason, count in metrics.chunk_fallbacks.items()
-        if reason.startswith("expand") or reason == "no_kernel"
+        if reason.startswith(("expand", "join")) or reason == "no_kernel"
     )
-    if "*" in query:
-        # the expand kernel walks adjacency lists where the reference
-        # probes a shuffled hash table: same rows, its own order
+    # ... and so did every join the plan lowered onto the adjacency
+    _, root = columnar.compile(query)
+    lowered = [
+        operator for operator in root.postorder()
+        if isinstance(operator, JoinEmbeddings)
+        and isinstance(operator.evaluate().operator, LoweredOperator)
+    ]
+    assert len(lowered) == len(
+        [run for run in metrics.runs if run.name.endswith("[adjacency]")]
+    )
+    if "*" in query or lowered:
+        # the expand and adjacency-join kernels walk adjacency lists
+        # where the reference probes a shuffled hash table: same rows,
+        # their own order
         assert Counter(columnar_embeddings) == Counter(per_record_embeddings)
     else:
         # byte-exact, same order: the kernels are drop-in replacements
@@ -535,6 +556,8 @@ def _leaf_graph(parallelism, graph_cls=IndexedLogicalGraph):
         edge(204, "x", 5, 5), edge(205, "x", 4, _BIG, w=2.0),
         edge(206, "y", 1, 50, w=2), edge(207, "y", 51, 51),
         edge(2**63 + 9, "x", 6, 7, w=3),
+        # parallel edges over one pair, a y edge over it, a triangle 3-1-2
+        edge(208, "x", 1, 2, w=3), edge(209, "y", 1, 2), edge(210, "x", 3, 2),
     ]
     return graph_cls.from_collections(environment, vertices, edges)
 
@@ -615,6 +638,196 @@ def test_leaf_without_tables_scans_and_encodes():
         assert {k for k, v in metrics.chunk_fallbacks.items() if v} == {
             "leaf_no_table"
         }, query
+
+
+# The adjacency join (a hop over the resident CSR, or a probe of its pair
+# index, in place of the hash join with an edge leaf) is pinned against
+# the per-record reference on plans built by hand, so that the edge leaf
+# sits on either side and is joined on its source, its target or both.
+# A plan is nested pairs of variables; a pair joins on what both bind.
+
+JOIN_PLANS = [
+    # (pattern, plan, joins lowered, rows under homomorphism)
+    # one endpoint: on the source, on the target; leaf right, leaf left
+    ("(a:A)-[e:x]->(b:A)", (("a", "e"), "b"), 1, 9),
+    ("(a:A)-[e:x]->(b:A)", (("e", "a"), "b"), 1, 9),
+    ("(a:A)-[e:x]->(b:A)", (("b", "e"), "a"), 1, 9),
+    ("(a:A)-[e:x]->(b:A)", ("a", ("e", "b")), 1, 9),
+    # two edge leaves with each other: on one endpoint, on both
+    ("(a)-[e:x]->(b)-[f:x]->(c)", ("e", "f"), 1, 9),
+    ("(a)-[e:x]->(b)-[f:x]->(c)", ("f", "e"), 1, 9),
+    ("(a)-[e:x]->(b), (a)-[f:y]->(b)", ("e", "f"), 1, 2),
+    # closing: the parallel x edges over the y pair both come out
+    ("(a:A)-[e:y]->(b), (a)-[f:x]->(b)", (("a", "e"), "f"), 2, 2),
+    ("(a:A)-[e:y]->(b), (a)-[f:x]->(b)", ("f", ("a", "e")), 2, 2),
+    ("(a)-[e:x]->(b)-[f:x]->(c), (a)-[g:x]->(c)", (("e", "f"), "g"), 2, 9),
+    ("(a)-[e:x]->(b)-[f:x]->(c), (a)-[g:x]->(c)", ("g", ("f", "e")), 2, 9),
+    # undirected over the self-loops: hop from either end, and closing
+    ("(a:A)-[e:x]-(b)", ("a", "e"), 1, 16),
+    ("(b:A)-[e:x]-(a)", ("e", "b"), 1, 16),
+    ("(a)-[e:x]->(b), (a)-[f:x]-(b)", ("e", "f"), 1, 13),
+    # alternation, no label, an absent label (an empty adjacency)
+    ("(a:A)-[e:x|y]->(b)", ("a", "e"), 1, 11),
+    ("(a:A)-[e:x|y]-(b)", ("e", "a"), 1, 19),
+    ("(a:A)-[e]->(b)", ("a", "e"), 1, 11),
+    ("(a:A)-[e:nope]->(b)", ("a", "e"), 1, 0),
+    ("(a:A)-[e:x]->(b), (a)-[f:nope]->(b)", (("a", "e"), "f"), 2, 0),
+    # the edge predicate beyond the label: a mask over the edge list
+    ("(a:A)-[e:x {w: 2}]->(b)", ("a", "e"), 1, 3),
+    ("(a:A)-[e:x]->(b), (a)-[f:x|y]->(b) WHERE f.w > 2", (("a", "e"), "f"), 2, 3),
+    # what is never lowered: a loop edge; a join of two intermediates
+    ("(a:A)-[e:x]->(a)", ("a", "e"), 0, 2),
+    ("(a:A)-[e:x]->(b)-[f:x]->(c)", (("a", "e"), ("b", "f")), 2, 9),
+]
+
+
+def _hand_plan(graph, handler, plan, strategies):
+    if isinstance(plan, str):
+        if plan in handler.vertices:
+            return SelectAndProjectVertices(graph, handler.vertices[plan], [])
+        return SelectAndProjectEdges(graph, handler.edges[plan], [])
+    left, right = (_hand_plan(graph, handler, side, strategies) for side in plan)
+    shared = [v for v in left.meta.variables if right.meta.has_variable(v)]
+    return JoinEmbeddings(left, right, shared, *strategies)
+
+
+def _lowered_runs(metrics):
+    return [run for run in metrics.runs if run.name.endswith("[adjacency]")]
+
+
+def _both_ways(root):
+    """``(columnar rows, their job metrics, per-record rows)``."""
+    dataset = root.evaluate()
+    with dataset.environment.job("columnar") as metrics:
+        columnar = dataset.collect(fused=True)
+    return columnar, metrics, dataset.collect(fused=False)
+
+
+@pytest.mark.parametrize("sizes", [(4096, 4096), (2, 3)], ids=["whole", "sliced"])
+@pytest.mark.parametrize("edge_strategy", STRATEGIES, ids=lambda s: "e-" + s.value)
+@pytest.mark.parametrize("vertex_strategy", STRATEGIES, ids=lambda s: "v-" + s.value)
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_adjacency_join_equals_per_record(
+    leaf_graphs, monkeypatch, parallelism, vertex_strategy, edge_strategy, sizes
+):
+    # "sliced": every input partition is longer than a probe run and every
+    # fan-out longer than a slice, so runs, slices and flushes all repeat
+    monkeypatch.setattr(columnar_module, "_PROBE_ROWS", sizes[0])
+    monkeypatch.setattr(columnar_module, "_OUTPUT_ROWS", sizes[1])
+    graph = leaf_graphs[parallelism]
+    homomorphism = vertex_strategy is edge_strategy is STRATEGIES[0]
+    for pattern, plan, lowered, rows in JOIN_PLANS:
+        root = _hand_plan(
+            graph, QueryHandler("MATCH %s RETURN *" % pattern), plan,
+            (vertex_strategy, edge_strategy),
+        )
+        columnar, metrics, per_record = _both_ways(root)
+        case = (pattern, plan)
+        assert Counter(columnar) == Counter(per_record), case
+        assert not any(metrics.chunk_fallbacks.values()), case
+        runs = _lowered_runs(metrics)
+        assert len(runs) == lowered, case
+        assert not any(run.shuffled_records for run in runs), case
+        if homomorphism:
+            assert len(columnar) == rows, case
+
+
+def test_selective_closing_join_emits_dense_chunks():
+    # 50 000 candidate pairs of which an edge predicate keeps 1 %: the
+    # survivors of a slice (or a probe run) are a sliver, and every chunk
+    # costs its consumers a fixed amount — they leave merged
+    sources, fan, parallelism = 500, 100, 4
+    edges = [
+        Edge(GradoopId(10**6 + number), "x",
+             GradoopId(1 + number // fan), GradoopId(10**4 + number % fan))
+        for number in range(sources * fan)
+    ]
+    adjacency = Adjacency(edges)
+    kernel = ColumnarAdjacencyJoin(
+        adjacency, 0, 1, [0, 1, EDGE_ID],
+        ColumnarJoinSpec(2, (0, 1), (0, 2), (1,), (), ()),
+    )
+    pairs = np.array(
+        [(edge.source_id.value, edge.target_id.value) for edge in edges],
+        dtype=np.uint64,
+    )
+    mask = np.arange(len(edges)) % 100 == 0
+    out = [
+        kernel.run(
+            [EmbeddingChunk(rows) for rows in np.array_split(part, 4)],
+            PairIndex(adjacency), mask, None,
+        )
+        for part in np.array_split(pairs, parallelism)
+    ]
+    chunks = [chunk for part in out for chunk in part]
+    assert sum(chunk.count for chunk in chunks) == mask.sum() == 500
+    assert len(chunks) <= -(-500 // columnar_module._OUTPUT_ROWS) + parallelism
+    assert np.concatenate([chunk.values[:, 2] for chunk in chunks]).tolist() == [
+        edge.id.value for edge, kept in zip(edges, mask) if kept
+    ]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
+def test_adjacency_join_carries_a_path_column(leaf_graphs, strategy):
+    # (a)-[p:x*1..2]->(b) joined with the leaf of (b)-[e:x]->(c): under
+    # homomorphism the hop carries the PATH column; under isomorphism the
+    # path would meet new watched ids, and that shape stays the
+    # per-record hash join it was (``columnar_join_spec`` is ``None``)
+    graph = leaf_graphs[4]
+    handler = QueryHandler("MATCH (a:A)-[p:x*1..2]->(b), (b)-[e:x]->(c) RETURN *")
+    expand = ExpandEmbeddings(
+        SelectAndProjectVertices(graph, handler.vertices["a"], []), graph,
+        handler.edges["p"], strategy, strategy, closing=False,
+    )
+    for left_to_right in (True, False):
+        sides = [expand, SelectAndProjectEdges(graph, handler.edges["e"], [])]
+        root = JoinEmbeddings(
+            *(sides if left_to_right else sides[::-1]), ["b"], strategy, strategy
+        )
+        columnar, metrics, per_record = _both_ways(root)
+        assert Counter(columnar) == Counter(per_record) and columnar
+        if strategy is STRATEGIES[0]:
+            assert len(_lowered_runs(metrics)) == 1
+            assert not any(metrics.chunk_fallbacks.values())
+        else:
+            assert not _lowered_runs(metrics)
+            assert metrics.chunk_fallbacks["path_join"] == 1
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_rebound_edge_parameter_masks_one_plan(leaf_graphs, parallelism):
+    graph = leaf_graphs[parallelism]
+    options = dict(  # pruned: the leaf does not project the key it filters on
+        prune=True, vertex_strategy=STRATEGIES[0], edge_strategy=STRATEGIES[1]
+    )
+    text = "MATCH (a:A)-[e:x]->(b:A) WHERE e.w = $p RETURN a.n, b.n"
+    statement = CypherRunner(graph, fused=True, **options).prepare(text)
+    reference = CypherRunner(graph, fused=False, **options).prepare(text)
+    before = graph.adjacency_stats()
+    sizes = []
+    for value in (2, 3, 99, 2):
+        embeddings = statement.run({"p": value})[0]
+        assert Counter(embeddings) == Counter(reference.run({"p": value})[0])
+        sizes.append(len(embeddings))
+    assert sizes == [3, 2, 0, 3]
+    after = graph.adjacency_stats()
+    assert after["hop_joins"] - before["hop_joins"] == 4
+    assert after["bytes"] == before["bytes"]
+
+
+def test_join_without_adjacency_is_the_hash_join_and_says_so():
+    # a graph built in code keeps no adjacency: the same plans, the chunk
+    # hash join in the reference's own order, and the run says so
+    graph = _leaf_graph(4, LogicalGraph)
+    strategies = (STRATEGIES[0], STRATEGIES[1])
+    for pattern, plan, lowered, _ in JOIN_PLANS:
+        root = _hand_plan(
+            graph, QueryHandler("MATCH %s RETURN *" % pattern), plan, strategies
+        )
+        columnar, metrics, per_record = _both_ways(root)
+        assert _canon(columnar) == _canon(per_record), (pattern, plan)
+        assert not _lowered_runs(metrics)
+        assert metrics.chunk_fallbacks["join_no_adjacency"] == lowered
 
 
 @pytest.mark.parametrize("parallelism", [1, 4])

@@ -70,10 +70,11 @@ class TestFusedMatchesPerRecord:
     @pytest.mark.parametrize("query", QUERIES)
     def test_metrics_on_an_indexed_graph(self, query):
         """Batched ≡ per-record, bit for bit, on a label-indexed graph too.
-        The columnar run agrees with them unless the query expands: the
-        kernel walks the resident adjacency, so it returns the same rows
-        under its own documented runs — one hop per superstep, no edge
-        shuffle — in place of the iterated join's."""
+        The columnar run walks the resident adjacency where the query
+        expands or joins an edge leaf, so it returns the same rows under
+        its own documented runs in place of the reference's: one hop per
+        superstep instead of the iterated join, one ``[adjacency]`` run
+        instead of the edge scan and the hash join — no edge shuffle."""
         plain, _, plain_metrics = run_query(query, fused=False, indexed=True)
         _, _, batched_metrics = run_query(
             query, fused=True, indexed=True, columnar=False
@@ -81,10 +82,36 @@ class TestFusedMatchesPerRecord:
         assert batched_metrics.runs == plain_metrics.runs
         columnar, _, metrics = run_query(query, fused=True, indexed=True)
         assert Counter(columnar) == Counter(plain)
-        if "knows*" not in query:
-            assert metrics.runs == plain_metrics.runs
-            return
         assert not any(metrics.chunk_fallbacks.values())
+
+        def joins(job):
+            return [
+                run for run in job.runs
+                if run.name.startswith("JoinEmbeddings")
+                and run.iteration is None
+            ]
+
+        # join by join the reference's rows; every edge-leaf join lowered
+        lowered = 0
+        for run, reference in zip(joins(metrics), joins(plain_metrics)):
+            assert run.records_out == reference.records_out
+            assert run.name.split("[")[0] == reference.name.split("[")[0]
+            if run.name.endswith("[adjacency]"):
+                lowered += 1
+                assert not run.shuffled_bytes and not run.shuffled_records
+            else:
+                # a hash join downstream finds its rows where the hop left
+                # them (no shuffle put them by key): same rows, other moves
+                assert run.records_in == reference.records_in
+        assert len(joins(metrics)) == len(joins(plain_metrics))
+        # (the studyAt leaf projects a key: a hash join by declaration)
+        assert lowered == (2 if "e1" in query else 0)
+        if lowered:
+            assert not metrics.runs_named("edges[")
+        elif "knows*" not in query:
+            assert metrics.runs == plain_metrics.runs
+        if "knows*" not in query:
+            return
         reference = [r for r in plain_metrics.runs if r.iteration is not None]
         hops = [run for run in metrics.runs if run.iteration is not None]
         assert {run.name for run in hops} == {"ExpandEmbeddings:hop"}

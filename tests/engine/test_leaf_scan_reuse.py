@@ -1,5 +1,6 @@
 """Tests for shared leaf scans (recurring-subquery reuse, paper §5) and
-for what outlives a plan: the leaf tables a label-indexed graph keeps."""
+for what outlives a plan: the leaf tables, shared adjacencies and pair
+indexes a label-indexed graph keeps."""
 
 import threading
 import time
@@ -13,8 +14,14 @@ from repro.engine import (
     GreedyPlanner,
     canonical_rows_from_embeddings,
 )
-from repro.engine.columnar import ColumnarLeaf
+from repro.engine.columnar import (
+    ColumnarAdjacencyJoin,
+    ColumnarExpandSpec,
+    ColumnarLeaf,
+)
+from repro.engine.operators.leaves import LoweredOperator
 from repro.epgm import IndexedLogicalGraph, indexed
+from repro.server import GraphRegistry
 
 TRIANGLE = (
     "MATCH (p1:Person)-[:knows]->(p2:Person),"
@@ -163,25 +170,14 @@ def test_key_subsets_are_bounded(indexed_graph):
     assert len(runner.execute_table("MATCH (p:Person) RETURN p.name")) == 3
 
 
-def test_racing_first_uses_build_one_table(indexed_graph, monkeypatch):
-    encoded = []
-    encode = ColumnarLeaf.encode
-
-    def slow_encode(self, elements):
-        encoded.append(len(elements))
-        time.sleep(0.01)  # hold the build open for the other thread
-        return encode(self, elements)
-
-    monkeypatch.setattr(ColumnarLeaf, "encode", slow_encode)
-    statements = [
-        CypherRunner(indexed_graph).prepare(NAMED) for _ in range(2)
-    ]
-    barrier = threading.Barrier(2)
+def _racing(statements, parameters=None):
+    """Run ``statements`` at once, one thread each; returns their rows."""
+    barrier = threading.Barrier(len(statements))
     results = []
 
     def first_use(statement):
         barrier.wait(timeout=30)
-        results.append(statement.run({"name": "Bob"})[0])
+        results.append(statement.run(parameters)[0])
 
     threads = [
         threading.Thread(target=first_use, args=(statement,))
@@ -192,8 +188,90 @@ def test_racing_first_uses_build_one_table(indexed_graph, monkeypatch):
     for thread in threads:
         thread.join(timeout=30)
         assert not thread.is_alive()
+    return results
+
+
+def test_racing_first_uses_build_one_table(indexed_graph, monkeypatch):
+    encoded = []
+    encode = ColumnarLeaf.encode
+
+    def slow_encode(self, elements):
+        encoded.append(len(elements))
+        time.sleep(0.01)  # hold the build open for the other thread
+        return encode(self, elements)
+
+    monkeypatch.setattr(ColumnarLeaf, "encode", slow_encode)
+    results = _racing(
+        [CypherRunner(indexed_graph).prepare(NAMED) for _ in range(2)],
+        {"name": "Bob"},
+    )
     assert len(results) == 2 and results[0] == results[1]
     assert indexed_graph.leaf_stats()["tables"] == 1
     # one encode per partition of the one table, not two
     assert len(encoded) == indexed_graph.environment.parallelism
 
+
+# --- shared adjacencies and pair indexes: the graph's, not the plan's --------
+
+
+def test_second_execution_builds_no_pair_index(indexed_graph):
+    statement = CypherRunner(indexed_graph).prepare(TRIANGLE)
+    rows = statement.run()[0]
+    first = indexed_graph.adjacency_stats()
+    assert (first["hop_joins"], first["pair_joins"]) == (2, 1)
+    assert first["pair_indexes"] == 1
+    assert statement.run()[0] == rows
+    # ... nor does a second plan closing over the same label
+    CypherRunner(indexed_graph).execute_embeddings(
+        "MATCH (a:Person)-[:knows]->(b:Person), (b)-[:knows]->(a) RETURN *"
+    )
+    later = indexed_graph.adjacency_stats()
+    assert (later["pair_indexes"], later["bytes"]) == (1, first["bytes"])
+    assert later["pair_joins"] == 3
+
+
+def test_racing_first_closing_joins_build_one_pair_index(
+    indexed_graph, monkeypatch
+):
+    built = []
+    init = indexed.PairIndex.__init__
+
+    def slow_init(self, adjacency):
+        built.append(adjacency)
+        time.sleep(0.01)  # hold the build open for the other thread
+        init(self, adjacency)
+
+    monkeypatch.setattr(indexed.PairIndex, "__init__", slow_init)
+    results = _racing(
+        [CypherRunner(indexed_graph).prepare(TRIANGLE) for _ in range(2)]
+    )
+    assert len(results) == 2 and sorted(results[0]) == sorted(results[1])
+    assert len(built) == 1
+    assert indexed_graph.adjacency_stats()["pair_indexes"] == 1
+
+
+def test_plans_share_a_merged_adjacency_until_the_graph_changes(indexed_graph):
+    # an alternation's (or an undirected edge's) adjacency is built from
+    # the labels' edge lists: once per graph, not once per compiled plan
+    def kernels(text):
+        _, root = CypherRunner(indexed_graph).compile(text)
+        nodes = [operator.evaluate().operator for operator in root.postorder()]
+        return [
+            bound.adjacency
+            for node in nodes if isinstance(node, LoweredOperator)
+            for bound in node.run_kernel.args
+            if isinstance(bound, (ColumnarExpandSpec, ColumnarAdjacencyJoin))
+        ]
+
+    (first,) = kernels("MATCH (a:Person)-[e:knows|studyAt]-(b) RETURN *")
+    (second,) = kernels(
+        "MATCH (p:Person)-[e:knows|studyAt*1..2]-(q) WHERE p.name = 'Eve' "
+        "RETURN q.name"
+    )
+    assert first is second
+    shared = indexed_graph.adjacency_stats()["bytes"]
+    GraphRegistry().register("fig1", indexed_graph).touch()
+    assert indexed_graph.adjacency_stats()["bytes"] == shared - first.nbytes
+    (third,) = kernels("MATCH (a:Person)-[e:knows|studyAt]-(b) RETURN b.name")
+    assert third is not first
+    assert third.targets.tolist() == first.targets.tolist()

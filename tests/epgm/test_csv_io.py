@@ -106,18 +106,26 @@ class TestLoadsIndexed:
                         for row in adjacency.edge_rows[span].tolist()
                     ] == adjacency.edge_ids[span].tolist()
                 assert adjacency.offsets[-1] == len(adjacency.targets)
+        restored.drop_resident()  # the empty adjacencies of "absent"
         # every label, both directions, a self-loop once
         merged, listed = restored.adjacency([], undirected=True)
         assert len(listed) == len(edges)
         assert len(merged.targets) == 2 * len(edges)
+        # ... built once, kept with the graph and counted beside the
+        # per-label ones until the elements change
+        assert restored.adjacency([], undirected=True)[0] is merged
+        per_label = sum(
+            restored.adjacency([label], reverse)[0].nbytes
+            for label in restored.edge_labels
+            for reverse in (False, True)
+        )
         assert restored.adjacency_stats() == {
             "labels": 3, "edges": len(edges),
-            "bytes": sum(
-                restored.adjacency([label], reverse)[0].nbytes
-                for label in restored.edge_labels
-                for reverse in (False, True)
-            ),
+            "bytes": per_label + merged.nbytes,
+            "pair_indexes": 0, "hop_joins": 0, "pair_joins": 0,
         }
+        restored.drop_resident()
+        assert restored.adjacency_stats()["bytes"] == per_label
 
 
 class TestEdgeCases:

@@ -8,7 +8,7 @@ import pytest
 from repro.dataflow import QueryTimeout
 from repro.engine import CypherRunner
 from repro.engine.columnar import ColumnarLeaf
-from repro.epgm import IndexedLogicalGraph
+from repro.epgm import IndexedLogicalGraph, indexed
 from repro.server import (
     AdmissionError,
     GraphRegistry,
@@ -194,6 +194,40 @@ class TestResultCache:
         assert (leaves["tables"], leaves["all_rows"]) == (1, 2)
 
 
+    @pytest.mark.parametrize("slow", ["Adjacency.neighbours", "PairIndex.matches"])
+    def test_deadline_inside_an_adjacency_join_spares_the_next_request(
+        self, figure1_graph, monkeypatch, slow
+    ):
+        # a hop and a pair probe poll the deadline once per fan-out slice
+        registry = GraphRegistry()
+        registry.register(
+            "fig1", IndexedLogicalGraph.from_logical_graph(figure1_graph)
+        )
+        triangle = (
+            "MATCH (a:Person)-[:knows]->(b:Person), (b)-[:knows]->(c:Person),"
+            " (a)-[:knows]->(c) RETURN a.name"
+        )
+        owner, method = slow.split(".")
+        find = getattr(getattr(indexed, owner), method)
+
+        def slow_find(self, *ids):
+            time.sleep(0.2)  # the first probe outlives the deadline
+            return find(self, *ids)
+
+        monkeypatch.setattr(getattr(indexed, owner), method, slow_find)
+        with QueryService(registry) as service:
+            with pytest.raises(QueryTimeout):
+                service.execute("fig1", triangle, timeout=0.1)
+            assert service.metrics.snapshot()["timeouts"] == 1
+            monkeypatch.undo()
+            assert service.execute("fig1", triangle).row_count == len(
+                CypherRunner(figure1_graph, fused=False).execute_table(triangle)
+            )
+            assert not any(
+                service.metrics_snapshot()["engine"]["chunk_fallbacks"].values()
+            )
+
+
 class TestAdmissionControl:
     def test_saturated_service_fast_fails(self, registry):
         # one worker, no queue: hold the worker hostage with an event, then
@@ -286,16 +320,20 @@ class TestLifecycle:
     def test_metrics_name_the_engine_mode_and_count_fallbacks(self, service):
         # every stage of a plain join has a chunk kernel; over a graph
         # built in code its three leaves have no resident table to gather
-        # from and say so — they scan and encode per request ...
+        # from and say so — they scan and encode per request — and the
+        # join with the edge leaf has no adjacency to walk instead ...
         service.execute(
             "fig1", "MATCH (a:Person)-[:knows]->(b:Person) RETURN a.name"
         )
         engine = service.metrics_snapshot()["engine"]
         assert engine["mode"] == "columnar"
         assert {k: v for k, v in engine["chunk_fallbacks"].items() if v} == {
-            "leaf_no_table": 3
+            "leaf_no_table": 3, "join_no_adjacency": 1,
         }
-        assert engine["adjacency"] == {"labels": 0, "edges": 0, "bytes": 0}
+        assert engine["adjacency"] == {
+            "labels": 0, "edges": 0, "bytes": 0,
+            "pair_indexes": 0, "hop_joins": 0, "pair_joins": 0,
+        }
         assert not any(engine["leaves"].values())
         # ... a variable-length expansion over a graph built in code has
         # no resident adjacency to walk: it runs the iterated join, under
@@ -324,6 +362,33 @@ class TestLifecycle:
         assert engine["adjacency"]["labels"] == 3
         assert engine["adjacency"]["edges"] == 8
         assert engine["adjacency"]["bytes"] > 0
+        assert engine["adjacency"]["hop_joins"] == 0
+
+    def test_indexed_graph_joins_through_the_adjacency(self, figure1_graph):
+        registry = GraphRegistry()
+        registry.register(
+            "fig1", IndexedLogicalGraph.from_logical_graph(figure1_graph)
+        )
+        triangle = (
+            "MATCH (a:Person)-[:knows]->(b:Person), (b)-[:knows]->(c:Person),"
+            " (a)-[:knows]->(c) RETURN a.name, c.name"
+        )
+        with QueryService(registry) as service:
+            before = service.metrics_snapshot()["engine"]["adjacency"]
+            answers = [service.execute("fig1", triangle) for _ in range(2)]
+            engine = service.metrics_snapshot()["engine"]
+        reference = CypherRunner(figure1_graph, fused=False).execute_table(
+            triangle
+        )
+        assert rows_multiset(answers[0].rows) == rows_multiset(reference)
+        assert not any(engine["chunk_fallbacks"].values())
+        assert engine["result"]["reencoded_partitions"] == 0
+        # two hops and one closing probe per execution; the second
+        # execution found the first's pair index, counted in ``bytes``
+        after = engine["adjacency"]
+        assert (after["hop_joins"], after["pair_joins"]) == (4, 2)
+        assert after["pair_indexes"] == 1
+        assert after["bytes"] > before["bytes"]
 
     def test_batched_service_reports_its_mode(self, registry):
         with QueryService(registry, columnar=False) as batched:
