@@ -279,22 +279,23 @@ def _encode_chunks(partition):
     ENTRY_WIDTH`` bytes), the packed path offset table (``count + 1``
     little-endian u32), the path buffer, the packed prop offset table,
     the prop buffer.  No per-record object is touched — the frame is a
-    concatenation of buffers the chunk already holds (an absent offset
-    array, i.e. an empty buffer, ships as the all-zero table).
+    concatenation of buffers the chunk already holds, the prop buffer one
+    join of its record matrix (``props_to_bytes``); an absent offset
+    array, i.e. an empty buffer, ships as the all-zero table.
     """
+    from repro.engine.columnar import props_to_bytes  # lazy: layering
+
     chunks = partition.chunks
     pieces = [_CHUNK_COUNT.pack(len(chunks))]
     append = pieces.append
     for chunk in chunks:
         path_buf = chunk.path_buf
-        prop_buf = chunk.prop_buf
+        props = props_to_bytes(chunk.props, chunk.prop_lens)
         append(_CHUNK_HEADER.pack(
-            chunk.count, chunk.columns, len(path_buf), len(prop_buf)
+            chunk.count, chunk.columns, len(path_buf), len(props[0])
         ))
         append(chunk.id_buf())
-        for offsets, buf in (
-            (chunk.path_offsets, path_buf), (chunk.prop_offsets, prop_buf)
-        ):
+        for buf, offsets in ((path_buf, chunk.path_offsets), props):
             if offsets is None:
                 append(bytes(_OFFSET.itemsize * (chunk.count + 1)))
             else:
@@ -307,12 +308,14 @@ def _decode_chunks(payload):
     """Reverse of :func:`_encode_chunks`; returns a ColumnarPartition.
 
     Column arrays are read straight off the frame with ``frombuffer``
-    and copied into native arrays, so the chunks do not pin the frame.
+    and copied into native arrays, the prop buffer is cut into its record
+    matrix (``props_from_bytes``), so the chunks do not pin the frame.
     """
     from repro.engine.columnar import (  # lazy: layering
         ColumnarPartition,
         EmbeddingChunk,
         decode_entries,
+        props_from_bytes,
     )
     from repro.engine.embedding import ENTRY_WIDTH  # lazy: layering
 
@@ -335,9 +338,13 @@ def _decode_chunks(payload):
                     view, dtype=_OFFSET, count=count + 1, offset=cursor
                 ).astype(np.int64)
             cursor += _OFFSET.itemsize * (count + 1)
-            payloads += [bytes(view[cursor:cursor + length]), offsets]
+            payloads.append((bytes(view[cursor:cursor + length]), offsets))
             cursor += length
-        chunks.append(EmbeddingChunk(values, flags, *payloads))
+        path, prop = payloads
+        props = props_from_bytes(*prop)
+        if props is None:
+            raise ValueError("chunk frame rows differ in property record count")
+        chunks.append(EmbeddingChunk(values, flags, *path, *props))
     return ColumnarPartition(chunks)
 
 

@@ -3,20 +3,28 @@
 A :class:`EmbeddingChunk` stores a batch of embeddings column-wise instead
 of row-wise: the fixed-width id entries of all rows live in one
 ``uint64`` ``(count, columns)`` array (plus a ``uint8`` flag array only
-when some entry is not a plain id), while the variable-width
-``path_data`` / ``prop_data`` payloads are concatenated into single
-buffers with per-row offset arrays — absent when the buffer is empty.
+when some entry is not a plain id), the variable-width ``path_data`` is
+concatenated into a single buffer with a per-row offset array — absent
+when the buffer is empty — and ``prop_data`` is a *record matrix*: an
+``object`` ``(count, k)`` array whose cell ``[r, i]`` is the immutable
+``bytes`` of row ``r``'s ``i``-th §3.3 property record, length field
+included, beside an ``int32`` matrix of the record lengths.
 Because every §3.3 id entry is exactly ``ENTRY_WIDTH`` bytes, the whole
 id block decodes and encodes through **one** structured-dtype view
 (:data:`_ENTRY`) and a column projects as an array slice
 (``values[:, c]``) — no per-record dispatch, no per-record ``Embedding``
-allocation, no boxed integers.
+allocation, no boxed integers.  Property records are never sliced or
+re-joined on the way through a plan: a leaf builds each record object
+once and every kernel after it moves pointers (``props[rows]`` gathers,
+a join lays two gathers side by side, a projection is ``props[:, keep]``).
 
 The codec is exact and bidirectional: ``chunk_from_embeddings``
 followed by ``to_embeddings`` reproduces every record byte-for-byte.
 PATH entry values stay *row-relative* (offsets into the row's own
 ``path_data`` slice), so concatenating rows into a chunk — and slicing
-them back out — never rewrites offsets.
+them back out — never rewrites offsets.  ``prop_data`` as §3.3 bytes
+exists only behind two boundary functions, :func:`props_from_bytes` and
+:func:`props_to_bytes`, which that codec and the worker chunk frame use.
 
 Operators gain *columnar kernels* built here and attached as plain
 attributes (``columnar_kernel`` / ``columnar_join`` /
@@ -34,16 +42,13 @@ per-record reference sub-plan.
 At the result boundary the same layout is read column-wise:
 :func:`id_column`, :func:`path_column` and :func:`property_column` decode
 one RETURN item of a whole chunk to plain values
-(:mod:`repro.engine.result` builds the result table from them).
-
-The property *span table* (:meth:`EmbeddingChunk.prop_spans`) is the
-precomputed offset array that replaces the per-call length-field walks
-of the per-record accessors on hot paths;
-:func:`repro.engine.embedding.iter_property_records` remains the public
-walk for the sanitizer and tests.
+(:mod:`repro.engine.result` builds the result table from them); a
+property column is one column of the record matrix, each distinct record
+decoded once.
 """
 
 import struct
+import sys
 from itertools import chain
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -109,16 +114,76 @@ def _row_slices(buf: bytes, offsets, count: int) -> List[bytes]:
     return [buf[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
+# The property boundary: ``prop_data`` as §3.3 bytes <-> the record matrix.
+# Only the per-record codec and the worker chunk frame cross it.
+
+
+def props_from_bytes(
+    buf: bytes, offsets: Optional[np.ndarray]
+) -> Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]]:
+    """``(props, prop_lens)`` of rows whose ``prop_data`` is
+    ``buf[offsets[r]:offsets[r + 1]]``; ``None`` when the rows hold
+    different numbers of records.
+
+    Round ``i`` reads the length field of every row's ``i``-th record in
+    one step; each record is then cut out of ``buf`` once.
+    """
+    if offsets is None:
+        return None, None
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    cursor, ends = offsets[:-1], offsets[1:]
+    bounds = []
+    while True:
+        more = cursor < ends
+        if not more.all():
+            if more.any():
+                return None
+            break
+        bounds.append(cursor)
+        # the big-endian u16 length field (_PROP_LEN)
+        length = raw[cursor].astype(np.int64) << 8 | raw[cursor + 1]
+        cursor = cursor + PROP_LEN_WIDTH + length
+    if (cursor != ends).any():
+        raise ValueError("a property record overruns its row's prop_data")
+    bounds.append(ends)
+    spans = np.stack(bounds, axis=1)
+    cells = [
+        buf[begin:end]
+        for begin, end in zip(
+            spans[:, :-1].ravel().tolist(), spans[:, 1:].ravel().tolist()
+        )
+    ]
+    return (
+        np.array(cells, dtype=object).reshape(len(ends), -1),
+        np.diff(spans, axis=1).astype(np.int32),
+    )
+
+
+def props_to_bytes(
+    props: Optional[np.ndarray], prop_lens: Optional[np.ndarray]
+) -> Tuple[bytes, Optional[np.ndarray]]:
+    """``(buf, offsets)`` — every row's ``prop_data``, concatenated."""
+    if props is None or prop_lens is None:
+        return b"", None
+    return b"".join(props.ravel().tolist()), _offsets(prop_lens.sum(axis=1))
+
+
 class EmbeddingChunk:
     """A batch of same-shape embeddings in columnar form.
 
     ``values`` is a ``uint64`` ``(count, columns)`` array; ``flags`` a
     ``uint8`` array of the same shape, or ``None`` when every entry is an
     id.  Row ``r``'s ``path_data`` is
-    ``path_buf[path_offsets[r]:path_offsets[r + 1]]`` (``prop_data``
-    likewise); an offset array is ``None`` exactly when its buffer is
-    empty.  Instances are immutable once built and may be shared between
-    partitions (broadcast) without copying.
+    ``path_buf[path_offsets[r]:path_offsets[r + 1]]``; the offset array is
+    ``None`` exactly when the buffer is empty.  ``props`` is the record
+    matrix — an ``object`` ``(count, k)`` array, cell ``[r, i]`` the
+    ``bytes`` of row ``r``'s ``i``-th property record with its u16 length
+    field — and ``prop_lens`` the ``int32`` matrix of ``len(props[r, i])``;
+    both are ``None`` exactly when the chunk holds no record (``k == 0``
+    or no row).  Every row of a chunk holds the same ``k`` records, as
+    every row a plan produces does.  Instances are immutable once built
+    and may be shared between partitions (broadcast) without copying;
+    record objects are shared between chunks, never copied.
     """
 
     __slots__ = (
@@ -128,9 +193,8 @@ class EmbeddingChunk:
         "values",
         "path_buf",
         "path_offsets",
-        "prop_buf",
-        "prop_offsets",
-        "_prop_spans",
+        "props",
+        "prop_lens",
     )
 
     def __init__(
@@ -139,17 +203,18 @@ class EmbeddingChunk:
         flags: Optional[np.ndarray] = None,
         path_buf: bytes = b"",
         path_offsets: Optional[np.ndarray] = None,
-        prop_buf: bytes = b"",
-        prop_offsets: Optional[np.ndarray] = None,
+        props: Optional[np.ndarray] = None,
+        prop_lens: Optional[np.ndarray] = None,
     ) -> None:
         self.count, self.columns = values.shape
         self.flags = flags
         self.values = values
         self.path_buf = path_buf
         self.path_offsets = path_offsets
-        self.prop_buf = prop_buf
-        self.prop_offsets = prop_offsets
-        self._prop_spans: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        if props is not None and not props.size:
+            props = prop_lens = None
+        self.props = props
+        self.prop_lens = prop_lens
 
     def id_buf(self) -> bytes:
         """The canonical §3.3 id bytes of all rows, concatenated."""
@@ -160,59 +225,20 @@ class EmbeddingChunk:
 
     def byte_size(self) -> int:
         """Total serialized size — equals the sum of per-row sizes."""
-        return (
-            self.count * self.columns * ENTRY_WIDTH
-            + len(self.path_buf)
-            + len(self.prop_buf)
-        )
+        size = self.count * self.columns * ENTRY_WIDTH + len(self.path_buf)
+        if self.prop_lens is not None:
+            size += int(self.prop_lens.sum())
+        return size
 
     def row_sizes(self) -> np.ndarray:
         """Per-row serialized sizes."""
         sizes = np.full(self.count, self.columns * ENTRY_WIDTH, dtype=np.int64)
-        for offsets in (self.path_offsets, self.prop_offsets):
-            if offsets is not None:
-                sizes += np.diff(offsets)
+        if self.path_offsets is not None:
+            sizes += np.diff(self.path_offsets)
+        if self.prop_lens is not None:
+            for lengths in self.prop_lens.T:  # k is small: no axis-1 reduce
+                sizes += lengths
         return sizes
-
-    def prop_spans(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The property-record span table ``(starts, first)``.
-
-        ``starts`` holds the start of every property record in buffer
-        order plus a final ``len(prop_buf)``; records are back to back,
-        so record ``k`` of row ``r`` spans ``starts[first[r] + k]`` to
-        ``starts[first[r] + k + 1]`` (its payload begins
-        ``PROP_LEN_WIDTH`` in) and row ``r`` has ``first[r + 1] -
-        first[r]`` records.  Built once per chunk: round ``k`` reads the
-        length field of every row's ``k``-th record in one step.
-        """
-        table = self._prop_spans
-        if table is None:
-            offsets = self.prop_offsets
-            if offsets is None:
-                table = (
-                    np.zeros(1, dtype=np.int64),
-                    np.zeros(self.count + 1, dtype=np.int64),
-                )
-            else:
-                raw = np.frombuffer(self.prop_buf, dtype=np.uint8)
-                ends = offsets[1:]
-                rows = np.nonzero(offsets[:-1] < ends)[0]
-                cursor = offsets[rows]
-                found = []
-                while cursor.size:
-                    found.append(cursor)
-                    # the big-endian u16 length field (_PROP_LEN)
-                    length = raw[cursor].astype(np.int64) << 8 | raw[cursor + 1]
-                    cursor = cursor + PROP_LEN_WIDTH + length
-                    more = cursor < ends[rows]
-                    rows = rows[more]
-                    cursor = cursor[more]
-                found.append(offsets[-1:])
-                starts = np.concatenate(found)
-                starts.sort()
-                table = (starts, np.searchsorted(starts, offsets))
-            self._prop_spans = table
-        return table
 
     def to_embeddings(self) -> List[Embedding]:
         """Decode every row back to the exact per-record §3.3 layout."""
@@ -224,9 +250,15 @@ class EmbeddingChunk:
                 Embedding,
                 [id_buf[row * width:(row + 1) * width] for row in range(count)],
                 _row_slices(self.path_buf, self.path_offsets, count),
-                _row_slices(self.prop_buf, self.prop_offsets, count),
+                _row_slices(*props_to_bytes(self.props, self.prop_lens), count),
             )
         )
+
+    def take_props(self, rows) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """``(props, prop_lens)`` of ``rows``: pointers move, no byte does."""
+        if self.props is None or self.prop_lens is None:
+            return None, None
+        return self.props.take(rows, axis=0), self.prop_lens.take(rows, axis=0)
 
     def gather(self, rows) -> "EmbeddingChunk":
         """A new chunk holding ``rows`` (in the given order).
@@ -235,19 +267,11 @@ class EmbeddingChunk:
         unpacked or rewritten.
         """
         rows = np.asarray(rows, dtype=np.intp)
-        path_buf, path_offsets = _gather_buffer(
-            self.path_buf, self.path_offsets, rows
-        )
-        prop_buf, prop_offsets = _gather_buffer(
-            self.prop_buf, self.prop_offsets, rows
-        )
         return EmbeddingChunk(
             self.values[rows],
             None if self.flags is None else self.flags[rows],
-            path_buf,
-            path_offsets,
-            prop_buf,
-            prop_offsets,
+            *_gather_buffer(self.path_buf, self.path_offsets, rows),
+            *self.take_props(rows),
         )
 
     def __repr__(self) -> str:
@@ -270,6 +294,14 @@ def _gather_buffer(buf: bytes, offsets, rows):
     )
 
 
+def _beside(parts: Sequence[Optional[np.ndarray]], axis: int) -> Optional[np.ndarray]:
+    """The matrices among ``parts`` (``None``: no records) joined on ``axis``."""
+    found = [part for part in parts if part is not None]
+    if len(found) > 1:
+        return np.concatenate(found, axis=axis)
+    return found[0] if found else None
+
+
 def concat_chunks(chunks: Sequence[EmbeddingChunk]) -> EmbeddingChunk:
     """One chunk holding the rows of same-shape ``chunks``, in order."""
     if len(chunks) == 1:
@@ -281,20 +313,22 @@ def concat_chunks(chunks: Sequence[EmbeddingChunk]) -> EmbeddingChunk:
             if chunk.flags is None else chunk.flags
             for chunk in chunks
         ])
-    payloads: List[Any] = []
-    for buf, offsets in (("path_buf", "path_offsets"), ("prop_buf", "prop_offsets")):
-        joined = b"".join([getattr(chunk, buf) for chunk in chunks])
-        lengths = None
-        if joined:
-            lengths = _offsets(np.concatenate([
-                np.zeros(chunk.count, dtype=np.int64)
-                if getattr(chunk, offsets) is None
-                else np.diff(getattr(chunk, offsets))
-                for chunk in chunks
-            ]))
-        payloads += [joined, lengths]
+    path_buf = b"".join([chunk.path_buf for chunk in chunks])
+    path_offsets = None
+    if path_buf:
+        path_offsets = _offsets(np.concatenate([
+            np.zeros(chunk.count, dtype=np.int64)
+            if chunk.path_offsets is None else np.diff(chunk.path_offsets)
+            for chunk in chunks
+        ]))
     return EmbeddingChunk(
-        np.concatenate([chunk.values for chunk in chunks]), flags, *payloads
+        np.concatenate([chunk.values for chunk in chunks]),
+        flags,
+        path_buf,
+        path_offsets,
+        # a chunk without records among chunks with some has no rows
+        _beside([chunk.props for chunk in chunks], 0),
+        _beside([chunk.prop_lens for chunk in chunks], 0),
     )
 
 
@@ -302,9 +336,10 @@ def chunk_from_embeddings(records: Sequence[Any]) -> Optional[EmbeddingChunk]:
     """Encode a batch of embeddings; ``None`` if the batch is not uniform.
 
     Uniform means: non-empty, every record an :class:`Embedding`, every
-    record with the same column count.  Mixed batches (or batches of
-    non-embedding records, e.g. expansion frontier tuples) return ``None``
-    and the caller stays on the per-record path.
+    record with the same column count and the same number of property
+    records.  Mixed batches (or batches of non-embedding records, e.g.
+    expansion frontier tuples) return ``None`` and the caller stays on
+    the per-record path.
     """
     count = len(records)
     if count == 0:
@@ -319,14 +354,14 @@ def chunk_from_embeddings(records: Sequence[Any]) -> Optional[EmbeddingChunk]:
     for record in records:
         if type(record) is not Embedding or len(record.id_data) != width:
             return None
+    props = props_from_bytes(*_concat([record.prop_data for record in records]))
+    if props is None:
+        return None
     values, flags = decode_entries(
         b"".join([record.id_data for record in records]), count, columns
     )
     path_buf, path_offsets = _concat([record.path_data for record in records])
-    prop_buf, prop_offsets = _concat([record.prop_data for record in records])
-    return EmbeddingChunk(
-        values, flags, path_buf, path_offsets, prop_buf, prop_offsets
-    )
+    return EmbeddingChunk(values, flags, path_buf, path_offsets, *props)
 
 
 # Column decode ---------------------------------------------------------------
@@ -358,15 +393,16 @@ def path_column(chunk: EmbeddingChunk, column: int) -> List[List[int]]:
 
 
 class PropertyMemo(Dict[bytes, Any]):
-    """Serialized property value (type byte included) → its raw value.
+    """Property record (length field included) → its raw value.
 
     One per request: a first name is decoded once and every row holding
-    it shares the object.  Only scalars are kept — a list is mutable, so
-    each row gets its own.
+    it shares the object — and rows gathered from one resident element
+    hold the very same record object, whose hash is cached.  Only
+    scalars are kept — a list is mutable, so each row gets its own.
     """
 
     def __missing__(self, record: bytes) -> Any:
-        value = PropertyValue.from_bytes(record)[0].raw()
+        value = PropertyValue.from_bytes(record, PROP_LEN_WIDTH)[0].raw()
         if type(value) is not list:
             self[record] = value
         return value
@@ -376,16 +412,9 @@ def property_column(
     chunk: EmbeddingChunk, index: int, memo: PropertyMemo
 ) -> List[Any]:
     """The raw values of property record ``index``, one per row."""
-    starts, first = chunk.prop_spans()
-    records = first[:-1] + index
-    buf = chunk.prop_buf
-    return list(map(memo.__getitem__, [
-        buf[begin:end]
-        for begin, end in zip(
-            (starts[records] + PROP_LEN_WIDTH).tolist(),
-            starts[records + 1].tolist(),
-        )
-    ]))
+    if chunk.props is None:  # no row
+        return []
+    return list(map(memo.__getitem__, chunk.props[:, index].tolist()))
 
 
 class ColumnarPartition:
@@ -445,32 +474,24 @@ class ColumnarPartition:
 class ChunkRowBindings:
     """CNF bindings over one chunk row (no Embedding materialization).
 
-    Property reads go through the chunk's precomputed span table instead
-    of a per-call length-field walk: ``starts`` is the table's record
-    starts as a list, ``first`` the index of this row's first record.
+    ``records`` is the row of the chunk's record matrix: a property read
+    decodes ``records[index]`` in place, no length field is walked.
     """
 
-    __slots__ = ("chunk", "row", "_prop_indexes", "_id_columns", "_starts", "_first")
+    __slots__ = ("chunk", "row", "_prop_indexes", "_id_columns", "_records")
 
-    def __init__(self, chunk, row, prop_indexes, id_columns, starts, first):
+    def __init__(self, chunk, row, prop_indexes, id_columns, records):
         self.chunk = chunk
         self.row = row
         self._prop_indexes = prop_indexes
         self._id_columns = id_columns
-        self._starts = starts
-        self._first = first
+        self._records = records
 
     def property_value(self, variable, key):
         index = self._prop_indexes.get((variable, key))
         if index is None:
             return NULL_VALUE
-        record = self._first + index
-        starts = self._starts
-        return PropertyValue.from_bytes(
-            self.chunk.prop_buf[
-                starts[record] + PROP_LEN_WIDTH:starts[record + 1]
-            ]
-        )[0]
+        return PropertyValue.from_bytes(self._records[index], PROP_LEN_WIDTH)[0]
 
     def label(self, variable):
         raise KeyError(
@@ -496,15 +517,13 @@ def select_kernel(evaluate, meta):
     }
 
     def kernel(chunk):
-        starts, first = chunk.prop_spans()
-        starts = starts.tolist()
+        props = chunk.props
+        rows = [()] * chunk.count if props is None else props.tolist()
         kept = [
             row
-            for row, row_first in enumerate(first[:-1].tolist())
+            for row, records in enumerate(rows)
             if evaluate(
-                ChunkRowBindings(
-                    chunk, row, prop_indexes, id_columns, starts, row_first
-                )
+                ChunkRowBindings(chunk, row, prop_indexes, id_columns, records)
             )
         ]
         if len(kept) == chunk.count:
@@ -515,62 +534,36 @@ def select_kernel(evaluate, meta):
 
 
 def project_kernel(keep_indices):
-    """Chunk kernel of ``ProjectEmbeddings``: slice kept property records."""
-    keep = np.array(tuple(keep_indices), dtype=np.int64)
+    """Chunk kernel of ``ProjectEmbeddings``: keep columns of the record
+    matrix."""
+    keep = np.array(tuple(keep_indices), dtype=np.intp)
 
     def kernel(chunk):
-        starts, first = chunk.prop_spans()
-        records = first[:-1, None] + keep
-        begins = starts[records]
-        ends = starts[records + 1]
-        buf = chunk.prop_buf
-        prop_offsets = _offsets((ends - begins).sum(axis=1))
+        props, prop_lens = chunk.props, chunk.prop_lens
+        if props is None or prop_lens is None:
+            return chunk
         return EmbeddingChunk(
             chunk.values,
             chunk.flags,
             chunk.path_buf,
             chunk.path_offsets,
-            b"" if prop_offsets is None else b"".join(
-                [
-                    buf[begin:end]
-                    for begin, end in zip(
-                        begins.ravel().tolist(), ends.ravel().tolist()
-                    )
-                ]
-            ),
-            prop_offsets,
+            props[:, keep],
+            prop_lens[:, keep],
         )
 
     return kernel
 
 
-def _encode_properties(element, keys, parts):
-    """Append ``element``'s property records for ``keys``; returns byte count."""
-    total = 0
+def _property_records(element, keys) -> List[bytes]:
+    """``element``'s §3.3 property records for ``keys``, one object each."""
+    records = []
     for key in keys:
         value = element.get_property(key)
         if not isinstance(value, PropertyValue):
             value = PropertyValue(value)
         payload = value.to_bytes()
-        parts.append(_PROP_LEN.pack(len(payload)))
-        parts.append(payload)
-        total += PROP_LEN_WIDTH + len(payload)
-    return total
-
-
-def _leaf_chunk(values, columns, prop_parts, prop_offsets):
-    """The all-id chunk a leaf kernel has gathered into Python lists."""
-    if not values:
-        # most partitions of a small or selectively scanned label
-        return _EMPTY_LEAVES[columns]
-    prop_buf = b"".join(prop_parts)
-    return EmbeddingChunk(
-        np.array(values, dtype=np.uint64).reshape(-1, columns),
-        prop_buf=prop_buf,
-        prop_offsets=(
-            np.array(prop_offsets, dtype=np.int64) if prop_buf else None
-        ),
-    )
+        records.append(_PROP_LEN.pack(len(payload)) + payload)
+    return records
 
 
 #: the (immutable, hence shared) empty chunk of each leaf width
@@ -592,26 +585,27 @@ class LeafTable:
     emit — ids in column order under its orientation rules, the §3.3
     records of its property keys — and element ``i`` owns rows
     ``first[i]`` to ``first[i + 1]`` (``first`` is ``None`` when that is
-    row ``i`` alone).  Nothing a request binds is in here.
+    row ``i`` alone).  Nothing a request binds is in here.  The record
+    objects built here are the ones every chunk of every request points
+    at; ``nbytes`` counts the arrays and each distinct record once.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "nbytes")
 
     def __init__(self, parts):
         self.parts = parts
-        for chunk, _ in parts:
-            chunk.prop_spans()  # shared by every gather and RETURN decode
-            chunk.values.setflags(write=False)
-
-    @property
-    def nbytes(self):
-        total = 0
-        for chunk, first in self.parts:
-            arrays = (chunk.values, chunk.prop_offsets, first, *chunk.prop_spans())
-            total += len(chunk.prop_buf) + sum(
-                array.nbytes for array in arrays if array is not None
-            )
-        return total
+        self.nbytes = 0
+        for chunk, first in parts:
+            for array in (chunk.values, first, chunk.props, chunk.prop_lens):
+                if array is not None:
+                    array.setflags(write=False)
+                    self.nbytes += array.nbytes
+            if chunk.props is not None:
+                # the rows of one element share its record objects
+                records = {
+                    id(record): record for record in chunk.props.ravel().tolist()
+                }
+                self.nbytes += sum(map(sys.getsizeof, records.values()))
 
 
 def value_index(partitions, key, token=None):
@@ -672,18 +666,27 @@ class ColumnarLeaf:
         """``(chunk, first)`` of ``elements`` (see :class:`LeafTable`)."""
         orient, keys = self.orient, self.keys
         values: List[int] = []
-        prop_parts: List[bytes] = []
-        prop_offsets = [0]
+        cells: List[bytes] = []
         first = [0]
-        total = 0
+        rows = 0
         for element in elements:
+            records = _property_records(element, keys)
             for ids in orient(element):
                 values.extend(ids)
-                if keys:
-                    total += _encode_properties(element, keys, prop_parts)
-                prop_offsets.append(total)
-            first.append(len(prop_offsets) - 1)
-        chunk = _leaf_chunk(values, self.columns, prop_parts, prop_offsets)
+                cells.extend(records)
+                rows += 1
+            first.append(rows)
+        if not rows:
+            # most partitions of a small or selectively scanned label
+            chunk = _EMPTY_LEAVES[self.columns]
+        else:
+            chunk = EmbeddingChunk(
+                np.array(values, dtype=np.uint64).reshape(rows, self.columns),
+                props=np.array(cells, dtype=object).reshape(rows, len(keys)),
+                prop_lens=np.fromiter(
+                    map(len, cells), np.int32, len(cells)
+                ).reshape(rows, len(keys)),
+            )
         offsets = np.array(first, dtype=np.int64)
         return chunk, None if (np.diff(offsets) == 1).all() else offsets
 
@@ -915,15 +918,6 @@ def _fan_out(base, counts, token=None):
         start, done = stop, done + total
 
 
-def _prop_rows(chunk):
-    """``(per-row prop bytes, their lengths)`` of ``chunk``, or ``None``
-    when it carries no property bytes."""
-    if chunk.prop_offsets is None:
-        return None
-    rows = _row_slices(chunk.prop_buf, chunk.prop_offsets, chunk.count)
-    return rows, np.diff(chunk.prop_offsets)
-
-
 def _all_distinct(column, watches, kept=None):
     """``kept`` and: within every watch list the columns ``column(i)``
     yields differ pairwise, row by row (``None``: nothing to check)."""
@@ -1004,7 +998,6 @@ class ColumnarJoinSpec:
             build_keys = _hash_keys(build.values, build_columns)
         order = np.argsort(build_keys, kind="stable")
         sorted_keys = build_keys[order]
-        build_props = _prop_rows(build)
         out_chunks = []
         for probe in _probe_runs(probe_chunks):
             if exact:
@@ -1013,12 +1006,8 @@ class ColumnarJoinSpec:
                 probe_keys = _hash_keys(probe.values, probe_columns)
             low = np.searchsorted(sorted_keys, probe_keys, "left")
             matches = np.searchsorted(sorted_keys, probe_keys, "right") - low
-            probe_props = _prop_rows(probe)
             for probe_rows, position in _fan_out(low, matches, token):
-                sides = [
-                    (build, order[position], build_props),
-                    (probe, probe_rows, probe_props),
-                ]
+                sides = [(build, order[position]), (probe, probe_rows)]
                 if not build_is_left:
                     sides.reverse()
                 chunk = self._merge(*sides, check_keys=not exact)
@@ -1027,9 +1016,9 @@ class ColumnarJoinSpec:
         return out_chunks
 
     def _merge(self, left_side, right_side, check_keys):
-        """The output chunk of matched ``(chunk, rows, props)`` sides."""
-        left_chunk, left_rows, left_props = left_side
-        right_chunk, right_rows, right_props = right_side
+        """The output chunk of matched ``(chunk, rows)`` sides."""
+        left_chunk, left_rows = left_side
+        right_chunk, right_rows = right_side
         left, right = left_chunk.values, right_chunk.values
         left_count = self.left_count
         keep = np.array(self.keep_columns, dtype=np.intp)
@@ -1061,21 +1050,11 @@ class ColumnarJoinSpec:
         )
         merged[:, :left_count] = left[left_rows]
         merged[:, left_count:] = right[right_rows[:, None], keep]
-        # each output row's props: its left row's, then its right row's
-        props = [
-            (side, rows)
-            for side, rows in ((left_props, left_rows), (right_props, right_rows))
-            if side is not None
-        ]
-        prop_buf, prop_offsets = b"", None
-        if props:
-            prop_offsets = _offsets(
-                sum(lengths[rows] for (_, lengths), rows in props)
-            )
-            prop_buf = b"".join(chain.from_iterable(zip(*(
-                [parts[row] for row in rows.tolist()]
-                for (parts, _), rows in props
-            ))))
+        # each output row's records: its left row's, then its right row's
+        left_props, left_lens = left_chunk.take_props(left_rows)
+        right_props, right_lens = right_chunk.take_props(right_rows)
+        props = _beside([left_props, right_props], 1)
+        prop_lens = _beside([left_lens, right_lens], 1)
         flags = None
         path_buf, path_offsets = b"", None
         if left_chunk.flags is not None or right_chunk.flags is not None:
@@ -1092,7 +1071,7 @@ class ColumnarJoinSpec:
                         chunk.path_buf, chunk.path_offsets, rows
                     )
         return EmbeddingChunk(
-            merged, flags, path_buf, path_offsets, prop_buf, prop_offsets
+            merged, flags, path_buf, path_offsets, props, prop_lens
         )
 
 
@@ -1246,8 +1225,7 @@ class ColumnarExpandSpec:
             )))
             path_offsets = path_offsets + old_offsets
         emitted.append(EmbeddingChunk(
-            values, flags, path_buf, path_offsets,
-            *_gather_buffer(chunk.prop_buf, chunk.prop_offsets, origin)
+            values, flags, path_buf, path_offsets, *chunk.take_props(origin)
         ))
 
 
@@ -1340,7 +1318,7 @@ class ColumnarAdjacencyJoin:
             flags[:, self.fresh] = FLAG_ID
         return EmbeddingChunk(
             values, flags, carried.path_buf, carried.path_offsets,
-            carried.prop_buf, carried.prop_offsets,
+            carried.props, carried.prop_lens,
         )
 
 

@@ -137,8 +137,10 @@ def test_record_codec_columnar_chunks():
     from repro.engine.columnar import ColumnarPartition, chunk_from_embeddings
     from repro.engine.embedding import Embedding
 
+    # one property record a row (a chunk's rows agree on the count), the
+    # last one's payload empty
     rows = [
-        Embedding(b"\x00" * 9 + b"\x01" * 9, b"\x07" * 12, b""),
+        Embedding(b"\x00" * 9 + b"\x01" * 9, b"\x07" * 12, b"\x00\x02\x06\x07"),
         Embedding(b"\x02" * 9 + b"\x03" * 9, b"", b"\x00\x01\x05"),
         Embedding(b"\x04" * 9 + b"\x05" * 9, b"\x08" * 24, b"\x00\x00"),
     ]
@@ -154,6 +156,34 @@ def test_record_codec_columnar_chunks():
         (r.id_data, r.path_data, r.prop_data) for r in decoded
     ] == [(r.id_data, r.path_data, r.prop_data) for r in rows]
     # a round-trip re-encode is byte-identical (id_buf never re-packed)
+    assert encode_records(decoded) == (fmt, payload)
+
+
+def test_record_codec_chunk_frame_keeps_awkward_property_values():
+    from repro.engine.columnar import ColumnarPartition, chunk_from_embeddings
+    from repro.engine.embedding import Embedding
+    from repro.epgm import GradoopId
+
+    # NULL, a list and the empty string: the shortest record, a nested
+    # one and a payload that is all header — as records of one row and
+    # down one column
+    values = [None, [1, "a", [2.5]], ""]
+    rows = [
+        Embedding.of_ids(GradoopId(7 + turn)).append_properties(
+            values[turn:] + values[:turn]
+        )
+        for turn in range(3)
+    ]
+    partition = ColumnarPartition([chunk_from_embeddings(rows)])
+    fmt, payload = encode_records(partition)
+    assert fmt == b"C"
+    decoded = decode_records(fmt, payload)
+    assert list(decoded) == rows
+    assert [[value.raw() for value in row.properties()] for row in decoded] == [
+        values[turn:] + values[:turn] for turn in range(3)
+    ]
+    (chunk,) = decoded.chunks
+    assert chunk.props.shape == chunk.prop_lens.shape == (3, 3)
     assert encode_records(decoded) == (fmt, payload)
 
 

@@ -35,20 +35,25 @@ from repro.engine import CypherRunner, GraphStatistics, MatchStrategy
 from repro.engine import columnar as columnar_module
 from repro.engine.columnar import (
     EDGE_ID,
+    FAR_END,
     ColumnarAdjacencyJoin,
+    ColumnarExpandSpec,
     ColumnarJoinSpec,
     ColumnarPartition,
     EmbeddingChunk,
     chunk_from_embeddings,
+    project_kernel,
     shuffle_split,
 )
-from repro.engine.embedding import Embedding, iter_property_records
+from repro.engine.embedding import Embedding, compile_property_projector
 from repro.cypher import QueryHandler
 from repro.engine.operators import (
     ExpandEmbeddings,
     JoinEmbeddings,
+    ProjectEmbeddings,
     SelectAndProjectEdges,
     SelectAndProjectVertices,
+    SelectEmbeddings,
 )
 from repro.engine.operators.leaves import LoweredOperator
 from repro.engine.planning import (
@@ -73,26 +78,29 @@ _shapes = st.lists(st.sampled_from(["id", "path"]), min_size=1, max_size=4)
 
 
 @st.composite
-def uniform_batches(draw):
+def uniform_batches(draw, shapes=_shapes, ids=_ids):
     """A non-empty list of embeddings sharing one column shape.
 
     Rows differ in everything the shape does not fix: path lengths vary
-    per row (including empty), property maps vary per row (including
-    absent), and property values include nulls.
+    per row (including empty) and so do the property values (nulls
+    included).  How many property records a row holds is part of the
+    shape — one count per batch (0 included), as for every batch a plan
+    produces.
     """
-    shape = draw(_shapes)
+    shape = draw(shapes)
     count = draw(st.integers(min_value=1, max_value=12))
+    records = draw(st.integers(min_value=0, max_value=3))
     rows = []
     for _ in range(count):
         embedding = Embedding()
         for kind in shape:
             if kind == "id":
-                embedding = embedding.append_id(GradoopId(draw(_ids)))
+                embedding = embedding.append_id(GradoopId(draw(ids)))
             else:
                 embedding = embedding.append_path(
                     [GradoopId(v) for v in draw(_paths)]
                 )
-        props = draw(st.lists(_values, max_size=3))
+        props = draw(st.lists(_values, min_size=records, max_size=records))
         if props:
             embedding = embedding.append_properties(
                 [PropertyValue(v) for v in props]
@@ -131,27 +139,6 @@ def test_partition_quacks_like_the_record_list(rows):
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=uniform_batches())
-def test_prop_spans_match_per_record_walk(rows):
-    chunk = chunk_from_embeddings(rows)
-    starts, first = chunk.prop_spans()
-    assert len(first) == chunk.count + 1
-    assert starts[-1] == len(chunk.prop_buf)
-    base = 0
-    for row, record in enumerate(rows):
-        # iter_property_records yields (payload_start, payload_length);
-        # a chunk span covers the whole record, length prefix included
-        expected = [
-            (base + start - 2, base + start + length)
-            for start, length in iter_property_records(record.prop_data)
-        ]
-        records = range(first[row], first[row + 1])
-        assert [(starts[k], starts[k + 1]) for k in records] == expected
-        assert len(records) == record.property_count
-        base += len(record.prop_data)
-
-
-@settings(max_examples=100, deadline=None)
 @given(rows=uniform_batches(), data=st.data())
 def test_gather_matches_row_selection(rows, data):
     chunk = chunk_from_embeddings(rows)
@@ -175,6 +162,32 @@ def test_non_uniform_batches_fall_back():
     assert chunk_from_embeddings([one, ("frontier", 1)]) is None
 
 
+def test_ragged_property_counts_are_not_uniform_and_stay_per_record():
+    # same id width, 1 / 2 / 1 / 0 property records: the record matrix has
+    # one width per chunk, so this is no chunk — a kernel-capable chain
+    # fed it runs per record and says so
+    base = Embedding.of_ids(GradoopId(1))
+    ragged = [
+        base.append_properties([PropertyValue("x")]),
+        base.append_properties([PropertyValue(None), PropertyValue(2)]),
+        base.append_properties([PropertyValue([1, 2])]),
+    ]
+    assert chunk_from_embeddings(ragged) is None
+    assert chunk_from_embeddings(ragged[:1] + [base]) is None
+    assert chunk_from_embeddings(ragged[::2]) is not None
+
+    project = compile_property_projector([0])
+    project.columnar_kernel = project_kernel([0])
+    environment = ExecutionEnvironment(parallelism=1)
+    dataset = environment.from_collection(ragged).map(project).map(project)
+    with environment.job("ragged") as metrics:
+        columnar = dataset.collect(fused=True, columnar=True)
+    assert metrics.chunk_fallbacks["non_uniform_batch"] > 0
+    assert _canon(columnar) == _canon(dataset.collect(fused=False)) == _canon(
+        [row.project_properties([0]) for row in ragged]
+    )
+
+
 @pytest.mark.parametrize("with_payload", [False, True])
 @pytest.mark.parametrize(
     "count",
@@ -190,7 +203,7 @@ def test_roundtrip_is_exact_at_every_size(count, with_payload):
     # an empty payload buffer has no offset array at all, and only a
     # chunk with a non-id entry (the PATH column) carries flags
     assert (chunk.path_offsets is None) == (not chunk.path_buf)
-    assert (chunk.prop_offsets is None) == (not chunk.prop_buf)
+    assert (chunk.props is None) == (chunk.prop_lens is None) == (not with_payload)
     assert (chunk.flags is None) == (not with_payload)
 
 
@@ -219,10 +232,10 @@ def test_no_module_state_grows_with_chunk_lengths():
 
 
 def _make_rows(count, columns, with_payload):
-    """Uniform-shape rows; with payload, a path column plus properties.
+    """Uniform-shape rows; with payload, a path column plus one property.
 
-    Path lengths and property maps vary per row (some empty) without
-    changing the column shape, so the batch stays chunkable.
+    Path lengths and property values vary per row (some empty, some
+    NULL) without changing the shape, so the batch stays chunkable.
     """
     rows = []
     for index in range(count):
@@ -236,10 +249,9 @@ def _make_rows(count, columns, with_payload):
             embedding = embedding.append_path(
                 [GradoopId(index + 2 + hop) for hop in range(hops)]
             )
-            if index % 2:
-                embedding = embedding.append_properties(
-                    [PropertyValue("p%d" % index)]
-                )
+            embedding = embedding.append_properties(
+                [PropertyValue("p" * (index % 4) if index % 2 else None)]
+            )
         rows.append(embedding)
     return rows
 
@@ -323,9 +335,11 @@ def _assert_join_matches_model(keys, build_is_left, with_props,
                 embedding = embedding.append_path(
                     [GradoopId(100 + hop) for hop in range(index % 4)]
                 )
-            if with_props and index % 3:
+            if with_props:
+                # two records a row on the left, one on the right
                 embedding = embedding.append_properties(
-                    [PropertyValue("%d-%d" % (salt, index))]
+                    [PropertyValue("%d-%d" % (salt, index) if index % 3 else None)]
+                    * (1 + salt % 2)
                 )
             rows.append(embedding)
         return rows
@@ -442,6 +456,169 @@ def test_join_spec_takes_a_path_on_one_side_only():
     # a PATH on both sides would need its offsets rewritten
     other_path = meta(("b", "v"), ("q", "p"))
     assert spec(other_path, homo, homo) is None
+
+
+# --- the record matrix: sizes and sharing --------------------------------------
+
+
+def _assert_chunks_are(chunks, expected, ordered=True):
+    """``chunks`` decode to ``expected`` and size themselves as its rows do."""
+    decoded = [row for chunk in chunks for row in chunk.to_embeddings()]
+    if ordered:
+        assert _canon(decoded) == _canon(expected)
+    else:
+        assert Counter(decoded) == Counter(expected)
+    for chunk in chunks:
+        sizes = [row.serialized_size() for row in chunk.to_embeddings()]
+        assert chunk.row_sizes().tolist() == sizes
+        assert chunk.byte_size() == sum(sizes)
+        assert (chunk.props is None) == (chunk.prop_lens is None)
+
+
+_id_rows = dict(
+    shapes=st.lists(st.just("id"), min_size=1, max_size=3),
+    ids=st.integers(min_value=0, max_value=3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    left=uniform_batches(**_id_rows), right=uniform_batches(**_id_rows),
+    data=st.data(),
+)
+def test_sizes_equal_the_per_record_sizes_after_every_kernel(left, right, data):
+    # shuffled_bytes and every bytes_out are read off these two methods
+    chunk, other = chunk_from_embeddings(left), chunk_from_embeddings(right)
+    picks = data.draw(st.lists(st.integers(0, len(left) - 1), max_size=20))
+    picked = [left[i] for i in picks]
+    gathered = chunk.gather(picks)
+    _assert_chunks_are([gathered], picked)
+    _assert_chunks_are(
+        [columnar_module.concat_chunks([chunk, gathered, chunk])],
+        left + picked + left,
+    )
+
+    keep = data.draw(st.permutations(range(left[0].property_count)))
+    keep = keep[:data.draw(st.integers(0, len(keep)))]
+    _assert_chunks_are(
+        [project_kernel(keep)(chunk)],
+        [compile_property_projector(keep)(row) for row in left],
+    )
+
+    # the hash join's merge: left rows x right rows on their first column
+    width = left[0].column_count
+    spec = ColumnarJoinSpec(
+        width, (0,), (0,), tuple(range(1, right[0].column_count)), (), ()
+    )
+    _assert_chunks_are(
+        spec.hash_join([chunk], [other], True),
+        [
+            l.merge(r, frozenset([0]))
+            for r in right for l in left if l.raw_id_at(0) == r.raw_id_at(0)
+        ],
+    )
+
+    # the adjacency join's merge and the expand's emit, one hop from column 0
+    edges = [
+        Edge(GradoopId(100 + number), "x", GradoopId(source), GradoopId(target))
+        for number, (source, target) in enumerate(
+            data.draw(st.lists(st.tuples(_id_rows["ids"], _id_rows["ids"]), max_size=8))
+        )
+    ]
+    adjacency = Adjacency(edges)
+    hops = [
+        (row, edge) for row in left for edge in edges
+        if edge.source_id.value == row.raw_id_at(0)
+    ]
+    join = ColumnarAdjacencyJoin(
+        adjacency, 0, None, list(range(width)) + [EDGE_ID, FAR_END], spec
+    )
+    _assert_chunks_are(
+        join.run([chunk], None, None, None),
+        [row.append_id(edge.id).append_id(edge.target_id) for row, edge in hops],
+        ordered=False,
+    )
+    expand = ColumnarExpandSpec(adjacency, 0, None, None, None, 1, 1, False)
+    emitted = []
+    for piece in expand.start([chunk], emitted):
+        expand.hop(piece, True, None, None, emitted)
+    _assert_chunks_are(
+        emitted,
+        [row.append_path([edge.id]).append_id(edge.target_id) for row, edge in hops],
+        ordered=False,
+    )
+
+
+def _resident_records(graph):
+    """``id()`` of every record object a resident leaf table holds."""
+    return {
+        id(record)
+        for key, table in graph._resident.items() if key[0] == "table"
+        for chunk, _ in table.parts if chunk.props is not None
+        for record in chunk.props.ravel().tolist()
+    }
+
+
+def test_a_plan_moves_pointers_to_the_resident_records():
+    # leaf -> adjacency join -> (shuffle ->) hash join -> project: no
+    # kernel builds a property record, every output cell *is* a leaf's
+    graph = _leaf_graph(4)
+    handler = QueryHandler("MATCH (a:A)-[e:x]->(b:A) RETURN *")
+    strategies = (STRATEGIES[0], STRATEGIES[0])
+    hop = JoinEmbeddings(
+        SelectAndProjectVertices(graph, handler.vertices["a"], ["n", "s"]),
+        SelectAndProjectEdges(graph, handler.edges["e"], []),
+        ["a"], *strategies,
+    )
+    joined = JoinEmbeddings(
+        hop, SelectAndProjectVertices(graph, handler.vertices["b"], ["k", "n"]),
+        ["b"], *strategies,
+    )
+    root = ProjectEmbeddings(joined, [("b", "k"), ("a", "s"), ("b", "n")])
+    with graph.environment.job("pointers") as metrics:
+        chunks = list(root.evaluate().batches())
+    assert len(_lowered_runs(metrics)) == 1
+    assert any(run.shuffled_records for run in metrics.runs)
+    assert not any(metrics.chunk_fallbacks.values())
+    resident = _resident_records(graph)
+    cells = [
+        cell for chunk in chunks for cell in chunk.props.ravel().tolist()
+    ]
+    assert len(cells) == 3 * 9 and all(id(cell) in resident for cell in cells)
+    _assert_chunks_are(chunks, root.evaluate().collect(fused=False), ordered=False)
+
+
+def test_leaf_table_counts_each_record_once_and_is_read_only():
+    graph = _leaf_graph(1)
+    runner, _ = _leaf_runners(graph, STRATEGIES[0])
+    # an undirected edge emits two rows, which share its record object
+    rows, _ = runner.execute_embeddings("MATCH (a)-[e:x]-(b) RETURN e.w")
+    (table,) = [
+        table for key, table in graph._resident.items() if key[0] == "table"
+    ]
+    (chunk, first), = table.parts
+    records = {id(r): r for r in chunk.props.ravel().tolist()}
+    assert len(rows) == chunk.count == 16 and len(records) == 9
+    arrays = (chunk.values, chunk.props, chunk.prop_lens, first)
+    assert not any(array.flags.writeable for array in arrays)
+    assert graph.leaf_stats()["bytes"] == table.nbytes == sum(
+        array.nbytes for array in arrays
+    ) + sum(sys.getsizeof(record) for record in records.values())
+
+
+def test_select_kernel_compares_two_property_records(leaf_graphs):
+    # a predicate over two variables runs above the join, on chunk rows
+    graph = leaf_graphs[4]
+    query = "MATCH (a:A)-[e:x]->(b:A) WHERE a.n < b.n OR a.s = b.s RETURN a.n, b.n"
+    columnar, per_record = _leaf_runners(graph, STRATEGIES[0])
+    _, root = columnar.compile(query)
+    assert any(isinstance(op, SelectEmbeddings) for op in root.postorder())
+    with graph.environment.job("select") as metrics:
+        columnar_embeddings, _ = columnar.execute_embeddings(query)
+    per_record_embeddings, _ = per_record.execute_embeddings(query)
+    assert not any(metrics.chunk_fallbacks.values())
+    assert Counter(columnar_embeddings) == Counter(per_record_embeddings)
+    assert 0 < len(columnar_embeddings) < 9
 
 
 # --- end-to-end differential -------------------------------------------------
