@@ -77,11 +77,13 @@ bench-micro:
 	python -m repro bench-micro
 
 # start `repro serve` as a subprocess, run a parameterized query over the
-# wire, prepare/execute with two bindings, shut down cleanly — once on
-# the default (columnar) engine, once on the batched path
+# wire, prepare/execute with two bindings, shut down cleanly — on the
+# default (columnar) engine, on the batched path and through a two-worker
+# pool, the three legs CI runs
 serve-smoke:
 	python scripts/serve_smoke.py
 	python scripts/serve_smoke.py --no-columnar
+	python scripts/serve_smoke.py --workers 2
 
 # closed-loop concurrent load (8 clients, Q1-Q6) with differential
 # verification, deadline and admission-control checks

@@ -278,24 +278,28 @@ def _encode_chunks(partition):
     in order: the §3.3 id entry block (``count * columns *
     ENTRY_WIDTH`` bytes), the packed path offset table (``count + 1``
     little-endian u32), the path buffer, the packed prop offset table,
-    the prop buffer.  No per-record object is touched — the frame is a
-    concatenation of buffers the chunk already holds, the prop buffer one
-    join of its record matrix (``props_to_bytes``); an absent offset
-    array, i.e. an empty buffer, ships as the all-zero table.
+    the prop buffer.  No per-record object is touched — the path buffer
+    is written from the chunk's id matrices (``paths_to_bytes``), the
+    prop buffer is one join of its record matrix (``props_to_bytes``); an
+    absent offset array, i.e. an empty buffer, ships as the all-zero
+    table.
     """
-    from repro.engine.columnar import props_to_bytes  # lazy: layering
+    from repro.engine.columnar import (  # lazy: layering
+        paths_to_bytes,
+        props_to_bytes,
+    )
 
     chunks = partition.chunks
     pieces = [_CHUNK_COUNT.pack(len(chunks))]
     append = pieces.append
     for chunk in chunks:
-        path_buf = chunk.path_buf
+        paths = paths_to_bytes(chunk.paths, chunk.count)
         props = props_to_bytes(chunk.props, chunk.prop_lens)
         append(_CHUNK_HEADER.pack(
-            chunk.count, chunk.columns, len(path_buf), len(props[0])
+            chunk.count, chunk.columns, len(paths[0]), len(props[0])
         ))
         append(chunk.id_buf())
-        for buf, offsets in ((path_buf, chunk.path_offsets), props):
+        for buf, offsets in (paths, props):
             if offsets is None:
                 append(bytes(_OFFSET.itemsize * (chunk.count + 1)))
             else:
@@ -308,13 +312,16 @@ def _decode_chunks(payload):
     """Reverse of :func:`_encode_chunks`; returns a ColumnarPartition.
 
     Column arrays are read straight off the frame with ``frombuffer``
-    and copied into native arrays, the prop buffer is cut into its record
-    matrix (``props_from_bytes``), so the chunks do not pin the frame.
+    and copied into native arrays, the path buffer is read into its id
+    matrices (``paths_from_bytes``) and the prop buffer cut into its
+    record matrix (``props_from_bytes``), so the chunks do not pin the
+    frame.
     """
     from repro.engine.columnar import (  # lazy: layering
         ColumnarPartition,
         EmbeddingChunk,
         decode_entries,
+        paths_from_bytes,
         props_from_bytes,
     )
     from repro.engine.embedding import ENTRY_WIDTH  # lazy: layering
@@ -341,10 +348,12 @@ def _decode_chunks(payload):
             payloads.append((bytes(view[cursor:cursor + length]), offsets))
             cursor += length
         path, prop = payloads
-        props = props_from_bytes(*prop)
-        if props is None:
-            raise ValueError("chunk frame rows differ in property record count")
-        chunks.append(EmbeddingChunk(values, flags, *path, *props))
+        paths, props = paths_from_bytes(*path), props_from_bytes(*prop)
+        if paths is None or props is None:
+            raise ValueError(
+                "chunk frame rows hold malformed or ragged paths or records"
+            )
+        chunks.append(EmbeddingChunk(values, flags, paths, *props))
     return ColumnarPartition(chunks)
 
 

@@ -3,28 +3,30 @@
 A :class:`EmbeddingChunk` stores a batch of embeddings column-wise instead
 of row-wise: the fixed-width id entries of all rows live in one
 ``uint64`` ``(count, columns)`` array (plus a ``uint8`` flag array only
-when some entry is not a plain id), the variable-width ``path_data`` is
-concatenated into a single buffer with a per-row offset array — absent
-when the buffer is empty — and ``prop_data`` is a *record matrix*: an
-``object`` ``(count, k)`` array whose cell ``[r, i]`` is the immutable
-``bytes`` of row ``r``'s ``i``-th §3.3 property record, length field
-included, beside an ``int32`` matrix of the record lengths.
+when some entry is not a plain id), the paths of ``path_data`` are *id
+matrices* — one ``uint64`` ``(count, width)`` matrix per PATH entry,
+zero-padded, beside the per-row id count — and ``prop_data`` is a
+*record matrix*: an ``object`` ``(count, k)`` array whose cell ``[r, i]``
+is the immutable ``bytes`` of row ``r``'s ``i``-th §3.3 property record,
+length field included, beside an ``int32`` matrix of the record lengths.
 Because every §3.3 id entry is exactly ``ENTRY_WIDTH`` bytes, the whole
 id block decodes and encodes through **one** structured-dtype view
 (:data:`_ENTRY`) and a column projects as an array slice
 (``values[:, c]``) — no per-record dispatch, no per-record ``Embedding``
-allocation, no boxed integers.  Property records are never sliced or
-re-joined on the way through a plan: a leaf builds each record object
-once and every kernel after it moves pointers (``props[rows]`` gathers,
-a join lays two gathers side by side, a projection is ``props[:, keep]``).
+allocation, no boxed integers.  Neither paths nor property records are
+sliced or re-joined on the way through a plan: a leaf builds each record
+object once, the expansion emits the path matrix it walked, and every
+kernel after them moves ids and pointers (``props[rows]`` gathers, a
+join lays two gathers side by side, a projection is ``props[:, keep]``).
 
 The codec is exact and bidirectional: ``chunk_from_embeddings``
 followed by ``to_embeddings`` reproduces every record byte-for-byte.
 PATH entry values stay *row-relative* (offsets into the row's own
-``path_data`` slice), so concatenating rows into a chunk — and slicing
-them back out — never rewrites offsets.  ``prop_data`` as §3.3 bytes
-exists only behind two boundary functions, :func:`props_from_bytes` and
-:func:`props_to_bytes`, which that codec and the worker chunk frame use.
+``path_data``), so gathering, concatenating and merging rows never
+rewrites them.  ``path_data`` and ``prop_data`` as §3.3 bytes exist only
+behind four boundary functions — :func:`paths_from_bytes`,
+:func:`paths_to_bytes`, :func:`props_from_bytes` and
+:func:`props_to_bytes` — which that codec and the worker chunk frame use.
 
 Operators gain *columnar kernels* built here and attached as plain
 attributes (``columnar_kernel`` / ``columnar_join`` /
@@ -47,9 +49,7 @@ property column is one column of the record matrix, each distinct record
 decoded once.
 """
 
-import struct
 import sys
-from itertools import chain
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,7 +66,6 @@ from .embedding import (
     PROP_LEN_WIDTH,
     ElementBindings,
     Embedding,
-    _PATH_LEN,
     _PROP_LEN,
 )
 from .morphism import MatchStrategy
@@ -168,22 +167,98 @@ def props_to_bytes(
     return b"".join(props.ravel().tolist()), _offsets(prop_lens.sum(axis=1))
 
 
+# The path boundary: ``path_data`` as §3.3 bytes <-> one id matrix per PATH
+# entry.  Only the per-record codec and the worker chunk frame cross it.
+
+#: a chunk's paths: one ``(ids, lens)`` pair per PATH entry, in the order
+#: of the rows' ``path_data``
+Paths = Tuple[Tuple[np.ndarray, np.ndarray], ...]
+
+
+def _path_sizes(paths: Paths, count: int) -> np.ndarray:
+    """Per-row byte length of ``path_data``."""
+    sizes = np.zeros(count, dtype=np.int64)
+    for _, lens in paths:
+        sizes += PATH_COUNT_WIDTH + PATH_ID_WIDTH * lens
+    return sizes
+
+
+def paths_from_bytes(buf: bytes, offsets: Optional[np.ndarray]) -> Optional[Paths]:
+    """The paths of rows whose ``path_data`` is
+    ``buf[offsets[r]:offsets[r + 1]]``; ``None`` when a row's bytes are no
+    sequence of PATH entries or the rows hold different numbers of them.
+
+    Round ``i`` reads the count field of every row's ``i``-th entry in
+    one step and checks that the ids it announces fit the row before
+    anything sized by it is allocated.
+    """
+    if offsets is None:
+        return ()
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    cursor, ends = offsets[:-1], offsets[1:]
+    paths: List[Tuple[np.ndarray, np.ndarray]] = []
+    while True:
+        more = cursor < ends
+        if not more.all():
+            return None if more.any() else tuple(paths)
+        if (cursor + PATH_COUNT_WIDTH > ends).any():
+            return None
+        # the big-endian u32 count field (_PATH_LEN)
+        field = raw.take(cursor[:, None] + np.arange(PATH_COUNT_WIDTH))
+        lens = field.view(">u4")[:, 0].astype(np.int64)
+        start = cursor + PATH_COUNT_WIDTH
+        cursor = start + PATH_ID_WIDTH * lens
+        if (cursor > ends).any():
+            return None
+        # each row's ids, then whatever follows them up to the widest: zeroed
+        at = np.arange(PATH_ID_WIDTH * int(lens.max()))
+        data = raw.take(start[:, None] + at, mode="clip")
+        data[at >= PATH_ID_WIDTH * lens[:, None]] = 0
+        paths.append((data.view(">u8").astype(np.uint64), lens))
+
+
+def paths_to_bytes(paths: Paths, count: int) -> Tuple[bytes, Optional[np.ndarray]]:
+    """``(buf, offsets)`` — every row's ``path_data``, concatenated."""
+    if not paths:
+        return b"", None
+    blocks: List[np.ndarray] = []
+    fits: List[np.ndarray] = []
+    for ids, lens in paths:
+        width = PATH_ID_WIDTH * ids.shape[1]
+        ids = np.ascontiguousarray(ids, dtype=">u8")
+        blocks += [
+            lens.astype(">u4").view(np.uint8).reshape(count, PATH_COUNT_WIDTH),
+            ids.view(np.uint8).reshape(count, width),
+        ]
+        fits += [
+            np.ones((count, PATH_COUNT_WIDTH), dtype=bool),
+            np.arange(width) < PATH_ID_WIDTH * lens[:, None],
+        ]
+    data = np.concatenate(blocks, axis=1)[np.concatenate(fits, axis=1)]
+    return data.tobytes(), _offsets(_path_sizes(paths, count))
+
+
 class EmbeddingChunk:
     """A batch of same-shape embeddings in columnar form.
 
     ``values`` is a ``uint64`` ``(count, columns)`` array; ``flags`` a
     ``uint8`` array of the same shape, or ``None`` when every entry is an
-    id.  Row ``r``'s ``path_data`` is
-    ``path_buf[path_offsets[r]:path_offsets[r + 1]]``; the offset array is
-    ``None`` exactly when the buffer is empty.  ``props`` is the record
-    matrix — an ``object`` ``(count, k)`` array, cell ``[r, i]`` the
-    ``bytes`` of row ``r``'s ``i``-th property record with its u16 length
-    field — and ``prop_lens`` the ``int32`` matrix of ``len(props[r, i])``;
+    id.  ``paths`` holds one ``(ids, lens)`` pair per PATH entry, in the
+    order of the rows' ``path_data`` (``()`` when the shape has none):
+    row ``r``'s path is ``ids[r, :lens[r]]`` — ``ids`` a ``uint64``
+    matrix zero-padded to at least the widest path, ``lens`` the
+    ``int64`` id counts.  A PATH column's value stays its §3.3 offset in
+    the row's ``path_data``, the sum of the earlier entries' sizes.
+    ``props`` is the record matrix — an ``object`` ``(count, k)`` array,
+    cell ``[r, i]`` the ``bytes`` of row ``r``'s ``i``-th property record
+    with its u16 length field — and ``prop_lens`` the ``int32`` matrix of
+    ``len(props[r, i])``;
     both are ``None`` exactly when the chunk holds no record (``k == 0``
-    or no row).  Every row of a chunk holds the same ``k`` records, as
-    every row a plan produces does.  Instances are immutable once built
-    and may be shared between partitions (broadcast) without copying;
-    record objects are shared between chunks, never copied.
+    or no row).  Every row of a chunk holds the same PATH entries and
+    ``k`` records, as every row a plan produces does.  Instances are
+    immutable once built and may be shared between partitions (broadcast)
+    without copying; arrays and record objects are shared between chunks,
+    never copied.
     """
 
     __slots__ = (
@@ -191,8 +266,7 @@ class EmbeddingChunk:
         "columns",
         "flags",
         "values",
-        "path_buf",
-        "path_offsets",
+        "paths",
         "props",
         "prop_lens",
     )
@@ -201,16 +275,14 @@ class EmbeddingChunk:
         self,
         values: np.ndarray,
         flags: Optional[np.ndarray] = None,
-        path_buf: bytes = b"",
-        path_offsets: Optional[np.ndarray] = None,
+        paths: Paths = (),
         props: Optional[np.ndarray] = None,
         prop_lens: Optional[np.ndarray] = None,
     ) -> None:
         self.count, self.columns = values.shape
         self.flags = flags
         self.values = values
-        self.path_buf = path_buf
-        self.path_offsets = path_offsets
+        self.paths = paths
         if props is not None and not props.size:
             props = prop_lens = None
         self.props = props
@@ -225,16 +297,15 @@ class EmbeddingChunk:
 
     def byte_size(self) -> int:
         """Total serialized size — equals the sum of per-row sizes."""
-        size = self.count * self.columns * ENTRY_WIDTH + len(self.path_buf)
+        size = self.count * self.columns * ENTRY_WIDTH
+        size += int(_path_sizes(self.paths, self.count).sum())
         if self.prop_lens is not None:
             size += int(self.prop_lens.sum())
         return size
 
     def row_sizes(self) -> np.ndarray:
         """Per-row serialized sizes."""
-        sizes = np.full(self.count, self.columns * ENTRY_WIDTH, dtype=np.int64)
-        if self.path_offsets is not None:
-            sizes += np.diff(self.path_offsets)
+        sizes = self.columns * ENTRY_WIDTH + _path_sizes(self.paths, self.count)
         if self.prop_lens is not None:
             for lengths in self.prop_lens.T:  # k is small: no axis-1 reduce
                 sizes += lengths
@@ -249,9 +320,15 @@ class EmbeddingChunk:
             map(
                 Embedding,
                 [id_buf[row * width:(row + 1) * width] for row in range(count)],
-                _row_slices(self.path_buf, self.path_offsets, count),
+                _row_slices(*paths_to_bytes(self.paths, count), count),
                 _row_slices(*props_to_bytes(self.props, self.prop_lens), count),
             )
+        )
+
+    def take_paths(self, rows) -> Paths:
+        """The paths of ``rows``: ids move, no byte does."""
+        return tuple(
+            (ids.take(rows, axis=0), lens.take(rows)) for ids, lens in self.paths
         )
 
     def take_props(self, rows) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
@@ -270,7 +347,7 @@ class EmbeddingChunk:
         return EmbeddingChunk(
             self.values[rows],
             None if self.flags is None else self.flags[rows],
-            *_gather_buffer(self.path_buf, self.path_offsets, rows),
+            self.take_paths(rows),
             *self.take_props(rows),
         )
 
@@ -278,20 +355,17 @@ class EmbeddingChunk:
         return "EmbeddingChunk(%d rows x %d columns)" % (self.count, self.columns)
 
 
-def _gather_buffer(buf: bytes, offsets, rows):
-    if offsets is None:
-        return b"", None
-    starts = offsets[rows]
-    ends = offsets[rows + 1]
-    new_offsets = _offsets(ends - starts)
-    if new_offsets is None:
-        return b"", None
-    return (
-        b"".join(
-            [buf[start:end] for start, end in zip(starts.tolist(), ends.tolist())]
-        ),
-        new_offsets,
+def _padded(matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """The rows of ``matrices``, stacked, each zero-padded to the widest."""
+    out = np.zeros(
+        (sum(map(len, matrices)), max(matrix.shape[1] for matrix in matrices)),
+        dtype=np.uint64,
     )
+    row = 0
+    for matrix in matrices:
+        out[row:row + len(matrix), :matrix.shape[1]] = matrix
+        row += len(matrix)
+    return out
 
 
 def _beside(parts: Sequence[Optional[np.ndarray]], axis: int) -> Optional[np.ndarray]:
@@ -313,20 +387,16 @@ def concat_chunks(chunks: Sequence[EmbeddingChunk]) -> EmbeddingChunk:
             if chunk.flags is None else chunk.flags
             for chunk in chunks
         ])
-    path_buf = b"".join([chunk.path_buf for chunk in chunks])
-    path_offsets = None
-    if path_buf:
-        path_offsets = _offsets(np.concatenate([
-            np.zeros(chunk.count, dtype=np.int64)
-            if chunk.path_offsets is None else np.diff(chunk.path_offsets)
-            for chunk in chunks
-        ]))
+    # a chunk without paths (or records) among chunks with some has no rows
+    entries = zip(*[chunk.paths for chunk in chunks if chunk.paths])
     return EmbeddingChunk(
         np.concatenate([chunk.values for chunk in chunks]),
         flags,
-        path_buf,
-        path_offsets,
-        # a chunk without records among chunks with some has no rows
+        tuple(
+            (_padded([ids for ids, _ in entry]),
+             np.concatenate([lens for _, lens in entry]))
+            for entry in entries
+        ),
         _beside([chunk.props for chunk in chunks], 0),
         _beside([chunk.prop_lens for chunk in chunks], 0),
     )
@@ -336,10 +406,10 @@ def chunk_from_embeddings(records: Sequence[Any]) -> Optional[EmbeddingChunk]:
     """Encode a batch of embeddings; ``None`` if the batch is not uniform.
 
     Uniform means: non-empty, every record an :class:`Embedding`, every
-    record with the same column count and the same number of property
-    records.  Mixed batches (or batches of non-embedding records, e.g.
-    expansion frontier tuples) return ``None`` and the caller stays on
-    the per-record path.
+    record with the same column count, the same number of property
+    records and the same number of PATH entries, each ``path_data`` a
+    well-formed sequence of them.  Other batches (e.g. expansion frontier
+    tuples) return ``None`` and the caller stays on the per-record path.
     """
     count = len(records)
     if count == 0:
@@ -354,14 +424,16 @@ def chunk_from_embeddings(records: Sequence[Any]) -> Optional[EmbeddingChunk]:
     for record in records:
         if type(record) is not Embedding or len(record.id_data) != width:
             return None
+    paths = paths_from_bytes(*_concat([record.path_data for record in records]))
+    if paths is None:
+        return None
     props = props_from_bytes(*_concat([record.prop_data for record in records]))
     if props is None:
         return None
     values, flags = decode_entries(
         b"".join([record.id_data for record in records]), count, columns
     )
-    path_buf, path_offsets = _concat([record.path_data for record in records])
-    return EmbeddingChunk(values, flags, path_buf, path_offsets, *props)
+    return EmbeddingChunk(values, flags, paths, *props)
 
 
 # Column decode ---------------------------------------------------------------
@@ -376,20 +448,20 @@ def id_column(chunk: EmbeddingChunk, column: int) -> List[int]:
 
 
 def path_column(chunk: EmbeddingChunk, column: int) -> List[List[int]]:
-    """The id lists of the PATH entries in ``column``, one per row."""
-    if chunk.path_offsets is None:
-        return [[] for _ in range(chunk.count)]
-    buf = chunk.path_buf
-    paths = []
-    # an entry's value is the offset of its path in the row's path_data
-    for start in (
-        chunk.path_offsets[:-1] + chunk.values[:, column].astype(np.int64)
-    ).tolist():
-        (count,) = _PATH_LEN.unpack_from(buf, start)
-        paths.append(list(
-            struct.unpack_from(">%dQ" % count, buf, start + PATH_COUNT_WIDTH)
-        ))
-    return paths
+    """The id lists of the PATH entries in ``column``, one per row.
+
+    The column's value names the entry: its offset in the row's
+    ``path_data``, the sum of the earlier entries' sizes.
+    """
+    offsets = chunk.values[:, column].astype(np.int64)
+    start = np.zeros(chunk.count, dtype=np.int64)
+    for ids, lens in chunk.paths:
+        if (offsets == start).all():
+            if (lens == ids.shape[1]).all():
+                return ids.tolist()
+            return [row[:n] for row, n in zip(ids.tolist(), lens.tolist())]
+        start += PATH_COUNT_WIDTH + PATH_ID_WIDTH * lens
+    raise ValueError("column %d is not one PATH entry of every row" % column)
 
 
 class PropertyMemo(Dict[bytes, Any]):
@@ -545,8 +617,7 @@ def project_kernel(keep_indices):
         return EmbeddingChunk(
             chunk.values,
             chunk.flags,
-            chunk.path_buf,
-            chunk.path_offsets,
+            chunk.paths,
             props[:, keep],
             prop_lens[:, keep],
         )
@@ -1056,23 +1127,16 @@ class ColumnarJoinSpec:
         props = _beside([left_props, right_props], 1)
         prop_lens = _beside([left_lens, right_lens], 1)
         flags = None
-        path_buf, path_offsets = b"", None
         if left_chunk.flags is not None or right_chunk.flags is not None:
-            # a PATH-bearing side — only ever one (columnar_join_spec), so
-            # its entries' row-relative offsets hold in the merged rows
             flags = np.zeros(merged.shape, dtype=np.uint8)
             if left_chunk.flags is not None:
                 flags[:, :left_count] = left_chunk.flags[left_rows]
             if right_chunk.flags is not None:
                 flags[:, left_count:] = right_chunk.flags[right_rows[:, None], keep]
-            for chunk, rows in ((left_chunk, left_rows), (right_chunk, right_rows)):
-                if chunk.path_offsets is not None:
-                    path_buf, path_offsets = _gather_buffer(
-                        chunk.path_buf, chunk.path_offsets, rows
-                    )
-        return EmbeddingChunk(
-            merged, flags, path_buf, path_offsets, props, prop_lens
-        )
+        # a PATH-bearing side — only ever one (columnar_join_spec), so its
+        # entries' row-relative offsets hold in the merged rows
+        paths = left_chunk.take_paths(left_rows) + right_chunk.take_paths(right_rows)
+        return EmbeddingChunk(merged, flags, paths, props, prop_lens)
 
 
 # Expand ----------------------------------------------------------------------
@@ -1194,38 +1258,23 @@ class ColumnarExpandSpec:
         count, hops = path.shape
         if not count:
             return
-        # one PATH entry per row: count + ids, appended to the row's
-        # path_data — so the entry's value is that data's old length
-        record = np.empty(count, dtype=np.dtype(
-            [("count", ">u4"), ("ids", ">u8", (hops,))]
-        ))
-        record["count"] = hops
-        record["ids"] = path[:, ::-1] if self.reverse else path
-        path_buf = record.tobytes()
-        path_offsets = np.arange(count + 1, dtype=np.int64) * (
-            PATH_COUNT_WIDTH + PATH_ID_WIDTH * hops
-        )
+        paths = chunk.take_paths(origin)
         columns = chunk.columns
         values = np.zeros((count, columns + 2 - closing), dtype=np.uint64)
         values[:, :columns] = chunk.values[origin]
+        # the walked path becomes the rows' last PATH entry: its value is
+        # the length of the path_data before it
+        values[:, columns] = _path_sizes(paths, count)
         flags = np.zeros(values.shape, dtype=np.uint8)
         if chunk.flags is not None:
             flags[:, :columns] = chunk.flags[origin]
         flags[:, columns] = FLAG_PATH
         if not closing:
             values[:, -1] = ends
-        old_buf, old_offsets = _gather_buffer(
-            chunk.path_buf, chunk.path_offsets, origin
-        )
-        if old_offsets is not None:
-            values[:, columns] = np.diff(old_offsets)
-            path_buf = b"".join(chain.from_iterable(zip(
-                _row_slices(old_buf, old_offsets, count),
-                _row_slices(path_buf, path_offsets, count),
-            )))
-            path_offsets = path_offsets + old_offsets
+        walked = (path[:, ::-1] if self.reverse else path,
+                  np.full(count, hops, dtype=np.int64))
         emitted.append(EmbeddingChunk(
-            values, flags, path_buf, path_offsets, *chunk.take_props(origin)
+            values, flags, paths + (walked,), *chunk.take_props(origin)
         ))
 
 
@@ -1317,8 +1366,7 @@ class ColumnarAdjacencyJoin:
             flags = flags.take(self.take, axis=1)
             flags[:, self.fresh] = FLAG_ID
         return EmbeddingChunk(
-            values, flags, carried.path_buf, carried.path_offsets,
-            carried.props, carried.prop_lens,
+            values, flags, carried.paths, carried.props, carried.prop_lens,
         )
 
 

@@ -138,11 +138,14 @@ def test_record_codec_columnar_chunks():
     from repro.engine.embedding import Embedding
 
     # one property record a row (a chunk's rows agree on the count), the
-    # last one's payload empty
+    # last one's payload empty; one PATH entry a row, of two lengths in
+    # the first chunk and of zero hops in the second
     rows = [
-        Embedding(b"\x00" * 9 + b"\x01" * 9, b"\x07" * 12, b"\x00\x02\x06\x07"),
-        Embedding(b"\x02" * 9 + b"\x03" * 9, b"", b"\x00\x01\x05"),
-        Embedding(b"\x04" * 9 + b"\x05" * 9, b"\x08" * 24, b"\x00\x00"),
+        Embedding(b"\x00" * 9 + b"\x01" * 9, b"", b"\x00\x02\x06\x07").append_path(
+            [5, 6, 7]
+        ),
+        Embedding(b"\x02" * 9 + b"\x03" * 9, b"", b"\x00\x01\x05").append_path([8]),
+        Embedding(b"\x04" * 9 + b"\x05" * 9, b"", b"\x00\x00").append_path([]),
     ]
     partition = ColumnarPartition(
         [chunk_from_embeddings(rows[:2]), chunk_from_embeddings(rows[2:])]
@@ -153,10 +156,27 @@ def test_record_codec_columnar_chunks():
     # stays columnar across the wire: chunk boundaries survive intact
     assert [chunk.count for chunk in decoded.chunks] == [2, 1]
     assert [
+        [lens.tolist() for _, lens in chunk.paths] for chunk in decoded.chunks
+    ] == [[[3, 1]], [[0]]]
+    assert [
         (r.id_data, r.path_data, r.prop_data) for r in decoded
     ] == [(r.id_data, r.path_data, r.prop_data) for r in rows]
     # a round-trip re-encode is byte-identical (id_buf never re-packed)
     assert encode_records(decoded) == (fmt, payload)
+
+    # path bytes that are no PATH entry (the count field 0x07070707
+    # announces 8 GiB of ids) make no chunk: the batch ships per record,
+    # unchanged ...
+    junk = [Embedding(row.id_data, b"\x07" * 12, row.prop_data) for row in rows]
+    assert chunk_from_embeddings(junk) is None
+    fmt_junk, payload_junk = encode_records(junk)
+    assert fmt_junk == b"E" and decode_records(fmt_junk, payload_junk) == junk
+    # ... and a chunk frame carrying such an entry is refused
+    entry = struct.pack(">IQ", 3, 5)
+    assert payload.count(entry) == 1
+    corrupt = payload.replace(entry, b"\x07" * 4 + entry[4:])
+    with pytest.raises(ValueError, match="paths"):
+        decode_records(fmt, corrupt)
 
 
 def test_record_codec_chunk_frame_keeps_awkward_property_values():

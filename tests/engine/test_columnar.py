@@ -78,7 +78,8 @@ _shapes = st.lists(st.sampled_from(["id", "path"]), min_size=1, max_size=4)
 
 
 @st.composite
-def uniform_batches(draw, shapes=_shapes, ids=_ids):
+def uniform_batches(draw, shapes=_shapes, ids=_ids,
+                    records=st.integers(min_value=0, max_value=3)):
     """A non-empty list of embeddings sharing one column shape.
 
     Rows differ in everything the shape does not fix: path lengths vary
@@ -89,7 +90,7 @@ def uniform_batches(draw, shapes=_shapes, ids=_ids):
     """
     shape = draw(shapes)
     count = draw(st.integers(min_value=1, max_value=12))
-    records = draw(st.integers(min_value=0, max_value=3))
+    records = draw(records)
     rows = []
     for _ in range(count):
         embedding = Embedding()
@@ -153,6 +154,31 @@ def test_gather_matches_row_selection(rows, data):
     )
 
 
+@settings(max_examples=50, deadline=None)
+@given(shape=_shapes, records=st.integers(0, 2), data=st.data())
+def test_paths_of_different_widths_concat_and_gather_exactly(
+    shape, records, data
+):
+    # every chunk pads its paths to its own widest: concatenation re-pads
+    batches = [
+        data.draw(uniform_batches(st.just(shape), records=st.just(records)))
+        for _ in range(data.draw(st.integers(2, 4)))
+    ]
+    rows = [row for batch in batches for row in batch]
+    chunk = columnar_module.concat_chunks(
+        [chunk_from_embeddings(batch) for batch in batches]
+    )
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=20))
+    gathered = (chunk.gather(picks), [rows[i] for i in picks])
+    for got, expected in ((chunk, rows), gathered):
+        _assert_chunks_are([got], expected)
+        for column, kind in enumerate(shape):
+            if kind == "path":
+                assert columnar_module.path_column(got, column) == [
+                    row.raw_path_at(column) for row in expected
+                ]
+
+
 def test_non_uniform_batches_fall_back():
     one = Embedding().append_id(GradoopId(1))
     two = one.append_id(GradoopId(2))
@@ -160,6 +186,35 @@ def test_non_uniform_batches_fall_back():
     assert chunk_from_embeddings([one, two]) is None  # mixed widths
     assert chunk_from_embeddings([("frontier", 1)]) is None
     assert chunk_from_embeddings([one, ("frontier", 1)]) is None
+
+
+def test_ragged_or_malformed_paths_are_not_uniform_and_stay_per_record():
+    # an id matrix per PATH entry needs the same entries in every row and
+    # path_data that is made of them: a count field, then its ids
+    base = Embedding.of_ids(GradoopId(1))
+    one = base.append_path([7, 8])
+    # same columns, a second (unreferenced) entry
+    two = Embedding(one.id_data, one.path_data + bytes([0, 0, 0, 1] + [0] * 7 + [9]))
+    assert chunk_from_embeddings([one, two]) is None
+    for junk in (b"\x00\x00", b"\x00\x00\x00\x02" + bytes(12), b"\x07" * 12):
+        # a truncated count field, too few ids, 0x07070707 announced ids
+        assert chunk_from_embeddings([one, Embedding(one.id_data, junk)]) is None
+        assert columnar_module.paths_from_bytes(
+            junk, np.array([0, len(junk)])
+        ) is None
+    assert chunk_from_embeddings([one, base.append_path([])]) is not None
+
+    ragged = [one, two, one]
+    project = compile_property_projector([])
+    project.columnar_kernel = project_kernel([])
+    environment = ExecutionEnvironment(parallelism=1)
+    dataset = environment.from_collection(ragged).map(project).map(project)
+    with environment.job("ragged") as metrics:
+        columnar = dataset.collect(fused=True, columnar=True)
+    assert metrics.chunk_fallbacks["non_uniform_batch"] > 0
+    assert _canon(columnar) == _canon(dataset.collect(fused=False)) == _canon(
+        ragged
+    )
 
 
 def test_ragged_property_counts_are_not_uniform_and_stay_per_record():
@@ -200,9 +255,18 @@ def test_roundtrip_is_exact_at_every_size(count, with_payload):
     assert chunk.count == count
     assert chunk.id_buf() == b"".join(r.id_data for r in rows)
     assert _canon(chunk.to_embeddings()) == _canon(rows)
-    # an empty payload buffer has no offset array at all, and only a
-    # chunk with a non-id entry (the PATH column) carries flags
-    assert (chunk.path_offsets is None) == (not chunk.path_buf)
+    # the PATH entry is one zero-padded id matrix beside its id counts, a
+    # shape without one has no paths, and only a chunk with a non-id entry
+    # (the PATH column) carries flags
+    if with_payload:
+        ((ids, lens),) = chunk.paths
+        assert lens.tolist() == [len(row.raw_path_at(3)) for row in rows]
+        assert ids.dtype == np.uint64 and ids.shape == (count, lens.max())
+        assert [
+            path[:length] for path, length in zip(ids.tolist(), lens.tolist())
+        ] == [row.raw_path_at(3) for row in rows]
+    else:
+        assert chunk.paths == ()
     assert (chunk.props is None) == (chunk.prop_lens is None) == (not with_payload)
     assert (chunk.flags is None) == (not with_payload)
 
@@ -378,12 +442,10 @@ def _assert_join_matches_model(keys, build_is_left, with_props,
             for start in range(0, len(rows), size)
         ]
 
-    produced = [
-        row
-        for chunk in spec.hash_join(chunks(build, 16), chunks(probe, 32), build_is_left)
-        for row in chunk.to_embeddings()
-    ]
-    assert _canon(produced) == _canon(expected)
+    _assert_chunks_are(
+        spec.hash_join(chunks(build, 16), chunks(probe, 32), build_is_left),
+        expected,
+    )
 
 
 @pytest.mark.parametrize("build_is_left", [True, False])
@@ -483,7 +545,14 @@ _id_rows = dict(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    left=uniform_batches(**_id_rows), right=uniform_batches(**_id_rows),
+    # column 0 is an id every kernel keys on; PATH entries ride behind it
+    left=uniform_batches(
+        shapes=st.lists(st.sampled_from(["id", "path"]), max_size=2).map(
+            lambda shape: ["id"] + shape
+        ),
+        ids=_id_rows["ids"],
+    ),
+    right=uniform_batches(**_id_rows),
     data=st.data(),
 )
 def test_sizes_equal_the_per_record_sizes_after_every_kernel(left, right, data):
@@ -538,15 +607,35 @@ def test_sizes_equal_the_per_record_sizes_after_every_kernel(left, right, data):
         [row.append_id(edge.id).append_id(edge.target_id) for row, edge in hops],
         ordered=False,
     )
-    expand = ColumnarExpandSpec(adjacency, 0, None, None, None, 1, 1, False)
-    emitted = []
-    for piece in expand.start([chunk], emitted):
-        expand.hop(piece, True, None, None, emitted)
-    _assert_chunks_are(
-        emitted,
-        [row.append_path([edge.id]).append_id(edge.target_id) for row, edge in hops],
-        ordered=False,
-    )
+    # the expand's emit: zero hops, one, two; the walked path is the rows'
+    # new last PATH entry, read back to front under ``reverse``
+    walks = [(row, [], row.raw_id_at(0)) for row in left] + [
+        (row, [edge.id.value], edge.target_id.value) for row, edge in hops
+    ] + [
+        (row, [edge.id.value, edge.target_id.value, then.id.value],
+         then.target_id.value)
+        for row, edge in hops for then in edges
+        if then.source_id == edge.target_id
+    ]
+    for reverse in (False, True):
+        expand = ColumnarExpandSpec(adjacency, 0, None, None, None, 0, 2, reverse)
+        emitted = []
+        frontier = expand.start([chunk], emitted)
+        for _ in range(2):
+            frontier = [
+                reached for piece in frontier
+                for reached in expand.hop(piece, True, None, None, emitted)
+            ]
+        _assert_chunks_are(
+            emitted,
+            [
+                row.append_path(path[::-1] if reverse else path).append_id(
+                    GradoopId(end)
+                )
+                for row, path, end in walks
+            ],
+            ordered=False,
+        )
 
 
 def _resident_records(graph):

@@ -252,6 +252,25 @@ def test_kernel_equals_reference_and_naive(
     _check(tangle, query, vertex_strategy, edge_strategy)
 
 
+@pytest.mark.parametrize("query", [
+    # two PATH entries a row, the second of zero hops or more, then a
+    # hash join with the PATH-bearing side
+    "MATCH (x:N)-[p:a*1..2]->(y)-[q:a|b*0..2]->(z) RETURN p, x.name, q, z.name",
+    # a reversed expansion: the walked path is stored back to front
+    "MATCH (y:M {name: 'four'})<-[p*1..3]-(x) RETURN x, p, y.name",
+])
+def test_paths_beside_properties_equal_reference_and_naive(tangle, query):
+    _, runner = _check(tangle, query, HOMO, HOMO)
+    assert ("reverse" in runner.explain(query)) == ("<-" in query)
+    tables = [
+        sorted(map(repr, CypherRunner(
+            tangle, vertex_strategy=HOMO, edge_strategy=HOMO, fused=fused
+        ).execute_table(query)))
+        for fused in (True, False)
+    ]
+    assert tables[0] == tables[1] and tables[0]
+
+
 def test_residual_predicate_follows_a_rebound_parameter(tangle):
     query = "MATCH (x:N)-[e:a*1..2]->(y) WHERE e.w = $w RETURN *"
     statement = CypherRunner(tangle).prepare(query)
