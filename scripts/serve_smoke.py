@@ -23,7 +23,10 @@ pattern and one triangle must return the per-record reference's rows too
 ``--workers 2``, where the kernel runs in the serving process — as a hop
 over the resident adjacency and a probe of its pair index
 (``engine.adjacency.hop_joins`` / ``pair_joins`` grow, no fallback is
-counted); under ``--no-columnar`` both counters stay 0.
+counted); under ``--no-columnar`` both counters stay 0.  Query 2 of the
+paper must return the reference's rows too, its joins with a vertex leaf
+looked up where the other input's rows sit (``lookup_joins`` grows, every
+``chunk_fallbacks`` counter is still 0; under ``--no-columnar`` it stays 0).
 
 Run directly (``python scripts/serve_smoke.py``) or via ``make
 serve-smoke``.  Any extra command-line arguments are forwarded to the
@@ -107,6 +110,7 @@ def main():
     from repro.dataflow import ExecutionEnvironment
     from repro.engine import CypherRunner
     from repro.epgm.io import CSVDataSink, CSVDataSource
+    from repro.harness.queries import QUERY_2, instantiate
     from repro.ldbc import LDBCGenerator
 
     failures = []
@@ -319,6 +323,28 @@ def main():
                       and engine["chunk_fallbacks"]
                       == before["chunk_fallbacks"],
                       "joined through the adjacency, no fallback: %s" % grown)
+            # Q2: its joins with (person:Person) and (post:Post) look the
+            # leaf rows up instead of shuffling both sides
+            before = engine["adjacency"]["lookup_joins"]
+            text = instantiate(QUERY_2, common_name)
+            status, answer = http("POST", base + "/query", {
+                "graph": "smoke", "query": text,
+            })
+            check(status == 200 and answer["row_count"] > 0
+                  and sorted(map(canonical, answer["rows"]))
+                  == sorted(map(canonical, per_record.execute_table(text))),
+                  "Q2: %d rows, the per-record reference's multiset"
+                  % answer["row_count"])
+            engine = http("GET", base + "/metrics")[1]["engine"]
+            looked_up = engine["adjacency"]["lookup_joins"] - before
+            if "--no-columnar" in extra_args:
+                check(not engine["adjacency"]["lookup_joins"],
+                      "the batched path looks no vertex up")
+            else:
+                check(looked_up >= 2
+                      and not any(engine["chunk_fallbacks"].values()),
+                      "Q2 looked vertex rows up %d times, fallbacks %s"
+                      % (looked_up, engine["chunk_fallbacks"]))
 
             check(metrics["plan_cache"]["hits"] >= 1,
                   "plan cache saw warm hits")

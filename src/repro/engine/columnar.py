@@ -36,10 +36,10 @@ to the dataflow layer.  The dataflow layer discovers them with
 back to the per-record closures whenever a kernel is missing, the input
 is not columnar, or the run is sanitized (sanitized runs are per-record
 by construction, so the sanitizer always validates the decoded view).
-Leaves, expansions and joins with an edge leaf are dataflow nodes of
-their own that pick between a kernel compiled here (:class:`ColumnarLeaf`,
-:class:`ColumnarExpandSpec`, :class:`ColumnarAdjacencyJoin`) and their
-per-record reference sub-plan.
+Leaves, expansions and joins with a leaf are dataflow nodes of their
+own that pick between a kernel compiled here (:class:`ColumnarLeaf`,
+:class:`ColumnarExpandSpec`, :class:`ColumnarAdjacencyJoin`,
+:class:`ColumnarVertexLookup`) and their per-record reference sub-plan.
 
 At the result boundary the same layout is read column-wise:
 :func:`id_column`, :func:`path_column` and :func:`property_column` decode
@@ -55,6 +55,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.epgm import GradoopId, PropertyValue
+from repro.epgm.indexed import _find
 from repro.epgm.property_value import NULL_VALUE
 
 from .embedding import (
@@ -710,21 +711,24 @@ class ColumnarLeaf:
     the :class:`LeafTable`; its candidates are all elements (no predicate:
     the resident chunk itself is the answer), the hits of a
     :func:`value_index` (``probe``, the CNF's ``key = value`` clause), or
-    a scan.  Without ``tables`` every run scans and encodes the survivors.
+    a scan.  ``exact``: that clause is the whole CNF, so the hits are the
+    survivors and nothing is re-checked.  Without ``tables`` every run
+    scans and encodes the survivors.
     ``orient(element)`` is the id tuples the element emits, in order.
     """
 
-    __slots__ = ("tables", "key", "variable", "keep", "probe", "outcome",
-                 "orient", "columns", "keys")
+    __slots__ = ("tables", "key", "variable", "keep", "probe", "exact",
+                 "outcome", "orient", "columns", "keys")
 
-    def __init__(self, tables, key, variable, keep, probe, orient, columns,
-                 keys):
+    def __init__(self, tables, key, variable, keep, probe, exact, orient,
+                 columns, keys):
         self.tables = tables
         #: what the table is a function of, beside the graph
         self.key = key
         self.variable = variable
         self.keep = keep
         self.probe = probe
+        self.exact = exact
         self.outcome = (
             "all_rows" if keep is None
             else "scans" if probe is None else "probes"
@@ -766,6 +770,9 @@ class ColumnarLeaf:
         element satisfies the CNF, ascending."""
         keep, variable = self.keep, self.variable
         if candidates is not None:
+            if self.exact:
+                # the index's ``==`` / ``hash`` are the ``=`` atom's own
+                return candidates
             return [
                 position for position in candidates
                 if keep(ElementBindings(variable, elements[position]))
@@ -1368,6 +1375,64 @@ class ColumnarAdjacencyJoin:
         return EmbeddingChunk(
             values, flags, carried.paths, carried.props, carried.prop_lens,
         )
+
+
+# Vertex lookup ---------------------------------------------------------------
+
+
+class ColumnarVertexLookup:
+    """Compiled chunk kernel of ``JoinEmbeddings(x, SelectAndProjectVertices)``:
+    the rows the hash join of ``x`` with the vertex leaf produces, found
+    where ``x``'s rows already sit, in their order.
+
+    A vertex leaf emits one row per vertex, so the key in input column
+    ``key`` meets at most one leaf row: a probe run is one
+    ``searchsorted`` and one equality mask, no fan-out.  ``leaf_left``:
+    the leaf is the join's left input; ``spec`` (the hash join's) lays the
+    matched rows side by side and names the watched columns.
+    """
+
+    __slots__ = ("key", "leaf_left", "spec")
+
+    def __init__(self, key, leaf_left, spec):
+        self.key = key
+        self.leaf_left = leaf_left
+        self.spec = spec
+
+    def run(self, leaf_chunks, partitions, token):
+        """The output chunks of each chunk list in ``partitions``;
+        ``leaf_chunks``: the leaf's rows, of every partition."""
+        leaf_chunks = [chunk for chunk in leaf_chunks if chunk.count]
+        if not leaf_chunks:
+            return [[] for _ in partitions]
+        leaf = concat_chunks(leaf_chunks)
+        order = np.argsort(leaf.values[:, 0])
+        ids = leaf.values[order, 0]
+        spec = self.spec
+        # the leaf adds no column, record or watched id: a hit is its row
+        carry = not (self.leaf_left or leaf.props is not None
+                     or spec.vertex_columns or spec.edge_columns)
+        out = []
+        for chunks in partitions:
+            found = []
+            for probe in _probe_runs(chunks):
+                if token is not None:
+                    token.poll()
+                slot, hit = _find(ids, probe.values[:, self.key])
+                rows = None if hit.all() else np.flatnonzero(hit)
+                if carry:
+                    found.append(probe if rows is None else probe.gather(rows))
+                    continue
+                if rows is None:
+                    rows = np.arange(probe.count)
+                sides = [(leaf, order[slot[rows]]), (probe, rows)]
+                chunk = spec._merge(*sides[::1 if self.leaf_left else -1],
+                                    check_keys=False)
+                if chunk is not None:
+                    found.append(chunk)
+            # merged across runs: a selective lookup would emit slivers
+            out.append(list(_probe_runs(found)))
+        return out
 
 
 def columnar_join_spec(

@@ -405,7 +405,7 @@ class ExpandEmbeddings(PhysicalOperator):
             child_meta, vertex_iso, edge_iso, bool(base_path_columns)
         )
         return DataSet(environment, LoweredOperator(
-            environment, input_ds.operator, result.operator,
+            environment, (input_ds.operator,), result.operator,
             partial(_run_kernel, kernel, mask), fallback, "ExpandEmbeddings",
         ))
 

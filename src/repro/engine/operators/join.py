@@ -5,10 +5,12 @@ configured morphism semantics are dropped inside the join, never
 materialized (paper §3.1).
 
 That join is the *reference*, and what joins two intermediates.  Where one
-input is an edge leaf joined on its endpoints, a columnar run over a
-label-indexed graph walks the resident adjacency instead
-(:class:`~repro.engine.columnar.ColumnarAdjacencyJoin`): a
-:class:`~.leaves.LoweredOperator` over the *other* input picks.
+input is a leaf over a label-indexed graph, a columnar run lowers the join
+instead, and a :class:`~.leaves.LoweredOperator` picks: an edge leaf
+joined on its endpoints is a walk of the resident adjacency
+(:class:`~repro.engine.columnar.ColumnarAdjacencyJoin`, over the *other*
+input alone); a vertex leaf is a lookup of its rows
+(:class:`~repro.engine.columnar.ColumnarVertexLookup`, over both).
 """
 
 from functools import partial
@@ -18,13 +20,19 @@ from ..columnar import (
     FAR_END,
     ColumnarAdjacencyJoin,
     ColumnarPartition,
+    ColumnarVertexLookup,
     columnar_join_spec,
     shuffle_kernel,
 )
 from ..embedding import EmbeddingMetaData, compile_merge
 from ..morphism import compile_morphism_check
 from .base import EmbeddingLayout, PhysicalOperator
-from .leaves import LoweredOperator, SelectAndProjectEdges, edge_mask
+from .leaves import (
+    LoweredOperator,
+    SelectAndProjectEdges,
+    SelectAndProjectVertices,
+    edge_mask,
+)
 
 from repro.dataflow import DataSet, JoinStrategy
 from repro.epgm.indexed import IndexedLogicalGraph, PairIndex
@@ -50,6 +58,23 @@ def _run_kernel(graph, kernel, edge_mask, name, ctx, partitions):
     ctx.record_stage_run(
         "%s[adjacency]" % name,
         [len(partition) for partition in partitions],
+        [sum(chunk.count for chunk in chunks) for chunks in out],
+    )
+    return [ColumnarPartition(chunks) for chunks in out]
+
+
+def _run_lookup(graph, kernel, name, ctx, partitions, leaf):
+    """``kernel`` over chunk ``partitions`` and the vertex ``leaf``'s: one
+    ``<name>[lookup]`` run, both inputs in, no shuffle."""
+    graph.count("lookup_joins")
+    out = kernel.run(
+        [chunk for partition in leaf for chunk in partition.chunks],
+        [partition.chunks for partition in partitions],
+        ctx.cancellation,
+    )
+    ctx.record_stage_run(
+        "%s[lookup]" % name,
+        [len(mine) + len(its) for mine, its in zip(partitions, leaf)],
         [sum(chunk.count for chunk in chunks) for chunks in out],
     )
     return [ColumnarPartition(chunks) for chunks in out]
@@ -280,9 +305,13 @@ class JoinEmbeddings(TwoInputOperator):
             strategy=self.strategy,
             name="JoinEmbeddings(%s)" % ",".join(self.join_variables),
         )
-        if side is None:
-            return reference
-        return self._over_adjacency(side, spec, reference.operator)
+        if side is not None:
+            return self._over_adjacency(side, spec, reference.operator)
+        if spec is not None:
+            lookup = self._over_lookup(spec, reference.operator)
+            if lookup is not None:
+                return lookup
+        return reference
 
     def _edge_leaf_side(self):
         """The child an adjacency walk can stand in for, if any: an edge
@@ -297,6 +326,27 @@ class JoinEmbeddings(TwoInputOperator):
                 and joined <= {leaf.query_edge.source, leaf.query_edge.target}
             ):
                 return side
+        return None
+
+    def _over_lookup(self, spec, reference):
+        """The node probing a vertex leaf's rows with the other child's,
+        where those sit — if a child is a vertex leaf over a label-indexed
+        graph (one row per vertex, joined on its one column)."""
+        for side in (1, 0):
+            leaf, other = self.children[side], self.children[1 - side]
+            if isinstance(leaf, SelectAndProjectVertices) and isinstance(
+                leaf.graph, IndexedLogicalGraph
+            ):
+                kernel = ColumnarVertexLookup(
+                    other.meta.entry_column(self.join_variables[0]),
+                    side == 0, spec,
+                )
+                return DataSet(leaf.graph.environment, LoweredOperator(
+                    leaf.graph.environment,
+                    (other.evaluate().operator, leaf.evaluate().operator),
+                    reference,
+                    partial(_run_lookup, leaf.graph, kernel, reference.name),
+                ))
         return None
 
     def _over_adjacency(self, side, spec, reference):
@@ -320,7 +370,7 @@ class JoinEmbeddings(TwoInputOperator):
             spec,
         )
         return DataSet(graph.environment, LoweredOperator(
-            graph.environment, other.evaluate().operator, reference,
+            graph.environment, (other.evaluate().operator,), reference,
             partial(_run_kernel, graph, kernel, edge_mask(edge, edges),
                     reference.name),
         ))

@@ -72,16 +72,17 @@ class LoweredOperator(Operator):
     """A dataflow node that is a chunk kernel or its reference sub-plan.
 
     ``reference`` is the root of the per-record dataflow built over this
-    node's own parent.  It runs whenever ``run_kernel(ctx, partitions)``
-    does not: a run that is not columnar (per-record, batched, sanitized,
-    shared-cache), and the counted fallbacks of a columnar run — no kernel
-    (``fallback`` names why) or, unless the kernel reads elements (a
-    leaf's: not ``chunked``), an input that is not chunks.
+    node's own ``parents``.  It runs whenever ``run_kernel(ctx,
+    *partition_sets)`` (one partition list per parent) does not: a run
+    that is not columnar (per-record, batched, sanitized, shared-cache),
+    and the counted fallbacks of a columnar run — no kernel (``fallback``
+    names why) or, unless the kernel reads elements (a leaf's: not
+    ``chunked``), an input that is not chunks.
     """
 
-    def __init__(self, environment, parent, reference, run_kernel,
+    def __init__(self, environment, parents, reference, run_kernel,
                  fallback=None, name=None, chunked=True):
-        super().__init__(environment, [parent], name or reference.name)
+        super().__init__(environment, parents, name or reference.name)
         #: the one sub-plan this node evaluates itself: the reference
         self.subplans = (reference,)
         self.run_kernel = run_kernel
@@ -89,20 +90,21 @@ class LoweredOperator(Operator):
         self.chunked = chunked
 
     def execute(self, ctx, parent_partition_sets):
-        (partitions,) = parent_partition_sets
         if ctx.columnar:
             reason = self.fallback
             if reason is None and self.chunked and any(
                 getattr(partition, "chunks", None) is None
+                for partitions in parent_partition_sets
                 for partition in partitions
             ):
                 reason = "non_uniform_batch"
             if reason is None:
-                return self._call(self.run_kernel, ctx, partitions)
+                return self._call(self.run_kernel, ctx, *parent_partition_sets)
             ctx.count_fallback(reason)
             ctx = ctx.derived(columnar=False)
         (reference,) = self.subplans
-        ctx.subplans[self.parents[0].id] = partitions
+        for parent, partitions in zip(self.parents, parent_partition_sets):
+            ctx.subplans[parent.id] = partitions
         return ctx.evaluate(reference, ctx.subplans)
 
 
@@ -169,12 +171,13 @@ class _ElementLeaf(PhysicalOperator):
             variable,
             None if residual.is_trivial else compile_cnf(residual),
             equality_probe(residual, variable),
+            len(residual.clauses) == 1,
             orient,
             len(self._entries()),
             self.property_keys,
         )
         return DataSet(graph.environment, LoweredOperator(
-            graph.environment, source.operator, reference.operator,
+            graph.environment, (source.operator,), reference.operator,
             partial(_run_kernel, kernel, reference.operator.name),
             chunked=False,
         ))

@@ -30,7 +30,7 @@ from .logical_graph import LogicalGraph
 #: traffic that enumerates key subsets
 _RESIDENT_CAPACITY = 64
 _LEAF_SELECTS = ("all_rows", "probes", "scans")
-_JOIN_LOWERINGS = ("hop_joins", "pair_joins")
+_JOIN_LOWERINGS = ("hop_joins", "pair_joins", "lookup_joins")
 
 
 def _find(haystack, ids):
@@ -237,7 +237,8 @@ class IndexedLogicalGraph(LogicalGraph):
 
     def adjacency_stats(self):
         """``{labels, edges, bytes, pair_indexes}`` kept now (``bytes``
-        counts the memo's), ``{hop_joins, pair_joins}`` executed so far."""
+        counts the memo's), ``{hop_joins, pair_joins, lookup_joins}``
+        executed so far."""
         with self._resident_lock:
             pairs = self._kept("pairs")
             shared = [found[0] for found in self._kept("adjacency")]

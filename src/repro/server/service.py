@@ -527,7 +527,7 @@ class QueryService:
         # the leaves that ran selected their rows)
         adjacency = dict.fromkeys(
             ("labels", "edges", "bytes", "pair_indexes", "hop_joins",
-             "pair_joins"), 0
+             "pair_joins", "lookup_joins"), 0
         )
         leaves = dict.fromkeys(
             ("tables", "bytes", "indexes", "all_rows", "probes", "scans"), 0

@@ -40,6 +40,7 @@ from repro.engine.columnar import (
     ColumnarExpandSpec,
     ColumnarJoinSpec,
     ColumnarPartition,
+    ColumnarVertexLookup,
     EmbeddingChunk,
     chunk_from_embeddings,
     project_kernel,
@@ -63,7 +64,7 @@ from repro.engine.planning import (
 )
 from repro.epgm import Edge, GradoopId, LogicalGraph, PropertyValue, Vertex
 from repro.epgm.indexed import Adjacency, IndexedLogicalGraph, PairIndex
-from repro.harness.queries import ALL_QUERIES, instantiate
+from repro.harness.queries import ALL_QUERIES, TABLE3_PATTERNS, instantiate
 from repro.ldbc import LDBCGenerator
 
 _ids = st.integers(min_value=0, max_value=2**40)
@@ -649,8 +650,8 @@ def _resident_records(graph):
 
 
 def test_a_plan_moves_pointers_to_the_resident_records():
-    # leaf -> adjacency join -> (shuffle ->) hash join -> project: no
-    # kernel builds a property record, every output cell *is* a leaf's
+    # leaf -> adjacency join -> vertex lookup -> project: no kernel builds
+    # a property record, every output cell *is* a leaf's
     graph = _leaf_graph(4)
     handler = QueryHandler("MATCH (a:A)-[e:x]->(b:A) RETURN *")
     strategies = (STRATEGIES[0], STRATEGIES[0])
@@ -667,7 +668,8 @@ def test_a_plan_moves_pointers_to_the_resident_records():
     with graph.environment.job("pointers") as metrics:
         chunks = list(root.evaluate().batches())
     assert len(_lowered_runs(metrics)) == 1
-    assert any(run.shuffled_records for run in metrics.runs)
+    assert len(_lowered_runs(metrics, "[lookup]")) == 1
+    assert not any(run.shuffled_records for run in metrics.runs)
     assert not any(metrics.chunk_fallbacks.values())
     resident = _resident_records(graph)
     cells = [
@@ -768,7 +770,8 @@ def test_columnar_equals_per_record(graphs, name, planner_cls, strategy):
         count for reason, count in metrics.chunk_fallbacks.items()
         if reason.startswith(("expand", "join")) or reason == "no_kernel"
     )
-    # ... and so did every join the plan lowered onto the adjacency
+    # ... and so did every join the plan lowered onto the adjacency or a
+    # vertex lookup
     _, root = columnar.compile(query)
     lowered = [
         operator for operator in root.postorder()
@@ -776,16 +779,80 @@ def test_columnar_equals_per_record(graphs, name, planner_cls, strategy):
         and isinstance(operator.evaluate().operator, LoweredOperator)
     ]
     assert len(lowered) == len(
-        [run for run in metrics.runs if run.name.endswith("[adjacency]")]
+        [run for run in metrics.runs
+         if run.name.endswith(("[adjacency]", "[lookup]"))]
     )
     if "*" in query or lowered:
-        # the expand and adjacency-join kernels walk adjacency lists
-        # where the reference probes a shuffled hash table: same rows,
-        # their own order
+        # the expand and the lowered joins walk adjacency lists or keep
+        # their input's rows where the reference probes a shuffled hash
+        # table: same rows, their own order
         assert Counter(columnar_embeddings) == Counter(per_record_embeddings)
     else:
         # byte-exact, same order: the kernels are drop-in replacements
         assert _canon(columnar_embeddings) == _canon(per_record_embeddings)
+
+
+#: what a vertex lookup joins with: expansions, edge-leaf joins, two
+#: intermediates, an alternation (Table 3), a PATH-bearing side
+LOOKUP_QUERIES = {
+    **ALL_QUERIES,
+    **TABLE3_PATTERNS,
+    "knows*1..3": "MATCH (p:Person)-[e:knows*1..3]->(q:Person) "
+                  "WHERE p.firstName = '{firstName}' RETURN *",
+}
+
+
+@pytest.mark.parametrize("edge_strategy", STRATEGIES, ids=lambda s: "e-" + s.value)
+@pytest.mark.parametrize("vertex_strategy", STRATEGIES, ids=lambda s: "v-" + s.value)
+@pytest.mark.parametrize("name", sorted(LOOKUP_QUERIES))
+def test_every_vertex_leaf_join_is_a_lookup(
+    graphs, name, vertex_strategy, edge_strategy
+):
+    dataset, (columnar_graph, columnar_stats), (plain_graph, plain_stats) = (
+        graphs
+    )
+    query = instantiate(LOOKUP_QUERIES[name], dataset.first_name("medium"))
+    options = dict(vertex_strategy=vertex_strategy, edge_strategy=edge_strategy)
+    columnar = CypherRunner(
+        columnar_graph, statistics=columnar_stats, fused=True, **options
+    )
+    per_record = CypherRunner(
+        plain_graph, statistics=plain_stats, fused=False, **options
+    )
+    with columnar_graph.environment.job("columnar") as metrics:
+        columnar_embeddings, _ = columnar.execute_embeddings(query)
+    with plain_graph.environment.job("per-record") as plain_metrics:
+        per_record_embeddings, _ = per_record.execute_embeddings(query)
+    assert Counter(columnar_embeddings) == Counter(per_record_embeddings)
+    assert not any(
+        count for reason, count in metrics.chunk_fallbacks.items()
+        if reason != "path_join"
+    )
+    # every join with a vertex leaf is lowered (onto the adjacency where
+    # the other input is an edge leaf), and a lookup moves nothing
+    _, root = columnar.compile(query)
+    with_vertex_leaf = [
+        operator for operator in root.postorder()
+        if isinstance(operator, JoinEmbeddings) and any(
+            isinstance(child, SelectAndProjectVertices)
+            for child in operator.children
+        )
+    ]
+    assert all(
+        isinstance(operator.evaluate().operator, LoweredOperator)
+        for operator in with_vertex_leaf
+    )
+    lookups = _lowered_runs(metrics, "[lookup]")
+    assert not any(run.shuffled_bytes for run in lookups)
+
+    def joined(runs):
+        return Counter(
+            (run.name.split("[")[0], run.records_out) for run in runs
+            if run.name.startswith("JoinEmbeddings") and run.iteration is None
+        )
+
+    # each lookup emits the rows of one of the reference's joins
+    assert not joined(lookups) - joined(plain_metrics.runs)
 
 
 # The resident leaf (select, then gather from the table encoded once) is
@@ -957,8 +1024,8 @@ def _hand_plan(graph, handler, plan, strategies):
     return JoinEmbeddings(left, right, shared, *strategies)
 
 
-def _lowered_runs(metrics):
-    return [run for run in metrics.runs if run.name.endswith("[adjacency]")]
+def _lowered_runs(metrics, kind="[adjacency]"):
+    return [run for run in metrics.runs if run.name.endswith(kind)]
 
 
 def _both_ways(root):
@@ -1094,6 +1161,126 @@ def test_join_without_adjacency_is_the_hash_join_and_says_so():
         assert _canon(columnar) == _canon(per_record), (pattern, plan)
         assert not _lowered_runs(metrics)
         assert metrics.chunk_fallbacks["join_no_adjacency"] == lowered
+
+
+# The vertex lookup (the leaf's rows found by id where the other input's
+# rows sit, in place of the hash join with a vertex leaf) is pinned against
+# the per-record reference on plans built by hand: the leaf on either side,
+# with and without records, an alternation, probed leaves, an absent label,
+# a PATH-bearing other side.
+
+LOOKUP_PLANS = [
+    # (pattern, keys the leaf b projects, rows under homomorphism)
+    ("(a:A)-[e:x]->(b:A)", (), 9),
+    ("(a:A)-[e:x]->(b:A)", ("k", "n"), 9),
+    ("(a:A)-[e:x|y]->(b:A|B)", ("n",), 11),
+    ("(a:A)-[e:x]->(b:A {k: 'x'})", ("s",), 2),
+    ("(a:A)-[e:x]->(b:A {k: 'nothing'})", (), 0),
+    ("(a:A)-[e:x]->(b:Nope)", (), 0),
+    ("(a:A)-[e:x*1..2]->(b:A)", ("n",), 18),
+]
+
+
+def _lookup_plan(graph, pattern, keys, leaf_left, strategies):
+    handler = QueryHandler("MATCH %s RETURN *" % pattern)
+    start = SelectAndProjectVertices(graph, handler.vertices["a"], [])
+    edge = handler.edges["e"]
+    if edge.is_variable_length:
+        other = ExpandEmbeddings(start, graph, edge, *strategies, closing=False)
+    else:
+        other = JoinEmbeddings(
+            start, SelectAndProjectEdges(graph, edge, []), ["a"], *strategies
+        )
+    leaf = SelectAndProjectVertices(graph, handler.vertices["b"], keys)
+    sides = (leaf, other) if leaf_left else (other, leaf)
+    return JoinEmbeddings(*sides, ["b"], *strategies)
+
+
+@pytest.mark.parametrize("probe_rows", [4096, 2], ids=["whole", "sliced"])
+@pytest.mark.parametrize("edge_strategy", STRATEGIES, ids=lambda s: "e-" + s.value)
+@pytest.mark.parametrize("vertex_strategy", STRATEGIES, ids=lambda s: "v-" + s.value)
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_vertex_lookup_equals_per_record(
+    leaf_graphs, monkeypatch, parallelism, vertex_strategy, edge_strategy,
+    probe_rows,
+):
+    # "sliced": every input partition is several probe runs
+    monkeypatch.setattr(columnar_module, "_PROBE_ROWS", probe_rows)
+    graph = leaf_graphs[parallelism]
+    homomorphism = vertex_strategy is edge_strategy is STRATEGIES[0]
+    for pattern, keys, rows in LOOKUP_PLANS:
+        for leaf_left in (False, True):
+            case = (pattern, keys, leaf_left)
+            before = graph.adjacency_stats()["lookup_joins"]
+            root = _lookup_plan(
+                graph, pattern, keys, leaf_left, (vertex_strategy, edge_strategy)
+            )
+            columnar, metrics, per_record = _both_ways(root)
+            assert Counter(columnar) == Counter(per_record), case
+            assert not any(metrics.chunk_fallbacks.values()), case
+            (run,) = _lowered_runs(metrics, "[lookup]")
+            assert not run.shuffled_records and run.records_out == len(columnar)
+            assert graph.adjacency_stats()["lookup_joins"] == before + 1
+            if homomorphism:
+                assert len(columnar) == rows, case
+
+
+def test_vertex_lookup_carries_rows_it_adds_nothing_to():
+    # a pure label check: every hit is the probe row itself, a full hit the
+    # probe chunk; a leaf that adds a record or a watched id merges
+    values = np.array([[1, 7], [2, 8], [3, 9]], dtype=np.uint64)
+    probe = EmbeddingChunk(values)
+    leaf = EmbeddingChunk(np.array([[9], [8], [7]], dtype=np.uint64))
+    carried = ColumnarJoinSpec(2, (1,), (0,), (), (), ())
+    ((chunk,),) = ColumnarVertexLookup(1, False, carried).run(
+        [leaf], [[probe]], None
+    )
+    assert chunk is probe
+    ((chunk,),) = ColumnarVertexLookup(1, False, carried).run(
+        [leaf.gather([0, 2])], [[probe]], None
+    )
+    assert chunk.values.tolist() == [[1, 7], [3, 9]]
+    # the leaf on the left: its column first, the probe's key dropped
+    merged = ColumnarJoinSpec(1, (0,), (1,), (0,), (), ())
+    ((chunk,),) = ColumnarVertexLookup(1, True, merged).run(
+        [leaf], [[probe]], None
+    )
+    assert chunk.values.tolist() == [[7, 1], [8, 2], [9, 3]]
+    # a watched pair that collides drops its row
+    watched = ColumnarJoinSpec(2, (1,), (0,), (), (0, 1), ())
+    ((chunk,),) = ColumnarVertexLookup(1, False, watched).run(
+        [leaf], [[EmbeddingChunk(np.array([[7, 7], [2, 8]], dtype=np.uint64))]],
+        None,
+    )
+    assert chunk.values.tolist() == [[2, 8]]
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_exact_probe_hits_are_not_rechecked(
+    leaf_graphs, monkeypatch, parallelism
+):
+    # the probed `key = value` clause is the whole CNF: the index's hits
+    # are the rows, and no element is bound to re-check them; 1 meets the
+    # stored 1.0s, a string its equals, NULL nothing
+    graph = leaf_graphs[parallelism]
+    columnar, per_record = _leaf_runners(graph, MatchStrategy.HOMOMORPHISM)
+    text = "MATCH (v:A) WHERE v.k = $p RETURN v.k, v.n"
+    statement, reference = columnar.prepare(text), per_record.prepare(text)
+    expected = [
+        reference.run({"p": value})[0] for value in (1, 1.0, "x", None)
+    ]
+
+    def unbound(*args):
+        raise AssertionError("a probe hit was re-checked")
+
+    monkeypatch.setattr(columnar_module, "ElementBindings", unbound)
+    got = [statement.run({"p": value})[0] for value in (1, 1.0, "x", None)]
+    assert [_canon(rows) for rows in got] == [_canon(rows) for rows in expected]
+    assert [len(rows) for rows in got] == [3, 3, 3, 0]
+    # a clause beside the probed one is still checked on every hit
+    other = columnar.prepare("MATCH (v:A) WHERE v.k = $p AND v.n > 3 RETURN v.n")
+    with pytest.raises(Exception, match="re-checked"):
+        other.run({"p": "x"})
 
 
 @pytest.mark.parametrize("parallelism", [1, 4])

@@ -71,10 +71,12 @@ class TestFusedMatchesPerRecord:
     def test_metrics_on_an_indexed_graph(self, query):
         """Batched ≡ per-record, bit for bit, on a label-indexed graph too.
         The columnar run walks the resident adjacency where the query
-        expands or joins an edge leaf, so it returns the same rows under
-        its own documented runs in place of the reference's: one hop per
-        superstep instead of the iterated join, one ``[adjacency]`` run
-        instead of the edge scan and the hash join — no edge shuffle."""
+        expands or joins an edge leaf and looks vertex leaf rows up, so it
+        returns the same rows under its own documented runs in place of
+        the reference's: one hop per superstep instead of the iterated
+        join, one ``[adjacency]`` run instead of the edge scan and the
+        hash join, one ``[lookup]`` run instead of the hash join with a
+        vertex leaf — no shuffle."""
         plain, _, plain_metrics = run_query(query, fused=False, indexed=True)
         _, _, batched_metrics = run_query(
             query, fused=True, indexed=True, columnar=False
@@ -91,25 +93,33 @@ class TestFusedMatchesPerRecord:
                 and run.iteration is None
             ]
 
-        # join by join the reference's rows; every edge-leaf join lowered
-        lowered = 0
+        # join by join the reference's rows, each one lowered: every join
+        # of these plans has a leaf input
+        lowered = Counter()
         for run, reference in zip(joins(metrics), joins(plain_metrics)):
             assert run.records_out == reference.records_out
-            assert run.name.split("[")[0] == reference.name.split("[")[0]
-            if run.name.endswith("[adjacency]"):
-                lowered += 1
-                assert not run.shuffled_bytes and not run.shuffled_records
-            else:
-                # a hash join downstream finds its rows where the hop left
-                # them (no shuffle put them by key): same rows, other moves
-                assert run.records_in == reference.records_in
+            name, _, kind = run.name.partition("[")
+            assert name == reference.name.split("[")[0]
+            assert kind in ("adjacency]", "lookup]")
+            assert not run.shuffled_bytes and not run.shuffled_records
+            lowered[kind] += 1
         assert len(joins(metrics)) == len(joins(plain_metrics))
-        # (the studyAt leaf projects a key: a hash join by declaration)
-        assert lowered == (2 if "e1" in query else 0)
-        if lowered:
+        # (the studyAt leaf projects a key: a hash join with its vertex
+        # leaves, each one a lookup, by declaration)
+        assert lowered["adjacency]"] == (2 if "e1" in query else 0)
+        assert lowered["lookup]"] == (1 if "knows*" in query else 2)
+        if lowered["adjacency]"]:
             assert not metrics.runs_named("edges[")
         elif "knows*" not in query:
-            assert metrics.runs == plain_metrics.runs
+            # no shuffle anywhere: every other run is the reference's, but
+            # for where its rows sit
+            def placed(job):
+                return [
+                    (run.name, run.records_in, run.records_out)
+                    for run in job.runs if run not in joins(job)
+                ]
+
+            assert placed(metrics) == placed(plain_metrics)
         if "knows*" not in query:
             return
         reference = [r for r in plain_metrics.runs if r.iteration is not None]

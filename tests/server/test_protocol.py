@@ -14,7 +14,7 @@ import pytest
 
 from repro.dataflow import DataSet, ExecutionEnvironment
 from repro.engine import columnar as columnar_module
-from repro.engine.columnar import ColumnarExpandSpec
+from repro.engine.columnar import ColumnarExpandSpec, ColumnarVertexLookup
 from repro.epgm import IndexedLogicalGraph, LogicalGraph
 from repro.server import GraphRegistry, QueryService, serve_in_thread
 from repro.server.protocol import _IOV_MAX, _send_gathered
@@ -287,6 +287,44 @@ class TestErrorMapping:
             status, body = http("POST", base + "/query", payload)
             assert status == 200 and body["row_count"] > 2
             engine = http("GET", base + "/metrics")[1]["engine"]
+            assert not any(engine["chunk_fallbacks"].values())
+
+    def test_deadline_inside_a_vertex_lookup_is_504(
+        self, figure1_graph, monkeypatch
+    ):
+        """The lookup has no fan-out to poll in: it polls the deadline
+        once per probe run itself.  A token expiring at the second run
+        ends the request there, and the service goes on."""
+        polls = []
+        run = ColumnarVertexLookup.run
+
+        class Expiring:
+            def __init__(self, token):
+                self.token = token
+
+            def poll(self):
+                polls.append(self.token)
+                if len(polls) == 2:
+                    self.token.deadline = time.monotonic() - 1
+                self.token.poll()
+
+        def expiring_run(self, leaf_chunks, partitions, token):
+            return run(self, leaf_chunks, partitions, Expiring(token))
+
+        monkeypatch.setattr(columnar_module, "_PROBE_ROWS", 1)
+        monkeypatch.setattr(ColumnarVertexLookup, "run", expiring_run)
+        payload = {"graph": "fig1", "timeout": 60.0, "query":
+                   "MATCH (a:Person)-[e:knows]->(b:Person) RETURN *"}
+        indexed = IndexedLogicalGraph.from_logical_graph(figure1_graph)
+        for base, _, _ in serve_figure1(indexed):
+            status, body = http("POST", base + "/query", payload)
+            assert (status, body["kind"]) == (504, "timeout")
+            assert len(polls) == 2
+            monkeypatch.undo()
+            status, body = http("POST", base + "/query", payload)
+            assert status == 200 and body["row_count"] > 2
+            engine = http("GET", base + "/metrics")[1]["engine"]
+            assert engine["adjacency"]["lookup_joins"] == 2
             assert not any(engine["chunk_fallbacks"].values())
 
     def test_unknown_route_is_404(self, endpoint):

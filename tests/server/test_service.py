@@ -333,6 +333,7 @@ class TestLifecycle:
         assert engine["adjacency"] == {
             "labels": 0, "edges": 0, "bytes": 0,
             "pair_indexes": 0, "hop_joins": 0, "pair_joins": 0,
+            "lookup_joins": 0,
         }
         assert not any(engine["leaves"].values())
         # ... a variable-length expansion over a graph built in code has
@@ -363,6 +364,8 @@ class TestLifecycle:
         assert engine["adjacency"]["edges"] == 8
         assert engine["adjacency"]["bytes"] > 0
         assert engine["adjacency"]["hop_joins"] == 0
+        # ... and the join with (b:Person) looked its rows up
+        assert engine["adjacency"]["lookup_joins"] == 1
 
     def test_indexed_graph_joins_through_the_adjacency(self, figure1_graph):
         registry = GraphRegistry()
