@@ -1,5 +1,5 @@
 .PHONY: install test check flowcheck livecheck lint typecheck racecheck \
-	wirecheck bench bench-micro docs-codes examples reports clean \
+	wirecheck bench docs-codes examples reports clean \
 	serve-smoke bench-serve
 
 install:
@@ -67,18 +67,9 @@ wirecheck:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# real CPU-time engine microbenchmarks, columnar vs batched/fused vs
-# per-record; appends the next BENCH_<n>.json trajectory file at the
-# repo root.  The columnar-vs-batched comparison is informational
-# (non-blocking): the target succeeds regardless of the measured ratio
-# so noisy machines never fail CI — regressions are caught by eye from
-# the BENCH_<n>.json series instead.
-bench-micro:
-	python -m repro bench-micro
-
 # start `repro serve` as a subprocess, run a parameterized query over the
 # wire, prepare/execute with two bindings, shut down cleanly — on the
-# default (columnar) engine, on the batched path and through a two-worker
+# default (columnar) engine, on the reference path and through a two-worker
 # pool, the three legs CI runs
 serve-smoke:
 	python scripts/serve_smoke.py

@@ -27,7 +27,7 @@ def _run(dataset, indexed):
     # the figure prices the paper's dataflow — an edge scan, two shuffles
     # and a hash join per query edge — not the adjacency hop a columnar run
     # takes on the indexed graph
-    runner = CypherRunner(graph, statistics=statistics, fused=False)
+    runner = CypherRunner(graph, statistics=statistics, mode="reference")
     embeddings, _ = runner.execute_embeddings(query)
     return {
         "results": len(embeddings),

@@ -31,8 +31,8 @@ looked up where the other input's rows sit (``lookup_joins`` grows, every
 Run directly (``python scripts/serve_smoke.py``) or via ``make
 serve-smoke``.  Any extra command-line arguments are forwarded to the
 ``repro serve`` invocation (``python scripts/serve_smoke.py --workers
-2`` exercises the multi-process pool, ``--no-columnar`` the batched
-path; ``/metrics`` must name the mode the flags select).  Exits non-zero
+2`` exercises the multi-process pool, ``--no-columnar`` the per-record
+reference path; ``/metrics`` must name the mode the flags select).  Exits non-zero
 on the first failed assertion.
 """
 
@@ -195,7 +195,7 @@ def main():
                     http("GET", base + "/metrics")[1]["engine"]["leaves"])
             if "--no-columnar" in extra_args:
                 check(not any(leaves[-1].values()),
-                      "the batched path keeps no leaf table: %s" % leaves[-1])
+                      "the reference path keeps no leaf table: %s" % leaves[-1])
             else:
                 check(leaves[-1]["probes"] >= 2 and leaves[-1]["scans"] == 0,
                       "each binding probed the firstName index: %s"
@@ -274,7 +274,7 @@ def main():
                 CSVDataSource(graph_dir).get_logical_graph(
                     ExecutionEnvironment()
                 ),
-                fused=False,
+                mode="reference",
             )
             reference = per_record.execute_table(
                 PATH_QUERY, {"name": rare_name})
@@ -317,7 +317,7 @@ def main():
             if "--no-columnar" in extra_args:
                 check(not any(grown.values())
                       and not engine["adjacency"]["hop_joins"],
-                      "the batched path joins no adjacency: %s" % grown)
+                      "the reference path joins no adjacency: %s" % grown)
             else:
                 check(grown["hop_joins"] >= 3 and grown["pair_joins"] >= 1
                       and engine["chunk_fallbacks"]
@@ -339,7 +339,7 @@ def main():
             looked_up = engine["adjacency"]["lookup_joins"] - before
             if "--no-columnar" in extra_args:
                 check(not engine["adjacency"]["lookup_joins"],
-                      "the batched path looks no vertex up")
+                      "the reference path looks no vertex up")
             else:
                 check(looked_up >= 2
                       and not any(engine["chunk_fallbacks"].values()),
@@ -350,7 +350,9 @@ def main():
                   "plan cache saw warm hits")
             check(metrics["gc"]["frozen"] > 0,
                   "graph heap frozen (%d objects)" % metrics["gc"]["frozen"])
-            mode = "batched" if "--no-columnar" in extra_args else "columnar"
+            mode = (
+                "reference" if "--no-columnar" in extra_args else "columnar"
+            )
             check(metrics["engine"]["mode"] == mode,
                   "engine mode %r, chunk fallbacks %s" % (
                       metrics["engine"]["mode"],

@@ -32,7 +32,7 @@ Code ranges:
   they point at plan operators.
 * ``P4xx`` — UDF shippability findings (:mod:`repro.analysis.udfcheck`):
   closure introspection plus AST analysis over every callable installed
-  into dataflow operators and fused chain templates, classifying it as
+  into dataflow operators and fused chains, classifying it as
   process-shippable or not.  These point at Python callables
   (``module.qualname`` in the message) — the gate a chain must pass
   before multi-process execution may ship it to a worker.

@@ -167,16 +167,18 @@ def fusion_differential_check(
     edge_strategy=None,
     prune=False,
 ):
-    """Batched-fused vs. per-record execution, per planner.
+    """Columnar vs. reference execution, per planner.
 
-    The fusion pass and the compiled accessors must be pure plumbing: for
-    every planner the embedding multiset of a fused execution has to equal
-    the per-record one bit for bit.  Runs each planner twice — once with
-    ``fused=True``, once with ``fused=False`` — on the *same* statistics
-    and compares the raw embedding multisets (stricter than the canonical
-    rows: byte-level embedding equality).  Disagreements become ``S210``
-    diagnostics in the returned :class:`DifferentialReport`.
+    The fusion pass and the chunk kernels must be pure plumbing: for
+    every planner the embedding multiset of a columnar execution has to
+    equal the per-record reference one bit for bit.  Runs each planner
+    once per mode (``mode="columnar"``, ``mode="reference"``) on the
+    *same* statistics and compares the raw embedding multisets (stricter
+    than the canonical rows: byte-level embedding equality).
+    Disagreements become ``S210`` diagnostics in the returned
+    :class:`DifferentialReport`.
     """
+    from repro.dataflow import MODES
     from repro.engine import CypherRunner, GraphStatistics
     from repro.engine.planning import (
         ExhaustivePlanner,
@@ -192,21 +194,20 @@ def fusion_differential_check(
     diagnostics = []
     for planner_cls in planners:
         pair = []
-        for fused in (True, False):
+        for mode in MODES:
             runner = CypherRunner(
                 graph,
                 vertex_strategy=vertex_strategy,
                 edge_strategy=edge_strategy,
                 statistics=statistics,
                 planner_cls=planner_cls,
-                fused=fused,
+                mode=mode,
                 prune=prune,
             )
             embeddings, _ = runner.execute_embeddings(query, parameters)
             pair.append(
                 PlannerRun(
-                    planner="%s[%s]"
-                    % (planner_cls.__name__, "fused" if fused else "per-record"),
+                    planner="%s[%s]" % (planner_cls.__name__, mode),
                     rows=Counter(embeddings),
                 )
             )

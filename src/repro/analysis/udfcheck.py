@@ -489,7 +489,7 @@ def analyze_chain(chain):
     """Shippability report over one fused chain's stage UDFs."""
     return analyze_callables(
         ("%s[stage %d]" % (chain.name, index), fn)
-        for index, fn in enumerate(chain._fns)
+        for index, fn in enumerate(chain.spec.fns)
     )
 
 

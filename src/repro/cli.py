@@ -26,11 +26,6 @@ from repro.dataflow import (
 )
 from repro.engine import CypherRunner, GraphStatistics, MatchStrategy
 from repro.epgm.io import CSVDataSink, CSVDataSource
-from repro.harness.microbench import (
-    DEFAULT_QUERIES as DEFAULT_MICRO_QUERIES,
-    DEFAULT_REPEATS as DEFAULT_MICRO_REPEATS,
-    DEFAULT_SCALE_FACTOR as DEFAULT_MICRO_SCALE,
-)
 from repro.ldbc import LDBCGenerator
 
 
@@ -39,14 +34,13 @@ def _environment(args):
     # --workers on a subcommand (dest process_workers) means real OS
     # worker processes; the global --workers stays the *simulated*
     # cluster size fed to the cost model
-    options = {}
-    if hasattr(args, "columnar"):  # only ``serve`` can turn the default off
-        options["columnar"] = args.columnar
+    # only ``serve`` can turn the default off (``--no-columnar``)
+    columnar = getattr(args, "columnar", True)
     return ExecutionEnvironment(
         cost_model=model,
         batch_size=getattr(args, "batch_size", None),
         workers=getattr(args, "process_workers", None),
-        **options
+        mode="columnar" if columnar else "reference",
     )
 
 
@@ -659,37 +653,6 @@ def cmd_bench_serve(args):
     return 0 if report.passed else 1
 
 
-def cmd_bench_micro(args):
-    """Real CPU-time microbenchmarks: columnar vs batched vs per-record."""
-    from repro.harness.microbench import (
-        format_microbench,
-        next_trajectory_path,
-        run_microbench,
-        write_microbench,
-    )
-
-    worker_sweep = args.worker_sweep
-    if worker_sweep is not None and not worker_sweep:
-        worker_sweep = True  # bare --worker-sweep: the default counts
-    report = run_microbench(
-        queries=tuple(args.queries),
-        scale_factor=args.scale_factor,
-        seed=args.seed,
-        workers=args.workers,
-        repeats=args.repeats,
-        batch_size=args.batch_size,
-        worker_sweep=worker_sweep,
-    )
-    print(format_microbench(report))
-    output = args.output
-    if output is None:
-        output = next_trajectory_path()
-    if output != "-":
-        write_microbench(report, output)
-        print("-- wrote %s" % output, file=sys.stderr)
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -877,22 +840,23 @@ def build_parser():
     )
     serve.add_argument(
         "--batch-size", type=int, default=None,
-        help="chunk length of batched (fused) execution "
+        help="slice length of a fused chain over records "
         "(default: %d)" % DEFAULT_BATCH_SIZE,
     )
     serve.add_argument(
         "--workers", dest="process_workers", type=int, default=None,
         metavar="N",
-        help="run certified fused chains and hash joins on N worker "
-        "processes (default: in-process execution); distinct from the "
-        "global --workers, which sets the simulated cluster size",
+        help="run certified fused chains and hash joins of columnar "
+        "runs on N worker processes (default: in-process execution); "
+        "distinct from the global --workers, which sets the simulated "
+        "cluster size",
     )
     serve.add_argument(
         "--columnar", action=argparse.BooleanOptionalAction, default=True,
-        help="run fused chains over columnar embedding chunks "
-        "(vectorized kernels, zero-copy worker transfer; the default); "
-        "--no-columnar selects batched execution over embedding lists, "
-        "with identical results, metrics and diagnostics",
+        help="run the columnar engine: fused chains, joins and "
+        "expansions over embedding chunks (the default); --no-columnar "
+        "selects the per-record reference path, with identical results, "
+        "metrics and diagnostics",
     )
     serve.add_argument(
         "--vertex-strategy", choices=["homo", "iso"], default="homo"
@@ -925,45 +889,6 @@ def build_parser():
     )
     bench_serve.set_defaults(handler=cmd_bench_serve)
 
-    bench_micro = commands.add_parser(
-        "bench-micro",
-        help="real CPU-time engine microbenchmarks: each query timed "
-        "under batched/fused, columnar, and per-record execution; "
-        "writes a BENCH_<n>.json trajectory file for regression "
-        "tracking",
-    )
-    bench_micro.add_argument(
-        "--queries", nargs="+", default=list(DEFAULT_MICRO_QUERIES),
-        choices=["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"],
-        help="paper queries to time",
-    )
-    bench_micro.add_argument(
-        "--scale-factor", type=float, default=DEFAULT_MICRO_SCALE,
-        help="LDBC graph scale (pinned default: %s, so successive "
-        "BENCH_<n>.json files stay comparable)" % DEFAULT_MICRO_SCALE,
-    )
-    bench_micro.add_argument("--seed", type=int, default=42)
-    bench_micro.add_argument(
-        "--repeats", type=int, default=DEFAULT_MICRO_REPEATS,
-        help="timed trials per (query, mode) after one warm-up "
-        "(pinned default: %d)" % DEFAULT_MICRO_REPEATS,
-    )
-    bench_micro.add_argument(
-        "--batch-size", type=int, default=None,
-        help="chunk length of batched execution "
-        "(default: %d)" % DEFAULT_BATCH_SIZE,
-    )
-    bench_micro.add_argument(
-        "--worker-sweep", nargs="*", type=int, default=None, metavar="N",
-        help="also sweep real worker-process counts and record "
-        "wall-clock speedup curves (default counts: 1 2 4 8)",
-    )
-    bench_micro.add_argument(
-        "--output", default=None,
-        help="JSON report path; default picks the next BENCH_<n>.json "
-        "in the current directory, '-' skips the file",
-    )
-    bench_micro.set_defaults(handler=cmd_bench_micro)
     return parser
 
 

@@ -13,6 +13,7 @@ from .environment import ExecutionEnvironment, JobScope
 from .errors import DataflowError, IterationError, JobExecutionError, PlanError
 from .fusion import DEFAULT_BATCH_SIZE, FusedChainOperator, plan_fusion
 from .metrics import JobMetrics, OperatorRun
+from .modes import MODES
 from .operators import JoinStrategy
 from .partitioner import partition_index, round_robin_partitions, stable_hash
 from .sizing import estimate_size
@@ -31,6 +32,7 @@ __all__ = [
     "JobMetrics",
     "JobScope",
     "JoinStrategy",
+    "MODES",
     "OperatorRun",
     "PlanError",
     "QueryCancelled",

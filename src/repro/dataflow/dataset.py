@@ -6,6 +6,7 @@ is triggered through the owning :class:`~repro.dataflow.environment.ExecutionEnv
 """
 
 from .errors import PlanError
+from .modes import legacy_mode
 from .operators import (
     CrossOperator,
     DistinctOperator,
@@ -147,16 +148,16 @@ class DataSet:
 
     # Actions ---------------------------------------------------------------
 
-    def collect(self, fused=None, columnar=None):
+    def collect(self, mode=None, **legacy):
         """Execute the DAG and return all records as a list.
 
-        ``fused`` overrides the environment's default batched-fusion mode
-        for this execution, ``columnar`` its chunk-kernel sub-mode
-        (``None`` inherits them).
+        ``mode`` overrides the environment's default execution mode for
+        this execution (``None`` inherits it); ``legacy`` takes its
+        retired keywords (:func:`~repro.dataflow.modes.legacy_mode`).
         """
-        return records_of(self.batches(fused=fused, columnar=columnar))
+        return records_of(self.batches(mode=legacy_mode(mode, **legacy)))
 
-    def batches(self, fused=None, columnar=None):
+    def batches(self, mode=None):
         """Execute the DAG now; returns a one-shot iterator of its result.
 
         Each batch is a chunk (columnar partitions pass theirs through
@@ -164,30 +165,23 @@ class DataSet:
         form the result table is built from, so the served path decodes
         columns and never an embedding.
         """
-        return _batches(
-            self.environment.run(self.operator, fused=fused, columnar=columnar)
-        )
+        return _batches(self.environment.run(self.operator, mode=mode))
 
-    def collect_partitions(self, fused=None, columnar=None):
+    def collect_partitions(self, mode=None):
         """Execute the DAG and return records per worker."""
-        return self.environment.run(
-            self.operator, fused=fused, columnar=columnar
-        )
+        return self.environment.run(self.operator, mode=mode)
 
-    def count(self, fused=None, columnar=None):
+    def count(self, mode=None):
         """Execute the DAG and return the number of records."""
         return sum(
-            len(p)
-            for p in self.environment.run(
-                self.operator, fused=fused, columnar=columnar
-            )
+            len(p) for p in self.environment.run(self.operator, mode=mode)
         )
 
-    def first(self, n, fused=None, columnar=None):
+    def first(self, n, mode=None):
         """Execute and return up to ``n`` records (deterministic order)."""
         if n < 0:
             raise ValueError("n must be non-negative, got %d" % n)
-        return self.collect(fused=fused, columnar=columnar)[:n]
+        return self.collect(mode=mode)[:n]
 
 
 class GroupedDataSet:

@@ -9,6 +9,7 @@ from .cost import ClusterCostModel
 from .dataset import DataSet
 from .errors import IterationError, PlanError
 from .metrics import JobMetrics
+from .modes import check_mode, legacy_mode
 from .operators import ExecutionContext, PartitionedSourceOperator, SourceOperator
 
 
@@ -36,24 +37,15 @@ class ExecutionEnvironment:
             its ``workers`` field wins and this may be omitted.
         cost_model: :class:`~repro.dataflow.cost.ClusterCostModel` used for
             spill thresholds and simulated runtimes.
-        batch_size: Chunk length of batched (fused) execution; partitions
-            flow through fused operator chains in chunks of this many
-            records with one cancellation poll per chunk.
-        fusion: Default execution mode for :meth:`run` — when True,
-            adjacent partition-local operators (map / filter / flat-map)
-            are collapsed into compiled batched loops.  Per-call ``fused``
-            arguments override it; shared-cache runs are always unfused.
-        columnar: Default chunk-kernel mode of fused runs (on): fused
-            chains, shuffles and hash joins operate on
+        batch_size: Slice length of a fused chain over records (graph
+            elements, frontier tuples): one cancellation poll per slice.
+        mode: Default execution mode of :meth:`run`, one of
+            :data:`~repro.dataflow.modes.MODES`.  ``"columnar"`` (the default) runs fused
+            chains, shuffles and hash joins over
             :class:`~repro.engine.columnar.EmbeddingChunk` batches and
-            fall back per-record, counted in
+            falls back per record, counted in
             :attr:`JobMetrics.chunk_fallbacks`, where a stage has no
-            kernel.  ``False`` selects the batched embedding-list path.
-        certify_fusion: When True, every fused chain is certified
-            process-shippable (zero ``P4xx`` findings) at fusion compile
-            time — :class:`~repro.analysis.udfcheck.ShippabilityError`
-            rejects a chain capturing locks, open handles, shared mutable
-            state or nondeterminism before it would ever reach a worker.
+            kernel.  ``"reference"`` runs every operator per record.
         workers: Number of **worker processes** (multi-process sharded
             execution, :mod:`repro.dataflow.workers`).  ``None`` (the
             default) keeps everything in-process.  Distinct from
@@ -63,13 +55,12 @@ class ExecutionEnvironment:
             fused chains and hash-join partition pairs execute inside
             the pool; everything else — and every uncertified chain or
             sanitized/shared-cache run — transparently stays
-            in-process.  The pool starts lazily on the first fused run
-            and is released by :meth:`shutdown_workers`.
+            in-process.  The pool starts lazily on the first columnar
+            run and is released by :meth:`shutdown_workers`.
     """
 
     def __init__(self, parallelism=None, cost_model=None, batch_size=None,
-                 fusion=True, certify_fusion=False, workers=None,
-                 columnar=True):
+                 workers=None, mode="columnar", **legacy):
         if cost_model is None:
             cost_model = ClusterCostModel(workers=parallelism or 4)
         elif parallelism is not None and parallelism != cost_model.workers:
@@ -82,13 +73,7 @@ class ExecutionEnvironment:
             raise ValueError("batch_size must be >= 1, got %r" % (batch_size,))
         self.cost_model = cost_model  # unsynchronized: immutable after init
         self.batch_size = batch_size  # unsynchronized: immutable after init
-        self.fusion = bool(fusion)  # unsynchronized: immutable after init
-        self.certify_fusion = bool(certify_fusion)  # unsynchronized: immutable
-        # the default engine: fused chains run their chunk kernels over
-        # typed-array embedding chunks.  A sub-mode of fusion — chunk
-        # kernels never run per-record — so ``columnar=False`` is the
-        # batched path and ``fusion=False`` the per-record reference
-        self.columnar = bool(columnar)  # unsynchronized: immutable after init
+        self.mode = check_mode(legacy_mode(mode, **legacy))  # unsynchronized: immutable
         # the shared default accumulator: concurrent service queries never
         # record here (each runs under a per-thread job scope); only
         # single-threaded callers and reset_metrics touch it
@@ -193,40 +178,38 @@ class ExecutionEnvironment:
     # Evaluation ----------------------------------------------------------------
 
     def run(self, operator, cache=None, metrics=None, cancellation=None,
-            fused=None, columnar=None):
+            mode=None, **legacy):
         """Evaluate the DAG rooted at ``operator``; returns partitions.
 
         ``cache`` (operator id → partitions) may be passed in and shared
         across several ``run`` calls to evaluate a DAG's common operators
         only once — EXPLAIN ANALYZE and the cardinality-estimate audit
         walk every plan node this way without quadratic recomputation.
-        Shared-cache runs always execute per-record: fused chains would
-        skip materializing their interior operators, breaking the
+        Shared-cache runs always take the reference path: fused chains
+        would skip materializing their interior operators, breaking the
         per-node caching contract.
 
-        ``fused`` overrides the environment's default ``fusion`` mode for
-        this run, ``columnar`` the default ``columnar`` mode (a sub-mode:
-        columnar execution requires a fused run).  ``metrics`` and
-        ``cancellation`` default to the thread's active :meth:`job` scope,
-        so callers deep inside operator builds need no extra plumbing to
-        participate in per-query scoping and deadlines.
+        ``mode`` overrides the environment's default mode for this run
+        (``legacy`` takes its retired spellings, see
+        :func:`~repro.dataflow.modes.legacy_mode`).  ``metrics`` and
+        ``cancellation`` default to the thread's active :meth:`job`
+        scope, so callers deep inside operator builds need no extra
+        plumbing to participate in per-query scoping and deadlines.
         """
         if metrics is None:
             metrics = self.current_metrics
         if cancellation is None:
             cancellation = self.current_cancellation
-        if fused is None:
-            fused = self.fusion
-        fused = bool(fused) and cache is None
-        if columnar is None:
-            columnar = self.columnar
-        columnar = bool(columnar) and fused
-        # the worker pool only ever sees fused runs: per-record and
+        mode = legacy_mode(mode, **legacy)
+        if mode is None:
+            mode = self.mode
+        columnar = check_mode(mode) == "columnar" and cache is None
+        # the worker pool only ever sees columnar runs: reference and
         # shared-cache execution (sanitized runs, EXPLAIN ANALYZE) stay
         # in-process by construction
-        pool = self.worker_pool() if fused else None
+        pool = self.worker_pool() if columnar else None
         ctx = ExecutionContext(self, metrics, cancellation=cancellation,
-                               fused=fused, pool=pool, columnar=columnar)
+                               pool=pool, columnar=columnar)
         return self._evaluate(operator, {} if cache is None else cache, ctx)
 
     def _evaluate(self, operator, cache, ctx):
@@ -235,12 +218,11 @@ class ExecutionEnvironment:
         if operator.id in cache:
             return cache[operator.id]
         rewrites = None
-        if getattr(ctx, "fused", False):
+        if ctx.columnar:
             from .fusion import plan_fusion
 
             rewrites = plan_fusion(
-                operator, ctx.batch_size, materialized=cache,
-                certify=self.certify_fusion,
+                operator, ctx.batch_size, materialized=cache
             ) or None
             if rewrites is not None:
                 operator = rewrites.get(operator.id, operator)

@@ -50,8 +50,7 @@ class ExecutionContext:
     """Per-run services handed to operators: shuffling, metrics, memory."""
 
     def __init__(self, environment, metrics, iteration=None, cancellation=None,
-                 fused=False, batch_size=None, pool=None, columnar=False,
-                 subplans=None):
+                 batch_size=None, pool=None, columnar=False, subplans=None):
         self._environment = environment
         self._metrics = metrics
         #: operator id → partitions of the ``Operator.subplans`` this run
@@ -62,16 +61,15 @@ class ExecutionContext:
         #: Operators read it into a local and poll at batch boundaries;
         #: plain runs carry ``None`` and pay a single ``is None`` test.
         self.cancellation = cancellation
-        #: when True the evaluator runs the fusion pass and executes
-        #: map/filter/flat-map chains as compiled batched loops
-        self.fused = fused
-        #: when True (fused runs only), fused chains with columnar kernels
-        #: execute over :class:`~repro.engine.columnar.EmbeddingChunk`
-        #: batches and joins/shuffles split chunks by slicing columns;
-        #: operators without kernels fall back per-record transparently
+        #: the run's mode is ``columnar``: the evaluator runs the fusion
+        #: pass, fused chains with kernels execute over
+        #: :class:`~repro.engine.columnar.EmbeddingChunk` batches and
+        #: joins/shuffles split chunks by slicing columns; operators
+        #: without kernels fall back per-record transparently.  False is
+        #: the per-record reference path
         self.columnar = columnar
         #: :class:`~repro.dataflow.workers.WorkerPool` or None.  Set only
-        #: on fused runs of a ``workers=N`` environment; operators with a
+        #: on columnar runs of a ``workers=N`` environment; operators with a
         #: shippable task shape (fused chains, hash-join partition pairs)
         #: offload to it and fall back in-process when it is None or the
         #: task fails shippability certification.
@@ -86,7 +84,7 @@ class ExecutionContext:
         overridden — a superstep's, or a sub-run's on another path."""
         options = dict(
             iteration=self.iteration, cancellation=self.cancellation,
-            fused=self.fused, batch_size=self.batch_size, pool=self.pool,
+            batch_size=self.batch_size, pool=self.pool,
             columnar=self.columnar, subplans=self.subplans,
         )
         options.update(overrides)

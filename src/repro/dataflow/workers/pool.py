@@ -84,7 +84,6 @@ from .messages import (
 )
 from .shipping import (
     SPEC_CACHE_LIMIT,
-    ChainSpec,
     JoinSpec,
     decode_records,
     dump_functions,
@@ -714,8 +713,7 @@ class WorkerPool:
 
     # public entry points ---------------------------------------------------
 
-    def run_chain(self, chain, partitions, token, source_key=None,
-                  columnar=False):
+    def run_chain(self, chain, partitions, token, source_key=None):
         """Execute a fused chain's partitions on the pool.
 
         Returns ``(out_partitions, worker_counts)`` shaped exactly like
@@ -727,10 +725,11 @@ class WorkerPool:
         which least-recently-used sources are freed (ad-hoc queries
         mint fresh source ids, so the cache would otherwise grow with
         every distinct query a long-lived server executes).
-        ``columnar=True`` ships the chain's chunk kernels with the spec
-        so workers run the chunk-level loop and return chunk frames.
+        The spec carries the chain's chunk kernels whenever every stage
+        has one; a worker runs them over chunk input and returns chunk
+        frames, as the in-process loop does.
         """
-        spec = ChainSpec.from_chain(chain, columnar=columnar)
+        spec = chain.spec
         tasks = [
             ("chain", source_key, part_index, records)
             for part_index, records in enumerate(partitions)

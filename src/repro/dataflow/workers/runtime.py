@@ -15,15 +15,13 @@ rings, see :mod:`.channels`) and loops over batched request messages:
   these eviction notices to task batches, so worker memory for scan
   inputs is bounded even across unrelated ad-hoc queries.
 * ``("chain", job, seq, key, src)`` — run one partition through a fused
-  chain's compiled chunk loop (the same ``_chunk_template`` codegen the
-  in-process path uses), returning the produced records and the
+  chain with :func:`~repro.dataflow.fusion.run_chain`, the loop the
+  in-process path uses, returning the produced records and the
   per-stage counter totals the parent needs to reconstruct bit-identical
-  ``OperatorRun`` metrics.  A columnar-enabled spec additionally carries
-  the chain's chunk kernels: when the kernels fit the input shape the
-  worker runs the same chunk-level loop the in-process columnar path
-  runs and the result returns as a chunk frame (raw column buffers,
-  no per-record decode on either side of the ring); otherwise it falls
-  back to the per-record loop transparently.
+  ``OperatorRun`` metrics.  A spec whose stages all have chunk kernels
+  carries them: over chunk input the worker runs them and the result
+  returns as a chunk frame (raw column buffers, no per-record decode on
+  either side of the ring); any other input runs stage by stage.
 * ``("join", job, seq, key, build_src, probe_src, build_is_left)`` —
   one co-partitioned hash-join pair, mirroring
   ``JoinOperator._hash_join`` exactly (build/probe roles and emission
@@ -59,10 +57,9 @@ dispatched task of a cancelled job it confirms with ``done`` and the
 worker drops the cancel mark — the cancelled set never needs a size-
 based prune that could forget a job whose tasks are still queued.
 
-A failing chunk is replayed record-by-record against the chain's stage
-functions — the same re-attribution the in-process path performs — and
-the failing stage's *name* plus the (pickled, when possible) cause
-cross back to the parent, which re-raises the exact
+A failing stage is attributed by the same loop the in-process path
+runs, and the failing stage's *name* plus the (pickled, when possible)
+cause cross back to the parent, which re-raises the exact
 :class:`~repro.dataflow.errors.JobExecutionError` in-process execution
 would have raised.
 """
@@ -72,6 +69,8 @@ import time
 from collections import OrderedDict
 
 from ..cancellation import POLL_INTERVAL
+from ..errors import JobExecutionError
+from ..fusion import run_chain
 from ..operators import _hashable
 from .channels import INLINE_LIMIT, RingSegment
 from .messages import (
@@ -251,105 +250,22 @@ class _Worker:
     # task execution --------------------------------------------------------
 
     def _run_chain(self, job, spec, records):
-        if spec.kernels is not None:
-            result = self._run_chain_columnar(job, spec, records)
-            if result is not None:
-                return result
-        from ..fusion import _chunk_template
+        """:func:`~repro.dataflow.fusion.run_chain`, the in-process loop,
+        polling the cancel pipe; its stage errors cross as
+        :class:`_StageError`."""
 
-        chunk_fn = _chunk_template(spec.shape)
-        batch = spec.batch_size
-        fns = spec.fns
-        zeros = (0,) * sum(1 for kind in spec.shape if kind != "map")
-        produced = []
-        append = produced.append
-        totals = zeros
-        for start in range(0, len(records), batch):
+        def poll():
             if self._job_cancelled(job):
                 raise _Cancelled()
-            chunk = (
-                records
-                if start == 0 and len(records) <= batch
-                else records[start:start + batch]
-            )
-            try:
-                counts = chunk_fn(chunk, append, *fns)
-            except Exception as exc:  # noqa: BLE001 — re-attributed below
-                self._replay_chunk(spec, chunk, exc)
-            totals = tuple(a + b for a, b in zip(totals, counts))
-        return produced, totals
 
-    def _run_chain_columnar(self, job, spec, records):
-        """Run a columnar-enabled chain as chunk kernels, or ``None``.
-
-        The worker-side mirror of
-        ``FusedChainOperator._execute_columnar``: chunk input through a
-        kernel at every stage; stage totals count rows after each
-        non-map stage.  ``None`` means the input shape does not fit the
-        shipped kernels and the caller falls back to the compiled
-        per-record chunk loop — the same transparent per-record fallback
-        the in-process path takes.  A failing chunk is decoded and
-        replayed per record for stage attribution.
-        """
-        from repro.engine.columnar import ColumnarPartition  # lazy: layering
-
-        kernels = spec.kernels
-        chunks_in = getattr(records, "chunks", None)
-        if chunks_in is None or not all(
-            kernel is not None for kernel in kernels
-        ):
-            return None
-        shape = spec.shape
-        totals = list(
-            (0,) * sum(1 for kind in shape if kind != "map")
-        )
-        produced = []
-        for source in chunks_in:
-            # one cancellation poll per source chunk, like the fused loop
-            if self._job_cancelled(job):
-                raise _Cancelled()
-            current = source
-            counter = 0
-            try:
-                for kind, kernel in zip(shape, kernels):
-                    current = kernel(current)
-                    if kind != "map":
-                        totals[counter] += current.count
-                        counter += 1
-            except _Cancelled:
-                raise
-            except Exception as exc:  # noqa: BLE001 — re-attributed below
-                self._replay_chunk(spec, source.to_embeddings(), exc)
-            if current.count:
-                produced.append(current)
-        return ColumnarPartition(produced), tuple(totals)
-
-    def _replay_chunk(self, spec, chunk, original):
-        """Per-record replay for stage attribution, like the fused path."""
-        if getattr(original, "propagate_unwrapped", False):
-            raise _StageError(spec.chain_name, original, unwrapped=True)
-        records = list(chunk)
-        for name, kind, fn in zip(spec.names, spec.shape, spec.fns):
-            produced = []
-            try:
-                if kind == "map":
-                    for record in records:
-                        produced.append(fn(record))
-                elif kind == "filter":
-                    for record in records:
-                        if fn(record):
-                            produced.append(record)
-                else:
-                    for record in records:
-                        produced.extend(fn(record))
-            except Exception as exc:  # noqa: BLE001 — the failing stage
-                if getattr(exc, "propagate_unwrapped", False):
-                    raise _StageError(name, exc, unwrapped=True) from exc
-                raise _StageError(name, exc) from exc
-            records = produced
-        # replay did not fail (nondeterministic UDF?) — attribute to the
-        # whole chain, like FusedChainOperator._replay_chunk
-        raise _StageError(spec.chain_name, original)
+        try:
+            return run_chain(spec, records, poll)
+        except JobExecutionError as exc:
+            raise _StageError(exc.operator_name, exc.cause) from exc
+        except _Cancelled:
+            raise
+        except Exception as exc:  # noqa: BLE001 — propagate_unwrapped only
+            raise _StageError(spec.chain_name, exc, unwrapped=True) from exc
 
     def _run_shuffle(self, job, spec, side, source, owners, records):
         """Hash-partition one input partition by its join key.

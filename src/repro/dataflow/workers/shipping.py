@@ -46,6 +46,8 @@ import types
 
 import numpy as np
 
+from ..fusion import ChainSpec
+
 __all__ = [
     "ChainSpec",
     "JoinSpec",
@@ -184,57 +186,6 @@ def load_functions(payload):
 
 
 # --- shipped work specs -----------------------------------------------------
-
-
-class ChainSpec:
-    """A fused chain, flattened to what a worker needs to run it.
-
-    ``key`` identifies the chain *structurally* across executions: fused
-    operators are rebuilt per run by the fusion pass, but their *stages*
-    come from the cached physical plan, so the stage ids are stable.
-    The pool extends it with a digest of the serialized payload before
-    shipping (``WorkerPool._wire_spec``), so state a closure captures by
-    value — a prepared statement's parameter binding, say — re-ships
-    whenever its content changes while unchanged chains still ship to
-    each worker at most once.
-    """
-
-    __slots__ = ("key", "shape", "names", "fns", "batch_size", "chain_name",
-                 "kernels")
-
-    def __init__(self, key, shape, names, fns, batch_size, chain_name,
-                 kernels=None):
-        self.key = key
-        self.shape = tuple(shape)
-        self.names = tuple(names)
-        self.fns = tuple(fns)
-        self.batch_size = batch_size
-        self.chain_name = chain_name
-        # columnar kernels ride on the stage closures as plain function
-        # *attributes*, which by-value function shipping does not carry —
-        # a columnar spec therefore ships them as explicit fields
-        self.kernels = tuple(kernels) if kernels is not None else None
-
-    @classmethod
-    def from_chain(cls, chain, columnar=False):
-        """Build the spec of one ``FusedChainOperator``.
-
-        ``columnar=True`` additionally ships the chain's chunk
-        ``kernels`` so the worker runs the same chunk-level loop the
-        in-process columnar path runs.  A
-        non-columnar spec carries no kernels, so the two variants have
-        distinct content digests and cache independently — toggling the
-        environment's columnar flag re-ships rather than mis-hits.
-        """
-        return cls(
-            key=("chain",) + tuple(stage.id for stage in chain.stages),
-            shape=chain._shape,
-            names=tuple(stage.name for stage in chain.stages),
-            fns=chain._fns,
-            batch_size=chain.batch_size,
-            chain_name=chain.name,
-            kernels=chain._kernels if columnar else None,
-        )
 
 
 class JoinSpec:

@@ -297,10 +297,10 @@ class PhysicalOperator:
         audit).
         """
         dataset = self.evaluate()
-        # sanitized runs stay per-record (see docs/architecture.md); shared
-        # caches force that anyway, but an uncached call must opt out too
-        fused = False if self._sanitizer is not None else None
+        # sanitized runs take the reference path (see docs/architecture.md);
+        # shared caches force that anyway, but an uncached call must opt out
+        mode = "reference" if self._sanitizer is not None else None
         partitions = dataset.environment.run(
-            dataset.operator, cache=cache, fused=fused
+            dataset.operator, cache=cache, mode=mode
         )
         return sum(len(partition) for partition in partitions)

@@ -165,14 +165,11 @@ class PreparedStatement:
             environment = self.runner.graph.environment
             # instrumentation baked into this plan decides the mode, not the
             # runner's *current* sanitize flag (they may have diverged)
-            fused = False if self.sanitizer is not None else self.runner.fused
-            columnar = (
-                False if self.sanitizer is not None else self.runner.columnar
+            mode = (
+                "reference" if self.sanitizer is not None else self.runner.mode
             )
             with environment.job("prepared", cancellation=token) as metrics:
-                batches = self.root.evaluate().batches(
-                    fused=fused, columnar=columnar
-                )
+                batches = self.root.evaluate().batches(mode=mode)
             self.executions += 1
             return batches, self.root.meta, metrics
 

@@ -7,7 +7,7 @@ property records at their offsets, §3.3); aggregates, DISTINCT,
 ORDER BY, SKIP and LIMIT then run on those columns.  A row — a dict per
 embedding — exists only if a caller asks for :meth:`ResultTable.rows`.
 
-Result partitions that arrive per record (sanitized or ``fused=False``
+Result partitions that arrive per record (sanitized or reference-mode
 runs, stages without a chunk kernel) are re-encoded with the exact
 :func:`~repro.engine.columnar.chunk_from_embeddings` first, so there is
 no second evaluator to keep in step.

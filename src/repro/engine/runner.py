@@ -14,6 +14,7 @@ from repro.analysis.diagnostics import QueryLintError
 from repro.analysis.linter import lint_query
 from repro.cache import LRUCache
 from repro.cypher.query_graph import QueryHandler
+from repro.dataflow.modes import legacy_mode
 from repro.epgm import GraphCollection, GraphHead, PropertyValue
 
 from .morphism import DEFAULT_EDGE_STRATEGY, DEFAULT_VERTEX_STRATEGY
@@ -56,9 +57,9 @@ class CypherRunner:
         verify_plans=False,
         sanitize=False,
         plan_cache=None,
-        fused=None,
-        columnar=None,
+        mode=None,
         prune=False,
+        **legacy
     ):
         self.graph = graph
         #: liveness-driven dead-byte pruning: with ``prune=True`` every
@@ -68,15 +69,13 @@ class CypherRunner:
         #: liveness allows.  Result-equivalent by construction (and
         #: differential-tested); part of the plan-cache key.
         self.prune = prune
-        #: batched-fusion override for this runner's executions: ``None``
-        #: inherits the environment default, ``False`` forces per-record.
-        #: Sanitized execution is always per-record regardless (the
-        #: sanitizer's per-boundary wrappers must see every intermediate).
-        self.fused = fused
-        #: columnar chunk-kernel override, same contract as ``fused`` —
-        #: ``None`` inherits the environment default, and sanitized runs
-        #: are per-record (so never columnar) by construction
-        self.columnar = columnar
+        #: execution-mode override for this runner's executions: ``None``
+        #: inherits the environment default, ``"reference"`` forces the
+        #: per-record path (``legacy`` takes its retired keywords, see
+        #: :func:`~repro.dataflow.modes.legacy_mode`).  Sanitized
+        #: execution is always the reference regardless (the sanitizer's
+        #: per-boundary wrappers must see every intermediate).
+        self.mode = legacy_mode(mode, **legacy)
         self.vertex_strategy = vertex_strategy or DEFAULT_VERTEX_STRATEGY
         self.edge_strategy = edge_strategy or DEFAULT_EDGE_STRATEGY
         self._statistics = statistics
@@ -385,22 +384,15 @@ class CypherRunner:
 
     # Execution ------------------------------------------------------------------
 
-    def execution_fused(self):
-        """The ``fused`` argument this runner's executions should pass."""
-        return False if self.sanitize else self.fused
-
-    def execution_columnar(self):
-        """The ``columnar`` argument this runner's executions should pass."""
-        return False if self.sanitize else self.columnar
+    def execution_mode(self):
+        """The ``mode`` argument this runner's executions should pass."""
+        return "reference" if self.sanitize else self.mode
 
     def execute_embeddings(self, query, parameters=None):
         """``(embeddings, meta)`` — the raw relational result."""
         _, root = self.compile(query, parameters)
         return (
-            root.evaluate().collect(
-                fused=self.execution_fused(),
-                columnar=self.execution_columnar(),
-            ),
+            root.evaluate().collect(mode=self.execution_mode()),
             root.meta,
         )
 
@@ -419,10 +411,7 @@ class CypherRunner:
         SKIP and LIMIT.
         """
         handler, root = self.compile(query, parameters)
-        batches = root.evaluate().batches(
-            fused=self.execution_fused(),
-            columnar=self.execution_columnar(),
-        )
+        batches = root.evaluate().batches(mode=self.execution_mode())
         return self.build_table(handler, batches, root.meta).rows()
 
     def build_table(self, handler, batches, meta, token=None):

@@ -15,13 +15,6 @@ from .experiments import (
     selectivity_series,
     speedup_series,
 )
-from .microbench import (
-    DEFAULT_QUERIES,
-    format_microbench,
-    next_trajectory_path,
-    run_microbench,
-    write_microbench,
-)
 from .paper_reference import CARDINALITIES, TABLE3, TABLE4, paper_speedup
 from .queries import (
     ALL_QUERIES,
@@ -38,7 +31,6 @@ __all__ = [
     "TABLE4",
     "paper_speedup",
     "ANALYTICAL_QUERIES",
-    "DEFAULT_QUERIES",
     "DatasetCache",
     "OPERATIONAL_QUERIES",
     "QueryRun",
@@ -47,16 +39,12 @@ __all__ = [
     "TABLE3_PATTERNS",
     "datasize_series",
     "default_cost_model",
-    "format_microbench",
     "format_table",
     "instantiate",
     "intermediate_result_sizes",
-    "next_trajectory_path",
     "result_cardinalities",
-    "run_microbench",
     "run_query",
     "runtime_grid",
     "selectivity_series",
     "speedup_series",
-    "write_microbench",
 ]

@@ -106,7 +106,7 @@ def run_query(
         # the figures price the paper's dataflow — an iterated 1-hop join
         # that shuffles the edge relation every superstep — not the
         # resident-adjacency kernel a columnar run takes on indexed graphs
-        kwargs["fused"] = False
+        kwargs["mode"] = "reference"
     runner = CypherRunner(graph, **kwargs)
     embeddings, _ = runner.execute_embeddings(query)
     return QueryRun(

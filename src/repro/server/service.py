@@ -231,7 +231,6 @@ class QueryService:
         verify_plans=False,
         max_cost_bound=None,
         prune=False,
-        columnar=None,
     ):
         if max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
@@ -253,9 +252,6 @@ class QueryService:
         self.max_cost_bound = max_cost_bound
         #: liveness-driven dead-byte pruning for every runner's plans
         self.prune = prune
-        #: columnar chunk-kernel execution for every runner (``None``
-        #: inherits the environment default; sanitized runs stay per-record)
-        self.columnar = columnar
         #: one LRU shared by every runner the service creates; holds both
         #: ("plan", ...) entries and ("prepared", ...) statements
         self.plan_cache = LRUCache(plan_cache_size, name="cache.plan")
@@ -299,7 +295,6 @@ class QueryService:
                     verify_plans=self.verify_plans,
                     plan_cache=self.plan_cache,
                     prune=self.prune,
-                    columnar=self.columnar,
                 )
                 self._runners[key] = runner
                 self._compile_locks[key] = named_lock("service.compile")
@@ -467,10 +462,7 @@ class QueryService:
             with environment.job(
                 "service:%s" % graph, cancellation=token
             ) as job_metrics:
-                batches = root.evaluate().batches(
-                    fused=runner.execution_fused(),
-                    columnar=runner.execution_columnar(),
-                )
+                batches = root.evaluate().batches(mode=runner.execution_mode())
             meta = root.meta
         # the deadline still holds while the result's columns decode
         table = runner.build_table(handler, batches, meta, token)
@@ -488,14 +480,6 @@ class QueryService:
             result_cache_hit=False,
             prepared=use_prepared,
         )
-
-    def _mode(self, environment):
-        if not environment.fusion:
-            return "per-record"
-        columnar = (
-            environment.columnar if self.columnar is None else self.columnar
-        )
-        return "columnar" if columnar else "batched"
 
     def _admit_cost(self, certificate):
         """Reject a plan whose certified bound exceeds the service limit."""
@@ -520,7 +504,7 @@ class QueryService:
         # the mode requests actually run in; every stage of a columnar
         # run that executed per-record instead is in ``chunk_fallbacks``
         snapshot["engine"]["mode"] = "/".join(sorted({
-            self._mode(entry.graph.environment) for entry in entries
+            entry.graph.environment.mode for entry in entries
         }))
         # what the registered graphs keep resident: the adjacency for
         # expansions, the tables and value indexes of the leaves (and how

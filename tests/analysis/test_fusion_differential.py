@@ -1,9 +1,9 @@
-"""Fused-vs-per-record differential checking.
+"""Columnar-vs-reference differential checking.
 
-Acceptance for the batched execution mode: for every LDBC paper query
-(Q1–Q6), under every planner, the fused embedding multiset equals the
-per-record one — and the same holds for generated queries (labels,
-predicates, undirected edges, variable-length paths).
+For every LDBC paper query (Q1–Q6), under every planner, the embedding
+multiset of a columnar (fused) run equals the per-record reference one —
+and the same holds for generated queries (labels, predicates, undirected
+edges, variable-length paths).
 """
 
 import pytest
@@ -44,7 +44,7 @@ def test_report_names_both_modes(ldbc):
     query = instantiate(ALL_QUERIES["Q1"], dataset.first_name("medium"))
     report = fusion_differential_check(graph, query, statistics=statistics)
     modes = {run.planner.rsplit("[", 1)[1].rstrip("]") for run in report.runs}
-    assert modes == {"fused", "per-record"}
+    assert modes == {"columnar", "reference"}
 
 
 @settings(

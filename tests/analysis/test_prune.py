@@ -16,12 +16,35 @@ from repro.engine.planning import (
     LeftDeepPlanner,
     prune_plan,
 )
-from repro.harness.microbench import plan_bytes_moved
 from repro.harness.queries import ALL_QUERIES, instantiate
 from repro.ldbc import LDBCGenerator
 from tests.analysis.test_property import _fresh_graph, cypher_queries
 
 PLANNERS = [GreedyPlanner, ExhaustivePlanner, LeftDeepPlanner]
+
+
+def plan_bytes_moved(root):
+    """Embedding bytes crossing every operator boundary of one plan.
+
+    Executes the plan once (shared dataflow cache, so every intermediate
+    is observable) and sums the serialized size of each physical
+    operator's output embeddings — the §3.3 bytes a distributed runtime
+    would actually move between operators, and the number pruning exists
+    to reduce.
+    """
+    cache = {}
+    total = 0
+    for operator in root.postorder():
+        dataset = operator.evaluate()
+        partitions = dataset.environment.run(
+            dataset.operator, cache=cache, mode="reference"
+        )
+        total += sum(
+            embedding.serialized_size()
+            for partition in partitions
+            for embedding in partition
+        )
+    return total
 
 DEAD_PROP_QUERY = (
     "MATCH (a:Person)-[e:knows]->(b:Person) "

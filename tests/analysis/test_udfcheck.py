@@ -2,10 +2,9 @@
 
 Each ``P4xx`` code gets a closure planting exactly the capture it exists
 to refuse — a lock, an open handle, mutated shared state, a clock, an
-unpicklable value — and the fusion gate is exercised end-to-end: an
-``ExecutionEnvironment(certify_fusion=True)`` rejects an unshippable
-chain at fusion *compile* time, while every fused chain of LDBC Q1–Q6
-certifies clean.
+unpicklable value — and the fusion gate is exercised end-to-end:
+``plan_fusion(..., certify=True)`` rejects an unshippable chain at fusion
+*compile* time, while every fused chain of LDBC Q1–Q6 certifies clean.
 """
 
 import functools
@@ -194,10 +193,10 @@ class TestFusionCertification:
             assert analyze_chain(chain).shippable
 
     def test_unshippable_chain_rejected_at_fusion_compile_time(self):
-        env = ExecutionEnvironment(parallelism=2, certify_fusion=True)
+        env = ExecutionEnvironment(parallelism=2)
         dataset = env.from_collection(range(8)).map(_locked_stage)
         with pytest.raises(ShippabilityError) as excinfo:
-            dataset.collect()
+            plan_fusion(dataset.operator, DEFAULT_BATCH_SIZE, certify=True)
         assert any(d.code == "P401" for d in excinfo.value.diagnostics)
         assert "fused[" in str(excinfo.value)
 
@@ -207,14 +206,14 @@ class TestFusionCertification:
         assert sorted(collected) == [0, 1, 2, 3]
 
     def test_certified_environment_executes_clean_plans(self):
-        head_env = ExecutionEnvironment(parallelism=2, certify_fusion=True)
-        result = (
+        head_env = ExecutionEnvironment(parallelism=2)
+        dataset = (
             head_env.from_collection(range(10))
             .map(_double)
             .filter(lambda x: x >= 10)
-            .collect()
         )
-        assert sorted(result) == [10, 12, 14, 16, 18]
+        assert plan_fusion(dataset.operator, DEFAULT_BATCH_SIZE, certify=True)
+        assert sorted(dataset.collect()) == [10, 12, 14, 16, 18]
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,10 @@
-"""Batched, fused execution of partition-local operator chains.
+"""Fused execution of partition-local operator chains.
 
-The contract under test: fusion is pure plumbing.  For any DAG, a fused
-run returns the same partitions AND records the same per-stage
-:class:`OperatorRun` metrics (full dataclass equality, same order) as the
-per-record evaluator, while errors keep naming the stage that raised and
-cancellation still propagates unwrapped.
+The contract under test: fusion is pure plumbing.  For any DAG, a
+columnar (fused) run returns the same partitions AND records the same
+per-stage :class:`OperatorRun` metrics (full dataclass equality, same
+order) as the per-record reference evaluator, while errors keep naming
+the stage that raised and cancellation still propagates unwrapped.
 """
 
 import pytest
@@ -18,7 +18,7 @@ from repro.dataflow import (
     QueryCancelled,
     plan_fusion,
 )
-from repro.dataflow.fusion import _chunk_template
+from repro.dataflow.fusion import ChainSpec, run_chain
 from repro.dataflow.operators import MapOperator
 
 
@@ -55,13 +55,13 @@ def mixed_dag(env):
 
 
 def run_both(make_dataset, **env_kwargs):
-    """(fused partitions+runs, per-record partitions+runs) for one DAG."""
+    """(columnar partitions+runs, reference partitions+runs) for one DAG."""
     results = []
-    for fused in (True, False):
+    for mode in ("columnar", "reference"):
         env = build_env(**env_kwargs)
         dataset = make_dataset(env)
         with env.job("probe") as metrics:
-            partitions = dataset.collect_partitions(fused=fused)
+            partitions = dataset.collect_partitions(mode=mode)
         results.append((partitions, metrics.runs))
     return results
 
@@ -99,8 +99,12 @@ class TestFusedEqualsPerRecord:
     @pytest.mark.parametrize("batch_size", [1, 3, 64, DEFAULT_BATCH_SIZE])
     def test_every_batch_size_chunks_to_the_same_result(self, batch_size):
         env = build_env(batch_size=batch_size)
-        reference = chain_dataset(build_env()).collect(fused=False)
-        assert chain_dataset(env).collect(fused=True) == reference
+        reference = chain_dataset(build_env()).collect(mode="reference")
+        with env.job("probe") as metrics:
+            assert chain_dataset(env).collect(mode="columnar") == reference
+        with env.job("probe") as reference_metrics:
+            chain_dataset(env).collect(mode="reference")
+        assert metrics.runs == reference_metrics.runs
 
     def test_empty_partitions_flow_through_fused_chains(self):
         def empty(env):
@@ -162,12 +166,6 @@ class TestFusionPlanning:
             dataset.operator, env.batch_size, materialized=everything
         ) == {}
 
-    def test_template_cache_returns_one_function_per_shape(self):
-        assert _chunk_template(("map", "filter")) is _chunk_template(
-            ("map", "filter")
-        )
-        assert _chunk_template(("map",)) is not _chunk_template(("filter",))
-
 
 class TestFusedErrorHandling:
     def test_error_names_the_failing_stage(self):
@@ -179,8 +177,10 @@ class TestFusedErrorHandling:
             .filter(lambda x: True, name="later")
         )
         with pytest.raises(JobExecutionError) as excinfo:
-            bad.collect(fused=True)
+            bad.collect(mode="columnar")
         assert "bad-map" in str(excinfo.value)
+        assert excinfo.value.operator_name == "bad-map"
+        assert isinstance(excinfo.value.cause, ZeroDivisionError)
 
     def test_cancellation_propagates_unwrapped_from_fused_loops(self):
         env = build_env(batch_size=4)
@@ -190,19 +190,95 @@ class TestFusedErrorHandling:
             lambda x: x, name="noop"
         )
         with pytest.raises(QueryCancelled):
-            env.run(data.operator, cancellation=token, fused=True)
+            env.run(data.operator, cancellation=token, mode="columnar")
+
+
+class _Chunks:
+    """A stand-in columnar partition: the ``chunks`` the loop reads."""
+
+    def __init__(self, chunks):
+        self.chunks = chunks
+
+
+class _Chunk:
+    def __init__(self, rows):
+        self.rows = list(rows)
+        self.count = len(self.rows)
+
+    def to_embeddings(self):
+        return list(self.rows)
+
+
+def _spec(fns, kernels=None, batch_size=3):
+    return ChainSpec(
+        key=("chain", 1, 2), shape=("map", "filter"), names=("inc", "odd"),
+        fns=fns, batch_size=batch_size, chain_name="fused[inc+odd]",
+        kernels=kernels,
+    )
+
+
+class TestRunChain:
+    def test_one_poll_per_slice_and_counts_per_stage(self):
+        polls = []
+        spec = _spec((lambda x: x + 1, lambda x: x % 2 == 1))
+        out, totals = run_chain(spec, list(range(10)), lambda: polls.append(1))
+        assert out == [1, 3, 5, 7, 9]
+        assert totals == (5,)
+        assert len(polls) == 4  # slices of 3 over 10 records
+
+    def test_failing_chunk_is_replayed_and_names_the_stage(self):
+        def inc_kernel(chunk):
+            return _Chunk(row + 1 for row in chunk.rows)
+
+        def broken_kernel(chunk):
+            raise RuntimeError("kernel bug")
+
+        def odd(row):
+            if row == 2:
+                raise KeyError(row)
+            return row % 2 == 1
+
+        spec = _spec((lambda x: x + 1, odd), (inc_kernel, broken_kernel))
+        partition = _Chunks([_Chunk(range(3)), _Chunk(range(3, 6))])
+        with pytest.raises(JobExecutionError) as excinfo:
+            run_chain(spec, partition, lambda: None)
+        assert excinfo.value.operator_name == "odd"
+        assert isinstance(excinfo.value.cause, KeyError)
+
+    def test_a_replay_that_passes_blames_the_chain(self):
+        def broken_kernel(chunk):
+            raise RuntimeError("kernel bug")
+
+        spec = _spec(
+            (lambda x: x + 1, lambda x: True), (broken_kernel, broken_kernel)
+        )
+        with pytest.raises(JobExecutionError) as excinfo:
+            run_chain(spec, _Chunks([_Chunk(range(3))]), lambda: None)
+        assert excinfo.value.operator_name == "fused[inc+odd]"
+        assert isinstance(excinfo.value.cause, RuntimeError)
+
+    def test_cancellation_inside_a_kernel_propagates_unwrapped(self):
+        def cancelled(chunk):
+            raise QueryCancelled("stop")
+
+        spec = _spec((lambda x: x, lambda x: True), (cancelled, cancelled))
+        with pytest.raises(QueryCancelled):
+            run_chain(spec, _Chunks([_Chunk(range(3))]), lambda: None)
 
 
 class TestExecutionModes:
     def test_environment_default_fusion_flag_applies(self):
-        for fusion in (True, False):
-            env = build_env(fusion=fusion)
+        for mode in ("columnar", "reference"):
+            env = build_env(mode=mode)
+            assert env.mode == mode
             assert chain_dataset(env).collect() == chain_dataset(
                 build_env()
-            ).collect(fused=False)
+            ).collect(mode="reference")
+        with pytest.raises(ValueError, match="mode"):
+            build_env(mode="batched")
 
     def test_shared_cache_run_materializes_chain_interiors(self):
-        env = build_env(fusion=True)
+        env = build_env()
         dataset = chain_dataset(env)
         cache = {}
         env.run(dataset.operator, cache=cache)

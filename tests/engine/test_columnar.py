@@ -13,7 +13,7 @@ execution against the per-record interpreter for every paper query ×
 planner × morphism strategy, including sanitized runs and the pooled
 multi-process path.  Memory tests pin what made columnar the default:
 no module-level cache keyed by chunk length, no lazy ``numpy.ma`` import
-inside a request, and a peak below the batched path's.
+inside a request, and a peak below the reference path's.
 """
 
 import gc
@@ -211,9 +211,9 @@ def test_ragged_or_malformed_paths_are_not_uniform_and_stay_per_record():
     environment = ExecutionEnvironment(parallelism=1)
     dataset = environment.from_collection(ragged).map(project).map(project)
     with environment.job("ragged") as metrics:
-        columnar = dataset.collect(fused=True, columnar=True)
+        columnar = dataset.collect(mode="columnar")
     assert metrics.chunk_fallbacks["non_uniform_batch"] > 0
-    assert _canon(columnar) == _canon(dataset.collect(fused=False)) == _canon(
+    assert _canon(columnar) == _canon(dataset.collect(mode="reference")) == _canon(
         ragged
     )
 
@@ -237,9 +237,9 @@ def test_ragged_property_counts_are_not_uniform_and_stay_per_record():
     environment = ExecutionEnvironment(parallelism=1)
     dataset = environment.from_collection(ragged).map(project).map(project)
     with environment.job("ragged") as metrics:
-        columnar = dataset.collect(fused=True, columnar=True)
+        columnar = dataset.collect(mode="columnar")
     assert metrics.chunk_fallbacks["non_uniform_batch"] > 0
-    assert _canon(columnar) == _canon(dataset.collect(fused=False)) == _canon(
+    assert _canon(columnar) == _canon(dataset.collect(mode="reference")) == _canon(
         [row.project_properties([0]) for row in ragged]
     )
 
@@ -676,7 +676,7 @@ def test_a_plan_moves_pointers_to_the_resident_records():
         cell for chunk in chunks for cell in chunk.props.ravel().tolist()
     ]
     assert len(cells) == 3 * 9 and all(id(cell) in resident for cell in cells)
-    _assert_chunks_are(chunks, root.evaluate().collect(fused=False), ordered=False)
+    _assert_chunks_are(chunks, root.evaluate().collect(mode="reference"), ordered=False)
 
 
 def test_leaf_table_counts_each_record_once_and_is_read_only():
@@ -724,7 +724,7 @@ STRATEGIES = (
 @pytest.fixture(scope="module")
 def graphs():
     dataset = LDBCGenerator(scale_factor=0.03, seed=11).generate()
-    columnar_env = ExecutionEnvironment(parallelism=4, columnar=True)
+    columnar_env = ExecutionEnvironment(parallelism=4)
     plain_env = ExecutionEnvironment(parallelism=4)
     # label-indexed, as a loaded graph is: Q2/Q3 expand over the
     # resident adjacency on the columnar side
@@ -751,7 +751,7 @@ def test_columnar_equals_per_record(graphs, name, planner_cls, strategy):
         planner_cls=planner_cls,
         vertex_strategy=strategy,
         edge_strategy=strategy,
-        fused=True,
+        mode="columnar",
     )
     per_record = CypherRunner(
         plain_graph,
@@ -759,7 +759,7 @@ def test_columnar_equals_per_record(graphs, name, planner_cls, strategy):
         planner_cls=planner_cls,
         vertex_strategy=strategy,
         edge_strategy=strategy,
-        fused=False,
+        mode="reference",
     )
     with columnar_graph.environment.job("columnar") as metrics:
         columnar_embeddings, _ = columnar.execute_embeddings(query)
@@ -814,10 +814,10 @@ def test_every_vertex_leaf_join_is_a_lookup(
     query = instantiate(LOOKUP_QUERIES[name], dataset.first_name("medium"))
     options = dict(vertex_strategy=vertex_strategy, edge_strategy=edge_strategy)
     columnar = CypherRunner(
-        columnar_graph, statistics=columnar_stats, fused=True, **options
+        columnar_graph, statistics=columnar_stats, mode="columnar", **options
     )
     per_record = CypherRunner(
-        plain_graph, statistics=plain_stats, fused=False, **options
+        plain_graph, statistics=plain_stats, mode="reference", **options
     )
     with columnar_graph.environment.job("columnar") as metrics:
         columnar_embeddings, _ = columnar.execute_embeddings(query)
@@ -938,8 +938,8 @@ LEAF_QUERIES = [
 def _leaf_runners(graph, strategy):
     options = dict(vertex_strategy=strategy, edge_strategy=strategy)
     return (
-        CypherRunner(graph, fused=True, **options),
-        CypherRunner(graph, fused=False, **options),
+        CypherRunner(graph, mode="columnar", **options),
+        CypherRunner(graph, mode="reference", **options),
     )
 
 
@@ -1032,8 +1032,8 @@ def _both_ways(root):
     """``(columnar rows, their job metrics, per-record rows)``."""
     dataset = root.evaluate()
     with dataset.environment.job("columnar") as metrics:
-        columnar = dataset.collect(fused=True)
-    return columnar, metrics, dataset.collect(fused=False)
+        columnar = dataset.collect(mode="columnar")
+    return columnar, metrics, dataset.collect(mode="reference")
 
 
 @pytest.mark.parametrize("sizes", [(4096, 4096), (2, 3)], ids=["whole", "sliced"])
@@ -1134,8 +1134,8 @@ def test_rebound_edge_parameter_masks_one_plan(leaf_graphs, parallelism):
         prune=True, vertex_strategy=STRATEGIES[0], edge_strategy=STRATEGIES[1]
     )
     text = "MATCH (a:A)-[e:x]->(b:A) WHERE e.w = $p RETURN a.n, b.n"
-    statement = CypherRunner(graph, fused=True, **options).prepare(text)
-    reference = CypherRunner(graph, fused=False, **options).prepare(text)
+    statement = CypherRunner(graph, mode="columnar", **options).prepare(text)
+    reference = CypherRunner(graph, mode="reference", **options).prepare(text)
     before = graph.adjacency_stats()
     sizes = []
     for value in (2, 3, 99, 2):
@@ -1320,7 +1320,7 @@ def test_sanitized_run_equals_columnar(graphs):
 
 def test_pooled_columnar_equals_per_record():
     dataset = LDBCGenerator(scale_factor=0.02, seed=7).generate()
-    pooled_env = ExecutionEnvironment(parallelism=4, workers=2, columnar=True)
+    pooled_env = ExecutionEnvironment(parallelism=4, workers=2)
     plain_env = ExecutionEnvironment(parallelism=4)
     try:
         pooled_graph = dataset.to_logical_graph(pooled_env)
@@ -1328,12 +1328,12 @@ def test_pooled_columnar_equals_per_record():
         pooled = CypherRunner(
             pooled_graph,
             statistics=GraphStatistics.from_graph(pooled_graph),
-            fused=True,
+            mode="columnar",
         )
         per_record = CypherRunner(
             plain_graph,
             statistics=GraphStatistics.from_graph(plain_graph),
-            fused=False,
+            mode="reference",
         )
         for name in ("Q1", "Q5"):
             query = instantiate(
@@ -1365,7 +1365,7 @@ from repro.dataflow import ExecutionEnvironment
 from repro.engine import CypherRunner
 from repro.ldbc import LDBCGenerator
 graph = LDBCGenerator(scale_factor=0.2, seed=11).generate().to_logical_graph(
-    ExecutionEnvironment(parallelism=4, columnar=True))
+    ExecutionEnvironment(parallelism=4))
 assert len(CypherRunner(graph).execute_embeddings(%r)[0]) > 1000
 assert "numpy.ma" not in sys.modules, "numpy.ma imported"
 """ % _KNOWS_CREATOR
@@ -1396,7 +1396,7 @@ def test_collect_releases_the_chunks_it_decodes(monkeypatch):
 
 def _traced_collect(dataset, **flags):
     """``(peak, retained)`` bytes of one ``collect`` of a warm plan."""
-    dataset.collect(**flags)  # warm: compiled templates, memoized payloads
+    dataset.collect(**flags)  # warm: memoized payloads
     gc.collect()
     tracemalloc.start()
     try:
@@ -1417,7 +1417,7 @@ def test_columnar_peak_is_below_batched_and_nothing_is_retained():
     runner = CypherRunner(graph, statistics=GraphStatistics.from_graph(graph))
     _, root = runner.compile(_KNOWS_CREATOR)
     plan = root.evaluate()
-    columnar_peak, retained = _traced_collect(plan, fused=True, columnar=True)
-    batched_peak, _ = _traced_collect(plan, fused=True, columnar=False)
-    assert columnar_peak <= batched_peak
+    columnar_peak, retained = _traced_collect(plan, mode="columnar")
+    reference_peak, _ = _traced_collect(plan, mode="reference")
+    assert columnar_peak <= reference_peak
     assert retained <= 1_000_000

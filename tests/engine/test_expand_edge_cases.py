@@ -33,7 +33,7 @@ def _check(graph, query, vertex_strategy=None, edge_strategy=None,
         kwargs["vertex_strategy"] = vertex_strategy
     if edge_strategy:
         kwargs["edge_strategy"] = edge_strategy
-    runner = CypherRunner(graph, fused=False, **kwargs)
+    runner = CypherRunner(graph, mode="reference", **kwargs)
     embeddings, meta = runner.execute_embeddings(query, parameters)
     engine_rows = sorted(canonical_rows_from_embeddings(embeddings, meta))
     naive_rows = sorted(NaiveMatcher(graph, **kwargs).match(
@@ -264,9 +264,9 @@ def test_paths_beside_properties_equal_reference_and_naive(tangle, query):
     assert ("reverse" in runner.explain(query)) == ("<-" in query)
     tables = [
         sorted(map(repr, CypherRunner(
-            tangle, vertex_strategy=HOMO, edge_strategy=HOMO, fused=fused
+            tangle, vertex_strategy=HOMO, edge_strategy=HOMO, mode=mode
         ).execute_table(query)))
-        for fused in (True, False)
+        for mode in ("columnar", "reference")
     ]
     assert tables[0] == tables[1] and tables[0]
 
@@ -301,6 +301,6 @@ def test_kernel_run_shape(tangle):
     ]
     assert not any(run.shuffled_records for run in hops)
     with tangle.environment.job("reference") as reference:
-        CypherRunner(tangle, fused=False).execute_embeddings(query)
+        CypherRunner(tangle, mode="reference").execute_embeddings(query)
     assert {run.iteration for run in reference.runs} - {None} == {1, 2, 3}
     assert any(run.shuffled_records for run in reference.runs)

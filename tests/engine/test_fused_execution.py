@@ -1,10 +1,11 @@
-"""Engine-level contracts of batched/fused execution.
+"""Engine-level contracts of the two execution modes.
 
-Fusion and the compiled accessors must not change anything observable:
+Fusion and the chunk kernels must not change anything observable:
 embeddings, tabular rows, and — because the experiment harness reports
 simulated runtimes — the recorded metrics (operator runs, shuffle bytes)
-must be identical between modes.  Sanitized execution opts out of fusion
-entirely; prepared statements re-bind correctly with fusion on.
+must be identical between ``columnar`` and ``reference``.  Sanitized
+execution opts out of fusion entirely; prepared statements re-bind
+correctly with fusion on.
 """
 
 from collections import Counter
@@ -39,9 +40,9 @@ def fresh_graph(indexed=False, **env_kwargs):
     )
 
 
-def run_query(query, fused, indexed=False, columnar=None):
+def run_query(query, mode, indexed=False):
     graph = fresh_graph(indexed)
-    runner = CypherRunner(graph, fused=fused, columnar=columnar)
+    runner = CypherRunner(graph, mode=mode)
     with graph.environment.job("probe") as metrics:
         embeddings, meta = runner.execute_embeddings(query)
     return embeddings, meta, metrics
@@ -50,8 +51,8 @@ def run_query(query, fused, indexed=False, columnar=None):
 class TestFusedMatchesPerRecord:
     @pytest.mark.parametrize("query", QUERIES)
     def test_embedding_multisets_are_identical(self, query):
-        fused, meta_fused, _ = run_query(query, fused=True)
-        plain, meta_plain, _ = run_query(query, fused=False)
+        fused, meta_fused, _ = run_query(query, "columnar")
+        plain, meta_plain, _ = run_query(query, "reference")
         assert Counter(fused) == Counter(plain)
         assert meta_fused.variables == meta_plain.variables
 
@@ -59,8 +60,8 @@ class TestFusedMatchesPerRecord:
     def test_metrics_are_bit_identical_between_modes(self, query):
         """The experiment harness depends on this: same runs, same order,
         same shuffle accounting, hence the same simulated runtime."""
-        _, _, fused_metrics = run_query(query, fused=True)
-        _, _, plain_metrics = run_query(query, fused=False)
+        _, _, fused_metrics = run_query(query, "columnar")
+        _, _, plain_metrics = run_query(query, "reference")
         assert fused_metrics.runs == plain_metrics.runs
         assert (
             fused_metrics.total_shuffled_bytes
@@ -69,20 +70,15 @@ class TestFusedMatchesPerRecord:
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_metrics_on_an_indexed_graph(self, query):
-        """Batched ≡ per-record, bit for bit, on a label-indexed graph too.
-        The columnar run walks the resident adjacency where the query
-        expands or joins an edge leaf and looks vertex leaf rows up, so it
-        returns the same rows under its own documented runs in place of
-        the reference's: one hop per superstep instead of the iterated
-        join, one ``[adjacency]`` run instead of the edge scan and the
-        hash join, one ``[lookup]`` run instead of the hash join with a
-        vertex leaf — no shuffle."""
-        plain, _, plain_metrics = run_query(query, fused=False, indexed=True)
-        _, _, batched_metrics = run_query(
-            query, fused=True, indexed=True, columnar=False
-        )
-        assert batched_metrics.runs == plain_metrics.runs
-        columnar, _, metrics = run_query(query, fused=True, indexed=True)
+        """On a label-indexed graph the columnar run walks the resident
+        adjacency where the query expands or joins an edge leaf and looks
+        vertex leaf rows up, so it returns the reference's rows under its
+        own documented runs in place of the reference's: one hop per
+        superstep instead of the iterated join, one ``[adjacency]`` run
+        instead of the edge scan and the hash join, one ``[lookup]`` run
+        instead of the hash join with a vertex leaf — no shuffle."""
+        plain, _, plain_metrics = run_query(query, "reference", indexed=True)
+        columnar, _, metrics = run_query(query, "columnar", indexed=True)
         assert Counter(columnar) == Counter(plain)
         assert not any(metrics.chunk_fallbacks.values())
 
@@ -140,9 +136,9 @@ class TestFusedMatchesPerRecord:
 
     def test_simulated_runtime_is_mode_independent(self):
         runtimes = []
-        for fused in (True, False):
+        for mode in ("columnar", "reference"):
             graph = fresh_graph()
-            runner = CypherRunner(graph, fused=fused)
+            runner = CypherRunner(graph, mode=mode)
             with graph.environment.job("probe") as metrics:
                 runner.execute_embeddings(QUERIES[1])
             runtimes.append(
@@ -153,9 +149,9 @@ class TestFusedMatchesPerRecord:
 
 class TestSanitizerForcesPerRecord:
     def test_sanitized_execution_never_plans_fusion(self, monkeypatch):
-        graph = fresh_graph(fusion=True)
+        graph = fresh_graph()
         runner = CypherRunner(graph, sanitize=True)
-        # compile first: statistics collection is an ordinary (fused)
+        # compile first: statistics collection is an ordinary (columnar)
         # dataflow job and may plan fusion freely — only the sanitized
         # *query execution* must stay per-record
         _, root = runner.compile(QUERIES[0])
@@ -164,12 +160,12 @@ class TestSanitizerForcesPerRecord:
             raise AssertionError("fusion pass ran during sanitized execution")
 
         monkeypatch.setattr(fusion_module, "plan_fusion", explode)
-        embeddings = root.evaluate().collect(fused=runner.execution_fused())
+        embeddings = root.evaluate().collect(mode=runner.execution_mode())
         assert len(embeddings) == 2
         assert runner.last_sanitizer.checked >= len(embeddings)
 
     def test_unsanitized_execution_does_plan_fusion(self, monkeypatch):
-        graph = fresh_graph(fusion=True)
+        graph = fresh_graph()
         runner = CypherRunner(graph)
         _, root = runner.compile(QUERIES[0])
         calls = []
@@ -180,11 +176,11 @@ class TestSanitizerForcesPerRecord:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(fusion_module, "plan_fusion", spy)
-        root.evaluate().collect(fused=runner.execution_fused())
+        root.evaluate().collect(mode=runner.execution_mode())
         assert calls
 
     def test_explain_analyze_matches_under_sanitizer(self):
-        graph = fresh_graph(fusion=True)
+        graph = fresh_graph()
         runner = CypherRunner(graph, sanitize=True)
         text = runner.explain_analyze(QUERIES[0])
         assert "actual=2" in text
@@ -192,7 +188,7 @@ class TestSanitizerForcesPerRecord:
 
 class TestPlanReuseUnderFusion:
     def test_prepared_statement_rebinds_with_fusion_on(self):
-        graph = fresh_graph(fusion=True)
+        graph = fresh_graph()
         statement = CypherRunner(graph).prepare(
             "MATCH (p:Person {name: $who}) RETURN p.name"
         )
@@ -203,7 +199,7 @@ class TestPlanReuseUnderFusion:
 
     def test_prepared_var_length_rebinds_with_fusion_on(self):
         # the expansion's supersteps must re-run per binding, fused or not
-        graph = fresh_graph(fusion=True)
+        graph = fresh_graph()
         statement = CypherRunner(graph).prepare(
             "MATCH (p:Person {name: $who})-[e:knows*2..2]->(q:Person) "
             "RETURN *"
@@ -217,10 +213,10 @@ class TestPlanReuseUnderFusion:
         # one prepared plan, rebound per execution, with a forced reset()
         # in between so the fused chains are rebuilt from scratch; every
         # binding must agree with the fusion differential check on the
-        # equivalent literal query (fused vs. per-record, all planners)
+        # equivalent literal query (columnar vs. reference, all planners)
         from repro.analysis import fusion_differential_check
 
-        graph = fresh_graph(fusion=True)
+        graph = fresh_graph()
         statistics = GraphStatistics.from_graph(graph)
         runner = CypherRunner(graph, statistics=statistics)
         statement = runner.prepare(
@@ -240,13 +236,13 @@ class TestPlanReuseUnderFusion:
             )
             assert report.clean, [str(d) for d in report.diagnostics]
             plain, _ = CypherRunner(
-                graph, statistics=statistics, fused=False
+                graph, statistics=statistics, mode="reference"
             ).execute_embeddings(literal)
             assert Counter(first) == Counter(plain)
         assert statement.executions == 6
 
     def test_reset_then_reexecute_is_stable(self):
-        graph = fresh_graph(fusion=True)
+        graph = fresh_graph()
         runner = CypherRunner(graph)
         _, root = runner.compile(QUERIES[1])
         first = root.evaluate().collect()
@@ -254,15 +250,17 @@ class TestPlanReuseUnderFusion:
         assert Counter(root.evaluate().collect()) == Counter(first)
 
     def test_plan_cached_across_modes_by_runner_settings(self):
-        # one graph, two runners sharing the plan cache: toggling fused
+        # one graph, two runners sharing the plan cache: toggling the mode
         # must not poison results (the fusion rewrite never mutates plans)
         graph = fresh_graph()
         statistics = GraphStatistics.from_graph(graph)
-        fused_runner = CypherRunner(graph, statistics=statistics, fused=True)
+        fused_runner = CypherRunner(
+            graph, statistics=statistics, mode="columnar"
+        )
         plain_runner = CypherRunner(
             graph,
             statistics=statistics,
-            fused=False,
+            mode="reference",
             plan_cache=fused_runner.plan_cache,
         )
         fused_rows = fused_runner.execute_table(QUERIES[0])
@@ -270,3 +268,75 @@ class TestPlanReuseUnderFusion:
         assert sorted(r["p1.name"] for r in fused_rows) == sorted(
             r["p1.name"] for r in plain_rows
         )
+
+
+class TestLegacyModeAlias:
+    """The retired ``fused=`` / ``columnar=`` keywords still select a mode:
+    ``False`` for either is the reference path, anything else the
+    default.  On a label-indexed graph the two paths record different
+    runs, so equal run lists say which path ran."""
+
+    @staticmethod
+    def _runs(graph, execute):
+        with graph.environment.job("alias") as metrics:
+            execute()
+        return metrics.runs
+
+    def test_retired_keywords_give_the_reference_runs(self):
+        graph = fresh_graph(indexed=True)
+        statistics = GraphStatistics.from_graph(graph)
+        _, root = CypherRunner(graph, statistics=statistics).compile(
+            QUERIES[1]
+        )
+        dataset = root.evaluate()
+        reference = self._runs(graph, lambda: dataset.collect(mode="reference"))
+        columnar = self._runs(graph, lambda: dataset.collect(mode="columnar"))
+        assert reference != columnar
+        for flags in (
+            {"fused": False, "columnar": False},
+            {"fused": True, "columnar": False},
+            {"fused": False},
+        ):
+            assert self._runs(
+                graph, lambda: dataset.collect(**flags)
+            ) == reference, flags
+        assert self._runs(
+            graph, lambda: dataset.collect(fused=True, columnar=True)
+        ) == columnar
+        assert self._runs(
+            graph, lambda: graph.environment.run(dataset.operator, fused=False)
+        ) == reference
+        runner = CypherRunner(graph, statistics=statistics, fused=False)
+        runner.compile(QUERIES[1])
+        assert runner.execution_mode() == "reference"
+        assert self._runs(
+            graph, lambda: runner.execute_embeddings(QUERIES[1])
+        ) == reference
+
+    @pytest.mark.parametrize("flag", [[], ["--no-columnar"]])
+    def test_serve_columnar_flag_selects_the_mode(self, flag):
+        from repro import cli
+
+        args = cli.build_parser().parse_args(["serve", "graph"] + flag)
+        expected = "reference" if flag else "columnar"
+        assert cli._environment(args).mode == expected
+        # how ``bench/`` builds its environment from the same parser
+        environment = ExecutionEnvironment(
+            parallelism=4, columnar=args.columnar, batch_size=args.batch_size
+        )
+        assert environment.mode == expected
+        head, vertices, edges = build_figure1_elements()
+        graph = IndexedLogicalGraph.from_collections(
+            environment, vertices, edges, graph_head=head
+        )
+        statistics = GraphStatistics.from_graph(graph)
+        runner = CypherRunner(graph, statistics=statistics)
+        runner.compile(QUERIES[1])
+        served = self._runs(graph, lambda: runner.execute_embeddings(QUERIES[1]))
+        reference = self._runs(
+            graph,
+            lambda: CypherRunner(
+                graph, statistics=statistics, mode="reference"
+            ).execute_embeddings(QUERIES[1]),
+        )
+        assert (served == reference) == bool(flag)

@@ -66,7 +66,7 @@ def assert_agrees(returns, embeddings, meta, batches=None):
 PLANNERS = (GreedyPlanner, ExhaustivePlanner, LeftDeepPlanner)
 MODES = {
     "columnar": {},
-    "no-columnar": {"columnar": False},
+    "no-columnar": {"mode": "reference"},
     "sanitized": {"sanitize": "collect"},
 }
 QUERIES = dict(ALL_QUERIES)
@@ -99,10 +99,7 @@ def test_every_shape_agrees_with_the_oracle(ldbc, planner_cls, mode):
         handler, root = runner.compile(text)
         embeddings, meta = runner.execute_embeddings(text)
         assert embeddings, name
-        batches = list(root.evaluate().batches(
-            fused=runner.execution_fused(),
-            columnar=runner.execution_columnar(),
-        ))
+        batches = list(root.evaluate().batches(mode=runner.execution_mode()))
         table = assert_agrees(handler.ast.returns, embeddings, meta, batches)
         if mode != "columnar":
             assert table.reencoded == table.chunks > 0, name
@@ -204,9 +201,7 @@ def test_awkward_values_agree_with_the_oracle(awkward_graph, text, mode):
     runner = CypherRunner(awkward_graph, lint=False, **MODES[mode])
     handler, root = runner.compile(text)
     embeddings, meta = runner.execute_embeddings(text)
-    batches = root.evaluate().batches(
-        fused=runner.execution_fused(), columnar=runner.execution_columnar()
-    )
+    batches = root.evaluate().batches(mode=runner.execution_mode())
     assert_agrees(handler.ast.returns, embeddings, meta, batches)
     assert runner.execute_table(text) == oracle_rows(
         handler.ast.returns, embeddings, meta

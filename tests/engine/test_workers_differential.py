@@ -3,7 +3,7 @@
 Acceptance for the multi-process runtime: for every LDBC paper query
 (Q1–Q6), under every planner, executing with ``workers=2`` (fused
 chains and exchange joins shipped to real worker processes) yields the
-same embedding multiset as plain per-record single-process execution.
+same embedding multiset as single-process reference execution.
 Also proves sanitized runs on a worker-enabled environment stay on the
 in-process path (the sanitizer's boundary wrappers must see every
 intermediate) without error.
@@ -52,13 +52,13 @@ def test_workers_equal_single_process(graphs, name, planner_cls):
         worker_graph,
         statistics=worker_stats,
         planner_cls=planner_cls,
-        fused=True,
+        mode="columnar",
     )
     single = CypherRunner(
         single_graph,
         statistics=single_stats,
         planner_cls=planner_cls,
-        fused=False,
+        mode="reference",
     )
     pooled_embeddings, _ = pooled.execute_embeddings(query)
     single_embeddings, _ = single.execute_embeddings(query)

@@ -167,27 +167,19 @@ FUSED_RUNS_PER_THREAD = 3
 
 
 def test_concurrent_fused_execution_matches_serial_reference():
-    """Concurrent fused queries race on the compiled-template cache.
-
-    Every schedule starts from a cold ``_templates`` cache so the
-    compile-then-publish path interleaves adversarially; each thread's
-    fused result multiset must equal the serial per-record reference.
-    """
-    import repro.dataflow.fusion as fusion_module
-
+    """Concurrent columnar queries share one graph and one environment;
+    each thread's result multiset must equal the serial reference."""
     graph = build_graph()
     serial = Counter(
-        CypherRunner(graph, fused=False).execute_embeddings(FUSED_QUERY)[0]
+        CypherRunner(graph, mode="reference").execute_embeddings(FUSED_QUERY)[0]
     )
     assert serial  # the reference must be non-trivial
 
     def setup():
-        with fusion_module._template_lock:
-            fusion_module._templates.clear()
         return graph
 
     def worker(shared_graph, fuzz):
-        runner = CypherRunner(shared_graph, fused=True)
+        runner = CypherRunner(shared_graph, mode="columnar")
         for _ in range(FUSED_RUNS_PER_THREAD):
             fuzz.step()
             with shared_graph.environment.job("fuzz-fused"):

@@ -5,10 +5,10 @@ import time
 
 import pytest
 
-from repro.dataflow import QueryTimeout
+from repro.dataflow import ExecutionEnvironment, QueryTimeout
 from repro.engine import CypherRunner
 from repro.engine.columnar import ColumnarLeaf
-from repro.epgm import IndexedLogicalGraph, indexed
+from repro.epgm import IndexedLogicalGraph, LogicalGraph, indexed
 from repro.server import (
     AdmissionError,
     GraphRegistry,
@@ -17,6 +17,7 @@ from repro.server import (
     UnknownGraphError,
 )
 from repro.server.bench import rows_multiset
+from tests.conftest import build_figure1_elements
 from tests.server.test_protocol import expire_after_the_dataflow
 
 PLAIN_QUERY = "MATCH (p:Person) RETURN p.name"
@@ -221,7 +222,7 @@ class TestResultCache:
             assert service.metrics.snapshot()["timeouts"] == 1
             monkeypatch.undo()
             assert service.execute("fig1", triangle).row_count == len(
-                CypherRunner(figure1_graph, fused=False).execute_table(triangle)
+                CypherRunner(figure1_graph, mode="reference").execute_table(triangle)
             )
             assert not any(
                 service.metrics_snapshot()["engine"]["chunk_fallbacks"].values()
@@ -353,7 +354,7 @@ class TestLifecycle:
         with QueryService(registry) as service:
             answer = service.execute("fig1", VAR_LENGTH_QUERY)
             engine = service.metrics_snapshot()["engine"]
-        reference = CypherRunner(figure1_graph, fused=False).execute_table(
+        reference = CypherRunner(figure1_graph, mode="reference").execute_table(
             VAR_LENGTH_QUERY
         )
         assert rows_multiset(answer.rows) == rows_multiset(reference)
@@ -380,7 +381,7 @@ class TestLifecycle:
             before = service.metrics_snapshot()["engine"]["adjacency"]
             answers = [service.execute("fig1", triangle) for _ in range(2)]
             engine = service.metrics_snapshot()["engine"]
-        reference = CypherRunner(figure1_graph, fused=False).execute_table(
+        reference = CypherRunner(figure1_graph, mode="reference").execute_table(
             triangle
         )
         assert rows_multiset(answers[0].rows) == rows_multiset(reference)
@@ -393,11 +394,20 @@ class TestLifecycle:
         assert after["pair_indexes"] == 1
         assert after["bytes"] > before["bytes"]
 
-    def test_batched_service_reports_its_mode(self, registry):
-        with QueryService(registry, columnar=False) as batched:
-            batched.execute("fig1", PLAIN_QUERY)
-            engine = batched.metrics_snapshot()["engine"]
-        assert engine["mode"] == "batched"
+    def test_batched_service_reports_its_mode(self):
+        """A service runs its environment's mode: on a reference-mode
+        environment it reports ``reference``."""
+        head, vertices, edges = build_figure1_elements()
+        graph = LogicalGraph.from_collections(
+            ExecutionEnvironment(parallelism=4, mode="reference"),
+            vertices, edges, graph_head=head,
+        )
+        registry = GraphRegistry()
+        registry.register("fig1", graph)
+        with QueryService(registry) as reference:
+            reference.execute("fig1", PLAIN_QUERY)
+            engine = reference.metrics_snapshot()["engine"]
+        assert engine["mode"] == "reference"
         assert not any(engine["chunk_fallbacks"].values())
         # ... and every result partition arrived per record
         result = engine["result"]

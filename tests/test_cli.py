@@ -1,6 +1,5 @@
 """End-to-end tests for the command-line interface."""
 
-import json
 import os
 import subprocess
 import sys
@@ -113,48 +112,6 @@ class TestBench:
     def test_unknown_experiment_rejected(self):
         result = run_cli("bench", "--experiment", "fig99")
         assert result.returncode != 0
-
-
-class TestBenchMicro:
-    def test_writes_trajectory_json(self, tmp_path):
-        result = run_cli(
-            "bench-micro",
-            "--queries", "Q1",
-            "--scale-factor", "0.02",
-            "--repeats", "2",
-            "--output", str(tmp_path / "bench.json"),
-        )
-        assert result.returncode == 0, result.stderr
-        assert "per-record" in result.stdout and "batched" in result.stdout
-        assert "columnar" in result.stdout
-        report = json.loads((tmp_path / "bench.json").read_text())
-        assert report["repeats"] == 2
-        assert report["default_repeats"] == 5
-        assert report["default_scale_factor"] == 0.2
-        by_mode = {record["mode"]: record for record in report["results"]}
-        assert set(by_mode) == {"batched", "columnar", "per-record"}
-        assert by_mode["batched"]["batched"] is True
-        assert by_mode["per-record"]["batched"] is False
-        rows = {record["rows"] for record in by_mode.values()}
-        assert len(rows) == 1
-        for record in by_mode.values():
-            assert record["query"] == "Q1"
-            assert len(record["seconds"]) == 2
-            assert record["median_seconds"] >= record["min_seconds"] >= 0
-        assert "Q1" in report["speedup"]
-        assert "Q1" in report["columnar_speedup"]
-
-    def test_default_output_picks_next_index(self, tmp_path):
-        (tmp_path / "BENCH_3.json").write_text("{}")
-        result = run_cli(
-            "bench-micro",
-            "--queries", "Q1",
-            "--scale-factor", "0.02",
-            "--repeats", "1",
-            cwd=str(tmp_path),
-        )
-        assert result.returncode == 0, result.stderr
-        assert (tmp_path / "BENCH_4.json").exists()
 
 
 class TestCheck:
