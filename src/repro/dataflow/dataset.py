@@ -66,18 +66,23 @@ class DataSet:
         if other.environment is not self.environment:
             raise PlanError("cannot combine datasets from different environments")
 
-    def map(self, fn, name=None):
-        """Apply ``fn`` to every record."""
-        return self._derive(MapOperator(self.environment, self.operator, fn, name))
+    def map(self, fn, name=None, kernel=None):
+        """Apply ``fn`` to every record (``kernel``: its chunk form)."""
+        return self._derive(
+            MapOperator(self.environment, self.operator, fn, name, kernel)
+        )
 
     def flat_map(self, fn, name=None):
         """Apply ``fn`` returning zero or more records per input."""
         return self._derive(FlatMapOperator(self.environment, self.operator, fn, name))
 
-    def filter(self, predicate, name=None):
-        """Keep records for which ``predicate`` is true."""
+    def filter(self, predicate, name=None, kernel=None):
+        """Keep records where ``predicate`` holds (``kernel``: its chunk
+        form)."""
         return self._derive(
-            FilterOperator(self.environment, self.operator, predicate, name)
+            FilterOperator(
+                self.environment, self.operator, predicate, name, kernel
+            )
         )
 
     def map_partition(self, fn, name=None):
@@ -119,11 +124,15 @@ class DataSet:
         join_fn=None,
         strategy=JoinStrategy.AUTO,
         name=None,
+        kernel=None,
+        fallback=None,
     ):
         """Equi-join with FlatJoin semantics.
 
         ``join_fn(left, right)`` returns an iterable of outputs; omitting it
-        yields ``(left, right)`` pairs.
+        yields ``(left, right)`` pairs.  ``kernel`` joins and shuffles
+        chunk partitions in a columnar run; ``fallback`` names the
+        ``CHUNK_FALLBACK_REASONS`` entry each columnar execution counts.
         """
         self._check_same_env(other)
         return self._derive(
@@ -136,6 +145,8 @@ class DataSet:
                 join_fn,
                 strategy,
                 name,
+                kernel,
+                fallback,
             )
         )
 

@@ -29,6 +29,7 @@ from .operators import (
     FlatMapOperator,
     MapOperator,
     Operator,
+    _chunked,
 )
 
 #: default slice length of a chain over records; roughly amortizes the
@@ -69,10 +70,8 @@ class ChainSpec:
         self.fns = tuple(fns)
         self.batch_size = batch_size
         self.chain_name = chain_name
-        #: one chunk→chunk kernel per stage, or ``None`` when a stage has
-        #: none.  Kernels ride on the stage closures as plain function
-        #: *attributes*, which by-value function shipping does not carry,
-        #: so the spec holds them as an explicit field
+        #: one chunk→chunk kernel per stage, or ``None`` when a stage
+        #: declares none
         self.kernels = tuple(kernels) if kernels is not None else None
 
 
@@ -184,10 +183,9 @@ class FusedChainOperator(Operator):
             stage.predicate if isinstance(stage, FilterOperator) else stage.fn
             for stage in stages
         )
-        # columnar kernels ride on the stage closures as plain attributes
-        # (attached by the engine layer); a chain runs over chunks when
-        # every stage carries a chunk→chunk kernel
-        kernels = tuple(getattr(fn, "columnar_kernel", None) for fn in fns)
+        # a chain runs over chunks when every stage declares a
+        # chunk→chunk kernel
+        kernels = tuple(stage.kernel for stage in stages)
         self.spec = ChainSpec(
             key=("chain",) + tuple(stage.id for stage in stages),
             shape=(_STAGE_KINDS[type(stage)] for stage in stages),
@@ -220,10 +218,7 @@ class FusedChainOperator(Operator):
         lists meeting a chain of kernels (an upstream stage fell back),
         are counted fallbacks; a chain over anything else — graph
         elements, frontier tuples — has nothing columnar about it."""
-        chunked = [
-            getattr(partition, "chunks", None) is not None
-            for partition in partitions
-        ]
+        chunked = [_chunked(partition) for partition in partitions]
         if self.spec.kernels is None:
             if any(chunked):
                 ctx.count_fallback("no_kernel")

@@ -46,6 +46,44 @@ class ShuffleStats:
             self.bytes_in[worker] += received
 
 
+def split_partition(partition, source, parallelism, key_fn, key_columns=None,
+                    token=None):
+    """Split partition ``source`` by key hash: ``(splits, ShuffleStats)``.
+
+    ``splits[target]`` holds the rows routed to ``target`` in input
+    order.  With ``key_columns`` a columnar partition splits by slicing
+    its chunks (:func:`~repro.engine.columnar.shuffle_split`) into
+    partitions of its own type; anything else runs ``key_fn`` per record
+    into lists, polling ``token`` every ``POLL_INTERVAL`` records.  Both
+    route by ``partition_index`` and count only cross-worker moves, at
+    ``estimate_size`` bytes apiece.  The in-process shuffle and a
+    worker's repartition task both split through here.
+    """
+    stats = ShuffleStats(parallelism)
+    if key_columns is not None and _chunked(partition):
+        from repro.engine.columnar import shuffle_split  # lazy: layering
+
+        if token is not None:
+            token.poll()
+        chunk_splits, stats.records, stats.bytes, stats.bytes_in = (
+            shuffle_split(partition.chunks, key_columns, parallelism, source)
+        )
+        partition_cls = type(partition)
+        return [partition_cls(chunks) for chunks in chunk_splits], stats
+    splits = [[] for _ in range(parallelism)]
+    for index, record in enumerate(partition):
+        if token is not None and index & _POLL_MASK == 0:
+            token.poll()
+        target = partition_index(key_fn(record), parallelism)
+        splits[target].append(record)
+        if target != source:
+            size = estimate_size(record)
+            stats.records += 1
+            stats.bytes += size
+            stats.bytes_in[target] += size
+    return splits, stats
+
+
 class ExecutionContext:
     """Per-run services handed to operators: shuffling, metrics, memory."""
 
@@ -113,40 +151,33 @@ class ExecutionContext:
 
     # Shuffle primitives ---------------------------------------------------
 
-    def hash_shuffle(self, partitions, key_fn):
+    def hash_shuffle(self, partitions, key_fn, key_columns=None):
         """Redistribute records so equal keys share a worker.
 
-        When every partition is columnar and the key reader carries a
-        compiled ``columnar_shuffle`` kernel (single id-column join keys),
-        the split slices chunk columns instead of materializing row
-        objects; the returned stats are byte-identical to the per-record
-        loop below.
+        ``key_columns`` — the join kernel's id key columns, when the join
+        declares one — splits partitions by slicing chunk columns, but
+        only when every partition is columnar: a mixed input goes through
+        the per-record loop whole, so the result is uniformly one form.
+        Either way the stats are byte-identical (:func:`split_partition`).
         """
         parallelism = self.parallelism
-        kernel = getattr(key_fn, "columnar_shuffle", None)
-        if kernel is not None and all(
-            getattr(partition, "chunks", None) is not None
-            for partition in partitions
+        if key_columns is not None and not all(
+            _chunked(partition) for partition in partitions
         ):
-            shuffled, records, moved_bytes, bytes_in = kernel(
-                partitions, parallelism
-            )
-            stats = ShuffleStats(parallelism)
-            stats.records = records
-            stats.bytes = moved_bytes
-            stats.bytes_in = list(bytes_in)
-            return shuffled, stats
+            key_columns = None
         out = [[] for _ in range(parallelism)]
         stats = ShuffleStats(parallelism)
-        for source_worker, partition in enumerate(partitions):
-            for record in partition:
-                target = partition_index(key_fn(record), parallelism)
-                out[target].append(record)
-                if target != source_worker:
-                    size = estimate_size(record)
-                    stats.records += 1
-                    stats.bytes += size
-                    stats.bytes_in[target] += size
+        for source, partition in enumerate(partitions):
+            splits, moved = split_partition(
+                partition, source, parallelism, key_fn, key_columns,
+                self.cancellation,
+            )
+            stats.merge(moved)
+            for target, split in enumerate(splits):
+                out[target].extend(getattr(split, "chunks", split))
+        if key_columns is not None:
+            partition_cls = type(partitions[0])
+            out = [partition_cls(chunks) for chunks in out]
         return out, stats
 
     def broadcast(self, partitions):
@@ -159,10 +190,7 @@ class ExecutionContext:
         """
         parallelism = self.parallelism
         stats = ShuffleStats(parallelism)
-        if partitions and all(
-            getattr(partition, "chunks", None) is not None
-            for partition in partitions
-        ):
+        if partitions and all(_chunked(partition) for partition in partitions):
             chunks = [
                 chunk for partition in partitions for chunk in partition.chunks
             ]
@@ -252,6 +280,8 @@ class Operator:
     """Base class for DAG nodes."""
 
     display = "operator"
+    #: the chunk kernel the node declares for a columnar run, or None
+    kernel = None
     #: roots of dataflow this node may evaluate itself, inside ``execute``
     #: (never evaluated for it like ``parents``); static walkers follow them
     subplans = ()
@@ -314,9 +344,10 @@ class PartitionedSourceOperator(Operator):
 class MapOperator(Operator):
     display = "map"
 
-    def __init__(self, environment, parent, fn, name=None):
+    def __init__(self, environment, parent, fn, name=None, kernel=None):
         super().__init__(environment, [parent], name)
         self.fn = fn
+        self.kernel = kernel
 
     def execute(self, ctx, parent_partition_sets):
         (partitions,) = parent_partition_sets
@@ -350,9 +381,11 @@ class FlatMapOperator(Operator):
 class FilterOperator(Operator):
     display = "filter"
 
-    def __init__(self, environment, parent, predicate, name=None):
+    def __init__(self, environment, parent, predicate, name=None,
+                 kernel=None):
         super().__init__(environment, [parent], name)
         self.predicate = predicate
+        self.kernel = kernel
 
     def execute(self, ctx, parent_partition_sets):
         (partitions,) = parent_partition_sets
@@ -576,12 +609,98 @@ class GroupReduceOperator(Operator):
         return out
 
 
+class JoinSpec:
+    """What one hash join runs: key readers, flat-join function, kernel.
+
+    ``kernel`` is the chunk kernel the join declares (the engine's
+    ``ColumnarJoinSpec``: key columns, merge shape, morphism watch set),
+    or ``None``.  The operator holds its spec; the worker pool ships it
+    by value, so :func:`hash_join` runs the same join in either process.
+    """
+
+    __slots__ = ("key", "left_key", "right_key", "join_fn", "name", "kernel")
+
+    def __init__(self, key, left_key, right_key, join_fn, name, kernel=None):
+        self.key = key
+        self.left_key = left_key
+        self.right_key = right_key
+        self.join_fn = join_fn
+        self.name = name
+        self.kernel = kernel
+
+    def side(self, left):
+        """``(key reader, kernel key columns or None)`` of one input."""
+        kernel = self.kernel
+        if left:
+            return self.left_key, kernel.left_columns if kernel else None
+        return self.right_key, kernel.right_columns if kernel else None
+
+
+def pick_sides(left, right):
+    """``(build, probe, build_is_left)``: the smaller input builds."""
+    if len(left) <= len(right):
+        return left, right, True
+    return right, left, False
+
+
+def hash_join(spec, build, probe, build_is_left, token=None):
+    """One co-partitioned pair through the hash join: the output partition.
+
+    Two chunk partitions meet the spec's kernel, when it has one, and the
+    result is a partition of the build side's type; anything else is
+    built into a table and probed per record.  Either way rows come out
+    in probe order, each matched against build rows in build order, and
+    ``token`` is polled every ``POLL_INTERVAL`` probe records (the kernel
+    polls per slice of output).  A failure raises
+    :class:`JobExecutionError` naming the join; errors marked
+    ``propagate_unwrapped`` (cancellation) propagate as they are.
+    """
+    kernel = spec.kernel
+    try:
+        if kernel is not None and _chunked(build) and _chunked(probe):
+            return type(build)(kernel.hash_join(
+                build.chunks, probe.chunks, build_is_left, token
+            ))
+        build_key, probe_key = (
+            (spec.left_key, spec.right_key) if build_is_left
+            else (spec.right_key, spec.left_key)
+        )
+        join_fn = spec.join_fn
+        table = {}
+        setdefault = table.setdefault
+        produced = []
+        extend = produced.extend
+        for record in build:
+            setdefault(_hashable(build_key(record)), []).append(record)
+        get = table.get
+        for index, probe_record in enumerate(probe):
+            if token is not None and index & _POLL_MASK == 0:
+                token.poll()
+            matches = get(_hashable(probe_key(probe_record)))
+            if not matches:
+                continue
+            if build_is_left:
+                for build_record in matches:
+                    extend(join_fn(build_record, probe_record))
+            else:
+                for build_record in matches:
+                    extend(join_fn(probe_record, build_record))
+    except Exception as exc:  # noqa: BLE001 — rewrap with context
+        if getattr(exc, "propagate_unwrapped", False):
+            raise
+        raise JobExecutionError(spec.name, exc) from exc
+    return produced
+
+
 class JoinOperator(Operator):
     """Equi-join with selectable physical strategy.
 
     ``join_fn(left, right)`` has FlatJoin semantics: it returns an iterable
     of output records, so morphism checks can drop pairs without a second
-    filter pass (paper §3.1).
+    filter pass (paper §3.1).  ``kernel`` joins (and shuffles) chunk
+    partitions; ``fallback`` is the ``CHUNK_FALLBACK_REASONS`` entry every
+    columnar execution counts — why this join runs per record, or runs in
+    place of a cheaper path.
     """
 
     display = "join"
@@ -600,11 +719,16 @@ class JoinOperator(Operator):
         join_fn=None,
         strategy=JoinStrategy.AUTO,
         name=None,
+        kernel=None,
+        fallback=None,
     ):
         super().__init__(environment, [left, right], name)
-        self.left_key = left_key
-        self.right_key = right_key
-        self.join_fn = join_fn if join_fn is not None else _pair
+        self.kernel = kernel
+        self.fallback = fallback
+        self.spec = JoinSpec(
+            ("join", self.id), left_key, right_key,
+            join_fn if join_fn is not None else _pair, self.name, kernel,
+        )
         self.strategy = strategy
         self.chosen_strategy = None
 
@@ -624,23 +748,11 @@ class JoinOperator(Operator):
         right_count = sum(len(p) for p in right_parts)
         strategy = self._choose(left_count, right_count)
         self.chosen_strategy = strategy
+        spec = self.spec
+        kernel = self.kernel
 
-        spec = getattr(self.join_fn, "columnar_join", None)
-        if (
-            ctx.columnar
-            and spec is None
-            and any(
-                getattr(partition, "chunks", None) is not None
-                for partition in left_parts + right_parts
-            )
-        ):
-            # chunks decode to feed a join without a chunk kernel (the
-            # engine compiles none for PATH-bearing sides)
-            ctx.count_fallback("path_join")
-        declared = getattr(self.join_fn, "columnar_fallback", None)
-        if ctx.columnar and declared is not None:
-            # the engine compiled this join in place of a cheaper kernel
-            ctx.count_fallback(declared)
+        if ctx.columnar and self.fallback is not None:
+            ctx.count_fallback(self.fallback)
         stats = ShuffleStats(ctx.parallelism)
         pool = (
             ctx.pool if strategy is JoinStrategy.REPARTITION_HASH else None
@@ -664,26 +776,21 @@ class JoinOperator(Operator):
             # columnar partitions stay columnar on the non-broadcast side
             # so the local join can run its chunk kernel
             right_local = [
-                p if getattr(p, "chunks", None) is not None else list(p)
-                for p in right_parts
+                p if _chunked(p) else list(p) for p in right_parts
             ]
         elif strategy is JoinStrategy.BROADCAST_SECOND:
             right_local, s = ctx.broadcast(right_parts)
             stats.merge(s)
-            left_local = [
-                p if getattr(p, "chunks", None) is not None else list(p)
-                for p in left_parts
-            ]
+            left_local = [p if _chunked(p) else list(p) for p in left_parts]
         else:  # repartition-based strategies co-locate equal keys
             # the key functions run bare (no per-record _call frames);
-            # one try/except per shuffle keeps the error contract
-            try:
-                left_local, s1 = ctx.hash_shuffle(left_parts, self.left_key)
-                right_local, s2 = ctx.hash_shuffle(right_parts, self.right_key)
-            except Exception as exc:  # noqa: BLE001 — rewrap with context
-                if getattr(exc, "propagate_unwrapped", False):
-                    raise
-                raise JobExecutionError(self.name, exc) from exc
+            # one _call per shuffle keeps the error contract
+            left_local, s1 = self._call(
+                ctx.hash_shuffle, left_parts, *spec.side(True)
+            )
+            right_local, s2 = self._call(
+                ctx.hash_shuffle, right_parts, *spec.side(False)
+            )
             stats.merge(s1)
             stats.merge(s2)
 
@@ -701,7 +808,7 @@ class JoinOperator(Operator):
                 left_local, right_local
             ):
                 ctx.poll()  # batch boundary: one worker's partition pair
-                build, probe, build_is_left = self._pick_sides(
+                build, probe, build_is_left = pick_sides(
                     left_partition, right_partition
                 )
                 if len(build) > ctx.memory_records_per_worker:
@@ -710,19 +817,15 @@ class JoinOperator(Operator):
                     produced = self._sort_merge(
                         left_partition, right_partition, ctx
                     )
-                elif (
-                    spec is not None
-                    and getattr(build, "chunks", None) is not None
-                    and getattr(probe, "chunks", None) is not None
-                ):
-                    produced = self._columnar_hash_join(
-                        spec, build, probe, build_is_left, ctx
-                    )
                 else:
-                    if spec is not None and ctx.columnar:
+                    if (
+                        kernel is not None
+                        and ctx.columnar
+                        and not (_chunked(build) and _chunked(probe))
+                    ):
                         ctx.count_fallback("non_uniform_batch")
-                    produced = self._hash_join(
-                        build, probe, build_is_left, ctx
+                    produced = hash_join(
+                        spec, build, probe, build_is_left, ctx.cancellation
                     )
                 out.append(produced)
 
@@ -745,7 +848,7 @@ class JoinOperator(Operator):
 
         The broadcast strategies replicate the small side in-parent (a
         list copy), leaving per-partition ``(build, probe)`` pairs the
-        workers execute with the exact ``_hash_join`` loop — results
+        workers execute with :func:`hash_join`, as in process — results
         are order-identical and the spill accounting below stays
         byte-for-byte the same.  Empty pairs never ship — their result
         is the empty partition.
@@ -758,7 +861,7 @@ class JoinOperator(Operator):
         for index, (left_partition, right_partition) in enumerate(
             zip(left_local, right_local)
         ):
-            build, probe, build_is_left = self._pick_sides(
+            build, probe, build_is_left = pick_sides(
                 left_partition, right_partition
             )
             if len(build) > ctx.memory_records_per_worker:
@@ -806,74 +909,13 @@ class JoinOperator(Operator):
         ]
         return out, spilled, worker_work
 
-    def _pick_sides(self, left_partition, right_partition):
-        if len(left_partition) <= len(right_partition):
-            return left_partition, right_partition, True
-        return right_partition, left_partition, False
-
-    def _columnar_hash_join(self, spec, build, probe, build_is_left, ctx):
-        """Chunk-level hash join via the engine-compiled join spec.
-
-        Output rows appear in the exact probe-order × build-order the
-        per-record ``_hash_join`` produces; the result is wrapped in the
-        same columnar partition type so downstream kernels keep operating
-        without decoding."""
-        try:
-            chunks = spec.hash_join(
-                build.chunks, probe.chunks, build_is_left, ctx.cancellation
-            )
-        except Exception as exc:  # noqa: BLE001 — rewrap with context
-            if getattr(exc, "propagate_unwrapped", False):
-                raise
-            raise JobExecutionError(self.name, exc) from exc
-        return type(build)(chunks)
-
-    def _hash_join(self, build, probe, build_is_left, ctx):
-        """Batch-wise hash join: build, then probe, without per-record
-        ``_call`` frames — one try/except around each phase preserves the
-        exact error wrapping at a fraction of the per-record cost."""
-        build_key = self.left_key if build_is_left else self.right_key
-        probe_key = self.right_key if build_is_left else self.left_key
-        join_fn = self.join_fn
-        token = ctx.cancellation
-        table = {}
-        setdefault = table.setdefault
-        produced = []
-        extend = produced.extend
-        try:
-            for record in build:
-                setdefault(_hashable(build_key(record)), []).append(record)
-            get = table.get
-            if build_is_left:
-                for index, probe_record in enumerate(probe):
-                    if token is not None and index & _POLL_MASK == 0:
-                        token.poll()
-                    matches = get(_hashable(probe_key(probe_record)))
-                    if not matches:
-                        continue
-                    for build_record in matches:
-                        extend(join_fn(build_record, probe_record))
-            else:
-                for index, probe_record in enumerate(probe):
-                    if token is not None and index & _POLL_MASK == 0:
-                        token.poll()
-                    matches = get(_hashable(probe_key(probe_record)))
-                    if not matches:
-                        continue
-                    for build_record in matches:
-                        extend(join_fn(probe_record, build_record))
-        except Exception as exc:  # noqa: BLE001 — rewrap with context
-            if getattr(exc, "propagate_unwrapped", False):
-                raise
-            raise JobExecutionError(self.name, exc) from exc
-        return produced
-
     def _sort_merge(self, left_partition, right_partition, ctx):
+        left_key, right_key = self.spec.left_key, self.spec.right_key
         left_sorted = sorted(
-            left_partition, key=lambda r: stable_hash(self._call(self.left_key, r))
+            left_partition, key=lambda r: stable_hash(self._call(left_key, r))
         )
         right_sorted = sorted(
-            right_partition, key=lambda r: stable_hash(self._call(self.right_key, r))
+            right_partition, key=lambda r: stable_hash(self._call(right_key, r))
         )
         token = ctx.cancellation
         produced = []
@@ -883,8 +925,8 @@ class JoinOperator(Operator):
             steps += 1
             if token is not None and steps & _POLL_MASK == 0:
                 token.poll()
-            lk = stable_hash(self._call(self.left_key, left_sorted[i]))
-            rk = stable_hash(self._call(self.right_key, right_sorted[j]))
+            lk = stable_hash(self._call(left_key, left_sorted[i]))
+            rk = stable_hash(self._call(right_key, right_sorted[j]))
             if lk < rk:
                 i += 1
             elif lk > rk:
@@ -893,13 +935,13 @@ class JoinOperator(Operator):
                 i_end = i
                 while (
                     i_end < len(left_sorted)
-                    and stable_hash(self._call(self.left_key, left_sorted[i_end])) == lk
+                    and stable_hash(self._call(left_key, left_sorted[i_end])) == lk
                 ):
                     i_end += 1
                 j_end = j
                 while (
                     j_end < len(right_sorted)
-                    and stable_hash(self._call(self.right_key, right_sorted[j_end])) == rk
+                    and stable_hash(self._call(right_key, right_sorted[j_end])) == rk
                 ):
                     j_end += 1
                 for li in range(i, i_end):
@@ -907,11 +949,13 @@ class JoinOperator(Operator):
                         left_record = left_sorted[li]
                         right_record = right_sorted[rj]
                         # hash equality is necessary but not sufficient
-                        if self._call(self.left_key, left_record) == self._call(
-                            self.right_key, right_record
+                        if self._call(left_key, left_record) == self._call(
+                            right_key, right_record
                         ):
                             produced.extend(
-                                self._call(self.join_fn, left_record, right_record)
+                                self._call(
+                                    self.spec.join_fn, left_record, right_record
+                                )
                             )
                 i, j = i_end, j_end
         return produced
@@ -961,6 +1005,11 @@ def _pair(left, right):
 
 def _pair_single(left, right):
     return (left, right)
+
+
+def _chunked(partition):
+    """True for a columnar partition (recognized by its ``chunks``)."""
+    return getattr(partition, "chunks", None) is not None
 
 
 def _hashable(key):

@@ -12,11 +12,11 @@ on top (service deadlines, admission control, the simulated cost
 model) behaves identically in both modes.
 """
 
+from ..operators import JoinSpec
 from . import messages
 from .pool import RemoteWorkerError, WorkerCrashError, WorkerPool
 from .shipping import (
     ChainSpec,
-    JoinSpec,
     decode_records,
     dump_functions,
     encode_records,

@@ -84,7 +84,6 @@ from .messages import (
 )
 from .shipping import (
     SPEC_CACHE_LIMIT,
-    JoinSpec,
     decode_records,
     dump_functions,
     encode_records,
@@ -470,10 +469,11 @@ class WorkerPool:
             return cached
         from repro.analysis.udfcheck import analyze_callables
 
+        spec = operator.spec
         ok = analyze_callables([
-            ("%s.left_key" % operator.name, operator.left_key),
-            ("%s.right_key" % operator.name, operator.right_key),
-            ("%s.join_fn" % operator.name, operator.join_fn),
+            ("%s.left_key" % operator.name, spec.left_key),
+            ("%s.right_key" % operator.name, spec.right_key),
+            ("%s.join_fn" % operator.name, spec.join_fn),
         ]).shippable
         with self._lock:
             self._ship_ok[key] = ok
@@ -743,10 +743,10 @@ class WorkerPool:
         """Execute co-partitioned hash-join pairs on the pool.
 
         ``pairs`` holds ``(build, probe, build_is_left)`` per partition —
-        the exact inputs ``JoinOperator._hash_join`` would loop over —
+        the exact inputs the in-process :func:`hash_join` would take —
         and the result preserves its per-partition emission order.
         """
-        spec = JoinSpec.from_operator(operator)
+        spec = operator.spec
         tasks = [
             ("join", build, probe, build_is_left)
             for build, probe, build_is_left in pairs
@@ -773,7 +773,7 @@ class WorkerPool:
         per-worker work and spill accounting from the counts,
         bit-identical to the in-process path.
         """
-        spec = JoinSpec.from_operator(operator)
+        spec = operator.spec
         parallelism = max(len(left_parts), len(right_parts))
         owners = assign_partitions(parallelism, self.workers)
         handles = self._ensure_started()

@@ -4,12 +4,13 @@
 the per-worker channel set (request/response pipes + shared-memory
 rings, see :mod:`.channels`) and loops over batched request messages:
 
-* ``("ship", key, blob)`` — decode a :class:`~.shipping.ChainSpec` /
-  :class:`~.shipping.JoinSpec` and cache it under ``key``.  The cache
-  is an LRU bounded at the pool-chosen ``spec_cache_limit``; the pool
-  mirrors the same LRU in each handle's ``shipped`` map, so it re-ships
-  exactly the specs this side has evicted and never references a spec
-  the worker no longer holds.
+* ``("ship", key, blob)`` — decode a
+  :class:`~repro.dataflow.fusion.ChainSpec` /
+  :class:`~repro.dataflow.operators.JoinSpec` and cache it under
+  ``key``.  The cache is an LRU bounded at the pool-chosen
+  ``spec_cache_limit``; the pool mirrors the same LRU in each handle's
+  ``shipped`` map, so it re-ships exactly the specs this side has
+  evicted and never references a spec the worker no longer holds.
 * ``("free", source_key, part_index)`` — drop one resident source
   partition.  The pool tracks per-worker resident bytes and appends
   these eviction notices to task batches, so worker memory for scan
@@ -23,21 +24,23 @@ rings, see :mod:`.channels`) and loops over batched request messages:
   returns as a chunk frame (raw column buffers, no per-record decode on
   either side of the ring); any other input runs stage by stage.
 * ``("join", job, seq, key, build_src, probe_src, build_is_left)`` —
-  one co-partitioned hash-join pair, mirroring
-  ``JoinOperator._hash_join`` exactly (build/probe roles and emission
-  order included, so results are order-identical to in-process runs).
+  one co-partitioned hash-join pair through
+  :func:`~repro.dataflow.operators.hash_join`, the function the
+  in-process join runs: the spec's chunk kernel over two chunk inputs
+  (the result returns as a chunk frame), the per-record loop otherwise,
+  with the same build/probe roles and emission order either way.
 * ``("shuffle", job, seq, key, side, source, owners, src)`` — hash-
-  partition one input partition of a repartition join by its join key.
-  Splits whose target partition this worker owns stay *resident* in the
-  worker's exchange table; foreign splits return to the parent as
-  encoded bytes it relays verbatim (never decoding a record) to the
-  owning workers as ``("exchange", job, side, target, source, fmt,
-  blob)`` messages.  The response carries the per-target counts and the
-  moved-record/byte tallies the parent needs to rebuild the exact
-  ``ShuffleStats`` the in-process ``hash_shuffle`` computes.  Columnar
-  inputs split by slicing chunk columns (the engine's ``shuffle_split``,
-  shared with the in-process kernel) and foreign splits travel as chunk
-  frames the parent still relays verbatim.
+  partition one input partition of a repartition join by its join key
+  through :func:`~repro.dataflow.operators.split_partition`, the split
+  the in-process shuffle runs (chunks slice by the join kernel's key
+  columns).  Splits whose target partition this worker owns stay
+  *resident* in the worker's exchange table; foreign splits return to
+  the parent as encoded bytes (chunk frames for columnar splits) it
+  relays verbatim (never decoding a record) to the owning workers as
+  ``("exchange", job, side, target, source, fmt, blob)`` messages.  The
+  response carries the per-target counts and the moved-record/byte
+  tallies the parent needs to rebuild the exact ``ShuffleStats`` the
+  in-process ``hash_shuffle`` computes.
 * ``("pjoin", job, seq, key, target)`` — join one co-partitioned pair
   out of the exchange table, concatenating each side's splits in source
   -partition order so record order matches the in-process shuffle.
@@ -68,10 +71,9 @@ import pickle
 import time
 from collections import OrderedDict
 
-from ..cancellation import POLL_INTERVAL
 from ..errors import JobExecutionError
 from ..fusion import run_chain
-from ..operators import _hashable
+from ..operators import _chunked, hash_join, pick_sides, split_partition
 from .channels import INLINE_LIMIT, RingSegment
 from .messages import (
     BLOB_INLINE,
@@ -104,11 +106,13 @@ from .shipping import (
 
 __all__ = ["worker_main"]
 
-_POLL_MASK = POLL_INTERVAL - 1
-
 
 class _Cancelled(Exception):
     """In-flight task abandoned because its job was cancelled."""
+
+    #: raised inside the shared join, shuffle and chain loops: they must
+    #: re-raise it as it is, so the task answers ``CANCELLED``
+    propagate_unwrapped = True
 
 
 class _StageError(Exception):
@@ -122,8 +126,8 @@ class _StageError(Exception):
 
 
 class _PollToken:
-    """Adapts the cancel-pipe poll to the ``token.poll()`` the columnar
-    join kernel expects at its chunk boundaries."""
+    """Adapts the cancel-pipe poll to the ``token.poll()`` the shared
+    join, shuffle and chain loops call."""
 
     __slots__ = ("worker", "job")
 
@@ -253,13 +257,8 @@ class _Worker:
         """:func:`~repro.dataflow.fusion.run_chain`, the in-process loop,
         polling the cancel pipe; its stage errors cross as
         :class:`_StageError`."""
-
-        def poll():
-            if self._job_cancelled(job):
-                raise _Cancelled()
-
         try:
-            return run_chain(spec, records, poll)
+            return run_chain(spec, records, _PollToken(self, job).poll)
         except JobExecutionError as exc:
             raise _StageError(exc.operator_name, exc.cause) from exc
         except _Cancelled:
@@ -270,100 +269,30 @@ class _Worker:
     def _run_shuffle(self, job, spec, side, source, owners, records):
         """Hash-partition one input partition by its join key.
 
-        Mirrors ``ExecutionContext.hash_shuffle`` per record — same
-        ``partition_index`` routing, same moved-record/byte accounting
-        via ``estimate_size`` — so the parent can reconstruct the exact
-        ShuffleStats.  Splits for targets this worker owns go straight
-        into the exchange table; non-empty foreign splits are encoded
-        and returned for the parent to relay.
+        :func:`~repro.dataflow.operators.split_partition`, the split the
+        in-process shuffle runs, polling the cancel pipe — so the parent
+        can rebuild the exact ShuffleStats.  Splits for targets this
+        worker owns go straight into the exchange table; non-empty
+        foreign splits are encoded (columnar ones as chunk frames) and
+        returned for the parent to relay.
         """
-        from ..partitioner import partition_index
-        from ..sizing import estimate_size
-
-        if (
-            spec.columnar is not None
-            and getattr(records, "chunks", None) is not None
-        ):
-            return self._run_shuffle_columnar(
-                job, spec, side, source, owners, records
-            )
-        key_fn = spec.left_key if side == "left" else spec.right_key
-        parallelism = len(owners)
-        splits = [[] for _ in range(parallelism)]
-        moved_records = 0
-        moved_bytes = 0
-        bytes_in = [0] * parallelism
         try:
-            for index, record in enumerate(records):
-                if index & _POLL_MASK == 0 and self._job_cancelled(job):
-                    raise _Cancelled()
-                target = partition_index(key_fn(record), parallelism)
-                splits[target].append(record)
-                if target != source:
-                    size = estimate_size(record)
-                    moved_records += 1
-                    moved_bytes += size
-                    bytes_in[target] += size
+            splits, moved = split_partition(
+                records, source, len(owners), *spec.side(side == "left"),
+                token=_PollToken(self, job),
+            )
         except _Cancelled:
             raise
         except Exception as exc:  # noqa: BLE001 — rewrap with context
-            if getattr(exc, "propagate_unwrapped", False):
-                raise _StageError(spec.name, exc, unwrapped=True) from exc
-            raise _StageError(spec.name, exc) from exc
+            raise _StageError(
+                spec.name, exc,
+                unwrapped=getattr(exc, "propagate_unwrapped", False),
+            ) from exc
         counts = [len(split) for split in splits]
         foreign = []
         for target, split in enumerate(splits):
-            if not split:
-                continue
-            if owners[target] == self.index:
-                self.exchange.setdefault(
-                    (job, side, target), {}
-                )[source] = split
-            else:
-                fmt, payload = encode_records(split)
-                foreign.append((target, fmt, payload))
-        return (counts, moved_records, moved_bytes, bytes_in), foreign
-
-    def _run_shuffle_columnar(self, job, spec, side, source, owners,
-                              records):
-        """Chunk-sliced hash-partition of one columnar input partition.
-
-        Shares :func:`repro.engine.columnar.shuffle_split` with the
-        in-process shuffle kernel, so routing and moved-record/byte
-        accounting are bit-identical to the per-record loop.  Owned
-        splits enter the exchange table as columnar partitions; foreign
-        splits leave as chunk frames the parent relays verbatim —
-        repartitioned rows cross worker boundaries without a single
-        record being decoded.
-        """
-        from repro.engine.columnar import (  # lazy: layering
-            ColumnarPartition,
-            shuffle_split,
-        )
-
-        key_columns = (
-            spec.columnar.left_columns
-            if side == "left"
-            else spec.columnar.right_columns
-        )
-        if self._job_cancelled(job):
-            raise _Cancelled()
-        try:
-            splits, moved_records, moved_bytes, bytes_in = shuffle_split(
-                records.chunks, key_columns, len(owners), source
-            )
-        except Exception as exc:  # noqa: BLE001 — rewrap with context
-            if getattr(exc, "propagate_unwrapped", False):
-                raise _StageError(spec.name, exc, unwrapped=True) from exc
-            raise _StageError(spec.name, exc) from exc
-        counts = [
-            sum(chunk.count for chunk in chunks) for chunks in splits
-        ]
-        foreign = []
-        for target, chunks in enumerate(splits):
             if not counts[target]:
                 continue
-            split = ColumnarPartition(chunks)
             if owners[target] == self.index:
                 self.exchange.setdefault(
                     (job, side, target), {}
@@ -371,79 +300,22 @@ class _Worker:
             else:
                 fmt, payload = encode_records(split)
                 foreign.append((target, fmt, payload))
-        return (counts, moved_records, moved_bytes, bytes_in), foreign
+        return (counts, moved.records, moved.bytes, moved.bytes_in), foreign
 
     def _run_join(self, job, spec, build, probe, build_is_left):
-        """``JoinOperator._hash_join`` verbatim, with pipe-based polling."""
-        if (
-            spec.columnar is not None
-            and getattr(build, "chunks", None) is not None
-            and getattr(probe, "chunks", None) is not None
-        ):
-            return self._run_join_columnar(
-                job, spec, build, probe, build_is_left
-            )
-        build_key = spec.left_key if build_is_left else spec.right_key
-        probe_key = spec.right_key if build_is_left else spec.left_key
-        join_fn = spec.join_fn
-        table = {}
-        setdefault = table.setdefault
-        produced = []
-        extend = produced.extend
+        """:func:`~repro.dataflow.operators.hash_join`, the in-process
+        join, polling the cancel pipe; its errors cross as
+        :class:`_StageError`."""
         try:
-            for record in build:
-                setdefault(_hashable(build_key(record)), []).append(record)
-            get = table.get
-            if build_is_left:
-                for index, probe_record in enumerate(probe):
-                    if index & _POLL_MASK == 0 and self._job_cancelled(job):
-                        raise _Cancelled()
-                    matches = get(_hashable(probe_key(probe_record)))
-                    if not matches:
-                        continue
-                    for build_record in matches:
-                        extend(join_fn(build_record, probe_record))
-            else:
-                for index, probe_record in enumerate(probe):
-                    if index & _POLL_MASK == 0 and self._job_cancelled(job):
-                        raise _Cancelled()
-                    matches = get(_hashable(probe_key(probe_record)))
-                    if not matches:
-                        continue
-                    for build_record in matches:
-                        extend(join_fn(probe_record, build_record))
-        except (_Cancelled, _StageError):
-            raise
-        except Exception as exc:  # noqa: BLE001 — rewrap with context
-            if getattr(exc, "propagate_unwrapped", False):
-                raise _StageError(spec.name, exc, unwrapped=True) from exc
-            raise _StageError(spec.name, exc) from exc
-        return produced
-
-    def _run_join_columnar(self, job, spec, build, probe, build_is_left):
-        """``JoinOperator._columnar_hash_join``, with pipe-based polling.
-
-        The engine-compiled join spec joins the chunk lists directly —
-        output rows in the exact probe-order × build-order of the
-        per-record loop — and the result goes back to the parent as a
-        chunk frame without materializing a single record.
-        """
-        from repro.engine.columnar import ColumnarPartition  # lazy: layering
-
-        try:
-            chunks = spec.columnar.hash_join(
-                build.chunks,
-                probe.chunks,
-                build_is_left,
-                _PollToken(self, job),
+            return hash_join(
+                spec, build, probe, build_is_left, _PollToken(self, job)
             )
+        except JobExecutionError as exc:
+            raise _StageError(exc.operator_name, exc.cause) from exc
         except _Cancelled:
             raise
-        except Exception as exc:  # noqa: BLE001 — rewrap with context
-            if getattr(exc, "propagate_unwrapped", False):
-                raise _StageError(spec.name, exc, unwrapped=True) from exc
-            raise _StageError(spec.name, exc) from exc
-        return ColumnarPartition(chunks)
+        except Exception as exc:  # noqa: BLE001 — propagate_unwrapped only
+            raise _StageError(spec.name, exc, unwrapped=True) from exc
 
     def _concat_splits(self, split_map):
         """Concatenate one pjoin side's splits in source-partition order.
@@ -453,14 +325,8 @@ class _Worker:
         fall back to the flat record list.
         """
         splits = [split_map[index] for index in sorted(split_map)]
-        if splits and all(
-            getattr(split, "chunks", None) is not None for split in splits
-        ):
-            from repro.engine.columnar import (  # lazy: layering
-                ColumnarPartition,
-            )
-
-            return ColumnarPartition(
+        if splits and all(map(_chunked, splits)):
+            return type(splits[0])(
                 [chunk for split in splits for chunk in split.chunks]
             )
         return [record for split in splits for record in split]
@@ -586,12 +452,9 @@ class _Worker:
             if self._job_cancelled(job):
                 self._emit((CANCELLED, job, seq))
                 return True
-            left = self._concat_splits(left_map)
-            right = self._concat_splits(right_map)
-            if len(left) <= len(right):
-                build, probe, build_is_left = left, right, True
-            else:
-                build, probe, build_is_left = right, left, False
+            build, probe, build_is_left = pick_sides(
+                self._concat_splits(left_map), self._concat_splits(right_map)
+            )
             try:
                 produced = (
                     []

@@ -50,7 +50,6 @@ from ..fusion import ChainSpec
 
 __all__ = [
     "ChainSpec",
-    "JoinSpec",
     "SPEC_CACHE_LIMIT",
     "dump_functions",
     "load_functions",
@@ -183,39 +182,6 @@ def dump_functions(obj):
 def load_functions(payload):
     """Reverse of :func:`dump_functions` (plain unpickle)."""
     return pickle.loads(payload)
-
-
-# --- shipped work specs -----------------------------------------------------
-
-
-class JoinSpec:
-    """One hash-join's shipped side: key extractors and the flat-join fn."""
-
-    __slots__ = ("key", "left_key", "right_key", "join_fn", "name",
-                 "columnar")
-
-    def __init__(self, key, left_key, right_key, join_fn, name,
-                 columnar=None):
-        self.key = key
-        self.left_key = left_key
-        self.right_key = right_key
-        self.join_fn = join_fn
-        self.name = name
-        # the compiled ColumnarJoinSpec rides on ``join_fn`` as a plain
-        # function attribute, which by-value shipping drops — shipped
-        # explicitly so workers can join chunk pairs without decoding
-        self.columnar = columnar
-
-    @classmethod
-    def from_operator(cls, operator):
-        return cls(
-            key=("join", operator.id),
-            left_key=operator.left_key,
-            right_key=operator.right_key,
-            join_fn=operator.join_fn,
-            name=operator.name,
-            columnar=getattr(operator.join_fn, "columnar_join", None),
-        )
 
 
 # --- record batch codec -----------------------------------------------------

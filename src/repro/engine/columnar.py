@@ -28,14 +28,15 @@ behind four boundary functions — :func:`paths_from_bytes`,
 :func:`paths_to_bytes`, :func:`props_from_bytes` and
 :func:`props_to_bytes` — which that codec and the worker chunk frame use.
 
-Operators gain *columnar kernels* built here and attached as plain
-attributes (``columnar_kernel`` / ``columnar_join`` /
-``columnar_shuffle``) on the per-record closures the engine already hands
-to the dataflow layer.  The dataflow layer discovers them with
-``getattr`` — it never imports this module at module scope — and falls
-back to the per-record closures whenever a kernel is missing, the input
-is not columnar, or the run is sanitized (sanitized runs are per-record
-by construction, so the sanitizer always validates the decoded view).
+Operators gain *columnar kernels* built here, which the engine declares
+on the dataflow stage beside its per-record closure
+(``DataSet.map(..., kernel=)`` / ``filter(..., kernel=)`` /
+``join(..., kernel=, fallback=)``; a join's kernel also names the key
+columns its shuffle splits chunks by).  The dataflow layer never imports
+this module at module scope and runs the per-record closure whenever a
+stage declares no kernel or its input is not columnar; a sanitized stage
+declares none (sanitized runs are per-record by construction, so the
+sanitizer always validates the decoded view).
 Leaves, expansions and joins with a leaf are dataflow nodes of their
 own that pick between a kernel compiled here (:class:`ColumnarLeaf`,
 :class:`ColumnarExpandSpec`, :class:`ColumnarAdjacencyJoin`,
@@ -882,9 +883,9 @@ def shuffle_split(chunks, key_columns, parallelism, source):
     in input order, gathered by indexing).  The key hash runs vectorized
     over the raw key column(s) (:func:`_hash_keys`), so placement matches
     the per-record shuffle bit for bit.  Byte accounting is identical too
-    — per-row serialized sizes, cross-worker moves only.  The in-process
-    :func:`shuffle_kernel` and the worker runtime's repartition shuffle
-    share this one definition.
+    — per-row serialized sizes, cross-worker moves only.  The dataflow
+    layer's ``split_partition`` calls it for a columnar partition, in
+    process and in a worker alike.
     """
     key_columns = tuple(key_columns)
     out_chunks: List[List[EmbeddingChunk]] = [[] for _ in range(parallelism)]
@@ -915,36 +916,6 @@ def shuffle_split(chunks, key_columns, parallelism, source):
             elif rows.size:
                 out_chunks[target].append(chunk.gather(rows))
     return out_chunks, moved_records, moved_bytes, bytes_in
-
-
-def shuffle_kernel(key_columns):
-    """Columnar hash-repartition over one or more id key columns.
-
-    Splits every chunk by indexing columns (:func:`shuffle_split`) — no
-    record is decoded and placement/accounting match the per-record
-    shuffle bit for bit.  Returns ``(partitions, moved_records,
-    moved_bytes, bytes_in)``.
-    """
-    key_columns = tuple(key_columns)
-
-    def shuffle(partitions, parallelism):
-        out_chunks: List[List[EmbeddingChunk]] = [[] for _ in range(parallelism)]
-        moved_records = 0
-        moved_bytes = 0
-        bytes_in = [0] * parallelism
-        for source, partition in enumerate(partitions):
-            splits, split_moved, split_bytes, split_in = shuffle_split(
-                partition.chunks, key_columns, parallelism, source
-            )
-            moved_records += split_moved
-            moved_bytes += split_bytes
-            for target in range(parallelism):
-                bytes_in[target] += split_in[target]
-                out_chunks[target].extend(splits[target])
-        out = [ColumnarPartition(chunks) for chunks in out_chunks]
-        return out, moved_records, moved_bytes, bytes_in
-
-    return shuffle
 
 
 # Hash join -------------------------------------------------------------------
@@ -1058,7 +1029,7 @@ class ColumnarJoinSpec:
         and gathers both sides' rows by ``repeat``-expanded indexes
         (:func:`_fan_out`).  Output rows
         therefore appear in exactly the order of the per-record
-        ``_hash_join`` loop: probe rows in input order, each matched
+        ``hash_join`` loop: probe rows in input order, each matched
         against build rows in build-insertion order.
         """
         build_chunks = [chunk for chunk in build_chunks if chunk.count]

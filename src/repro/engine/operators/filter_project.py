@@ -30,10 +30,9 @@ class SelectEmbeddings(PhysicalOperator):
         def keep(embedding):
             return evaluate(bind(embedding))
 
-        keep.columnar_kernel = select_kernel(evaluate, self.meta)
-
         return self.children[0].evaluate().filter(
-            keep, name="SelectEmbeddings(%s)" % self.cnf
+            keep, name="SelectEmbeddings(%s)" % self.cnf,
+            kernel=select_kernel(evaluate, self.meta),
         )
 
     def describe(self):
@@ -119,12 +118,13 @@ class ProjectEmbeddings(PhysicalOperator):
     def _build(self):
         keep_indices = list(self._keep_indices)
         project = compile_property_projector(keep_indices)
-        # the sanitizer wrapper below shadows the closure, dropping the
-        # kernel — sanitized runs are per-record by construction
-        project.columnar_kernel = project_kernel(keep_indices)
+        kernel = project_kernel(keep_indices)
 
         sanitizer = self._sanitizer
         if sanitizer is not None:
+            # sanitized runs are per-record by construction: the wrapper
+            # must see every embedding, so it declares no kernel
+            kernel = None
             operator, plain_project = self, project
 
             def project(embedding):  # noqa: F811
@@ -135,7 +135,7 @@ class ProjectEmbeddings(PhysicalOperator):
                 return projected
 
         return self.children[0].evaluate().map(
-            project, name="ProjectEmbeddings"
+            project, name="ProjectEmbeddings", kernel=kernel
         )
 
     def describe(self):

@@ -22,7 +22,6 @@ from ..columnar import (
     ColumnarPartition,
     ColumnarVertexLookup,
     columnar_join_spec,
-    shuffle_kernel,
 )
 from ..embedding import EmbeddingMetaData, compile_merge
 from ..morphism import compile_morphism_check
@@ -256,9 +255,8 @@ class JoinEmbeddings(TwoInputOperator):
                     return [merged]
                 return []
 
-        # columnar fast path: the join spec (key columns, merge shape,
-        # morphism watch set) rides on the plain closures; the sanitizer
-        # wrappers below shadow them, so sanitized runs stay per-record
+        # the columnar join kernel (key columns, merge shape, morphism
+        # watch set), or the reason a columnar run joins per record
         spec = columnar_join_spec(
             left_meta,
             right_meta,
@@ -268,24 +266,26 @@ class JoinEmbeddings(TwoInputOperator):
             self.vertex_strategy,
             self.edge_strategy,
         )
-        side = None
-        if spec is not None:
-            flat_join.columnar_join = spec
-            left_key.columnar_shuffle = shuffle_kernel(left_columns)
-            right_key.columnar_shuffle = shuffle_kernel(right_columns)
+        kernel, fallback, side = spec, None, None
+        if spec is None:
+            # a PATH merge must rewrite offsets: no chunk kernel for it
+            fallback = "path_join"
+        else:
             side = self._edge_leaf_side()
             if side is not None and not isinstance(
                 self.children[side].graph, IndexedLogicalGraph
             ):
                 # no adjacency to walk instead: the hash join, counted
-                flat_join.columnar_fallback = "join_no_adjacency"
+                fallback = "join_no_adjacency"
                 side = None
 
         sanitizer = self._sanitizer
         if sanitizer is not None:
             # The join drops the right-side key columns during the merge,
-            # so byte agreement must be checked here, before they vanish.
+            # so byte agreement must be checked here, before they vanish;
+            # the wrapper must see every pair, so it declares no kernel.
             operator, plain_flat_join = self, flat_join
+            kernel = None
 
             def flat_join(left_embedding, right_embedding):  # noqa: F811
                 sanitizer.check_join_keys(
@@ -304,6 +304,8 @@ class JoinEmbeddings(TwoInputOperator):
             join_fn=flat_join,
             strategy=self.strategy,
             name="JoinEmbeddings(%s)" % ",".join(self.join_variables),
+            kernel=kernel,
+            fallback=fallback,
         )
         if side is not None:
             return self._over_adjacency(side, spec, reference.operator)

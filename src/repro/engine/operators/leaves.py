@@ -74,7 +74,7 @@ class LoweredOperator(Operator):
     ``reference`` is the root of the per-record dataflow built over this
     node's own ``parents``.  It runs whenever ``run_kernel(ctx,
     *partition_sets)`` (one partition list per parent) does not: a run
-    that is not columnar (per-record, batched, sanitized, shared-cache),
+    that is not columnar (the reference mode, sanitized, shared-cache),
     and the counted fallbacks of a columnar run — no kernel (``fallback``
     names why) or, unless the kernel reads elements (a leaf's: not
     ``chunked``), an input that is not chunks.

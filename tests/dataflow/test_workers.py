@@ -7,7 +7,9 @@ with in-process execution, resident source caching (and its byte-budget
 eviction), spec-cache LRU mirroring across the boundary, the in-process
 fallback for uncertified chains, deadline cancellation of in-flight
 worker chunks (with ``done`` confirmation), remote stage attribution,
-and worker-crash containment scoped to the jobs that used the worker.
+the same join failure and deadline on every path a join takes (in
+process, shipped pairs, the worker-side exchange), and worker-crash
+containment scoped to the jobs that used the worker.
 """
 
 import os
@@ -19,11 +21,12 @@ import time
 
 import pytest
 
-from repro.dataflow import ExecutionEnvironment
+from repro.dataflow import ExecutionEnvironment, JoinStrategy
 from repro.dataflow.cancellation import CancellationToken, QueryTimeout
 from repro.dataflow.errors import JobExecutionError
 from repro.dataflow.workers import (
     decode_records,
+    messages,
     dump_functions,
     encode_records,
     load_functions,
@@ -413,6 +416,122 @@ def test_deadline_kills_in_flight_worker_chunks(worker_env):
     assert sorted(
         worker_env.from_collection(range(10)).map(lambda x: x * 2).collect()
     ) == [x * 2 for x in range(10)]
+
+
+#: the three places a hash join runs: in process, as co-located pairs
+#: shipped to the pool (the broadcast strategies) and as the pool's own
+#: repartition exchange — all of them the one ``hash_join``
+JOIN_PATHS = [
+    pytest.param((False, JoinStrategy.REPARTITION_HASH), id="in-process"),
+    pytest.param(
+        (True, JoinStrategy.BROADCAST_FIRST), id="pooled-broadcast-first"
+    ),
+    pytest.param(
+        (True, JoinStrategy.BROADCAST_SECOND), id="pooled-broadcast-second"
+    ),
+    pytest.param((True, JoinStrategy.REPARTITION_HASH), id="pooled-exchange"),
+]
+
+
+@pytest.fixture(scope="module")
+def module_worker_env():
+    environment = ExecutionEnvironment(parallelism=4, workers=2)
+    yield environment
+    environment.shutdown_workers()
+
+
+@pytest.fixture(params=JOIN_PATHS)
+def join_path(request, module_worker_env):
+    pooled, strategy = request.param
+    if pooled:
+        return module_worker_env, strategy
+    return ExecutionEnvironment(parallelism=4), strategy
+
+
+def _keyed_join(environment, strategy, join_fn, small, large):
+    """``small`` keyed rows joined with ``large`` ones; the broadcast
+    strategies get the small side where they broadcast it."""
+    sides = [
+        environment.from_collection([(key, "s") for key in range(small)]),
+        environment.from_collection([(i % small, i) for i in range(large)]),
+    ]
+    if strategy is JoinStrategy.BROADCAST_SECOND:
+        sides.reverse()
+    left, right = sides
+    return left.join(
+        right,
+        left_key=lambda row: row[0],
+        right_key=lambda row: row[0],
+        join_fn=join_fn,
+        strategy=strategy,
+        name="keyed-join",
+    )
+
+
+def test_join_failure_attribution_matches_in_process(join_path):
+    environment, strategy = join_path
+
+    def explode(left, right):
+        if left[0] == 13:
+            raise ValueError("sentinel %d" % left[0])
+        return [(left[1], right[1])]
+
+    def run(env):
+        with pytest.raises(JobExecutionError) as info:
+            _keyed_join(env, strategy, explode, 40, 4000).collect()
+        return info.value
+
+    got = run(environment)
+    local = run(ExecutionEnvironment(parallelism=4))
+    assert _pool_started(environment) == (environment.workers is not None)
+    assert got.operator_name == local.operator_name == "keyed-join"
+    assert type(got.cause) is type(local.cause) is ValueError
+    assert str(got.cause) == str(local.cause) == "sentinel 13"
+
+
+def test_deadline_inside_a_join_probe_is_a_timeout(join_path):
+    environment, strategy = join_path
+
+    def slow(left, right):
+        total = 0
+        for i in range(2500):
+            total += i
+        return [(left[1], right[1], total & 0)]
+
+    def serves():
+        return sorted(
+            _keyed_join(
+                environment, strategy, lambda l, r: [l[0] + r[0]], 4, 40
+            ).collect()
+        ) == sorted(2 * (i % 4) for i in range(40))
+
+    # a warm pool: the deadline must fall inside the join, not the spawn
+    assert serves()
+    responses = []
+    previous = messages.set_trace_hook(
+        lambda direction, _worker, batch: responses.extend(batch)
+        if direction == "response" else None
+    )
+    try:
+        # 32 768 probe rows a partition, ~0.1 ms each: seconds of work
+        # per partition unless the probe loop polls its deadline
+        data = _keyed_join(environment, strategy, slow, 64, 131_072)
+        token = CancellationToken.with_timeout(0.7)
+        start = time.perf_counter()
+        with environment.job("join-deadline", cancellation=token):
+            with pytest.raises(QueryTimeout):
+                data.collect()
+        elapsed = time.perf_counter() - start
+    finally:
+        messages.set_trace_hook(previous)
+    assert elapsed < 3.0
+    # a task the deadline cut short answers CANCELLED, never a stage error
+    assert messages.CANCELLED in [reply[0] for reply in responses] or (
+        environment.workers is None
+    )
+    assert messages.ERROR not in [reply[0] for reply in responses]
+    assert _pool_started(environment) == (environment.workers is not None)
+    assert serves()  # and the next query is served
 
 
 def test_worker_crash_names_failing_stage(worker_env):

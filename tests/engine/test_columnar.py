@@ -207,9 +207,13 @@ def test_ragged_or_malformed_paths_are_not_uniform_and_stay_per_record():
 
     ragged = [one, two, one]
     project = compile_property_projector([])
-    project.columnar_kernel = project_kernel([])
+    kernel = project_kernel([])
     environment = ExecutionEnvironment(parallelism=1)
-    dataset = environment.from_collection(ragged).map(project).map(project)
+    dataset = (
+        environment.from_collection(ragged)
+        .map(project, kernel=kernel)
+        .map(project, kernel=kernel)
+    )
     with environment.job("ragged") as metrics:
         columnar = dataset.collect(mode="columnar")
     assert metrics.chunk_fallbacks["non_uniform_batch"] > 0
@@ -233,9 +237,13 @@ def test_ragged_property_counts_are_not_uniform_and_stay_per_record():
     assert chunk_from_embeddings(ragged[::2]) is not None
 
     project = compile_property_projector([0])
-    project.columnar_kernel = project_kernel([0])
+    kernel = project_kernel([0])
     environment = ExecutionEnvironment(parallelism=1)
-    dataset = environment.from_collection(ragged).map(project).map(project)
+    dataset = (
+        environment.from_collection(ragged)
+        .map(project, kernel=kernel)
+        .map(project, kernel=kernel)
+    )
     with environment.job("ragged") as metrics:
         columnar = dataset.collect(mode="columnar")
     assert metrics.chunk_fallbacks["non_uniform_batch"] > 0
@@ -737,6 +745,30 @@ def graphs():
     )
 
 
+def _columnar_attributes(root):
+    """The ``columnar_*`` attributes set on a callable anywhere in the
+    dataflow DAG under operator ``root``, as ``(operator, attribute)``."""
+    found, stack, seen = [], [root], set()
+    while stack:
+        operator = stack.pop()
+        if operator.id in seen:
+            continue
+        seen.add(operator.id)
+        stack.extend(operator.parents)
+        stack.extend(operator.subplans)
+        held = list(vars(operator).values())
+        spec = getattr(operator, "spec", None)
+        if spec is not None:
+            held += [getattr(spec, slot) for slot in spec.__slots__]
+        found += [
+            (operator.name, attribute)
+            for value in held if callable(value)
+            for attribute in getattr(value, "__dict__", ())
+            if attribute.startswith("columnar_")
+        ]
+    return found
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
 @pytest.mark.parametrize("planner_cls", PLANNERS, ids=lambda p: p.__name__)
 @pytest.mark.parametrize("name", sorted(ALL_QUERIES))
@@ -773,6 +805,8 @@ def test_columnar_equals_per_record(graphs, name, planner_cls, strategy):
     # ... and so did every join the plan lowered onto the adjacency or a
     # vertex lookup
     _, root = columnar.compile(query)
+    # kernels are declared on the stages, never attached to a closure
+    assert _columnar_attributes(root.evaluate().operator) == []
     lowered = [
         operator for operator in root.postorder()
         if isinstance(operator, JoinEmbeddings)
@@ -1125,6 +1159,32 @@ def test_adjacency_join_carries_a_path_column(leaf_graphs, strategy):
         else:
             assert not _lowered_runs(metrics)
             assert metrics.chunk_fallbacks["path_join"] == 1
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
+def test_join_of_two_paths_declares_its_fallback(leaf_graphs, strategy):
+    # (a)-[p:x*1..2]->(b) joined with (b)-[q:x*1..2]->(c) on b: a PATH on
+    # each side has no chunk kernel, so the join declares ``path_join``
+    # and every columnar execution counts it once
+    graph = leaf_graphs[4]
+    handler = QueryHandler("MATCH (a:A)-[p:x*1..2]->(b)-[q:x*1..2]->(c) RETURN *")
+    sides = [
+        ExpandEmbeddings(
+            SelectAndProjectVertices(graph, handler.vertices[start], []),
+            graph, handler.edges[path], strategy, strategy, closing=False,
+        )
+        for start, path in (("a", "p"), ("b", "q"))
+    ]
+    dataset = JoinEmbeddings(*sides, ["b"], strategy, strategy).evaluate()
+    join = dataset.operator
+    assert (join.kernel, join.fallback) == (None, "path_join")
+    reference = Counter(dataset.collect(mode="reference"))
+    assert reference
+    for _ in range(2):
+        with dataset.environment.job("columnar") as metrics:
+            columnar = dataset.collect(mode="columnar")
+        assert Counter(columnar) == reference
+        assert metrics.chunk_fallbacks["path_join"] == 1
 
 
 @pytest.mark.parametrize("parallelism", [1, 4])
