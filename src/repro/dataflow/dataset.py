@@ -68,22 +68,19 @@ class DataSet:
 
     def map(self, fn, name=None, kernel=None):
         """Apply ``fn`` to every record (``kernel``: its chunk form)."""
-        return self._derive(
-            MapOperator(self.environment, self.operator, fn, name, kernel)
-        )
+        return self._derive(MapOperator(
+            self.environment, self.operator, fn, name, kernel
+        ))
 
     def flat_map(self, fn, name=None):
         """Apply ``fn`` returning zero or more records per input."""
         return self._derive(FlatMapOperator(self.environment, self.operator, fn, name))
 
     def filter(self, predicate, name=None, kernel=None):
-        """Keep records where ``predicate`` holds (``kernel``: its chunk
-        form)."""
-        return self._derive(
-            FilterOperator(
-                self.environment, self.operator, predicate, name, kernel
-            )
-        )
+        """Keep records where ``predicate`` holds (``kernel``: chunk form)."""
+        return self._derive(FilterOperator(
+            self.environment, self.operator, predicate, name, kernel
+        ))
 
     def map_partition(self, fn, name=None):
         """Apply ``fn(iterator) -> iterable`` once per partition."""

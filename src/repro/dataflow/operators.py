@@ -9,6 +9,7 @@ report the movement to the environment's :class:`~repro.dataflow.metrics.JobMetr
 
 import enum
 import itertools
+from operator import attrgetter
 
 from .cancellation import POLL_INTERVAL
 from .errors import JobExecutionError
@@ -50,11 +51,11 @@ def split_partition(partition, source, parallelism, key_fn, key_columns=None,
                     token=None):
     """Split partition ``source`` by key hash: ``(splits, ShuffleStats)``.
 
-    ``splits[target]`` holds the rows routed to ``target`` in input
+    ``splits[target]`` lists the rows routed to ``target`` in input
     order.  With ``key_columns`` a columnar partition splits by slicing
-    its chunks (:func:`~repro.engine.columnar.shuffle_split`) into
-    partitions of its own type; anything else runs ``key_fn`` per record
-    into lists, polling ``token`` every ``POLL_INTERVAL`` records.  Both
+    its chunks (:func:`~repro.engine.columnar.shuffle_split`) into chunk
+    lists; anything else runs ``key_fn`` per record into record lists,
+    polling ``token`` every ``POLL_INTERVAL`` records.  Both
     route by ``partition_index`` and count only cross-worker moves, at
     ``estimate_size`` bytes apiece.  The in-process shuffle and a
     worker's repartition task both split through here.
@@ -65,11 +66,10 @@ def split_partition(partition, source, parallelism, key_fn, key_columns=None,
 
         if token is not None:
             token.poll()
-        chunk_splits, stats.records, stats.bytes, stats.bytes_in = (
-            shuffle_split(partition.chunks, key_columns, parallelism, source)
+        splits, stats.records, stats.bytes, stats.bytes_in = shuffle_split(
+            partition.chunks, key_columns, parallelism, source
         )
-        partition_cls = type(partition)
-        return [partition_cls(chunks) for chunks in chunk_splits], stats
+        return splits, stats
     splits = [[] for _ in range(parallelism)]
     for index, record in enumerate(partition):
         if token is not None and index & _POLL_MASK == 0:
@@ -161,9 +161,7 @@ class ExecutionContext:
         Either way the stats are byte-identical (:func:`split_partition`).
         """
         parallelism = self.parallelism
-        if key_columns is not None and not all(
-            _chunked(partition) for partition in partitions
-        ):
+        if not all(map(_chunked, partitions)):
             key_columns = None
         out = [[] for _ in range(parallelism)]
         stats = ShuffleStats(parallelism)
@@ -174,7 +172,7 @@ class ExecutionContext:
             )
             stats.merge(moved)
             for target, split in enumerate(splits):
-                out[target].extend(getattr(split, "chunks", split))
+                out[target].extend(split)
         if key_columns is not None:
             partition_cls = type(partitions[0])
             out = [partition_cls(chunks) for chunks in out]
@@ -708,6 +706,10 @@ class JoinOperator(Operator):
     # much smaller than the other; mirrors Flink's size-based heuristic.
     _BROADCAST_LIMIT = 10_000
     _BROADCAST_RATIO = 8
+    # read back from the spec, the one place the join holds them
+    kernel = property(attrgetter("spec.kernel"))
+    left_key = property(attrgetter("spec.left_key"))
+    right_key = property(attrgetter("spec.right_key"))
 
     def __init__(
         self,
@@ -723,7 +725,6 @@ class JoinOperator(Operator):
         fallback=None,
     ):
         super().__init__(environment, [left, right], name)
-        self.kernel = kernel
         self.fallback = fallback
         self.spec = JoinSpec(
             ("join", self.id), left_key, right_key,
@@ -749,7 +750,7 @@ class JoinOperator(Operator):
         strategy = self._choose(left_count, right_count)
         self.chosen_strategy = strategy
         spec = self.spec
-        kernel = self.kernel
+        kernel = spec.kernel
 
         if ctx.columnar and self.fallback is not None:
             ctx.count_fallback(self.fallback)

@@ -276,9 +276,10 @@ class _Worker:
         foreign splits are encoded (columnar ones as chunk frames) and
         returned for the parent to relay.
         """
+        key_fn, key_columns = spec.side(side == "left")
         try:
             splits, moved = split_partition(
-                records, source, len(owners), *spec.side(side == "left"),
+                records, source, len(owners), key_fn, key_columns,
                 token=_PollToken(self, job),
             )
         except _Cancelled:
@@ -288,6 +289,8 @@ class _Worker:
                 spec.name, exc,
                 unwrapped=getattr(exc, "propagate_unwrapped", False),
             ) from exc
+        if key_columns is not None and _chunked(records):
+            splits = [type(records)(chunks) for chunks in splits]
         counts = [len(split) for split in splits]
         foreign = []
         for target, split in enumerate(splits):
