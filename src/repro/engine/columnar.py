@@ -540,9 +540,10 @@ class ColumnarPartition:
 #
 # A *chunk kernel* is ``EmbeddingChunk -> EmbeddingChunk``; the *leaf kernel*
 # is ``list[element] -> EmbeddingChunk``.  All kernels are semantically
-# identical to the per-record closures they shadow — the decoded output of
-# the kernel equals the per-record outputs byte-for-byte, in the same
-# order — which the columnar-vs-per-record differential suite pins.
+# identical to the per-record closures they are declared beside — the
+# decoded output of the kernel equals the per-record outputs byte-for-byte,
+# in the same order — which the columnar-vs-per-record differential suite
+# pins.
 
 
 class ChunkRowBindings:
