@@ -23,8 +23,8 @@ Four layers over the Cypher pipeline:
 * :func:`verify_liveness` / :func:`certify_plan` — the backward duals
   (S4xx, ``repro livecheck``): liveness propagates the RETURN clause's
   demand down the plan to find dead columns, dead property bytes and
-  never-read path hops (driving the pruning rewriter in
-  :mod:`repro.engine.planning.prune`), and the cost-bound analyzer
+  never-read path hops (the independent check on the planner's own
+  property demand), and the cost-bound analyzer
   composes per-operator worst-case cardinality/byte bounds into the
   :class:`CostCertificate` the serving layer's admission control
   consults.

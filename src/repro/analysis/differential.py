@@ -107,7 +107,6 @@ def differential_check(
     vertex_strategy=None,
     edge_strategy=None,
     sanitize=True,
-    prune=False,
 ):
     """Execute ``query`` under every planner and compare result multisets.
 
@@ -143,7 +142,6 @@ def differential_check(
             statistics=statistics,
             planner_cls=planner_cls,
             sanitize="collect" if sanitize else False,
-            prune=prune,
         )
         embeddings, meta = runner.execute_embeddings(query, parameters)
         rows = Counter(canonical_rows_from_embeddings(embeddings, meta))
@@ -165,7 +163,6 @@ def fusion_differential_check(
     statistics=None,
     vertex_strategy=None,
     edge_strategy=None,
-    prune=False,
 ):
     """Columnar vs. reference execution, per planner.
 
@@ -202,7 +199,6 @@ def fusion_differential_check(
                 statistics=statistics,
                 planner_cls=planner_cls,
                 mode=mode,
-                prune=prune,
             )
             embeddings, _ = runner.execute_embeddings(query, parameters)
             pair.append(

@@ -26,16 +26,18 @@ S402   a property record loaded into embeddings but never read
 S403   path contents carried but never read (only the slot is used)
 =====  ==========================================================
 
-Two consumers build on the demand sets this pass computes: the plan
-rewriter (:mod:`repro.engine.planning.prune`) narrows leaf property
-extraction and inserts early projections exactly down to the live set,
-and the cost-bound analyzer (:mod:`repro.analysis.costbound`) prices the
-bytes each operator moves.
+The planner computes the same property demand itself
+(:class:`~repro.engine.planning.GreedyPlanner`): a leaf loads only the
+keys read after it and a projection drops each record where its last
+reader consumed it.  This pass is the independent check on that — an
+``S402`` on a planned query is a planner defect.  ``S401`` and ``S403``
+stay: ids and paths are structural, read by result construction, the
+canonical rows and the morphism checks.
 """
 
 from typing import Dict, List, Optional
 
-from repro.cypher.ast import FunctionCall, PropertyAccess, VariableRef
+from repro.cypher.ast import PropertyAccess, VariableRef
 from repro.engine.morphism import (
     DEFAULT_EDGE_STRATEGY,
     DEFAULT_VERTEX_STRATEGY,
@@ -117,7 +119,7 @@ def verify_liveness(root, handler=None, vertex_strategy=None,
 
     ``handler`` (the compiled :class:`~repro.cypher.QueryHandler`)
     supplies the root demand from its RETURN/ORDER BY items; without one
-    — or with ``RETURN *`` — every root byte is conservatively live.
+    every root byte is conservatively live.
     The strategies pin which columns the compiled morphism checks read,
     exactly mirroring :func:`~repro.engine.morphism.compile_morphism_check`.
     """
@@ -183,24 +185,23 @@ class _LivenessAnalyzer:
         An explicit RETURN reads exactly its items (and the ORDER BY
         keys): a property access reads one ``prop_data`` record, a
         variable reference reads its id column (a path variable's whole
-        hop sequence).  ``RETURN *`` — or no handler at all — reads
-        everything, as does result collection with attached bindings.
+        hop sequence).  ``RETURN *`` (or no RETURN) reads every id column
+        and path and no property record besides the ORDER BY keys, as
+        :func:`repro.engine.result.build_table` does.  Without a handler
+        everything is live.
         """
         meta = root.meta
-        returns = getattr(getattr(handler, "ast", None), "returns", None)
-        if meta is None or returns is None or returns.star:
+        if meta is None or handler is None:
             return _all_live(meta)
         path_vars = {
             v for v in meta.variables if meta.entry_kind(v) == "p"
         }
         demand = Demand()
-        expressions = [item.expression for item in returns.items]
-        expressions += [order.expression for order in returns.order_by]
-        for expression in expressions:
-            if isinstance(expression, FunctionCall):
-                expression = expression.argument
-                if expression is None:  # count(*)
-                    continue
+        returns = handler.ast.returns
+        if returns is None or returns.star:
+            demand.variables = set(meta.variables)
+            demand.paths = set(path_vars)
+        for expression in handler.return_reads():
             if isinstance(expression, PropertyAccess):
                 demand.properties.add((expression.variable, expression.key))
             elif isinstance(expression, VariableRef):

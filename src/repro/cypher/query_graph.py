@@ -215,17 +215,8 @@ class QueryHandler:
         self.global_predicates = CNF(remaining)
 
     def _validate_return(self):
-        returns = self.ast.returns
-        if returns is None:
-            return
         known = set(self.vertices) | set(self.edges)
-        expressions = [] if returns.star else [i.expression for i in returns.items]
-        expressions += [order.expression for order in returns.order_by]
-        for expression in expressions:
-            if isinstance(expression, FunctionCall):
-                expression = expression.argument
-                if expression is None:  # count(*)
-                    continue
+        for expression in self.return_reads():
             if isinstance(expression, PropertyAccess):
                 variable = expression.variable
             elif isinstance(expression, VariableRef):
@@ -245,29 +236,46 @@ class QueryHandler:
     def variables(self):
         return list(self.vertices) + list(self.edges)
 
+    def return_reads(self):
+        """The expressions result construction reads: the RETURN items
+        (none under ``RETURN *``, which reads ids only) and the ORDER BY
+        keys, with aggregate arguments unwrapped and ``count(*)`` left out.
+        """
+        returns = self.ast.returns
+        if returns is None:
+            return []
+        expressions = [] if returns.star else [i.expression for i in returns.items]
+        expressions += [order.expression for order in returns.order_by]
+        reads = []
+        for expression in expressions:
+            if isinstance(expression, FunctionCall):
+                expression = expression.argument
+            if expression is not None:
+                reads.append(expression)
+        return reads
+
+    def returned_properties(self):
+        """``(variable, key)`` pairs the result reads, in RETURN order."""
+        pairs = []
+        for expression in self.return_reads():
+            if isinstance(expression, PropertyAccess):
+                pair = (expression.variable, expression.key)
+                if pair not in pairs:
+                    pairs.append(pair)
+        return pairs
+
     def property_keys(self, variable):
-        """Property keys of ``variable`` needed anywhere in the query.
+        """Property keys of ``variable`` read after its leaf.
 
         Drives the projection step of SelectAndProjectVertices/-Edges
-        (paper §3.1): only these keys survive into embeddings.
+        (paper §3.1): only the keys a cross-element predicate or the
+        result reads enter embeddings.  The element's own predicate is
+        evaluated on the element inside the leaf, so its keys stay out.
         """
-        keys = set()
-        element = self.vertices.get(variable) or self.edges.get(variable)
-        if element is not None:
-            keys |= element.predicates.property_keys().get(variable, set())
-        keys |= self.global_predicates.property_keys().get(variable, set())
-        returns = self.ast.returns
-        if returns is not None:
-            expressions = [item.expression for item in returns.items]
-            expressions += [order.expression for order in returns.order_by]
-            for expression in expressions:
-                if isinstance(expression, FunctionCall):
-                    expression = expression.argument
-                if (
-                    isinstance(expression, PropertyAccess)
-                    and expression.variable == variable
-                ):
-                    keys.add(expression.key)
+        keys = set(self.global_predicates.property_keys().get(variable, ()))
+        keys.update(
+            key for owner, key in self.returned_properties() if owner == variable
+        )
         return keys
 
     def edges_between(self, source, target):

@@ -8,8 +8,8 @@ Each operator also states its own rules — the *operator contract* the
 static analyses walk generically: the output layout from the child
 layouts (``repro.analysis.flow``), the demand on the children from the
 demand on the output (``liveness``), a worst-case cardinality bound
-(``costbound``), a structural self-check (``verifier``), a rebuild over
-new children (``engine.planning.prune``) and a source span.  The two
+(``costbound``), a structural self-check (``verifier``) and a source
+span.  The two
 value types the rules exchange, :class:`EmbeddingLayout` and
 :class:`Demand`, live here so operators never import the analyses.
 """
@@ -228,19 +228,6 @@ class PhysicalOperator:
         name.  Only called when every child declares metadata."""
         raise self._no_rule("check_structure")
 
-    def rebuild(
-        self, children: List["PhysicalOperator"],
-        live_properties: Set[Tuple[str, str]],
-    ) -> "PhysicalOperator":
-        """This operator over ``children``, extracting only the property
-        records in ``live_properties``; ``self`` when nothing changes.
-
-        A fresh operator rather than a mutation: every operator
-        precomputes byte offsets from its children's metadata at
-        construction time.
-        """
-        raise self._no_rule("rebuild")
-
     def span(self) -> Optional[Span]:
         """Best-effort source :class:`~repro.cypher.span.Span`.
 
@@ -251,14 +238,6 @@ class PhysicalOperator:
         still names the operator.
         """
         return None
-
-    def projected_to(self, keep_pairs) -> "PhysicalOperator":
-        """A projection above this operator keeping ``keep_pairs``."""
-        from .filter_project import ProjectEmbeddings
-
-        projection = ProjectEmbeddings(self, keep_pairs)
-        projection.estimated_cardinality = self.estimated_cardinality
-        return projection
 
     def describe(self):
         """One line for EXPLAIN trees."""

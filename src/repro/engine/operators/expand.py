@@ -253,15 +253,6 @@ class ExpandEmbeddings(PhysicalOperator):
                 "non-closing expand would rebind %r" % self.end_variable,
             )
 
-    def rebuild(self, children, live_properties):
-        if children == self.children:
-            return self
-        return ExpandEmbeddings(
-            children[0], self.graph, self.query_edge,
-            self.vertex_strategy, self.edge_strategy,
-            self.closing, reverse=self.reverse,
-        )
-
     def span(self):
         return self.query_edge.span
 

@@ -74,11 +74,6 @@ class SelectEmbeddings(PhysicalOperator):
                         "project" % (variable, key),
                     )
 
-    def rebuild(self, children, live_properties):
-        if children == self.children:
-            return self
-        return SelectEmbeddings(children[0], self.cnf)
-
     def span(self):
         """The first predicate atom that carries a source location."""
         for clause in self.cnf.clauses:
@@ -194,14 +189,3 @@ class ProjectEmbeddings(PhysicalOperator):
                 )
         if set(self.meta.variables) != set(child_meta.variables):
             flag("binding-dropped", "projection changed the bound variables")
-
-    def rebuild(self, children, live_properties):
-        (child,) = children
-        pairs = [tuple(pair) for pair in self.keep_pairs]
-        keep = [
-            pair for pair in pairs
-            if pair in live_properties and child.meta.has_property(*pair)
-        ]
-        if children == self.children and keep == pairs:
-            return self
-        return ProjectEmbeddings(child, keep)

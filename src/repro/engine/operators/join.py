@@ -84,7 +84,7 @@ class TwoInputOperator(PhysicalOperator):
     morphism check on the merged embedding, and the ``|L| · |R|`` bound.
 
     Subclasses state their join key through :meth:`_check_keys` /
-    :meth:`_demand_keys` and how to re-instantiate through :meth:`_over`.
+    :meth:`_demand_keys`.
     """
 
     def __init__(self, left, right, vertex_strategy, edge_strategy,
@@ -103,10 +103,6 @@ class TwoInputOperator(PhysicalOperator):
 
     def _demand_keys(self, left, right):
         """Add what the join itself reads of its inputs."""
-
-    def _over(self, left, right):
-        """The same operator over new inputs."""
-        raise NotImplementedError
 
     def derive_layout(self, child_layouts, vertex_iso, flag):
         """The static mirror of :meth:`EmbeddingMetaData.combine`."""
@@ -192,9 +188,6 @@ class TwoInputOperator(PhysicalOperator):
                 "%s binds %s on both inputs; only JoinEmbeddings may "
                 "overlap" % (type(self).__name__, sorted(shared)),
             )
-
-    def rebuild(self, children, live_properties):
-        return self if children == self.children else self._over(*children)
 
 
 class JoinEmbeddings(TwoInputOperator):
@@ -411,12 +404,6 @@ class JoinEmbeddings(TwoInputOperator):
         left.variables.update(self.join_variables)
         right.variables.update(self.join_variables)
 
-    def _over(self, left, right):
-        return JoinEmbeddings(
-            left, right, self.join_variables,
-            self.vertex_strategy, self.edge_strategy, strategy=self.strategy,
-        )
-
     def check_structure(self, flag):
         left_variables = set(self.children[0].meta.variables)
         right_variables = set(self.children[1].meta.variables)
@@ -452,11 +439,6 @@ class CartesianEmbeddings(TwoInputOperator):
     """
 
     display = "CartesianEmbeddings"
-
-    def _over(self, left, right):
-        return CartesianEmbeddings(
-            left, right, self.vertex_strategy, self.edge_strategy
-        )
 
     def _build(self):
         merge = compile_merge(

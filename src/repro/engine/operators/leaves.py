@@ -143,10 +143,6 @@ class _ElementLeaf(PhysicalOperator):
         """The ``(variable, kind)`` id columns, in column order."""
         raise NotImplementedError
 
-    def _with_keys(self, keys):
-        """The same leaf projecting only ``keys``."""
-        raise NotImplementedError
-
     def _morphism_ok(self, vertex_iso):
         return True  # one vertex column is trivially injective
 
@@ -231,14 +227,6 @@ class _ElementLeaf(PhysicalOperator):
                     % (variable, key, self.property_keys),
                 )
 
-    def rebuild(self, children, live_properties):
-        variable = self._element().variable
-        keys = [
-            key for key in self.property_keys
-            if (variable, key) in live_properties
-        ]
-        return self if keys == self.property_keys else self._with_keys(keys)
-
     def span(self):
         return self._element().span
 
@@ -261,9 +249,6 @@ class SelectAndProjectVertices(_ElementLeaf):
 
     def _entries(self):
         return [(self.query_vertex.variable, "v")]
-
-    def _with_keys(self, keys):
-        return SelectAndProjectVertices(self.graph, self.query_vertex, keys)
 
     def cardinality_bound(self, child_bounds, statistics):
         # predicates only filter: the selectivity floor of any CNF is 1.0
@@ -334,12 +319,6 @@ class SelectAndProjectEdges(_ElementLeaf):
         if not self.is_loop:
             entries.append((edge.target, "v"))
         return entries
-
-    def _with_keys(self, keys):
-        return SelectAndProjectEdges(
-            self.graph, self.query_edge, keys,
-            distinct_endpoints=self.distinct_endpoints,
-        )
 
     def _morphism_ok(self, vertex_iso):
         # Under vertex isomorphism a data self-loop binds one vertex to

@@ -133,9 +133,3 @@ class JoinEmbeddingsOnProperty(TwoInputOperator):
     def _demand_keys(self, left, right):
         left.properties.add(tuple(self.left_property))
         right.properties.add(tuple(self.right_property))
-
-    def _over(self, left, right):
-        return JoinEmbeddingsOnProperty(
-            left, right, self.left_property, self.right_property,
-            self.vertex_strategy, self.edge_strategy,
-        )

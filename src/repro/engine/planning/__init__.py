@@ -8,7 +8,6 @@ from .estimation import (
 from .exhaustive import ExhaustivePlanner
 from .greedy import GreedyPlanner, PlanningError
 from .naive_order import LeftDeepPlanner
-from .prune import prune_plan
 
 __all__ = [
     "CardinalityEstimator",
@@ -18,5 +17,4 @@ __all__ = [
     "PlanningError",
     "clause_selectivity",
     "predicate_selectivity",
-    "prune_plan",
 ]

@@ -14,6 +14,9 @@ Additional behaviours mirrored from Gradoop:
   for free from the adjacent edge's endpoint column;
 * cross-element WHERE clauses are applied by ``SelectEmbeddings`` as soon
   as all their variables are bound;
+* a partial plan carries only the property records read above it (by the
+  result or a clause still to apply): a ``ProjectEmbeddings`` drops the
+  rest where their last reader consumed them (§3.1);
 * variable-length edges become ``ExpandEmbeddings``, closing when both
   endpoints are already bound, expanding in reverse when only the target
   side is.
@@ -143,6 +146,8 @@ class GreedyPlanner:
                 entries = entries[2:]
             op.estimated_cardinality = cardinality
             merged = _Entry(op, left.variables | right.variables, cardinality)
+            if value_join is not None:
+                merged = self._narrowed(merged, applied_clauses)
             merged = self._apply_available_predicates(merged, applied_clauses)
             entries.append(merged)
             entries.sort(key=lambda entry: entry.cardinality)
@@ -162,8 +167,9 @@ class GreedyPlanner:
                 root_entry.cardinality, CNF(missing)
             )
             root_entry = _Entry(op, root_entry.variables, op.estimated_cardinality)
+            applied_clauses.update(id(clause) for clause in missing)
 
-        return self._final_projection(root_entry)
+        return self._narrowed(root_entry, applied_clauses).op
 
     # Initial entries ----------------------------------------------------------------
 
@@ -426,34 +432,34 @@ class GreedyPlanner:
                 available.append(clause)
         if not available:
             return entry
-        if not dry_run:
-            for clause in available:
-                applied_clauses.add(id(clause))
         cnf = CNF(available)
         op = SelectEmbeddings(entry.op, cnf)
         op.estimated_cardinality = self.estimator.selection_cardinality(
             entry.cardinality, cnf
         )
-        return _Entry(op, entry.variables, op.estimated_cardinality)
+        entry = _Entry(op, entry.variables, op.estimated_cardinality)
+        if dry_run:
+            return entry
+        applied_clauses.update(id(clause) for clause in available)
+        return self._narrowed(entry, applied_clauses)
 
-    def _final_projection(self, entry):
-        returns = self.handler.ast.returns
-        if returns is None or returns.star or not returns.items:
-            return entry.op
-        from repro.cypher.ast import FunctionCall, PropertyAccess
+    def _narrowed(self, entry, applied_clauses):
+        """``entry`` projected to the property records read above it.
 
-        expressions = [item.expression for item in returns.items]
-        expressions += [order.expression for order in returns.order_by]
-        keep = []
-        for expression in expressions:
-            if isinstance(expression, FunctionCall):
-                expression = expression.argument
-            if isinstance(expression, PropertyAccess):
-                pair = (expression.variable, expression.key)
-                if pair not in keep and entry.op.meta.has_property(*pair):
-                    keep.append(pair)
-        if sorted(keep) == sorted(entry.op.meta.property_entries()):
-            return entry.op  # nothing to drop
+        A record is read above a partial plan when a RETURN item or
+        ORDER BY key reads it, or a global clause not applied yet (a
+        selection or a value join still to come).  Adds a projection only
+        when ``entry`` carries a record outside that demand.
+        """
+        demand = self.handler.returned_properties()
+        for clause in self.handler.global_predicates.clauses:
+            if id(clause) not in applied_clauses:
+                for variable, keys in sorted(clause.property_keys().items()):
+                    demand += [(variable, key) for key in sorted(keys)]
+        carried = set(entry.op.meta.property_entries())
+        keep = list(dict.fromkeys(pair for pair in demand if pair in carried))
+        if len(keep) == len(carried):
+            return entry
         op = ProjectEmbeddings(entry.op, keep)
         op.estimated_cardinality = entry.cardinality
-        return op
+        return _Entry(op, entry.variables, entry.cardinality)

@@ -62,55 +62,13 @@ class PreparedStatement:
 
         slotted = parameterize(self._ast, self._binding)
         self.handler = QueryHandler(slotted)
-        planner = runner.planner_cls(
-            runner.graph,
-            self.handler,
-            runner.statistics,
-            vertex_strategy=runner.vertex_strategy,
-            edge_strategy=runner.edge_strategy,
-        )
-        self.root = planner.plan()
-        if runner.prune:
-            from .planning import prune_plan
-
-            self.root = prune_plan(
-                self.root,
-                handler=self.handler,
-                vertex_strategy=runner.vertex_strategy,
-                edge_strategy=runner.edge_strategy,
-            )
+        self.root, self.sanitizer = runner.plan(self.handler)
         #: the statically proven worst-case cost of this plan; the query
         #: service's admission control compares it against its configured
         #: bound before running a single operator
         from repro.analysis.costbound import certify_plan
 
         self.cost_certificate = certify_plan(self.root, runner.statistics)
-        if runner.verify_plans:
-            from repro.analysis.verifier import verify_plan
-
-            verify_plan(
-                self.root,
-                handler=self.handler,
-                vertex_strategy=runner.vertex_strategy,
-                edge_strategy=runner.edge_strategy,
-            )
-        self.sanitizer = None
-        if runner.sanitize:
-            from repro.analysis.sanitizer import (
-                DEFAULT_SAMPLE_EVERY,
-                EmbeddingSanitizer,
-            )
-
-            self.sanitizer = EmbeddingSanitizer(
-                vertex_strategy=runner.vertex_strategy,
-                edge_strategy=runner.edge_strategy,
-                mode="collect" if runner.sanitize == "collect" else "raise",
-                sample_every=(
-                    DEFAULT_SAMPLE_EVERY
-                    if runner.sanitize == "sample"
-                    else None
-                ),
-            ).attach(self.root)
 
     # Binding ----------------------------------------------------------------
 

@@ -58,17 +58,9 @@ class CypherRunner:
         sanitize=False,
         plan_cache=None,
         mode=None,
-        prune=False,
         **legacy
     ):
         self.graph = graph
-        #: liveness-driven dead-byte pruning: with ``prune=True`` every
-        #: compiled plan is rewritten by
-        #: :func:`~repro.engine.planning.prune_plan` so property bytes the
-        #: RETURN clause never reads are dropped at the earliest operator
-        #: liveness allows.  Result-equivalent by construction (and
-        #: differential-tested); part of the plan-cache key.
-        self.prune = prune
         #: execution-mode override for this runner's executions: ``None``
         #: inherits the environment default, ``"reference"`` forces the
         #: per-record path (``legacy`` takes its retired keywords, see
@@ -176,27 +168,32 @@ class CypherRunner:
             handler = query
         else:
             handler = QueryHandler(query, parameters=parameters)
-        planner = self.planner_cls(
+        root, sanitizer = self.plan(handler)
+        self.last_sanitizer = sanitizer
+        if cache_key is not None:
+            self._plan_cache.put(
+                cache_key, (handler, root, diagnostics, sanitizer)
+            )
+        return handler, root
+
+    def plan(self, handler):
+        """``(root, sanitizer)``: ``handler``'s physical plan under this
+        runner's planner and strategies, checked by
+        :func:`~repro.analysis.verify_plan` when ``verify_plans`` is set
+        and instrumented when ``sanitize`` is (``sanitizer`` is ``None``
+        otherwise).  Both :meth:`compile` and prepared statements plan
+        through here.
+        """
+        root = self.planner_cls(
             self.graph,
             handler,
             self.statistics,
             vertex_strategy=self.vertex_strategy,
             edge_strategy=self.edge_strategy,
-        )
-        root = planner.plan()
-        if self.prune:
-            # Lazy for the same reason as the verifier import below.
-            from .planning import prune_plan
-
-            root = prune_plan(
-                root,
-                handler=handler,
-                vertex_strategy=self.vertex_strategy,
-                edge_strategy=self.edge_strategy,
-            )
+        ).plan()
+        # the analysis imports are lazy: the analysis package imports the
+        # engine, which is mid-initialization when this module first loads
         if self.verify_plans:
-            # imported lazily: the analysis package imports the engine,
-            # which is mid-initialization when this module first loads
             from repro.analysis.verifier import verify_plan
 
             verify_plan(
@@ -205,30 +202,19 @@ class CypherRunner:
                 vertex_strategy=self.vertex_strategy,
                 edge_strategy=self.edge_strategy,
             )
-        sanitizer = None
-        if self.sanitize:
-            # Lazy for the same reason as the verifier import above.
-            from repro.analysis.sanitizer import (
-                DEFAULT_SAMPLE_EVERY,
-                EmbeddingSanitizer,
-            )
+        if not self.sanitize:
+            return root, None
+        from repro.analysis.sanitizer import DEFAULT_SAMPLE_EVERY, EmbeddingSanitizer
 
-            sanitizer = EmbeddingSanitizer(
-                vertex_strategy=self.vertex_strategy,
-                edge_strategy=self.edge_strategy,
-                mode="collect" if self.sanitize == "collect" else "raise",
-                sample_every=(
-                    DEFAULT_SAMPLE_EVERY
-                    if self.sanitize == "sample"
-                    else None
-                ),
-            ).attach(root)
-        self.last_sanitizer = sanitizer
-        if cache_key is not None:
-            self._plan_cache.put(
-                cache_key, (handler, root, diagnostics, sanitizer)
-            )
-        return handler, root
+        sanitizer = EmbeddingSanitizer(
+            vertex_strategy=self.vertex_strategy,
+            edge_strategy=self.edge_strategy,
+            mode="collect" if self.sanitize == "collect" else "raise",
+            sample_every=(
+                DEFAULT_SAMPLE_EVERY if self.sanitize == "sample" else None
+            ),
+        ).attach(root)
+        return root, sanitizer
 
     def plan_cache_key(self, query, parameters=None):
         """The full cache key of ``query`` under this runner's settings."""
@@ -244,7 +230,6 @@ class CypherRunner:
             self.edge_strategy,
             self.sanitize,
             self.verify_plans,
-            self.prune,
         )
 
     def explain(self, query, parameters=None):
@@ -304,9 +289,11 @@ class CypherRunner:
         Compiles (through the plan cache) and propagates the RETURN
         clause's demand down the physical plan, returning a
         :class:`~repro.analysis.LivenessReport` whose diagnostics name
-        every dead column, dead property record and never-read path —
-        exactly the bytes :func:`~repro.engine.planning.prune_plan` would
-        drop under ``prune=True``.
+        every dead column, dead property record and never-read path.  The
+        planner places a projection wherever a property record's last
+        reader consumed it, so on a planned query ``S402`` flags a planner
+        defect; dead id columns and path contents (``S401`` / ``S403``)
+        are structural and stay.
         """
         from repro.analysis.liveness import verify_liveness
 

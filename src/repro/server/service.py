@@ -230,7 +230,6 @@ class QueryService:
         lint=True,
         verify_plans=False,
         max_cost_bound=None,
-        prune=False,
     ):
         if max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
@@ -250,8 +249,6 @@ class QueryService:
         #: is rejected with :class:`CostAdmissionError` at submit time,
         #: before any operator executes.  ``None`` disables the check.
         self.max_cost_bound = max_cost_bound
-        #: liveness-driven dead-byte pruning for every runner's plans
-        self.prune = prune
         #: one LRU shared by every runner the service creates; holds both
         #: ("plan", ...) entries and ("prepared", ...) statements
         self.plan_cache = LRUCache(plan_cache_size, name="cache.plan")
@@ -294,7 +291,6 @@ class QueryService:
                     lint=self.lint,
                     verify_plans=self.verify_plans,
                     plan_cache=self.plan_cache,
-                    prune=self.prune,
                 )
                 self._runners[key] = runner
                 self._compile_locks[key] = named_lock("service.compile")

@@ -239,8 +239,9 @@ QUERY_CONTAINING = {
         "MATCH (a:Person)-[e:knows]->(b:Person) WHERE a.name < b.name "
         "RETURN a, b"
     ),
+    # a.name is dead once the selection has read it
     ProjectEmbeddings: (
-        "MATCH (a:Person)-[e:knows]->(b:Person) WHERE a.name = 'Alice' "
+        "MATCH (a:Person)-[e:knows]->(b:Person) WHERE a.name < b.name "
         "RETURN b.name"
     ),
 }

@@ -24,6 +24,7 @@ HOMO = MatchStrategy.HOMOMORPHISM
 
 #: every column and record the root produces is read by the RETURN clause
 ALL_LIVE_QUERY = "MATCH (a:Person)-[e:knows]->(b:Person) RETURN a, e, b"
+#: a.name is read inside a's leaf only: the planner loads no record of it
 DEAD_PROP_QUERY = (
     "MATCH (a:Person)-[e:knows]->(b:Person) "
     "WHERE a.name = 'Alice' RETURN e, b.name"
@@ -33,6 +34,33 @@ PATH_QUERY = "MATCH (a:Person)-[e:knows*1..2]->(b:Person) RETURN a, b"
 
 def codes_of(report):
     return [d.code for d in report.diagnostics]
+
+
+def planting_dead_record(planner_cls):
+    """``planner_cls`` with the leaf of ``a`` loading ``a.name``, which
+    nothing reads: the planted S402."""
+
+    class Planted(planner_cls):
+        def _vertex_leaf(self, variable):
+            entry = super()._vertex_leaf(variable)
+            if variable == "a":
+                entry.op = SelectAndProjectVertices(
+                    self.graph, self.handler.vertices["a"], ["name"]
+                )
+                entry.op.estimated_cardinality = entry.cardinality
+            return entry
+
+    return Planted
+
+
+def find_leaf(root, variable):
+    for node in root.postorder():
+        if (
+            isinstance(node, SelectAndProjectVertices)
+            and node.query_vertex.variable == variable
+        ):
+            return node
+    raise AssertionError("plan contains no leaf for %r" % variable)
 
 
 def compiled(graph, query, planner_cls=GreedyPlanner, **kwargs):
@@ -58,6 +86,20 @@ class TestCleanPlans:
         demand = report.demand_of(root)
         assert demand.variables == set(root.meta.variables)
 
+    def test_return_star_reads_no_property_record(self, figure1_graph):
+        # the result builds one column per variable: ids and paths only
+        query = (
+            "MATCH (a:Person)-[e:knows*1..2]->(b:Person) "
+            "WHERE a.name < b.name RETURN *"
+        )
+        _, handler, root = compiled(figure1_graph, query)
+        report = verify_liveness(root, handler)
+        assert "S402" not in codes_of(report)
+        demand = report.demand_of(root)
+        assert demand.properties == set()
+        assert demand.paths == {"e"}
+        assert list(root.meta.property_entries()) == []
+
     def test_no_handler_is_conservatively_clean(self, figure1_graph):
         # without the RETURN clause the root demand is everything
         _, _, root = compiled(figure1_graph, ALL_LIVE_QUERY)
@@ -72,9 +114,9 @@ class TestDeadByteFindings:
     @pytest.mark.parametrize("planner_cls", PLANNERS)
     def test_predicate_only_property_is_s402(self, figure1_graph, planner_cls):
         # a.name is evaluated element-locally inside the leaf's flat-map;
-        # the record riding in every embedding above it is dead freight
+        # a record of it riding in the embeddings above is dead freight
         _, handler, root = compiled(
-            figure1_graph, DEAD_PROP_QUERY, planner_cls
+            figure1_graph, DEAD_PROP_QUERY, planting_dead_record(planner_cls)
         )
         report = verify_liveness(root, handler)
         assert "S402" in codes_of(report)
@@ -83,13 +125,17 @@ class TestDeadByteFindings:
         assert not finding.is_error  # dead bytes are wasteful, not wrong
 
     def test_s402_reported_at_introduction_site_only(self, figure1_graph):
-        _, handler, root = compiled(figure1_graph, DEAD_PROP_QUERY)
+        _, handler, root = compiled(
+            figure1_graph, DEAD_PROP_QUERY, planting_dead_record(GreedyPlanner)
+        )
         report = verify_liveness(root, handler)
         s402 = [d for d in report.diagnostics if d.code == "S402"]
         assert len(s402) == 1  # once at the leaf, not at every ancestor
 
     def test_dead_finding_carries_source_span(self, figure1_graph):
-        _, handler, root = compiled(figure1_graph, DEAD_PROP_QUERY)
+        _, handler, root = compiled(
+            figure1_graph, DEAD_PROP_QUERY, planting_dead_record(GreedyPlanner)
+        )
         report = verify_liveness(root, handler)
         finding = next(d for d in report.diagnostics if d.code == "S402")
         assert finding.span is not None
@@ -135,7 +181,9 @@ class TestDeadByteFindings:
         assert "S403" not in codes_of(report)
 
     def test_assert_liveness_raises_on_dead_bytes(self, figure1_graph):
-        _, handler, root = compiled(figure1_graph, DEAD_PROP_QUERY)
+        _, handler, root = compiled(
+            figure1_graph, DEAD_PROP_QUERY, planting_dead_record(GreedyPlanner)
+        )
         with pytest.raises(LivenessVerificationError) as excinfo:
             assert_liveness(root, handler)
         assert any(d.code == "S402" for d in excinfo.value.diagnostics)
@@ -154,8 +202,13 @@ class TestDemandIntrospection:
         assert ("a", "name") not in demand.properties
 
     def test_runner_livecheck_entry_point(self, figure1_graph):
-        report = CypherRunner(figure1_graph).livecheck(DEAD_PROP_QUERY)
+        planted = planting_dead_record(GreedyPlanner)
+        report = CypherRunner(figure1_graph, planner_cls=planted).livecheck(
+            DEAD_PROP_QUERY
+        )
         assert "S402" in codes_of(report)
+        planned = CypherRunner(figure1_graph).livecheck(DEAD_PROP_QUERY)
+        assert "S402" not in codes_of(planned)
 
 
 @pytest.fixture(scope="module")
@@ -167,17 +220,22 @@ def ldbc():
 
 class TestLDBCAcceptance:
     @pytest.mark.parametrize("planner_cls", PLANNERS)
-    def test_q1_first_name_is_dead_freight(self, ldbc, planner_cls):
+    def test_q1_first_name_is_not_carried(self, ldbc, planner_cls):
         # the paper's Q1 filters on person.firstName but returns only
-        # message fields — the exemplar record pruning exists to drop
+        # message fields: the person leaf evaluates the predicate and
+        # loads no record; the anonymous edge column stays (S401)
         dataset, graph = ldbc
         query = instantiate(ALL_QUERIES["Q1"], dataset.first_name("medium"))
         runner = CypherRunner(graph, planner_cls=planner_cls)
         report = runner.livecheck(query)
+        assert "S402" not in codes_of(report)
+        assert "0 dead property record(s)" in report.format_summary()
         assert any(
-            d.code == "S402" and "person.firstName" in d.message
+            d.code == "S401" and "__e0" in d.message
             for d in report.diagnostics
         )
+        _, root = runner.compile(query)
+        assert find_leaf(root, "person").property_keys == []
 
     @pytest.mark.parametrize("name", sorted(ALL_QUERIES))
     @pytest.mark.parametrize("planner_cls", PLANNERS)
@@ -196,19 +254,12 @@ class TestLDBCAcceptance:
 
 class TestLeafNarrowingGround:
     def test_leaf_records_demand_split(self, figure1_graph):
-        # the pruning rewriter's ground truth: the leaf's demand set names
-        # exactly the records consumers read
+        # the planner's leaf loads exactly the records its consumers read
         _, handler, root = compiled(figure1_graph, DEAD_PROP_QUERY)
         report = verify_liveness(root, handler)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if (
-                isinstance(node, SelectAndProjectVertices)
-                and node.query_vertex.variable == "a"
-            ):
-                demand = report.demand_of(node)
-                assert ("a", "name") not in demand.properties
-                return
-            stack.extend(node.children)
-        raise AssertionError("plan contains no leaf for 'a'")
+        leaf = find_leaf(root, "a")
+        assert leaf.property_keys == []
+        assert ("a", "name") not in report.demand_of(leaf).properties
+        assert report.demand_of(find_leaf(root, "b")).properties == {
+            ("b", "name")
+        }

@@ -1,11 +1,11 @@
 """An operator is one file: the contract, stated in a test module.
 
 ``PassThrough`` below is a complete physical operator — ``_build()`` plus
-the six contract rules of :class:`~repro.engine.PhysicalOperator` — that
-exists only here.  It goes clean through every static analysis, the
-pruning rewriter and a sanitized run without a single edit under
-``src/``; an operator *missing* a rule fails loudly, naming itself and
-the rule, instead of degrading an analysis.
+the five contract rules of :class:`~repro.engine.PhysicalOperator` — that
+exists only here.  It goes clean through every static analysis and a
+sanitized run without a single edit under ``src/``; an operator
+*missing* a rule fails loudly, naming itself and the rule, instead of
+degrading an analysis.
 """
 
 from collections import Counter
@@ -20,9 +20,8 @@ from repro.analysis import (
     verify_plan,
 )
 from repro.engine import CypherRunner, GreedyPlanner, PhysicalOperator
-from repro.engine.planning import prune_plan
 
-DEAD_PROP_QUERY = (
+FILTERED_QUERY = (
     "MATCH (a:Person)-[e:knows]->(b:Person) "
     "WHERE a.name = 'Alice' RETURN e, b.name"
 )
@@ -54,11 +53,6 @@ class PassThrough(PhysicalOperator):
         if self.meta is not self.children[0].meta:
             flag("binding-dropped", "pass-through changed its metadata")
 
-    def rebuild(self, children, live_properties):
-        if children == self.children:
-            return self
-        return type(self)(children[0])
-
 
 def _identity(embedding):
     return embedding
@@ -78,7 +72,7 @@ def rows_multiset(runner, query):
 class TestOneFileOperator:
     def test_clean_through_every_static_analysis(self, figure1_graph):
         runner = CypherRunner(figure1_graph, planner_cls=_PassThroughPlanner)
-        handler, root = runner.compile(DEAD_PROP_QUERY)
+        handler, root = runner.compile(FILTERED_QUERY)
         assert isinstance(root, PassThrough)
         assert verify_plan(
             root, handler=handler,
@@ -89,7 +83,7 @@ class TestOneFileOperator:
         assert flow.proven, [d.format() for d in flow.diagnostics]
         assert flow.layout_of(root) is flow.layout_of(root.children[0])
         live = verify_liveness(root, handler)
-        # the dead bytes are the query's own, introduced below the operator
+        # any dead bytes are the query's own, introduced below the operator
         assert not any("PassThrough" in d.message for d in live.diagnostics)
         assert live.demand_of(root).properties == {("b", "name")}
         certificate = certify_plan(root, runner.statistics)
@@ -98,26 +92,13 @@ class TestOneFileOperator:
             certificate.records[-2].cardinality_bound
         )
 
-    def test_pruner_rebuilds_it_over_the_narrowed_input(self, figure1_graph):
-        runner = CypherRunner(figure1_graph, planner_cls=_PassThroughPlanner)
-        handler, root = runner.compile(DEAD_PROP_QUERY)
-        pruned = prune_plan(root, handler)
-        assert isinstance(pruned, PassThrough)
-        assert pruned is not root
-        assert pruned.children[0] is not root.children[0]
-        assert pruned.estimated_cardinality == root.estimated_cardinality
-        assert verify_flow(pruned).proven
-        assert Counter(map(repr, runner.build_rows(
-            handler, pruned.evaluate().collect(), pruned.meta
-        ))) == rows_multiset(CypherRunner(figure1_graph), DEAD_PROP_QUERY)
-
     def test_full_pipeline_matches_the_plain_engine(self, figure1_graph):
         runner = CypherRunner(
             figure1_graph, planner_cls=_PassThroughPlanner,
-            prune=True, verify_plans=True, sanitize=True,
+            verify_plans=True, sanitize=True,
         )
-        assert rows_multiset(runner, DEAD_PROP_QUERY) == rows_multiset(
-            CypherRunner(figure1_graph), DEAD_PROP_QUERY
+        assert rows_multiset(runner, FILTERED_QUERY) == rows_multiset(
+            CypherRunner(figure1_graph), FILTERED_QUERY
         )
         assert runner.last_sanitizer.checked > 0
         assert runner.last_sanitizer.diagnostics == []
@@ -129,14 +110,13 @@ def _analyses(handler, statistics):
         "demand_on_children": lambda root: verify_liveness(root, handler),
         "cardinality_bound": lambda root: certify_plan(root, statistics),
         "check_structure": lambda root: PlanVerifier().verify(root),
-        "rebuild": lambda root: prune_plan(root, handler),
     }
 
 
 @pytest.mark.parametrize(
     "rule",
     ["derive_layout", "demand_on_children", "cardinality_bound",
-     "check_structure", "rebuild"],
+     "check_structure"],
 )
 def test_missing_rule_raises_naming_class_and_rule(figure1_graph, rule):
     class Incomplete(PassThrough):
@@ -145,7 +125,7 @@ def test_missing_rule_raises_naming_class_and_rule(figure1_graph, rule):
     # put the base class' "no such rule" default back for this one rule
     setattr(Incomplete, rule, getattr(PhysicalOperator, rule))
     runner = CypherRunner(figure1_graph)
-    handler, root = runner.compile(DEAD_PROP_QUERY)
+    handler, root = runner.compile(FILTERED_QUERY)
     analysis = _analyses(handler, runner.statistics)[rule]
     with pytest.raises(NotImplementedError) as excinfo:
         analysis(Incomplete(root))

@@ -125,13 +125,22 @@ class TestPredicates:
 
 class TestPropertyKeys:
     def test_keys_from_predicates_and_return(self):
+        # the leaf evaluates s.classYear > 2014 itself: the key is read
+        # before anything enters an embedding
         handler = QueryHandler(
             "MATCH (p:Person)-[s:studyAt]->(u:University) "
-            "WHERE s.classYear > 2014 RETURN p.name, u.name"
+            "WHERE s.classYear > 2014 RETURN p.name, u.name, s.since"
         )
         assert handler.property_keys("p") == {"name"}
         assert handler.property_keys("u") == {"name"}
-        assert handler.property_keys("s") == {"classYear"}
+        assert handler.property_keys("s") == {"since"}
+
+    def test_order_by_keys_count_under_return_star(self):
+        handler = QueryHandler(
+            "MATCH (p:Person {name: 'Alice'})-[s]->(u) RETURN * ORDER BY u.age"
+        )
+        assert handler.property_keys("p") == set()
+        assert handler.property_keys("u") == {"age"}
 
     def test_keys_from_global_predicates(self):
         handler = QueryHandler(

@@ -1190,9 +1190,8 @@ def test_join_of_two_paths_declares_its_fallback(leaf_graphs, strategy):
 @pytest.mark.parametrize("parallelism", [1, 4])
 def test_rebound_edge_parameter_masks_one_plan(leaf_graphs, parallelism):
     graph = leaf_graphs[parallelism]
-    options = dict(  # pruned: the leaf does not project the key it filters on
-        prune=True, vertex_strategy=STRATEGIES[0], edge_strategy=STRATEGIES[1]
-    )
+    # the leaf evaluates e.w itself and projects no key: a hop join
+    options = dict(vertex_strategy=STRATEGIES[0], edge_strategy=STRATEGIES[1])
     text = "MATCH (a:A)-[e:x]->(b:A) WHERE e.w = $p RETURN a.n, b.n"
     statement = CypherRunner(graph, mode="columnar", **options).prepare(text)
     reference = CypherRunner(graph, mode="reference", **options).prepare(text)

@@ -80,6 +80,16 @@ class TestExecuteCollection:
         assert head.get_property("s").raw() == 3
         assert head.get_property("u").raw() == 40
 
+    def test_return_star_heads_carry_variable_ids_only(self, figure1_graph):
+        # RETURN * reads ids: the leaf evaluates p.name itself and carries
+        # no record of it, so no head binds it
+        collection = figure1_graph.cypher(
+            "MATCH (p:Person {name: 'Alice'})-[s:studyAt]->(u) RETURN *",
+            attach_bindings=True,
+        )
+        for head in collection.collect_graph_heads():
+            assert sorted(head.properties.to_dict()) == ["p", "s", "u"]
+
     def test_property_bindings_attached(self, figure1_graph):
         collection = figure1_graph.cypher(
             "MATCH (p:Person)-[s:studyAt]->(u) WHERE p.name = 'Alice' RETURN p.name"
