@@ -1,4 +1,4 @@
-.PHONY: install test check flowcheck livecheck lint typecheck racecheck \
+.PHONY: install test check plancheck lint typecheck racecheck \
 	wirecheck bench docs-codes examples reports clean \
 	serve-smoke bench-serve
 
@@ -14,18 +14,14 @@ check:
 	pytest tests/analysis/test_sanitizer.py tests/analysis/test_differential.py
 	pytest benchmarks/test_microbench_engine.py -k "q1_plain or q1_sanitized" --benchmark-disable
 
-# the static analysis battery: layout-flow verification (S3xx) and UDF
-# shippability certification (P4xx) over the LDBC plans and the planted
-# violation fixtures
-flowcheck:
-	pytest tests/analysis/test_flow.py tests/analysis/test_udfcheck.py \
-		tests/analysis/test_flow_soundness.py
-
-# the backward analysis battery: liveness (S4xx) and the planted dead-byte
-# fixtures, the planner's property demand (no plan carries a dead record),
-# and the static cost-bound/admission-control checks
-livecheck:
-	pytest tests/analysis/test_liveness.py \
+# the plan-analysis battery: structure (S300), layout flow (S301-S306) and
+# UDF shippability (P4xx) over the LDBC plans and the planted violation
+# fixtures, liveness (S401-S403) and the planner's property demand (no
+# plan carries a dead record), and the cost-bound/admission-control checks
+plancheck:
+	pytest tests/analysis/test_verifier.py tests/analysis/test_ldbc_plans.py \
+		tests/analysis/test_flow.py tests/analysis/test_udfcheck.py \
+		tests/analysis/test_flow_soundness.py tests/analysis/test_liveness.py \
 		tests/analysis/test_planner_demand.py tests/analysis/test_prune.py \
 		tests/analysis/test_costbound.py
 

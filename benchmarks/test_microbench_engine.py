@@ -111,8 +111,8 @@ def test_execute_q1_sampled(benchmark, medium_graph):
     embedding — recovering most of the sanitizer's ~2.5x overhead while
     retaining a statistical smoke check.  Compare against
     ``test_execute_q1_plain`` / ``test_execute_q1_sanitized``; the gap
-    this case closes is the per-embedding validation cost that a
-    flowcheck-proven plan (``repro flowcheck``) makes redundant.
+    this case closes is the per-embedding validation cost that a plan
+    proven by the plan analysis (``repro check``) makes redundant.
     """
     dataset, graph, statistics = medium_graph
     runner = CypherRunner(graph, statistics=statistics, sanitize="sample")

@@ -24,12 +24,14 @@ Code ranges:
   span) — shared fields accessed outside their declared ``# guarded-by``
   lock, statically inferable lock-order inversions, blocking calls made
   while holding a lock, and locks created per call.
-* ``S3xx`` — layout-flow findings from the *static* embedding-layout
-  verifier (``repro flowcheck``, :mod:`repro.analysis.flow`): abstract
-  interpretation over a compiled physical plan proves — or refutes —
-  the §3.3 byte-layout contracts the ``S2xx`` sanitizer checks
-  per-embedding at runtime.  Like ``S2xx`` these carry no source span;
-  they point at plan operators.
+* ``S3xx`` — static plan findings from the plan analysis (``repro
+  check``, :mod:`repro.analysis.plan`): ``S300`` reports a broken
+  structural invariant of the operator tree, its rule name leading the
+  message; ``S301``–``S306`` come from abstract interpretation over the
+  compiled physical plan, which proves — or refutes — the §3.3
+  byte-layout contracts the ``S2xx`` sanitizer checks per-embedding at
+  runtime.  They point at plan operators, with the operator's source
+  span where it has one.
 * ``P4xx`` — UDF shippability findings (:mod:`repro.analysis.udfcheck`):
   closure introspection plus AST analysis over every callable installed
   into dataflow operators and fused chains, classifying it as
@@ -49,9 +51,9 @@ Code ranges:
   exploring the interleavings of the cancel/done, spec-cache LRU,
   SPSC-ring and resident-eviction protocols.  These point at Python
   source or at a counterexample message trace, never at query text.
-* ``S4xx`` — liveness and cost-bound findings (``repro livecheck``,
-  :mod:`repro.analysis.liveness` / :mod:`repro.analysis.costbound`):
-  the backward dual of the ``S3xx`` flow pass.  Demand propagates from
+* ``S4xx`` — liveness and cost-bound findings (``repro check``,
+  :mod:`repro.analysis.plan`): the backward dual of the ``S3xx`` layout
+  rules.  Demand propagates from
   the plan root down to the leaves, flagging columns, property bytes
   and path contents an operator carries but no consumer ever reads
   (dead bytes are legal — warnings), plus static cost-bound findings:
@@ -156,6 +158,9 @@ CODES = {
     "C306": (Severity.ERROR, "blocking-ipc-under-lock",
              "pipe send/recv or ring wait performed while holding a "
              "pool-hierarchy lock"),
+    "S300": (Severity.ERROR, "plan-structure",
+             "the physical plan violates a structural invariant (the rule "
+             "name leads the message)"),
     "S301": (Severity.ERROR, "layout-width-mismatch",
              "derived column count (merge width arithmetic) disagrees with "
              "the operator's declared metadata"),
@@ -170,13 +175,11 @@ CODES = {
              "operator's declared property mapping"),
     "S305": (Severity.ERROR, "layout-morphism-unproven",
              "configured morphism strategy is not statically guaranteed at "
-             "the plan root"),
+             "an operator boundary"),
     "S306": (Severity.ERROR, "layout-join-keys",
              "join key columns are statically incompatible (missing "
              "variable, kind conflict, path column, or unprojected key "
              "property)"),
-    "S307": (Severity.ERROR, "layout-projection-provenance",
-             "projection keeps a property its input does not provide"),
     "P401": (Severity.ERROR, "captured-synchronization",
              "callable captures a lock, thread, thread-local or other "
              "synchronization primitive that cannot cross processes"),

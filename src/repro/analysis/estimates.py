@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List
 
 from .diagnostics import Diagnostic
+from .plan import analyze_plan
 
 #: estimates within one order of magnitude are considered sane by default
 DEFAULT_MAX_Q_ERROR = 10.0
@@ -114,8 +115,8 @@ def audit_estimates(root, max_q_error=DEFAULT_MAX_Q_ERROR):
 def audit_bound_soundness(root, statistics):
     """Check observed cardinalities against the certified upper bounds.
 
-    The static cost-bound analyzer (:mod:`repro.analysis.costbound`)
-    proves a worst-case output cardinality per operator; executing the
+    The static plan analysis (:mod:`repro.analysis.plan`) proves a
+    worst-case output cardinality per operator; executing the
     plan must never observe more rows than that — if it does, the bound
     derivation itself is unsound.  Returns the list of ``S406``
     diagnostics (empty when every bound held).  This is the test-only
@@ -123,11 +124,11 @@ def audit_bound_soundness(root, statistics):
     estimates are, this measures whether the *bounds* are bounds —
     groundwork for letting the adaptive planner trust them.
     """
-    from .costbound import operator_bounds
-
+    analysis = analyze_plan(root, statistics=statistics)
     cache = {}
     diagnostics = []
-    for operator, record in operator_bounds(root, statistics):
+    for operator in root.postorder():
+        record = analysis.bound_of(operator)
         actual = operator.actual_cardinality(cache)
         if actual > record.cardinality_bound:
             diagnostics.append(

@@ -16,7 +16,7 @@ queries still produce diagnostics instead of exceptions) and emits
 
 The contract with the planner, property-tested in the suite: a query the
 linter passes without **errors** compiles on every planner into a plan
-the :mod:`~repro.analysis.verifier` accepts.
+whose :mod:`~repro.analysis.plan` analysis finds no structural fault.
 """
 
 from repro.cypher.ast import (

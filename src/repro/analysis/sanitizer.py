@@ -255,8 +255,8 @@ class EmbeddingSanitizer:
 
     ``sample_every=N`` validates only every Nth sanitizer event (boundary
     crossing or operator-contract check) instead of all of them — the
-    cheap spot-check a plan can drop to once the static flow verifier
-    (:mod:`repro.analysis.flow`) has proven its layout contracts, keeping
+    cheap spot-check a plan can drop to once the static plan analysis
+    (:mod:`repro.analysis.plan`) has proven its layout contracts, keeping
     a tripwire against bugs outside the static model at a fraction of the
     full 2.5x overhead.
     """

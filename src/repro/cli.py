@@ -7,7 +7,6 @@
     python -m repro explain /tmp/sn "MATCH (a:Person)-[:knows]->(b) RETURN *"
     python -m repro lint "MATCH (a) WHERE a.age > 5 AND a.age < 3 RETURN a"
     python -m repro check /tmp/sn "MATCH (a:Person)-[:knows*1..2]->(b) RETURN *"
-    python -m repro livecheck /tmp/sn "MATCH (a:Person) RETURN a.firstName"
     python -m repro stats /tmp/sn
     python -m repro bench --experiment fig5
     python -m repro serve /tmp/sn --port 7474
@@ -108,18 +107,13 @@ def cmd_query(args):
 
 def cmd_explain(args):
     _, graph, statistics = _load(args)
-    runner = CypherRunner(
-        graph, statistics=statistics, verify_plans=args.verify
-    )
+    runner = CypherRunner(graph, statistics=statistics)
     if args.analyze:
         print(runner.explain_analyze(args.cypher))
     else:
         print(runner.explain(args.cypher))
     for diagnostic in runner.last_diagnostics:
         print(diagnostic.format(args.cypher), file=sys.stderr)
-    if args.verify:
-        print("-- plan verified: all structural invariants hold",
-              file=sys.stderr)
     return 0
 
 
@@ -161,12 +155,24 @@ def cmd_lint(args):
 
 
 def cmd_check(args):
-    """Sanitized differential check + estimate audit for one query.
+    """The whole analysis battery for one query.
 
-    Exit codes: 0 clean, 1 error diagnostics (lint errors, sanitizer
-    findings, planner disagreement), 2 syntax error, 3 warnings only.
+    Lints; then, under each of the three planners, analyzes the physical
+    plan (structure, layout flow, dead bytes and cost bounds — S300,
+    S3xx, S4xx) and classifies every dataflow UDF (P4xx); then runs the
+    sanitized differential and the estimate audit.  With
+    ``--max-cost-bound`` the cost certificates are checked like the
+    query service's admission control would (S405).  Each distinct
+    diagnostic prints and counts once, however many planners report it.
+    Exit codes: 0 clean, 1 error diagnostics, 2 syntax error,
+    3 warnings only.
     """
     from repro.analysis import differential_check, lint_query
+    from repro.engine.planning import (
+        ExhaustivePlanner,
+        GreedyPlanner,
+        LeftDeepPlanner,
+    )
 
     environment, graph, statistics = _load(args)
     if statistics is None:
@@ -184,6 +190,36 @@ def cmd_check(args):
 
     vertex_strategy = _strategy(args.vertex_strategy)
     edge_strategy = _strategy(args.edge_strategy)
+    # the static findings of all planners, each distinct one once
+    static = {}
+    all_proven = True
+    all_shippable = True
+    for planner_cls in (GreedyPlanner, ExhaustivePlanner, LeftDeepPlanner):
+        runner = CypherRunner(
+            graph,
+            statistics=statistics,
+            planner_cls=planner_cls,
+            vertex_strategy=vertex_strategy,
+            edge_strategy=edge_strategy,
+        )
+        analysis = runner.analyze(args.cypher)
+        ship = runner.check_shippable(args.cypher)
+        all_proven = all_proven and analysis.proven
+        all_shippable = all_shippable and ship.shippable
+        findings = analysis.diagnostics + ship.diagnostics
+        admission = analysis.certificate.diagnostic(args.max_cost_bound)
+        if admission is not None:
+            findings.append(admission)
+        static.update(dict.fromkeys(findings))
+        print(
+            "-- %-18s %s; %s"
+            % (planner_cls.__name__, analysis.format_summary(),
+               ship.format_summary()),
+            file=sys.stderr,
+        )
+    for diagnostic in static:
+        print(diagnostic.format(args.cypher))
+
     report = differential_check(
         graph,
         args.cypher,
@@ -205,16 +241,21 @@ def cmd_check(args):
     )
     audit = runner.audit_estimates(args.cypher, max_q_error=args.max_q_error)
     print(audit.format_table(), file=sys.stderr)
-    dynamic_diagnostics = report.diagnostics + audit.diagnostics
-    for diagnostic in dynamic_diagnostics:
+    dynamic = list(dict.fromkeys(report.diagnostics + audit.diagnostics))
+    for diagnostic in dynamic:
         print(diagnostic.format())
 
-    diagnostics = lint_diagnostics + dynamic_diagnostics
+    diagnostics = lint_diagnostics + list(static) + dynamic
     errors = sum(1 for d in diagnostics if d.is_error)
     warnings = len(diagnostics) - errors
-    verdict = "planners agree" if report.agree else "PLANNERS DISAGREE"
+    verdict = [
+        "planners agree" if report.agree else "PLANNERS DISAGREE",
+        "layout proven" if all_proven else "layout NOT proven",
+        "UDFs shippable" if all_shippable else "UDFs NOT shippable",
+    ]
     print(
-        "-- check: %s; %d error(s), %d warning(s)" % (verdict, errors, warnings),
+        "-- check: %s; %d error(s), %d warning(s)"
+        % ("; ".join(verdict), errors, warnings),
         file=sys.stderr,
     )
     if errors:
@@ -298,147 +339,6 @@ def cmd_wirecheck(args):
         return 1
     # a capped exploration is a warning: nothing found, nothing proven
     return 3 if len(diagnostics) > errors or bounded else 0
-
-
-def cmd_flowcheck(args):
-    """Static layout-flow verification (S3xx) + UDF shippability (P4xx).
-
-    Compiles the query under all three planners, abstractly interprets
-    each physical plan against the §3.3 layout contracts, and classifies
-    every dataflow UDF (including the fused chain stages) as
-    process-shippable or not.  Exit codes match ``repro check``: 0 proven
-    and shippable, 1 error diagnostics, 2 syntax error, 3 warnings only.
-    """
-    from repro.analysis import lint_query
-    from repro.engine.planning import (
-        ExhaustivePlanner,
-        GreedyPlanner,
-        LeftDeepPlanner,
-    )
-
-    environment, graph, statistics = _load(args)
-    if statistics is None:
-        statistics = GraphStatistics.from_graph(graph)
-    try:
-        lint_diagnostics = lint_query(args.cypher, statistics=statistics)
-    except CypherSyntaxError as exc:
-        print("syntax error: %s" % exc, file=sys.stderr)
-        return 2
-    for diagnostic in lint_diagnostics:
-        print(diagnostic.format(args.cypher))
-    if any(d.is_blocking for d in lint_diagnostics):
-        print("-- blocked: fix the binding errors above", file=sys.stderr)
-        return 1
-
-    vertex_strategy = _strategy(args.vertex_strategy)
-    edge_strategy = _strategy(args.edge_strategy)
-    diagnostics = list(lint_diagnostics)
-    all_proven = True
-    all_shippable = True
-    for planner_cls in (GreedyPlanner, ExhaustivePlanner, LeftDeepPlanner):
-        runner = CypherRunner(
-            graph,
-            statistics=statistics,
-            planner_cls=planner_cls,
-            vertex_strategy=vertex_strategy,
-            edge_strategy=edge_strategy,
-        )
-        flow = runner.flowcheck(args.cypher)
-        ship = runner.check_shippable(args.cypher)
-        all_proven = all_proven and flow.proven
-        all_shippable = all_shippable and ship.shippable
-        diagnostics += flow.diagnostics + ship.diagnostics
-        print(
-            "-- %-18s %s; %s"
-            % (planner_cls.__name__, flow.format_summary(),
-               ship.format_summary()),
-            file=sys.stderr,
-        )
-    for diagnostic in diagnostics[len(lint_diagnostics):]:
-        print(diagnostic.format(args.cypher))
-
-    errors = sum(1 for d in diagnostics if d.is_error)
-    warnings = len(diagnostics) - errors
-    verdict = []
-    verdict.append("layout proven" if all_proven else "layout NOT proven")
-    verdict.append("UDFs shippable" if all_shippable else "UDFs NOT shippable")
-    print(
-        "-- flowcheck: %s; %d error(s), %d warning(s)"
-        % ("; ".join(verdict), errors, warnings),
-        file=sys.stderr,
-    )
-    if errors:
-        return 1
-    return 3 if warnings else 0
-
-
-def cmd_livecheck(args):
-    """Backward liveness + static cost bounds (S4xx) for one query.
-
-    Compiles the query under all three planners, propagates the RETURN
-    clause's demand down each physical plan (reporting dead columns,
-    dead property bytes and never-read paths), and composes the
-    statically certified worst-case cost.  With ``--max-cost-bound`` the
-    certificate is checked like the query service's admission control
-    would.  Exit codes match ``repro check``: 0 all bytes live and
-    admissible, 1 error diagnostics, 2 syntax error, 3 warnings only.
-    """
-    from repro.analysis import lint_query
-    from repro.engine.planning import (
-        ExhaustivePlanner,
-        GreedyPlanner,
-        LeftDeepPlanner,
-    )
-
-    environment, graph, statistics = _load(args)
-    if statistics is None:
-        statistics = GraphStatistics.from_graph(graph)
-    try:
-        lint_diagnostics = lint_query(args.cypher, statistics=statistics)
-    except CypherSyntaxError as exc:
-        print("syntax error: %s" % exc, file=sys.stderr)
-        return 2
-    for diagnostic in lint_diagnostics:
-        print(diagnostic.format(args.cypher))
-    if any(d.is_blocking for d in lint_diagnostics):
-        print("-- blocked: fix the binding errors above", file=sys.stderr)
-        return 1
-
-    vertex_strategy = _strategy(args.vertex_strategy)
-    edge_strategy = _strategy(args.edge_strategy)
-    diagnostics = list(lint_diagnostics)
-    for planner_cls in (GreedyPlanner, ExhaustivePlanner, LeftDeepPlanner):
-        runner = CypherRunner(
-            graph,
-            statistics=statistics,
-            planner_cls=planner_cls,
-            vertex_strategy=vertex_strategy,
-            edge_strategy=edge_strategy,
-        )
-        report = runner.livecheck(args.cypher)
-        certificate = runner.certify_cost(args.cypher)
-        diagnostics += report.diagnostics
-        admission = certificate.diagnostic(args.max_cost_bound)
-        if admission is not None:
-            diagnostics.append(admission)
-        print(
-            "-- %-18s %s; %s"
-            % (planner_cls.__name__, report.format_summary(),
-               certificate.format_summary()),
-            file=sys.stderr,
-        )
-    for diagnostic in diagnostics[len(lint_diagnostics):]:
-        print(diagnostic.format(args.cypher))
-
-    errors = sum(1 for d in diagnostics if d.is_error)
-    warnings = len(diagnostics) - errors
-    print(
-        "-- livecheck: %d error(s), %d warning(s)" % (errors, warnings),
-        file=sys.stderr,
-    )
-    if errors:
-        return 1
-    return 3 if warnings else 0
 
 
 def cmd_stats(args):
@@ -687,11 +587,6 @@ def build_parser():
         action="store_true",
         help="execute the plan and show actual row counts",
     )
-    explain.add_argument(
-        "--verify",
-        action="store_true",
-        help="check the plan against the structural invariants",
-    )
     explain.set_defaults(handler=cmd_explain)
 
     lint = commands.add_parser(
@@ -707,9 +602,11 @@ def build_parser():
 
     check = commands.add_parser(
         "check",
-        help="sanitized differential check: lint, run the query under all "
-        "three planners with embedding validation, compare result "
-        "multisets and audit cardinality estimates",
+        help="the whole analysis battery: lint, analyze every planner's "
+        "physical plan (structure, layout flow, dead bytes, cost bounds) "
+        "and its UDFs, run the query under all three planners with "
+        "embedding validation, compare result multisets and audit "
+        "cardinality estimates",
     )
     check.add_argument("graph")
     check.add_argument("cypher")
@@ -722,6 +619,11 @@ def build_parser():
         type=float,
         default=10.0,
         help="estimate q-error above which S211 warnings are emitted",
+    )
+    check.add_argument(
+        "--max-cost-bound", type=float, default=None,
+        help="emit S405 when any operator's certified output "
+        "cardinality exceeds this bound (the admission-control check)",
     )
     check.set_defaults(handler=cmd_check)
 
@@ -760,45 +662,6 @@ def build_parser():
         "proof once hit)",
     )
     wirecheck.set_defaults(handler=cmd_wirecheck)
-
-    flowcheck = commands.add_parser(
-        "flowcheck",
-        help="static layout-flow verification: abstractly interpret the "
-        "physical plan under every planner, proving the §3.3 embedding "
-        "layout contracts (S3xx) and certifying every dataflow UDF "
-        "process-shippable (P4xx)",
-    )
-    flowcheck.add_argument("graph")
-    flowcheck.add_argument("cypher")
-    flowcheck.add_argument(
-        "--vertex-strategy", choices=["homo", "iso"], default="homo"
-    )
-    flowcheck.add_argument(
-        "--edge-strategy", choices=["homo", "iso"], default="iso"
-    )
-    flowcheck.set_defaults(handler=cmd_flowcheck)
-
-    livecheck = commands.add_parser(
-        "livecheck",
-        help="backward liveness and static cost bounds: propagate the "
-        "RETURN clause's demand down every planner's physical plan "
-        "(dead columns, dead property bytes, never-read paths — S4xx) "
-        "and certify the worst-case output cardinality and bytes moved",
-    )
-    livecheck.add_argument("graph")
-    livecheck.add_argument("cypher")
-    livecheck.add_argument(
-        "--vertex-strategy", choices=["homo", "iso"], default="homo"
-    )
-    livecheck.add_argument(
-        "--edge-strategy", choices=["homo", "iso"], default="iso"
-    )
-    livecheck.add_argument(
-        "--max-cost-bound", type=float, default=None,
-        help="emit S405 when any operator's certified output "
-        "cardinality exceeds this bound (the admission-control check)",
-    )
-    livecheck.set_defaults(handler=cmd_livecheck)
 
     stats = commands.add_parser("stats", help="show graph statistics")
     stats.add_argument("graph")

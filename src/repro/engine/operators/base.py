@@ -5,13 +5,12 @@ carries the :class:`~repro.engine.embedding.EmbeddingMetaData` of its
 output and knows how to build the dataflow ``DataSet`` that computes it.
 
 Each operator also states its own rules — the *operator contract* the
-static analyses walk generically: the output layout from the child
-layouts (``repro.analysis.flow``), the demand on the children from the
-demand on the output (``liveness``), a worst-case cardinality bound
-(``costbound``), a structural self-check (``verifier``) and a source
-span.  The two
-value types the rules exchange, :class:`EmbeddingLayout` and
-:class:`Demand`, live here so operators never import the analyses.
+plan analysis (``repro.analysis.plan``) composes in one pass: the output
+layout from the child layouts, the demand on the children from the
+demand on the output, a worst-case cardinality bound, a structural
+self-check and a source span.  The two value types the rules exchange,
+:class:`EmbeddingLayout` and :class:`Demand`, live here so operators
+never import the analysis.
 """
 
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -204,7 +203,7 @@ class PhysicalOperator:
         """Forward rule: the output layout from the children's layouts.
 
         Reads operator parameters and ``child_layouts`` only — never
-        ``self.meta``, which is what the flow verifier compares the
+        ``self.meta``, which is what the plan analysis compares the
         result *against*.  ``vertex_iso`` tells whether the plan will run
         under vertex isomorphism; defects are reported as ``S3xx`` codes.
         """
@@ -224,8 +223,9 @@ class PhysicalOperator:
         raise self._no_rule("cardinality_bound")
 
     def check_structure(self, flag: Flag) -> None:
-        """The plan verifier's per-operator invariants, reported by rule
-        name.  Only called when every child declares metadata."""
+        """The operator's structural invariants, reported by rule name
+        (one ``S300`` finding each).  Only called when every child
+        declares metadata."""
         raise self._no_rule("check_structure")
 
     def span(self) -> Optional[Span]:

@@ -228,12 +228,6 @@ class ExpandEmbeddings(PhysicalOperator):
 
     def check_structure(self, flag):
         bound = set(self.children[0].meta.variables)
-        if self.start_variable not in bound:
-            flag(
-                "expand-start-unbound",
-                "expand starts at %r which the input does not bind"
-                % self.start_variable,
-            )
         edge_variable = self.query_edge.variable
         if edge_variable in bound:
             flag(

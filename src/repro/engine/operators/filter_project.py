@@ -140,19 +140,13 @@ class ProjectEmbeddings(PhysicalOperator):
 
     def derive_layout(self, child_layouts, vertex_iso, flag):
         (child,) = child_layouts
-        kept = []
-        for variable, key in self.keep_pairs:
-            if (variable, key) not in child.properties:
-                flag(
-                    "S307",
-                    "projection keeps %s.%s but the input provides no such "
-                    "property record" % (variable, key),
-                )
-                continue
-            kept.append((variable, key))
+        # a kept pair the input lacks is not derived, so the declared
+        # metadata that promises it disagrees (S304)
         return EmbeddingLayout(
             entries=child.entries,
-            properties=kept,
+            properties=[
+                pair for pair in self.keep_pairs if pair in child.properties
+            ],
             path_bounds=child.path_bounds,
             morphism_ok=child.morphism_ok,
         )
@@ -172,20 +166,6 @@ class ProjectEmbeddings(PhysicalOperator):
         return child_bounds[0]
 
     def check_structure(self, flag):
-        child_meta = self.children[0].meta
-        if self.meta is None:
-            return
-        for variable, key in self.keep_pairs:
-            if not child_meta.has_property(variable, key):
-                flag(
-                    "project-source-missing",
-                    "projection keeps %s.%s which the input does not "
-                    "provide" % (variable, key),
-                )
-            if not self.meta.has_property(variable, key):
-                flag(
-                    "project-dropped",
-                    "projection output lost %s.%s" % (variable, key),
-                )
-        if set(self.meta.variables) != set(child_meta.variables):
-            flag("binding-dropped", "projection changed the bound variables")
+        # a kept record the input lacks or the output loses (S304) and a
+        # changed binding (S301, S302) are refuted by the layout rules
+        pass

@@ -180,14 +180,10 @@ class TwoInputOperator(PhysicalOperator):
         return child_bounds[0] * child_bounds[1]
 
     def check_structure(self, flag):
-        left, right = self.children
-        shared = set(left.meta.variables) & set(right.meta.variables)
-        if shared:
-            flag(
-                "binding-duplicated",
-                "%s binds %s on both inputs; only JoinEmbeddings may "
-                "overlap" % (type(self).__name__, sorted(shared)),
-            )
+        # an unbound key (S306), inputs overlapping outside it (S302) and
+        # an output that drops a binding (S301) are all refuted by the
+        # layout rules
+        pass
 
 
 class JoinEmbeddings(TwoInputOperator):
@@ -403,32 +399,6 @@ class JoinEmbeddings(TwoInputOperator):
     def _demand_keys(self, left, right):
         left.variables.update(self.join_variables)
         right.variables.update(self.join_variables)
-
-    def check_structure(self, flag):
-        left_variables = set(self.children[0].meta.variables)
-        right_variables = set(self.children[1].meta.variables)
-        for variable in self.join_variables:
-            for side, bound in (("left", left_variables), ("right", right_variables)):
-                if variable not in bound:
-                    flag(
-                        "join-column-missing",
-                        "join variable %r is not bound by the %s input"
-                        % (variable, side),
-                    )
-        rebound = (left_variables & right_variables) - set(self.join_variables)
-        if rebound:
-            flag(
-                "binding-duplicated",
-                "variables %s are bound by both inputs but are not join "
-                "variables" % sorted(rebound),
-            )
-        expected = left_variables | right_variables
-        if self.meta is not None and set(self.meta.variables) != expected:
-            flag(
-                "binding-dropped",
-                "output binds %s, inputs bind %s"
-                % (sorted(self.meta.variables), sorted(expected)),
-            )
 
 
 class CartesianEmbeddings(TwoInputOperator):

@@ -207,24 +207,13 @@ class _ElementLeaf(PhysicalOperator):
     def check_structure(self, flag):
         if self.meta is None:
             return
-        for variable, kind in self._entries():
+        # a mis-kinded or unprojected binding is refuted by the layout
+        # comparison (S302, S304)
+        for variable, _kind in self._entries():
             if not self.meta.has_variable(variable):
                 flag(
                     "leaf-unbound",
                     "leaf does not bind its own variable %r" % variable,
-                )
-            elif self.meta.entry_kind(variable) != kind:
-                flag(
-                    "binding-kind-mismatch",
-                    "variable %r bound as %r, expected %r"
-                    % (variable, self.meta.entry_kind(variable), kind),
-                )
-        for variable, key in self.meta.property_entries():
-            if key not in self.property_keys:
-                flag(
-                    "leaf-property-unprojected",
-                    "meta promises %s.%s but the leaf only projects %s"
-                    % (variable, key, self.property_keys),
                 )
 
     def span(self):

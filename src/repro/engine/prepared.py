@@ -21,6 +21,8 @@ concurrently.  The query service hands out one statement object per
 ``(graph, query)`` for exactly this reason.
 """
 
+from functools import cached_property
+
 from repro.analysis.diagnostics import QueryLintError
 from repro.analysis.linter import lint_query
 from repro.cypher.parameters import (
@@ -63,12 +65,18 @@ class PreparedStatement:
         slotted = parameterize(self._ast, self._binding)
         self.handler = QueryHandler(slotted)
         self.root, self.sanitizer = runner.plan(self.handler)
-        #: the statically proven worst-case cost of this plan; the query
-        #: service's admission control compares it against its configured
-        #: bound before running a single operator
-        from repro.analysis.costbound import certify_plan
 
-        self.cost_certificate = certify_plan(self.root, runner.statistics)
+    @cached_property
+    def cost_certificate(self):
+        """The statically proven worst-case cost of this plan, certified
+        on first use: the query service's admission control compares it
+        with its bound before running a single operator."""
+        # lazy: the analysis package imports the engine
+        from repro.analysis.plan import analyze_plan
+
+        return analyze_plan(
+            self.root, statistics=self.runner.statistics
+        ).certificate
 
     # Binding ----------------------------------------------------------------
 

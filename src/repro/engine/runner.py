@@ -54,7 +54,6 @@ class CypherRunner:
         statistics=None,
         planner_cls=GreedyPlanner,
         lint=True,
-        verify_plans=False,
         sanitize=False,
         plan_cache=None,
         mode=None,
@@ -73,7 +72,6 @@ class CypherRunner:
         self._statistics = statistics
         self.planner_cls = planner_cls
         self.lint_enabled = lint
-        self.verify_plans = verify_plans
         #: warnings from the most recent compile (errors raise instead)
         self.last_diagnostics = []
         #: the EmbeddingSanitizer of the most recent compile, or None
@@ -102,7 +100,7 @@ class CypherRunner:
         first finding), ``'collect'`` (validate but accumulate findings
         on ``last_sanitizer.diagnostics``) or ``'sample'`` (validate every
         Nth event only and raise — the cheap tripwire a plan can drop to
-        once :meth:`flowcheck` has statically proven its layout).
+        once :meth:`analyze` has statically proven its layout).
         Instrumentation is baked into compiled plans; the plan-cache key
         includes the mode, so toggling switches to a different cache slice
         instead of clearing a cache that may be shared with other runners.
@@ -138,9 +136,7 @@ class CypherRunner:
         blocking diagnostics (binding errors the compiler would reject
         anyway) raise :class:`QueryLintError` before any planning happens;
         everything else — including unsatisfiable-but-legal predicates — is
-        kept on ``last_diagnostics``.  With ``verify_plans=True`` the
-        planned operator tree must additionally pass the structural
-        :func:`~repro.analysis.verify_plan` checks.
+        kept on ``last_diagnostics``.
 
         Compiled plans live in a bounded LRU cache keyed on the graph, the
         statistics version, the query text and parameter values, the
@@ -178,11 +174,9 @@ class CypherRunner:
 
     def plan(self, handler):
         """``(root, sanitizer)``: ``handler``'s physical plan under this
-        runner's planner and strategies, checked by
-        :func:`~repro.analysis.verify_plan` when ``verify_plans`` is set
-        and instrumented when ``sanitize`` is (``sanitizer`` is ``None``
-        otherwise).  Both :meth:`compile` and prepared statements plan
-        through here.
+        runner's planner and strategies, instrumented when ``sanitize``
+        is set (``sanitizer`` is ``None`` otherwise).  Both
+        :meth:`compile` and prepared statements plan through here.
         """
         root = self.planner_cls(
             self.graph,
@@ -191,19 +185,10 @@ class CypherRunner:
             vertex_strategy=self.vertex_strategy,
             edge_strategy=self.edge_strategy,
         ).plan()
-        # the analysis imports are lazy: the analysis package imports the
-        # engine, which is mid-initialization when this module first loads
-        if self.verify_plans:
-            from repro.analysis.verifier import verify_plan
-
-            verify_plan(
-                root,
-                handler=handler,
-                vertex_strategy=self.vertex_strategy,
-                edge_strategy=self.edge_strategy,
-            )
         if not self.sanitize:
             return root, None
+        # the sanitizer import is lazy: the analysis package imports the
+        # engine, which is mid-initialization when this module first loads
         from repro.analysis.sanitizer import DEFAULT_SAMPLE_EVERY, EmbeddingSanitizer
 
         sanitizer = EmbeddingSanitizer(
@@ -229,7 +214,6 @@ class CypherRunner:
             self.vertex_strategy,
             self.edge_strategy,
             self.sanitize,
-            self.verify_plans,
         )
 
     def explain(self, query, parameters=None):
@@ -264,58 +248,27 @@ class CypherRunner:
             max_q_error = DEFAULT_MAX_Q_ERROR
         return audit_estimates(root, max_q_error=max_q_error)
 
-    def flowcheck(self, query, parameters=None):
-        """Statically verify the §3.3 layout flow of ``query``'s plan.
+    def analyze(self, query, parameters=None):
+        """The static :class:`~repro.analysis.PlanAnalysis` of ``query``.
 
-        Compiles (through the plan cache) and abstractly interprets the
-        physical plan, returning a :class:`~repro.analysis.FlowReport`.
-        A ``proven`` report licenses dropping this runner to
-        ``sanitize="sample"`` — or plain execution — for this query: the
-        layout contracts the sanitizer would check per-embedding hold by
-        construction.
+        Compiles (through the plan cache) and analyzes the physical plan
+        under this runner's strategies and statistics: structural
+        invariants (``S300``), the §3.3 layout flow (``S301``–``S306``),
+        dead bytes below the RETURN clause's demand (``S401``–``S403``)
+        and the worst-case cost certificate admission control consults.
+        A ``proven`` analysis licenses dropping this runner to
+        ``sanitize="sample"`` — or plain execution — for this query.
         """
-        from repro.analysis.flow import verify_flow
-
-        _, root = self.compile(query, parameters)
-        return verify_flow(
-            root,
-            vertex_strategy=self.vertex_strategy,
-            edge_strategy=self.edge_strategy,
-        )
-
-    def livecheck(self, query, parameters=None):
-        """Backward liveness analysis of ``query``'s plan (``S4xx``).
-
-        Compiles (through the plan cache) and propagates the RETURN
-        clause's demand down the physical plan, returning a
-        :class:`~repro.analysis.LivenessReport` whose diagnostics name
-        every dead column, dead property record and never-read path.  The
-        planner places a projection wherever a property record's last
-        reader consumed it, so on a planned query ``S402`` flags a planner
-        defect; dead id columns and path contents (``S401`` / ``S403``)
-        are structural and stay.
-        """
-        from repro.analysis.liveness import verify_liveness
+        from repro.analysis.plan import analyze_plan
 
         handler, root = self.compile(query, parameters)
-        return verify_liveness(
+        return analyze_plan(
             root,
             handler,
+            statistics=self.statistics,
             vertex_strategy=self.vertex_strategy,
             edge_strategy=self.edge_strategy,
         )
-
-    def certify_cost(self, query, parameters=None):
-        """The static :class:`~repro.analysis.CostCertificate` of ``query``.
-
-        Composes per-operator worst-case cardinality and bytes-moved
-        bounds from the graph statistics — the artifact the query
-        service's admission control consults before executing anything.
-        """
-        from repro.analysis.costbound import certify_plan
-
-        _, root = self.compile(query, parameters)
-        return certify_plan(root, self.statistics)
 
     def check_shippable(self, query, parameters=None):
         """Shippability report over every UDF in ``query``'s dataflow.

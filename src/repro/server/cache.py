@@ -23,7 +23,7 @@ def prepared_cache_key(runner, query):
     """Cache key for the prepared statement of ``query`` on ``runner``.
 
     Reuses the runner's plan-key fields (graph token, statistics version,
-    planner, strategies, sanitize/verify flags) but swaps the tag and
+    planner, strategies, sanitize flag) but swaps the tag and
     drops the parameter values — a prepared plan serves every binding.
     """
     base = runner.plan_cache_key(query, None)

@@ -50,8 +50,8 @@ class AdmissionError(RuntimeError):
 class CostAdmissionError(AdmissionError):
     """The query's statically certified cost exceeds the service bound.
 
-    Raised *before any operator executes*: the static cost-bound analyzer
-    (:mod:`repro.analysis.costbound`) proved that some operator in the
+    Raised *before any operator executes*: the static plan analysis
+    (:mod:`repro.analysis.plan`) proved that some operator in the
     plan may emit more rows than the service's ``max_cost_bound`` allows
     for any data consistent with the graph statistics.  Carries the
     :class:`~repro.analysis.CostCertificate` and the ``S405`` diagnostic
@@ -228,7 +228,6 @@ class QueryService:
         plan_cache_size=DEFAULT_PLAN_CACHE_SIZE,
         result_cache_size=0,
         lint=True,
-        verify_plans=False,
         max_cost_bound=None,
     ):
         if max_concurrency < 1:
@@ -243,7 +242,6 @@ class QueryService:
         self.vertex_strategy = vertex_strategy
         self.edge_strategy = edge_strategy
         self.lint = lint
-        self.verify_plans = verify_plans
         #: statically certified admission control: a query whose proven
         #: worst-case per-operator output cardinality exceeds this bound
         #: is rejected with :class:`CostAdmissionError` at submit time,
@@ -289,7 +287,6 @@ class QueryService:
                     vertex_strategy=self.vertex_strategy,
                     edge_strategy=self.edge_strategy,
                     lint=self.lint,
-                    verify_plans=self.verify_plans,
                     plan_cache=self.plan_cache,
                 )
                 self._runners[key] = runner
@@ -434,15 +431,12 @@ class QueryService:
             )
 
         environment = entry.graph.environment
+        statement = None
         if use_prepared:
             statement, plan_hit = self._prepared_statement(
                 runner, compile_lock, query
             )
-            self._admit_cost(statement.cost_certificate)
-            handler = statement.handler
-            batches, meta, job_metrics = statement.batches(
-                parameters, cancellation=token
-            )
+            handler, root = statement.handler, statement.root
         else:
             # __contains__ does not touch hit/miss stats, so probing here
             # keeps the plan-hit flag accurate without double counting
@@ -451,10 +445,12 @@ class QueryService:
             )
             with compile_lock:
                 handler, root = runner.compile(query, parameters)
-            if self.max_cost_bound is not None:
-                from repro.analysis.costbound import certify_plan
-
-                self._admit_cost(certify_plan(root, runner.statistics))
+        self._admit_cost(runner, root, statement)
+        if statement is not None:
+            batches, meta, job_metrics = statement.batches(
+                parameters, cancellation=token
+            )
+        else:
             with environment.job(
                 "service:%s" % graph, cancellation=token
             ) as job_metrics:
@@ -477,10 +473,24 @@ class QueryService:
             prepared=use_prepared,
         )
 
-    def _admit_cost(self, certificate):
-        """Reject a plan whose certified bound exceeds the service limit."""
-        if self.max_cost_bound is None or certificate is None:
+    def _admit_cost(self, runner, root, statement):
+        """Reject a plan whose certified bound exceeds the service limit.
+
+        Certifies only when a bound is set; a prepared statement keeps
+        its certificate, so it is certified at most once.
+        """
+        if self.max_cost_bound is None:
             return
+        if statement is not None:
+            certificate = statement.cost_certificate
+        else:
+            # lazy, like the runner's: the analysis package imports the
+            # engine
+            from repro.analysis.plan import analyze_plan
+
+            certificate = analyze_plan(
+                root, statistics=runner.statistics
+            ).certificate
         diagnostic = certificate.diagnostic(self.max_cost_bound)
         if diagnostic is not None:
             self.metrics.on_reject()

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from repro.analysis import audit_bound_soundness, certify_plan
-from repro.analysis.costbound import CostCertificate
+import repro.analysis.plan
+from repro.analysis import CostCertificate, analyze_plan, audit_bound_soundness
 from repro.dataflow import ExecutionEnvironment
 from repro.engine import CypherRunner
 from repro.engine.statistics import GraphStatistics
@@ -39,7 +39,8 @@ EXPLOSIVE = (
 def certificate_of(graph, query, **kwargs):
     runner = CypherRunner(graph, **kwargs)
     _, root = runner.compile(query)
-    return certify_plan(root, runner.statistics), runner, root
+    certificate = analyze_plan(root, statistics=runner.statistics).certificate
+    return certificate, runner, root
 
 
 class TestBoundRules:
@@ -94,16 +95,20 @@ class TestBoundRules:
         assert deep.total_bytes_bound < math.inf
 
     def test_certify_requires_statistics(self, figure1_graph):
+        # without data-graph counts nothing is provable: no certificate
         runner = CypherRunner(figure1_graph)
         _, root = runner.compile(ONE_HOP)
-        with pytest.raises(ValueError):
-            certify_plan(root, None)
+        analysis = analyze_plan(root, statistics=None)
+        assert analysis.certificate is None
+        assert analysis.bound_of(root) is None
 
     def test_runner_certify_cost_entry_point(self, figure1_graph):
-        certificate = CypherRunner(figure1_graph).certify_cost(ONE_HOP)
+        analysis = CypherRunner(figure1_graph).analyze(ONE_HOP)
+        certificate = analysis.certificate
         assert certificate.records
         assert certificate.max_cardinality_bound < math.inf
-        assert "costbound:" in certificate.format_summary()
+        assert "max cardinality <=" in certificate.format_summary()
+        assert certificate.format_summary() in analysis.format_summary()
         assert "card<=" in certificate.format_table()
 
 
@@ -118,7 +123,9 @@ class TestDeclaredInfinity:
     def test_infinite_bound_is_inadmissible(self, figure1_graph):
         runner = CypherRunner(figure1_graph)
         _, root = runner.compile(ONE_HOP)
-        certificate = certify_plan(_Unbounded(root), runner.statistics)
+        certificate = analyze_plan(
+            _Unbounded(root), statistics=runner.statistics
+        ).certificate
         assert certificate.max_cardinality_bound == math.inf
         assert certificate.admissible(None)  # no threshold, no gate
         assert not certificate.admissible(10**18)
@@ -272,3 +279,55 @@ class TestAdmissionControl:
             )
             assert result.row_count > 0
             assert service.metrics.snapshot()["rejected"] == 0
+
+
+class TestAdmissionPath:
+    """Admission certifies in one place, and only when a bound is set."""
+
+    PREPARED = (
+        "MATCH (p:Person) WHERE p.firstName = $name RETURN p.firstName"
+    )
+
+    def test_service_without_bound_never_certifies(self, ldbc, monkeypatch):
+        dataset, graph = ldbc
+
+        def certify(*args, **kwargs):
+            raise AssertionError("certified without a cost bound")
+
+        monkeypatch.setattr(repro.analysis.plan, "analyze_plan", certify)
+        registry = GraphRegistry()
+        registry.register("ldbc", graph)
+        with QueryService(registry, max_concurrency=1) as service:
+            plain = service.execute(
+                "ldbc", "MATCH (p:Person)-[:knows]->(q:Person) RETURN p, q"
+            )
+            assert plain.row_count > 0
+            handle = service.prepare("ldbc", self.PREPARED)
+            for _ in range(2):
+                result = service.execute_prepared(
+                    handle.statement_id, {"name": dataset.first_name("low")}
+                )
+                assert result.row_count > 0
+
+    def test_prepared_statement_is_certified_once(self, ldbc, monkeypatch):
+        dataset, graph = ldbc
+        calls = []
+        analyze = repro.analysis.plan.analyze_plan
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return analyze(*args, **kwargs)
+
+        monkeypatch.setattr(repro.analysis.plan, "analyze_plan", counting)
+        registry = GraphRegistry()
+        registry.register("ldbc", graph)
+        with QueryService(
+            registry, max_concurrency=1, max_cost_bound=ADMIT_BOUND
+        ) as service:
+            handle = service.prepare("ldbc", self.PREPARED)
+            for selectivity in ("low", "medium", "low"):
+                service.execute_prepared(
+                    handle.statement_id,
+                    {"name": dataset.first_name(selectivity)},
+                )
+        assert len(calls) == 1

@@ -1,7 +1,7 @@
-"""Soundness of the static layout-flow verifier.
+"""Soundness of the plan analysis' layout flow.
 
 The claim that licenses ``sanitize="sample"`` (or switching the sanitizer
-off entirely) on flowcheck-proven plans: a plan the verifier proves can
+off entirely) on proven plans: a plan the analysis proves can
 never produce an ``S2xx`` finding under fully sanitized execution.  Probed
 with generated queries across all three planners and both vertex-morphism
 strategies — every compiled plan must be proven, and its sanitized
@@ -34,7 +34,8 @@ PLANNERS = [GreedyPlanner, ExhaustivePlanner, LeftDeepPlanner]
     iso=st.booleans(),
 )
 def test_proven_plans_run_sanitized_without_findings(query, planner_index, iso):
-    """flowcheck-proven ⇒ zero S2xx under fully sanitized execution."""
+    """proven by the analysis ⇒ zero S2xx under fully sanitized
+    execution."""
     graph = _fresh_graph()
     vertex_strategy = MatchStrategy.ISOMORPHISM if iso else None
     runner = CypherRunner(
@@ -43,7 +44,7 @@ def test_proven_plans_run_sanitized_without_findings(query, planner_index, iso):
         vertex_strategy=vertex_strategy,
         sanitize=True,
     )
-    report = runner.flowcheck(query)
+    report = runner.analyze(query)
     assert report.proven, "%s under %s (iso=%s): %s" % (
         query,
         PLANNERS[planner_index].__name__,

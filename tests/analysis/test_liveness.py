@@ -1,12 +1,9 @@
-"""Backward liveness analysis (S4xx): transfer rules and planted fixtures."""
+"""Backward liveness (S401–S403) of the plan analysis: transfer rules and
+planted fixtures."""
 
 import pytest
 
-from repro.analysis import (
-    LivenessVerificationError,
-    assert_liveness,
-    verify_liveness,
-)
+from repro.analysis import analyze_plan
 from repro.dataflow import ExecutionEnvironment
 from repro.engine import CypherRunner, MatchStrategy
 from repro.engine.operators.leaves import SelectAndProjectVertices
@@ -73,15 +70,18 @@ class TestCleanPlans:
     @pytest.mark.parametrize("planner_cls", PLANNERS)
     def test_fully_returned_plan_is_clean(self, figure1_graph, planner_cls):
         _, handler, root = compiled(figure1_graph, ALL_LIVE_QUERY, planner_cls)
-        report = verify_liveness(root, handler)
+        report = analyze_plan(root, handler)
         assert report.clean, [d.format() for d in report.diagnostics]
-        assert "all bytes live" in report.format_summary()
+        assert (
+            "0 dead column(s), 0 dead property record(s), 0 dead path(s)"
+            in report.format_summary()
+        )
 
     def test_return_star_demands_everything(self, figure1_graph):
         _, handler, root = compiled(
             figure1_graph, "MATCH (a:Person)-[e:knows]->(b:Person) RETURN *"
         )
-        report = verify_liveness(root, handler)
+        report = analyze_plan(root, handler)
         assert report.clean
         demand = report.demand_of(root)
         assert demand.variables == set(root.meta.variables)
@@ -93,7 +93,7 @@ class TestCleanPlans:
             "WHERE a.name < b.name RETURN *"
         )
         _, handler, root = compiled(figure1_graph, query)
-        report = verify_liveness(root, handler)
+        report = analyze_plan(root, handler)
         assert "S402" not in codes_of(report)
         demand = report.demand_of(root)
         assert demand.properties == set()
@@ -103,11 +103,13 @@ class TestCleanPlans:
     def test_no_handler_is_conservatively_clean(self, figure1_graph):
         # without the RETURN clause the root demand is everything
         _, _, root = compiled(figure1_graph, ALL_LIVE_QUERY)
-        assert verify_liveness(root).clean
+        assert analyze_plan(root).clean
 
     def test_assert_liveness_returns_clean_report(self, figure1_graph):
         _, handler, root = compiled(figure1_graph, ALL_LIVE_QUERY)
-        assert assert_liveness(root, handler).clean
+        report = analyze_plan(root, handler)
+        assert report.clean
+        assert report.diagnostics == []
 
 
 class TestDeadByteFindings:
@@ -118,7 +120,7 @@ class TestDeadByteFindings:
         _, handler, root = compiled(
             figure1_graph, DEAD_PROP_QUERY, planting_dead_record(planner_cls)
         )
-        report = verify_liveness(root, handler)
+        report = analyze_plan(root, handler)
         assert "S402" in codes_of(report)
         finding = next(d for d in report.diagnostics if d.code == "S402")
         assert "a.name" in finding.message
@@ -128,7 +130,7 @@ class TestDeadByteFindings:
         _, handler, root = compiled(
             figure1_graph, DEAD_PROP_QUERY, planting_dead_record(GreedyPlanner)
         )
-        report = verify_liveness(root, handler)
+        report = analyze_plan(root, handler)
         s402 = [d for d in report.diagnostics if d.code == "S402"]
         assert len(s402) == 1  # once at the leaf, not at every ancestor
 
@@ -136,7 +138,7 @@ class TestDeadByteFindings:
         _, handler, root = compiled(
             figure1_graph, DEAD_PROP_QUERY, planting_dead_record(GreedyPlanner)
         )
-        report = verify_liveness(root, handler)
+        report = analyze_plan(root, handler)
         finding = next(d for d in report.diagnostics if d.code == "S402")
         assert finding.span is not None
         assert "^" in finding.format(DEAD_PROP_QUERY)
@@ -146,7 +148,7 @@ class TestDeadByteFindings:
             figure1_graph,
             "MATCH (a:Person)-[e:knows]->(b:Person) RETURN a, b",
         )
-        report = verify_liveness(root, handler)
+        report = analyze_plan(root, handler)
         findings = [d for d in report.diagnostics if d.code == "S401"]
         assert any("'e'" in d.message for d in findings)
 
@@ -157,7 +159,7 @@ class TestDeadByteFindings:
             figure1_graph, PATH_QUERY,
             vertex_strategy=HOMO, edge_strategy=HOMO,
         )
-        report = verify_liveness(
+        report = analyze_plan(
             root, handler, vertex_strategy=HOMO, edge_strategy=HOMO
         )
         assert "S403" in codes_of(report)
@@ -166,7 +168,7 @@ class TestDeadByteFindings:
         # the default edge-isomorphism check replays every path's hops,
         # so the same plan has no dead path contents
         _, handler, root = compiled(figure1_graph, PATH_QUERY)
-        report = verify_liveness(root, handler)
+        report = analyze_plan(root, handler)
         assert "S403" not in codes_of(report)
 
     def test_returned_path_contents_are_live(self, figure1_graph):
@@ -175,7 +177,7 @@ class TestDeadByteFindings:
             "MATCH (a:Person)-[e:knows*1..2]->(b:Person) RETURN a, e, b",
             vertex_strategy=HOMO, edge_strategy=HOMO,
         )
-        report = verify_liveness(
+        report = analyze_plan(
             root, handler, vertex_strategy=HOMO, edge_strategy=HOMO
         )
         assert "S403" not in codes_of(report)
@@ -184,9 +186,9 @@ class TestDeadByteFindings:
         _, handler, root = compiled(
             figure1_graph, DEAD_PROP_QUERY, planting_dead_record(GreedyPlanner)
         )
-        with pytest.raises(LivenessVerificationError) as excinfo:
-            assert_liveness(root, handler)
-        assert any(d.code == "S402" for d in excinfo.value.diagnostics)
+        report = analyze_plan(root, handler)
+        assert not report.clean
+        assert any(d.code == "S402" for d in report.diagnostics)
 
 
 class TestDemandIntrospection:
@@ -195,7 +197,7 @@ class TestDemandIntrospection:
             figure1_graph,
             "MATCH (a:Person)-[e:knows]->(b:Person) RETURN a, b.name",
         )
-        report = verify_liveness(root, handler)
+        report = analyze_plan(root, handler)
         demand = report.demand_of(root)
         assert "a" in demand.variables
         assert ("b", "name") in demand.properties
@@ -203,11 +205,11 @@ class TestDemandIntrospection:
 
     def test_runner_livecheck_entry_point(self, figure1_graph):
         planted = planting_dead_record(GreedyPlanner)
-        report = CypherRunner(figure1_graph, planner_cls=planted).livecheck(
+        report = CypherRunner(figure1_graph, planner_cls=planted).analyze(
             DEAD_PROP_QUERY
         )
         assert "S402" in codes_of(report)
-        planned = CypherRunner(figure1_graph).livecheck(DEAD_PROP_QUERY)
+        planned = CypherRunner(figure1_graph).analyze(DEAD_PROP_QUERY)
         assert "S402" not in codes_of(planned)
 
 
@@ -227,7 +229,7 @@ class TestLDBCAcceptance:
         dataset, graph = ldbc
         query = instantiate(ALL_QUERIES["Q1"], dataset.first_name("medium"))
         runner = CypherRunner(graph, planner_cls=planner_cls)
-        report = runner.livecheck(query)
+        report = runner.analyze(query)
         assert "S402" not in codes_of(report)
         assert "0 dead property record(s)" in report.format_summary()
         assert any(
@@ -244,7 +246,7 @@ class TestLDBCAcceptance:
         dataset, graph = ldbc
         query = instantiate(ALL_QUERIES[name], dataset.first_name("medium"))
         runner = CypherRunner(graph, planner_cls=planner_cls)
-        report = runner.livecheck(query)
+        report = runner.analyze(query)
         _, root = runner.compile(query)
         assert all(
             report.demand_of(operator) is not None
@@ -256,7 +258,7 @@ class TestLeafNarrowingGround:
     def test_leaf_records_demand_split(self, figure1_graph):
         # the planner's leaf loads exactly the records its consumers read
         _, handler, root = compiled(figure1_graph, DEAD_PROP_QUERY)
-        report = verify_liveness(root, handler)
+        report = analyze_plan(root, handler)
         leaf = find_leaf(root, "a")
         assert leaf.property_keys == []
         assert ("a", "name") not in report.demand_of(leaf).properties

@@ -2,23 +2,17 @@
 
 ``PassThrough`` below is a complete physical operator — ``_build()`` plus
 the five contract rules of :class:`~repro.engine.PhysicalOperator` — that
-exists only here.  It goes clean through every static analysis and a
+exists only here.  It goes clean through the plan analysis and a
 sanitized run without a single edit under ``src/``; an operator
 *missing* a rule fails loudly, naming itself and the rule, instead of
-degrading an analysis.
+degrading the analysis.
 """
 
 from collections import Counter
 
 import pytest
 
-from repro.analysis import (
-    PlanVerifier,
-    certify_plan,
-    verify_flow,
-    verify_liveness,
-    verify_plan,
-)
+from repro.analysis import analyze_plan
 from repro.engine import CypherRunner, GreedyPlanner, PhysicalOperator
 
 FILTERED_QUERY = (
@@ -74,19 +68,21 @@ class TestOneFileOperator:
         runner = CypherRunner(figure1_graph, planner_cls=_PassThroughPlanner)
         handler, root = runner.compile(FILTERED_QUERY)
         assert isinstance(root, PassThrough)
-        assert verify_plan(
-            root, handler=handler,
+        analysis = analyze_plan(
+            root, handler,
+            statistics=runner.statistics,
             vertex_strategy=runner.vertex_strategy,
             edge_strategy=runner.edge_strategy,
         )
-        flow = verify_flow(root)
-        assert flow.proven, [d.format() for d in flow.diagnostics]
-        assert flow.layout_of(root) is flow.layout_of(root.children[0])
-        live = verify_liveness(root, handler)
+        assert not any(d.code == "S300" for d in analysis.diagnostics)
+        assert analysis.proven, [d.format() for d in analysis.diagnostics]
+        assert analysis.layout_of(root) is analysis.layout_of(root.children[0])
         # any dead bytes are the query's own, introduced below the operator
-        assert not any("PassThrough" in d.message for d in live.diagnostics)
-        assert live.demand_of(root).properties == {("b", "name")}
-        certificate = certify_plan(root, runner.statistics)
+        assert not any(
+            "PassThrough" in d.message for d in analysis.diagnostics
+        )
+        assert analysis.demand_of(root).properties == {("b", "name")}
+        certificate = analysis.certificate
         assert certificate.records[-1].operator == "PassThrough"
         assert certificate.records[-1].cardinality_bound == (
             certificate.records[-2].cardinality_bound
@@ -94,23 +90,14 @@ class TestOneFileOperator:
 
     def test_full_pipeline_matches_the_plain_engine(self, figure1_graph):
         runner = CypherRunner(
-            figure1_graph, planner_cls=_PassThroughPlanner,
-            verify_plans=True, sanitize=True,
+            figure1_graph, planner_cls=_PassThroughPlanner, sanitize=True,
         )
+        assert runner.analyze(FILTERED_QUERY).proven
         assert rows_multiset(runner, FILTERED_QUERY) == rows_multiset(
             CypherRunner(figure1_graph), FILTERED_QUERY
         )
         assert runner.last_sanitizer.checked > 0
         assert runner.last_sanitizer.diagnostics == []
-
-
-def _analyses(handler, statistics):
-    return {
-        "derive_layout": verify_flow,
-        "demand_on_children": lambda root: verify_liveness(root, handler),
-        "cardinality_bound": lambda root: certify_plan(root, statistics),
-        "check_structure": lambda root: PlanVerifier().verify(root),
-    }
 
 
 @pytest.mark.parametrize(
@@ -126,8 +113,8 @@ def test_missing_rule_raises_naming_class_and_rule(figure1_graph, rule):
     setattr(Incomplete, rule, getattr(PhysicalOperator, rule))
     runner = CypherRunner(figure1_graph)
     handler, root = runner.compile(FILTERED_QUERY)
-    analysis = _analyses(handler, runner.statistics)[rule]
+    # the one analysis pass asks every operator for every rule
     with pytest.raises(NotImplementedError) as excinfo:
-        analysis(Incomplete(root))
+        analyze_plan(Incomplete(root), handler, statistics=runner.statistics)
     assert "Incomplete" in str(excinfo.value)
     assert rule in str(excinfo.value)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bench.workloads import WORKLOADS
-from repro.analysis import verify_flow, verify_liveness
+from repro.analysis import analyze_plan
 from repro.cypher.query_graph import QueryHandler
 from repro.dataflow import ExecutionEnvironment
 from repro.engine import (
@@ -87,12 +87,16 @@ def check_plans(graph, query, morphisms=tuple(MORPHISMS.values())):
             where = "%s, %s: %s" % (
                 planner_cls.__name__, vertex_strategy.name, query
             )
-            live = verify_liveness(root, handler, vertex_strategy, edge_strategy)
-            assert "S402" not in [d.code for d in live.diagnostics], (
-                where, [d.format() for d in live.diagnostics]
+            analysis = analyze_plan(
+                root, handler,
+                vertex_strategy=vertex_strategy, edge_strategy=edge_strategy,
             )
-            flow = verify_flow(root, vertex_strategy, edge_strategy)
-            assert flow.proven, (where, [d.format() for d in flow.diagnostics])
+            assert "S402" not in [d.code for d in analysis.diagnostics], (
+                where, [d.format() for d in analysis.diagnostics]
+            )
+            assert analysis.proven, (
+                where, [d.format() for d in analysis.diagnostics]
+            )
             embeddings, meta = runner.execute_embeddings(query)
             rows = sorted(canonical_rows_from_embeddings(embeddings, meta))
             assert rows == expected, where

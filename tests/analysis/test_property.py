@@ -17,7 +17,7 @@ from collections import Counter
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import differential_check, lint_query, verify_plan
+from repro.analysis import analyze_plan, differential_check, lint_query
 from repro.dataflow import ExecutionEnvironment
 from repro.engine import CypherRunner, canonical_rows_from_embeddings
 from repro.engine.planning import (
@@ -113,13 +113,17 @@ def test_lint_clean_implies_plan_verifies(query):
     for planner_cls in PLANNERS:
         runner = CypherRunner(graph, planner_cls=planner_cls)
         handler, root = runner.compile(query)
-        assert verify_plan(
+        analysis = analyze_plan(
             root,
-            handler=handler,
+            handler,
             vertex_strategy=runner.vertex_strategy,
             edge_strategy=runner.edge_strategy,
-        ), "planner %s produced an invalid plan for %s" % (
-            planner_cls.__name__, query,
+        )
+        assert not [d for d in analysis.diagnostics if d.code == "S300"], (
+            "planner %s produced an invalid plan for %s: %s" % (
+                planner_cls.__name__, query,
+                [d.format() for d in analysis.diagnostics],
+            )
         )
 
 

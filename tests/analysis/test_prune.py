@@ -15,10 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
+    analyze_plan,
     differential_check,
     fusion_differential_check,
-    verify_flow,
-    verify_liveness,
 )
 from repro.dataflow import ExecutionEnvironment
 from repro.engine import CypherRunner, MatchStrategy
@@ -179,10 +178,9 @@ class TestLDBCEquivalence:
         pruned = CypherRunner(graph, planner_cls=planner_cls)
         assert rows_multiset(original, query) == rows_multiset(pruned, query)
         handler, root = pruned.compile(query)
-        report = verify_flow(root)
+        report = analyze_plan(root, handler)
         assert report.proven, [d.format() for d in report.diagnostics]
-        live = verify_liveness(root, handler)
-        assert "S402" not in [d.code for d in live.diagnostics]
+        assert "S402" not in [d.code for d in report.diagnostics]
 
     @pytest.mark.parametrize("name", sorted(ALL_QUERIES))
     def test_pruned_differential_is_clean(self, ldbc, name):
@@ -204,7 +202,7 @@ class TestLDBCEquivalence:
             handler, root = CypherRunner(
                 graph, planner_cls=planner_cls
             ).compile(query)
-            live = verify_liveness(root, handler)
+            live = analyze_plan(root, handler)
             assert "S402" not in [d.code for d in live.diagnostics]
 
     @pytest.mark.parametrize("name", ["Q1", "Q2"])

@@ -58,15 +58,21 @@ class TestRunnerLinting:
 
 
 class TestRunnerVerification:
+    QUERY = "MATCH (a:Person)-[:knows]->(b:Person) RETURN a.name, b.name"
+
     def test_verify_plans_flag_accepts_good_plans(self, figure1_graph):
-        runner = CypherRunner(figure1_graph, verify_plans=True)
-        rows = runner.execute_table(
-            "MATCH (a:Person)-[:knows]->(b:Person) RETURN a.name, b.name"
-        )
+        # verification is the analysis, asked for; it does not gate runs
+        runner = CypherRunner(figure1_graph)
+        analysis = runner.analyze(self.QUERY)
+        assert analysis.proven, [d.format() for d in analysis.diagnostics]
+        rows = runner.execute_table(self.QUERY)
         assert len(rows) == 4
 
     def test_verify_plans_off_by_default(self, figure1_graph):
-        assert CypherRunner(figure1_graph).verify_plans is False
+        # no runner setting verifies plans while they compile
+        assert not hasattr(CypherRunner(figure1_graph), "verify_plans")
+        with pytest.raises(TypeError):
+            CypherRunner(figure1_graph, verify_plans=True)
 
 
 class TestGraphEntryPoint:

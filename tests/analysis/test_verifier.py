@@ -1,13 +1,15 @@
-"""The plan verifier: clean plans pass, corrupted plans are caught.
+"""Structural invariants (S300) of the plan analysis: clean plans pass,
+corrupted plans are caught.
 
 Real planner output must always verify (tested across all three
 planners); each structural rule is then exercised by deliberately
-corrupting a compiled plan in place.
+corrupting a compiled plan in place.  A structural finding is one
+``S300`` diagnostic whose message starts with the rule name.
 """
 
 import pytest
 
-from repro.analysis import PlanVerificationError, PlanVerifier, verify_plan
+from repro.analysis import analyze_plan
 from repro.cypher.predicates import to_cnf
 from repro.cypher.parser import parse
 from repro.engine import CypherRunner, MatchStrategy
@@ -38,6 +40,15 @@ def compile_plan(graph, query, planner_cls=GreedyPlanner):
     return runner, handler, root
 
 
+def rules_of(analysis):
+    """The structural rule names ``analysis`` reports."""
+    return [
+        d.message.split(":", 1)[0]
+        for d in analysis.diagnostics
+        if d.code == "S300"
+    ]
+
+
 def find_operator(root, operator_type):
     if isinstance(root, operator_type):
         return root
@@ -52,22 +63,28 @@ def find_operator(root, operator_type):
 @pytest.mark.parametrize("query", QUERIES)
 def test_planner_output_verifies(figure1_graph, planner_cls, query):
     runner, handler, root = compile_plan(figure1_graph, query, planner_cls)
-    assert verify_plan(
+    analysis = analyze_plan(
         root,
-        handler=handler,
+        handler,
         vertex_strategy=runner.vertex_strategy,
         edge_strategy=runner.edge_strategy,
     )
+    assert rules_of(analysis) == []
+    assert analysis.proven
 
 
 class TestCorruptedPlans:
     def violations_of(self, root, handler=None):
-        return {v.rule for v in PlanVerifier(handler=handler).verify(root)}
+        return set(rules_of(analyze_plan(root, handler)))
+
+    def codes_of(self, root, handler=None):
+        return {d.code for d in analyze_plan(root, handler).errors}
 
     def test_missing_meta(self, figure1_graph):
         _, _, root = compile_plan(figure1_graph, "MATCH (p:Person) RETURN p")
         root.meta = None
-        assert "meta-missing" in self.violations_of(root)
+        # refuted by the declared-metadata comparison, not a structure rule
+        assert "S301" in self.codes_of(root)
 
     def test_missing_cardinality(self, figure1_graph):
         _, _, root = compile_plan(figure1_graph, "MATCH (p:Person) RETURN p")
@@ -113,7 +130,8 @@ class TestCorruptedPlans:
         join = find_operator(root, JoinEmbeddings)
         assert join is not None
         join.join_variables = join.join_variables + ["phantom"]
-        assert "join-column-missing" in self.violations_of(root)
+        # refuted by the join's key rule, not a structure rule
+        assert "S306" in self.codes_of(root)
 
     def test_overlapping_inputs_without_join_variable(self, figure1_graph):
         _, _, root = compile_plan(
@@ -123,7 +141,8 @@ class TestCorruptedPlans:
         join = find_operator(root, JoinEmbeddings)
         assert join is not None
         join.join_variables = []
-        assert "binding-duplicated" in self.violations_of(root)
+        # refuted by the join's merge rule, not a structure rule
+        assert "S302" in self.codes_of(root)
 
     def test_morphism_inconsistency(self, figure1_graph):
         _, _, root = compile_plan(
@@ -140,11 +159,12 @@ class TestCorruptedPlans:
         runner, handler, root = compile_plan(
             figure1_graph, "MATCH (a:Person)-[e:knows]->(b) RETURN a, b, e"
         )
-        violations = PlanVerifier(
-            handler=handler,
+        analysis = analyze_plan(
+            root,
+            handler,
             vertex_strategy=MatchStrategy.ISOMORPHISM,  # runner used HOMO
-        ).verify(root)
-        assert "morphism-inconsistent" in {v.rule for v in violations}
+        )
+        assert "morphism-inconsistent" in rules_of(analysis)
 
     def test_root_missing_query_variable(self, figure1_graph):
         _, handler, root = compile_plan(
@@ -170,9 +190,9 @@ class TestCorruptedPlans:
         )
         root.estimated_cardinality = -2
         root.meta = None
-        with pytest.raises(PlanVerificationError) as excinfo:
-            verify_plan(root, handler=handler)
-        message = str(excinfo.value)
-        assert "cardinality-invalid" in message
-        assert "meta-missing" in message
-        assert len(excinfo.value.violations) >= 2
+        analysis = analyze_plan(root, handler)
+        assert not analysis.proven
+        messages = "\n".join(d.message for d in analysis.errors)
+        assert "cardinality-invalid" in messages
+        assert "operator declares no metadata" in messages  # S301
+        assert len(analysis.errors) >= 2

@@ -9,7 +9,7 @@ existed) must keep loading.
 
 import pickle
 
-from repro.analysis.costbound import CostCertificate, OperatorBound
+from repro.analysis.plan import CostCertificate, OperatorBound
 from repro.dataflow import ExecutionEnvironment
 from repro.engine import GraphStatistics
 from repro.epgm import LogicalGraph

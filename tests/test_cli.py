@@ -150,11 +150,44 @@ class TestCheck:
     def test_clean_query_exits_zero(self, run_cli, graph_dir):
         result = run_cli(
             "check", graph_dir,
-            "MATCH (a:Person)-[e:knows]->(b:Person) RETURN a.firstName",
+            "MATCH (a:Person)-[e:knows]->(b:Person) RETURN a.firstName, e",
         )
         assert result.returncode == 0, result.stderr
         assert "planners agree" in result.stderr
-        assert "0 error(s)" in result.stderr
+        assert "0 error(s), 0 warning(s)" in result.stderr
+        # without e in RETURN its id column is dead: a warning, no error
+        result = run_cli(
+            "check", graph_dir,
+            "MATCH (a:Person)-[e:knows]->(b:Person) RETURN a.firstName",
+        )
+        assert result.returncode == 3, result.stderr
+        assert "planners agree" in result.stderr
+        assert "0 error(s), 1 warning(s)" in result.stderr
+        assert "warning[S401]" in result.stdout
+        assert "'e'" in result.stdout
+
+    def test_each_distinct_finding_prints_and_counts_once(
+        self, run_cli, graph_dir
+    ):
+        # all three planners return the same plan, so they report the
+        # same dead anonymous edge column: one line, one warning
+        result = run_cli(
+            "check", graph_dir,
+            "MATCH (a:Person)-[:knows]->(b:Person) "
+            "RETURN count(b.firstName) AS n",
+        )
+        assert result.returncode == 3, result.stderr
+        assert result.stdout.count("warning[S401]") == 1
+        assert result.stdout.count("'__e0'") == 1
+        assert "0 error(s), 1 warning(s)" in result.stderr
+
+    def test_max_cost_bound_is_an_error(self, run_cli, graph_dir):
+        result = run_cli(
+            "check", graph_dir, "MATCH (a:Person), (b:Person) RETURN a, b",
+            "--max-cost-bound", "10",
+        )
+        assert result.returncode == 1, result.stderr
+        assert result.stdout.count("error[S405]") == 1
 
     def test_reports_every_planner(self, run_cli, graph_dir):
         result = run_cli(
@@ -191,12 +224,17 @@ class TestCheck:
 
 
 class TestFlowcheck:
+    """The static half of ``check``: every planner's plan analysis and
+    UDF shippability."""
+
     def test_clean_query_proves_and_certifies(self, run_cli, graph_dir):
         result = run_cli(
-            "flowcheck", graph_dir,
+            "check", graph_dir,
             "MATCH (a:Person)-[e:knows]->(b:Person) RETURN a.firstName",
         )
-        assert result.returncode == 0, result.stderr
+        # the one warning is the dead id column of e (S401)
+        assert result.returncode == 3, result.stderr
+        assert "0 error(s), 1 warning(s)" in result.stderr
         assert "layout proven" in result.stderr
         assert "UDFs shippable" in result.stderr
         for planner in ("GreedyPlanner", "ExhaustivePlanner", "LeftDeepPlanner"):
@@ -204,22 +242,12 @@ class TestFlowcheck:
 
     def test_variable_length_path_proves(self, run_cli, graph_dir):
         result = run_cli(
-            "flowcheck", graph_dir,
+            "check", graph_dir,
             "MATCH (a:Person)-[e:knows*1..2]->(b:Person) RETURN a.firstName",
             "--vertex-strategy", "iso",
         )
         assert result.returncode == 0, result.stderr
         assert "layout proven" in result.stderr
-
-    def test_syntax_error_exits_two(self, run_cli, graph_dir):
-        result = run_cli("flowcheck", graph_dir, "MATCH (p:Person")
-        assert result.returncode == 2
-        assert "syntax error" in result.stderr
-
-    def test_blocking_lint_error_exits_one(self, run_cli, graph_dir):
-        result = run_cli("flowcheck", graph_dir, "MATCH (p:Person) RETURN q")
-        assert result.returncode == 1
-        assert "blocked" in result.stderr
 
 
 class TestShell:
