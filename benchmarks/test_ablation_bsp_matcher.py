@@ -18,7 +18,7 @@ QUERY = ALL_QUERIES["Q5"]
 def _engine_run(setup):
     _, environment, graph, statistics = setup
     environment.reset_metrics("engine")
-    runner = CypherRunner(graph, statistics=statistics)
+    runner = CypherRunner(graph, statistics=statistics, mode="reference")
     embeddings, meta = runner.execute_embeddings(QUERY)
     return {
         "rows": sorted(canonical_rows_from_embeddings(embeddings, meta)),

@@ -20,7 +20,9 @@ def _run_join(strategy, workers, small_count=200, big_count=20_000):
     small = environment.from_collection([(i % 97, "s") for i in range(small_count)])
     big = environment.from_collection([(i % 97, "b") for i in range(big_count)])
     environment.reset_metrics("join")
-    small.join(big, lambda l: l[0], lambda r: r[0], strategy=strategy).collect()
+    small.join(big, lambda l: l[0], lambda r: r[0], strategy=strategy).collect(
+        mode="reference"
+    )
     metrics = environment.metrics
     return {
         "shuffled_records": metrics.total_shuffled_records,

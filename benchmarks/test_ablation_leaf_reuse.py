@@ -20,7 +20,9 @@ class _NoReusePlanner(GreedyPlanner):
 def _run(setup, query_name, planner_cls):
     _, environment, graph, statistics = setup
     environment.reset_metrics(query_name)
-    runner = CypherRunner(graph, statistics=statistics, planner_cls=planner_cls)
+    runner = CypherRunner(
+        graph, statistics=statistics, planner_cls=planner_cls, mode="reference"
+    )
     embeddings, _ = runner.execute_embeddings(ALL_QUERIES[query_name])
     leaf_scans = sum(
         run.records_in

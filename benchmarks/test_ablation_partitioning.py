@@ -36,7 +36,8 @@ def _run(dataset, query_name, partitioning):
     statistics = GraphStatistics.from_graph(graph)
     environment.reset_metrics(query_name)
     runner = CypherRunner(
-        graph, statistics=statistics, planner_cls=_RepartitionPlanner
+        graph, statistics=statistics, planner_cls=_RepartitionPlanner,
+        mode="reference",
     )
     embeddings, _ = runner.execute_embeddings(ALL_QUERIES[query_name])
     return {

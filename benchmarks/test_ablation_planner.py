@@ -39,7 +39,9 @@ def _run(setup, query, planner_cls, selectivity=None):
     first_name = dataset.first_name(selectivity) if selectivity else None
     query = instantiate(query, first_name)
     environment.reset_metrics("ablation")
-    runner = CypherRunner(graph, statistics=statistics, planner_cls=planner_cls)
+    runner = CypherRunner(
+        graph, statistics=statistics, planner_cls=planner_cls, mode="reference"
+    )
     embeddings, _ = runner.execute_embeddings(query)
     intermediate = sum(
         run.records_in

@@ -84,6 +84,8 @@ def cmd_query(args):
         vertex_strategy=_strategy(args.vertex_strategy),
         edge_strategy=_strategy(args.edge_strategy),
         statistics=statistics,
+        # the simulated cluster it reports is the reference path's
+        mode="reference",
     )
     environment.reset_metrics("query")
     rows = runner.execute_table(args.cypher)
@@ -718,8 +720,8 @@ def build_parser():
         "--columnar", action=argparse.BooleanOptionalAction, default=True,
         help="run the columnar engine: fused chains, joins and "
         "expansions over embedding chunks (the default); --no-columnar "
-        "selects the per-record reference path, with identical results, "
-        "metrics and diagnostics",
+        "selects the per-record reference path: identical rows; only "
+        "the reference path prices the simulated cluster",
     )
     serve.add_argument(
         "--vertex-strategy", choices=["homo", "iso"], default="homo"

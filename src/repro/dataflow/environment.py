@@ -32,6 +32,10 @@ class JobScope:
 class ExecutionEnvironment:
     """A simulated shared-nothing cluster running dataflow jobs.
 
+    Only the reference path partitions data over the simulated workers
+    and so prices the cluster; an in-process columnar run returns the same
+    rows from one partition (see :class:`ExecutionContext`).
+
     Args:
         parallelism: Number of simulated workers; if ``cost_model`` is given
             its ``workers`` field wins and this may be omitted.
@@ -40,16 +44,18 @@ class ExecutionEnvironment:
         batch_size: Slice length of a fused chain over records (graph
             elements, frontier tuples): one cancellation poll per slice.
         mode: Default execution mode of :meth:`run`, one of
-            :data:`~repro.dataflow.modes.MODES`.  ``"columnar"`` (the default) runs fused
-            chains, shuffles and hash joins over
-            :class:`~repro.engine.columnar.EmbeddingChunk` batches and
-            falls back per record, counted in
+            :data:`~repro.dataflow.modes.MODES`.  ``"columnar"`` (the
+            default) runs fused chains and joins over
+            :class:`~repro.engine.columnar.EmbeddingChunk` batches of one
+            partition and falls back per record, counted in
             :attr:`JobMetrics.chunk_fallbacks`, where a stage has no
-            kernel.  ``"reference"`` runs every operator per record.
+            kernel.  ``"reference"`` runs every operator per record over
+            ``parallelism`` partitions: identical rows, and the only
+            path that prices the simulated cluster.
         workers: Number of **worker processes** (multi-process sharded
             execution, :mod:`repro.dataflow.workers`).  ``None`` (the
             default) keeps everything in-process.  Distinct from
-            ``parallelism``: the simulated cluster still has
+            ``parallelism``: a columnar run with a pool keeps
             ``parallelism`` partitions; each worker process *owns*
             ``parallelism / workers`` of them.  Certified-shippable
             fused chains and hash-join partition pairs execute inside

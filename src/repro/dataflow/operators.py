@@ -1,10 +1,14 @@
 """Logical operators of the dataflow DAG and their partitioned execution.
 
 Each :class:`Operator` is an immutable node holding its parents and a
-user-defined function.  Execution is partition-parallel over ``parallelism``
-simulated workers: partition-local operators (map, filter, flat-map) never
-move data; key-based operators (join, group, distinct) shuffle records and
-report the movement to the environment's :class:`~repro.dataflow.metrics.JobMetrics`.
+user-defined function.  A run splits data into
+:attr:`ExecutionContext.parallelism` partitions: the simulated cluster's
+workers on the reference path (which prices the cluster) and under a
+worker pool, one partition for an in-process columnar run.
+Partition-local operators (map, filter, flat-map) never move data;
+key-based operators (join, group, distinct) shuffle records across
+partitions and report the movement to the run's
+:class:`~repro.dataflow.metrics.JobMetrics`.
 """
 
 import enum
@@ -88,7 +92,8 @@ class ExecutionContext:
     """Per-run services handed to operators: shuffling, metrics, memory."""
 
     def __init__(self, environment, metrics, iteration=None, cancellation=None,
-                 batch_size=None, pool=None, columnar=False, subplans=None):
+                 batch_size=None, pool=None, columnar=False, subplans=None,
+                 parallelism=None):
         self._environment = environment
         self._metrics = metrics
         #: operator id → partitions of the ``Operator.subplans`` this run
@@ -112,6 +117,15 @@ class ExecutionContext:
         #: offload to it and fall back in-process when it is None or the
         #: task fails shippability certification.
         self.pool = pool
+        #: how many partitions the run splits data into: the simulated
+        #: cluster's on the reference path and under a worker pool, one
+        #: for an in-process columnar run (partitions only pay where there
+        #: is a cluster).  Sub-runs inherit it: their inputs are this run's
+        self.parallelism = (
+            parallelism if parallelism is not None
+            else environment.parallelism if pool is not None or not columnar
+            else 1
+        )
         self.batch_size = (
             batch_size if batch_size is not None
             else getattr(environment, "batch_size", None)
@@ -124,6 +138,7 @@ class ExecutionContext:
             iteration=self.iteration, cancellation=self.cancellation,
             batch_size=self.batch_size, pool=self.pool,
             columnar=self.columnar, subplans=self.subplans,
+            parallelism=self.parallelism,
         )
         options.update(overrides)
         return ExecutionContext(self._environment, self._metrics, **options)
@@ -136,10 +151,6 @@ class ExecutionContext:
     def count_fallback(self, reason):
         """Record that this columnar run took a per-record path."""
         self._metrics.chunk_fallbacks[reason] += 1
-
-    @property
-    def parallelism(self):
-        return self._environment.parallelism
 
     @property
     def memory_records_per_worker(self):
@@ -159,8 +170,11 @@ class ExecutionContext:
         only when every partition is columnar: a mixed input goes through
         the per-record loop whole, so the result is uniformly one form.
         Either way the stats are byte-identical (:func:`split_partition`).
+        One partition holds every key already: it is returned as it is.
         """
         parallelism = self.parallelism
+        if parallelism == 1:
+            return partitions, ShuffleStats(1)
         if not all(map(_chunked, partitions)):
             key_columns = None
         out = [[] for _ in range(parallelism)]
@@ -184,30 +198,35 @@ class ExecutionContext:
         Columnar partitions broadcast by *sharing* their immutable chunks
         (no copy, no decode); the stats equal the per-record accounting
         because a chunk's byte size is the sum of its rows' serialized
-        sizes.
+        sizes.  Every worker is charged the bytes it receives; with one
+        partition that lone worker holds the input already, which is
+        returned as it is.
         """
         parallelism = self.parallelism
-        stats = ShuffleStats(parallelism)
-        if partitions and all(_chunked(partition) for partition in partitions):
+        chunked = bool(partitions) and all(map(_chunked, partitions))
+        if chunked:
             chunks = [
                 chunk for partition in partitions for chunk in partition.chunks
             ]
             total_records = sum(chunk.count for chunk in chunks)
             total_bytes = sum(chunk.byte_size() for chunk in chunks)
-            stats.records = total_records * max(parallelism - 1, 0)
-            stats.bytes = total_bytes * max(parallelism - 1, 0)
-            for worker in range(parallelism):
-                stats.bytes_in[worker] = total_bytes
+        else:
+            everything = [
+                record for partition in partitions for record in partition
+            ]
+            total_records = len(everything)
+            total_bytes = sum(map(estimate_size, everything))
+        stats = ShuffleStats(parallelism)
+        stats.records = total_records * (parallelism - 1)
+        stats.bytes = total_bytes * (parallelism - 1)
+        stats.bytes_in = [total_bytes] * parallelism
+        if parallelism == 1:
+            return partitions, stats
+        if chunked:
             partition_cls = type(partitions[0])
             return [
                 partition_cls(chunks) for _ in range(parallelism)
             ], stats
-        everything = [record for partition in partitions for record in partition]
-        total_bytes = sum(estimate_size(record) for record in everything)
-        stats.records = len(everything) * max(parallelism - 1, 0)
-        stats.bytes = total_bytes * max(parallelism - 1, 0)
-        for worker in range(parallelism):
-            stats.bytes_in[worker] = total_bytes
         return [list(everything) for _ in range(parallelism)], stats
 
     def record_run(
@@ -305,36 +324,52 @@ class Operator:
 
 
 class SourceOperator(Operator):
-    """Materialized input split round-robin across workers."""
+    """Materialized input split round-robin across the run's partitions."""
 
     display = "source"
 
     def __init__(self, environment, items, name=None):
         super().__init__(environment, [], name)
-        self._partitions = round_robin_partitions(list(items), environment.parallelism)
+        self._items = list(items)
 
     def execute(self, ctx, parent_partition_sets):
-        out = [list(p) for p in self._partitions]
+        parallelism = ctx.parallelism
+        # one partition is the list itself: no operator mutates its input
+        out = (
+            [self._items] if parallelism == 1
+            else round_robin_partitions(self._items, parallelism)
+        )
         ctx.record_run(self.name, [], out)
         return out
 
 
 class PartitionedSourceOperator(Operator):
-    """Input that is already partitioned (e.g. an iteration's working set)."""
+    """Input that is already partitioned (e.g. an iteration's working set):
+    one list per partition of the runs that read it, or per worker of the
+    simulated cluster, which a one-partition run reads concatenated."""
 
     display = "partitioned-source"
 
     def __init__(self, environment, partitions, name=None):
         super().__init__(environment, [], name)
-        if len(partitions) != environment.parallelism:
-            raise ValueError(
-                "expected %d partitions, got %d"
-                % (environment.parallelism, len(partitions))
-            )
         self.partitions = partitions
+        self._whole = None  # unsynchronized: idempotent, built on first use
 
     def execute(self, ctx, parent_partition_sets):
-        out = [list(p) for p in self.partitions]
+        parallelism = ctx.parallelism
+        if parallelism == 1:
+            if self._whole is None:
+                self._whole = list(itertools.chain.from_iterable(
+                    self.partitions
+                ))
+            out = [self._whole]
+        elif len(self.partitions) == parallelism:
+            out = [list(p) for p in self.partitions]
+        else:
+            raise ValueError(
+                "expected %d partitions, got %d"
+                % (parallelism, len(self.partitions))
+            )
         ctx.record_run(self.name, [], out)
         return out
 

@@ -353,6 +353,17 @@ class EmbeddingChunk:
             *self.take_props(rows),
         )
 
+    def window(self, start: int, stop: int) -> "EmbeddingChunk":
+        """Rows ``start`` to ``stop`` as views: nothing is copied."""
+        rows = slice(start, stop)
+        return EmbeddingChunk(
+            self.values[rows],
+            None if self.flags is None else self.flags[rows],
+            tuple((ids[rows], lens[rows]) for ids, lens in self.paths),
+            None if self.props is None else self.props[rows],
+            None if self.prop_lens is None else self.prop_lens[rows],
+        )
+
     def __repr__(self) -> str:
         return "EmbeddingChunk(%d rows x %d columns)" % (self.count, self.columns)
 
@@ -807,12 +818,18 @@ class ColumnarLeaf:
         def build():
             parts = []
             for elements in partitions:
+                parts.append(self.encode(elements))
+                # a build that outlived the deadline is abandoned
                 if token is not None:
                     token.poll()
-                parts.append(self.encode(elements))
             return LeafTable(parts)
 
-        parts = tables.resident(("table",) + self.key, build, self.outcome).parts
+        # a table holds one part per partition: runs of another count
+        # read their own
+        count = (len(partitions),)
+        parts = tables.resident(
+            ("table",) + self.key + count, build, self.outcome
+        ).parts
         if self.outcome == "all_rows":
             return [chunk for chunk, _ in parts]
         hits = [None] * len(partitions)
@@ -822,7 +839,7 @@ class ColumnarLeaf:
             if value.is_null:
                 return [_EMPTY_LEAVES[self.columns]] * len(partitions)
             index = tables.resident(
-                ("index",) + self.key[:2] + (prop_key,),
+                ("index",) + self.key[:2] + (prop_key,) + count,
                 lambda: value_index(partitions, prop_key, token),
             )
             hits = [positions.get(value, ()) for positions in index]
@@ -922,9 +939,9 @@ def shuffle_split(chunks, key_columns, parallelism, source):
 # Hash join -------------------------------------------------------------------
 
 
-#: probe chunks are merged into runs of at least this many rows: every
-#: shuffle splits each chunk ``parallelism`` ways, so a join behind a few
-#: of them would otherwise probe slivers at a fixed numpy cost apiece
+#: probe chunks are merged into runs of at least this many rows, so a
+#: kernel never probes slivers at a fixed numpy cost apiece, and larger
+#: chunks are cut to it, so one that polls once a run polls this often
 _PROBE_ROWS = 4096
 #: ... and matches are merged about this many output rows at a time, which
 #: bounds every array a high-fan-out join builds along the way
@@ -935,12 +952,16 @@ def _probe_runs(chunks) -> Iterator[EmbeddingChunk]:
     run: List[EmbeddingChunk] = []
     rows = 0
     for chunk in chunks:
-        if chunk.count:
-            run.append(chunk)
-            rows += chunk.count
-        if rows >= _PROBE_ROWS:
-            yield concat_chunks(run)
-            run, rows = [], 0
+        for start in range(0, chunk.count, _PROBE_ROWS):
+            if chunk.count > _PROBE_ROWS:
+                piece = chunk.window(start, start + _PROBE_ROWS)
+            else:
+                piece = chunk
+            run.append(piece)
+            rows += piece.count
+            if rows >= _PROBE_ROWS:
+                yield concat_chunks(run)
+                run, rows = [], 0
     if run:
         yield concat_chunks(run)
 

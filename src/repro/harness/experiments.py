@@ -9,7 +9,6 @@ the *shapes* listed in DESIGN.md §4.
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.cypher.query_graph import QueryHandler
 from repro.dataflow import ClusterCostModel, ExecutionEnvironment
 from repro.engine import CypherRunner, GraphStatistics
 from repro.ldbc import LDBCGenerator
@@ -98,15 +97,11 @@ def run_query(
     statistics = GraphStatistics.from_graph(graph)
     environment.reset_metrics(query_name)
 
-    kwargs = {"statistics": statistics}
+    # the figures price the paper's dataflow on the simulated cluster,
+    # which only the reference path partitions and shuffles
+    kwargs = {"statistics": statistics, "mode": "reference"}
     if planner_cls is not None:
         kwargs["planner_cls"] = planner_cls
-    if any(edge.is_variable_length
-           for edge in QueryHandler(query).edges.values()):
-        # the figures price the paper's dataflow — an iterated 1-hop join
-        # that shuffles the edge relation every superstep — not the
-        # resident-adjacency kernel a columnar run takes on indexed graphs
-        kwargs["mode"] = "reference"
     runner = CypherRunner(graph, **kwargs)
     embeddings, _ = runner.execute_embeddings(query)
     return QueryRun(

@@ -52,7 +52,7 @@ class TestCancellationToken:
         with pytest.raises(QueryTimeout):
             env.run(mapped.operator, cancellation=token)
 
-    def test_cancel_from_another_thread_stops_the_run(self, env):
+    def test_cancel_from_another_thread_stops_the_run(self):
         token = CancellationToken()
         started = threading.Event()
 
@@ -61,8 +61,11 @@ class TestCancellationToken:
             time.sleep(0.002)
             return [x]
 
-        data = env.from_collection(list(range(200))).flat_map(slow)
-        # several operator executions -> several batch-boundary polls
+        # a columnar run is one partition and fuses the three flat-maps
+        # into one chain: slices of 16 records -> several batch-boundary
+        # polls
+        sliced = ExecutionEnvironment(parallelism=4, batch_size=16)
+        data = sliced.from_collection(list(range(200))).flat_map(slow)
         chained = data.flat_map(lambda x: [x]).flat_map(lambda x: [x])
 
         def cancel_soon():
@@ -72,7 +75,7 @@ class TestCancellationToken:
         killer = threading.Thread(target=cancel_soon)
         killer.start()
         with pytest.raises(QueryCancelled):
-            env.run(chained.operator, cancellation=token)
+            sliced.run(chained.operator, cancellation=token)
         killer.join()
 
 

@@ -3,8 +3,10 @@
 The contract under test: fusion is pure plumbing.  For any DAG, a
 columnar (fused) run returns the same partitions AND records the same
 per-stage :class:`OperatorRun` metrics (full dataclass equality, same
-order) as the per-record reference evaluator, while errors keep naming
-the stage that raised and cancellation still propagates unwrapped.
+order) as the per-record reference evaluator over as many partitions,
+while errors keep naming the stage that raised and cancellation still
+propagates unwrapped.  An in-process columnar run is one partition, so
+the two modes meet on a one-worker environment.
 """
 
 import pytest
@@ -22,8 +24,8 @@ from repro.dataflow.fusion import ChainSpec, run_chain
 from repro.dataflow.operators import MapOperator
 
 
-def build_env(**kwargs):
-    return ExecutionEnvironment(parallelism=4, **kwargs)
+def build_env(parallelism=4, **kwargs):
+    return ExecutionEnvironment(parallelism=parallelism, **kwargs)
 
 
 def chain_dataset(env):
@@ -58,7 +60,7 @@ def run_both(make_dataset, **env_kwargs):
     """(columnar partitions+runs, reference partitions+runs) for one DAG."""
     results = []
     for mode in ("columnar", "reference"):
-        env = build_env(**env_kwargs)
+        env = build_env(parallelism=1, **env_kwargs)
         dataset = make_dataset(env)
         with env.job("probe") as metrics:
             partitions = dataset.collect_partitions(mode=mode)
@@ -98,8 +100,10 @@ class TestFusedEqualsPerRecord:
 
     @pytest.mark.parametrize("batch_size", [1, 3, 64, DEFAULT_BATCH_SIZE])
     def test_every_batch_size_chunks_to_the_same_result(self, batch_size):
-        env = build_env(batch_size=batch_size)
-        reference = chain_dataset(build_env()).collect(mode="reference")
+        env = build_env(parallelism=1, batch_size=batch_size)
+        reference = chain_dataset(build_env(parallelism=1)).collect(
+            mode="reference"
+        )
         with env.job("probe") as metrics:
             assert chain_dataset(env).collect(mode="columnar") == reference
         with env.job("probe") as reference_metrics:
@@ -269,10 +273,10 @@ class TestRunChain:
 class TestExecutionModes:
     def test_environment_default_fusion_flag_applies(self):
         for mode in ("columnar", "reference"):
-            env = build_env(mode=mode)
+            env = build_env(parallelism=1, mode=mode)
             assert env.mode == mode
             assert chain_dataset(env).collect() == chain_dataset(
-                build_env()
+                build_env(parallelism=1)
             ).collect(mode="reference")
         with pytest.raises(ValueError, match="mode"):
             build_env(mode="batched")

@@ -13,7 +13,8 @@ from repro.dataflow import (
 
 def make_env(workers=4, **overrides):
     model = ClusterCostModel(workers=workers, **overrides)
-    return ExecutionEnvironment(cost_model=model)
+    # the simulated cluster is partitioned and priced on the reference path
+    return ExecutionEnvironment(cost_model=model, mode="reference")
 
 
 class TestMetricsCollection:

@@ -105,4 +105,7 @@ def test_pool_recovers_after_phase2_crash(worker_env):
             strategy=JoinStrategy.REPARTITION_HASH,
         ).collect()
 
-    assert query(worker_env) == query(ExecutionEnvironment(parallelism=4))
+    # the in-process run over the pool's four partitions is the reference's
+    assert query(worker_env) == query(
+        ExecutionEnvironment(parallelism=4, mode="reference")
+    )

@@ -232,7 +232,10 @@ def test_pooled_chain_matches_in_process(worker_env):
             .collect()
         )
 
-    assert pipeline(worker_env) == pipeline(ExecutionEnvironment(parallelism=4))
+    # the in-process run over the pool's four partitions is the reference's
+    assert pipeline(worker_env) == pipeline(
+        ExecutionEnvironment(parallelism=4, mode="reference")
+    )
     assert _pool_started(worker_env)
 
 
@@ -285,7 +288,7 @@ def test_pooled_join_matches_in_process(worker_env):
         ).collect()
 
     pooled = query(worker_env)
-    local = query(ExecutionEnvironment(parallelism=4))
+    local = query(ExecutionEnvironment(parallelism=4, mode="reference"))
     assert pooled == local
     assert _pool_started(worker_env)
 

@@ -1,11 +1,14 @@
 """Engine-level contracts of the two execution modes.
 
 Fusion and the chunk kernels must not change anything observable:
-embeddings, tabular rows, and — because the experiment harness reports
-simulated runtimes — the recorded metrics (operator runs, shuffle bytes)
-must be identical between ``columnar`` and ``reference``.  Sanitized
-execution opts out of fusion entirely; prepared statements re-bind
-correctly with fusion on.
+embeddings and tabular rows are identical between ``columnar`` and
+``reference``, and over as many partitions so are the recorded metrics
+(operator runs, shuffle bytes).  An in-process columnar run is one
+partition whatever the environment's parallelism — only the reference
+path partitions and prices the simulated cluster — so it records no
+shuffle, and the two modes' metrics meet on a one-worker environment.
+Sanitized execution opts out of fusion entirely; prepared statements
+re-bind correctly with fusion on.
 """
 
 from collections import Counter
@@ -16,6 +19,7 @@ import repro.dataflow.fusion as fusion_module
 from repro.dataflow import ExecutionEnvironment
 from repro.engine import CypherRunner, GraphStatistics
 from repro.epgm import IndexedLogicalGraph, LogicalGraph
+from repro.harness import ALL_QUERIES, DatasetCache, instantiate
 from tests.conftest import build_figure1_elements
 
 QUERIES = [
@@ -34,20 +38,45 @@ QUERIES = [
 #: indexed graph; the expanding queries lower one lookup
 LOWERED_JOINS = {QUERIES[0]: (1, 1), QUERIES[1]: (2, 2), QUERIES[4]: (0, 2)}
 
+#: a small LDBC-like dataset for the paper's queries
+LDBC = DatasetCache(seed=42)
+LDBC_SCALE = 0.1
 
-def fresh_graph(indexed=False, **env_kwargs):
+
+def _ldbc_query(template, selectivity):
+    return instantiate(template, LDBC.first_name(LDBC_SCALE, selectivity))
+
+
+#: the paper's Q1-Q6, and the three shapes of the request benchmark's
+#: ``path`` workload at another binding, run on the LDBC graph
+LDBC_QUERIES = {
+    name: _ldbc_query(template, "low") for name, template in ALL_QUERIES.items()
+}
+LDBC_QUERIES.update(
+    ("path-" + name, _ldbc_query(template, "medium"))
+    for name, template in (
+        ("Q2", ALL_QUERIES["Q2"]),
+        ("Q3", ALL_QUERIES["Q3"]),
+        ("knows-1-3", "MATCH (p:Person)-[:knows*1..3]->(q:Person) "
+                      "WHERE p.firstName = '{firstName}' RETURN *"),
+    )
+)
+
+
+def fresh_graph(indexed=False, parallelism=4, **env_kwargs):
+    environment = ExecutionEnvironment(parallelism=parallelism, **env_kwargs)
     head, vertices, edges = build_figure1_elements()
     cls = IndexedLogicalGraph if indexed else LogicalGraph
-    return cls.from_collections(
-        ExecutionEnvironment(parallelism=4, **env_kwargs),
-        vertices,
-        edges,
-        graph_head=head,
-    )
+    return cls.from_collections(environment, vertices, edges, graph_head=head)
 
 
-def run_query(query, mode, indexed=False):
-    graph = fresh_graph(indexed)
+def run_query(query, mode, indexed=False, parallelism=4):
+    if query in LDBC_QUERIES.values():
+        graph = LDBC.dataset(LDBC_SCALE).to_logical_graph(
+            ExecutionEnvironment(parallelism=parallelism), indexed=indexed
+        )
+    else:
+        graph = fresh_graph(indexed, parallelism)
     runner = CypherRunner(graph, mode=mode)
     with graph.environment.job("probe") as metrics:
         embeddings, meta = runner.execute_embeddings(query)
@@ -64,29 +93,45 @@ class TestFusedMatchesPerRecord:
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_metrics_are_bit_identical_between_modes(self, query):
-        """The experiment harness depends on this: same runs, same order,
-        same shuffle accounting, hence the same simulated runtime."""
-        _, _, fused_metrics = run_query(query, "columnar")
-        _, _, plain_metrics = run_query(query, "reference")
+        """Over one partition both modes run the same operators: same
+        runs, same order, same shuffle accounting, hence the same
+        simulated runtime."""
+        _, _, fused_metrics = run_query(query, "columnar", parallelism=1)
+        _, _, plain_metrics = run_query(query, "reference", parallelism=1)
         assert fused_metrics.runs == plain_metrics.runs
         assert (
             fused_metrics.total_shuffled_bytes
             == plain_metrics.total_shuffled_bytes
         )
 
-    @pytest.mark.parametrize("query", QUERIES)
-    def test_metrics_on_an_indexed_graph(self, query):
+    @pytest.mark.parametrize("parallelism", [1, 4, 16])
+    @pytest.mark.parametrize("query", QUERIES + [
+        pytest.param(text, id=name) for name, text in LDBC_QUERIES.items()
+    ])
+    def test_metrics_on_an_indexed_graph(self, query, parallelism):
         """On a label-indexed graph the columnar run walks the resident
         adjacency where the query expands or joins an edge leaf and looks
         vertex leaf rows up, so it returns the reference's rows under its
         own documented runs in place of the reference's: one hop per
         superstep instead of the iterated join, one ``[adjacency]`` run
         instead of the edge scan and the hash join, one ``[lookup]`` run
-        instead of the hash join with a vertex leaf — no shuffle."""
-        plain, _, plain_metrics = run_query(query, "reference", indexed=True)
-        columnar, _, metrics = run_query(query, "columnar", indexed=True)
+        instead of the hash join with a vertex leaf.  Whatever the
+        simulated cluster's size, the run is one partition: one worker
+        entry per run, and nothing shuffled."""
+        plain, _, plain_metrics = run_query(
+            query, "reference", indexed=True, parallelism=parallelism
+        )
+        columnar, _, metrics = run_query(
+            query, "columnar", indexed=True, parallelism=parallelism
+        )
         assert Counter(columnar) == Counter(plain)
         assert not any(metrics.chunk_fallbacks.values())
+        for run in metrics.runs:
+            assert len(run.worker_records_in) == 1, run
+            assert len(run.worker_records_out) == 1, run
+            assert not run.shuffled_records and not run.shuffled_bytes, run
+        if query in LDBC_QUERIES.values():
+            return
 
         def joins(job):
             return [
@@ -143,9 +188,10 @@ class TestFusedMatchesPerRecord:
             assert hop.records_out == join.records_out
 
     def test_simulated_runtime_is_mode_independent(self):
+        # over one partition, which is all an in-process columnar run has
         runtimes = []
         for mode in ("columnar", "reference"):
-            graph = fresh_graph()
+            graph = fresh_graph(parallelism=1)
             runner = CypherRunner(graph, mode=mode)
             with graph.environment.job("probe") as metrics:
                 runner.execute_embeddings(QUERIES[1])

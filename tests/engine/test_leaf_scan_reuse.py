@@ -207,8 +207,8 @@ def test_racing_first_uses_build_one_table(indexed_graph, monkeypatch):
     )
     assert len(results) == 2 and results[0] == results[1]
     assert indexed_graph.leaf_stats()["tables"] == 1
-    # one encode per partition of the one table, not two
-    assert len(encoded) == indexed_graph.environment.parallelism
+    # one table, encoded once: a columnar run is one partition
+    assert len(encoded) == 1
 
 
 # --- shared adjacencies and pair indexes: the graph's, not the plan's --------

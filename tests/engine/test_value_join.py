@@ -88,7 +88,8 @@ class TestPlannerIntegration:
     def test_shuffle_cheaper_than_cartesian(self, people_graph):
         """The whole point: no full replication of one side."""
         env = people_graph.environment
-        runner = CypherRunner(people_graph)
+        # shuffles are the simulated cluster's: the reference path's
+        runner = CypherRunner(people_graph, mode="reference")
 
         env.reset_metrics("value-join")
         runner.execute_embeddings(QUERY)

@@ -15,31 +15,37 @@ def _graph(env, partitioning):
     )
 
 
+def _placed(dataset):
+    """Where ``dataset``'s elements sit on the simulated cluster, which
+    only the reference path partitions."""
+    return dataset.collect_partitions(mode="reference")
+
+
 class TestPlacement:
     def test_hash_places_vertices_by_id(self):
         env = ExecutionEnvironment(parallelism=4)
         graph = _graph(env, GraphPartitioning.HASH)
-        for worker, partition in enumerate(graph.vertices.collect_partitions()):
+        for worker, partition in enumerate(_placed(graph.vertices)):
             for vertex in partition:
                 assert partition_index(vertex.id, 4) == worker
 
     def test_hash_places_edges_by_source(self):
         env = ExecutionEnvironment(parallelism=4)
         graph = _graph(env, GraphPartitioning.HASH)
-        for worker, partition in enumerate(graph.edges.collect_partitions()):
+        for worker, partition in enumerate(_placed(graph.edges)):
             for edge in partition:
                 assert partition_index(edge.source_id, 4) == worker
 
     def test_round_robin_is_balanced(self):
         env = ExecutionEnvironment(parallelism=4)
         graph = _graph(env, GraphPartitioning.ROUND_ROBIN)
-        sizes = [len(p) for p in graph.edges.collect_partitions()]
+        sizes = [len(p) for p in _placed(graph.edges)]
         assert max(sizes) - min(sizes) <= 1
 
     def test_default_is_round_robin(self):
         env = ExecutionEnvironment(parallelism=4)
         graph = _graph(env, None)
-        sizes = [len(p) for p in graph.vertices.collect_partitions()]
+        sizes = [len(p) for p in _placed(graph.vertices)]
         assert max(sizes) - min(sizes) <= 1
 
 
