@@ -8,10 +8,6 @@ joins do.
 """
 
 
-#: the execution mode of the runtime's jobs: the one that prices the cluster
-_PRICED = "reference"
-
-
 class VertexProgram:
     """User code for a vertex-centric computation."""
 
@@ -67,13 +63,10 @@ class PregelRuntime:
         self.environment = graph.environment
         self.max_supersteps = max_supersteps
         # message traffic is priced on the simulated cluster: every job
-        # runs the reference path, which places (and orders) the graph's
-        # elements over the cluster's workers
-        self._vertices = {
-            v.id.value: v for v in graph.vertices.collect(mode=_PRICED)
-        }
+        # runs the reference path, which places (and orders) the elements
+        self._vertices = {v.id.value: v for v in graph.vertices.collect(mode="reference")}
         self._adjacency = {vid: [] for vid in self._vertices}
-        for edge in graph.edges.collect(mode=_PRICED):
+        for edge in graph.edges.collect(mode="reference"):
             source, target = edge.source_id.value, edge.target_id.value
             self._adjacency[source].append((edge, target, True))
             if target != source:
@@ -127,9 +120,9 @@ class PregelRuntime:
                     ("message", target, payload) for target, payload in outbox
                 ]
 
-            produced = grouped.flat_map(
-                superstep_fn, name="pregel-compute"
-            ).collect(mode=_PRICED)
+            produced = grouped.flat_map(superstep_fn, name="pregel-compute").collect(
+                mode="reference"
+            )
             inbox = []
             for kind, key, value in produced:
                 if kind == "state":

@@ -32,10 +32,6 @@ class JobScope:
 class ExecutionEnvironment:
     """A simulated shared-nothing cluster running dataflow jobs.
 
-    Only the reference path partitions data over the simulated workers
-    and so prices the cluster; an in-process columnar run returns the same
-    rows from one partition (see :class:`ExecutionContext`).
-
     Args:
         parallelism: Number of simulated workers; if ``cost_model`` is given
             its ``workers`` field wins and this may be omitted.

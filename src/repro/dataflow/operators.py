@@ -1,14 +1,11 @@
 """Logical operators of the dataflow DAG and their partitioned execution.
 
 Each :class:`Operator` is an immutable node holding its parents and a
-user-defined function.  A run splits data into
-:attr:`ExecutionContext.parallelism` partitions: the simulated cluster's
-workers on the reference path (which prices the cluster) and under a
-worker pool, one partition for an in-process columnar run.
-Partition-local operators (map, filter, flat-map) never move data;
-key-based operators (join, group, distinct) shuffle records across
-partitions and report the movement to the run's
-:class:`~repro.dataflow.metrics.JobMetrics`.
+user-defined function.  Execution is partition-parallel over the run's
+:attr:`ExecutionContext.parallelism` partitions (one in process, unless the
+reference path prices the simulated cluster): partition-local operators never
+move data; key-based operators (join, group, distinct) shuffle records and
+report the movement to the run's :class:`~repro.dataflow.metrics.JobMetrics`.
 """
 
 import enum
@@ -117,10 +114,8 @@ class ExecutionContext:
         #: offload to it and fall back in-process when it is None or the
         #: task fails shippability certification.
         self.pool = pool
-        #: how many partitions the run splits data into: the simulated
-        #: cluster's on the reference path and under a worker pool, one
-        #: for an in-process columnar run (partitions only pay where there
-        #: is a cluster).  Sub-runs inherit it: their inputs are this run's
+        #: the run's partition count: the simulated cluster's on the reference
+        #: path and under a worker pool, else one.  Sub-runs inherit it
         self.parallelism = (
             parallelism if parallelism is not None
             else environment.parallelism if pool is not None or not columnar
@@ -198,22 +193,17 @@ class ExecutionContext:
         Columnar partitions broadcast by *sharing* their immutable chunks
         (no copy, no decode); the stats equal the per-record accounting
         because a chunk's byte size is the sum of its rows' serialized
-        sizes.  Every worker is charged the bytes it receives; with one
-        partition that lone worker holds the input already, which is
-        returned as it is.
+        sizes.  Every worker is charged the bytes it receives; one partition
+        holds the input already and is returned as it is.
         """
         parallelism = self.parallelism
         chunked = bool(partitions) and all(map(_chunked, partitions))
         if chunked:
-            chunks = [
-                chunk for partition in partitions for chunk in partition.chunks
-            ]
+            chunks = [chunk for partition in partitions for chunk in partition.chunks]
             total_records = sum(chunk.count for chunk in chunks)
             total_bytes = sum(chunk.byte_size() for chunk in chunks)
         else:
-            everything = [
-                record for partition in partitions for record in partition
-            ]
+            everything = [record for partition in partitions for record in partition]
             total_records = len(everything)
             total_bytes = sum(map(estimate_size, everything))
         stats = ShuffleStats(parallelism)
@@ -223,10 +213,7 @@ class ExecutionContext:
         if parallelism == 1:
             return partitions, stats
         if chunked:
-            partition_cls = type(partitions[0])
-            return [
-                partition_cls(chunks) for _ in range(parallelism)
-            ], stats
+            return [type(partitions[0])(chunks) for _ in range(parallelism)], stats
         return [list(everything) for _ in range(parallelism)], stats
 
     def record_run(
@@ -335,18 +322,16 @@ class SourceOperator(Operator):
     def execute(self, ctx, parent_partition_sets):
         parallelism = ctx.parallelism
         # one partition is the list itself: no operator mutates its input
-        out = (
-            [self._items] if parallelism == 1
-            else round_robin_partitions(self._items, parallelism)
+        out = [self._items] if parallelism == 1 else round_robin_partitions(
+            self._items, parallelism
         )
         ctx.record_run(self.name, [], out)
         return out
 
 
 class PartitionedSourceOperator(Operator):
-    """Input that is already partitioned (e.g. an iteration's working set):
-    one list per partition of the runs that read it, or per worker of the
-    simulated cluster, which a one-partition run reads concatenated."""
+    """Input that is already partitioned (e.g. an iteration's working set);
+    a one-partition run reads it concatenated."""
 
     display = "partitioned-source"
 
@@ -359,17 +344,12 @@ class PartitionedSourceOperator(Operator):
         parallelism = ctx.parallelism
         if parallelism == 1:
             if self._whole is None:
-                self._whole = list(itertools.chain.from_iterable(
-                    self.partitions
-                ))
+                self._whole = list(itertools.chain.from_iterable(self.partitions))
             out = [self._whole]
         elif len(self.partitions) == parallelism:
             out = [list(p) for p in self.partitions]
         else:
-            raise ValueError(
-                "expected %d partitions, got %d"
-                % (parallelism, len(self.partitions))
-            )
+            raise ValueError("expected %d partitions, got %d" % (parallelism, len(self.partitions)))
         ctx.record_run(self.name, [], out)
         return out
 

@@ -81,7 +81,6 @@ def round_robin_partitions(items: Iterable[Any], parallelism: int) -> List[List[
     """
     if parallelism <= 0:
         raise ValueError("parallelism must be positive, got %d" % parallelism)
-    partitions: List[List[Any]] = [[] for _ in range(parallelism)]
-    for index, item in enumerate(items):
-        partitions[index % parallelism].append(item)
-    return partitions
+    items = list(items)
+    # item i goes to partition i % parallelism
+    return [items[worker::parallelism] for worker in range(parallelism)]

@@ -355,13 +355,11 @@ class EmbeddingChunk:
 
     def window(self, start: int, stop: int) -> "EmbeddingChunk":
         """Rows ``start`` to ``stop`` as views: nothing is copied."""
-        rows = slice(start, stop)
+        rows, flags, props, lens = slice(start, stop), self.flags, self.props, self.prop_lens
         return EmbeddingChunk(
-            self.values[rows],
-            None if self.flags is None else self.flags[rows],
-            tuple((ids[rows], lens[rows]) for ids, lens in self.paths),
-            None if self.props is None else self.props[rows],
-            None if self.prop_lens is None else self.prop_lens[rows],
+            self.values[rows], None if flags is None else flags[rows],
+            tuple((ids[rows], counts[rows]) for ids, counts in self.paths),
+            None if props is None else props[rows], None if lens is None else lens[rows],
         )
 
     def __repr__(self) -> str:
@@ -824,12 +822,9 @@ class ColumnarLeaf:
                     token.poll()
             return LeafTable(parts)
 
-        # a table holds one part per partition: runs of another count
-        # read their own
+        # one part per partition: a run of another count reads its own table
         count = (len(partitions),)
-        parts = tables.resident(
-            ("table",) + self.key + count, build, self.outcome
-        ).parts
+        parts = tables.resident(("table",) + self.key + count, build, self.outcome).parts
         if self.outcome == "all_rows":
             return [chunk for chunk, _ in parts]
         hits = [None] * len(partitions)
@@ -953,10 +948,8 @@ def _probe_runs(chunks) -> Iterator[EmbeddingChunk]:
     rows = 0
     for chunk in chunks:
         for start in range(0, chunk.count, _PROBE_ROWS):
-            if chunk.count > _PROBE_ROWS:
-                piece = chunk.window(start, start + _PROBE_ROWS)
-            else:
-                piece = chunk
+            cut = chunk.count > _PROBE_ROWS
+            piece = chunk.window(start, start + _PROBE_ROWS) if cut else chunk
             run.append(piece)
             rows += piece.count
             if rows >= _PROBE_ROWS:
