@@ -1,5 +1,5 @@
 .PHONY: install test check plancheck lint typecheck racecheck \
-	wirecheck bench docs-codes examples reports clean \
+	wirecheck bench docs-codes examples reports reports-check clean \
 	serve-smoke bench-serve
 
 install:
@@ -86,6 +86,11 @@ examples:
 
 reports: bench
 	@echo "reports in benchmarks/_reports/"
+
+# regenerate the paper's tables and figures and fail if any committed
+# report changed: an engine change must not reprice the simulated cluster
+reports-check: reports
+	git diff --exit-code benchmarks/_reports
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info benchmarks/_reports .pytest_cache

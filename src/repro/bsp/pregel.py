@@ -64,7 +64,8 @@ class PregelRuntime:
         self.max_supersteps = max_supersteps
         # message traffic is priced on the simulated cluster: every job
         # runs the reference path, which places (and orders) the elements
-        self._vertices = {v.id.value: v for v in graph.vertices.collect(mode="reference")}
+        vertices = graph.vertices.collect(mode="reference")
+        self._vertices = {v.id.value: v for v in vertices}
         self._adjacency = {vid: [] for vid in self._vertices}
         for edge in graph.edges.collect(mode="reference"):
             source, target = edge.source_id.value, edge.target_id.value

@@ -40,14 +40,14 @@ class ExecutionEnvironment:
         batch_size: Slice length of a fused chain over records (graph
             elements, frontier tuples): one cancellation poll per slice.
         mode: Default execution mode of :meth:`run`, one of
-            :data:`~repro.dataflow.modes.MODES`.  ``"columnar"`` (the
-            default) runs fused chains and joins over
-            :class:`~repro.engine.columnar.EmbeddingChunk` batches of one
-            partition and falls back per record, counted in
+            :data:`~repro.dataflow.modes.MODES`.  ``"columnar"`` (the default) runs fused
+            chains and joins over one partition of
+            :class:`~repro.engine.columnar.EmbeddingChunk` batches and
+            falls back per record, counted in
             :attr:`JobMetrics.chunk_fallbacks`, where a stage has no
             kernel.  ``"reference"`` runs every operator per record over
-            ``parallelism`` partitions: identical rows, and the only
-            path that prices the simulated cluster.
+            ``parallelism`` partitions: the same rows, and the only path
+            that prices the simulated cluster.
         workers: Number of **worker processes** (multi-process sharded
             execution, :mod:`repro.dataflow.workers`).  ``None`` (the
             default) keeps everything in-process.  Distinct from

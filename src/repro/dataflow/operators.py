@@ -89,8 +89,7 @@ class ExecutionContext:
     """Per-run services handed to operators: shuffling, metrics, memory."""
 
     def __init__(self, environment, metrics, iteration=None, cancellation=None,
-                 batch_size=None, pool=None, columnar=False, subplans=None,
-                 parallelism=None):
+                 batch_size=None, pool=None, columnar=False, subplans=None, parallelism=None):
         self._environment = environment
         self._metrics = metrics
         #: operator id → partitions of the ``Operator.subplans`` this run
@@ -116,10 +115,8 @@ class ExecutionContext:
         self.pool = pool
         #: the run's partition count: the simulated cluster's on the reference
         #: path and under a worker pool, else one.  Sub-runs inherit it
-        self.parallelism = (
-            parallelism if parallelism is not None
-            else environment.parallelism if pool is not None or not columnar
-            else 1
+        self.parallelism = parallelism or (
+            environment.parallelism if pool is not None or not columnar else 1
         )
         self.batch_size = (
             batch_size if batch_size is not None
@@ -165,10 +162,9 @@ class ExecutionContext:
         only when every partition is columnar: a mixed input goes through
         the per-record loop whole, so the result is uniformly one form.
         Either way the stats are byte-identical (:func:`split_partition`).
-        One partition holds every key already: it is returned as it is.
         """
         parallelism = self.parallelism
-        if parallelism == 1:
+        if parallelism == 1:  # one partition holds every key already
             return partitions, ShuffleStats(1)
         if not all(map(_chunked, partitions)):
             key_columns = None
@@ -199,7 +195,9 @@ class ExecutionContext:
         parallelism = self.parallelism
         chunked = bool(partitions) and all(map(_chunked, partitions))
         if chunked:
-            chunks = [chunk for partition in partitions for chunk in partition.chunks]
+            chunks = [
+                chunk for partition in partitions for chunk in partition.chunks
+            ]
             total_records = sum(chunk.count for chunk in chunks)
             total_bytes = sum(chunk.byte_size() for chunk in chunks)
         else:
@@ -213,7 +211,10 @@ class ExecutionContext:
         if parallelism == 1:
             return partitions, stats
         if chunked:
-            return [type(partitions[0])(chunks) for _ in range(parallelism)], stats
+            partition_cls = type(partitions[0])
+            return [
+                partition_cls(chunks) for _ in range(parallelism)
+            ], stats
         return [list(everything) for _ in range(parallelism)], stats
 
     def record_run(
@@ -344,12 +345,17 @@ class PartitionedSourceOperator(Operator):
         parallelism = ctx.parallelism
         if parallelism == 1:
             if self._whole is None:
-                self._whole = list(itertools.chain.from_iterable(self.partitions))
+                self._whole = list(itertools.chain.from_iterable(
+                    self.partitions
+                ))
             out = [self._whole]
         elif len(self.partitions) == parallelism:
             out = [list(p) for p in self.partitions]
         else:
-            raise ValueError("expected %d partitions, got %d" % (parallelism, len(self.partitions)))
+            raise ValueError(
+                "expected %d partitions, got %d"
+                % (parallelism, len(self.partitions))
+            )
         ctx.record_run(self.name, [], out)
         return out
 

@@ -355,11 +355,13 @@ class EmbeddingChunk:
 
     def window(self, start: int, stop: int) -> "EmbeddingChunk":
         """Rows ``start`` to ``stop`` as views: nothing is copied."""
-        rows, flags, props, lens = slice(start, stop), self.flags, self.props, self.prop_lens
+        rows = slice(start, stop)
         return EmbeddingChunk(
-            self.values[rows], None if flags is None else flags[rows],
-            tuple((ids[rows], counts[rows]) for ids, counts in self.paths),
-            None if props is None else props[rows], None if lens is None else lens[rows],
+            self.values[rows],
+            None if self.flags is None else self.flags[rows],
+            tuple((ids[rows], lens[rows]) for ids, lens in self.paths),
+            None if self.props is None else self.props[rows],
+            None if self.prop_lens is None else self.prop_lens[rows],
         )
 
     def __repr__(self) -> str:

@@ -111,9 +111,8 @@ class LoweredOperator(Operator):
 def _run_kernel(kernel, name, ctx, partitions):
     """A columnar leaf run over the parent's element partitions (in the
     serving process, pool or not: its cost is its output), recorded as the
-    flat-map's: elements in, rows out.  Partition ``p`` is the same element
-    list in every run of as many partitions, which lets the kernel keep
-    its encoded rows."""
+    flat-map's: elements in, rows out.  Partition ``p`` of ``n`` is the same
+    element list in every run, which lets the kernel keep its encoded rows."""
     if kernel.tables is None:
         ctx.count_fallback("leaf_no_table")
     chunks = kernel.run(partitions, ctx.cancellation)
