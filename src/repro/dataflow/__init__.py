@@ -1,4 +1,4 @@
-"""A deterministic, partition-parallel dataflow engine.
+"""A deterministic dataflow engine, partition-parallel on its reference path.
 
 This package is the project's stand-in for Apache Flink (see DESIGN.md §2):
 lazy :class:`DataSet` DAGs, hash/broadcast join strategies, bulk iteration

@@ -31,6 +31,8 @@ from hypothesis import strategies as st
 
 import repro
 from repro.dataflow import DEFAULT_BATCH_SIZE, ExecutionEnvironment, partition_index
+from repro.dataflow.metrics import JobMetrics
+from repro.dataflow.operators import ExecutionContext
 from repro.engine import CypherRunner, GraphStatistics, MatchStrategy
 from repro.engine import columnar as columnar_module
 from repro.engine.columnar import (
@@ -1374,6 +1376,26 @@ def test_rebound_parameter_probes_one_plan(leaf_graphs, parallelism):
     # one table and one index, whatever was bound
     assert after["tables"] - before["tables"] <= 1
     assert after["indexes"] - before["indexes"] <= 1
+
+
+def test_a_leaf_table_serves_only_its_own_partition_count():
+    # an in-process columnar run is one partition, a pooled one has the
+    # cluster's: each reads a table and an index of its own count
+    graph = _leaf_graph(4)
+    environment = graph.environment
+    _, root = CypherRunner(graph).compile("MATCH (v:A) WHERE v.k = 'x' RETURN v.n")
+    expected = _multiset(root.evaluate().collect(mode="reference"))
+    operator = root.evaluate().operator
+    for parallelism in (1, 4, 1):
+        ctx = ExecutionContext(
+            environment, JobMetrics(), columnar=True, parallelism=parallelism
+        )
+        partitions = environment._evaluate(operator, {}, ctx)
+        assert len(partitions) == parallelism
+        rows = [row for partition in partitions for row in partition]
+        assert _multiset(rows) == expected
+    stats = graph.leaf_stats()
+    assert (stats["tables"], stats["indexes"], stats["probes"]) == (2, 2, 3)
 
 
 def test_sanitized_run_equals_columnar(graphs):
