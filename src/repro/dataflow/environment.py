@@ -212,7 +212,9 @@ class ExecutionEnvironment:
         pool = self.worker_pool() if columnar else None
         ctx = ExecutionContext(self, metrics, cancellation=cancellation,
                                pool=pool, columnar=columnar)
-        return self._evaluate(operator, {} if cache is None else cache, ctx)
+        out = self._evaluate(operator, {} if cache is None else cache, ctx)
+        # a one-partition source hands out its own list: the caller gets copies
+        return [p if hasattr(p, "chunks") else list(p) for p in out]
 
     def _evaluate(self, operator, cache, ctx):
         if operator.environment is not self:

@@ -339,16 +339,11 @@ class PartitionedSourceOperator(Operator):
     def __init__(self, environment, partitions, name=None):
         super().__init__(environment, [], name)
         self.partitions = partitions
-        self._whole = None  # unsynchronized: idempotent, built on first use
 
     def execute(self, ctx, parent_partition_sets):
         parallelism = ctx.parallelism
         if parallelism == 1:
-            if self._whole is None:
-                self._whole = list(itertools.chain.from_iterable(
-                    self.partitions
-                ))
-            out = [self._whole]
+            out = [list(itertools.chain.from_iterable(self.partitions))]
         elif len(self.partitions) == parallelism:
             out = [list(p) for p in self.partitions]
         else:
@@ -539,6 +534,9 @@ class PartitionByOperator(Operator):
 
     def execute(self, ctx, parent_partition_sets):
         (partitions,) = parent_partition_sets
+        if ctx.parallelism == 1:  # nothing to split; a failing key still fails
+            for record in itertools.chain.from_iterable(partitions):
+                self._call(self.key_fn, record)
         out, stats = ctx.hash_shuffle(
             partitions, lambda record: self._call(self.key_fn, record)
         )

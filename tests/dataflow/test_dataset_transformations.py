@@ -138,6 +138,40 @@ def test_partition_by_colocates_equal_keys(env):
     assert all(len(workers) == 1 for workers in placements.values())
 
 
+@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize("mode", ["columnar", "reference"])
+def test_partition_by_evaluates_its_key_over_any_partition_count(
+    parallelism, mode
+):
+    # one partition splits nothing, yet a failing key fails the stage in
+    # both modes, as it does over several partitions
+    env = ExecutionEnvironment(parallelism=parallelism)
+    ds = env.from_collection([1, 0]).partition_by(lambda r: 1 // r, name="inv")
+    with pytest.raises(JobExecutionError) as excinfo:
+        ds.collect(mode=mode)
+    assert "inv" in str(excinfo.value)
+    assert isinstance(excinfo.value.cause, ZeroDivisionError)
+
+
+@pytest.mark.parametrize("mode", ["columnar", "reference"])
+def test_mutating_a_result_leaves_the_next_run_alone(mode):
+    # a one-partition source hands its own list to the operators, and a
+    # one-partition partition_by passes it on: the caller gets copies
+    env = ExecutionEnvironment(parallelism=1)
+    source = env.from_collection([3, 1, 2])
+    for ds in (
+        source,
+        source.partition_by(lambda r: r),
+        env.from_partitions([[3, 1, 2]]),
+    ):
+        for partition in ds.collect_partitions(mode=mode):
+            partition.sort()
+        for batch in ds.batches(mode=mode):
+            batch.append(0)
+        assert sorted(ds.collect(mode=mode)) == [1, 2, 3]
+        assert ds.collect_partitions(mode=mode) == [[3, 1, 2]]
+
+
 def test_cross_product(env):
     result = env.from_collection([1, 2]).cross(env.from_collection(["a"])).collect()
     assert sorted(result) == [(1, "a"), (2, "a")]
