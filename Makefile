@@ -1,6 +1,6 @@
 .PHONY: install test check plancheck lint typecheck racecheck \
 	wirecheck bench docs-codes examples reports reports-check clean \
-	serve-smoke bench-serve
+	serve-smoke
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -12,7 +12,6 @@ test:
 # three planners, corruption fixtures, estimate-audit checks
 check:
 	pytest tests/analysis/test_sanitizer.py tests/analysis/test_differential.py
-	pytest benchmarks/test_microbench_engine.py -k "q1_plain or q1_sanitized" --benchmark-disable
 
 # the plan-analysis battery: structure (S300), layout flow (S301-S306) and
 # UDF shippability (P4xx) over the LDBC plans and the planted violation
@@ -72,11 +71,6 @@ serve-smoke:
 	python scripts/serve_smoke.py
 	python scripts/serve_smoke.py --no-columnar
 	python scripts/serve_smoke.py --workers 2
-
-# closed-loop concurrent load (8 clients, Q1-Q6) with differential
-# verification, deadline and admission-control checks
-bench-serve:
-	python -m repro bench-serve --clients 8 --rounds 1 --scale-factor 0.02
 
 examples:
 	@for script in examples/*.py; do \

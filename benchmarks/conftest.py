@@ -56,13 +56,6 @@ def graph_cache(dataset_cache):
     return GraphCache(dataset_cache)
 
 
-@pytest.fixture(scope="session")
-def medium_graph(graph_cache):
-    """The SF-0.1 graph on a 4-worker environment (the microbench setup)."""
-    dataset, _, graph, statistics = graph_cache.get(0.1)
-    return dataset, graph, statistics
-
-
 @pytest.fixture
 def report():
     """Collects rendered text and writes it to the report directory."""

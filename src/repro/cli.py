@@ -10,7 +10,6 @@
     python -m repro stats /tmp/sn
     python -m repro bench --experiment fig5
     python -m repro serve /tmp/sn --port 7474
-    python -m repro bench-serve --clients 8
 """
 
 import argparse
@@ -530,31 +529,6 @@ def cmd_serve(args):
     return 0
 
 
-def cmd_bench_serve(args):
-    """Closed-loop concurrent load over the query service (Q1-Q6)."""
-    import json
-
-    from repro.server.bench import run_bench
-
-    def progress(message):
-        print("-- %s" % message, file=sys.stderr)
-
-    report = run_bench(
-        clients=args.clients,
-        rounds=args.rounds,
-        scale_factor=args.scale_factor,
-        seed=args.seed,
-        timeout=args.timeout,
-        result_cache_size=args.result_cache,
-        progress=progress,
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.summary())
-    return 0 if report.passed else 1
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -731,28 +705,6 @@ def build_parser():
         "--verbose", action="store_true", help="log every HTTP request"
     )
     serve.set_defaults(handler=cmd_serve)
-
-    bench_serve = commands.add_parser(
-        "bench-serve",
-        help="closed-loop multi-client load over the query service, "
-        "differentially verified against serial execution",
-    )
-    bench_serve.add_argument("--clients", type=int, default=8)
-    bench_serve.add_argument("--rounds", type=int, default=2)
-    bench_serve.add_argument("--scale-factor", type=float, default=0.03)
-    bench_serve.add_argument("--seed", type=int, default=11)
-    bench_serve.add_argument(
-        "--timeout", type=float, default=60.0,
-        help="per-query deadline during the load phase",
-    )
-    bench_serve.add_argument(
-        "--result-cache", type=int, default=0,
-        help="result cache entries for the service under test",
-    )
-    bench_serve.add_argument(
-        "--json", action="store_true", help="machine-readable report"
-    )
-    bench_serve.set_defaults(handler=cmd_bench_serve)
 
     return parser
 

@@ -23,7 +23,9 @@ POST   /shutdown   acknowledges, then stops the listener
 
 Error mapping, the same for every route: saturation → 503, deadline →
 504, cancelled → 499, unknown graph, statement or route → 404,
-syntax/semantic/lint/binding errors → 400, anything else → 500.
+syntax/semantic/lint/binding errors → 400, a ``timeout`` that is not a
+finite number ≥ 0 or ``parameters`` that are not an object → 400 before
+the service runs, anything else → 500.
 
 **Errors are JSON, always.**  Every response this module sends, whatever
 its status, is ``application/json`` with at least an ``"error"`` key on
@@ -43,6 +45,7 @@ See "What a request waits for" in ``docs/server.md``.
 
 import json
 import os
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -179,12 +182,25 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _metrics(self, payload):
         self._send_json(200, self.service.metrics_snapshot())
 
+    def _options(self, payload):
+        """``(parameters, timeout)`` of a /query or /execute body, checked
+        here: a ``NaN`` deadline would never expire."""
+        parameters = payload.get("parameters")
+        if parameters is not None and not isinstance(parameters, dict):
+            raise _BadRequest("field 'parameters' must be a JSON object")
+        timeout = payload.get("timeout")
+        if timeout is not None and not (
+            type(timeout) in (int, float)
+            and 0 <= timeout <= sys.float_info.max
+        ):
+            raise _BadRequest("field 'timeout' must be a finite number >= 0")
+        return parameters, timeout
+
     def _query(self, payload):
         graph, query = self._require(payload, "graph", "query")
+        parameters, timeout = self._options(payload)
         result = self.service.execute(
-            graph, query,
-            parameters=payload.get("parameters"),
-            timeout=payload.get("timeout"),
+            graph, query, parameters=parameters, timeout=timeout,
         )
         self._send_body(200, result.encode())
 
@@ -194,10 +210,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _execute(self, payload):
         (statement_id,) = self._require(payload, "statement_id")
+        parameters, timeout = self._options(payload)
         result = self.service.execute_prepared(
-            statement_id,
-            parameters=payload.get("parameters"),
-            timeout=payload.get("timeout"),
+            statement_id, parameters=parameters, timeout=timeout,
         )
         self._send_body(200, result.encode())
 

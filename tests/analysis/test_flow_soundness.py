@@ -12,6 +12,7 @@ single finding.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sanitizer import DEFAULT_SAMPLE_EVERY
 from repro.engine import CypherRunner, MatchStrategy
 from repro.engine.planning import (
     ExhaustivePlanner,
@@ -74,5 +75,6 @@ def test_sampled_execution_agrees_with_plain(query):
     assert sampled == plain
     sanitizer = sampled_runner.last_sanitizer
     assert sanitizer is not None
-    assert sanitizer.seen >= sanitizer.checked
+    # at most one event in DEFAULT_SAMPLE_EVERY is validated
+    assert sanitizer.checked <= sanitizer.seen // DEFAULT_SAMPLE_EVERY
     assert sanitizer.diagnostics == []

@@ -263,7 +263,8 @@ class TestSanitizedExecution:
         assert rows
         sanitizer = runner.last_sanitizer
         assert sanitizer.sample_every == DEFAULT_SAMPLE_EVERY
-        assert sanitizer.seen >= sanitizer.checked
+        # the sampler saw every embedding but validated only a fraction
+        assert sanitizer.seen > sanitizer.checked
         assert sanitizer.diagnostics == []
 
     def test_sampled_matches_plain_results(self, figure1_graph):

@@ -80,7 +80,12 @@ class TestRunnerPlanCache:
         handler2, root2 = runner.compile(QUERIES[0])
         assert handler2 is handler
         assert root2 is root
-        assert runner.plan_cache.stats.hits == 1
+        stats = runner.plan_cache.stats
+        assert (stats.misses, stats.hits) == (1, 1)
+        # a cleared cache compiles from scratch: it misses, never hits
+        runner.plan_cache.clear()
+        assert runner.compile(QUERIES[0])[1] is not root
+        assert (stats.misses, stats.hits) == (2, 1)
 
     def test_small_cache_evicts_oldest_plan(self, figure1_graph):
         runner = CypherRunner(figure1_graph, plan_cache=LRUCache(maxsize=2))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cypher.errors import CypherSemanticError
 from repro.engine import CypherRunner
-from repro.server.bench import rows_multiset
+from tests.server.workload import rows_multiset
 
 PARAM_QUERY = "MATCH (p:Person) WHERE p.name = $name RETURN p.name"
 VARLEN_QUERY = (

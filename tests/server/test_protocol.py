@@ -212,6 +212,42 @@ class TestErrorMapping:
         status, _ = http("POST", base + "/query", {"graph": "fig1"})
         assert status == 400
 
+    @pytest.mark.parametrize("field, value", [
+        ("timeout", float("nan")),
+        ("timeout", float("inf")),
+        ("timeout", -1),
+        ("timeout", 10 ** 400),
+        ("timeout", True),
+        ("timeout", "5"),
+        ("timeout", [1]),
+        ("timeout", {"a": 1}),
+        ("parameters", ["Alice"]),
+        ("parameters", "Alice"),
+        ("parameters", 5),
+    ])
+    def test_malformed_option_is_400(self, wire, field, value):
+        base, _, _ = wire
+        _, prepared = http("POST", base + "/prepare", {
+            "graph": "fig1", "query": PARAM_QUERY,
+        })
+        well_formed = {"parameters": {"name": "Alice"}, "timeout": 60}
+        bodies = {
+            "/query": dict(well_formed, graph="fig1", query=PARAM_QUERY),
+            "/execute": dict(well_formed, statement_id=prepared["statement_id"]),
+        }
+        for route, body in bodies.items():
+            _, before = http("GET", base + "/metrics")
+            status, answer = http("POST", base + route, dict(body, **{
+                field: value,
+            }))
+            assert status == 400, (route, answer)
+            assert field in answer["error"]
+            _, after = http("GET", base + "/metrics")
+            assert after["failed"] == before["failed"]
+            assert after["submitted"] == before["submitted"]
+            # the request is served once the field is well formed
+            assert http("POST", base + route, body)[0] == 200
+
     def test_malformed_json_is_400(self, endpoint):
         base, _, _ = endpoint
         request = urllib.request.Request(

@@ -16,9 +16,9 @@ from repro.server import (
     ServiceClosedError,
     UnknownGraphError,
 )
-from repro.server.bench import rows_multiset
 from tests.conftest import build_figure1_elements
 from tests.server.test_protocol import expire_after_the_dataflow
+from tests.server.workload import rows_multiset
 
 PLAIN_QUERY = "MATCH (p:Person) RETURN p.name"
 PARAM_QUERY = "MATCH (p:Person) WHERE p.name = $name RETURN p.name"

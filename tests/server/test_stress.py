@@ -1,10 +1,16 @@
 """Concurrent differential stress: N threads vs. a serial baseline.
 
-The satellite ISSUE requirement: run the LDBC workload (Q1-Q6) from many
-threads through one :class:`QueryService` and assert every concurrent
-result is *identical* (as a row multiset) to what a single-threaded
-:class:`CypherRunner` produces — the service adds concurrency, caching
-and deadlines, never different answers.
+The LDBC workload (Q1-Q6) runs from many threads through one
+:class:`QueryService`, and every concurrent result must be *identical*
+(as a row multiset) to what the per-record reference engine returns on
+another copy of the graph — the service adds concurrency, caching and
+deadlines, never different answers.
+
+Each check runs twice: on a plain graph and, in the ``*_indexed``
+tests, on the indexed graph that ``repro serve`` loads.  The service's graph is built cold, so the
+threads race to build its resident leaf tables, adjacencies and pair
+indexes; on the indexed leg the columnar engine must take its indexed
+paths (hop, pair and lookup joins, leaf probes) and never fall back.
 """
 
 import threading
@@ -15,7 +21,7 @@ from repro.dataflow import ExecutionEnvironment
 from repro.engine import CypherRunner
 from repro.ldbc import LDBCGenerator
 from repro.server import GraphRegistry, QueryService
-from repro.server.bench import build_workload, rows_multiset
+from tests.server.workload import build_workload, rows_multiset
 
 SCALE_FACTOR = 0.02
 SEED = 11
@@ -26,22 +32,59 @@ GRAPH = "ldbc"
 @pytest.fixture(scope="module")
 def ldbc_setup():
     dataset = LDBCGenerator(scale_factor=SCALE_FACTOR, seed=SEED).generate()
-    graph = dataset.to_logical_graph(ExecutionEnvironment(parallelism=4))
     workload = build_workload(dataset)
-    runner = CypherRunner(graph)
+    runner = CypherRunner(
+        dataset.to_logical_graph(ExecutionEnvironment()), mode="reference"
+    )
     reference = {
         item.name: rows_multiset(
             runner.execute_table(item.query, item.parameters)
         )
         for item in workload
     }
-    return graph, workload, reference
+    return dataset, workload, reference
+
+
+def serve(ldbc_setup, indexed):
+    """``(registry, indexed, workload, reference)`` over a cold graph."""
+    dataset, workload, reference = ldbc_setup
+    registry = GraphRegistry()
+    registry.register(GRAPH, dataset.to_logical_graph(
+        ExecutionEnvironment(parallelism=4), indexed=indexed
+    ))
+    return registry, indexed, workload, reference
+
+
+def run_clients(client):
+    threads = [
+        threading.Thread(target=client, args=(index,))
+        for index in range(THREADS)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=600)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 def test_concurrent_results_match_serial_baseline(ldbc_setup):
-    graph, workload, reference = ldbc_setup
-    registry = GraphRegistry()
-    registry.register(GRAPH, graph)
+    check_concurrent_results(serve(ldbc_setup, indexed=False))
+
+
+def test_concurrent_results_match_serial_baseline_indexed(ldbc_setup):
+    check_concurrent_results(serve(ldbc_setup, indexed=True))
+
+
+def test_concurrent_rebinding_of_one_prepared_statement(ldbc_setup):
+    check_rebinding(serve(ldbc_setup, indexed=False))
+
+
+def test_concurrent_rebinding_of_one_prepared_statement_indexed(ldbc_setup):
+    check_rebinding(serve(ldbc_setup, indexed=True))
+
+
+def check_concurrent_results(served):
+    registry, indexed, workload, reference = served
     mismatches = []
     errors = []
     barrier = threading.Barrier(THREADS)
@@ -61,14 +104,7 @@ def test_concurrent_results_match_serial_baseline(ldbc_setup):
     with QueryService(
         registry, max_concurrency=THREADS, max_queue=THREADS * 2
     ) as service:
-        threads = [
-            threading.Thread(target=client, args=(index,))
-            for index in range(THREADS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=600)
+        run_clients(client)
         snapshot = service.metrics_snapshot()
 
     assert not errors
@@ -79,18 +115,24 @@ def test_concurrent_results_match_serial_baseline(ldbc_setup):
     # every query text compiles once; later executions reuse the plan
     assert snapshot["plan_cache"]["hits"] > 0
     assert snapshot["max_in_flight"] >= 2  # work genuinely overlapped
+    engine = snapshot["engine"]
+    if indexed:
+        assert not any(engine["chunk_fallbacks"].values()), (
+            engine["chunk_fallbacks"]
+        )
+        for counter in ("hop_joins", "pair_joins", "lookup_joins"):
+            assert engine["adjacency"][counter] > 0, counter
+        assert engine["leaves"]["probes"] > 0
+    else:
+        assert engine["chunk_fallbacks"]["leaf_no_table"] > 0
 
 
-def test_concurrent_rebinding_of_one_prepared_statement(ldbc_setup):
+def check_rebinding(served):
     """Many threads hammer ONE statement with different bindings."""
-    graph, workload, reference = ldbc_setup
-    parameterized = [item for item in workload if item.parameters]
-    template = parameterized[0]
+    registry, indexed, workload, reference = served
+    template = next(item for item in workload if item.parameters)
     bindings = [item for item in workload if item.query == template.query]
     assert len(bindings) >= 2
-
-    registry = GraphRegistry()
-    registry.register(GRAPH, graph)
     failures = []
 
     def client(client_index):
@@ -109,13 +151,12 @@ def test_concurrent_rebinding_of_one_prepared_statement(ldbc_setup):
         registry, max_concurrency=THREADS, max_queue=THREADS * 4
     ) as service:
         handle = service.prepare(GRAPH, template.query)
-        threads = [
-            threading.Thread(target=client, args=(index,))
-            for index in range(THREADS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=600)
+        run_clients(client)
+        engine = service.metrics_snapshot()["engine"]
 
     assert not failures, failures
+    if indexed:
+        assert not any(engine["chunk_fallbacks"].values()), (
+            engine["chunk_fallbacks"]
+        )
+        assert engine["leaves"]["probes"] > 0
