@@ -16,13 +16,12 @@ check:
 # the plan-analysis battery: structure (S300), layout flow (S301-S306) and
 # UDF shippability (P4xx) over the LDBC plans and the planted violation
 # fixtures, liveness (S401-S403) and the planner's property demand (no
-# plan carries a dead record), and the cost-bound/admission-control checks
+# plan carries a dead record)
 plancheck:
 	pytest tests/analysis/test_verifier.py tests/analysis/test_ldbc_plans.py \
 		tests/analysis/test_flow.py tests/analysis/test_udfcheck.py \
 		tests/analysis/test_flow_soundness.py tests/analysis/test_liveness.py \
-		tests/analysis/test_planner_demand.py tests/analysis/test_prune.py \
-		tests/analysis/test_costbound.py
+		tests/analysis/test_planner_demand.py tests/analysis/test_prune.py
 
 lint:
 	@command -v ruff >/dev/null 2>&1 || { \

@@ -10,10 +10,8 @@ Four layers over the Cypher pipeline:
   structural invariants of the tree, the §3.3 layout each operator
   derives against the metadata it declares, the RETURN clause's demand
   propagated down to the leaves (dead columns, property records and
-  path contents), and — given statistics — the per-operator worst-case
-  bounds composed into the :class:`CostCertificate` the serving layer's
-  admission control consults.  A plan it proves cannot produce an
-  S2xx finding under sanitized execution.
+  path contents).  It reports and gates nothing; a plan it proves
+  cannot produce an S2xx finding under sanitized execution.
 * :class:`EmbeddingSanitizer` / :func:`validate_embedding` — opt-in
   instrumented execution validating every embedding crossing an operator
   boundary against the §3.3 byte layout and the morphism semantics.
@@ -52,18 +50,14 @@ from .diagnostics import (
 )
 from .linter import QueryLinter, lint_query
 from .plan import (
-    PROPERTY_RECORD_BOUND,
-    CostCertificate,
     Demand,
     EmbeddingLayout,
-    OperatorBound,
     PlanAnalysis,
     analyze_plan,
 )
 # The sanitizer imports the engine package; it must come after the plan
 # analysis import above, which completes the engine's initialization.
 from .sanitizer import (
-    DEFAULT_SAMPLE_EVERY,
     EmbeddingSanitizer,
     SanitizerError,
     validate_embedding,
@@ -89,7 +83,6 @@ from .estimates import (
     DEFAULT_MAX_Q_ERROR,
     EstimateAudit,
     EstimateRecord,
-    audit_bound_soundness,
     audit_estimates,
     q_error,
 )
@@ -98,9 +91,7 @@ from .estimates import (
 __all__ = [
     "BLOCKING_CODES",
     "CODES",
-    "CostCertificate",
     "DEFAULT_MAX_Q_ERROR",
-    "DEFAULT_SAMPLE_EVERY",
     "Demand",
     "Diagnostic",
     "DifferentialReport",
@@ -108,8 +99,6 @@ __all__ = [
     "EmbeddingSanitizer",
     "EstimateAudit",
     "EstimateRecord",
-    "OperatorBound",
-    "PROPERTY_RECORD_BOUND",
     "PlanAnalysis",
     "PlannerRun",
     "QueryLintError",
@@ -122,7 +111,6 @@ __all__ = [
     "analyze_chain",
     "analyze_dataflow",
     "analyze_plan",
-    "audit_bound_soundness",
     "audit_estimates",
     "certify_chain",
     "classify_callable",

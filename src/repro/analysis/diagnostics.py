@@ -51,16 +51,11 @@ Code ranges:
   exploring the interleavings of the cancel/done, spec-cache LRU,
   SPSC-ring and resident-eviction protocols.  These point at Python
   source or at a counterexample message trace, never at query text.
-* ``S4xx`` — liveness and cost-bound findings (``repro check``,
+* ``S4xx`` — liveness findings (``repro check``,
   :mod:`repro.analysis.plan`): the backward dual of the ``S3xx`` layout
-  rules.  Demand propagates from
-  the plan root down to the leaves, flagging columns, property bytes
-  and path contents an operator carries but no consumer ever reads
-  (dead bytes are legal — warnings), plus static cost-bound findings:
-  a query whose proven output-cardinality bound exceeds the admission
-  threshold (error) and a bound-soundness violation where an observed
-  cardinality exceeds its proven upper bound (error — the bound
-  derivation itself is wrong).
+  rules.  Demand propagates from the plan root down to the leaves,
+  flagging columns, property bytes and path contents an operator
+  carries but no consumer ever reads (dead bytes are legal — warnings).
 """
 
 import enum
@@ -204,12 +199,6 @@ CODES = {
     "S403": (Severity.WARNING, "dead-path-hops",
              "path contents (the hop sequence) are carried but never read "
              "— only the column slot is required downstream"),
-    "S405": (Severity.ERROR, "cost-bound-exceeded",
-             "a statically proven operator cost bound exceeds the "
-             "configured admission threshold"),
-    "S406": (Severity.ERROR, "bound-soundness-violation",
-             "an observed operator cardinality exceeds its statically "
-             "proven upper bound — the bound derivation is unsound"),
     "W501": (Severity.ERROR, "wire-tag-unhandled",
              "a message tag is sent on a pipe whose receiving side has "
              "no handler arm for it — the message would be silently "

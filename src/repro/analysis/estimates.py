@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List
 
 from .diagnostics import Diagnostic
-from .plan import analyze_plan
 
 #: estimates within one order of magnitude are considered sane by default
 DEFAULT_MAX_Q_ERROR = 10.0
@@ -111,32 +110,3 @@ def audit_estimates(root, max_q_error=DEFAULT_MAX_Q_ERROR):
         records=records, diagnostics=diagnostics, max_q_error=max_q_error
     )
 
-
-def audit_bound_soundness(root, statistics):
-    """Check observed cardinalities against the certified upper bounds.
-
-    The static plan analysis (:mod:`repro.analysis.plan`) proves a
-    worst-case output cardinality per operator; executing the
-    plan must never observe more rows than that — if it does, the bound
-    derivation itself is unsound.  Returns the list of ``S406``
-    diagnostics (empty when every bound held).  This is the test-only
-    companion of the q-error audit: q-error measures how *tight* the
-    estimates are, this measures whether the *bounds* are bounds —
-    groundwork for letting the adaptive planner trust them.
-    """
-    analysis = analyze_plan(root, statistics=statistics)
-    cache = {}
-    diagnostics = []
-    for operator in root.postorder():
-        record = analysis.bound_of(operator)
-        actual = operator.actual_cardinality(cache)
-        if actual > record.cardinality_bound:
-            diagnostics.append(
-                Diagnostic.of(
-                    "S406",
-                    "%s: observed %d rows but the certified upper bound "
-                    "is %s — the bound derivation is unsound"
-                    % (operator.describe(), actual, record.cardinality_bound),
-                )
-            )
-    return diagnostics

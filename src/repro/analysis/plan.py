@@ -1,4 +1,4 @@
-"""One static analysis of a physical plan: structure, layout, demand, bounds.
+"""One static analysis of a physical plan: structure, layout, demand.
 
 Paper §3.2–3.3 gives every physical operator one
 :class:`~repro.engine.embedding.EmbeddingMetaData`, and every static
@@ -11,9 +11,7 @@ composes the rules bottom-up in one place.  :func:`analyze_plan` makes
   structural self-check (``check_structure``) plus the invariants every
   operator shares, derives the output :class:`EmbeddingLayout` from the
   children's (``derive_layout``) and compares it with the declared
-  metadata and the configured morphism, and — given graph statistics —
-  composes the worst-case cardinality bound (``cardinality_bound``),
-  priced in bytes at the layout just derived;
+  metadata and the configured morphism;
 * one **preorder** pass (parents first), propagating what the RETURN
   clause reads down the plan (``demand_on_children``) and flagging bytes
   an operator introduces that nothing downstream reads.
@@ -40,20 +38,15 @@ pins this).  The planner computes property demand itself, so an
 ``S402`` on a planned query is a planner defect; ``S401`` and ``S403``
 stay, because ids and paths are structural.
 
-The bounds compose into the :class:`CostCertificate` that the query
-service's admission control compares with its ``max_cost_bound``
-(``S405``).  A leaf emits at most its label count, a join at most
-``|L| · |R|``, an expansion at most ``|input| · Σ d_max^h`` over its hop
-range (``d_max`` the per-label worst-case fan-out of
-:class:`~repro.engine.statistics.GraphStatistics`), and selections and
-projections never grow their input.
+The analysis reports and gates nothing: no query is admitted or
+rejected on its findings.
 """
 
 import math
 from typing import List, Optional
 
 from repro.cypher.ast import FunctionCall, PropertyAccess, VariableRef
-from repro.engine.embedding import ENTRY_WIDTH, PATH_COUNT_WIDTH
+from repro.engine.embedding import ENTRY_WIDTH
 from repro.engine.morphism import (
     DEFAULT_EDGE_STRATEGY,
     DEFAULT_VERTEX_STRATEGY,
@@ -63,126 +56,19 @@ from repro.engine.operators.base import Demand, EmbeddingLayout
 
 from .diagnostics import Diagnostic, sort_diagnostics
 
-#: assumed worst-case serialized size of one property record (2-byte
-#: length prefix + value).  Property values are statically unbounded, so
-#: this is a pricing convention, not a proven cap — the cardinality
-#: bounds, which drive admission, do not depend on it.
-PROPERTY_RECORD_BOUND = 256
-
 _VALID_KINDS = {"v", "e", "p"}
 
 _DEAD_CODES = ("S401", "S402", "S403")
 
 
-class OperatorBound:
-    """The certified worst case of one operator's output."""
-
-    __slots__ = ("operator", "cardinality_bound", "row_bytes_bound",
-                 "bytes_bound")
-
-    def __init__(self, operator, cardinality_bound, row_bytes_bound):
-        #: ``describe()`` of the bounded operator
-        self.operator = operator
-        self.cardinality_bound = cardinality_bound
-        self.row_bytes_bound = row_bytes_bound
-        self.bytes_bound = (
-            math.inf if cardinality_bound == math.inf
-            else cardinality_bound * row_bytes_bound
-        )
-
-    def __repr__(self):
-        return "OperatorBound(%s, card<=%s, bytes<=%s)" % (
-            self.operator, self.cardinality_bound, self.bytes_bound
-        )
-
-
-class CostCertificate:
-    """Statically proven cost bounds for one physical plan."""
-
-    def __init__(self, records, statistics_version=0):
-        self.records: List[OperatorBound] = list(records)
-        #: the :attr:`GraphStatistics.version` the bounds were proven
-        #: against — a version bump invalidates the certificate exactly
-        #: like it invalidates cached plans
-        self.statistics_version = statistics_version
-
-    @property
-    def max_cardinality_bound(self):
-        return max(
-            (r.cardinality_bound for r in self.records), default=0
-        )
-
-    @property
-    def total_bytes_bound(self):
-        return sum(r.bytes_bound for r in self.records)
-
-    def worst(self) -> Optional[OperatorBound]:
-        if not self.records:
-            return None
-        return max(self.records, key=lambda r: r.cardinality_bound)
-
-    def admissible(self, max_cost_bound):
-        """True when every operator's cardinality bound fits the budget."""
-        if max_cost_bound is None:
-            return True
-        return self.max_cardinality_bound <= max_cost_bound
-
-    def diagnostic(self, max_cost_bound):
-        """The ``S405`` finding for an inadmissible plan (else ``None``)."""
-        if self.admissible(max_cost_bound):
-            return None
-        worst = self.worst()
-        return Diagnostic.of(
-            "S405",
-            "%s: certified output bound %s exceeds the admission "
-            "threshold %s (certified bytes moved <= %s)"
-            % (
-                worst.operator,
-                _format_bound(worst.cardinality_bound),
-                _format_bound(max_cost_bound),
-                _format_bound(self.total_bytes_bound),
-            ),
-        )
-
-    def format_table(self):
-        lines = ["%-60s %14s %16s" % ("operator", "card<=", "bytes<=")]
-        for record in self.records:
-            lines.append(
-                "%-60s %14s %16s"
-                % (
-                    record.operator[:60],
-                    _format_bound(record.cardinality_bound),
-                    _format_bound(record.bytes_bound),
-                )
-            )
-        return "\n".join(lines)
-
-    def format_summary(self):
-        return "max cardinality <= %s, bytes moved <= %s" % (
-            _format_bound(self.max_cardinality_bound),
-            _format_bound(self.total_bytes_bound),
-        )
-
-
-def _format_bound(value):
-    if value == math.inf:
-        return "unbounded"
-    if value >= 1e6:
-        return "%.3g" % value
-    return "%d" % value
-
-
 class PlanAnalysis:
     """Everything one :func:`analyze_plan` pass found out about a plan."""
 
-    def __init__(self, diagnostics, layouts, demands, bounds, certificate):
+    def __init__(self, diagnostics, layouts, demands):
         self.diagnostics: List[Diagnostic] = list(diagnostics)
-        #: the composed bounds; ``None`` when no statistics were given
-        self.certificate: Optional[CostCertificate] = certificate
         # each keyed by id(operator)
         self._layouts = layouts
         self._demands = demands
-        self._bounds = bounds
 
     def layout_of(self, operator) -> Optional[EmbeddingLayout]:
         """The layout derived for ``operator``'s output."""
@@ -191,11 +77,6 @@ class PlanAnalysis:
     def demand_of(self, operator) -> Optional[Demand]:
         """What downstream consumers read of ``operator``'s output."""
         return self._demands.get(id(operator))
-
-    def bound_of(self, operator) -> Optional[OperatorBound]:
-        """``operator``'s certified worst case (``None`` without
-        statistics)."""
-        return self._bounds.get(id(operator))
 
     @property
     def errors(self):
@@ -217,7 +98,7 @@ class PlanAnalysis:
         for diagnostic in self.diagnostics:
             if diagnostic.code in dead:
                 dead[diagnostic.code] += 1
-        summary = (
+        return (
             "analysis: %d operator(s), %s, %d dead column(s), "
             "%d dead property record(s), %d dead path(s)"
             % (
@@ -229,33 +110,27 @@ class PlanAnalysis:
                 dead["S403"],
             )
         )
-        if self.certificate is not None:
-            summary += ", " + self.certificate.format_summary()
-        return summary
 
 
-def analyze_plan(root, handler=None, statistics=None, vertex_strategy=None,
+def analyze_plan(root, handler=None, vertex_strategy=None,
                  edge_strategy=None):
     """Analyze the plan under ``root``; returns a :class:`PlanAnalysis`.
 
     ``handler`` (the compiled :class:`~repro.cypher.QueryHandler`)
     enables the whole-query checks and supplies the root demand from the
     RETURN clause; without one every root byte is conservatively live.
-    ``statistics`` enables the cost bounds.  The strategies pin the
-    morphism the plan will execute under (defaulting like the engine
-    does); given explicitly, the plan's own strategies must match them.
+    The strategies pin the morphism the plan will execute under
+    (defaulting like the engine does); given explicitly, the plan's own
+    strategies must match them.
     """
-    return _Analyzer(
-        handler, statistics, vertex_strategy, edge_strategy
-    ).run(root)
+    return _Analyzer(handler, vertex_strategy, edge_strategy).run(root)
 
 
 class _Analyzer:
     """One analysis: the postorder pass, then the preorder pass."""
 
-    def __init__(self, handler, statistics, vertex_strategy, edge_strategy):
+    def __init__(self, handler, vertex_strategy, edge_strategy):
         self.handler = handler
-        self.statistics = statistics
         #: the strategies the caller pinned (``None`` = not pinned)
         self.configured = (vertex_strategy, edge_strategy)
         self.vertex_strategy = vertex_strategy or DEFAULT_VERTEX_STRATEGY
@@ -263,13 +138,11 @@ class _Analyzer:
         self.diagnostics = []
         self.layouts = {}
         self.demands = {}
-        self.bounds = {}
 
     def run(self, root):
         vertex_iso = self.vertex_strategy is MatchStrategy.ISOMORPHISM
         edge_iso = self.edge_strategy is MatchStrategy.ISOMORPHISM
         strategies = set()
-        records = []
         for op in root.postorder():
             flag = self._flagger(op)
             rule = self._flagger(op, structural=True)
@@ -295,18 +168,6 @@ class _Analyzer:
                     "vertex=%s, edge=%s"
                     % (self.vertex_strategy.value, self.edge_strategy.value),
                 )
-            if self.statistics is not None:
-                bound = OperatorBound(
-                    op.describe(),
-                    op.cardinality_bound(
-                        [self.bounds[id(child)].cardinality_bound
-                         for child in op.children],
-                        self.statistics,
-                    ),
-                    _row_bytes_bound(op.meta, layout.path_bounds),
-                )
-                self.bounds[id(op)] = bound
-                records.append(bound)
         self._check_strategies(root, strategies)
         if self.handler is not None:
             self._check_root(root)
@@ -321,15 +182,8 @@ class _Analyzer:
             for child, child_demand in zip(op.children, child_demands):
                 self.demands[id(child)] = child_demand
 
-        certificate = None
-        if self.statistics is not None:
-            certificate = CostCertificate(
-                records,
-                statistics_version=getattr(self.statistics, "version", 0),
-            )
         return PlanAnalysis(
-            sort_diagnostics(self.diagnostics), self.layouts, self.demands,
-            self.bounds, certificate,
+            sort_diagnostics(self.diagnostics), self.layouts, self.demands
         )
 
     def _flagger(self, op, structural=False):
@@ -569,19 +423,6 @@ class _Analyzer:
                 if expression.name in path_vars:
                     demand.paths.add(expression.name)
         return demand.restricted_to(meta)
-
-
-def _row_bytes_bound(meta, path_bounds):
-    """Worst-case serialized size of one embedding of this shape."""
-    if meta is None:
-        return 0
-    total = meta.column_count * ENTRY_WIDTH
-    for variable in meta.variables:
-        if meta.entry_kind(variable) == "p":
-            _lower, upper = path_bounds.get(variable, (0, 0))
-            total += PATH_COUNT_WIDTH + max(2 * upper - 1, 0) * 8
-    total += meta.property_count * PROPERTY_RECORD_BOUND
-    return total
 
 
 def _format_pairs(pairs):

@@ -55,12 +55,6 @@ from .diagnostics import Diagnostic
 
 _FLAG_NAMES = {FLAG_ID: "ID", FLAG_PATH: "PATH"}
 
-#: default sampling stride of ``CypherRunner(sanitize="sample")`` — every
-#: 16th event keeps a meaningful tripwire while recovering most of the
-#: full sanitizer's overhead
-DEFAULT_SAMPLE_EVERY = 16
-
-
 class SanitizerError(AssertionError):
     """Sanitized execution caught a corrupt embedding (``mode='raise'``).
 
@@ -252,43 +246,20 @@ class EmbeddingSanitizer:
     raises :class:`SanitizerError` on the first finding; ``mode='collect'``
     accumulates all findings on ``diagnostics`` and lets execution finish
     — the differential checker uses the latter.
-
-    ``sample_every=N`` validates only every Nth sanitizer event (boundary
-    crossing or operator-contract check) instead of all of them — the
-    cheap spot-check a plan can drop to once the static plan analysis
-    (:mod:`repro.analysis.plan`) has proven its layout contracts, keeping
-    a tripwire against bugs outside the static model at a fraction of the
-    full 2.5x overhead.
     """
 
-    def __init__(self, vertex_strategy=None, edge_strategy=None, mode="raise",
-                 sample_every=None):
+    def __init__(self, vertex_strategy=None, edge_strategy=None, mode="raise"):
         if mode not in ("raise", "collect"):
             raise ValueError("mode must be 'raise' or 'collect', not %r" % mode)
-        if sample_every is not None and (
-            not isinstance(sample_every, int) or sample_every < 1
-        ):
-            raise ValueError(
-                "sample_every must be a positive integer, not %r" % sample_every
-            )
         self.vertex_strategy = vertex_strategy or DEFAULT_VERTEX_STRATEGY
         self.edge_strategy = edge_strategy or DEFAULT_EDGE_STRATEGY
         self.mode = mode
-        #: validate every Nth event only; None validates everything
-        self.sample_every = sample_every
-        #: sanitizer events seen (validated or sampled past)
-        self.seen = 0
         #: structured findings (Diagnostic) in discovery order
         self.diagnostics = []
         #: embeddings validated so far, across all operator boundaries
         self.checked = 0
         #: path variable -> (lower, upper) hop bounds, merged at attach time
         self.path_bounds = {}
-
-    def _sample(self):
-        """True when this event is selected for validation."""
-        self.seen += 1
-        return self.sample_every is None or self.seen % self.sample_every == 0
 
     # Plan wiring --------------------------------------------------------------
 
@@ -322,8 +293,6 @@ class EmbeddingSanitizer:
         edge_strategy = self.edge_strategy
 
         def check(embedding):
-            if not self._sample():
-                return embedding
             self.checked += 1
             for code, detail in validate_embedding(
                 embedding,
@@ -360,8 +329,6 @@ class EmbeddingSanitizer:
         self, operator, left_embedding, right_embedding, left_columns, right_columns
     ):
         """S209: the joined key columns must agree byte-for-byte."""
-        if not self._sample():
-            return
         for left_column, right_column in zip(left_columns, right_columns):
             left_bytes = left_embedding.entry_bytes(left_column)
             right_bytes = right_embedding.entry_bytes(right_column)
@@ -381,8 +348,6 @@ class EmbeddingSanitizer:
 
     def check_projection(self, operator, source, projected, keep_indices):
         """S209: projection must keep the chosen values bit-identical."""
-        if not self._sample():
-            return
         for index, source_index in enumerate(keep_indices):
             kept = projected.property_at(index).to_bytes()
             original = source.property_at(source_index).to_bytes()

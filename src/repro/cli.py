@@ -159,12 +159,10 @@ def cmd_check(args):
     """The whole analysis battery for one query.
 
     Lints; then, under each of the three planners, analyzes the physical
-    plan (structure, layout flow, dead bytes and cost bounds — S300,
-    S3xx, S4xx) and classifies every dataflow UDF (P4xx); then runs the
-    sanitized differential and the estimate audit.  With
-    ``--max-cost-bound`` the cost certificates are checked like the
-    query service's admission control would (S405).  Each distinct
-    diagnostic prints and counts once, however many planners report it.
+    plan (structure, layout flow and dead bytes — S300, S3xx, S4xx) and
+    classifies every dataflow UDF (P4xx); then runs the sanitized
+    differential and the estimate audit.  Each distinct diagnostic
+    prints and counts once, however many planners report it.
     Exit codes: 0 clean, 1 error diagnostics, 2 syntax error,
     3 warnings only.
     """
@@ -207,11 +205,7 @@ def cmd_check(args):
         ship = runner.check_shippable(args.cypher)
         all_proven = all_proven and analysis.proven
         all_shippable = all_shippable and ship.shippable
-        findings = analysis.diagnostics + ship.diagnostics
-        admission = analysis.certificate.diagnostic(args.max_cost_bound)
-        if admission is not None:
-            findings.append(admission)
-        static.update(dict.fromkeys(findings))
+        static.update(dict.fromkeys(analysis.diagnostics + ship.diagnostics))
         print(
             "-- %-18s %s; %s"
             % (planner_cls.__name__, analysis.format_summary(),
@@ -579,7 +573,7 @@ def build_parser():
     check = commands.add_parser(
         "check",
         help="the whole analysis battery: lint, analyze every planner's "
-        "physical plan (structure, layout flow, dead bytes, cost bounds) "
+        "physical plan (structure, layout flow, dead bytes) "
         "and its UDFs, run the query under all three planners with "
         "embedding validation, compare result multisets and audit "
         "cardinality estimates",
@@ -595,11 +589,6 @@ def build_parser():
         type=float,
         default=10.0,
         help="estimate q-error above which S211 warnings are emitted",
-    )
-    check.add_argument(
-        "--max-cost-bound", type=float, default=None,
-        help="emit S405 when any operator's certified output "
-        "cardinality exceeds this bound (the admission-control check)",
     )
     check.set_defaults(handler=cmd_check)
 

@@ -7,8 +7,7 @@ output and knows how to build the dataflow ``DataSet`` that computes it.
 Each operator also states its own rules — the *operator contract* the
 plan analysis (``repro.analysis.plan``) composes in one pass: the output
 layout from the child layouts, the demand on the children from the
-demand on the output, a worst-case cardinality bound, a structural
-self-check and a source span.  The two value types the rules exchange,
+demand on the output, a structural self-check and a source span.  The two value types the rules exchange,
 :class:`EmbeddingLayout` and :class:`Demand`, live here so operators
 never import the analysis.
 """
@@ -216,11 +215,6 @@ class PhysicalOperator:
         what is read of its output; dead bytes it introduces are reported
         as ``S4xx`` codes."""
         raise self._no_rule("demand_on_children")
-
-    def cardinality_bound(self, child_bounds: Sequence[float], statistics) -> float:
-        """Worst-case output rows for any data consistent with
-        ``statistics``, given the children's worst cases."""
-        raise self._no_rule("cardinality_bound")
 
     def check_structure(self, flag: Flag) -> None:
         """The operator's structural invariants, reported by rule name

@@ -205,27 +205,6 @@ class ExpandEmbeddings(PhysicalOperator):
                     child.paths.add(variable)
         return [child.restricted_to(child_meta)]
 
-    def cardinality_bound(self, child_bounds, statistics):
-        """``|input| · Σ d_max^h`` over the admissible hop counts."""
-        edge = self.query_edge
-        if edge.undirected:
-            fanout = (
-                statistics.max_out_degree(edge.types)
-                + statistics.max_in_degree(edge.types)
-            )
-        elif self.reverse:
-            fanout = statistics.max_in_degree(edge.types)
-        else:
-            fanout = statistics.max_out_degree(edge.types)
-        lower = max(edge.lower or 0, 0)
-        upper = edge.upper if edge.upper is not None else lower
-        paths = sum(
-            fanout ** hops for hops in range(max(lower, 1), upper + 1)
-        )
-        if lower == 0:
-            paths += 1  # the zero-hop emission keeps the input row
-        return child_bounds[0] * paths
-
     def check_structure(self, flag):
         bound = set(self.children[0].meta.variables)
         edge_variable = self.query_edge.variable

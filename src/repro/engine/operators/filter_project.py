@@ -49,9 +49,6 @@ class SelectEmbeddings(PhysicalOperator):
                 child.properties.add((variable, key))
         return [child.restricted_to(self.children[0].meta)]
 
-    def cardinality_bound(self, child_bounds, statistics):
-        return child_bounds[0]
-
     def check_structure(self, flag):
         meta = self.children[0].meta
         bound = set(meta.variables)
@@ -161,9 +158,6 @@ class ProjectEmbeddings(PhysicalOperator):
             if tuple(pair) in demand.properties
         }
         return [child.restricted_to(self.children[0].meta)]
-
-    def cardinality_bound(self, child_bounds, statistics):
-        return child_bounds[0]
 
     def check_structure(self, flag):
         # a kept record the input lacks or the output loses (S304) and a

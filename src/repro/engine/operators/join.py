@@ -176,9 +176,6 @@ class TwoInputOperator(PhysicalOperator):
             side.variables |= watched
             side.paths |= set(path_vars)
 
-    def cardinality_bound(self, child_bounds, statistics):
-        return child_bounds[0] * child_bounds[1]
-
     def check_structure(self, flag):
         # an unbound key (S306), inputs overlapping outside it (S302) and
         # an output that drops a binding (S301) are all refuted by the

@@ -239,10 +239,6 @@ class SelectAndProjectVertices(_ElementLeaf):
     def _entries(self):
         return [(self.query_vertex.variable, "v")]
 
-    def cardinality_bound(self, child_bounds, statistics):
-        # predicates only filter: the selectivity floor of any CNF is 1.0
-        return statistics.vertices_with_labels(self.query_vertex.labels)
-
     def _build(self):
         variable = self.query_vertex.variable
         keep = compile_cnf(self.query_vertex.predicates)
@@ -314,11 +310,6 @@ class SelectAndProjectEdges(_ElementLeaf):
         # both endpoint columns; only ``distinct_endpoints`` (or a loop
         # edge, which has a single endpoint column) rules that out.
         return not vertex_iso or self.is_loop or self.distinct_endpoints
-
-    def cardinality_bound(self, child_bounds, statistics):
-        count = statistics.edges_with_labels(self.query_edge.types)
-        # undirected leaves emit both orientations of every edge
-        return count * 2 if self.query_edge.undirected else count
 
     def _build(self):
         variable = self.query_edge.variable

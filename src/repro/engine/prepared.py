@@ -21,8 +21,6 @@ concurrently.  The query service hands out one statement object per
 ``(graph, query)`` for exactly this reason.
 """
 
-from functools import cached_property
-
 from repro.analysis.diagnostics import QueryLintError
 from repro.analysis.linter import lint_query
 from repro.cypher.parameters import (
@@ -65,18 +63,6 @@ class PreparedStatement:
         slotted = parameterize(self._ast, self._binding)
         self.handler = QueryHandler(slotted)
         self.root, self.sanitizer = runner.plan(self.handler)
-
-    @cached_property
-    def cost_certificate(self):
-        """The statically proven worst-case cost of this plan, certified
-        on first use: the query service's admission control compares it
-        with its bound before running a single operator."""
-        # lazy: the analysis package imports the engine
-        from repro.analysis.plan import analyze_plan
-
-        return analyze_plan(
-            self.root, statistics=self.runner.statistics
-        ).certificate
 
     # Binding ----------------------------------------------------------------
 

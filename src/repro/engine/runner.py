@@ -94,21 +94,19 @@ class CypherRunner:
     def set_sanitize(self, sanitize):
         """Switch sanitized (instrumented) execution on or off.
 
-        ``sanitize`` is ``False`` (plain execution, the default),
-        ``True``/``'raise'`` (validate every embedding at every operator
-        boundary and raise :class:`~repro.analysis.SanitizerError` on the
-        first finding), ``'collect'`` (validate but accumulate findings
-        on ``last_sanitizer.diagnostics``) or ``'sample'`` (validate every
-        Nth event only and raise — the cheap tripwire a plan can drop to
-        once :meth:`analyze` has statically proven its layout).
+        ``sanitize`` is ``False`` (plain execution, the default), ``True``
+        (validate every embedding at every operator boundary and raise
+        :class:`~repro.analysis.SanitizerError` on the first finding) or
+        ``'collect'`` (validate but accumulate findings on
+        ``last_sanitizer.diagnostics``).
         Instrumentation is baked into compiled plans; the plan-cache key
         includes the mode, so toggling switches to a different cache slice
         instead of clearing a cache that may be shared with other runners.
         """
-        if sanitize not in (False, True, "raise", "collect", "sample"):
+        if sanitize not in (False, True, "collect"):
             raise ValueError(
-                "sanitize must be False, True, 'raise', 'collect' or "
-                "'sample', not %r" % (sanitize,)
+                "sanitize must be False, True or 'collect', not %r"
+                % (sanitize,)
             )
         self.sanitize = sanitize
         self.last_sanitizer = None
@@ -189,15 +187,12 @@ class CypherRunner:
             return root, None
         # the sanitizer import is lazy: the analysis package imports the
         # engine, which is mid-initialization when this module first loads
-        from repro.analysis.sanitizer import DEFAULT_SAMPLE_EVERY, EmbeddingSanitizer
+        from repro.analysis.sanitizer import EmbeddingSanitizer
 
         sanitizer = EmbeddingSanitizer(
             vertex_strategy=self.vertex_strategy,
             edge_strategy=self.edge_strategy,
             mode="collect" if self.sanitize == "collect" else "raise",
-            sample_every=(
-                DEFAULT_SAMPLE_EVERY if self.sanitize == "sample" else None
-            ),
         ).attach(root)
         return root, sanitizer
 
@@ -252,12 +247,9 @@ class CypherRunner:
         """The static :class:`~repro.analysis.PlanAnalysis` of ``query``.
 
         Compiles (through the plan cache) and analyzes the physical plan
-        under this runner's strategies and statistics: structural
-        invariants (``S300``), the §3.3 layout flow (``S301``–``S306``),
-        dead bytes below the RETURN clause's demand (``S401``–``S403``)
-        and the worst-case cost certificate admission control consults.
-        A ``proven`` analysis licenses dropping this runner to
-        ``sanitize="sample"`` — or plain execution — for this query.
+        under this runner's strategies: structural invariants (``S300``),
+        the §3.3 layout flow (``S301``–``S306``) and dead bytes below the
+        RETURN clause's demand (``S401``–``S403``).
         """
         from repro.analysis.plan import analyze_plan
 
@@ -265,7 +257,6 @@ class CypherRunner:
         return analyze_plan(
             root,
             handler,
-            statistics=self.statistics,
             vertex_strategy=self.vertex_strategy,
             edge_strategy=self.edge_strategy,
         )

@@ -24,8 +24,6 @@ class GraphStatistics:
         distinct_target_count,
         distinct_source_by_label,
         distinct_target_by_label,
-        max_out_degree_by_label=None,
-        max_in_degree_by_label=None,
     ):
         self.vertex_count = vertex_count
         self.edge_count = edge_count
@@ -40,19 +38,6 @@ class GraphStatistics:
         self.distinct_target_count = distinct_target_count
         self.distinct_source_by_label = dict(distinct_source_by_label)
         self.distinct_target_by_label = dict(distinct_target_by_label)
-        #: per-edge-label worst-case fan-out/fan-in: the static cost-bound
-        #: analyzer composes var-length expansion bounds from these.
-        #: ``None`` (statistics persisted before this field existed) makes
-        #: the accessors fall back to the per-label edge count, which is a
-        #: sound — just looser — upper bound.
-        self.max_out_degree_by_label = (
-            dict(max_out_degree_by_label)
-            if max_out_degree_by_label is not None else None
-        )
-        self.max_in_degree_by_label = (
-            dict(max_in_degree_by_label)
-            if max_in_degree_by_label is not None else None
-        )
 
     @classmethod
     def from_graph(cls, graph):
@@ -65,7 +50,6 @@ class GraphStatistics:
         edge_count_by_label = {}
         sources, targets = set(), set()
         sources_by_label, targets_by_label = {}, {}
-        out_degree, in_degree = {}, {}
         edge_count = 0
         for edge in graph.collect_edges():
             edge_count += 1
@@ -74,15 +58,6 @@ class GraphStatistics:
             targets.add(edge.target_id)
             sources_by_label.setdefault(edge.label, set()).add(edge.source_id)
             targets_by_label.setdefault(edge.label, set()).add(edge.target_id)
-            out_key = (edge.label, edge.source_id)
-            in_key = (edge.label, edge.target_id)
-            out_degree[out_key] = out_degree.get(out_key, 0) + 1
-            in_degree[in_key] = in_degree.get(in_key, 0) + 1
-        max_out, max_in = {}, {}
-        for (label, _source), degree in out_degree.items():
-            max_out[label] = max(max_out.get(label, 0), degree)
-        for (label, _target), degree in in_degree.items():
-            max_in[label] = max(max_in.get(label, 0), degree)
         return cls(
             vertex_count=sum(vertex_count_by_label.values()),
             edge_count=edge_count,
@@ -96,14 +71,12 @@ class GraphStatistics:
             distinct_target_by_label={
                 label: len(ids) for label, ids in targets_by_label.items()
             },
-            max_out_degree_by_label=max_out,
-            max_in_degree_by_label=max_in,
         )
 
     # Persistence ---------------------------------------------------------------
 
     def to_dict(self):
-        data = {
+        return {
             "vertex_count": self.vertex_count,
             "edge_count": self.edge_count,
             "vertex_count_by_label": self.vertex_count_by_label,
@@ -113,15 +86,13 @@ class GraphStatistics:
             "distinct_source_by_label": self.distinct_source_by_label,
             "distinct_target_by_label": self.distinct_target_by_label,
         }
-        if self.max_out_degree_by_label is not None:
-            data["max_out_degree_by_label"] = self.max_out_degree_by_label
-        if self.max_in_degree_by_label is not None:
-            data["max_in_degree_by_label"] = self.max_in_degree_by_label
-        return data
 
     @classmethod
     def from_dict(cls, data):
-        return cls(**data)
+        # files from older versions also carry two per-label degree maps
+        # that nothing reads any more; they load and are dropped
+        retired = ("max_out_degree_by_label", "max_in_degree_by_label")
+        return cls(**{k: v for k, v in data.items() if k not in retired})
 
     def write_json(self, path):
         """Persist next to a dataset, like Gradoop's statistics files."""
@@ -158,33 +129,6 @@ class GraphStatistics:
             return max(self.distinct_target_count, 1)
         return max(
             sum(self.distinct_target_by_label.get(label, 0) for label in labels), 1
-        )
-
-    def max_out_degree(self, labels):
-        """Worst-case out-degree over a type alternation ([] = any type).
-
-        Falls back to the matching edge count — any vertex's fan-out is
-        bounded by the number of edges — when the per-label maxima were
-        not persisted (pre-existing statistics files).
-        """
-        if self.max_out_degree_by_label is None:
-            return self.edges_with_labels(labels)
-        if not labels:
-            return max(self.max_out_degree_by_label.values(), default=0)
-        return max(
-            (self.max_out_degree_by_label.get(label, 0) for label in labels),
-            default=0,
-        )
-
-    def max_in_degree(self, labels):
-        """Worst-case in-degree over a type alternation ([] = any type)."""
-        if self.max_in_degree_by_label is None:
-            return self.edges_with_labels(labels)
-        if not labels:
-            return max(self.max_in_degree_by_label.values(), default=0)
-        return max(
-            (self.max_in_degree_by_label.get(label, 0) for label in labels),
-            default=0,
         )
 
     def __repr__(self):

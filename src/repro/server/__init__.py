@@ -6,9 +6,8 @@ simulated runtime — named graphs (:mod:`registry`), prepared statements
 and shared plan/result caches (:mod:`cache` + the engine's
 :class:`~repro.engine.PreparedStatement`), a thread-pooled executor with
 fast-fail admission control and cooperative per-query deadlines
-(:mod:`service`), service metrics (:mod:`metrics`), a stdlib HTTP/JSON
-front end (:mod:`protocol`) and a differentially-verified load generator
-(:mod:`bench`).
+(:mod:`service`), service metrics (:mod:`metrics`) and a stdlib
+HTTP/JSON front end (:mod:`protocol`).
 """
 
 from .cache import ResultCache, prepared_cache_key, result_cache_key
@@ -17,7 +16,6 @@ from .protocol import QueryHTTPServer, serve_in_thread
 from .registry import GraphRegistry, RegisteredGraph, UnknownGraphError
 from .service import (
     AdmissionError,
-    CostAdmissionError,
     PreparedHandle,
     QueryResult,
     QueryService,
@@ -26,7 +24,6 @@ from .service import (
 
 __all__ = [
     "AdmissionError",
-    "CostAdmissionError",
     "GraphRegistry",
     "LatencyHistogram",
     "PreparedHandle",

@@ -300,8 +300,10 @@ def serve_in_thread(service, host="127.0.0.1", port=0, verbose=False):
     ``server.address`` and stops with ``server.stop()``.
     """
     server = QueryHTTPServer(service, host=host, port=port, verbose=verbose)
+    # stop() waits for the serve loop's next poll: keep that wait short
     thread = threading.Thread(
-        target=server.serve_forever, name="repro-serve", daemon=True
+        target=server.serve_forever, kwargs={"poll_interval": 0.05},
+        name="repro-serve", daemon=True,
     )
     thread.start()
     return server, thread

@@ -47,23 +47,6 @@ class AdmissionError(RuntimeError):
     """The service is saturated; the query was rejected, not queued."""
 
 
-class CostAdmissionError(AdmissionError):
-    """The query's statically certified cost exceeds the service bound.
-
-    Raised *before any operator executes*: the static plan analysis
-    (:mod:`repro.analysis.plan`) proved that some operator in the
-    plan may emit more rows than the service's ``max_cost_bound`` allows
-    for any data consistent with the graph statistics.  Carries the
-    :class:`~repro.analysis.CostCertificate` and the ``S405`` diagnostic
-    naming the offending operator.
-    """
-
-    def __init__(self, certificate, diagnostic):
-        super().__init__(str(diagnostic))
-        self.certificate = certificate
-        self.diagnostic = diagnostic
-
-
 class ServiceClosedError(RuntimeError):
     """The service has been shut down and accepts no new queries."""
 
@@ -228,7 +211,6 @@ class QueryService:
         plan_cache_size=DEFAULT_PLAN_CACHE_SIZE,
         result_cache_size=0,
         lint=True,
-        max_cost_bound=None,
     ):
         if max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
@@ -242,11 +224,6 @@ class QueryService:
         self.vertex_strategy = vertex_strategy
         self.edge_strategy = edge_strategy
         self.lint = lint
-        #: statically certified admission control: a query whose proven
-        #: worst-case per-operator output cardinality exceeds this bound
-        #: is rejected with :class:`CostAdmissionError` at submit time,
-        #: before any operator executes.  ``None`` disables the check.
-        self.max_cost_bound = max_cost_bound
         #: one LRU shared by every runner the service creates; holds both
         #: ("plan", ...) entries and ("prepared", ...) statements
         self.plan_cache = LRUCache(plan_cache_size, name="cache.plan")
@@ -445,7 +422,6 @@ class QueryService:
             )
             with compile_lock:
                 handler, root = runner.compile(query, parameters)
-        self._admit_cost(runner, root, statement)
         if statement is not None:
             batches, meta, job_metrics = statement.batches(
                 parameters, cancellation=token
@@ -472,29 +448,6 @@ class QueryService:
             result_cache_hit=False,
             prepared=use_prepared,
         )
-
-    def _admit_cost(self, runner, root, statement):
-        """Reject a plan whose certified bound exceeds the service limit.
-
-        Certifies only when a bound is set; a prepared statement keeps
-        its certificate, so it is certified at most once.
-        """
-        if self.max_cost_bound is None:
-            return
-        if statement is not None:
-            certificate = statement.cost_certificate
-        else:
-            # lazy, like the runner's: the analysis package imports the
-            # engine
-            from repro.analysis.plan import analyze_plan
-
-            certificate = analyze_plan(
-                root, statistics=runner.statistics
-            ).certificate
-        diagnostic = certificate.diagnostic(self.max_cost_bound)
-        if diagnostic is not None:
-            self.metrics.on_reject()
-            raise CostAdmissionError(certificate, diagnostic)
 
     # Introspection / lifecycle ----------------------------------------------
 

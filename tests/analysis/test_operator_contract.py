@@ -1,7 +1,7 @@
 """An operator is one file: the contract, stated in a test module.
 
 ``PassThrough`` below is a complete physical operator — ``_build()`` plus
-the five contract rules of :class:`~repro.engine.PhysicalOperator` — that
+the contract rules of :class:`~repro.engine.PhysicalOperator` — that
 exists only here.  It goes clean through the plan analysis and a
 sanitized run without a single edit under ``src/``; an operator
 *missing* a rule fails loudly, naming itself and the rule, instead of
@@ -40,9 +40,6 @@ class PassThrough(PhysicalOperator):
     def demand_on_children(self, demand, vertex_iso, edge_iso, flag):
         return [demand.copy()]  # forwarding is not reading
 
-    def cardinality_bound(self, child_bounds, statistics):
-        return child_bounds[0]
-
     def check_structure(self, flag):
         if self.meta is not self.children[0].meta:
             flag("binding-dropped", "pass-through changed its metadata")
@@ -70,7 +67,6 @@ class TestOneFileOperator:
         assert isinstance(root, PassThrough)
         analysis = analyze_plan(
             root, handler,
-            statistics=runner.statistics,
             vertex_strategy=runner.vertex_strategy,
             edge_strategy=runner.edge_strategy,
         )
@@ -82,11 +78,6 @@ class TestOneFileOperator:
             "PassThrough" in d.message for d in analysis.diagnostics
         )
         assert analysis.demand_of(root).properties == {("b", "name")}
-        certificate = analysis.certificate
-        assert certificate.records[-1].operator == "PassThrough"
-        assert certificate.records[-1].cardinality_bound == (
-            certificate.records[-2].cardinality_bound
-        )
 
     def test_full_pipeline_matches_the_plain_engine(self, figure1_graph):
         runner = CypherRunner(
@@ -102,8 +93,7 @@ class TestOneFileOperator:
 
 @pytest.mark.parametrize(
     "rule",
-    ["derive_layout", "demand_on_children", "cardinality_bound",
-     "check_structure"],
+    ["derive_layout", "demand_on_children", "check_structure"],
 )
 def test_missing_rule_raises_naming_class_and_rule(figure1_graph, rule):
     class Incomplete(PassThrough):
@@ -115,6 +105,6 @@ def test_missing_rule_raises_naming_class_and_rule(figure1_graph, rule):
     handler, root = runner.compile(FILTERED_QUERY)
     # the one analysis pass asks every operator for every rule
     with pytest.raises(NotImplementedError) as excinfo:
-        analyze_plan(Incomplete(root), handler, statistics=runner.statistics)
+        analyze_plan(Incomplete(root), handler)
     assert "Incomplete" in str(excinfo.value)
     assert rule in str(excinfo.value)

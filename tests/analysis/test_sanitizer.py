@@ -11,7 +11,6 @@ import struct
 import pytest
 
 from repro.analysis import (
-    DEFAULT_SAMPLE_EVERY,
     EmbeddingSanitizer,
     SanitizerError,
     validate_embedding,
@@ -256,38 +255,6 @@ class TestSanitizedExecution:
         )
         assert rows
         assert runner.last_sanitizer.diagnostics == []
-
-    def test_sample_mode_validates_a_fraction(self, figure1_graph):
-        runner = CypherRunner(figure1_graph, sanitize="sample")
-        rows = runner.execute_table(self.QUERY)
-        assert rows
-        sanitizer = runner.last_sanitizer
-        assert sanitizer.sample_every == DEFAULT_SAMPLE_EVERY
-        # the sampler saw every embedding but validated only a fraction
-        assert sanitizer.seen > sanitizer.checked
-        assert sanitizer.diagnostics == []
-
-    def test_sampled_matches_plain_results(self, figure1_graph):
-        plain = CypherRunner(figure1_graph).execute_table(self.QUERY)
-        sampled = CypherRunner(figure1_graph, sanitize="sample").execute_table(
-            self.QUERY
-        )
-        assert sorted(plain, key=repr) == sorted(sampled, key=repr)
-
-    def test_sample_every_one_still_catches_corruption(self, figure1_graph):
-        # sample_every=1 degenerates to full per-embedding validation
-        runner = CypherRunner(figure1_graph)
-        _, root = runner.compile(self.QUERY)
-        corrupted = _Corrupting(root, _truncate)
-        EmbeddingSanitizer(sample_every=1).attach(corrupted)
-        with pytest.raises(SanitizerError):
-            corrupted.evaluate().collect()
-
-    def test_invalid_sample_every_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddingSanitizer(sample_every=0)
-        with pytest.raises(ValueError):
-            EmbeddingSanitizer(sample_every="often")
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):

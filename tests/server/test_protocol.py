@@ -6,6 +6,7 @@ import re
 import socket
 import statistics
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -51,10 +52,12 @@ def expire_after_the_dataflow(monkeypatch):
     monkeypatch.setattr(DataSet, "batches", batches)
 
 
-def serve_figure1(graph):
+def serve_figure1(graph, max_concurrency=2, **options):
     registry = GraphRegistry()
     registry.register("fig1", graph)
-    service = QueryService(registry, max_concurrency=2)
+    service = QueryService(
+        registry, max_concurrency=max_concurrency, **options
+    )
     server, thread = serve_in_thread(service)
     base = "http://%s:%d" % server.address
     yield base, server, thread
@@ -70,7 +73,7 @@ def endpoint(figure1_graph):
 
 @pytest.fixture(scope="module")
 def wire():
-    """One server for the raw-socket tests: stopping one costs 0.5 s."""
+    """One server for the raw-socket tests."""
     head, vertices, edges = build_figure1_elements()
     yield from serve_figure1(LogicalGraph.from_collections(
         ExecutionEnvironment(parallelism=4), vertices, edges, graph_head=head
@@ -206,6 +209,34 @@ class TestErrorMapping:
         })
         assert status == 404
         assert "nope" in body["error"]
+
+    def test_saturated_service_is_503_rejected(self, figure1_graph):
+        # one worker, no queue: hold the worker, fill the only capacity
+        # slot, and the request over the wire must fast-fail as a
+        # rejection — the signal that tells a client to retry
+        served = serve_figure1(figure1_graph, max_concurrency=1, max_queue=0)
+        base, server, _ = next(served)
+        service = server.service
+        release = threading.Event()
+        blocker = service._executor.submit(release.wait)
+        try:
+            queued = service.submit("fig1", PARAM_QUERY, {"name": "Bob"})
+            before = http("GET", base + "/metrics")[1]
+            status, body = http("POST", base + "/query", {
+                "graph": "fig1", "query": PARAM_QUERY,
+                "parameters": {"name": "Alice"},
+            })
+            after = http("GET", base + "/metrics")[1]
+            release.set()
+            assert queued.result(timeout=30).row_count == 1
+            blocker.result(timeout=30)
+        finally:
+            release.set()
+            next(served, None)  # stop the server
+        assert status == 503
+        assert body["kind"] == "rejected"
+        assert after["rejected"] == before["rejected"] + 1
+        assert after["failed"] == before["failed"]
 
     def test_missing_field_is_400(self, endpoint):
         base, _, _ = endpoint

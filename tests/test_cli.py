@@ -181,14 +181,6 @@ class TestCheck:
         assert result.stdout.count("'__e0'") == 1
         assert "0 error(s), 1 warning(s)" in result.stderr
 
-    def test_max_cost_bound_is_an_error(self, run_cli, graph_dir):
-        result = run_cli(
-            "check", graph_dir, "MATCH (a:Person), (b:Person) RETURN a, b",
-            "--max-cost-bound", "10",
-        )
-        assert result.returncode == 1, result.stderr
-        assert result.stdout.count("error[S405]") == 1
-
     def test_reports_every_planner(self, run_cli, graph_dir):
         result = run_cli(
             "check", graph_dir, "MATCH (p:Person) RETURN p.firstName"
