@@ -17,7 +17,10 @@ per record and re-encoded under ``--no-columnar``).  One variable-length
 request (``knows*1..3`` from a bound name) must return the rows of the
 per-record reference loop, computed in this process — on the default
 engine as chunks from the expand kernel, with no fallback counted; under
-``--no-columnar`` from the reference loop itself.  One fixed-length
+``--no-columnar`` from the reference loop itself.  One answer of ids
+only (``RETURN *``, several batches, written from the id matrices) is
+read off the raw socket too: ``Content-Length`` must be the bytes that
+arrive and its rows the per-record reference loop's.  One fixed-length
 pattern and one triangle must return the per-record reference's rows too
 (so every leg agrees with every other): on the default engine — and with
 ``--workers 2``, where the kernel runs in the serving process — as a hop
@@ -61,6 +64,8 @@ BIG_QUERY = (
     "RETURN p.firstName, p.lastName, q.firstName, q.lastName, "
     "c.content, c.creationDate, c"
 )
+#: ids only, written from the id matrices: 10 273 rows, several batches
+ID_QUERY = "MATCH (p:Person)-[:knows]->(q:Person)<-[:hasCreator]-(c) RETURN *"
 PATH_QUERY = (
     "MATCH (p:Person)-[:knows*1..3]->(q:Person) "
     "WHERE p.firstName = $name RETURN *"
@@ -297,6 +302,27 @@ def main():
             check(engine["adjacency"]["edges"] > 0
                   and engine["adjacency"]["bytes"] > 0,
                   "resident adjacency %s" % engine["adjacency"])
+            # an answer of ids only, off the raw socket: the id-matrix
+            # writer's bytes are what Content-Length announces, and the
+            # rows are the reference loop's
+            before = engine["result"]
+            length, body = raw_post(address, "/query", {
+                "graph": "smoke", "query": ID_QUERY,
+            })
+            engine = http("GET", base + "/metrics")[1]["engine"]
+            crossed = {
+                key: value - before[key]
+                for key, value in engine["result"].items()
+            }
+            check(length == len(body), "Content-Length %d == %d bytes read"
+                  % (length, len(body)))
+            answer = json.loads(body)
+            check(answer["row_count"] == len(answer["rows"]) > 0
+                  and crossed["chunks"] > 1
+                  and sorted(map(canonical, answer["rows"]))
+                  == sorted(map(canonical, per_record.execute_table(ID_QUERY))),
+                  "ids only: %d rows in %d batches, the reference's multiset"
+                  % (answer["row_count"], crossed["chunks"]))
             # fixed-length edges: a hop, and a pair probe for the edge
             # that closes the triangle, in place of edge-leaf hash joins
             before = engine

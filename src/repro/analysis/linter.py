@@ -58,10 +58,7 @@ class QueryLinter:
 
     def __init__(self, query, statistics=None):
         if isinstance(query, str):
-            self.text = query
             query = parse(query)
-        else:
-            self.text = None
         if not isinstance(query, Query):
             raise TypeError("expected query string or Query AST")
         self.ast = query

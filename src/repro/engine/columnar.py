@@ -42,16 +42,16 @@ own that pick between a kernel compiled here (:class:`ColumnarLeaf`,
 :class:`ColumnarExpandSpec`, :class:`ColumnarAdjacencyJoin`,
 :class:`ColumnarVertexLookup`) and their per-record reference sub-plan.
 
-At the result boundary the same layout is read column-wise:
-:func:`id_column`, :func:`path_column` and :func:`property_column` decode
-one RETURN item of a whole chunk to plain values
-(:mod:`repro.engine.result` builds the result table from them); a
-property column is one column of the record matrix, each distinct record
-decoded once.
+At the result boundary the same layout is read column-wise
+(:mod:`repro.engine.result` builds the result table): an id column stays
+the ``values[:, c]`` slice, :func:`path_column` locates a PATH entry's
+id matrix and :func:`property_column` decodes one column of the record
+matrix, each distinct record once.  :func:`id_rows_json` writes a batch
+of id and path columns as JSON text straight from those arrays.
 """
 
 import sys
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -172,9 +172,12 @@ def props_to_bytes(
 # The path boundary: ``path_data`` as §3.3 bytes <-> one id matrix per PATH
 # entry.  Only the per-record codec and the worker chunk frame cross it.
 
-#: a chunk's paths: one ``(ids, lens)`` pair per PATH entry, in the order
-#: of the rows' ``path_data``
-Paths = Tuple[Tuple[np.ndarray, np.ndarray], ...]
+#: one PATH entry of every row: ``(ids, lens)``, row ``r``'s path
+#: ``ids[r, :lens[r]]``
+PathMatrix = Tuple[np.ndarray, np.ndarray]
+#: a chunk's paths: one pair per PATH entry, in the order of the rows'
+#: ``path_data``
+Paths = Tuple[PathMatrix, ...]
 
 
 def _path_sizes(paths: Paths, count: int) -> np.ndarray:
@@ -381,6 +384,11 @@ def _padded(matrices: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def concat_paths(entry: Sequence[PathMatrix]) -> PathMatrix:
+    """One PATH entry holding the rows of the ``entry`` pairs, in order."""
+    return _padded([ids for ids, _ in entry]), np.concatenate([lens for _, lens in entry])
+
+
 def _beside(parts: Sequence[Optional[np.ndarray]], axis: int) -> Optional[np.ndarray]:
     """The matrices among ``parts`` (``None``: no records) joined on ``axis``."""
     found = [part for part in parts if part is not None]
@@ -405,11 +413,7 @@ def concat_chunks(chunks: Sequence[EmbeddingChunk]) -> EmbeddingChunk:
     return EmbeddingChunk(
         np.concatenate([chunk.values for chunk in chunks]),
         flags,
-        tuple(
-            (_padded([ids for ids, _ in entry]),
-             np.concatenate([lens for _, lens in entry]))
-            for entry in entries
-        ),
+        tuple(map(concat_paths, entries)),
         _beside([chunk.props for chunk in chunks], 0),
         _beside([chunk.prop_lens for chunk in chunks], 0),
     )
@@ -455,13 +459,8 @@ def chunk_from_embeddings(records: Sequence[Any]) -> Optional[EmbeddingChunk]:
 # the Python values a result row holds.  No ``Embedding`` is built.
 
 
-def id_column(chunk: EmbeddingChunk, column: int) -> List[int]:
-    """The bare ids of entry ``column``, one per row."""
-    return chunk.values[:, column].tolist()
-
-
-def path_column(chunk: EmbeddingChunk, column: int) -> List[List[int]]:
-    """The id lists of the PATH entries in ``column``, one per row.
+def path_column(chunk: EmbeddingChunk, column: int) -> PathMatrix:
+    """The ``(ids, lens)`` pair of the PATH entries in ``column``.
 
     The column's value names the entry: its offset in the row's
     ``path_data``, the sum of the earlier entries' sizes.
@@ -470,11 +469,112 @@ def path_column(chunk: EmbeddingChunk, column: int) -> List[List[int]]:
     start = np.zeros(chunk.count, dtype=np.int64)
     for ids, lens in chunk.paths:
         if (offsets == start).all():
-            if (lens == ids.shape[1]).all():
-                return ids.tolist()
-            return [row[:n] for row, n in zip(ids.tolist(), lens.tolist())]
+            return ids, lens
         start += PATH_COUNT_WIDTH + PATH_ID_WIDTH * lens
     raise ValueError("column %d is not one PATH entry of every row" % column)
+
+
+def path_lists(paths: PathMatrix) -> List[List[int]]:
+    """Each row's path as a list of ids."""
+    ids, lens = paths
+    if (lens == ids.shape[1]).all():
+        return ids.tolist()
+    return [row[:n] for row, n in zip(ids.tolist(), lens.tolist())]
+
+
+# JSON rows of ids ------------------------------------------------------------
+#
+# A result batch whose every column is an id or a path is written as JSON
+# by one byte matrix: row ``r`` of a ``uint8`` ``(rows, width)`` matrix is
+# row ``r``'s object, every field at a fixed offset, and every byte a
+# field does not fill is NUL.  Compacting the matrix (``R[R != 0]``) is
+# the text: JSON from ``json.dumps`` is ASCII and holds no NUL.
+
+
+def _quad_words() -> np.ndarray:
+    """``(2, 20000)`` ``uint32``: word ``q`` of a table is quad ``q``'s four
+    ASCII digits as a leading quad (NUL-padded: 7 is three NULs, then
+    ``7``), word ``10000 + q`` as an inner one (zero-padded: ``0007``).
+    In table 0 a leading 0 is blank, as an id's higher quads are; in
+    table 1, an id's last quad, it is ``0``."""
+    numbers = np.arange(10_000)
+    inner = np.stack(
+        [numbers // 1000 % 10, numbers // 100 % 10, numbers // 10 % 10, numbers % 10],
+        axis=1,
+    ).astype(np.uint8) + ord("0")
+    leading = inner.copy()
+    leading[(np.cumsum(inner != ord("0"), axis=1) == 0) & (np.arange(4) < 3)] = 0
+    last = np.concatenate([leading, inner]).view(np.uint32).ravel()
+    higher = last.copy()
+    higher[0] = 0
+    return np.stack([higher, last])
+
+
+_QUAD_WORDS = _quad_words()
+_QUAD = np.uint64(10_000)
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """``(n, width)`` ASCII: each id's decimal digits, right-aligned in as
+    many bytes as the largest id has digits, NUL-padded on the left."""
+    width = len(str(int(values.max())))
+    quads = -(-width // 4)
+    words = np.empty((len(values), quads), dtype=np.uint32)
+    prefix = values  # the digits from this quad up
+    for position in range(quads - 1, -1, -1):
+        higher = prefix // _QUAD
+        index = prefix - higher * _QUAD + (higher != 0) * _QUAD
+        words[:, position] = _QUAD_WORDS[int(position == quads - 1)][index.view(np.intp)]
+        prefix = higher
+    return words.view(np.uint8)[:, 4 * quads - width:]
+
+
+IdColumn = Union[np.ndarray, PathMatrix]
+
+
+def id_rows_json(keys: Sequence[str], columns: Sequence[IdColumn]) -> bytes:
+    """The rows of a batch as JSON objects joined by ``", "``.
+
+    ``keys`` are the JSON texts of the column names; a column is a
+    ``uint64`` id array or a path's ``(ids, lens)`` pair.  Byte for byte
+    what ``json.dumps`` writes for the rows' dicts.
+    """
+    first = columns[0]
+    count = len(first[1] if isinstance(first, tuple) else first)
+    template = bytearray(b"{")
+    fields: List[Tuple[int, np.ndarray]] = []  # (offset, digits) of every column
+    for index, (key, column) in enumerate(zip(keys, columns)):
+        template += b"%s%s: " % (b", " if index else b"", key.encode("ascii"))
+        if isinstance(column, tuple):
+            template += b"["
+            digits = _path_digits(*column)
+        else:
+            digits = _digits(column)
+        fields.append((len(template), digits))
+        template += bytes(digits.shape[1])
+        if isinstance(column, tuple):
+            template += b"]"
+    template += b"}, "
+    matrix = np.empty((count, len(template)), dtype=np.uint8)
+    matrix[:] = np.frombuffer(template, dtype=np.uint8)
+    for start, digits in fields:
+        matrix[:, start:start + digits.shape[1]] = digits
+    return matrix[matrix != 0][:-2].tobytes()
+
+
+def _path_digits(ids: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``(count, width * (2 + digits))``: each id of a path behind its
+    ``", "`` (none before the first), NUL past the path's length."""
+    count, width = ids.shape
+    if not width:
+        return np.empty((count, 0), dtype=np.uint8)
+    digits = _digits(ids.reshape(-1))
+    entries = np.empty((count, width, 2 + digits.shape[1]), dtype=np.uint8)
+    entries[:, :, 0], entries[:, :, 1] = ord(","), ord(" ")
+    entries[:, 0, :2] = 0
+    entries[:, :, 2:] = digits.reshape(count, width, -1)
+    entries[np.arange(width) >= lens[:, None]] = 0
+    return entries.reshape(count, -1)
 
 
 class PropertyMemo(Dict[bytes, Any]):

@@ -1,11 +1,14 @@
 """The result boundary: embedding chunks in, a column-wise table out.
 
 :func:`build_table` is the one evaluator of the RETURN clause.  Every
-RETURN item is decoded once per result chunk into a column of plain
-Python values (:mod:`repro.engine.columnar` reads ids, paths and
-property records at their offsets, §3.3); aggregates, DISTINCT,
-ORDER BY, SKIP and LIMIT then run on those columns.  A row — a dict per
-embedding — exists only if a caller asks for :meth:`ResultTable.rows`.
+RETURN item is read once per result chunk into a column
+(:mod:`repro.engine.columnar` reads ids, paths and property records at
+their offsets, §3.3): an id column stays the chunk's ``uint64`` slice, a
+path column its ``(ids, lens)`` id matrix, and a property column is
+decoded to plain Python values.  Aggregates, DISTINCT, ORDER BY, SKIP
+and LIMIT then run on those columns.  A row — a dict per embedding, ids
+as plain ``int`` — exists only if a caller asks for
+:meth:`ResultTable.rows`.
 
 Result partitions that arrive per record (sanitized or reference-mode
 runs, stages without a chunk kernel) are re-encoded with the exact
@@ -13,32 +16,76 @@ runs, stages without a chunk kernel) are re-encoded with the exact
 no second evaluator to keep in step.
 """
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union, cast,
+)
+
+import numpy as np
 
 from repro.cypher.ast import FunctionCall, PropertyAccess, VariableRef
 from repro.cypher.errors import CypherSemanticError
 
 from .columnar import (
     EmbeddingChunk,
+    PathMatrix,
     PropertyMemo,
     chunk_from_embeddings,
-    id_column,
+    concat_paths,
     path_column,
+    path_lists,
     property_column,
 )
 
-Column = List[Any]
+#: one column of one batch: a ``uint64`` id array (``KIND_ID``), a path
+#: id matrix ``(ids, lens)`` (``KIND_PATH``) or a list of values
+Column = Union[List[Any], np.ndarray, PathMatrix]
 #: one output column: name, kind, ``chunk -> column`` and, for an
 #: aggregate (whose reader yields its *inputs*), the call
 Item = Tuple[str, str, Callable[[EmbeddingChunk], Column], Optional[FunctionCall]]
 
-#: column kinds: every value an int id / every value a list of int ids /
+#: column kinds: every value an id / every value a path of ids /
 #: any value a property or an aggregate can take
 KIND_ID, KIND_PATH, KIND_VALUE = "i", "p", "o"
 
 
+def column_values(column: Column) -> List[Any]:
+    """``column`` as plain Python values: ids as ``int``, paths as lists."""
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    if isinstance(column, tuple):
+        return path_lists(column)
+    return column
+
+
+def _height(column: Column) -> int:
+    return len(column[1] if isinstance(column, tuple) else column)
+
+
+def _merged(parts: Sequence[Column]) -> Column:
+    """One column from the batches' ``parts`` of it (at least one)."""
+    first = parts[0]
+    if len(parts) == 1:
+        return first
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    if isinstance(first, tuple):
+        return concat_paths(cast(Sequence[PathMatrix], parts))
+    return list(chain.from_iterable(parts))
+
+
+def _taken(column: Column, positions: np.ndarray) -> Column:
+    """The rows of ``column`` at ``positions``, in that order."""
+    if isinstance(column, np.ndarray):
+        return column[positions]
+    if isinstance(column, tuple):
+        ids, lens = column
+        return ids[positions], lens[positions]
+    return [column[position] for position in positions.tolist()]
+
+
 class ResultTable:
-    """Column names plus, per result batch, one list per column.
+    """Column names plus, per result batch, one :data:`Column` each.
 
     ``batches`` keeps the result's chunk boundaries (one tuple of
     columns per non-empty chunk) until post-processing has to see all
@@ -65,16 +112,16 @@ class ResultTable:
         self.reencoded = reencoded
 
     def __len__(self) -> int:
-        return sum(len(batch[0]) for batch in self.batches)
+        return sum(_height(batch[0]) for batch in self.batches)
 
-    def columns(self) -> Tuple[Column, ...]:
-        """Each column over all batches."""
+    def columns(self) -> Tuple[List[Any], ...]:
+        """Each column over all batches, as plain Python values."""
         if len(self.batches) == 1:
-            return self.batches[0]
-        merged: Tuple[Column, ...] = tuple([] for _ in self.names)
+            return tuple(map(column_values, self.batches[0]))
+        merged: Tuple[List[Any], ...] = tuple([] for _ in self.names)
         for batch in self.batches:
             for column, part in zip(merged, batch):
-                column.extend(part)
+                column.extend(column_values(part))
         return merged
 
     def with_columns(
@@ -84,14 +131,17 @@ class ResultTable:
         return ResultTable(
             self.names,
             self.kinds if kinds is None else kinds,
-            [tuple(columns)] if columns[0] else [],
+            [tuple(columns)] if _height(columns[0]) else [],
             self.chunks, self.reencoded,
         )
 
     def take(self, indices: Sequence[int]) -> "ResultTable":
-        """The rows at ``indices``, in that order."""
+        """The rows at ``indices``, in that order, in this table's columns."""
+        positions = np.asarray(indices, dtype=np.intp)
+        if not len(positions):
+            return ResultTable(self.names, self.kinds, [], self.chunks, self.reencoded)
         return self.with_columns([
-            [column[index] for index in indices] for column in self.columns()
+            _taken(_merged(parts), positions) for parts in zip(*self.batches)
         ])
 
     def rows(self) -> List[Dict[str, Any]]:
@@ -100,7 +150,7 @@ class ResultTable:
         return [
             dict(zip(names, row))
             for batch in self.batches
-            for row in zip(*batch)
+            for row in zip(*map(column_values, batch))
         ]
 
 
@@ -119,7 +169,7 @@ def _return_items(returns: Any, meta: Any) -> List[Item]:
             column = meta.entry_column(node.name)
             if meta.entry_kind(node.name) == "p":
                 return KIND_PATH, lambda chunk: path_column(chunk, column)
-            return KIND_ID, lambda chunk: id_column(chunk, column)
+            return KIND_ID, lambda chunk: chunk.values[:, column]
         if isinstance(node, PropertyAccess):
             if not meta.has_property(node.variable, node.key):
                 return KIND_VALUE, lambda chunk: [None] * chunk.count

@@ -13,6 +13,7 @@ import itertools
 from repro.analysis.diagnostics import QueryLintError
 from repro.analysis.linter import lint_query
 from repro.cache import LRUCache
+from repro.cypher.parser import parse
 from repro.cypher.query_graph import QueryHandler
 from repro.dataflow.modes import legacy_mode
 from repro.epgm import GraphCollection, GraphHead, PropertyValue
@@ -153,15 +154,17 @@ class CypherRunner:
                 )
                 return handler, root
         diagnostics = []
-        if self.lint_enabled and isinstance(query, str):
-            diagnostics = self.lint(query)
-            if any(diagnostic.is_blocking for diagnostic in diagnostics):
-                raise QueryLintError(diagnostics, query_text=query)
-        self.last_diagnostics = diagnostics
         if isinstance(query, QueryHandler):
             handler = query
         else:
-            handler = QueryHandler(query, parameters=parameters)
+            # one parse: the linter and the handler share the AST
+            ast = parse(query) if isinstance(query, str) else query
+            if self.lint_enabled and isinstance(query, str):
+                diagnostics = self.lint(ast)
+                if any(diagnostic.is_blocking for diagnostic in diagnostics):
+                    raise QueryLintError(diagnostics, query_text=query)
+            handler = QueryHandler(ast, parameters=parameters)
+        self.last_diagnostics = diagnostics
         root, sanitizer = self.plan(handler)
         self.last_sanitizer = sanitizer
         if cache_key is not None:

@@ -30,7 +30,8 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.cache import LRUCache
 from repro.dataflow.cancellation import CancellationToken, QueryTimeout
 from repro.engine import CypherRunner, GreedyPlanner
-from repro.engine.result import KIND_ID, KIND_VALUE
+from repro.engine.columnar import id_rows_json
+from repro.engine.result import KIND_ID, KIND_VALUE, column_values
 from repro.engine.runner import _graph_cache_token
 from repro.epgm.indexed import IndexedLogicalGraph
 from repro.locks import named_lock
@@ -144,11 +145,32 @@ class QueryResult:
         """The JSON body as a list of buffers: head, row fragments, tail.
 
         Byte for byte ``json.dumps(self.to_dict(), default=_json_default)``,
-        written from the table's columns: one fragment per result batch,
-        each row through one ``%`` of a template, ids as ``%d``, id lists
-        as their ``str`` and every other value through a
-        :class:`_JsonMemo`.  No row dict is built.
+        written from the table's columns, one fragment per result batch;
+        no row dict is built.  A table of id and path columns only is
+        written by :func:`~repro.engine.columnar.id_rows_json` straight
+        from its arrays.  A table with a value column writes each row
+        through one ``%`` of a template — ids as ``%d``, id lists as their
+        ``str``, every other value through a :class:`_JsonMemo` — because
+        a value is text of any length, which a fixed-width matrix would
+        pad.
         """
+        table = self.table
+        if KIND_VALUE in table.kinds:
+            fragments = self._value_rows()
+        else:
+            keys = [json.dumps(name) for name in table.names]
+            fragments = (id_rows_json(keys, batch) for batch in table.batches)
+        buffers = [('{"graph": %s, "rows": [' % json.dumps(self.graph)).encode("ascii")]
+        for fragment in fragments:
+            buffers.append(fragment)
+            buffers.append(b", ")
+        if table.batches:
+            buffers.pop()
+        buffers.append(("], " + json.dumps(self._report())[1:]).encode("ascii"))
+        return buffers
+
+    def _value_rows(self):
+        """Each batch's rows as JSON, one ``%`` of a template per row."""
         table = self.table
         template = "{%s}" % ", ".join(
             "%s: %s" % (
@@ -158,17 +180,12 @@ class QueryResult:
             for name, kind in zip(table.names, table.kinds)
         )
         memo = _JsonMemo()
-        buffers = ['{"graph": %s, "rows": [' % json.dumps(self.graph)]
         for batch in table.batches:
-            buffers.append(", ".join(map(template.__mod__, zip(*[
-                memo.column(column) if kind == KIND_VALUE else column
+            yield ", ".join(map(template.__mod__, zip(*[
+                memo.column(column) if kind == KIND_VALUE
+                else column_values(column)
                 for column, kind in zip(batch, table.kinds)
-            ]))))
-            buffers.append(", ")
-        if table.batches:
-            buffers.pop()
-        buffers.append("], " + json.dumps(self._report())[1:])
-        return [buffer.encode("ascii") for buffer in buffers]
+            ]))).encode("ascii")
 
     def __repr__(self):
         return "QueryResult(%d rows, %.3fs, plan_hit=%s)" % (

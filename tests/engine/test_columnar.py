@@ -183,7 +183,9 @@ def test_paths_of_different_widths_concat_and_gather_exactly(
         _assert_chunks_are([got], expected)
         for column, kind in enumerate(shape):
             if kind == "path":
-                assert columnar_module.path_column(got, column) == [
+                assert columnar_module.path_lists(
+                    columnar_module.path_column(got, column)
+                ) == [
                     row.raw_path_at(column) for row in expected
                 ]
 

@@ -7,11 +7,18 @@ Two contracts, checked together by :func:`assert_agrees`:
   value types;
 * ``b"".join(QueryResult.encode())`` is byte for byte
   ``json.dumps(result.to_dict(), default=_json_default)``.
+
+Both writers of ``encode()`` are pinned: the id-matrix writer of tables
+whose columns are all ids or paths, and the template writer of tables
+with a value column (see "the writer" below).
 """
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cypher.errors import CypherSemanticError
 from repro.cypher.query_graph import QueryHandler
@@ -26,11 +33,12 @@ from repro.engine import (
     LeftDeepPlanner,
 )
 from repro.engine.columnar import EmbeddingChunk, chunk_from_embeddings
-from repro.engine.result import build_table
+from repro.engine.result import KIND_ID, KIND_PATH, KIND_VALUE, ResultTable, build_table
 from repro.epgm import Edge, GradoopId, LogicalGraph, Vertex
 from repro.harness.queries import ALL_QUERIES, TABLE3_PATTERNS, instantiate
 from repro.ldbc import LDBCGenerator
 from repro.server.protocol import _json_default
+from repro.server import GraphRegistry, QueryService
 from repro.server.service import QueryResult
 
 from .return_oracle import oracle_rows
@@ -38,6 +46,26 @@ from .return_oracle import oracle_rows
 
 def dumps(value):
     return json.dumps(value, default=_json_default)
+
+
+def assert_encodes(table):
+    """The served bytes are ``json.dumps`` of the rows; ids are ``int``.
+
+    Returns the result and its body.
+    """
+    result = QueryResult(
+        "g\"%s", "q", None, table, 0.25, 1e-05, 1.5, True, False, False
+    )
+    assert result.row_count == len(table) == len(result.rows)
+    assert result.rows is result.rows
+    body = b"".join(result.encode())
+    assert body == dumps(result.to_dict()).encode()
+    ids = [name for name, kind in zip(table.names, table.kinds) if kind == KIND_ID]
+    paths = [name for name, kind in zip(table.names, table.kinds) if kind == KIND_PATH]
+    for row in result.rows:
+        assert all(type(row[name]) is int for name in ids)
+        assert all(type(value) is int for name in paths for value in row[name])
+    return result, body
 
 
 def assert_agrees(returns, embeddings, meta, batches=None):
@@ -50,13 +78,7 @@ def assert_agrees(returns, embeddings, meta, batches=None):
     assert len(table) == len(expected)
     # through JSON, so that 1, 1.0 and True do not compare equal
     assert dumps(rows) == dumps(expected)
-    result = QueryResult(
-        "g\"%s", "q", None, table, 0.25, 1e-05, 1.5, True, False, False
-    )
-    assert result.row_count == len(expected)
-    assert result.rows is result.rows
-    body = b"".join(result.encode())
-    assert body == dumps(result.to_dict()).encode()
+    _, body = assert_encodes(table)
     assert json.loads(body)["rows"] == json.loads(dumps(expected))
     return table
 
@@ -192,6 +214,13 @@ VALUE_QUERIES = [
     "RETURN DISTINCT e.since ORDER BY e.since DESC SKIP 1",
     "MATCH (p:Person)-[e:knows]->(q:Person) "
     "RETURN e.since, count(*) ORDER BY e.since LIMIT 2",
+    # post-processing over tables of ids and paths only
+    "MATCH (p:Person)-[e:knows]->(q:Person) RETURN DISTINCT p, q",
+    "MATCH (p:Person)-[e:knows]->(q:Person) RETURN p, q ORDER BY q DESC, p",
+    "MATCH (p:Person)-[e:knows]->(q:Person) RETURN e, p ORDER BY p LIMIT 3",
+    "MATCH (p:Person)-[e:knows*1..2]->(q:Person) RETURN * SKIP 1 LIMIT 5",
+    "MATCH (p:Person)-[e:knows*0..2]->(q:Person) RETURN DISTINCT e",
+    "MATCH (p:Person)-[e:knows*0..2]->(q:Person) RETURN q, e ORDER BY q DESC SKIP 2",
 ]
 
 
@@ -284,3 +313,140 @@ def test_batches_of_both_kinds_and_empty_ones_make_one_table():
     assert (table.chunks, table.reencoded) == (3, 1)
     with pytest.raises(ValueError, match="not a uniform"):
         build_table(None, [[embeddings[0], Embedding.of_ids(GradoopId(1))]], meta)
+
+
+# --- the writer ------------------------------------------------------------------
+#
+# ``encode()`` picks its writer by the table's column kinds: a table of id
+# and path columns only is written from its arrays by one byte matrix, any
+# other through the row template.  Both must be ``json.dumps`` exactly.
+
+#: every width of a decimal id up to 2**64 - 1, and its edges
+EDGE_IDS = [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 1 << 63, (1 << 64) - 1]
+ids = st.one_of(st.sampled_from(EDGE_IDS), st.integers(0, (1 << 64) - 1))
+#: names that need JSON escapes: a quote, a backslash, a format
+#: directive, non-ASCII and a control character
+names = st.text(
+    st.sampled_from('ab"\\%sdé☃\x01\n\U0001d11e'), min_size=1, max_size=6
+)
+
+
+@st.composite
+def id_tables(draw):
+    """A table of id and path columns (and at times one value column)."""
+    kinds = draw(st.lists(
+        st.sampled_from([KIND_ID, KIND_ID, KIND_PATH]), min_size=1, max_size=4
+    ))
+    if draw(st.booleans()) and draw(st.booleans()):
+        kinds.insert(draw(st.integers(0, len(kinds))), KIND_VALUE)
+    columns_names = draw(st.lists(
+        names, min_size=len(kinds), max_size=len(kinds), unique=True
+    ))
+    batches = []
+    for count in draw(st.lists(st.integers(1, 6), max_size=3)):
+        batch = []
+        for kind in kinds:
+            if kind == KIND_ID:
+                batch.append(np.array(
+                    draw(st.lists(ids, min_size=count, max_size=count)),
+                    dtype=np.uint64,
+                ))
+            elif kind == KIND_PATH:
+                width = draw(st.integers(0, 3))
+                lens = np.array(draw(st.lists(
+                    st.integers(0, width), min_size=count, max_size=count
+                )), dtype=np.int64)
+                # the padding past a path's length is never read
+                matrix = np.array(draw(st.lists(
+                    ids, min_size=count * width, max_size=count * width
+                )), dtype=np.uint64).reshape(count, width)
+                batch.append((matrix, lens))
+            else:
+                batch.append(draw(st.lists(
+                    st.one_of(st.none(), st.integers(), names),
+                    min_size=count, max_size=count,
+                )))
+        batches.append(tuple(batch))
+    return ResultTable(columns_names, kinds, batches, len(batches))
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=id_tables())
+def test_the_writer_is_json_dumps_byte_for_byte(table):
+    result, _ = assert_encodes(table)
+    expected = []
+    for batch in table.batches:
+        columns = []
+        for kind, column in zip(table.kinds, batch):
+            if kind == KIND_ID:
+                columns.append([int(value) for value in column])
+            elif kind == KIND_PATH:
+                matrix, lens = column
+                columns.append([
+                    [int(value) for value in row[:length]]
+                    for row, length in zip(matrix, lens)
+                ])
+            else:
+                columns.append(column)
+        expected += [dict(zip(table.names, row)) for row in zip(*columns)]
+    assert result.rows == expected
+
+
+def test_edge_ids_in_one_batch_and_one_row():
+    column = np.array(EDGE_IDS, dtype=np.uint64)
+    paths = (np.tile(column, (len(EDGE_IDS), 1)), np.arange(len(EDGE_IDS)))
+    for count in (1, len(EDGE_IDS)):
+        table = ResultTable(
+            ["a", "zero-hop first"], [KIND_ID, KIND_PATH],
+            [(column[:count], (paths[0][:count], paths[1][:count]))], 1,
+        )
+        rows = assert_encodes(table)[0].rows
+        assert rows[0] == {"a": 0, "zero-hop first": []}
+        assert [row["a"] for row in rows] == EDGE_IDS[:count]
+    assert rows[-1]["zero-hop first"] == EDGE_IDS[:-1]
+    empty = ResultTable(["a"], [KIND_ID], [], 0)
+    assert assert_encodes(empty)[1].startswith(
+        b'{"graph": "g\\"%s", "rows": [], "row_count": 0'
+    )
+
+
+def test_take_keeps_arrays_across_batches_of_unequal_path_widths():
+    table = ResultTable(
+        ["a", "e"], [KIND_ID, KIND_PATH],
+        [
+            (np.array([5, 6], dtype=np.uint64),
+             (np.array([[1], [2]], dtype=np.uint64), np.array([1, 0]))),
+            (np.array([7], dtype=np.uint64),
+             (np.array([[3, 4, 10**12]], dtype=np.uint64), np.array([3]))),
+        ],
+        2,
+    )
+    taken = table.take([2, 0, 2])
+    (ids, (matrix, lens)), = taken.batches
+    assert isinstance(ids, np.ndarray) and isinstance(matrix, np.ndarray)
+    assert taken.rows() == [
+        {"a": 7, "e": [3, 4, 10**12]}, {"a": 5, "e": [1]}, {"a": 7, "e": [3, 4, 10**12]},
+    ]
+    assert_encodes(taken)
+    assert table.take([]).batches == []
+
+
+@pytest.mark.parametrize("text", [
+    "MATCH (p:Person)-[e:knows]->(q:Person) RETURN * SKIP 2",
+    # the expansion arrives per record here: no adjacency to walk
+    "MATCH (p:Person)-[e:knows*0..2]->(q:Person) RETURN * SKIP 1",
+])
+def test_a_result_cache_hit_encodes_the_same_bytes(awkward_graph, text):
+    registry = GraphRegistry()
+    registry.register("g", awkward_graph)
+    with QueryService(registry, result_cache_size=4) as service:
+        cold = service.execute("g", text)
+        warm = service.execute("g", text)
+    assert (cold.result_cache_hit, warm.result_cache_hit) == (False, True)
+    assert warm.table is cold.table
+    assert cold.table.reencoded == ("*0..2" in text)
+    bodies = []
+    for result in (cold, warm):
+        bodies.append(b"".join(result.encode()))
+        assert bodies[-1] == dumps(result.to_dict()).encode()
+    assert json.loads(bodies[0])["rows"] == json.loads(bodies[1])["rows"] != []

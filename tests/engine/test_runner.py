@@ -1,6 +1,9 @@
 """Tests for CypherRunner and the graph.cypher() operator."""
 
+import pytest
 
+from repro.analysis.diagnostics import QueryLintError
+from repro.cypher import parser
 from repro.engine import CypherRunner, MatchStrategy
 from repro.epgm import PropertyValue
 
@@ -145,3 +148,41 @@ class TestExplain:
         stats = GraphStatistics.from_graph(figure1_graph)
         runner = CypherRunner(figure1_graph, statistics=stats)
         assert runner.statistics is stats
+
+
+class TestCompile:
+    @staticmethod
+    def _count_parses(monkeypatch):
+        calls = []
+        original = parser._Parser.parse_query
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(parser._Parser, "parse_query", counting)
+        return calls
+
+    def test_a_cold_compile_parses_the_text_once(self, figure1_graph, monkeypatch):
+        calls = self._count_parses(monkeypatch)
+        runner = CypherRunner(figure1_graph)
+        assert runner.lint_enabled
+        text = "MATCH (p:Person)-[:knows]->(q:Person) WHERE p.name = $name RETURN q.name"
+        runner.compile(text, {"name": "Alice"})
+        assert len(calls) == 1
+        runner.compile(text, {"name": "Alice"})  # a plan cache hit
+        assert len(calls) == 1
+        runner.compile(text, {"name": "Eve"})
+        assert len(calls) == 2
+
+    def test_a_blocking_lint_error_keeps_the_query_text(self, figure1_graph, monkeypatch):
+        calls = self._count_parses(monkeypatch)
+        text = "MATCH (p:Person) RETURN q"
+        with pytest.raises(QueryLintError) as raised:
+            CypherRunner(figure1_graph).compile(text)
+        assert len(calls) == 1
+        # the caret excerpt quotes the text
+        assert "RETURN q" in str(raised.value) and "^" in str(raised.value)
+        assert str(raised.value) == str(
+            QueryLintError(raised.value.diagnostics, query_text=text)
+        )
