@@ -30,6 +30,12 @@ counted); under ``--no-columnar`` both counters stay 0.  Query 2 of the
 paper must return the reference's rows too, its joins with a vertex leaf
 looked up where the other input's rows sit (``lookup_joins`` grows, every
 ``chunk_fallbacks`` counter is still 0; under ``--no-columnar`` it stays 0).
+Query 4 of the paper (six property values a row) is read off the raw
+socket twice: each ``Content-Length`` must be the bytes that arrive, the
+two bodies must be identical and the rows the per-record reference's; on
+the default engine the second answer is written from the graph's resident
+record texts (``engine.leaves.texts`` > 0), which the reference path
+never keeps.
 
 Run directly (``python scripts/serve_smoke.py``) or via ``make
 serve-smoke``.  Any extra command-line arguments are forwarded to the
@@ -115,7 +121,7 @@ def main():
     from repro.dataflow import ExecutionEnvironment
     from repro.engine import CypherRunner
     from repro.epgm.io import CSVDataSink, CSVDataSource
-    from repro.harness.queries import QUERY_2, instantiate
+    from repro.harness.queries import QUERY_2, QUERY_4, instantiate
     from repro.ldbc import LDBCGenerator
 
     failures = []
@@ -371,6 +377,28 @@ def main():
                       and not any(engine["chunk_fallbacks"].values()),
                       "Q2 looked vertex rows up %d times, fallbacks %s"
                       % (looked_up, engine["chunk_fallbacks"]))
+
+            # Q4: six values a row, written from record texts made once
+            bodies = []
+            for _ in range(2):
+                length, body = raw_post(address, "/query", {
+                    "graph": "smoke", "query": QUERY_4,
+                })
+                check(length == len(body), "Q4: Content-Length %d == %d bytes "
+                      "read" % (length, len(body)))
+                bodies.append(body[:body.index(b'"elapsed_seconds"')])
+            answer = json.loads(body)
+            check(answer["row_count"] == len(answer["rows"]) > 0
+                  and sorted(map(canonical, answer["rows"]))
+                  == sorted(map(canonical, per_record.execute_table(QUERY_4))),
+                  "Q4: %d rows, the per-record reference's multiset"
+                  % answer["row_count"])
+            check(bodies[0] == bodies[1], "Q4: both answers byte-identical")
+            texts = http("GET", base + "/metrics")[1]["engine"]["leaves"]["texts"]
+            if "--no-columnar" in extra_args:
+                check(texts == 0, "the reference path keeps no record text")
+            else:
+                check(texts > 0, "%d resident record texts" % texts)
 
             check(metrics["plan_cache"]["hits"] >= 1,
                   "plan cache saw warm hits")

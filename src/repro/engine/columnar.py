@@ -45,11 +45,15 @@ own that pick between a kernel compiled here (:class:`ColumnarLeaf`,
 At the result boundary the same layout is read column-wise
 (:mod:`repro.engine.result` builds the result table): an id column stays
 the ``values[:, c]`` slice, :func:`path_column` locates a PATH entry's
-id matrix and :func:`property_column` decodes one column of the record
-matrix, each distinct record once.  :func:`id_rows_json` writes a batch
-of id and path columns as JSON text straight from those arrays.
+id matrix and a property column is the ``props[:, i]`` slice of shared
+record objects.  Two writers turn a batch of them into JSON text:
+:func:`id_rows_json` writes a large batch of id and path columns
+straight from those arrays, :func:`rows_json` every other batch by
+interleaving ready texts — a record's from :class:`RecordTexts`, which
+makes each distinct record's text once per loaded graph.
 """
 
+import json
 import sys
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -482,13 +486,16 @@ def path_lists(paths: PathMatrix) -> List[List[int]]:
     return [row[:n] for row, n in zip(ids.tolist(), lens.tolist())]
 
 
-# JSON rows of ids ------------------------------------------------------------
+# JSON rows ---------------------------------------------------------------------
 #
-# A result batch whose every column is an id or a path is written as JSON
-# by one byte matrix: row ``r`` of a ``uint8`` ``(rows, width)`` matrix is
-# row ``r``'s object, every field at a fixed offset, and every byte a
-# field does not fill is NUL.  Compacting the matrix (``R[R != 0]``) is
-# the text: JSON from ``json.dumps`` is ASCII and holds no NUL.
+# A large result batch whose every column is an id or a path is written as
+# JSON by one byte matrix: row ``r`` of a ``uint8`` ``(rows, width)``
+# matrix is row ``r``'s object, every field at a fixed offset, and every
+# byte a field does not fill is NUL.  Compacting the matrix (``R[R != 0]``)
+# is the text: JSON from ``json.dumps`` is ASCII and holds no NUL.  The
+# matrix costs a few dozen numpy calls per batch whatever its size, so a
+# small batch, like any batch with a property or aggregate value (text of
+# any length, which a matrix would pad), is written by :func:`rows_json`.
 
 
 def _quad_words() -> np.ndarray:
@@ -530,6 +537,13 @@ def _digits(values: np.ndarray) -> np.ndarray:
 
 
 IdColumn = Union[np.ndarray, PathMatrix]
+
+#: the fewest rows a batch of ids and paths is written by
+#: :func:`id_rows_json` with; below it :func:`rows_json` is faster.  In
+#: rows, not cells: the matrix's fixed cost grows with its columns as the
+#: interleaved writer's cost per row does, so for one to five columns the
+#: two cross at ≈ 100–200 rows
+ID_MATRIX_ROWS = 128
 
 
 def id_rows_json(keys: Sequence[str], columns: Sequence[IdColumn]) -> bytes:
@@ -580,10 +594,11 @@ def _path_digits(ids: np.ndarray, lens: np.ndarray) -> np.ndarray:
 class PropertyMemo(Dict[bytes, Any]):
     """Property record (length field included) → its raw value.
 
-    One per request: a first name is decoded once and every row holding
-    it shares the object — and rows gathered from one resident element
-    hold the very same record object, whose hash is cached.  Only
-    scalars are kept — a list is mutable, so each row gets its own.
+    One per decode of a record column: a first name is decoded once and
+    every row holding it shares the object — and rows gathered from one
+    resident element hold the very same record object, whose hash is
+    cached.  Only scalars are kept — a list is mutable, so each row gets
+    its own.
     """
 
     def __missing__(self, record: bytes) -> Any:
@@ -593,13 +608,94 @@ class PropertyMemo(Dict[bytes, Any]):
         return value
 
 
-def property_column(
-    chunk: EmbeddingChunk, index: int, memo: PropertyMemo
-) -> List[Any]:
-    """The raw values of property record ``index``, one per row."""
-    if chunk.props is None:  # no row
-        return []
-    return list(map(memo.__getitem__, chunk.props[:, index].tolist()))
+#: ``json.dumps(value, default=str)`` — engine objects such as a
+#: :class:`GradoopId` as their ``str`` — without building an encoder per
+#: call (which ``json.dumps`` does whenever ``default`` is given)
+_dumps = json.JSONEncoder(default=str).encode
+
+
+#: the record of NULL, length field included
+NULL_RECORD = _PROP_LEN.pack(len(NULL_VALUE.to_bytes())) + NULL_VALUE.to_bytes()
+
+
+def null_records(count: int) -> np.ndarray:
+    """The record column of a property the embedding does not carry:
+    ``count`` cells of one shared :data:`NULL_RECORD`."""
+    column = np.empty(count, dtype=object)
+    # not np.full: it converts through a bytes dtype, which drops the
+    # record's trailing NUL
+    column.fill(NULL_RECORD)
+    return column
+
+
+class RecordTexts(Dict[bytes, str]):
+    """Property record (length field included) → its value's JSON text.
+
+    One per loaded graph (a derived structure of an indexed graph,
+    dropped with the others), else one per result table.  Filled on first
+    sight and keyed by the record's bytes, which encode the value, so a
+    text is never stale.  Threads may fill it at once without a lock:
+    each stores the same text under the same key, one store at a time.
+    """
+
+    def __missing__(self, record: bytes) -> str:
+        text = _dumps(PropertyValue.from_bytes(record, PROP_LEN_WIDTH)[0].raw())
+        self[record] = text  # unsynchronized: idempotent fill, one dict store
+        return text
+
+    @property
+    def nbytes(self) -> int:
+        """The table's and the texts' bytes; the record keys are the leaf
+        tables' own objects, counted there."""
+        texts = self.copy()  # one snapshot: a fill may run beside it
+        return sys.getsizeof(self) + sum(map(sys.getsizeof, texts.values()))
+
+
+#: a result column of one batch: a ``uint64`` id array, a path's
+#: ``(ids, lens)`` pair, an ``object`` array of property records or a
+#: list of values
+Column = Union[List[Any], np.ndarray, PathMatrix]
+
+
+def column_height(column: Column) -> int:
+    """The number of rows of ``column``."""
+    return len(column[1] if isinstance(column, tuple) else column)
+
+
+def column_texts(column: Column, texts: RecordTexts) -> List[str]:
+    """The JSON text of each cell of ``column``: an id's and a path's
+    ``str``, a record's text from ``texts``, any other value's dump."""
+    if isinstance(column, tuple):
+        return list(map(str, path_lists(column)))
+    if isinstance(column, np.ndarray):
+        cells = column.tolist()
+        if column.dtype == object:
+            return list(map(texts.__getitem__, cells))
+        return list(map(str, cells))
+    return list(map(_dumps, column))
+
+
+def rows_json(keys: Sequence[str], columns: Sequence[Column], texts: RecordTexts) -> bytes:
+    """The rows of a batch as JSON objects joined by ``", "``, written by
+    interleaving ready texts.
+
+    ``keys`` are the JSON texts of the column names.  One flat list holds
+    every row's ``2k + 1`` strings — each column's key head, then its
+    cell, then the row's closer: one list repetition lays down the heads
+    and closers, one extended-slice assignment per column its cells, and
+    one join writes the text.  Byte for byte what ``json.dumps`` writes
+    for the rows' dicts.
+    """
+    row: List[str] = []
+    for index, key in enumerate(keys):
+        row += [(", %s: " if index else "{%s: ") % key, ""]
+    row.append("}, ")
+    stride = len(row)
+    cells = row * column_height(columns[0])
+    for index, column in enumerate(columns):
+        cells[2 * index + 1::stride] = column_texts(column, texts)
+    cells[-1] = "}"
+    return "".join(cells).encode("ascii")
 
 
 class ColumnarPartition:

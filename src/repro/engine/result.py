@@ -4,11 +4,13 @@
 RETURN item is read once per result chunk into a column
 (:mod:`repro.engine.columnar` reads ids, paths and property records at
 their offsets, §3.3): an id column stays the chunk's ``uint64`` slice, a
-path column its ``(ids, lens)`` id matrix, and a property column is
-decoded to plain Python values.  Aggregates, DISTINCT, ORDER BY, SKIP
-and LIMIT then run on those columns.  A row — a dict per embedding, ids
-as plain ``int`` — exists only if a caller asks for
-:meth:`ResultTable.rows`.
+path column its ``(ids, lens)`` id matrix, and a property column the
+chunk's ``object`` slice of shared record ``bytes``.  Aggregates,
+DISTINCT, ORDER BY, SKIP and LIMIT then run on those columns, decoded
+to plain Python values.  A row — a dict per embedding, ids as plain
+``int`` — exists only if a caller asks for :meth:`ResultTable.rows`;
+:meth:`ResultTable.json_rows` writes the served JSON from the columns
+themselves, a record through the graph's :class:`RecordTexts` memo.
 
 Result partitions that arrive per record (sanitized or reference-mode
 runs, stages without a chunk kernel) are re-encoded with the exact
@@ -16,9 +18,10 @@ runs, stages without a chunk kernel) are re-encoded with the exact
 no second evaluator to keep in step.
 """
 
+import json
 from itertools import chain
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union, cast,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, cast,
 )
 
 import numpy as np
@@ -27,39 +30,44 @@ from repro.cypher.ast import FunctionCall, PropertyAccess, VariableRef
 from repro.cypher.errors import CypherSemanticError
 
 from .columnar import (
+    ID_MATRIX_ROWS,
+    Column,
     EmbeddingChunk,
+    IdColumn,
     PathMatrix,
     PropertyMemo,
+    RecordTexts,
     chunk_from_embeddings,
+    column_height,
     concat_paths,
+    id_rows_json,
+    null_records,
     path_column,
     path_lists,
-    property_column,
+    rows_json,
 )
 
-#: one column of one batch: a ``uint64`` id array (``KIND_ID``), a path
-#: id matrix ``(ids, lens)`` (``KIND_PATH``) or a list of values
-Column = Union[List[Any], np.ndarray, PathMatrix]
 #: one output column: name, kind, ``chunk -> column`` and, for an
 #: aggregate (whose reader yields its *inputs*), the call
 Item = Tuple[str, str, Callable[[EmbeddingChunk], Column], Optional[FunctionCall]]
 
-#: column kinds: every value an id / every value a path of ids /
-#: any value a property or an aggregate can take
-KIND_ID, KIND_PATH, KIND_VALUE = "i", "p", "o"
+#: column kinds: every value an id (a ``uint64`` array) / every value a
+#: path of ids (an ``(ids, lens)`` pair) / every value a property record
+#: (an ``object`` array of record ``bytes``; an absent property's are
+#: NULL's) / any value an aggregate can take (a list)
+KIND_ID, KIND_PATH, KIND_RECORD, KIND_VALUE = "i", "p", "r", "o"
 
 
 def column_values(column: Column) -> List[Any]:
-    """``column`` as plain Python values: ids as ``int``, paths as lists."""
+    """``column`` as plain Python values: ids as ``int``, paths as lists,
+    records decoded (a list value fresh for every row)."""
     if isinstance(column, np.ndarray):
+        if column.dtype == object:
+            return list(map(PropertyMemo().__getitem__, column.tolist()))
         return column.tolist()
     if isinstance(column, tuple):
         return path_lists(column)
     return column
-
-
-def _height(column: Column) -> int:
-    return len(column[1] if isinstance(column, tuple) else column)
 
 
 def _merged(parts: Sequence[Column]) -> Column:
@@ -92,10 +100,12 @@ class ResultTable:
     rows at once.  A table is not mutated after it is built, so the
     result cache may hand the same one to every caller.  ``chunks`` and
     ``reencoded`` say how the result arrived: in how many batches, and
-    how many of those were per-record partitions.
+    how many of those were per-record partitions.  ``texts`` is the
+    :class:`RecordTexts` memo its record columns are written through —
+    the graph's, or one of its own.
     """
 
-    __slots__ = ("names", "kinds", "batches", "chunks", "reencoded")
+    __slots__ = ("names", "kinds", "batches", "chunks", "reencoded", "texts")
 
     def __init__(
         self,
@@ -104,15 +114,17 @@ class ResultTable:
         batches: List[Tuple[Column, ...]],
         chunks: int = 0,
         reencoded: int = 0,
+        texts: Optional[RecordTexts] = None,
     ) -> None:
         self.names = tuple(names)
         self.kinds = tuple(kinds)
         self.batches = batches
         self.chunks = chunks
         self.reencoded = reencoded
+        self.texts = RecordTexts() if texts is None else texts
 
     def __len__(self) -> int:
-        return sum(_height(batch[0]) for batch in self.batches)
+        return sum(column_height(batch[0]) for batch in self.batches)
 
     def columns(self) -> Tuple[List[Any], ...]:
         """Each column over all batches, as plain Python values."""
@@ -131,15 +143,17 @@ class ResultTable:
         return ResultTable(
             self.names,
             self.kinds if kinds is None else kinds,
-            [tuple(columns)] if _height(columns[0]) else [],
-            self.chunks, self.reencoded,
+            [tuple(columns)] if column_height(columns[0]) else [],
+            self.chunks, self.reencoded, self.texts,
         )
 
     def take(self, indices: Sequence[int]) -> "ResultTable":
         """The rows at ``indices``, in that order, in this table's columns."""
         positions = np.asarray(indices, dtype=np.intp)
         if not len(positions):
-            return ResultTable(self.names, self.kinds, [], self.chunks, self.reencoded)
+            return ResultTable(
+                self.names, self.kinds, [], self.chunks, self.reencoded, self.texts
+            )
         return self.with_columns([
             _taken(_merged(parts), positions) for parts in zip(*self.batches)
         ])
@@ -153,6 +167,25 @@ class ResultTable:
             for row in zip(*map(column_values, batch))
         ]
 
+    def json_rows(self) -> Iterator[bytes]:
+        """Each batch's rows as JSON objects joined by ``", "``.
+
+        Byte for byte what ``json.dumps`` writes for the rows' dicts.  A
+        batch of ids and paths only, and of at least
+        :data:`~repro.engine.columnar.ID_MATRIX_ROWS` rows, is written by
+        the byte matrix of :func:`~repro.engine.columnar.id_rows_json`;
+        every other batch — any with a record or value column, and small
+        ones — by the interleaved texts of
+        :func:`~repro.engine.columnar.rows_json`.
+        """
+        keys = [json.dumps(name) for name in self.names]
+        ids_only = KIND_RECORD not in self.kinds and KIND_VALUE not in self.kinds
+        for batch in self.batches:
+            if ids_only and column_height(batch[0]) >= ID_MATRIX_ROWS:
+                yield id_rows_json(keys, cast(Sequence[IdColumn], batch))
+            else:
+                yield rows_json(keys, batch, self.texts)
+
 
 def _return_items(returns: Any, meta: Any) -> List[Item]:
     """The output columns of a RETURN clause over ``meta``'s layout.
@@ -162,7 +195,6 @@ def _return_items(returns: Any, meta: Any) -> List[Item]:
     emits them.  Built through a dict, as a row is: of two items with one
     name the later one's value lands in the earlier one's place.
     """
-    memo = PropertyMemo()
 
     def expression(node: Any) -> Tuple[str, Callable[[EmbeddingChunk], Column]]:
         if isinstance(node, VariableRef):
@@ -172,9 +204,9 @@ def _return_items(returns: Any, meta: Any) -> List[Item]:
             return KIND_ID, lambda chunk: chunk.values[:, column]
         if isinstance(node, PropertyAccess):
             if not meta.has_property(node.variable, node.key):
-                return KIND_VALUE, lambda chunk: [None] * chunk.count
+                return KIND_RECORD, lambda chunk: null_records(chunk.count)
             index = meta.property_index(node.variable, node.key)
-            return KIND_VALUE, lambda chunk: property_column(chunk, index, memo)
+            return KIND_RECORD, lambda chunk: cast(np.ndarray, chunk.props)[:, index]
         raise ValueError("unsupported RETURN expression %r" % (node,))
 
     items: Dict[str, Item] = {}
@@ -202,13 +234,15 @@ def build_table(
     batches: Iterable[Any],
     meta: Any,
     token: Optional[Any] = None,
+    texts: Optional[RecordTexts] = None,
 ) -> ResultTable:
     """The table of a RETURN clause over result ``batches``.
 
     A batch is an :class:`EmbeddingChunk` or a list of embeddings (a
     per-record partition; re-encoded here).  ``token`` is polled once per
     batch, so a deadline that passes while the result is being built
-    still ends the query.
+    still ends the query.  ``texts`` is the memo the table's records are
+    written through (none: a fresh one).
     """
     items = _return_items(returns, meta)
     parts: List[Tuple[Column, ...]] = []
@@ -228,7 +262,7 @@ def build_table(
     table = ResultTable(
         [name for name, _, _, _ in items],
         [kind for _, kind, _, _ in items],
-        parts, len(parts), reencoded,
+        parts, len(parts), reencoded, texts,
     )
     if returns is None:
         return table

@@ -17,7 +17,9 @@ from repro.cypher.parser import parse
 from repro.cypher.query_graph import QueryHandler
 from repro.dataflow.modes import legacy_mode
 from repro.epgm import GraphCollection, GraphHead, PropertyValue
+from repro.epgm.indexed import IndexedLogicalGraph
 
+from .columnar import RecordTexts
 from .morphism import DEFAULT_EDGE_STRATEGY, DEFAULT_VERTEX_STRATEGY
 from .planning import GreedyPlanner
 from .result import build_table
@@ -356,7 +358,21 @@ class CypherRunner:
         query service) share the one RETURN evaluator.  ``batches`` is
         what :meth:`repro.dataflow.DataSet.batches` yields.
         """
-        return build_table(handler.ast.returns, batches, meta, token)
+        return build_table(
+            handler.ast.returns, batches, meta, token, self.record_texts()
+        )
+
+    def record_texts(self):
+        """The :class:`~repro.engine.columnar.RecordTexts` a table of this
+        runner writes its records through: on the columnar path over an
+        indexed graph the graph's resident one, which each distinct record
+        fills once; else a fresh one (the reference path keeps nothing
+        resident)."""
+        graph = self.graph
+        mode = self.execution_mode() or graph.environment.mode
+        if isinstance(graph, IndexedLogicalGraph) and mode == "columnar":
+            return graph.resident(("texts",), RecordTexts)
+        return RecordTexts()
 
     def build_rows(self, handler, embeddings, meta):
         """Tabular rows (a list of dicts) for already-collected embeddings."""

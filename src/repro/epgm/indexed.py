@@ -262,7 +262,7 @@ class IndexedLogicalGraph(LogicalGraph):
         """The derived structure ``key`` names, ``build()`` on first use.
 
         ``key[0]`` is its family (``"table"`` / ``"index"`` /
-        ``"adjacency"`` / ``"pairs"``).  The build
+        ``"adjacency"`` / ``"pairs"`` / ``"texts"``).  The build
         runs under the lock, so threads racing for a first use build one
         structure, not two; a build that raises (a deadline) leaves
         nothing behind.  ``count`` names the kernel execution asking.
@@ -285,15 +285,18 @@ class IndexedLogicalGraph(LogicalGraph):
             self._resident.clear()
 
     def leaf_stats(self):
-        """``{tables, bytes, indexes}`` resident now, ``{all_rows, probes,
-        scans}`` leaf executions so far; ``bytes`` is the tables'."""
+        """``{tables, bytes, indexes, texts}`` resident now, ``{all_rows,
+        probes, scans}`` leaf executions so far; ``bytes`` is the tables'
+        and the record texts' memo's, ``texts`` the memo's entries."""
         with self._resident_lock:
             tables = self._kept("table")
+            texts = self._kept("texts")
             return dict(
                 {name: self._counts[name] for name in _LEAF_SELECTS},
                 tables=len(tables),
-                bytes=sum(table.nbytes for table in tables),
+                bytes=sum(found.nbytes for found in tables + texts),
                 indexes=len(self._kept("index")),
+                texts=sum(map(len, texts)),
             )
 
     @property

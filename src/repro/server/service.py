@@ -30,8 +30,6 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.cache import LRUCache
 from repro.dataflow.cancellation import CancellationToken, QueryTimeout
 from repro.engine import CypherRunner, GreedyPlanner
-from repro.engine.columnar import id_rows_json
-from repro.engine.result import KIND_ID, KIND_VALUE, column_values
 from repro.engine.runner import _graph_cache_token
 from repro.epgm.indexed import IndexedLogicalGraph
 from repro.locks import named_lock
@@ -55,32 +53,6 @@ class ServiceClosedError(RuntimeError):
 def _json_default(value):
     """Rows may hold GradoopIds and other engine objects; stringify them."""
     return str(value)
-
-
-def _dumps(value):
-    return json.dumps(value, default=_json_default)
-
-
-class _JsonMemo(dict):
-    """``str -> its JSON text``, filled on first sight.
-
-    Strings are what repeats in a result column and what costs to
-    escape.  Nothing else is kept: ``1``, ``1.0`` and ``True`` are one
-    dict key and three JSON texts.
-    """
-
-    def __missing__(self, value):
-        text = _dumps(value)
-        if type(value) is str:
-            self[value] = text
-        return text
-
-    def column(self, values):
-        """The JSON text of each value of a column."""
-        try:
-            return list(map(self.__getitem__, values))
-        except TypeError:  # a list value is no dict key
-            return list(map(_dumps, values))
 
 
 class QueryResult:
@@ -145,47 +117,19 @@ class QueryResult:
         """The JSON body as a list of buffers: head, row fragments, tail.
 
         Byte for byte ``json.dumps(self.to_dict(), default=_json_default)``,
-        written from the table's columns, one fragment per result batch;
-        no row dict is built.  A table of id and path columns only is
-        written by :func:`~repro.engine.columnar.id_rows_json` straight
-        from its arrays.  A table with a value column writes each row
-        through one ``%`` of a template — ids as ``%d``, id lists as their
-        ``str``, every other value through a :class:`_JsonMemo` — because
-        a value is text of any length, which a fixed-width matrix would
-        pad.
+        written from the table's columns, one fragment per result batch
+        (:meth:`~repro.engine.result.ResultTable.json_rows`); no row dict
+        is built, and a property record's text comes from the graph's
+        resident memo, made once per distinct record.
         """
-        table = self.table
-        if KIND_VALUE in table.kinds:
-            fragments = self._value_rows()
-        else:
-            keys = [json.dumps(name) for name in table.names]
-            fragments = (id_rows_json(keys, batch) for batch in table.batches)
         buffers = [('{"graph": %s, "rows": [' % json.dumps(self.graph)).encode("ascii")]
-        for fragment in fragments:
+        for fragment in self.table.json_rows():
             buffers.append(fragment)
             buffers.append(b", ")
-        if table.batches:
+        if self.table.batches:
             buffers.pop()
         buffers.append(("], " + json.dumps(self._report())[1:]).encode("ascii"))
         return buffers
-
-    def _value_rows(self):
-        """Each batch's rows as JSON, one ``%`` of a template per row."""
-        table = self.table
-        template = "{%s}" % ", ".join(
-            "%s: %s" % (
-                json.dumps(name).replace("%", "%%"),
-                "%d" if kind == KIND_ID else "%s",
-            )
-            for name, kind in zip(table.names, table.kinds)
-        )
-        memo = _JsonMemo()
-        for batch in table.batches:
-            yield ", ".join(map(template.__mod__, zip(*[
-                memo.column(column) if kind == KIND_VALUE
-                else column_values(column)
-                for column, kind in zip(batch, table.kinds)
-            ]))).encode("ascii")
 
     def __repr__(self):
         return "QueryResult(%d rows, %.3fs, plan_hit=%s)" % (
@@ -490,7 +434,8 @@ class QueryService:
              "pair_joins", "lookup_joins"), 0
         )
         leaves = dict.fromkeys(
-            ("tables", "bytes", "indexes", "all_rows", "probes", "scans"), 0
+            ("tables", "bytes", "indexes", "texts", "all_rows", "probes",
+             "scans"), 0
         )
         for entry in entries:
             if isinstance(entry.graph, IndexedLogicalGraph):

@@ -8,12 +8,16 @@ Two contracts, checked together by :func:`assert_agrees`:
 * ``b"".join(QueryResult.encode())`` is byte for byte
   ``json.dumps(result.to_dict(), default=_json_default)``.
 
-Both writers of ``encode()`` are pinned: the id-matrix writer of tables
-whose columns are all ids or paths, and the template writer of tables
-with a value column (see "the writer" below).
+Both writers of ``encode()`` are pinned: the id-matrix writer of large
+batches whose columns are all ids or paths, and the interleaved writer
+of every other batch, whose property records are written through a
+:class:`~repro.engine.columnar.RecordTexts` memo (see "the writer" and
+"record columns" below).
 """
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -32,9 +36,20 @@ from repro.engine import (
     GreedyPlanner,
     LeftDeepPlanner,
 )
-from repro.engine.columnar import EmbeddingChunk, chunk_from_embeddings
-from repro.engine.result import KIND_ID, KIND_PATH, KIND_VALUE, ResultTable, build_table
+from repro.engine.columnar import (
+    ID_MATRIX_ROWS,
+    EmbeddingChunk,
+    RecordTexts,
+    chunk_from_embeddings,
+    id_rows_json,
+    rows_json,
+)
+from repro.engine import result as result_module
+from repro.engine.result import (
+    KIND_ID, KIND_PATH, KIND_RECORD, KIND_VALUE, ResultTable, build_table,
+)
 from repro.epgm import Edge, GradoopId, LogicalGraph, Vertex
+from repro.epgm.indexed import IndexedLogicalGraph
 from repro.harness.queries import ALL_QUERIES, TABLE3_PATTERNS, instantiate
 from repro.ldbc import LDBCGenerator
 from repro.server.protocol import _json_default
@@ -149,8 +164,7 @@ AWKWARD = 'Zoë "Q" \\ back\nslash\t\x01\x7f ☃ \U0001d11e %s %d'
 BIG = (1 << 63) + 5
 
 
-@pytest.fixture(scope="module")
-def awkward_graph():
+def _awkward(environment, cls=LogicalGraph):
     def person(identifier, **properties):
         return Vertex(GradoopId(identifier), label="Person", properties=properties)
 
@@ -170,9 +184,12 @@ def awkward_graph():
              (BIG, 1, None), (1, 3, 2003)]
         )
     ]
-    return LogicalGraph.from_collections(
-        ExecutionEnvironment(parallelism=2), vertices, edges
-    )
+    return cls.from_collections(environment, vertices, edges)
+
+
+@pytest.fixture(scope="module")
+def awkward_graph():
+    return _awkward(ExecutionEnvironment(parallelism=2))
 
 
 VALUE_QUERIES = [
@@ -317,9 +334,10 @@ def test_batches_of_both_kinds_and_empty_ones_make_one_table():
 
 # --- the writer ------------------------------------------------------------------
 #
-# ``encode()`` picks its writer by the table's column kinds: a table of id
-# and path columns only is written from its arrays by one byte matrix, any
-# other through the row template.  Both must be ``json.dumps`` exactly.
+# ``encode()`` picks a writer per batch: a batch of ids and paths only and
+# of at least ``ID_MATRIX_ROWS`` rows is written from its arrays by one
+# byte matrix, any other by interleaving ready texts.  Both must be
+# ``json.dumps`` exactly.
 
 #: every width of a decimal id up to 2**64 - 1, and its edges
 EDGE_IDS = [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 1 << 63, (1 << 64) - 1]
@@ -450,3 +468,232 @@ def test_a_result_cache_hit_encodes_the_same_bytes(awkward_graph, text):
         bodies.append(b"".join(result.encode()))
         assert bodies[-1] == dumps(result.to_dict()).encode()
     assert json.loads(bodies[0])["rows"] == json.loads(bodies[1])["rows"] != []
+
+
+@pytest.mark.parametrize("columns", [1, 3, 5])
+def test_both_writers_agree_on_each_side_of_the_crossover(columns, monkeypatch):
+    keys = [json.dumps(name) for name in ["a", '"%s"', "é", "d", "e"][:columns]]
+    rng = np.random.default_rng(columns)
+    for rows in (1, ID_MATRIX_ROWS - 1, ID_MATRIX_ROWS, ID_MATRIX_ROWS + 1):
+        batch = [
+            rng.integers(0, 1 << 64, rows, dtype=np.uint64, endpoint=False)
+            for _ in range(columns - 1)
+        ]
+        batch.append((rng.integers(0, 10**6, (rows, 3), dtype=np.uint64),
+                       rng.integers(0, 4, rows)))
+        body = id_rows_json(keys, batch)
+        assert body == rows_json(keys, batch, RecordTexts())
+        table = ResultTable(
+            [json.loads(key) for key in keys],
+            [KIND_ID] * (columns - 1) + [KIND_PATH], [tuple(batch)], 1,
+        )
+        assert list(table.json_rows()) == [body]
+        assert_encodes(table)
+    # the matrix writes a batch from the crossover up
+    calls = []
+    monkeypatch.setattr(
+        result_module, "id_rows_json", lambda *args: calls.append(args) or id_rows_json(*args)
+    )
+    for rows in (ID_MATRIX_ROWS - 1, ID_MATRIX_ROWS):
+        table = ResultTable(["a"], [KIND_ID], [(np.arange(rows, dtype=np.uint64),)], 1)
+        assert_encodes(table)
+    assert [len(args[1][0]) for args in calls] == [ID_MATRIX_ROWS]
+
+
+# --- record columns ---------------------------------------------------------------
+#
+# A property column is the chunk's slice of shared record objects; its
+# JSON comes from a ``RecordTexts`` memo, its rows from a fresh decode.
+
+#: strings that need JSON escapes or are not ASCII
+awkward_text = st.text(st.one_of(
+    st.sampled_from('"\\%é☃\x00\x01\x1f\x7f\u2028\U0001d11e'),
+    st.characters(blacklist_categories=("Cs",)),
+), max_size=8)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, -1, (1 << 63) - 1, -((1 << 63) - 1), -(1 << 63)]),
+    st.integers(-(1 << 63), (1 << 63) - 1),
+    st.sampled_from([0.1, 1e16, -0.0, 1e-7, 1.5e300]),
+    st.floats(),
+    awkward_text,
+    st.builds(GradoopId, st.integers(0, (1 << 64) - 1)),
+)
+property_values = st.recursive(
+    scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=6
+)
+aliases = st.text(st.sampled_from('ab"\\%sdé☃\U0001d11e'), min_size=1, max_size=5)
+gradoop_ids = st.integers(0, (1 << 64) - 1)
+
+
+@st.composite
+def record_tables(draw):
+    """``(returns, embeddings, meta, batches)``: ids, a path and records of
+    every property type, each column's values drawn from a small pool so
+    that records repeat."""
+    keys = draw(st.integers(1, 4))
+    pools = [draw(st.lists(property_values, min_size=1, max_size=3)) for _ in range(keys)]
+    embeddings = [
+        Embedding.of_ids(GradoopId(draw(gradoop_ids)))
+        .append_path(draw(st.lists(gradoop_ids, max_size=3)))
+        .append_id(GradoopId(draw(gradoop_ids)))
+        .append_properties([draw(st.sampled_from(pool)) for pool in pools])
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    meta = EmbeddingMetaData().with_entry("a", "v").with_entry("via", "p").with_entry("b", "v")
+    items = []
+    for index in range(keys):
+        variable = "ab"[index % 2]
+        meta = meta.with_property(variable, "k%d" % index)
+        items.append("%s.k%d" % (variable, index))
+    names = draw(st.lists(aliases, min_size=keys + 1, max_size=keys + 1, unique=True))
+    items = ["%s AS `%s`" % (item, name) for item, name in zip(items + ["a"], names)]
+    items = draw(st.permutations(items + ["via", "b"]))
+    returns = QueryHandler(
+        "MATCH (a)-[via*0..3]->(b) RETURN " + ", ".join(items)
+    ).ast.returns
+    cut = draw(st.integers(0, len(embeddings)))
+    batches = [chunk_from_embeddings(part) for part in (embeddings[:cut], embeddings[cut:]) if part]
+    return returns, embeddings, meta, batches
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=record_tables())
+def test_record_columns_write_json_dumps_and_decode_the_oracle_rows(case):
+    returns, embeddings, meta, batches = case
+    expected = oracle_rows(returns, embeddings, meta)
+    texts = RecordTexts()
+    table = build_table(returns, batches, meta, texts=texts)
+    assert table.texts is texts and KIND_RECORD in table.kinds
+    for batch in table.batches:
+        for kind, column in zip(table.kinds, batch):
+            assert (kind == KIND_RECORD) == (
+                isinstance(column, np.ndarray) and column.dtype == object
+            )
+    # through JSON, so that 1, 1.0 and True do not compare equal
+    assert dumps(table.rows()) == dumps(expected)
+    _, body = assert_encodes(table)
+    assert texts
+    # a warm memo writes the same bytes, for this table and a new one
+    assert assert_encodes(table)[1] == body
+    again = build_table(returns, batches, meta, texts=texts)
+    assert assert_encodes(again)[1] == body
+    # a list value belongs to its row alone
+    rows = table.rows()
+    lists = [
+        (index, name) for index, row in enumerate(rows)
+        for name, value in row.items() if isinstance(value, list)
+    ]
+    if lists:
+        index, name = lists[0]
+        rows[index][name].append("mine")
+        others = [row for position, row in enumerate(rows) if position != index]
+        assert dumps(others) == dumps(expected[:index] + expected[index + 1:])
+        assert dumps(table.rows()) == dumps(expected)
+
+
+@pytest.mark.parametrize("text", [
+    "MATCH (p:Person) RETURN p.name, p.tags, p.nest, p.missing, p.ref",
+    "MATCH (p:Person) RETURN DISTINCT p.v",
+    "MATCH (p:Person) RETURN p.tags, count(*), count(p.name), collect(p.v), min(p.name)",
+    "MATCH (p:Person)-[e:knows]->(q:Person) "
+    "RETURN DISTINCT e.since ORDER BY e.since DESC SKIP 1",
+    "MATCH (p:Person)-[e:knows]->(q:Person) "
+    "RETURN e.since, q.name ORDER BY q.name DESC SKIP 1 LIMIT 3",
+    "MATCH (p:Person)-[e:knows]->(q:Person) RETURN e.since, q ORDER BY e.since",
+    "MATCH (p:Person)-[e:knows*0..2]->(q:Person) RETURN p.name, e, q.nothing",
+])
+@pytest.mark.parametrize("mode", ["columnar", "reference"])
+def test_served_record_columns_encode_from_the_resident_memo(text, mode):
+    graph = _awkward(ExecutionEnvironment(mode=mode), IndexedLogicalGraph)
+    registry = GraphRegistry()
+    registry.register("g", graph)
+    runner = CypherRunner(graph, lint=False)
+    handler, root = runner.compile(text)
+    embeddings, meta = runner.execute_embeddings(text)
+    expected = oracle_rows(handler.ast.returns, embeddings, meta)
+    resident = runner.record_texts()
+    # the columnar path writes through the graph's memo, the reference
+    # path keeps nothing resident
+    assert (resident is runner.record_texts()) == (mode == "columnar")
+    with QueryService(registry, result_cache_size=4, lint=False) as service:
+        bodies = []
+        for _ in range(3):  # a cold memo, a warm one, a result cache hit
+            result = service.execute("g", text)
+            bodies.append(b"".join(result.encode()))
+            assert bodies[-1] == dumps(result.to_dict()).encode()
+            assert dumps(result.rows) == dumps(expected)
+        assert result.result_cache_hit
+    assert (result.table.texts is resident) == (mode == "columnar")
+    filled = graph.leaf_stats()["texts"] > 0
+    assert filled == (mode == "columnar" and KIND_RECORD in result.table.kinds)
+    if mode == "reference":
+        assert result.table.reencoded == result.table.chunks
+    assert len({body[:body.index(b'"row_count"')] for body in bodies}) == 1
+
+
+def test_a_touched_graph_serves_the_new_value():
+    graph = _awkward(ExecutionEnvironment(), IndexedLogicalGraph)
+    registry = GraphRegistry()
+    entry = registry.register("g", graph)
+    text = "MATCH (p:Person) WHERE p.name = 'plain' RETURN p.name, p.tags"
+    with QueryService(registry, result_cache_size=4) as service:
+        before = service.execute("g", text)
+        assert b"".join(before.encode()) == dumps(before.to_dict()).encode()
+        assert graph.leaf_stats()["texts"] > 0
+        assert [row["p.tags"] for row in before.rows] == [[]]
+        (person,) = [
+            vertex for vertex in graph.collect_vertices() if vertex.id == GradoopId(3)
+        ]
+        person.set_property("tags", ["c", AWKWARD])
+        entry.touch()
+        assert graph.leaf_stats()["texts"] == 0
+        after = service.execute("g", text)
+        assert not after.result_cache_hit
+        assert b"".join(after.encode()) == dumps(after.to_dict()).encode()
+        assert [row["p.tags"] for row in after.rows] == [["c", AWKWARD]]
+
+
+def test_threads_share_one_record_memo():
+    # every request thread fills the graph's one memo without a lock; a
+    # torn or lost fill would change a body, and sizing the memo while
+    # it grows must not fail
+    graph = _awkward(ExecutionEnvironment(), IndexedLogicalGraph)
+    runner = CypherRunner(graph, lint=False)
+    texts = runner.record_texts()
+    tables = []
+    for text in VALUE_QUERIES[:8]:
+        handler, root = runner.compile(text)
+        tables.append(runner.build_table(handler, root.evaluate().batches(), root.meta))
+    assert all(table.texts is texts for table in tables)
+    expected = [
+        b"".join(QueryResult("g", "q", None, table, 0, 0, 0, True, False, False).encode())
+        for table in tables
+    ]
+    failures = []
+
+    def work():
+        try:
+            for _ in range(40):
+                texts.clear()
+                graph.leaf_stats()
+                for table, body in zip(tables, expected):
+                    result = QueryResult("g", "q", None, table, 0, 0, 0, True, False, False)
+                    if b"".join(result.encode()) != body:
+                        failures.append(body)
+        except Exception as error:  # reported below, with the others
+            failures.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
