@@ -35,7 +35,8 @@ typecheck:
 		exit 1; }
 	mypy src/repro/analysis src/repro/dataflow src/repro/engine/embedding.py \
 		src/repro/engine/columnar.py src/repro/engine/result.py \
-		src/repro/engine/operators
+		src/repro/engine/operators src/repro/epgm/logical_graph.py \
+		src/repro/epgm/indexed.py
 
 # regenerate the diagnostic-code table in docs/analysis.md from the
 # CODES registry (tests/analysis/test_docs_codes.py pins the two in sync)

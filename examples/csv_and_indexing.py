@@ -34,7 +34,8 @@ def main():
         )
 
         # plain representation (a graph built in code): every query
-        # vertex scans all vertices
+        # vertex scans all vertices and filters them by label; its edge
+        # joins walk the adjacency the graph groups on first use
         environment.reset_metrics("plain")
         plain_rows = CypherRunner(graph).execute_table(QUERY)
         plain_scanned = environment.metrics.total_records_processed

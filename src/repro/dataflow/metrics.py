@@ -62,16 +62,10 @@ class OperatorRun:
 #: why a columnar run executed a stage per-record instead of through a
 #: chunk kernel: the input partition was a plain record list (an upstream
 #: stage already fell back), the stage has no kernel, the join carries a
-#: PATH column its merge must rewrite, or an expansion took the iterated
-#: join — its input already carries a PATH column an isomorphism strategy
-#: must read, or its graph has no resident adjacency (not label-indexed) —
-#: or a leaf scanned and encoded its survivors because its graph keeps no
-#: leaf tables (not label-indexed: still chunks out, but per request), or
-#: a join hashed an edge leaf for want of an adjacency to walk (likewise)
+#: PATH column its merge must rewrite, or an expansion's input already
+#: carries a PATH column an isomorphism strategy must read
 CHUNK_FALLBACK_REASONS = (
-    "non_uniform_batch", "no_kernel", "path_join",
-    "expand_base_path", "expand_no_adjacency", "leaf_no_table",
-    "join_no_adjacency",
+    "non_uniform_batch", "no_kernel", "path_join", "expand_base_path",
 )
 
 

@@ -14,7 +14,7 @@ from operator import attrgetter
 
 from .cancellation import POLL_INTERVAL
 from .errors import JobExecutionError
-from .partitioner import partition_index, round_robin_partitions, stable_hash
+from .partitioner import partition_index, round_robin_partitions
 from .sizing import estimate_size
 
 #: mask for ``index & _POLL_MASK == 0`` deadline checks in inner loops
@@ -30,7 +30,6 @@ class JoinStrategy(enum.Enum):
     REPARTITION_HASH = "repartition-hash"
     BROADCAST_FIRST = "broadcast-first"
     BROADCAST_SECOND = "broadcast-second"
-    SORT_MERGE = "sort-merge"
 
 
 class ShuffleStats:
@@ -802,7 +801,7 @@ class JoinOperator(Operator):
             right_local, s = ctx.broadcast(right_parts)
             stats.merge(s)
             left_local = [p if _chunked(p) else list(p) for p in left_parts]
-        else:  # repartition-based strategies co-locate equal keys
+        else:  # a repartition co-locates equal keys
             # the key functions run bare (no per-record _call frames);
             # one _call per shuffle keeps the error contract
             left_local, s1 = self._call(
@@ -814,9 +813,7 @@ class JoinOperator(Operator):
             stats.merge(s1)
             stats.merge(s2)
 
-        pool = (
-            ctx.pool if strategy is not JoinStrategy.SORT_MERGE else None
-        )
+        pool = ctx.pool
         if pool is not None and pool.join_shippable(self):
             out, spilled = self._pooled_pairs_join(
                 pool, left_local, right_local, ctx
@@ -833,21 +830,15 @@ class JoinOperator(Operator):
                 )
                 if len(build) > ctx.memory_records_per_worker:
                     spilled += 1
-                if strategy is JoinStrategy.SORT_MERGE:
-                    produced = self._sort_merge(
-                        left_partition, right_partition, ctx
-                    )
-                else:
-                    if (
-                        kernel is not None
-                        and ctx.columnar
-                        and not (_chunked(build) and _chunked(probe))
-                    ):
-                        ctx.count_fallback("non_uniform_batch")
-                    produced = hash_join(
-                        spec, build, probe, build_is_left, ctx.cancellation
-                    )
-                out.append(produced)
+                if (
+                    kernel is not None
+                    and ctx.columnar
+                    and not (_chunked(build) and _chunked(probe))
+                ):
+                    ctx.count_fallback("non_uniform_batch")
+                out.append(hash_join(
+                    spec, build, probe, build_is_left, ctx.cancellation
+                ))
 
         name = "%s[%s]" % (self.name, strategy.value)
         worker_work = [
@@ -928,57 +919,6 @@ class JoinOperator(Operator):
             for left_count, right_count in zip(left_counts, right_counts)
         ]
         return out, spilled, worker_work
-
-    def _sort_merge(self, left_partition, right_partition, ctx):
-        left_key, right_key = self.spec.left_key, self.spec.right_key
-        left_sorted = sorted(
-            left_partition, key=lambda r: stable_hash(self._call(left_key, r))
-        )
-        right_sorted = sorted(
-            right_partition, key=lambda r: stable_hash(self._call(right_key, r))
-        )
-        token = ctx.cancellation
-        produced = []
-        steps = 0
-        i = j = 0
-        while i < len(left_sorted) and j < len(right_sorted):
-            steps += 1
-            if token is not None and steps & _POLL_MASK == 0:
-                token.poll()
-            lk = stable_hash(self._call(left_key, left_sorted[i]))
-            rk = stable_hash(self._call(right_key, right_sorted[j]))
-            if lk < rk:
-                i += 1
-            elif lk > rk:
-                j += 1
-            else:
-                i_end = i
-                while (
-                    i_end < len(left_sorted)
-                    and stable_hash(self._call(left_key, left_sorted[i_end])) == lk
-                ):
-                    i_end += 1
-                j_end = j
-                while (
-                    j_end < len(right_sorted)
-                    and stable_hash(self._call(right_key, right_sorted[j_end])) == rk
-                ):
-                    j_end += 1
-                for li in range(i, i_end):
-                    for rj in range(j, j_end):
-                        left_record = left_sorted[li]
-                        right_record = right_sorted[rj]
-                        # hash equality is necessary but not sufficient
-                        if self._call(left_key, left_record) == self._call(
-                            right_key, right_record
-                        ):
-                            produced.extend(
-                                self._call(
-                                    self.spec.join_fn, left_record, right_record
-                                )
-                            )
-                i, j = i_end, j_end
-        return produced
 
 
 class CrossOperator(Operator):

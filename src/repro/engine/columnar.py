@@ -631,8 +631,8 @@ def null_records(count: int) -> np.ndarray:
 class RecordTexts(Dict[bytes, str]):
     """Property record (length field included) → its value's JSON text.
 
-    One per loaded graph (a derived structure of an indexed graph,
-    dropped with the others), else one per result table.  Filled on first
+    One per graph a columnar run reads (a derived structure, dropped
+    with the others), else one per result table.  Filled on first
     sight and keyed by the record's bytes, which encode the value, so a
     text is never stale.  Threads may fill it at once without a lock:
     each stores the same text under the same key, one store at a time.
@@ -914,15 +914,13 @@ class ColumnarLeaf:
     ``select`` runs the compiled CNF ``keep`` (all of it, on every
     candidate; ``None``: no predicate) over one partition's elements and
     returns the survivors' positions; ``encode`` turns elements into the
-    leaf's chunk.  Over a
-    graph that keeps derived structures (``tables``) the encode half runs
-    once, over everything, and a request gathers its survivors' rows from
-    the :class:`LeafTable`; its candidates are all elements (no predicate:
-    the resident chunk itself is the answer), the hits of a
+    leaf's chunk.  The encode half runs once, over everything, into a
+    :class:`LeafTable` the graph (``tables``) keeps, and a request gathers
+    its survivors' rows from it; its candidates are all elements (no
+    predicate: the resident chunk itself is the answer), the hits of a
     :func:`value_index` (``probe``, the CNF's ``key = value`` clause), or
     a scan.  ``exact``: that clause is the whole CNF, so the hits are the
-    survivors and nothing is re-checked.  Without ``tables`` every run
-    scans and encodes the survivors.
+    survivors and nothing is re-checked.
     ``orient(element)`` is the id tuples the element emits, in order.
     """
 
@@ -1002,14 +1000,6 @@ class ColumnarLeaf:
     def run(self, partitions, token):
         """One chunk per partition of elements."""
         tables = self.tables
-        if tables is None:
-            return [
-                self.encode(elements if self.keep is None else [
-                    elements[position]
-                    for position in self.select(elements, None, token)
-                ])[0]
-                for elements in partitions
-            ]
 
         def build():
             parts = []

@@ -9,19 +9,17 @@ the ``via`` identifiers (Table 2b) and — unless the target vertex was
 already bound ("closing" an existing binding) — an ID column for the path
 end.
 
-That dataflow is the *reference*.  A columnar run over a label-indexed
-graph takes the same supersteps as a chunk kernel over the graph's
-resident adjacency instead (:class:`~repro.engine.columnar.ColumnarExpandSpec`):
-one dataflow node, a :class:`~.leaves.LoweredOperator`, picks between the
-two.
+That dataflow is the *reference*.  A columnar run takes the same
+supersteps as a chunk kernel over the graph's adjacency instead
+(:class:`~repro.engine.columnar.ColumnarExpandSpec`): one dataflow node, a
+:class:`~.leaves.LoweredOperator`, picks between the two.
 """
 
-from functools import partial
+from functools import cache, partial
 
 from repro.cypher.predicates import compile_cnf
 from repro.dataflow import DataSet
 from repro.epgm import GradoopId
-from repro.epgm.indexed import IndexedLogicalGraph
 
 from ..columnar import ColumnarExpandSpec, ColumnarPartition
 from ..embedding import ElementBindings
@@ -30,10 +28,11 @@ from .base import EmbeddingLayout, PhysicalOperator
 from .leaves import LoweredOperator, _label_scoped_dataset, edge_mask
 
 
-def _run_kernel(kernel, edge_mask, ctx, partitions):
-    """The supersteps of ``kernel`` over chunk ``partitions``: one
-    ``ExpandEmbeddings:hop`` run each, the frontier in and out, no
-    shuffle."""
+def _run_kernel(compiled, ctx, partitions):
+    """The supersteps of the kernel ``compiled()`` returns, with its edge
+    mask, over chunk ``partitions``: one ``ExpandEmbeddings:hop`` run
+    each, the frontier in and out, no shuffle."""
+    kernel, edge_mask = compiled()
     token = ctx.cancellation
     # once per execution: re-bound $parameters keep one plan
     edge_mask = edge_mask and edge_mask()
@@ -365,25 +364,26 @@ class ExpandEmbeddings(PhysicalOperator):
                 emit_result, name="ExpandEmbeddings:zero-hop"
             )
             result = result.union(zero_hop)
-        kernel, fallback, mask = self._compile_kernel(
-            child_meta, vertex_iso, edge_iso, bool(base_path_columns)
+        # the kernel needs an input whose PATH columns no active
+        # isomorphism strategy has to read
+        fallback = (
+            "expand_base_path"
+            if base_path_columns and (vertex_iso or edge_iso) else None
         )
+        # on the first run: a plan that only runs its reference walks none
+        compiled = cache(partial(
+            self._compile_kernel, child_meta, vertex_iso, edge_iso
+        ))
         return DataSet(environment, LoweredOperator(
             environment, (input_ds.operator,), result.operator,
-            partial(_run_kernel, kernel, mask), fallback, "ExpandEmbeddings",
+            partial(_run_kernel, compiled), fallback, "ExpandEmbeddings",
         ))
 
-    def _compile_kernel(self, child_meta, vertex_iso, edge_iso, base_paths):
-        """``(kernel, fallback reason, edge mask)`` of the columnar path.
-
-        The kernel needs the graph's resident adjacency, and an input
-        whose PATH columns no active isomorphism strategy has to read.
-        ``edge mask`` is :func:`~.leaves.edge_mask` of the query edge.
+    def _compile_kernel(self, child_meta, vertex_iso, edge_iso):
+        """``(kernel, edge mask)`` of the columnar path: the kernel walks
+        the graph's adjacency; ``edge mask`` is :func:`~.leaves.edge_mask`
+        of the query edge.
         """
-        if not isinstance(self.graph, IndexedLogicalGraph):
-            return None, "expand_no_adjacency", None
-        if base_paths and (vertex_iso or edge_iso):
-            return None, "expand_base_path", None
         query_edge = self.query_edge
         adjacency, edges = self.graph.adjacency(
             query_edge.types, self.reverse, query_edge.undirected
@@ -406,7 +406,7 @@ class ExpandEmbeddings(PhysicalOperator):
             query_edge.upper,
             self.reverse,
         )
-        return kernel, None, edge_mask(query_edge, edges)
+        return kernel, edge_mask(query_edge, edges)
 
     def describe(self):
         types = (

@@ -5,15 +5,15 @@ configured morphism semantics are dropped inside the join, never
 materialized (paper §3.1).
 
 That join is the *reference*, and what joins two intermediates.  Where one
-input is a leaf over a label-indexed graph, a columnar run lowers the join
-instead, and a :class:`~.leaves.LoweredOperator` picks: an edge leaf
-joined on its endpoints is a walk of the resident adjacency
+input is a leaf, a columnar run lowers the join instead, and a
+:class:`~.leaves.LoweredOperator` picks: an edge leaf joined on its
+endpoints is a walk of the graph's adjacency
 (:class:`~repro.engine.columnar.ColumnarAdjacencyJoin`, over the *other*
 input alone); a vertex leaf is a lookup of its rows
 (:class:`~repro.engine.columnar.ColumnarVertexLookup`, over both).
 """
 
-from functools import partial
+from functools import cache, partial
 
 from ..columnar import (
     EDGE_ID,
@@ -34,12 +34,14 @@ from .leaves import (
 )
 
 from repro.dataflow import DataSet, JoinStrategy
-from repro.epgm.indexed import IndexedLogicalGraph, PairIndex
+from repro.epgm.indexed import PairIndex
 
 
-def _run_kernel(graph, kernel, edge_mask, name, ctx, partitions):
-    """``kernel`` over chunk ``partitions`` (in the serving process, pool
-    or not): one ``<name>[adjacency]`` run, rows in and out, no shuffle."""
+def _run_kernel(graph, compiled, name, ctx, partitions):
+    """The kernel ``compiled()`` returns, with its edge mask, over chunk
+    ``partitions`` (in the serving process, pool or not): one
+    ``<name>[adjacency]`` run, rows in and out, no shuffle."""
+    kernel, edge_mask = compiled()
     pairs = None
     if kernel.far is None:
         graph.count("hop_joins")
@@ -252,18 +254,8 @@ class JoinEmbeddings(TwoInputOperator):
             self.vertex_strategy,
             self.edge_strategy,
         )
-        kernel, fallback, side = spec, None, None
-        if spec is None:
-            # a PATH merge must rewrite offsets: no chunk kernel for it
-            fallback = "path_join"
-        else:
-            side = self._edge_leaf_side()
-            if side is not None and not isinstance(
-                self.children[side].graph, IndexedLogicalGraph
-            ):
-                # no adjacency to walk instead: the hash join, counted
-                fallback = "join_no_adjacency"
-                side = None
+        # a PATH merge must rewrite offsets: no chunk kernel for it
+        kernel, fallback = spec, "path_join" if spec is None else None
 
         sanitizer = self._sanitizer
         if sanitizer is not None:
@@ -293,13 +285,13 @@ class JoinEmbeddings(TwoInputOperator):
             kernel=kernel,
             fallback=fallback,
         )
+        if spec is None:
+            return reference
+        side = self._edge_leaf_side()
         if side is not None:
             return self._over_adjacency(side, spec, reference.operator)
-        if spec is not None:
-            lookup = self._over_lookup(spec, reference.operator)
-            if lookup is not None:
-                return lookup
-        return reference
+        lookup = self._over_lookup(spec, reference.operator)
+        return reference if lookup is None else lookup
 
     def _edge_leaf_side(self):
         """The child an adjacency walk can stand in for, if any: an edge
@@ -318,13 +310,11 @@ class JoinEmbeddings(TwoInputOperator):
 
     def _over_lookup(self, spec, reference):
         """The node probing a vertex leaf's rows with the other child's,
-        where those sit — if a child is a vertex leaf over a label-indexed
-        graph (one row per vertex, joined on its one column)."""
+        where those sit — if a child is a vertex leaf (one row per vertex,
+        joined on its one column)."""
         for side in (1, 0):
             leaf, other = self.children[side], self.children[1 - side]
-            if isinstance(leaf, SelectAndProjectVertices) and isinstance(
-                leaf.graph, IndexedLogicalGraph
-            ):
+            if isinstance(leaf, SelectAndProjectVertices):
                 kernel = ColumnarVertexLookup(
                     other.meta.entry_column(self.join_variables[0]),
                     side == 0, spec,
@@ -345,22 +335,30 @@ class JoinEmbeddings(TwoInputOperator):
         closing = len(self.join_variables) == 2
         reverse = not closing and edge.target in self.join_variables
         near, far = (edge.source, edge.target)[::-1 if reverse else 1]
-        adjacency, edges = graph.adjacency(edge.types, reverse, edge.undirected)
-        kernel = ColumnarAdjacencyJoin(
-            adjacency,
-            meta.entry_column(near),
-            meta.entry_column(far) if closing else None,
-            [
-                meta.entry_column(variable) if meta.has_variable(variable)
-                else EDGE_ID if variable == edge.variable else FAR_END
-                for variable in self.meta.variables
-            ],
-            spec,
-        )
+        columns = [
+            meta.entry_column(variable) if meta.has_variable(variable)
+            else EDGE_ID if variable == edge.variable else FAR_END
+            for variable in self.meta.variables
+        ]
+
+        # on the first run: a plan that only runs its reference walks none
+        @cache
+        def compiled():
+            adjacency, edges = graph.adjacency(
+                edge.types, reverse, edge.undirected
+            )
+            kernel = ColumnarAdjacencyJoin(
+                adjacency,
+                meta.entry_column(near),
+                meta.entry_column(far) if closing else None,
+                columns,
+                spec,
+            )
+            return kernel, edge_mask(edge, edges)
+
         return DataSet(graph.environment, LoweredOperator(
             graph.environment, (other.evaluate().operator,), reference,
-            partial(_run_kernel, graph, kernel, edge_mask(edge, edges),
-                    reference.name),
+            partial(_run_kernel, graph, compiled, reference.name),
         ))
 
     def describe(self):

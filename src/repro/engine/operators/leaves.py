@@ -113,8 +113,6 @@ def _run_kernel(kernel, name, ctx, partitions):
     serving process, pool or not: its cost is its output), recorded as the
     flat-map's: elements in, rows out.  Partition ``p`` of ``n`` is the same
     element list in every run, which lets the kernel keep its encoded rows."""
-    if kernel.tables is None:
-        ctx.count_fallback("leaf_no_table")
     chunks = kernel.run(partitions, ctx.cancellation)
     ctx.record_stage_run(
         name,
@@ -162,7 +160,7 @@ class _ElementLeaf(PhysicalOperator):
             # the dataset is the label check; the kernel does not repeat it
             residual = without_label_clause(residual, variable, labels)
         kernel = ColumnarLeaf(
-            graph if isinstance(graph, IndexedLogicalGraph) else None,
+            graph,
             (kind, tuple(labels), tuple(self.property_keys)) + orientation,
             variable,
             None if residual.is_trivial else compile_cnf(residual),

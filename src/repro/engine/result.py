@@ -300,7 +300,9 @@ def _grouped(items: Sequence[Item], source: ResultTable) -> ResultTable:
     """Implicit grouping: the non-aggregate items are the group key.
 
     ``source`` holds the group columns and, under each aggregate's name,
-    that aggregate's inputs.  Groups come out in first-seen order.
+    that aggregate's inputs.  Groups come out in first-seen order, a group
+    column in its own kind (taken at each group's first member), an
+    aggregate as values.
     """
     columns = source.columns()
     grouped = [
@@ -314,16 +316,25 @@ def _grouped(items: Sequence[Item], source: ResultTable) -> ResultTable:
             groups[key] = [index]
         else:
             members.append(index)
+    firsts = np.array([members[0] for members in groups.values()], dtype=np.intp)
     out: List[Column] = []
-    for column, (_, _, _, call) in zip(columns, items):
-        if call is None:
-            out.append([column[members[0]] for members in groups.values()])
-        else:
+    for index, (column, (_, _, _, call)) in enumerate(zip(columns, items)):
+        if call is not None:
             out.append([
                 _aggregate(call.name, call.argument, [column[i] for i in members])
                 for members in groups.values()
             ])
-    return source.with_columns(out, [KIND_VALUE] * len(out))
+        elif groups:
+            out.append(_taken(
+                _merged([batch[index] for batch in source.batches]), firsts
+            ))
+        else:
+            out.append([])
+    kinds = [
+        kind if item[3] is None else KIND_VALUE
+        for kind, item in zip(source.kinds, items)
+    ]
+    return source.with_columns(out, kinds)
 
 
 def _aggregate(name: str, argument: Any, values: Sequence[Any]) -> Any:

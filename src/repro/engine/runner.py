@@ -17,7 +17,6 @@ from repro.cypher.parser import parse
 from repro.cypher.query_graph import QueryHandler
 from repro.dataflow.modes import legacy_mode
 from repro.epgm import GraphCollection, GraphHead, PropertyValue
-from repro.epgm.indexed import IndexedLogicalGraph
 
 from .columnar import RecordTexts
 from .morphism import DEFAULT_EDGE_STRATEGY, DEFAULT_VERTEX_STRATEGY
@@ -364,13 +363,11 @@ class CypherRunner:
 
     def record_texts(self):
         """The :class:`~repro.engine.columnar.RecordTexts` a table of this
-        runner writes its records through: on the columnar path over an
-        indexed graph the graph's resident one, which each distinct record
-        fills once; else a fresh one (the reference path keeps nothing
-        resident)."""
+        runner writes its records through: on the columnar path the graph's
+        resident one, which each distinct record fills once; else a fresh
+        one (the reference path keeps nothing resident)."""
         graph = self.graph
-        mode = self.execution_mode() or graph.environment.mode
-        if isinstance(graph, IndexedLogicalGraph) and mode == "columnar":
+        if (self.execution_mode() or graph.environment.mode) == "columnar":
             return graph.resident(("texts",), RecordTexts)
         return RecordTexts()
 

@@ -5,32 +5,18 @@ label and manages a separate dataset per label.  When a query vertex or
 edge carries a label predicate, the planner loads only that label's
 dataset instead of scanning (and filtering) the union of all elements.
 
-The index also keeps the edge relation *resident*: one :class:`Adjacency`
-(compressed sparse rows) per edge label and direction, built once, which a
-variable-length expansion walks instead of re-shuffling the edge bag every
-superstep and a fixed-length edge join hops over.  Beside it sits a bounded
-memo of *derived* structures the engine builds on first use — a leaf's
-encoded table, a property key's value index, the adjacency of an
-alternation or an undirected edge, a :class:`PairIndex` — which are
-functions of the elements alone and dropped as one when they change
-(:meth:`drop_resident`).
+The index builds its edge relation's :class:`Adjacency` (compressed
+sparse rows) per edge label and direction at load, with the per-label
+datasets.  A variable-length expansion walks it instead of re-shuffling
+the edge bag every superstep, and a fixed-length edge join hops over it;
+a plain :class:`LogicalGraph` builds the same rows on first use.
 """
 
-from collections import OrderedDict
 from operator import attrgetter
 
 import numpy as np
 
-from repro.locks import named_lock
-
 from .logical_graph import LogicalGraph
-
-#: derived structures one graph keeps; the least recently used goes first.
-#: A schema's (label, key-set) pairs stay far below it — the bound is for
-#: traffic that enumerates key subsets
-_RESIDENT_CAPACITY = 64
-_LEAF_SELECTS = ("all_rows", "probes", "scans")
-_JOIN_LOWERINGS = ("hop_joins", "pair_joins", "lookup_joins")
 
 
 def _find(haystack, ids):
@@ -90,6 +76,17 @@ class Adjacency:
         return first, self.offsets[slot + found] - first
 
 
+def label_adjacency(edges):
+    """``{label: (edge list, forward Adjacency, reverse Adjacency)}``."""
+    by_label = {}
+    for edge in edges:
+        by_label.setdefault(edge.label, []).append(edge)
+    return {
+        label: (elements, Adjacency(elements), Adjacency(elements, True))
+        for label, elements in by_label.items()
+    }
+
+
 class PairIndex:
     """Every ``(source, target)`` pair of an :class:`Adjacency`, sorted:
     what a join on both endpoints probes instead of fanning a skewed
@@ -128,16 +125,6 @@ class IndexedLogicalGraph(LogicalGraph):
         super().__init__(environment, graph_head, vertices, edges, id_factory)
         self._vertex_index = {}
         self._edge_index = {}
-        #: label -> (edge list, forward Adjacency, reverse Adjacency)
-        self._adjacency = {}
-        self._resident_lock = named_lock("graph.resident")
-        #: ``(family, ...)`` -> derived structure, least recently used first
-        self._resident = OrderedDict()  # guarded-by: _resident_lock
-        #: kernel executions on this graph: how its columnar leaves picked
-        #: their rows, which lowering its adjacency joins took
-        self._counts = dict.fromkeys(  # guarded-by: _resident_lock
-            _LEAF_SELECTS + _JOIN_LOWERINGS, 0
-        )
 
     @classmethod
     def from_logical_graph(cls, graph):
@@ -186,9 +173,7 @@ class IndexedLogicalGraph(LogicalGraph):
         by_vertex_label = {}
         for vertex in vertices:
             by_vertex_label.setdefault(vertex.label, []).append(vertex)
-        by_edge_label = {}
-        for edge in edges:
-            by_edge_label.setdefault(edge.label, []).append(edge)
+        adjacency = label_adjacency(edges)
         self._vertex_index = {
             label: self.environment.from_collection(
                 elements, name="vertices[:%s]" % label
@@ -197,107 +182,12 @@ class IndexedLogicalGraph(LogicalGraph):
         }
         self._edge_index = {
             label: self.environment.from_collection(
-                elements, name="edges[:%s]" % label
+                entry[0], name="edges[:%s]" % label
             )
-            for label, elements in by_edge_label.items()
+            for label, entry in adjacency.items()
         }
-        self._adjacency = {
-            label: (elements, Adjacency(elements), Adjacency(elements, True))
-            for label, elements in by_edge_label.items()
-        }
-
-    def adjacency(self, labels, reverse=False, undirected=False):
-        """``(Adjacency, edges)`` of an expansion along ``labels`` (none:
-        every label), ``edges`` being the list its ``edge_rows`` index.
-
-        One directed label is the resident adjacency itself; anything
-        else is built from the labels' edge lists on first use and shared
-        through :meth:`resident` by every plan that walks it.
-        """
-        labels = tuple(
-            label for label in (labels or self.edge_labels)
-            if label in self._adjacency
-        )
-        if len(labels) == 1 and not undirected:
-            edges, forward, backward = self._adjacency[labels[0]]
-            return (backward if reverse else forward), edges
-
-        def build():
-            edges = [e for label in labels for e in self._adjacency[label][0]]
-            return Adjacency(edges, reverse, undirected), edges
-
-        return self.resident(
-            ("adjacency", labels, reverse and not undirected, undirected), build
-        )
-
-    def _kept(self, family):  # requires-lock: _resident_lock
-        return [
-            found for key, found in self._resident.items() if key[0] == family
-        ]
-
-    def adjacency_stats(self):
-        """``{labels, edges, bytes, pair_indexes}`` kept now (``bytes``
-        counts the memo's), ``{hop_joins, pair_joins, lookup_joins}``
-        executed so far."""
         with self._resident_lock:
-            pairs = self._kept("pairs")
-            shared = [found[0] for found in self._kept("adjacency")]
-            return dict(
-                {name: self._counts[name] for name in _JOIN_LOWERINGS},
-                labels=len(self._adjacency),
-                edges=sum(len(entry[0]) for entry in self._adjacency.values()),
-                bytes=sum(found.nbytes for found in pairs + shared) + sum(
-                    entry[1].nbytes + entry[2].nbytes
-                    for entry in self._adjacency.values()
-                ),
-                pair_indexes=len(pairs),
-            )
-
-    def count(self, execution):
-        """Count one kernel execution (see :meth:`resident`)."""
-        with self._resident_lock:
-            self._counts[execution] += 1
-
-    def resident(self, key, build, count=None):
-        """The derived structure ``key`` names, ``build()`` on first use.
-
-        ``key[0]`` is its family (``"table"`` / ``"index"`` /
-        ``"adjacency"`` / ``"pairs"`` / ``"texts"``).  The build
-        runs under the lock, so threads racing for a first use build one
-        structure, not two; a build that raises (a deadline) leaves
-        nothing behind.  ``count`` names the kernel execution asking.
-        """
-        with self._resident_lock:
-            if count is not None:
-                self._counts[count] += 1
-            found = self._resident.get(key)
-            if found is None:
-                found = self._resident[key] = build()
-                if len(self._resident) > _RESIDENT_CAPACITY:
-                    self._resident.popitem(last=False)
-            else:
-                self._resident.move_to_end(key)
-            return found
-
-    def drop_resident(self):
-        """Forget every derived structure: the elements changed in place."""
-        with self._resident_lock:
-            self._resident.clear()
-
-    def leaf_stats(self):
-        """``{tables, bytes, indexes, texts}`` resident now, ``{all_rows,
-        probes, scans}`` leaf executions so far; ``bytes`` is the tables'
-        and the record texts' memo's, ``texts`` the memo's entries."""
-        with self._resident_lock:
-            tables = self._kept("table")
-            texts = self._kept("texts")
-            return dict(
-                {name: self._counts[name] for name in _LEAF_SELECTS},
-                tables=len(tables),
-                bytes=sum(found.nbytes for found in tables + texts),
-                indexes=len(self._kept("index")),
-                texts=sum(map(len, texts)),
-            )
+            self._adjacency = adjacency
 
     @property
     def vertex_labels(self):

@@ -3,10 +3,30 @@
 A logical graph is a graph head plus vertex and edge datasets.  All EPGM
 operators — including the Cypher pattern-matching operator this project
 reproduces — consume and produce logical graphs or graph collections.
+
+Every logical graph also keeps what the columnar kernels derive from its
+elements: the edges as compressed sparse rows per label (built on first
+use; an indexed graph builds them at load), and a bounded memo of the
+rest — a leaf's encoded table, a property key's value index, the
+adjacency of an alternation or an undirected edge, a pair index, the
+record texts — dropped as one when the elements change
+(:meth:`LogicalGraph.drop_resident`).
 """
+
+from collections import OrderedDict
+
+from repro.dataflow.metrics import JobMetrics
+from repro.locks import named_lock
 
 from .elements import GraphHead
 from .identifiers import GradoopIdFactory
+
+#: derived structures one graph keeps; the least recently used goes first.
+#: A schema's (label, key-set) pairs stay far below it — the bound is for
+#: traffic that enumerates key subsets
+_RESIDENT_CAPACITY = 64
+_LEAF_SELECTS = ("all_rows", "probes", "scans")
+_JOIN_LOWERINGS = ("hop_joins", "pair_joins", "lookup_joins")
 
 
 class LogicalGraph:
@@ -28,6 +48,16 @@ class LogicalGraph:
         self._edges = edges
         self.id_factory = (
             id_factory if id_factory is not None else GradoopIdFactory.derived()
+        )
+        self._resident_lock = named_lock("graph.resident")
+        #: label -> (edge list, forward Adjacency, reverse Adjacency)
+        self._adjacency = None  # guarded-by: _resident_lock
+        #: ``(family, ...)`` -> derived structure, least recently used first
+        self._resident = OrderedDict()  # guarded-by: _resident_lock
+        #: kernel executions on this graph: how its columnar leaves picked
+        #: their rows, which lowering its adjacency joins took
+        self._counts = dict.fromkeys(  # guarded-by: _resident_lock
+            _LEAF_SELECTS + _JOIN_LOWERINGS, 0
         )
 
     @classmethod
@@ -108,6 +138,121 @@ class LogicalGraph:
 
     def collect_edges(self):
         return self._edges.collect()
+
+    # Derived structures ---------------------------------------------------------
+
+    def _label_adjacency(self):  # requires-lock: _resident_lock
+        """label -> ``(edges, forward, reverse)``, grouped on first use."""
+        if self._adjacency is None:
+            from .indexed import label_adjacency
+
+            # a structure of the graph, not work of the job that asked
+            partitions = self.environment.run(
+                self._edges.operator, metrics=JobMetrics(), mode="reference"
+            )
+            self._adjacency = label_adjacency(
+                edge for partition in partitions for edge in partition
+            )
+        return self._adjacency
+
+    def adjacency(self, labels, reverse=False, undirected=False):
+        """``(Adjacency, edges)`` of an expansion along ``labels`` (none:
+        every label), ``edges`` being the list its ``edge_rows`` index.
+
+        One directed label is the label's own adjacency; anything else is
+        built from the labels' edge lists on first use and shared through
+        :meth:`resident` by every plan that walks it.
+        """
+        with self._resident_lock:
+            by_label = self._label_adjacency()
+        labels = tuple(
+            label for label in (labels or sorted(by_label)) if label in by_label
+        )
+        if len(labels) == 1 and not undirected:
+            edges, forward, backward = by_label[labels[0]]
+            return (backward if reverse else forward), edges
+
+        def build():
+            from .indexed import Adjacency
+
+            edges = [e for label in labels for e in by_label[label][0]]
+            return Adjacency(edges, reverse, undirected), edges
+
+        return self.resident(
+            ("adjacency", labels, reverse and not undirected, undirected), build
+        )
+
+    def _kept(self, family):  # requires-lock: _resident_lock
+        return [
+            found for key, found in self._resident.items() if key[0] == family
+        ]
+
+    def adjacency_stats(self):
+        """``{labels, edges, bytes, pair_indexes}`` kept now (``bytes``
+        counts the memo's), ``{hop_joins, pair_joins, lookup_joins}``
+        executed so far."""
+        with self._resident_lock:
+            pairs = self._kept("pairs")
+            shared = [found[0] for found in self._kept("adjacency")]
+            by_label = self._adjacency or {}
+            return dict(
+                {name: self._counts[name] for name in _JOIN_LOWERINGS},
+                labels=len(by_label),
+                edges=sum(len(entry[0]) for entry in by_label.values()),
+                bytes=sum(found.nbytes for found in pairs + shared) + sum(
+                    entry[1].nbytes + entry[2].nbytes
+                    for entry in by_label.values()
+                ),
+                pair_indexes=len(pairs),
+            )
+
+    def count(self, execution):
+        """Count one kernel execution (see :meth:`resident`)."""
+        with self._resident_lock:
+            self._counts[execution] += 1
+
+    def resident(self, key, build, count=None):
+        """The derived structure ``key`` names, ``build()`` on first use.
+
+        ``key[0]`` is its family (``"table"`` / ``"index"`` /
+        ``"adjacency"`` / ``"pairs"`` / ``"texts"``).  The build
+        runs under the lock, so threads racing for a first use build one
+        structure, not two; a build that raises (a deadline) leaves
+        nothing behind.  ``count`` names the kernel execution asking.
+        """
+        with self._resident_lock:
+            if count is not None:
+                self._counts[count] += 1
+            found = self._resident.get(key)
+            if found is None:
+                found = self._resident[key] = build()
+                if len(self._resident) > _RESIDENT_CAPACITY:
+                    self._resident.popitem(last=False)
+            else:
+                self._resident.move_to_end(key)
+            return found
+
+    def drop_resident(self):
+        """Forget every derived structure: the elements changed in place.
+
+        The per-label adjacency stays: it reads only ids and labels."""
+        with self._resident_lock:
+            self._resident.clear()
+
+    def leaf_stats(self):
+        """``{tables, bytes, indexes, texts}`` resident now, ``{all_rows,
+        probes, scans}`` leaf executions so far; ``bytes`` is the tables'
+        and the record texts' memo's, ``texts`` the memo's entries."""
+        with self._resident_lock:
+            tables = self._kept("table")
+            texts = self._kept("texts")
+            return dict(
+                {name: self._counts[name] for name in _LEAF_SELECTS},
+                tables=len(tables),
+                bytes=sum(found.nbytes for found in tables + texts),
+                indexes=len(self._kept("index")),
+                texts=sum(map(len, texts)),
+            )
 
     # Cypher -------------------------------------------------------------------
 

@@ -12,7 +12,6 @@ registry having to know which caches exist.
 """
 
 from repro.engine import GraphStatistics
-from repro.epgm.indexed import IndexedLogicalGraph
 from repro.locks import named_lock
 
 
@@ -78,8 +77,7 @@ class RegisteredGraph:
         with self._lock:
             statistics = self._statistics_locked()
             statistics.version += 1
-            if isinstance(self.graph, IndexedLogicalGraph):
-                self.graph.drop_resident()
+            self.graph.drop_resident()
             return statistics.version
 
     def replace(self, graph, statistics=None):

@@ -31,7 +31,6 @@ from repro.cache import LRUCache
 from repro.dataflow.cancellation import CancellationToken, QueryTimeout
 from repro.engine import CypherRunner, GreedyPlanner
 from repro.engine.runner import _graph_cache_token
-from repro.epgm.indexed import IndexedLogicalGraph
 from repro.locks import named_lock
 
 from .cache import ResultCache, prepared_cache_key
@@ -438,11 +437,10 @@ class QueryService:
              "scans"), 0
         )
         for entry in entries:
-            if isinstance(entry.graph, IndexedLogicalGraph):
-                for key, value in entry.graph.adjacency_stats().items():
-                    adjacency[key] += value
-                for key, value in entry.graph.leaf_stats().items():
-                    leaves[key] += value
+            for key, value in entry.graph.adjacency_stats().items():
+                adjacency[key] += value
+            for key, value in entry.graph.leaf_stats().items():
+                leaves[key] += value
         snapshot["engine"]["adjacency"] = adjacency
         snapshot["engine"]["leaves"] = leaves
         snapshot["capacity"] = {

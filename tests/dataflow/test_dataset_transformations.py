@@ -235,7 +235,6 @@ class TestJoins:
             JoinStrategy.REPARTITION_HASH,
             JoinStrategy.BROADCAST_FIRST,
             JoinStrategy.BROADCAST_SECOND,
-            JoinStrategy.SORT_MERGE,
             JoinStrategy.AUTO,
         ],
     )

@@ -57,7 +57,6 @@ def test_join_matches_nested_loops(left, right, parallelism):
             JoinStrategy.REPARTITION_HASH,
             JoinStrategy.BROADCAST_FIRST,
             JoinStrategy.BROADCAST_SECOND,
-            JoinStrategy.SORT_MERGE,
         ]
     ),
 )

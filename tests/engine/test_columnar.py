@@ -744,8 +744,7 @@ def graphs():
     dataset = LDBCGenerator(scale_factor=0.03, seed=11).generate()
     columnar_env = ExecutionEnvironment(parallelism=4)
     plain_env = ExecutionEnvironment(parallelism=4)
-    # label-indexed, as a loaded graph is: Q2/Q3 expand over the
-    # resident adjacency on the columnar side
+    # label-indexed, as a loaded graph is
     columnar_graph = dataset.to_logical_graph(columnar_env, indexed=True)
     plain_graph = dataset.to_logical_graph(plain_env, indexed=True)
     return (
@@ -753,6 +752,13 @@ def graphs():
         (columnar_graph, GraphStatistics.from_graph(columnar_graph)),
         (plain_graph, GraphStatistics.from_graph(plain_graph)),
     )
+
+
+@pytest.fixture(scope="module")
+def bare_graph(graphs):
+    """The same dataset as a plain graph built in code, with statistics."""
+    graph = graphs[0].to_logical_graph(ExecutionEnvironment(parallelism=4))
+    return graph, GraphStatistics.from_graph(graph)
 
 
 def _columnar_attributes(root):
@@ -779,13 +785,26 @@ def _columnar_attributes(root):
     return found
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
-@pytest.mark.parametrize("planner_cls", PLANNERS, ids=lambda p: p.__name__)
-@pytest.mark.parametrize("name", sorted(ALL_QUERIES))
-def test_columnar_equals_per_record(graphs, name, planner_cls, strategy):
+@pytest.mark.parametrize("name, planner_cls, strategy, indexed", [
+    # the columnar side over either representation; a plain graph's ids
+    # say so
+    pytest.param(name, planner_cls, strategy, indexed, id="-".join(
+        [name, planner_cls.__name__, strategy.value]
+        + ([] if indexed else ["plain"])
+    ))
+    for indexed in (True, False)
+    for name in sorted(ALL_QUERIES)
+    for planner_cls in PLANNERS
+    for strategy in STRATEGIES
+])
+def test_columnar_equals_per_record(
+    graphs, bare_graph, name, planner_cls, strategy, indexed
+):
     dataset, (columnar_graph, columnar_stats), (plain_graph, plain_stats) = (
         graphs
     )
+    if not indexed:
+        columnar_graph, columnar_stats = bare_graph
     query = instantiate(ALL_QUERIES[name], dataset.first_name("medium"))
     columnar = CypherRunner(
         columnar_graph,
@@ -1002,9 +1021,10 @@ def test_resident_leaf_equals_per_record(
     assert _multiset(columnar_embeddings) == _multiset(per_record_embeddings)
 
 
-def test_leaf_without_tables_scans_and_encodes():
-    # a graph built in code keeps no tables: same two functions, per
-    # request, and the run says so (one partition: the reference's order)
+def test_leaf_on_a_plain_graph_reads_the_graphs_table():
+    # a graph built in code keeps its leaf tables as a loaded one does:
+    # no fallback, the reference's rows in its order (one partition), and
+    # a second run encodes nothing
     graph = _leaf_graph(1, LogicalGraph)
     columnar, per_record = _leaf_runners(graph, MatchStrategy.ISOMORPHISM)
     for query in LEAF_QUERIES:
@@ -1012,9 +1032,13 @@ def test_leaf_without_tables_scans_and_encodes():
             columnar_embeddings, _ = columnar.execute_embeddings(query)
         per_record_embeddings, _ = per_record.execute_embeddings(query)
         assert _canon(columnar_embeddings) == _canon(per_record_embeddings)
-        assert {k for k, v in metrics.chunk_fallbacks.items() if v} == {
-            "leaf_no_table"
-        }, query
+        assert not any(metrics.chunk_fallbacks.values()), query
+    stats = graph.leaf_stats()
+    assert stats["tables"] > 0
+    for query in LEAF_QUERIES:
+        columnar.execute_embeddings(query)
+    assert graph.leaf_stats()["tables"] == stats["tables"]
+    assert graph.leaf_stats()["bytes"] == stats["bytes"]
 
 
 # The adjacency join (a hop over the resident CSR, or a probe of its pair
@@ -1217,20 +1241,66 @@ def test_rebound_edge_parameter_masks_one_plan(leaf_graphs, parallelism):
     assert after["bytes"] == before["bytes"]
 
 
-def test_join_without_adjacency_is_the_hash_join_and_says_so():
-    # a graph built in code keeps no adjacency: the same plans, the chunk
-    # hash join in the reference's own order over one partition, and the
-    # run says so
+def test_join_on_a_plain_graph_walks_the_graphs_adjacency():
+    # a graph built in code groups its edges by label on the first walk:
+    # the same plans lower the same joins as over a loaded graph, and the
+    # job that asked records no edge scan for it
     graph = _leaf_graph(1, LogicalGraph)
+    assert graph.adjacency_stats()["labels"] == 0
     strategies = (STRATEGIES[0], STRATEGIES[1])
-    for pattern, plan, lowered, _ in JOIN_PLANS:
+    for index, (pattern, plan, lowered, _) in enumerate(JOIN_PLANS):
         root = _hand_plan(
             graph, QueryHandler("MATCH %s RETURN *" % pattern), plan, strategies
         )
         columnar, metrics, per_record = _both_ways(root)
-        assert _canon(columnar) == _canon(per_record), (pattern, plan)
-        assert not _lowered_runs(metrics)
-        assert metrics.chunk_fallbacks["join_no_adjacency"] == lowered
+        case = (pattern, plan)
+        if lowered:
+            assert Counter(columnar) == Counter(per_record), case
+        else:  # the reference's order over one partition
+            assert _canon(columnar) == _canon(per_record), case
+        assert not any(metrics.chunk_fallbacks.values()), case
+        assert len(_lowered_runs(metrics)) == lowered, case
+        if not index:  # the first walk: its one edge leaf is lowered
+            assert not metrics.runs_named("edges"), case
+    stats = graph.adjacency_stats()
+    assert (stats["labels"], stats["edges"]) == (2, len(graph.collect_edges()))
+    assert stats["hop_joins"] > 0 and stats["pair_joins"] > 0
+
+
+def test_a_graph_built_in_code_runs_the_kernels(figure1_graph):
+    # a fixed-length edge join and an expansion over the plain Figure 1
+    # graph: a hop, lookups, supersteps and leaf tables; nothing falls back
+    graph = figure1_graph
+    for query in (
+        "MATCH (p:Person)-[e:knows]->(q:Person) RETURN p.name, q.name",
+        "MATCH (p:Person)-[e:knows*1..3]->(q:Person) RETURN *",
+    ):
+        with graph.environment.job("columnar") as metrics:
+            columnar = CypherRunner(graph, mode="columnar").execute_table(query)
+        reference = CypherRunner(graph, mode="reference").execute_table(query)
+        assert not any(metrics.chunk_fallbacks.values()), query
+        assert Counter(map(repr, columnar)) == Counter(map(repr, reference))
+        assert metrics.runs_named("JoinEmbeddings(q)[lookup]"), query
+    assert metrics.runs_named("ExpandEmbeddings:hop")
+    assert graph.adjacency_stats()["hop_joins"] > 0
+    assert graph.leaf_stats()["tables"] > 0
+
+
+def test_a_reference_run_builds_nothing_resident(figure1_graph):
+    # the adjacency a kernel walks is resolved on its first run: a plan
+    # that only runs its reference (the paper's pricing, ablation E7's
+    # plain leg) groups no edges and encodes no table
+    runner = CypherRunner(figure1_graph, mode="reference")
+    for query in (
+        "MATCH (p:Person)-[e:knows]->(q:Person) RETURN *",
+        "MATCH (p:Person)-[e:knows|studyAt*1..3]-(q) RETURN *",
+    ):
+        assert runner.execute_embeddings(query)[0]
+    assert figure1_graph.adjacency_stats() == dict.fromkeys(
+        ("hop_joins", "pair_joins", "lookup_joins", "labels", "edges",
+         "bytes", "pair_indexes"), 0,
+    )
+    assert not any(figure1_graph.leaf_stats().values())
 
 
 # The vertex lookup (the leaf's rows found by id where the other input's

@@ -1,6 +1,10 @@
 """Tests for shared leaf scans (recurring-subquery reuse, paper §5) and
 for what outlives a plan: the leaf tables, shared adjacencies and pair
-indexes a label-indexed graph keeps."""
+indexes a graph keeps.
+
+Leaf reuse is a property of the dataflow plan, so its scans are counted
+on the reference path: a columnar run joins an edge leaf as a hop over
+the graph's adjacency and never scans it."""
 
 import threading
 import time
@@ -21,6 +25,7 @@ from repro.engine.columnar import (
 )
 from repro.engine.operators.leaves import LoweredOperator
 from repro.epgm import IndexedLogicalGraph, indexed
+from repro.epgm.logical_graph import _RESIDENT_CAPACITY
 from repro.server import GraphRegistry
 
 TRIANGLE = (
@@ -37,7 +42,9 @@ class _NoReusePlanner(GreedyPlanner):
 
 def _run(figure1_graph, planner_cls):
     env = figure1_graph.environment
-    runner = CypherRunner(figure1_graph, planner_cls=planner_cls)
+    runner = CypherRunner(
+        figure1_graph, planner_cls=planner_cls, mode="reference"
+    )
     env.reset_metrics("triangle")
     embeddings, meta = runner.execute_embeddings(TRIANGLE)
     scans = [
@@ -73,7 +80,7 @@ def test_different_predicates_not_shared(figure1_graph):
         "WHERE s1.classYear > 2014 RETURN *"
     )
     env = figure1_graph.environment
-    runner = CypherRunner(figure1_graph)
+    runner = CypherRunner(figure1_graph, mode="reference")
     env.reset_metrics("q")
     runner.execute_embeddings(query)
     scans = [
@@ -166,7 +173,7 @@ def test_key_subsets_are_bounded(indexed_graph):
         runner.execute_embeddings(
             "MATCH (p:Person) RETURN %s" % ", ".join("p." + k for k in chosen)
         )
-    assert indexed_graph.leaf_stats()["tables"] == indexed._RESIDENT_CAPACITY
+    assert indexed_graph.leaf_stats()["tables"] == _RESIDENT_CAPACITY
     assert len(runner.execute_table("MATCH (p:Person) RETURN p.name")) == 3
 
 
@@ -254,14 +261,19 @@ def test_plans_share_a_merged_adjacency_until_the_graph_changes(indexed_graph):
     # an alternation's (or an undirected edge's) adjacency is built from
     # the labels' edge lists: once per graph, not once per compiled plan
     def kernels(text):
+        # what each lowered node compiles on its first run
         _, root = CypherRunner(indexed_graph).compile(text)
         nodes = [operator.evaluate().operator for operator in root.postorder()]
-        return [
-            bound.adjacency
+        compiled = [
+            bound()[0]
             for node in nodes if isinstance(node, LoweredOperator)
-            for bound in node.run_kernel.args
-            if isinstance(bound, (ColumnarExpandSpec, ColumnarAdjacencyJoin))
+            for bound in node.run_kernel.args if callable(bound)
         ]
+        assert all(
+            isinstance(kernel, (ColumnarExpandSpec, ColumnarAdjacencyJoin))
+            for kernel in compiled
+        )
+        return [kernel.adjacency for kernel in compiled]
 
     (first,) = kernels("MATCH (a:Person)-[e:knows|studyAt]-(b) RETURN *")
     (second,) = kernels(

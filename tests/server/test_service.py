@@ -319,32 +319,29 @@ class TestLifecycle:
         assert snapshot["latency"]["count"] == 1
 
     def test_metrics_name_the_engine_mode_and_count_fallbacks(self, service):
-        # every stage of a plain join has a chunk kernel; over a graph
-        # built in code its three leaves have no resident table to gather
-        # from and say so — they scan and encode per request — and the
-        # join with the edge leaf has no adjacency to walk instead ...
+        # every stage of a plain join has a chunk kernel; a graph built in
+        # code groups its edges by label on the first walk: the join with
+        # the edge leaf hops over them, the vertex leaf's is a lookup, and
+        # the leaves gather from the tables the graph keeps ...
         service.execute(
             "fig1", "MATCH (a:Person)-[:knows]->(b:Person) RETURN a.name"
         )
         engine = service.metrics_snapshot()["engine"]
         assert engine["mode"] == "columnar"
-        assert {k: v for k, v in engine["chunk_fallbacks"].items() if v} == {
-            "leaf_no_table": 3, "join_no_adjacency": 1,
-        }
-        assert engine["adjacency"] == {
-            "labels": 0, "edges": 0, "bytes": 0,
-            "pair_indexes": 0, "hop_joins": 0, "pair_joins": 0,
-            "lookup_joins": 0,
-        }
-        assert not any(engine["leaves"].values())
-        # ... a variable-length expansion over a graph built in code has
-        # no resident adjacency to walk: it runs the iterated join, under
-        # its own reason, and the join around it meets a per-record side
+        assert engine["chunk_fallbacks"] == dict.fromkeys(
+            ("non_uniform_batch", "no_kernel", "path_join", "expand_base_path"),
+            0,
+        )
+        adjacency = engine["adjacency"]
+        assert (adjacency["labels"], adjacency["edges"]) == (3, 8)
+        assert adjacency["bytes"] > 0 and adjacency["pair_indexes"] == 0
+        assert (adjacency["hop_joins"], adjacency["lookup_joins"]) == (1, 1)
+        assert engine["leaves"]["tables"] > 0
+        # ... and a variable-length expansion walks the same adjacency
         service.execute("fig1", VAR_LENGTH_QUERY)
-        fallbacks = service.metrics_snapshot()["engine"]["chunk_fallbacks"]
-        assert fallbacks["expand_no_adjacency"] == 1
-        assert fallbacks["non_uniform_batch"] > 0
-        assert fallbacks["no_kernel"] == fallbacks["path_join"] == 0
+        engine = service.metrics_snapshot()["engine"]
+        assert not any(engine["chunk_fallbacks"].values())
+        assert engine["adjacency"]["lookup_joins"] == 2
 
     def test_indexed_graph_expands_without_a_fallback(self, figure1_graph):
         registry = GraphRegistry()
@@ -422,9 +419,9 @@ class TestLifecycle:
         result = service.metrics_snapshot()["engine"]["result"]
         assert result["rows"] == 3
         assert result["chunks"] > 0 == result["reencoded_partitions"]
-        # an expansion over a graph without adjacency runs the reference
-        # loop: its answer arrives per record
+        # an expansion's kernel hands its chunks over too
         answer = service.execute("fig1", VAR_LENGTH_QUERY)
         after = service.metrics_snapshot()["engine"]["result"]
         assert after["rows"] == 3 + answer.row_count
-        assert after["reencoded_partitions"] > 0
+        assert after["chunks"] > result["chunks"]
+        assert after["reencoded_partitions"] == 0

@@ -9,8 +9,8 @@ deadlines, never different answers.
 Each check runs twice: on a plain graph and, in the ``*_indexed``
 tests, on the indexed graph that ``repro serve`` loads.  The service's graph is built cold, so the
 threads race to build its resident leaf tables, adjacencies and pair
-indexes; on the indexed leg the columnar engine must take its indexed
-paths (hop, pair and lookup joins, leaf probes) and never fall back.
+indexes; on both legs the columnar engine must take its kernels (hop,
+pair and lookup joins, leaf probes) and never fall back.
 """
 
 import threading
@@ -84,7 +84,7 @@ def test_concurrent_rebinding_of_one_prepared_statement_indexed(ldbc_setup):
 
 
 def check_concurrent_results(served):
-    registry, indexed, workload, reference = served
+    registry, _, workload, reference = served
     mismatches = []
     errors = []
     barrier = threading.Barrier(THREADS)
@@ -116,20 +116,17 @@ def check_concurrent_results(served):
     assert snapshot["plan_cache"]["hits"] > 0
     assert snapshot["max_in_flight"] >= 2  # work genuinely overlapped
     engine = snapshot["engine"]
-    if indexed:
-        assert not any(engine["chunk_fallbacks"].values()), (
-            engine["chunk_fallbacks"]
-        )
-        for counter in ("hop_joins", "pair_joins", "lookup_joins"):
-            assert engine["adjacency"][counter] > 0, counter
-        assert engine["leaves"]["probes"] > 0
-    else:
-        assert engine["chunk_fallbacks"]["leaf_no_table"] > 0
+    assert not any(engine["chunk_fallbacks"].values()), (
+        engine["chunk_fallbacks"]
+    )
+    for counter in ("hop_joins", "pair_joins", "lookup_joins"):
+        assert engine["adjacency"][counter] > 0, counter
+    assert engine["leaves"]["probes"] > 0
 
 
 def check_rebinding(served):
     """Many threads hammer ONE statement with different bindings."""
-    registry, indexed, workload, reference = served
+    registry, _, workload, reference = served
     template = next(item for item in workload if item.parameters)
     bindings = [item for item in workload if item.query == template.query]
     assert len(bindings) >= 2
@@ -155,8 +152,7 @@ def check_rebinding(served):
         engine = service.metrics_snapshot()["engine"]
 
     assert not failures, failures
-    if indexed:
-        assert not any(engine["chunk_fallbacks"].values()), (
-            engine["chunk_fallbacks"]
-        )
-        assert engine["leaves"]["probes"] > 0
+    assert not any(engine["chunk_fallbacks"].values()), (
+        engine["chunk_fallbacks"]
+    )
+    assert engine["leaves"]["probes"] > 0
