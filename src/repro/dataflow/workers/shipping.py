@@ -197,7 +197,8 @@ def _encode_chunks(partition):
     little-endian u32), the path buffer, the packed prop offset table,
     the prop buffer.  No per-record object is touched — the path buffer
     is written from the chunk's id matrices (``paths_to_bytes``), the
-    prop buffer is one join of its record matrix (``props_to_bytes``); an
+    prop buffer is one join of its record matrix, gathered from its
+    segments (``props_to_bytes``); an
     absent offset array, i.e. an empty buffer, ships as the all-zero
     table.
     """
@@ -231,8 +232,8 @@ def _decode_chunks(payload):
     Column arrays are read straight off the frame with ``frombuffer``
     and copied into native arrays, the path buffer is read into its id
     matrices (``paths_from_bytes``) and the prop buffer cut into its
-    record matrix (``props_from_bytes``), so the chunks do not pin the
-    frame.
+    record matrix (``props_from_bytes``) — one segment of the chunk's
+    own — so the chunks do not pin the frame.
     """
     from repro.engine.columnar import (  # lazy: layering
         ColumnarPartition,
@@ -240,6 +241,7 @@ def _decode_chunks(payload):
         decode_entries,
         paths_from_bytes,
         props_from_bytes,
+        record_segments,
     )
     from repro.engine.embedding import ENTRY_WIDTH  # lazy: layering
 
@@ -270,7 +272,7 @@ def _decode_chunks(payload):
             raise ValueError(
                 "chunk frame rows hold malformed or ragged paths or records"
             )
-        chunks.append(EmbeddingChunk(values, flags, paths, *props))
+        chunks.append(EmbeddingChunk(values, flags, paths, record_segments(*props)))
     return ColumnarPartition(chunks)
 
 

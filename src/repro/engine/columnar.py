@@ -5,19 +5,25 @@ of row-wise: the fixed-width id entries of all rows live in one
 ``uint64`` ``(count, columns)`` array (plus a ``uint8`` flag array only
 when some entry is not a plain id), the paths of ``path_data`` are *id
 matrices* — one ``uint64`` ``(count, width)`` matrix per PATH entry,
-zero-padded, beside the per-row id count — and ``prop_data`` is a
-*record matrix*: an ``object`` ``(count, k)`` array whose cell ``[r, i]``
-is the immutable ``bytes`` of row ``r``'s ``i``-th §3.3 property record,
-length field included, beside an ``int32`` matrix of the record lengths.
-Because every §3.3 id entry is exactly ``ENTRY_WIDTH`` bytes, the whole
-id block decodes and encodes through **one** structured-dtype view
-(:data:`_ENTRY`) and a column projects as an array slice
-(``values[:, c]``) — no per-record dispatch, no per-record ``Embedding``
-allocation, no boxed integers.  Neither paths nor property records are
-sliced or re-joined on the way through a plan: a leaf builds each record
-object once, the expansion emits the path matrix it walked, and every
-kernel after them moves ids and pointers (``props[rows]`` gathers, a
-join lays two gathers side by side, a projection is ``props[:, keep]``).
+zero-padded, beside the per-row id count — and ``prop_data`` is a tuple
+of *record segments*: each a shared, read-only record matrix (an
+``object`` array whose cells are the immutable ``bytes`` of §3.3
+property records, length field included, beside an ``int32`` matrix of
+their lengths — a resident leaf table's) plus one int row index per
+chunk row.  Because every §3.3 id entry is exactly ``ENTRY_WIDTH``
+bytes, the whole id block decodes and encodes through **one**
+structured-dtype view (:data:`_ENTRY`) and a column projects as an array
+slice (``values[:, c]``) — no per-record dispatch, no per-record
+``Embedding`` allocation, no boxed integers.  Neither paths nor property
+records are sliced or re-joined on the way through a plan: a leaf builds
+each record object once, the expansion emits the path matrix it walked,
+and every kernel after them moves ids and row indexes (a gather indexes
+each segment's rows, a join lays two sides' segments side by side, a
+projection narrows them).  A record is gathered by its first reader —
+the RETURN decode, a global WHERE, the per-record boundary, a pool frame
+— over the rows that survived to it (late materialization); a vertex
+lookup the schema already answers passes its input through and adds a
+segment indexed by vertex id, resolved by that reader alone.
 
 The codec is exact and bidirectional: ``chunk_from_embeddings``
 followed by ``to_embeddings`` reproduces every record byte-for-byte.
@@ -45,12 +51,13 @@ own that pick between a kernel compiled here (:class:`ColumnarLeaf`,
 At the result boundary the same layout is read column-wise
 (:mod:`repro.engine.result` builds the result table): an id column stays
 the ``values[:, c]`` slice, :func:`path_column` locates a PATH entry's
-id matrix and a property column is the ``props[:, i]`` slice of shared
-record objects.  Two writers turn a batch of them into JSON text:
-:func:`id_rows_json` writes a large batch of id and path columns
-straight from those arrays, :func:`rows_json` every other batch by
-interleaving ready texts — a record's from :class:`RecordTexts`, which
-makes each distinct record's text once per loaded graph.
+id matrix and a property column is gathered from its segment
+(:meth:`EmbeddingChunk.record_column`): shared record objects.  Two
+writers turn a batch of them into JSON text: :func:`id_rows_json` writes
+a large batch of id and path columns straight from those arrays,
+:func:`rows_json` every other batch by interleaving ready texts — a
+record's from :class:`RecordTexts`, which makes each distinct record's
+text once per loaded graph.
 """
 
 import json
@@ -60,7 +67,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.epgm import GradoopId, PropertyValue
-from repro.epgm.indexed import _find
+from repro.epgm.indexed import _find, key_runs, match_runs
 from repro.epgm.property_value import NULL_VALUE
 
 from .embedding import (
@@ -247,6 +254,90 @@ def paths_to_bytes(paths: Paths, count: int) -> Tuple[bytes, Optional[np.ndarray
     return data.tobytes(), _offsets(_path_sizes(paths, count))
 
 
+class Segment:
+    """Some of a chunk's record columns: rows of a shared record matrix.
+
+    ``props`` is a read-only record matrix — an ``object`` ``(n, k)``
+    array of §3.3 property records, length field included — and ``lens``
+    the ``int32`` matrix of their lengths: a resident leaf table's, or a
+    decoded chunk's own.  The segment holds ``columns`` of it (``None``:
+    all ``k``), and chunk row ``r`` reads matrix row ``index[r]``
+    (``index`` ``None``: row ``r`` itself).  With a ``locator`` (a
+    :class:`VertexLocator` over the matrix) ``index`` holds each row's
+    vertex *id* instead, found in the locator by the first reader.
+    Kernels move ``index`` as they move ids; a record is gathered only
+    when something reads it.  Immutable.
+    """
+
+    __slots__ = ("props", "lens", "columns", "index", "locator")
+
+    def __init__(self, props, lens, columns=None, index=None, locator=None):
+        self.props = props
+        self.lens = lens
+        self.columns = columns
+        self.index = index
+        self.locator = locator
+
+    @property
+    def width(self) -> int:
+        """The number of record columns held."""
+        return self.props.shape[1] if self.columns is None else len(self.columns)
+
+    def rows(self) -> Optional[np.ndarray]:
+        """Each chunk row's matrix row (``None``: row ``r`` is row ``r``)."""
+        if self.locator is None:
+            return self.index
+        return self.locator.rows(self.index)
+
+    def take(self, rows) -> "Segment":
+        """The segment of chunk rows ``rows``."""
+        index = rows if self.index is None else self.index[rows]
+        return Segment(self.props, self.lens, self.columns, index, self.locator)
+
+    def window(self, start: int, stop: int) -> "Segment":
+        """The segment of chunk rows ``start`` to ``stop``."""
+        return self.take(
+            np.arange(start, stop) if self.index is None else slice(start, stop)
+        )
+
+    def gathered(self, matrix: np.ndarray) -> np.ndarray:
+        """This segment's cells of ``matrix`` (its ``props`` or ``lens``),
+        one row per chunk row."""
+        rows = self.rows()
+        if rows is not None:
+            matrix = matrix.take(rows, axis=0)
+        if self.columns is not None:
+            matrix = matrix.take(self.columns, axis=1)
+        return matrix
+
+    def column(self, index: int) -> np.ndarray:
+        """The records of held column ``index``, one per chunk row."""
+        if self.columns is not None:
+            index = self.columns[index]
+        rows = self.rows()
+        return self.props[:, index] if rows is None else self.props[rows, index]
+
+    def like(self, other: "Segment") -> bool:
+        """Whether ``other`` reads the same columns of the same matrix the
+        same way, so the two concatenate by their indexes."""
+        return (
+            self.props is other.props
+            and self.locator is other.locator
+            and (self.columns is None) == (other.columns is None)
+            and (self.columns is None or np.array_equal(self.columns, other.columns))
+        )
+
+
+def record_segments(
+    props: Optional[np.ndarray], prop_lens: Optional[np.ndarray]
+) -> Tuple[Segment, ...]:
+    """The segments of a record matrix a chunk owns: one, identity rows
+    (none when it holds no record)."""
+    if props is None or prop_lens is None or not props.size:
+        return ()
+    return (Segment(props, prop_lens),)
+
+
 class EmbeddingChunk:
     """A batch of same-shape embeddings in columnar form.
 
@@ -258,10 +349,12 @@ class EmbeddingChunk:
     matrix zero-padded to at least the widest path, ``lens`` the
     ``int64`` id counts.  A PATH column's value stays its §3.3 offset in
     the row's ``path_data``, the sum of the earlier entries' sizes.
-    ``props`` is the record matrix — an ``object`` ``(count, k)`` array,
-    cell ``[r, i]`` the ``bytes`` of row ``r``'s ``i``-th property record
-    with its u16 length field — and ``prop_lens`` the ``int32`` matrix of
-    ``len(props[r, i])``;
+    ``segments`` hold the property records, their columns in record order
+    (:class:`Segment`): int row indexes into shared record matrices, not
+    the records.  :attr:`props` gathers them into the record matrix — an
+    ``object`` ``(count, k)`` array, cell ``[r, i]`` the ``bytes`` of row
+    ``r``'s ``i``-th property record with its u16 length field — and
+    :attr:`prop_lens` into the ``int32`` matrix of ``len(props[r, i])``;
     both are ``None`` exactly when the chunk holds no record (``k == 0``
     or no row).  Every row of a chunk holds the same PATH entries and
     ``k`` records, as every row a plan produces does.  Instances are
@@ -276,8 +369,7 @@ class EmbeddingChunk:
         "flags",
         "values",
         "paths",
-        "props",
-        "prop_lens",
+        "segments",
     )
 
     def __init__(
@@ -285,17 +377,41 @@ class EmbeddingChunk:
         values: np.ndarray,
         flags: Optional[np.ndarray] = None,
         paths: Paths = (),
-        props: Optional[np.ndarray] = None,
-        prop_lens: Optional[np.ndarray] = None,
+        segments: Tuple[Segment, ...] = (),
     ) -> None:
         self.count, self.columns = values.shape
         self.flags = flags
         self.values = values
         self.paths = paths
-        if props is not None and not props.size:
-            props = prop_lens = None
-        self.props = props
-        self.prop_lens = prop_lens
+        self.segments = segments
+
+    def _gathered(self, lens: bool) -> Optional[np.ndarray]:
+        if not (self.count and self.segments):
+            return None
+        parts = [
+            segment.gathered(segment.lens if lens else segment.props)
+            for segment in self.segments
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+    @property
+    def props(self) -> Optional[np.ndarray]:
+        """The record matrix, gathered from the segments (a new array, or
+        a shared read-only one)."""
+        return self._gathered(lens=False)
+
+    @property
+    def prop_lens(self) -> Optional[np.ndarray]:
+        """The record lengths, gathered from the segments."""
+        return self._gathered(lens=True)
+
+    def record_column(self, index: int) -> np.ndarray:
+        """The records of record column ``index``: an ``object`` array."""
+        for segment in self.segments:
+            if index < segment.width:
+                return segment.column(index)
+            index -= segment.width
+        raise IndexError("record column out of range")
 
     def id_buf(self) -> bytes:
         """The canonical §3.3 id bytes of all rows, concatenated."""
@@ -308,15 +424,17 @@ class EmbeddingChunk:
         """Total serialized size — equals the sum of per-row sizes."""
         size = self.count * self.columns * ENTRY_WIDTH
         size += int(_path_sizes(self.paths, self.count).sum())
-        if self.prop_lens is not None:
-            size += int(self.prop_lens.sum())
+        prop_lens = self.prop_lens
+        if prop_lens is not None:
+            size += int(prop_lens.sum())
         return size
 
     def row_sizes(self) -> np.ndarray:
         """Per-row serialized sizes."""
         sizes = self.columns * ENTRY_WIDTH + _path_sizes(self.paths, self.count)
-        if self.prop_lens is not None:
-            for lengths in self.prop_lens.T:  # k is small: no axis-1 reduce
+        prop_lens = self.prop_lens
+        if prop_lens is not None:
+            for lengths in prop_lens.T:  # k is small: no axis-1 reduce
                 sizes += lengths
         return sizes
 
@@ -340,11 +458,9 @@ class EmbeddingChunk:
             (ids.take(rows, axis=0), lens.take(rows)) for ids, lens in self.paths
         )
 
-    def take_props(self, rows) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """``(props, prop_lens)`` of ``rows``: pointers move, no byte does."""
-        if self.props is None or self.prop_lens is None:
-            return None, None
-        return self.props.take(rows, axis=0), self.prop_lens.take(rows, axis=0)
+    def take_segments(self, rows) -> Tuple[Segment, ...]:
+        """The segments of ``rows``: row indexes move, no record does."""
+        return tuple(segment.take(rows) for segment in self.segments)
 
     def gather(self, rows) -> "EmbeddingChunk":
         """A new chunk holding ``rows`` (in the given order).
@@ -354,21 +470,20 @@ class EmbeddingChunk:
         """
         rows = np.asarray(rows, dtype=np.intp)
         return EmbeddingChunk(
-            self.values[rows],
-            None if self.flags is None else self.flags[rows],
+            self.values.take(rows, axis=0),
+            None if self.flags is None else self.flags.take(rows, axis=0),
             self.take_paths(rows),
-            *self.take_props(rows),
+            self.take_segments(rows),
         )
 
     def window(self, start: int, stop: int) -> "EmbeddingChunk":
-        """Rows ``start`` to ``stop`` as views: nothing is copied."""
+        """Rows ``start`` to ``stop`` as views: no id or record is copied."""
         rows = slice(start, stop)
         return EmbeddingChunk(
             self.values[rows],
             None if self.flags is None else self.flags[rows],
             tuple((ids[rows], lens[rows]) for ids, lens in self.paths),
-            None if self.props is None else self.props[rows],
-            None if self.prop_lens is None else self.prop_lens[rows],
+            tuple(segment.window(start, stop) for segment in self.segments),
         )
 
     def __repr__(self) -> str:
@@ -393,16 +508,46 @@ def concat_paths(entry: Sequence[PathMatrix]) -> PathMatrix:
     return _padded([ids for ids, _ in entry]), np.concatenate([lens for _, lens in entry])
 
 
-def _beside(parts: Sequence[Optional[np.ndarray]], axis: int) -> Optional[np.ndarray]:
-    """The matrices among ``parts`` (``None``: no records) joined on ``axis``."""
-    found = [part for part in parts if part is not None]
-    if len(found) > 1:
-        return np.concatenate(found, axis=axis)
-    return found[0] if found else None
+def _concat_segments(chunks: Sequence[EmbeddingChunk]) -> Tuple[Segment, ...]:
+    """The segments of ``chunks``' rows, in order.
+
+    Segments that read one matrix alike concatenate their indexes; any
+    other position (chunks whose records sit in different matrices — a
+    pool's decoded frames, the parts of a multi-partition table) is
+    gathered into a matrix of its own.
+    """
+    shapes = {tuple(segment.width for segment in chunk.segments) for chunk in chunks}
+    if len(shapes) > 1:
+        return record_segments(
+            np.concatenate([chunk.props for chunk in chunks]),
+            np.concatenate([chunk.prop_lens for chunk in chunks]),
+        )
+    segments = []
+    for position in zip(*[chunk.segments for chunk in chunks]):
+        first = position[0]
+        if all(first.like(segment) for segment in position[1:]):
+            segments.append(Segment(
+                first.props, first.lens, first.columns,
+                np.concatenate([
+                    np.arange(chunk.count) if segment.index is None
+                    else segment.index
+                    for chunk, segment in zip(chunks, position)
+                ]),
+                first.locator,
+            ))
+        else:
+            segments.extend(record_segments(
+                np.concatenate([segment.gathered(segment.props) for segment in position]),
+                np.concatenate([segment.gathered(segment.lens) for segment in position]),
+            ))
+    return tuple(segments)
 
 
 def concat_chunks(chunks: Sequence[EmbeddingChunk]) -> EmbeddingChunk:
     """One chunk holding the rows of same-shape ``chunks``, in order."""
+    if len(chunks) > 1:
+        # a chunk without rows may lack the paths and records of the rest
+        chunks = [chunk for chunk in chunks if chunk.count] or chunks[:1]
     if len(chunks) == 1:
         return chunks[0]
     flags = None
@@ -412,14 +557,11 @@ def concat_chunks(chunks: Sequence[EmbeddingChunk]) -> EmbeddingChunk:
             if chunk.flags is None else chunk.flags
             for chunk in chunks
         ])
-    # a chunk without paths (or records) among chunks with some has no rows
-    entries = zip(*[chunk.paths for chunk in chunks if chunk.paths])
     return EmbeddingChunk(
         np.concatenate([chunk.values for chunk in chunks]),
         flags,
-        tuple(map(concat_paths, entries)),
-        _beside([chunk.props for chunk in chunks], 0),
-        _beside([chunk.prop_lens for chunk in chunks], 0),
+        tuple(map(concat_paths, zip(*[chunk.paths for chunk in chunks]))),
+        _concat_segments(chunks),
     )
 
 
@@ -454,7 +596,7 @@ def chunk_from_embeddings(records: Sequence[Any]) -> Optional[EmbeddingChunk]:
     values, flags = decode_entries(
         b"".join([record.id_data for record in records]), count, columns
     )
-    return EmbeddingChunk(values, flags, paths, *props)
+    return EmbeddingChunk(values, flags, paths, record_segments(*props))
 
 
 # Column decode ---------------------------------------------------------------
@@ -816,21 +958,37 @@ def select_kernel(evaluate, meta):
 
 
 def project_kernel(keep_indices):
-    """Chunk kernel of ``ProjectEmbeddings``: keep columns of the record
-    matrix."""
-    keep = np.array(tuple(keep_indices), dtype=np.intp)
+    """Chunk kernel of ``ProjectEmbeddings``: keep record columns — each
+    kept run of one segment's columns stays that segment, narrowed."""
+    keep = tuple(keep_indices)
 
     def kernel(chunk):
-        props, prop_lens = chunk.props, chunk.prop_lens
-        if props is None or prop_lens is None:
+        if not chunk.segments:
             return chunk
-        return EmbeddingChunk(
-            chunk.values,
-            chunk.flags,
-            chunk.paths,
-            props[:, keep],
-            prop_lens[:, keep],
-        )
+        owners = [
+            (segment, column)
+            for segment in chunk.segments
+            for column in (
+                range(segment.width) if segment.columns is None
+                else segment.columns.tolist()
+            )
+        ]
+        runs: List[Tuple[Segment, List[int]]] = []
+        for index in keep:
+            segment, column = owners[index]
+            if runs and runs[-1][0] is segment:
+                runs[-1][1].append(column)
+            else:
+                runs.append((segment, [column]))
+        return EmbeddingChunk(chunk.values, chunk.flags, chunk.paths, tuple(
+            Segment(
+                segment.props, segment.lens,
+                None if columns == list(range(segment.props.shape[1]))
+                else np.array(columns, dtype=np.intp),
+                segment.index, segment.locator,
+            )
+            for segment, columns in runs
+        ))
 
     return kernel
 
@@ -858,35 +1016,108 @@ _EMPTY_LEAVES = {
 _SCAN_ROWS = 4096
 
 
+class VertexLocator:
+    """A vertex leaf table's rows by id.
+
+    ``chunk`` holds every row of the table — its one part, or its parts
+    concatenated (records gathered into one matrix: only a pool's
+    multi-partition tables) — its records in identity-row segments;
+    ``ids`` are the rows' vertex ids ascending, ``order`` the row each
+    came from.  A vertex lookup searches it instead of sorting its leaf
+    per execution, and an id-indexed :class:`Segment` resolves through it.
+    """
+
+    __slots__ = ("chunk", "ids", "order", "nbytes")
+
+    def __init__(self, chunks):
+        self.chunk = chunk = concat_chunks(chunks)
+        self.order = np.argsort(chunk.values[:, 0])
+        self.ids = chunk.values[self.order, 0]
+        self.nbytes = self.ids.nbytes + self.order.nbytes
+        if chunk not in chunks:
+            # its own arrays; the record objects are the parts'
+            self.nbytes += chunk.values.nbytes + sum(
+                segment.props.nbytes + segment.lens.nbytes
+                for segment in chunk.segments
+            )
+        for array in (self.ids, self.order, chunk.values):
+            array.setflags(write=False)
+
+    def find(self, ids) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, hit)``: the row of each of ``ids`` (any row where
+        ``hit`` is false) and whether the table holds it."""
+        slot, hit = _find(self.ids, ids)
+        return self.order[slot], hit
+
+    def rows(self, ids) -> np.ndarray:
+        """The row of each of ``ids``, every one of which the table holds."""
+        return self.order[np.searchsorted(self.ids, ids)]
+
+    def holds(self, ids) -> bool:
+        """Whether the table holds every one of ``ids``."""
+        return bool(_find(self.ids, ids)[1].all())
+
+    def by_id(self, ids) -> Tuple[Segment, ...]:
+        """The table's record segments for rows whose vertex ids are
+        ``ids``, resolved by their first reader."""
+        return tuple(
+            Segment(segment.props, segment.lens, segment.columns, ids, self)
+            for segment in self.chunk.segments
+        )
+
+
 class LeafTable:
     """The resident, unfiltered rows of one leaf.
 
     One ``(chunk, first)`` per source partition, in the order the label
     dataset(s) deliver elements: ``chunk`` holds every row the leaf can
     emit — ids in column order under its orientation rules, the §3.3
-    records of its property keys — and element ``i`` owns rows
-    ``first[i]`` to ``first[i + 1]`` (``first`` is ``None`` when that is
-    row ``i`` alone).  Nothing a request binds is in here.  The record
-    objects built here are the ones every chunk of every request points
-    at; ``nbytes`` counts the arrays and each distinct record once.
+    records of its property keys in one segment of identity rows — and
+    element ``i`` owns rows ``first[i]`` to ``first[i + 1]`` (``first``
+    is ``None`` when that is row ``i`` alone).  Nothing a request binds
+    is in here.  The record objects built here are the ones every chunk
+    of every request points at; ``nbytes`` counts the arrays and each
+    distinct record once.  A vertex leaf's table (one row per vertex)
+    also keeps its :class:`VertexLocator`, ``located``.
     """
 
-    __slots__ = ("parts", "nbytes")
+    __slots__ = ("parts", "located", "nbytes")
 
-    def __init__(self, parts):
+    def __init__(self, parts, located=False):
         self.parts = parts
         self.nbytes = 0
         for chunk, first in parts:
-            for array in (chunk.values, first, chunk.props, chunk.prop_lens):
+            arrays = [chunk.values, first]
+            for segment in chunk.segments:
+                arrays += [segment.props, segment.lens]
+                # the rows of one element share its record objects
+                records = {
+                    id(record): record
+                    for record in segment.props.ravel().tolist()
+                }
+                self.nbytes += sum(map(sys.getsizeof, records.values()))
+            for array in arrays:
                 if array is not None:
                     array.setflags(write=False)
                     self.nbytes += array.nbytes
-            if chunk.props is not None:
-                # the rows of one element share its record objects
-                records = {
-                    id(record): record for record in chunk.props.ravel().tolist()
-                }
-                self.nbytes += sum(map(sys.getsizeof, records.values()))
+        self.located = None
+        if located:
+            self.located = VertexLocator([chunk for chunk, _ in parts])
+            self.nbytes += self.located.nbytes
+
+
+class LeafPartition(ColumnarPartition):
+    """A leaf's output partition: its chunks, and the resident
+    :class:`LeafTable` they were gathered from (``None`` in the
+    partitions a shuffle re-splits them into)."""
+
+    __slots__ = ("table",)
+
+    def __init__(
+        self, chunks: Sequence[EmbeddingChunk], table: Optional[LeafTable] = None
+    ) -> None:
+        super().__init__(chunks)
+        self.table = table
 
 
 def value_index(partitions, key, token=None):
@@ -964,10 +1195,12 @@ class ColumnarLeaf:
         else:
             chunk = EmbeddingChunk(
                 np.array(values, dtype=np.uint64).reshape(rows, self.columns),
-                props=np.array(cells, dtype=object).reshape(rows, len(keys)),
-                prop_lens=np.fromiter(
-                    map(len, cells), np.int32, len(cells)
-                ).reshape(rows, len(keys)),
+                segments=record_segments(
+                    np.array(cells, dtype=object).reshape(rows, len(keys)),
+                    np.fromiter(
+                        map(len, cells), np.int32, len(cells)
+                    ).reshape(rows, len(keys)),
+                ),
             )
         offsets = np.array(first, dtype=np.int64)
         return chunk, None if (np.diff(offsets) == 1).all() else offsets
@@ -998,7 +1231,7 @@ class ColumnarLeaf:
         return kept
 
     def run(self, partitions, token):
-        """One chunk per partition of elements."""
+        """One :class:`LeafPartition` per partition of elements."""
         tables = self.tables
 
         def build():
@@ -1008,20 +1241,29 @@ class ColumnarLeaf:
                 # a build that outlived the deadline is abandoned
                 if token is not None:
                     token.poll()
-            return LeafTable(parts)
+            # a vertex leaf's rows are what vertex lookups search
+            return LeafTable(parts, located=self.columns == 1)
 
         # one part per partition: a run of another count reads its own table
         count = (len(partitions),)
-        parts = tables.resident(("table",) + self.key + count, build, self.outcome).parts
-        if self.outcome == "all_rows":
-            return [chunk for chunk, _ in parts]
+        table = tables.resident(("table",) + self.key + count, build, self.outcome)
+        chunks = [chunk for chunk, _ in table.parts]
+        if self.outcome != "all_rows":
+            chunks = self._selected(table.parts, partitions, count, token)
+        return [
+            LeafPartition([chunk] if chunk.count else [], table)
+            for chunk in chunks
+        ]
+
+    def _selected(self, parts, partitions, count, token):
+        """Each part's rows whose element satisfies the CNF."""
         hits = [None] * len(partitions)
         if self.probe is not None:
             prop_key, value = self.probe
             value = value()
             if value.is_null:
                 return [_EMPTY_LEAVES[self.columns]] * len(partitions)
-            index = tables.resident(
+            index = self.tables.resident(
                 ("index",) + self.key[:2] + (prop_key,) + count,
                 lambda: value_index(partitions, prop_key, token),
             )
@@ -1227,9 +1469,10 @@ class ColumnarJoinSpec:
     def hash_join(self, build_chunks, probe_chunks, build_is_left, token=None):
         """Join two chunk lists; returns the output chunks.
 
-        The build side is stable-sorted by key once; every run of probe
-        chunks finds its match ranges with two ``searchsorted`` calls
-        and gathers both sides' rows by ``repeat``-expanded indexes
+        The build side is stable-sorted by key once and its runs of equal
+        keys tabled (:func:`key_runs`); every run of probe chunks finds
+        its match ranges with one search of the distinct keys and gathers
+        both sides' rows by ``repeat``-expanded indexes
         (:func:`_fan_out`).  Output rows
         therefore appear in exactly the order of the per-record
         ``hash_join`` loop: probe rows in input order, each matched
@@ -1249,16 +1492,14 @@ class ColumnarJoinSpec:
         else:
             build_keys = _hash_keys(build.values, build_columns)
         order = np.argsort(build_keys, kind="stable")
-        sorted_keys = build_keys[order]
+        runs = key_runs(build_keys[order])
         out_chunks = []
         for probe in _probe_runs(probe_chunks):
             if exact:
                 probe_keys = probe.values[:, probe_columns[0]]
             else:
                 probe_keys = _hash_keys(probe.values, probe_columns)
-            low = np.searchsorted(sorted_keys, probe_keys, "left")
-            matches = np.searchsorted(sorted_keys, probe_keys, "right") - low
-            for probe_rows, position in _fan_out(low, matches, token):
+            for probe_rows, position in _fan_out(*match_runs(runs, probe_keys), token):
                 sides = [(build, order[position]), (probe, probe_rows)]
                 if not build_is_left:
                     sides.reverse()
@@ -1286,8 +1527,8 @@ class ColumnarJoinSpec:
         kept = None
         if check_keys:
             kept = (
-                left[left_rows][:, self.left_columns]
-                == right[right_rows][:, self.right_columns]
+                left.take(left_rows, axis=0)[:, self.left_columns]
+                == right.take(right_rows, axis=0)[:, self.right_columns]
             ).all(axis=1)
         kept = _all_distinct(
             column, (self.vertex_columns, self.edge_columns), kept
@@ -1297,27 +1538,28 @@ class ColumnarJoinSpec:
             right_rows = right_rows[kept]
             if not left_rows.size:
                 return None
+        # whole-row takes, then the kept columns: a row or a broadcast
+        # (rows, keep) index into a matrix costs several times as much
         merged = np.empty(
             (left_rows.size, left_count + keep.size), dtype=np.uint64
         )
-        merged[:, :left_count] = left[left_rows]
-        merged[:, left_count:] = right[right_rows[:, None], keep]
-        # each output row's records: its left row's, then its right row's
-        left_props, left_lens = left_chunk.take_props(left_rows)
-        right_props, right_lens = right_chunk.take_props(right_rows)
-        props = _beside([left_props, right_props], 1)
-        prop_lens = _beside([left_lens, right_lens], 1)
+        merged[:, :left_count] = left.take(left_rows, axis=0)
+        merged[:, left_count:] = right.take(right_rows, axis=0)[:, keep]
         flags = None
         if left_chunk.flags is not None or right_chunk.flags is not None:
             flags = np.zeros(merged.shape, dtype=np.uint8)
             if left_chunk.flags is not None:
-                flags[:, :left_count] = left_chunk.flags[left_rows]
+                flags[:, :left_count] = left_chunk.flags.take(left_rows, axis=0)
             if right_chunk.flags is not None:
-                flags[:, left_count:] = right_chunk.flags[right_rows[:, None], keep]
+                flags[:, left_count:] = right_chunk.flags.take(right_rows, axis=0)[:, keep]
         # a PATH-bearing side — only ever one (columnar_join_spec), so its
         # entries' row-relative offsets hold in the merged rows
         paths = left_chunk.take_paths(left_rows) + right_chunk.take_paths(right_rows)
-        return EmbeddingChunk(merged, flags, paths, props, prop_lens)
+        # each output row's records: its left row's, then its right row's
+        segments = (
+            left_chunk.take_segments(left_rows) + right_chunk.take_segments(right_rows)
+        )
+        return EmbeddingChunk(merged, flags, paths, segments)
 
 
 # Expand ----------------------------------------------------------------------
@@ -1418,7 +1660,7 @@ class ColumnarExpandSpec:
             (len(rows), length + 1 + bool(length)), dtype=np.uint64
         )
         if length:
-            new_path[:, :length] = path[rows]
+            new_path[:, :length] = path.take(rows, axis=0)
             new_path[:, length] = ends[rows]
         new_path[:, -1] = adjacency.edge_ids[position]
         return chunk, origin[rows], adjacency.targets[position], new_path
@@ -1442,20 +1684,20 @@ class ColumnarExpandSpec:
         paths = chunk.take_paths(origin)
         columns = chunk.columns
         values = np.zeros((count, columns + 2 - closing), dtype=np.uint64)
-        values[:, :columns] = chunk.values[origin]
+        values[:, :columns] = chunk.values.take(origin, axis=0)
         # the walked path becomes the rows' last PATH entry: its value is
         # the length of the path_data before it
         values[:, columns] = _path_sizes(paths, count)
         flags = np.zeros(values.shape, dtype=np.uint8)
         if chunk.flags is not None:
-            flags[:, :columns] = chunk.flags[origin]
+            flags[:, :columns] = chunk.flags.take(origin, axis=0)
         flags[:, columns] = FLAG_PATH
         if not closing:
             values[:, -1] = ends
         walked = (path[:, ::-1] if self.reverse else path,
                   np.full(count, hops, dtype=np.int64))
         emitted.append(EmbeddingChunk(
-            values, flags, paths + (walked,), *chunk.take_props(origin)
+            values, flags, paths + (walked,), chunk.take_segments(origin)
         ))
 
 
@@ -1546,9 +1788,7 @@ class ColumnarAdjacencyJoin:
         if flags is not None:
             flags = flags.take(self.take, axis=1)
             flags[:, self.fresh] = FLAG_ID
-        return EmbeddingChunk(
-            values, flags, carried.paths, carried.props, carried.prop_lens,
-        )
+        return EmbeddingChunk(values, flags, carried.paths, carried.segments)
 
 
 # Vertex lookup ---------------------------------------------------------------
@@ -1560,53 +1800,81 @@ class ColumnarVertexLookup:
     where ``x``'s rows already sit, in their order.
 
     A vertex leaf emits one row per vertex, so the key in input column
-    ``key`` meets at most one leaf row: a probe run is one
-    ``searchsorted`` and one equality mask, no fan-out.  ``leaf_left``:
-    the leaf is the join's left input; ``spec`` (the hash join's) lays the
-    matched rows side by side and names the watched columns.
+    ``key`` meets at most one leaf row: a probe run is one search of the
+    leaf table's :class:`VertexLocator` and one mask, no fan-out.
+    ``leaf_left``: the leaf is the join's left input; ``spec`` (the hash
+    join's, watching no column) lays the matched rows side by side.  The
+    lookup checks no morphism: the leaf's one id column is the key, which
+    the merged row holds once, so its ids are the input row's, already
+    checked by the operator that made it.  ``beneath`` compiles the hop
+    join below whose far end the key is (``None``: the input is no such
+    join's), what :meth:`pass_through` needs.
     """
 
-    __slots__ = ("key", "leaf_left", "spec")
+    __slots__ = ("key", "leaf_left", "spec", "beneath")
 
-    def __init__(self, key, leaf_left, spec):
+    def __init__(self, key, leaf_left, spec, beneath=None):
         self.key = key
         self.leaf_left = leaf_left
         self.spec = spec
+        self.beneath = beneath
 
-    def run(self, leaf_chunks, partitions, token):
+    def run(self, leaf, partitions, token):
         """The output chunks of each chunk list in ``partitions``;
-        ``leaf_chunks``: the leaf's rows, of every partition."""
-        leaf_chunks = [chunk for chunk in leaf_chunks if chunk.count]
-        if not leaf_chunks:
+        ``leaf``: the leaf's :class:`LeafPartition` of every partition."""
+        located = leaf[0].table.located
+        leaf_rows = sum(map(len, leaf))
+        if not leaf_rows:
             return [[] for _ in partitions]
-        leaf = concat_chunks(leaf_chunks)
-        order = np.argsort(leaf.values[:, 0])
-        ids = leaf.values[order, 0]
-        spec = self.spec
-        # the leaf adds no column, record or watched id: a hit is its row
-        carry = not (self.leaf_left or leaf.props is not None
-                     or spec.vertex_columns or spec.edge_columns)
+        selected = None
+        if leaf_rows < len(located.ids):
+            # a leaf with a predicate: the table rows it kept
+            selected = np.zeros(len(located.ids), dtype=bool)
+            for partition in leaf:
+                for chunk in partition.chunks:
+                    selected[located.rows(chunk.values[:, 0])] = True
+        # the leaf adds no column or record: a hit is its row
+        carry = not (self.leaf_left or located.chunk.segments)
         out = []
         for chunks in partitions:
             found = []
             for probe in _probe_runs(chunks):
                 if token is not None:
                     token.poll()
-                slot, hit = _find(ids, probe.values[:, self.key])
+                at, hit = located.find(probe.values[:, self.key])
+                if selected is not None:
+                    hit &= selected[at]
                 rows = None if hit.all() else np.flatnonzero(hit)
                 if carry:
                     found.append(probe if rows is None else probe.gather(rows))
                     continue
                 if rows is None:
                     rows = np.arange(probe.count)
-                sides = [(leaf, order[slot[rows]]), (probe, rows)]
-                chunk = spec._merge(*sides[::1 if self.leaf_left else -1],
-                                    check_keys=False)
-                if chunk is not None:
-                    found.append(chunk)
+                sides = [(located.chunk, at[rows]), (probe, rows)]
+                found.append(self.spec._merge(
+                    *sides[::1 if self.leaf_left else -1], check_keys=False
+                ))
             # merged across runs: a selective lookup would emit slivers
             out.append(list(_probe_runs(found)))
         return out
+
+    def pass_through(self, located, partitions):
+        """The output chunks when every input row is known to hit (the
+        leaf is the right input, kept every row, and holds every vertex
+        the key column can name): each input chunk as it is, beside the
+        leaf's records indexed by the key's ids."""
+        if not located.chunk.segments:
+            return [list(chunks) for chunks in partitions]
+        return [
+            [
+                EmbeddingChunk(
+                    chunk.values, chunk.flags, chunk.paths,
+                    chunk.segments + located.by_id(chunk.values[:, self.key]),
+                )
+                for chunk in chunks
+            ]
+            for chunks in partitions
+        ]
 
 
 def columnar_join_spec(

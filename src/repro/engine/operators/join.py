@@ -19,6 +19,7 @@ from ..columnar import (
     EDGE_ID,
     FAR_END,
     ColumnarAdjacencyJoin,
+    ColumnarJoinSpec,
     ColumnarPartition,
     ColumnarVertexLookup,
     columnar_join_spec,
@@ -66,13 +67,28 @@ def _run_kernel(graph, compiled, name, ctx, partitions):
 
 def _run_lookup(graph, kernel, name, ctx, partitions, leaf):
     """``kernel`` over chunk ``partitions`` and the vertex ``leaf``'s: one
-    ``<name>[lookup]`` run, both inputs in, no shuffle."""
+    ``<name>[lookup]`` run, both inputs in, no shuffle.
+
+    When the key is the far end of a hop join beneath (``kernel.beneath``),
+    the leaf kept all its rows and it holds every far end of that hop's
+    adjacency — a flag kept per (adjacency, table) — every input row hits:
+    the lookup passes its input through, searching nothing."""
     graph.count("lookup_joins")
-    out = kernel.run(
-        [chunk for partition in leaf for chunk in partition.chunks],
-        [partition.chunks for partition in partitions],
-        ctx.cancellation,
-    )
+    located = leaf[0].table.located
+    beneath = kernel.beneath
+    passes = beneath is not None and sum(map(len, leaf)) == len(located.ids)
+    if passes:
+        adjacency = beneath()[0].adjacency
+        passes = graph.resident(
+            ("holds", adjacency, located),
+            lambda: located.holds(adjacency.targets),
+        )
+    chunks = [partition.chunks for partition in partitions]
+    if passes:
+        graph.count("lookup_passthroughs")
+        out = kernel.pass_through(located, chunks)
+    else:
+        out = kernel.run(leaf, chunks, ctx.cancellation)
     ctx.record_stage_run(
         "%s[lookup]" % name,
         [len(mine) + len(its) for mine, its in zip(partitions, leaf)],
@@ -211,10 +227,13 @@ class JoinEmbeddings(TwoInputOperator):
         super().__init__(
             left, right, vertex_strategy, edge_strategy, self.join_variables
         )
+        #: ``(far variable, kernel compiler)`` of the build lowered to a hop
+        self._hop = None
         self._left_columns = [left.meta.entry_column(v) for v in self.join_variables]
         self._right_columns = [right.meta.entry_column(v) for v in self.join_variables]
 
     def _build(self):
+        self._hop = None
         left_columns = tuple(self._left_columns)
         right_columns = tuple(self._right_columns)
         left_meta = self.children[0].meta
@@ -311,20 +330,36 @@ class JoinEmbeddings(TwoInputOperator):
     def _over_lookup(self, spec, reference):
         """The node probing a vertex leaf's rows with the other child's,
         where those sit — if a child is a vertex leaf (one row per vertex,
-        joined on its one column)."""
+        joined on its one column).  A right-hand leaf over a hop join
+        whose far end is the key may pass the hop's rows through."""
         for side in (1, 0):
             leaf, other = self.children[side], self.children[1 - side]
             if isinstance(leaf, SelectAndProjectVertices):
+                (variable,) = self.join_variables
+                parents = (other.evaluate().operator, leaf.evaluate().operator)
+                beneath = None
+                if side == 1 and isinstance(other, JoinEmbeddings):
+                    beneath = other._hops_to(variable)
                 kernel = ColumnarVertexLookup(
-                    other.meta.entry_column(self.join_variables[0]),
-                    side == 0, spec,
+                    other.meta.entry_column(variable), side == 0,
+                    # no watched column: see ColumnarVertexLookup
+                    ColumnarJoinSpec(spec.left_count, spec.left_columns,
+                                     spec.right_columns, spec.keep_columns,
+                                     (), ()),
+                    beneath,
                 )
                 return DataSet(leaf.graph.environment, LoweredOperator(
-                    leaf.graph.environment,
-                    (other.evaluate().operator, leaf.evaluate().operator),
-                    reference,
+                    leaf.graph.environment, parents, reference,
                     partial(_run_lookup, leaf.graph, kernel, reference.name),
                 ))
+        return None
+
+    def _hops_to(self, variable):
+        """The kernel compiler of this join if it was lowered to a hop
+        over the adjacency reaching ``variable`` as its far end."""
+        hop = self._hop
+        if hop is not None and hop[0] == variable:
+            return hop[1]
         return None
 
     def _over_adjacency(self, side, spec, reference):
@@ -356,6 +391,8 @@ class JoinEmbeddings(TwoInputOperator):
             )
             return kernel, edge_mask(edge, edges)
 
+        if not closing:
+            self._hop = (far, compiled)
         return DataSet(graph.environment, LoweredOperator(
             graph.environment, (other.evaluate().operator,), reference,
             partial(_run_kernel, graph, compiled, reference.name),

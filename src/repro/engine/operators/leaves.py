@@ -23,7 +23,7 @@ from repro.dataflow import DataSet
 from repro.dataflow.operators import Operator
 from repro.epgm.indexed import IndexedLogicalGraph
 
-from ..columnar import ColumnarLeaf, ColumnarPartition
+from ..columnar import ColumnarLeaf
 from ..embedding import Embedding, ElementBindings, EmbeddingMetaData
 from .base import EmbeddingLayout, PhysicalOperator
 
@@ -113,15 +113,13 @@ def _run_kernel(kernel, name, ctx, partitions):
     serving process, pool or not: its cost is its output), recorded as the
     flat-map's: elements in, rows out.  Partition ``p`` of ``n`` is the same
     element list in every run, which lets the kernel keep its encoded rows."""
-    chunks = kernel.run(partitions, ctx.cancellation)
+    out = kernel.run(partitions, ctx.cancellation)
     ctx.record_stage_run(
         name,
         [len(partition) for partition in partitions],
-        [chunk.count for chunk in chunks],
+        [len(partition) for partition in out],
     )
-    return [
-        ColumnarPartition([chunk] if chunk.count else []) for chunk in chunks
-    ]
+    return out
 
 
 class _ElementLeaf(PhysicalOperator):

@@ -206,7 +206,7 @@ def _return_items(returns: Any, meta: Any) -> List[Item]:
             if not meta.has_property(node.variable, node.key):
                 return KIND_RECORD, lambda chunk: null_records(chunk.count)
             index = meta.property_index(node.variable, node.key)
-            return KIND_RECORD, lambda chunk: cast(np.ndarray, chunk.props)[:, index]
+            return KIND_RECORD, lambda chunk: chunk.record_column(index)
         raise ValueError("unsupported RETURN expression %r" % (node,))
 
     items: Dict[str, Item] = {}

@@ -27,6 +27,29 @@ def _find(haystack, ids):
     return slot, haystack[slot] == ids
 
 
+def key_runs(keys):
+    """``(distinct, starts, counts)`` of ascending ``keys``: each distinct
+    key, where its run of equal keys starts and how long the run is."""
+    if not len(keys):
+        empty = np.empty(0, dtype=np.int64)
+        return keys, empty, empty
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], starts, np.diff(np.append(starts, len(keys)))
+
+
+def match_runs(runs, keys):
+    """``(first, counts)``: ``keys[i]`` equals the sorted entries
+    ``first[i]`` to ``first[i] + counts[i]`` tabled in :func:`key_runs`'
+    ``runs`` — one search of the distinct keys per key; ``first`` is
+    unread where the count is 0."""
+    distinct, starts, counts = runs
+    if not len(distinct):
+        zeros = np.zeros(len(keys), dtype=np.int64)
+        return zeros, zeros
+    slot, hit = _find(distinct, keys)
+    return starts[slot], np.where(hit, counts[slot], 0)
+
+
 class Adjacency:
     """The edges of an edge list as compressed sparse rows.
 
@@ -92,9 +115,10 @@ class PairIndex:
     what a join on both endpoints probes instead of fanning a skewed
     degree out and filtering.  An entry's key is ``source slot *
     len(targets) + target rank`` (exact: no collision to re-check);
-    ``keys`` holds them ascending, ``order`` the entry each came from."""
+    ``order`` lists the entries by key, ``runs`` tables the keys' runs
+    (:func:`key_runs`: parallel edges share one)."""
 
-    __slots__ = ("sources", "targets", "keys", "order")
+    __slots__ = ("sources", "targets", "runs", "order")
 
     def __init__(self, adjacency):
         self.sources = adjacency.sources  # shared, not counted in nbytes
@@ -102,11 +126,13 @@ class PairIndex:
         slot = np.repeat(np.arange(len(self.sources)), np.diff(adjacency.offsets))
         keys = slot * len(self.targets) + rank
         self.order = np.argsort(keys, kind="stable")
-        self.keys = keys[self.order]
+        self.runs = key_runs(keys[self.order])
 
     @property
     def nbytes(self):
-        return self.targets.nbytes + self.keys.nbytes + self.order.nbytes
+        return self.targets.nbytes + self.order.nbytes + sum(
+            array.nbytes for array in self.runs
+        )
 
     def matches(self, froms, tos):
         """``(first, counts)``: the edges from ``froms[i]`` to ``tos[i]``
@@ -114,8 +140,7 @@ class PairIndex:
         slot, found = _find(self.sources, froms)
         rank, also = _find(self.targets, tos)
         key = np.where(found & also, slot * len(self.targets) + rank, -1)
-        first = np.searchsorted(self.keys, key, "left")
-        return first, np.searchsorted(self.keys, key, "right") - first
+        return match_runs(self.runs, key)
 
 
 class IndexedLogicalGraph(LogicalGraph):

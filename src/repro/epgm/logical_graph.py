@@ -26,7 +26,9 @@ from .identifiers import GradoopIdFactory
 #: traffic that enumerates key subsets
 _RESIDENT_CAPACITY = 64
 _LEAF_SELECTS = ("all_rows", "probes", "scans")
-_JOIN_LOWERINGS = ("hop_joins", "pair_joins", "lookup_joins")
+_JOIN_LOWERINGS = (
+    "hop_joins", "pair_joins", "lookup_joins", "lookup_passthroughs",
+)
 
 
 class LogicalGraph:
@@ -190,7 +192,8 @@ class LogicalGraph:
     def adjacency_stats(self):
         """``{labels, edges, bytes, pair_indexes}`` kept now (``bytes``
         counts the memo's), ``{hop_joins, pair_joins, lookup_joins}``
-        executed so far."""
+        executed so far, and ``lookup_passthroughs``, the lookups among
+        them that passed their input through unsearched."""
         with self._resident_lock:
             pairs = self._kept("pairs")
             shared = [found[0] for found in self._kept("adjacency")]

@@ -430,7 +430,7 @@ class QueryService:
         # the leaves that ran selected their rows)
         adjacency = dict.fromkeys(
             ("labels", "edges", "bytes", "pair_indexes", "hop_joins",
-             "pair_joins", "lookup_joins"), 0
+             "pair_joins", "lookup_joins", "lookup_passthroughs"), 0
         )
         leaves = dict.fromkeys(
             ("tables", "bytes", "indexes", "texts", "all_rows", "probes",

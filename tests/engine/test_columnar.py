@@ -44,6 +44,8 @@ from repro.engine.columnar import (
     ColumnarPartition,
     ColumnarVertexLookup,
     EmbeddingChunk,
+    LeafPartition,
+    LeafTable,
     chunk_from_embeddings,
     project_kernel,
     shuffle_split,
@@ -65,7 +67,13 @@ from repro.engine.planning import (
     LeftDeepPlanner,
 )
 from repro.epgm import Edge, GradoopId, LogicalGraph, PropertyValue, Vertex
-from repro.epgm.indexed import Adjacency, IndexedLogicalGraph, PairIndex
+from repro.epgm.indexed import (
+    Adjacency,
+    IndexedLogicalGraph,
+    PairIndex,
+    key_runs,
+    match_runs,
+)
 from repro.harness.queries import ALL_QUERIES, TABLE3_PATTERNS, instantiate
 from repro.ldbc import LDBCGenerator
 
@@ -1297,8 +1305,8 @@ def test_a_reference_run_builds_nothing_resident(figure1_graph):
     ):
         assert runner.execute_embeddings(query)[0]
     assert figure1_graph.adjacency_stats() == dict.fromkeys(
-        ("hop_joins", "pair_joins", "lookup_joins", "labels", "edges",
-         "bytes", "pair_indexes"), 0,
+        ("hop_joins", "pair_joins", "lookup_joins", "lookup_passthroughs",
+         "labels", "edges", "bytes", "pair_indexes"), 0,
     )
     assert not any(figure1_graph.leaf_stats().values())
 
@@ -1367,32 +1375,64 @@ def test_vertex_lookup_equals_per_record(
 
 def test_vertex_lookup_carries_rows_it_adds_nothing_to():
     # a pure label check: every hit is the probe row itself, a full hit the
-    # probe chunk; a leaf that adds a record or a watched id merges
+    # probe chunk; a leaf that kept some rows hits those; a leaf on the
+    # left merges.  No id is re-checked: the leaf's one column is the key,
+    # which the merged row holds once
     values = np.array([[1, 7], [2, 8], [3, 9]], dtype=np.uint64)
     probe = EmbeddingChunk(values)
     leaf = EmbeddingChunk(np.array([[9], [8], [7]], dtype=np.uint64))
+    table = LeafTable([(leaf, None)], located=True)
+    every = [LeafPartition([leaf], table)]
     carried = ColumnarJoinSpec(2, (1,), (0,), (), (), ())
     ((chunk,),) = ColumnarVertexLookup(1, False, carried).run(
-        [leaf], [[probe]], None
+        every, [[probe]], None
     )
     assert chunk is probe
     ((chunk,),) = ColumnarVertexLookup(1, False, carried).run(
-        [leaf.gather([0, 2])], [[probe]], None
+        [LeafPartition([leaf.gather([0, 2])], table)], [[probe]], None
     )
     assert chunk.values.tolist() == [[1, 7], [3, 9]]
     # the leaf on the left: its column first, the probe's key dropped
     merged = ColumnarJoinSpec(1, (0,), (1,), (0,), (), ())
     ((chunk,),) = ColumnarVertexLookup(1, True, merged).run(
-        [leaf], [[probe]], None
+        every, [[probe]], None
     )
     assert chunk.values.tolist() == [[7, 1], [8, 2], [9, 3]]
-    # a watched pair that collides drops its row
-    watched = ColumnarJoinSpec(2, (1,), (0,), (), (0, 1), ())
-    ((chunk,),) = ColumnarVertexLookup(1, False, watched).run(
-        [leaf], [[EmbeddingChunk(np.array([[7, 7], [2, 8]], dtype=np.uint64))]],
-        None,
+    twice = EmbeddingChunk(np.array([[7, 7], [2, 8]], dtype=np.uint64))
+    ((chunk,),) = ColumnarVertexLookup(1, False, carried).run(
+        every, [[twice]], None
     )
-    assert chunk.values.tolist() == [[2, 8]]
+    assert chunk is twice
+
+
+def test_one_search_per_probe_key_keeps_first_and_counts():
+    # runs of equal keys: a key with parallel entries meets all of them,
+    # an absent one none (its ``first`` is never read)
+    runs = key_runs(np.array([3, 3, 5, 9, 9, 9], dtype=np.uint64))
+    first, counts = match_runs(
+        runs, np.array([9, 4, 3, 10, 0, 5], dtype=np.uint64)
+    )
+    assert counts.tolist() == [3, 0, 2, 0, 0, 1]
+    assert first[counts > 0].tolist() == [3, 0, 2]
+    assert match_runs(
+        key_runs(np.empty(0, dtype=np.uint64)), np.array([1], dtype=np.uint64)
+    )[1].tolist() == [0]
+    # a pair probe over parallel edges finds both, in edge order
+    edges = [
+        Edge(GradoopId(100 + n), "x", GradoopId(source), GradoopId(target))
+        for n, (source, target) in enumerate([(1, 2), (1, 2), (2, 1), (1, 3)])
+    ]
+    adjacency = Adjacency(edges)
+    pairs = PairIndex(adjacency)
+    first, counts = pairs.matches(
+        np.array([1, 2, 3, 1], dtype=np.uint64),
+        np.array([2, 1, 1, 9], dtype=np.uint64),
+    )
+    assert counts.tolist() == [2, 1, 0, 0]
+    assert [
+        adjacency.edge_ids[pairs.order[start:start + count]].tolist()
+        for start, count in zip(first.tolist(), counts.tolist()) if count
+    ] == [[100, 101], [102]]
 
 
 @pytest.mark.parametrize("parallelism", [1, 4])

@@ -123,7 +123,7 @@ class TestLoadsIndexed:
             "labels": 3, "edges": len(edges),
             "bytes": per_label + merged.nbytes,
             "pair_indexes": 0, "hop_joins": 0, "pair_joins": 0,
-            "lookup_joins": 0,
+            "lookup_joins": 0, "lookup_passthroughs": 0,
         }
         restored.drop_resident()
         assert restored.adjacency_stats()["bytes"] == per_label

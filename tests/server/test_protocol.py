@@ -361,7 +361,9 @@ class TestErrorMapping:
     ):
         """The lookup has no fan-out to poll in: it polls the deadline
         once per probe run itself.  A token expiring at the second run
-        ends the request there, and the service goes on."""
+        ends the request there, and the service goes on.  ``b``'s
+        predicate drops a Person, so the lookup searches: one into every
+        Person after a ``knows`` hop passes its input through."""
         polls = []
         run = ColumnarVertexLookup.run
 
@@ -375,13 +377,14 @@ class TestErrorMapping:
                     self.token.deadline = time.monotonic() - 1
                 self.token.poll()
 
-        def expiring_run(self, leaf_chunks, partitions, token):
-            return run(self, leaf_chunks, partitions, Expiring(token))
+        def expiring_run(self, leaf, partitions, token):
+            return run(self, leaf, partitions, Expiring(token))
 
         monkeypatch.setattr(columnar_module, "_PROBE_ROWS", 1)
         monkeypatch.setattr(ColumnarVertexLookup, "run", expiring_run)
         payload = {"graph": "fig1", "timeout": 60.0, "query":
-                   "MATCH (a:Person)-[e:knows]->(b:Person) RETURN *"}
+                   "MATCH (a:Person)-[e:knows]->(b:Person) "
+                   "WHERE b.name <> 'Alice' RETURN *"}
         indexed = IndexedLogicalGraph.from_logical_graph(figure1_graph)
         for base, _, _ in serve_figure1(indexed):
             status, body = http("POST", base + "/query", payload)
