@@ -1,5 +1,5 @@
 .PHONY: install test check plancheck lint typecheck racecheck \
-	wirecheck bench docs-codes examples reports reports-check clean \
+	wirecheck bench docs-codes examples reports reports-check regret clean \
 	serve-smoke
 
 install:
@@ -15,13 +15,14 @@ check:
 
 # the plan-analysis battery: structure (S300), layout flow (S301-S306) and
 # UDF shippability (P4xx) over the LDBC plans and the planted violation
-# fixtures, liveness (S401-S403) and the planner's property demand (no
-# plan carries a dead record)
+# fixtures, liveness (S401-S403), the planner's property demand (no
+# plan carries a dead record) and its join order
 plancheck:
 	pytest tests/analysis/test_verifier.py tests/analysis/test_ldbc_plans.py \
 		tests/analysis/test_flow.py tests/analysis/test_udfcheck.py \
 		tests/analysis/test_flow_soundness.py tests/analysis/test_liveness.py \
-		tests/analysis/test_planner_demand.py tests/analysis/test_prune.py
+		tests/analysis/test_planner_demand.py tests/analysis/test_prune.py \
+		tests/engine/test_planner.py tests/engine/test_exhaustive_planner.py
 
 lint:
 	@command -v ruff >/dev/null 2>&1 || { \
@@ -85,6 +86,12 @@ reports: bench
 # report changed: an engine change must not reprice the simulated cluster
 reports-check: reports
 	git diff --exit-code benchmarks/_reports
+
+# plan regret: every distinct plan of the three planners timed on the
+# columnar engine, greedy's CPU floor over the best one's (timed, so it
+# stays out of the test suite)
+regret:
+	python -m repro.harness.regret --output docs/plan_regret.md
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info benchmarks/_reports .pytest_cache

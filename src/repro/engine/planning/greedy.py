@@ -47,6 +47,10 @@ class PlanningError(Exception):
     pass
 
 
+def _is_vertex_leaf(entry):
+    return entry is not None and isinstance(entry.op, SelectAndProjectVertices)
+
+
 class GreedyPlanner:
     """Builds a bushy physical plan minimizing intermediate cardinality."""
 
@@ -317,30 +321,52 @@ class GreedyPlanner:
             else frozenset([edge.variable, edge.source, edge.target])
         )
         entry = _Entry(leaf, edge_vars, leaf.estimated_cardinality)
-        consumed = []
 
         if source_entry is not None and source_entry is target_entry:
             # cycle closing: both endpoints in one plan
             join_vars = [edge.source]
             if edge.source != edge.target:
                 join_vars.append(edge.target)
-            entry = self._join(source_entry, entry, join_vars, edge)
-            consumed.append(source_entry)
-            return entry, consumed
+            return self._join(source_entry, entry, join_vars, edge), [source_entry]
 
-        if source_entry is not None:
-            entry = self._join(source_entry, entry, [edge.source], edge)
-            consumed.append(source_entry)
-        elif self._vertex_needs_leaf(edge.source):
-            entry = self._join(self._vertex_leaf(edge.source), entry, [edge.source], edge)
+        consumed = [found for found in (source_entry, target_entry) if found is not None]
+        source = self._endpoint(edge.source, source_entry)
+        target = None
+        if edge.source != edge.target:
+            target = self._endpoint(edge.target, target_entry)
 
-        if target_entry is not None:
-            entry = self._join(entry, target_entry, [edge.target], edge)
-            consumed.append(target_entry)
-        elif edge.source != edge.target and self._vertex_needs_leaf(edge.target):
-            entry = self._join(entry, self._vertex_leaf(edge.target), [edge.target], edge)
+        if _is_vertex_leaf(source) and _is_vertex_leaf(target):
+            # both ends are bare vertex leaves: the edge joins the end with
+            # the smaller first join, the other leaf joins last, on the
+            # right, where a columnar run looks its rows up
+            by_source = self._join(source, entry, [edge.source], edge)
+            by_target = self._join(target, entry, [edge.target], edge)
+            if self._starts_at_target(by_source, by_target):
+                return self._join(by_target, source, [edge.source], edge), consumed
+            return self._join(by_source, target, [edge.target], edge), consumed
 
+        # an end that is a partial plan is extended from its bound rows
+        # first, whatever the other end's estimate: starting Q5's second
+        # knows edge at the p3 leaf instead makes a bushy 5 139 x 5 139
+        # hash join of two partial plans, a cost that per-operator engine
+        # weights would see and a cardinality estimate does not
+        if source is not None:
+            entry = self._join(source, entry, [edge.source], edge)
+        if target is not None:
+            entry = self._join(entry, target, [edge.target], edge)
         return entry, consumed
+
+    def _endpoint(self, variable, found):
+        """What an edge endpoint joins: its entry if it has one, else a
+        fresh vertex leaf if it needs one."""
+        if found is None and self._vertex_needs_leaf(variable):
+            return self._vertex_leaf(variable)
+        return found
+
+    def _starts_at_target(self, by_source, by_target):
+        """Whether an edge between two vertex leaves joins its target first:
+        on a strictly smaller first join only, a tie keeps source first."""
+        return by_target.cardinality < by_source.cardinality
 
     def _expand_candidate(self, edge, entries, source_entry, target_entry):
         consumed = []

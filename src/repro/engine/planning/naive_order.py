@@ -27,3 +27,6 @@ class LeftDeepPlanner(GreedyPlanner):
             entries.append(entry)
 
         return self._finish(entries, applied_clauses)
+
+    def _starts_at_target(self, by_source, by_target):
+        return False

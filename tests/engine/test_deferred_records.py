@@ -8,7 +8,8 @@ the per-record boundary, a pool frame).  A vertex lookup whose every
 input row is known to hit passes its input through and adds a segment
 indexed by vertex id.  This module pins that every kernel still
 produces the reference's rows and bytes, that on Q5 no record matrix is
-built before the RETURN decode, and that the pass-through follows the
+built before the RETURN decode, that a served Q1 hops from its Person
+and passes its messages through, and that the pass-through follows the
 graph it answers for.
 """
 
@@ -21,9 +22,9 @@ from repro.dataflow.workers import shipping
 from repro.engine import CypherRunner, GraphStatistics, MatchStrategy
 from repro.engine.columnar import EmbeddingChunk, Segment
 from repro.epgm import Edge, GradoopId, IndexedLogicalGraph, LogicalGraph, Vertex
-from repro.harness.queries import QUERY_4, QUERY_5, QUERY_6
+from repro.harness.queries import QUERY_1, QUERY_4, QUERY_5, QUERY_6
 from repro.ldbc import LDBCGenerator
-from repro.server import GraphRegistry
+from repro.server import GraphRegistry, QueryService
 
 #: (what it pins, query, the run names it must show, counter growth); the
 #: value join has no chunk kernel: its records cross the per-record
@@ -168,6 +169,28 @@ def test_q5_moves_row_indexes_until_the_return_decode(ldbc, monkeypatch):
     )
     table = columnar.build_table(handler, batches, root.meta)
     assert _rows(table.rows()) == _rows(reference.execute_table(QUERY_5))
+
+
+def test_served_q1_hops_from_the_person_and_passes_the_messages_through(ldbc):
+    """Q1's hasCreator edge starts at the filtered Person; the message
+    leaf, unfiltered and holding every creator's message, is looked up
+    last and passes the hop's rows through."""
+    graph, statistics = ldbc
+    _, reference = _runners(graph, statistics)
+    query = QUERY_1.replace("'{firstName}'", "$firstName")
+    registry = GraphRegistry()
+    registry.register("g", graph, statistics)
+    with QueryService(registry) as service:
+        for name in ("Jan", "Chen", "Jan"):
+            before = graph.adjacency_stats()
+            result = service.execute("g", query, {"firstName": name})
+            after = graph.adjacency_stats()
+            assert {
+                counter: after[counter] - before[counter]
+                for counter in ("hop_joins", "lookup_joins", "lookup_passthroughs")
+            } == {"hop_joins": 1, "lookup_joins": 1, "lookup_passthroughs": 1}
+            expected = reference.execute_table(query, {"firstName": name})
+            assert expected and _rows(result.rows) == _rows(expected)
 
 
 def _people(graph_cls, knows):

@@ -3,17 +3,60 @@
 import pytest
 
 from repro.cypher import QueryHandler
+from repro.dataflow import ExecutionEnvironment
 from repro.engine import (
     CardinalityEstimator,
+    CypherRunner,
+    ExhaustivePlanner,
     GraphStatistics,
     GreedyPlanner,
     LeftDeepPlanner,
     MatchStrategy,
 )
+from repro.engine.operators.leaves import (
+    SelectAndProjectEdges,
+    SelectAndProjectVertices,
+)
 from repro.engine.planning.estimation import (
     EQUALITY_SELECTIVITY,
     predicate_selectivity,
 )
+from repro.harness import ALL_QUERIES, TABLE3_PATTERNS
+from repro.ldbc import LDBCGenerator
+
+_T3 = list(TABLE3_PATTERNS.values())
+
+
+def _prepared(template):
+    return template.replace("'{firstName}'", "$firstName")
+
+
+#: the bench shapes whose hasCreator edge starts at the filtered Person:
+#: name -> (query, Person variable, message variable)
+PERSON_FIRST = {
+    "Q1": (_prepared(ALL_QUERIES["Q1"]), "person", "message"),
+    "T3-creator": (_prepared(_T3[1]), "p", "m"),
+}
+
+KNOWS_1_3 = (
+    "MATCH (p:Person)-[:knows*1..3]->(q:Person) "
+    "WHERE p.firstName = $firstName RETURN *"
+)
+
+
+def _vertex_of(operator):
+    """The variable of a vertex leaf (``None`` for any other operator)."""
+    if isinstance(operator, SelectAndProjectVertices):
+        return operator.query_vertex.variable
+    return None
+
+
+def _assert_order(root, first, last):
+    """The edge leaf joined vertex leaf ``first`` first; vertex leaf
+    ``last`` is the right input of the root join."""
+    assert _vertex_of(root.children[0].children[0]) == first
+    assert isinstance(root.children[0].children[1], SelectAndProjectEdges)
+    assert _vertex_of(root.children[1]) == last
 
 
 @pytest.fixture
@@ -89,9 +132,17 @@ class TestGreedyPlanner:
             figure1_graph,
             "MATCH (p:Person {name: 'Alice'})-[s:studyAt]->(u:University) RETURN *",
         )
-        text = root.explain()
-        # the Person leaf must appear in the plan (it has a predicate)
-        assert "p:Person" in text
+        _assert_order(root, "p", "u")
+        assert len(root.evaluate().collect()) == 1
+
+    def test_selective_target_drives_join_order(self, figure1_graph):
+        """The filtered vertex is the edge's target: the edge still joins
+        it first, and the unfiltered source joins last."""
+        root = self._plan(
+            figure1_graph,
+            "MATCH (a:Person)-[e:knows]->(b:Person {name: 'Alice'}) RETURN *",
+        )
+        _assert_order(root, "b", "a")
         assert len(root.evaluate().collect()) == 1
 
     def test_trivial_vertices_bound_by_edge_columns(self, figure1_graph):
@@ -165,3 +216,128 @@ class TestGreedyPlanner:
             vertex_strategy=MatchStrategy.ISOMORPHISM,
         ).plan()
         assert len(homo.evaluate().collect()) > len(iso.evaluate().collect())
+
+
+#: greedy's plans of the shapes whose order the endpoint choice keeps
+#: (a partial plan, a tie, an expansion), on the ``ldbc`` fixture
+UNCHANGED_PLANS = {
+    "Q4": "\n".join([
+        'JoinEmbeddings(on tag)  [est=20]',
+        '  JoinEmbeddings(on person)  [est=20]',
+        '    JoinEmbeddings(on person)  [est=9]',
+        '      JoinEmbeddings(on forum)  [est=12]',
+        '        SelectAndProjectVertices(forum:Forum)  [est=3]',
+        '        SelectAndProjectEdges((forum)-[__e3:hasMember|hasModerator]->(person))  [est=23]',
+        '      JoinEmbeddings(on city)  [est=9]',
+        '        JoinEmbeddings(on person)  [est=9]',
+        '          JoinEmbeddings(on uni)  [est=9]',
+        '            JoinEmbeddings(on person)  [est=9]',
+        '              SelectAndProjectVertices(person:Person)  [est=18]',
+        '              SelectAndProjectEdges((person)-[__e2:studyAt]->(uni))  [est=9]',
+        '            SelectAndProjectVertices(uni:University)  [est=2]',
+        '          SelectAndProjectEdges((person)-[__e0:isLocatedIn]->(city))  [est=18]',
+        '        SelectAndProjectVertices(city:City)  [est=3]',
+        '    SelectAndProjectEdges((person)-[__e1:hasInterest]->(tag))  [est=35]',
+        '  SelectAndProjectVertices(tag:Tag)  [est=5]',
+    ]),
+    "Q5": "\n".join([
+        'JoinEmbeddings(on p1, p3)  [est=19]',
+        '  JoinEmbeddings(on p3)  [est=128]',
+        '    JoinEmbeddings(on p2)  [est=128]',
+        '      JoinEmbeddings(on p2)  [est=48]',
+        '        JoinEmbeddings(on p1)  [est=48]',
+        '          SelectAndProjectVertices(p1:Person)  [est=18]',
+        '          SelectAndProjectEdges((p1)-[__e0:knows]->(p2))  [est=48]',
+        '        SelectAndProjectVertices(p2:Person)  [est=18]',
+        '      SelectAndProjectEdges((p2)-[__e1:knows]->(p3))  [est=48]',
+        '    SelectAndProjectVertices(p3:Person)  [est=18]',
+        '  SelectAndProjectEdges((p1)-[__e2:knows]->(p3))  [est=48]',
+    ]),
+    "Q6": "\n".join([
+        'JoinEmbeddings(on p2, t1)  [est=71]',
+        '  JoinEmbeddings(on p2)  [est=181]',
+        '    JoinEmbeddings(on p1)  [est=93]',
+        '      JoinEmbeddings(on t1)  [est=35]',
+        '        JoinEmbeddings(on p1)  [est=35]',
+        '          SelectAndProjectVertices(p1:Person)  [est=18]',
+        '          SelectAndProjectEdges((p1)-[__e1:hasInterest]->(t1))  [est=35]',
+        '        SelectAndProjectVertices(t1:Tag)  [est=5]',
+        '      SelectAndProjectEdges((p1)-[__e0:knows]->(p2))  [est=48]',
+        '    JoinEmbeddings(on t2)  [est=35]',
+        '      JoinEmbeddings(on p2)  [est=35]',
+        '        SelectAndProjectVertices(p2:Person)  [est=18]',
+        '        SelectAndProjectEdges((p2)-[__e3:hasInterest]->(t2))  [est=35]',
+        '      SelectAndProjectVertices(t2:Tag)  [est=5]',
+        '  SelectAndProjectEdges((p2)-[__e2:hasInterest]->(t1))  [est=35]',
+    ]),
+    "T3-knows": "\n".join([
+        'JoinEmbeddings(on q)  [est=5]',
+        '  JoinEmbeddings(on p)  [est=5]',
+        '    SelectAndProjectVertices(p:Person)  [est=2]',
+        '    SelectAndProjectEdges((p)-[__e0:knows]->(q))  [est=48]',
+        '  SelectAndProjectVertices(q:Person)  [est=18]',
+    ]),
+    "T3-knows-creator": "\n".join([
+        'JoinEmbeddings(on q)  [est=10]',
+        '  JoinEmbeddings(on c)  [est=39]',
+        '    SelectAndProjectVertices(c:Comment)  [est=39]',
+        '    SelectAndProjectEdges((c)-[__e1:hasCreator]->(q))  [est=67]',
+        '  JoinEmbeddings(on q)  [est=5]',
+        '    JoinEmbeddings(on p)  [est=5]',
+        '      SelectAndProjectVertices(p:Person)  [est=2]',
+        '      SelectAndProjectEdges((p)-[__e0:knows]->(q))  [est=48]',
+        '    SelectAndProjectVertices(q:Person)  [est=18]',
+    ]),
+    "knows-1-3": "\n".join([
+        'JoinEmbeddings(on q)  [est=52]',
+        '  ExpandEmbeddings((p)-[__e0:knows*1..3]->(q))  [est=52]',
+        '    SelectAndProjectVertices(p:Person)  [est=2]',
+        '  SelectAndProjectVertices(q:Person)  [est=18]',
+    ]),
+}
+
+UNCHANGED_QUERIES = {
+    "Q4": ALL_QUERIES["Q4"],
+    "Q5": ALL_QUERIES["Q5"],
+    "Q6": ALL_QUERIES["Q6"],
+    "T3-knows": _prepared(_T3[2]),
+    "T3-knows-creator": _prepared(_T3[3]),
+    "knows-1-3": KNOWS_1_3,
+}
+
+
+@pytest.fixture(scope="module")
+def ldbc():
+    return LDBCGenerator(scale_factor=0.03, seed=11).generate().to_logical_graph(
+        ExecutionEnvironment(), indexed=True
+    )
+
+
+class TestEndpointOrder:
+    """An edge between two vertex leaves starts at the smaller first join."""
+
+    @pytest.mark.parametrize("planner_cls", [GreedyPlanner, ExhaustivePlanner])
+    @pytest.mark.parametrize("name", sorted(PERSON_FIRST))
+    def test_has_creator_starts_at_the_filtered_person(
+        self, ldbc, name, planner_cls
+    ):
+        query, person, message = PERSON_FIRST[name]
+        _, root = CypherRunner(ldbc, planner_cls=planner_cls).compile(
+            query, {"firstName": "Jan"}
+        )
+        _assert_order(root, person, message)
+
+    @pytest.mark.parametrize("name", sorted(PERSON_FIRST))
+    def test_left_deep_keeps_the_source_first(self, ldbc, name):
+        query, person, message = PERSON_FIRST[name]
+        _, root = CypherRunner(ldbc, planner_cls=LeftDeepPlanner).compile(
+            query, {"firstName": "Jan"}
+        )
+        _assert_order(root, message, person)
+
+    @pytest.mark.parametrize("name", sorted(UNCHANGED_QUERIES))
+    def test_other_plans_keep_their_order(self, ldbc, name):
+        text = CypherRunner(ldbc).explain(
+            UNCHANGED_QUERIES[name], {"firstName": "Jan"}
+        )
+        assert text == UNCHANGED_PLANS[name]

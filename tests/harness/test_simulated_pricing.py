@@ -14,15 +14,15 @@ from repro.harness import DatasetCache, SCALE_FACTOR_SMALL, run_query
 
 #: (query, workers) -> (simulated seconds, result count)
 PRICES = {
-    ("Q1", 1): (9.52036, 68),
-    ("Q1", 4): (3.029728, 68),
-    ("Q1", 16): (1.390556, 68),
-    ("Q2", 1): (39.20235, 68),
-    ("Q2", 4): (11.379804, 68),
-    ("Q2", 16): (4.432796, 68),
-    ("Q3", 1): (66.696, 36),
-    ("Q3", 4): (21.331612, 36),
-    ("Q3", 16): (8.9296, 36),
+    ("Q1", 1): (9.01236, 68),
+    ("Q1", 4): (2.876216, 68),
+    ("Q1", 16): (1.34607, 68),
+    ("Q2", 1): (38.69435, 68),
+    ("Q2", 4): (11.226292, 68),
+    ("Q2", 16): (4.38831, 68),
+    ("Q3", 1): (66.645266, 36),
+    ("Q3", 4): (21.34259, 36),
+    ("Q3", 16): (8.981954, 36),
     ("Q4", 1): (23.040466, 82),
     ("Q4", 4): (6.978252, 82),
     ("Q4", 16): (2.840216, 82),

@@ -361,9 +361,11 @@ class TestErrorMapping:
     ):
         """The lookup has no fan-out to poll in: it polls the deadline
         once per probe run itself.  A token expiring at the second run
-        ends the request there, and the service goes on.  ``b``'s
-        predicate drops a Person, so the lookup searches: one into every
-        Person after a ``knows`` hop passes its input through."""
+        ends the request there, and the service goes on.  The two ends'
+        predicates tie, so the hop starts at ``a`` and ``b`` is looked up
+        last; ``b``'s predicate drops a Person, so that lookup searches:
+        one into every Person after a ``knows`` hop passes its input
+        through."""
         polls = []
         run = ColumnarVertexLookup.run
 
@@ -384,7 +386,7 @@ class TestErrorMapping:
         monkeypatch.setattr(ColumnarVertexLookup, "run", expiring_run)
         payload = {"graph": "fig1", "timeout": 60.0, "query":
                    "MATCH (a:Person)-[e:knows]->(b:Person) "
-                   "WHERE b.name <> 'Alice' RETURN *"}
+                   "WHERE a.name <> 'Carol' AND b.name <> 'Alice' RETURN *"}
         indexed = IndexedLogicalGraph.from_logical_graph(figure1_graph)
         for base, _, _ in serve_figure1(indexed):
             status, body = http("POST", base + "/query", payload)
