@@ -57,7 +57,7 @@ def main():
             if run.name.startswith(("JoinEmbeddings", "SelectEmbeddings"))
         )
         print("\n=== %s ===" % name)
-        print(runner.explain(QUERY, parameters=parameters))
+        print(runner.explain(QUERY))
         print(
             "results=%d  intermediate join records=%d  simulated=%.2fs"
             % (len(rows), intermediate, environment.simulated_runtime_seconds())

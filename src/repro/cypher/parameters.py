@@ -4,14 +4,17 @@ Parameters keep query plans reusable and values out of the query text —
 the paper's operational queries 1–3 are parameterized by ``firstName``
 exactly for this purpose.  Two binding modes exist:
 
-* **Eager** (:func:`bind_parameters`): every ``$name`` is replaced by a
-  :class:`~repro.cypher.ast.Literal` before compilation.  Simple, but a
-  new value means a new AST and a new plan.
 * **Deferred** (:func:`parameterize`): every ``$name`` is replaced by a
   :class:`ParameterSlot` that reads its value from a shared, mutable
   :class:`ParameterBinding` at *predicate-evaluation* time.  One compiled
-  plan can then be re-executed with different bindings — the prepared
-  statement mechanism of :mod:`repro.engine.prepared`.
+  plan is re-executed with different bindings — the prepared statement
+  of :mod:`repro.engine.prepared`, which is how the engine compiles and
+  runs every query text.
+* **Eager** (:func:`bind_parameters`): every ``$name`` is replaced by a
+  :class:`~repro.cypher.ast.Literal`.  A new value means a new AST; the
+  engine uses it only to re-lint a statement's text with the candidate
+  values, and ``QueryHandler(query, parameters=...)`` uses it for the
+  independent oracle (:mod:`repro.engine.naive`).
 
 .. code-block:: python
 
@@ -57,7 +60,13 @@ class ParameterBinding:
         self._values = {}
 
     def assign(self, values):
-        """Install a complete set of parameter values.
+        """Install a complete set of parameter values (see :meth:`check`)."""
+        self._values = self.check(values)
+        self.generation += 1
+        return self
+
+    def check(self, values):
+        """``values`` as a dict, when they name exactly the declared names.
 
         Raises :class:`CypherSemanticError` for missing or undeclared
         names — prepared statements are strict, unlike the eager binder,
@@ -76,9 +85,7 @@ class ParameterBinding:
                 "unknown query parameter(s): %s"
                 % ", ".join("$" + name for name in sorted(unknown))
             )
-        self._values = values
-        self.generation += 1
-        return self
+        return values
 
     def value_of(self, name):
         try:

@@ -278,13 +278,6 @@ class QueryHandler:
         )
         return keys
 
-    def edges_between(self, source, target):
-        return [
-            edge
-            for edge in self.edges.values()
-            if {edge.source, edge.target} == {source, target}
-        ]
-
     def __repr__(self):
         return "QueryHandler(%d vertices, %d edges)" % (
             len(self.vertices),

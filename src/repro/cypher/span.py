@@ -7,7 +7,6 @@ use them to point at the offending query text instead of describing it.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -21,14 +20,6 @@ class Span:
 
     def __str__(self):
         return "line %d, column %d" % (self.line, self.column)
-
-    def caret_snippet(self, query_text):
-        """The offending source line with a ``^`` caret underneath."""
-        lines = query_text.splitlines() or [""]
-        index = min(self.line, len(lines)) - 1
-        source_line = lines[index]
-        caret = " " * (self.column - 1) + "^" * max(self.length, 1)
-        return "%s\n%s" % (source_line, caret)
 
     def excerpt(self, query_text):
         """A rustc-style excerpt: line-number gutter plus caret underline.
@@ -61,15 +52,3 @@ def span_at(query_text, offset, length=0):
     last_newline = prefix.rfind("\n")
     column = offset - last_newline  # works for -1 too: offset + 1
     return Span(offset=offset, line=line, column=column, length=length)
-
-
-def format_at(message, span):
-    """``message`` suffixed with the span position, if one is known."""
-    if span is None:
-        return message
-    return "%s (%s)" % (message, span)
-
-
-def _span_of(node) -> Optional[Span]:
-    """The span recorded on an AST node, or None."""
-    return getattr(node, "span", None)

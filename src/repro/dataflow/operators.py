@@ -468,11 +468,10 @@ class BulkIterationOperator(Operator):
     """Flink-style bulk iteration as a *lazy* DAG node.
 
     The superstep loop runs inside :meth:`execute` — at evaluation time,
-    under the evaluating run's metrics and cancellation token — not at
-    DAG-construction time like :meth:`ExecutionEnvironment.bulk_iterate`.
-    Plans that are built once and executed many times (prepared statements
-    re-binding ``$parameters``) therefore re-iterate on every execution
-    instead of replaying the first execution's materialized supersteps.
+    under the evaluating run's metrics and cancellation token — never at
+    DAG-construction time.  Plans that are built once and executed many
+    times (prepared statements re-binding ``$parameters``) therefore
+    re-iterate on every execution.
     """
 
     display = "bulk-iteration"
@@ -504,9 +503,8 @@ class BulkIterationOperator(Operator):
                 next_working_ds, emit_ds = result, None
             if next_working_ds is None:
                 raise IterationError("step returned no next working set")
-            # fresh cache per superstep, like the eager primitive: only
-            # this iteration's sub-DAG is shared between working set and
-            # emissions
+            # a fresh cache per superstep: only this iteration's sub-DAG
+            # is shared between working set and emissions
             cache = {}
             working = environment._evaluate(
                 next_working_ds.operator, cache, iter_ctx

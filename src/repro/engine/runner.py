@@ -6,21 +6,25 @@ dataflow substrate, and turns the resulting embeddings into the
 :class:`~repro.epgm.GraphCollection` the EPGM operator contract requires
 (Definition 2.4).  Variable bindings are attached as properties on the
 result graph heads so arbitrary post-processing remains possible (§2.3).
+
+There is one compile step, :meth:`CypherRunner.prepare`: a query text
+becomes one cached :class:`~repro.engine.prepared.PreparedStatement`,
+and every execution runs that statement with its ``$parameters`` bound.
 """
 
 import itertools
 
-from repro.analysis.diagnostics import QueryLintError
 from repro.analysis.linter import lint_query
 from repro.cache import LRUCache
-from repro.cypher.parser import parse
-from repro.cypher.query_graph import QueryHandler
+from repro.dataflow.dataset import records_of
 from repro.dataflow.modes import legacy_mode
 from repro.epgm import GraphCollection, GraphHead, PropertyValue
+from repro.locks import named_lock
 
 from .columnar import RecordTexts
 from .morphism import DEFAULT_EDGE_STRATEGY, DEFAULT_VERTEX_STRATEGY
 from .planning import GreedyPlanner
+from .prepared import PreparedStatement
 from .result import build_table
 from .statistics import GraphStatistics
 
@@ -78,14 +82,15 @@ class CypherRunner:
         self.last_diagnostics = []
         #: the EmbeddingSanitizer of the most recent compile, or None
         self.last_sanitizer = None
-        #: bounded LRU of compiled plans; pass a shared
-        #: :class:`repro.cache.LRUCache` to pool plans across runners
+        #: bounded LRU of prepared statements; pass a shared
+        #: :class:`repro.cache.LRUCache` to pool them across runners
         #: (the query service does)
         self._plan_cache = (
             plan_cache
             if plan_cache is not None
             else LRUCache(DEFAULT_PLAN_CACHE_SIZE)
         )
+        self._compile_lock = named_lock("runner.compile")
         self.sanitize = False
         self.set_sanitize(sanitize)
 
@@ -129,56 +134,54 @@ class CypherRunner:
         """
         return lint_query(query, statistics=self.statistics)
 
-    def compile(self, query, parameters=None):
-        """``(QueryHandler, root physical operator)`` for ``query``.
+    def prepare(self, query):
+        """The :class:`~repro.engine.prepared.PreparedStatement` of ``query``.
 
-        With ``lint=True`` (the default) the query is linted first:
-        blocking diagnostics (binding errors the compiler would reject
-        anyway) raise :class:`QueryLintError` before any planning happens;
-        everything else — including unsatisfiable-but-legal predicates — is
-        kept on ``last_diagnostics``.
+        The one compile step.  With ``lint=True`` (the default) the query
+        is linted first: blocking diagnostics (binding errors the compiler
+        would reject anyway) raise
+        :class:`~repro.analysis.diagnostics.QueryLintError` before any
+        planning happens; everything else — including
+        unsatisfiable-but-legal predicates — is kept on
+        ``last_diagnostics``.  ``$name`` placeholders stay unbound: each
+        execution binds its values and re-runs the *same* physical plan.
 
-        Compiled plans live in a bounded LRU cache keyed on the graph, the
-        statistics version, the query text and parameter values, the
-        morphism strategies, the planner and the instrumentation mode —
-        re-running the same query skips parsing, linting and planning,
-        while a statistics bump (graph mutation) makes every stale plan
-        unreachable.
+        Statements live in a bounded LRU cache keyed on the graph, the
+        statistics version, the query text, the morphism strategies, the
+        planner and the instrumentation mode (:meth:`plan_cache_key`) —
+        re-running the same text skips parsing, linting and planning
+        whatever its binding, while a statistics bump (graph mutation)
+        makes every stale statement unreachable.  One compile lock per
+        runner makes racing first uses compile once, and a cold text
+        counts one cache miss.
         """
-        cache_key = None
-        if isinstance(query, str):
-            cache_key = self.plan_cache_key(query, parameters)
-            cached = self._plan_cache.get(cache_key)
-            if cached is not None:
-                handler, root, self.last_diagnostics, self.last_sanitizer = (
-                    cached
-                )
-                return handler, root
-        diagnostics = []
-        if isinstance(query, QueryHandler):
-            handler = query
-        else:
-            # one parse: the linter and the handler share the AST
-            ast = parse(query) if isinstance(query, str) else query
-            if self.lint_enabled and isinstance(query, str):
-                diagnostics = self.lint(ast)
-                if any(diagnostic.is_blocking for diagnostic in diagnostics):
-                    raise QueryLintError(diagnostics, query_text=query)
-            handler = QueryHandler(ast, parameters=parameters)
-        self.last_diagnostics = diagnostics
-        root, sanitizer = self.plan(handler)
-        self.last_sanitizer = sanitizer
-        if cache_key is not None:
-            self._plan_cache.put(
-                cache_key, (handler, root, diagnostics, sanitizer)
-            )
-        return handler, root
+        key = self.plan_cache_key(query)
+        cache = self._plan_cache
+        statement = cache.get(key)
+        if statement is None:
+            with self._compile_lock:
+                # a racing compile may have finished meanwhile; ``in``
+                # leaves the hit/miss counters alone
+                if key in cache:
+                    statement = cache.get(key)
+                if statement is None:
+                    statement = PreparedStatement(self, query)
+                    cache.put(key, statement)
+        self.last_diagnostics = statement.diagnostics
+        self.last_sanitizer = statement.sanitizer
+        return statement
+
+    def compile(self, query):
+        """``(QueryHandler, root physical operator)`` of ``query``'s
+        prepared statement (:meth:`prepare`)."""
+        statement = self.prepare(query)
+        return statement.handler, statement.root
 
     def plan(self, handler):
         """``(root, sanitizer)``: ``handler``'s physical plan under this
         runner's planner and strategies, instrumented when ``sanitize``
-        is set (``sanitizer`` is ``None`` otherwise).  Both
-        :meth:`compile` and prepared statements plan through here.
+        is set (``sanitizer`` is ``None`` otherwise).  Prepared
+        statements plan through here.
         """
         root = self.planner_cls(
             self.graph,
@@ -200,24 +203,23 @@ class CypherRunner:
         ).attach(root)
         return root, sanitizer
 
-    def plan_cache_key(self, query, parameters=None):
-        """The full cache key of ``query`` under this runner's settings."""
+    def plan_cache_key(self, query):
+        """The cache key of ``query``'s prepared statement under this
+        runner's settings; parameter values are not part of it."""
         return (
-            "plan",
+            "prepared",
             _graph_cache_token(self.graph),
             getattr(self.statistics, "version", 0),
             query,
-            # repr keeps the key hashable for list/None parameter values
-            repr(sorted((parameters or {}).items())),
             self.planner_cls.__name__,
             self.vertex_strategy,
             self.edge_strategy,
             self.sanitize,
         )
 
-    def explain(self, query, parameters=None):
+    def explain(self, query):
         """EXPLAIN output: the physical plan with cardinality estimates."""
-        _, root = self.compile(query, parameters)
+        _, root = self.compile(query)
         return root.explain()
 
     def explain_analyze(self, query, parameters=None):
@@ -226,8 +228,8 @@ class CypherRunner:
         Executes the query (every sub-plan), so use it for diagnostics, not
         on hot paths.
         """
-        _, root = self.compile(query, parameters)
-        return root.explain(analyze=True)
+        with self.prepare(query).bound(parameters) as root:
+            return root.explain(analyze=True)
 
     def audit_estimates(self, query, parameters=None, max_q_error=None):
         """Cardinality-estimate audit: per-operator q-error for ``query``.
@@ -242,12 +244,12 @@ class CypherRunner:
             audit_estimates,
         )
 
-        _, root = self.compile(query, parameters)
         if max_q_error is None:
             max_q_error = DEFAULT_MAX_Q_ERROR
-        return audit_estimates(root, max_q_error=max_q_error)
+        with self.prepare(query).bound(parameters) as root:
+            return audit_estimates(root, max_q_error=max_q_error)
 
-    def analyze(self, query, parameters=None):
+    def analyze(self, query):
         """The static :class:`~repro.analysis.PlanAnalysis` of ``query``.
 
         Compiles (through the plan cache) and analyzes the physical plan
@@ -257,7 +259,7 @@ class CypherRunner:
         """
         from repro.analysis.plan import analyze_plan
 
-        handler, root = self.compile(query, parameters)
+        handler, root = self.compile(query)
         return analyze_plan(
             root,
             handler,
@@ -265,7 +267,7 @@ class CypherRunner:
             edge_strategy=self.edge_strategy,
         )
 
-    def check_shippable(self, query, parameters=None):
+    def check_shippable(self, query):
         """Shippability report over every UDF in ``query``'s dataflow.
 
         Builds the compiled plan's dataset DAG (without executing it) and
@@ -277,7 +279,7 @@ class CypherRunner:
         """
         from repro.analysis.udfcheck import analyze_dataflow
 
-        _, root = self.compile(query, parameters)
+        _, root = self.compile(query)
         dataflow_root = root.evaluate().operator
         return analyze_dataflow(
             dataflow_root, spans=self._dataflow_spans(root)
@@ -305,31 +307,24 @@ class CypherRunner:
                 walk.extend(getattr(node, "subplans", ()))
         return {key: value for key, value in spans.items() if value is not None}
 
-    def prepare(self, query):
-        """Compile ``query`` once into a reusable prepared statement.
-
-        ``$name`` placeholders stay unbound at compile time; each
-        :meth:`~repro.engine.prepared.PreparedStatement.execute` call binds
-        a fresh value set and re-runs the *same* physical plan — no
-        parsing, linting or planning on the hot path.
-        """
-        from .prepared import PreparedStatement
-
-        return PreparedStatement(self, query)
-
     # Execution ------------------------------------------------------------------
 
     def execution_mode(self):
         """The ``mode`` argument this runner's executions should pass."""
         return "reference" if self.sanitize else self.mode
 
+    def _batches(self, query, parameters):
+        """``(statement, batches)``: ``query``'s statement run under
+        ``parameters`` in the caller's job scope."""
+        statement = self.prepare(query)
+        with statement.bound(parameters) as root:
+            batches = root.evaluate().batches(mode=self.execution_mode())
+        return statement, batches
+
     def execute_embeddings(self, query, parameters=None):
         """``(embeddings, meta)`` — the raw relational result."""
-        _, root = self.compile(query, parameters)
-        return (
-            root.evaluate().collect(mode=self.execution_mode()),
-            root.meta,
-        )
+        statement, batches = self._batches(query, parameters)
+        return records_of(batches), statement.root.meta
 
     def execute(self, query, attach_bindings=True, parameters=None):
         """The EPGM pattern-matching operator: a GraphCollection of matches."""
@@ -345,16 +340,17 @@ class CypherRunner:
         grouping over the non-aggregate items, plus DISTINCT, ORDER BY,
         SKIP and LIMIT.
         """
-        handler, root = self.compile(query, parameters)
-        batches = root.evaluate().batches(mode=self.execution_mode())
-        return self.build_table(handler, batches, root.meta).rows()
+        statement, batches = self._batches(query, parameters)
+        return self.build_table(
+            statement.handler, batches, statement.root.meta
+        ).rows()
 
     def build_table(self, handler, batches, meta, token=None):
         """The :class:`~repro.engine.result.ResultTable` of result ``batches``.
 
         The post-processing half of :meth:`execute_table`, split out so
-        callers that manage execution themselves (prepared statements, the
-        query service) share the one RETURN evaluator.  ``batches`` is
+        callers that manage execution themselves (the query service)
+        share the one RETURN evaluator.  ``batches`` is
         what :meth:`repro.dataflow.DataSet.batches` yields.
         """
         return build_table(

@@ -1,6 +1,5 @@
 """Graph collections: sets of possibly overlapping logical graphs."""
 
-from .elements import GraphHead
 from .logical_graph import LogicalGraph
 
 
@@ -182,11 +181,3 @@ class GraphCollection:
 
     def __repr__(self):
         return "GraphCollection(env=%r)" % (self.environment,)
-
-
-def collection_from_heads_and_elements(environment, heads, vertices, edges):
-    """Assemble a collection ensuring heads are GraphHead instances."""
-    for head in heads:
-        if not isinstance(head, GraphHead):
-            raise TypeError("expected GraphHead, got %r" % type(head).__name__)
-    return GraphCollection.from_collections(environment, heads, vertices, edges)

@@ -60,13 +60,6 @@ def power_law_degree(rng, average, exponent=2.5, maximum=None):
     return degree
 
 
-def pick_weighted(rng, cumulative_weights, items):
-    """Pick one item using a precomputed cumulative weight list."""
-    index = bisect.bisect_left(cumulative_weights, rng.random() * cumulative_weights[-1])
-    index = min(index, len(items) - 1)
-    return items[index]
-
-
 def preferential_targets(rng, count, population, skew=3.0):
     """Pick ``count`` distinct targets from ``0..population-1``, biased
     toward low indices (the "celebrities"), power-law-ish.

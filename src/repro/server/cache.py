@@ -6,12 +6,10 @@ its statistics **version**, so bumping the version (after a mutation)
 makes every stale entry unreachable — invalidation by construction, no
 cross-cache bookkeeping.  The stale entries then age out of the LRU.
 
-Three key families share one cache comfortably because each starts with
-a distinct tag:
+Two key families, each starting with a distinct tag:
 
-- ``("plan", ...)`` — compiled physical plans (eagerly-bound queries);
-  built by :meth:`CypherRunner.plan_cache_key`, parameters included.
-- ``("prepared", ...)`` — prepared statements; parameters *excluded*,
+- ``("prepared", ...)`` — prepared statements, the one compiled form of
+  a query text (:meth:`CypherRunner.prepare`); parameters *excluded*,
   the whole point being one plan for all bindings.
 - ``("result", ...)`` — result tables, parameters included.
 """
@@ -20,20 +18,19 @@ from repro.cache import LRUCache
 
 
 def prepared_cache_key(runner, query):
-    """Cache key for the prepared statement of ``query`` on ``runner``.
-
-    Reuses the runner's plan-key fields (graph token, statistics version,
-    planner, strategies, sanitize flag) but swaps the tag and
-    drops the parameter values — a prepared plan serves every binding.
-    """
-    base = runner.plan_cache_key(query, None)
-    return ("prepared",) + base[1:]
+    """Cache key for the prepared statement of ``query`` on ``runner``:
+    graph token, statistics version, text, planner, strategies and
+    sanitize flag (:meth:`CypherRunner.plan_cache_key`) — a prepared plan
+    serves every binding."""
+    return runner.plan_cache_key(query)
 
 
 def result_cache_key(runner, query, parameters=None):
     """Cache key for the result table of one (query, binding)."""
-    base = runner.plan_cache_key(query, parameters)
-    return ("result",) + base[1:]
+    return ("result",) + runner.plan_cache_key(query)[1:] + (
+        # repr keeps the key hashable for list/None parameter values
+        repr(sorted((parameters or {}).items())),
+    )
 
 
 class ResultCache:

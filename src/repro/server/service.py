@@ -15,10 +15,11 @@ descriptions — each execution calls ``environment.run`` which builds a
 fresh per-run dataset cache and threads a per-job scope (metrics +
 cancellation) through thread-local state, so any number of workers can
 execute the same cached plan simultaneously without sharing mutable
-state.  The two exceptions are serialized explicitly: prepared
-statements share one mutable parameter binding (the statement's RLock
-serializes executions per statement) and compilation mutates runner
-bookkeeping (one compile lock per runner).
+state.  The two exceptions are serialized explicitly: a statement with
+``$parameters`` shares one mutable binding (the statement's RLock
+serializes its bound executions) and compilation fills the shared plan
+cache (one compile lock per runner).  Every request runs the same way:
+its text's prepared statement, with the request's parameters bound.
 """
 
 import gc
@@ -184,8 +185,8 @@ class QueryService:
         self.vertex_strategy = vertex_strategy
         self.edge_strategy = edge_strategy
         self.lint = lint
-        #: one LRU shared by every runner the service creates; holds both
-        #: ("plan", ...) entries and ("prepared", ...) statements
+        #: one LRU of prepared statements shared by every runner the
+        #: service creates
         self.plan_cache = LRUCache(plan_cache_size, name="cache.plan")
         #: result tables; off unless result_cache_size > 0
         self.result_cache = ResultCache(result_cache_size)
@@ -201,7 +202,6 @@ class QueryService:
         # a new token and therefore a fresh runner
         self._runner_lock = named_lock("service.runner")
         self._runners = {}  # guarded-by: _runner_lock
-        self._compile_locks = {}  # guarded-by: _runner_lock
         self._statement_lock = named_lock("service.statement")
         self._statements = {}  # guarded-by: _statement_lock
         # itertools.count.__next__ is atomic under the GIL
@@ -227,8 +227,7 @@ class QueryService:
                     plan_cache=self.plan_cache,
                 )
                 self._runners[key] = runner
-                self._compile_locks[key] = named_lock("service.compile")
-            return runner, self._compile_locks[key]
+            return runner
 
     # Submission --------------------------------------------------------------
 
@@ -282,9 +281,8 @@ class QueryService:
         the same query on the same graph twice returns a second handle to
         the *same* compiled plan (``plan_cache_hit=True``).
         """
-        entry = self.registry.get(graph)
-        runner, compile_lock = self._runner(entry)
-        statement, hit = self._prepared_statement(runner, compile_lock, query)
+        runner = self._runner(self.registry.get(graph))
+        statement, hit = self._statement(runner, query)
         statement_id = "stmt-%d" % next(self._statement_ids)
         with self._statement_lock:
             self._statements[statement_id] = (graph, query)
@@ -304,19 +302,14 @@ class QueryService:
             prepared=True,
         )
 
-    def _prepared_statement(self, runner, compile_lock, query):
-        """``(statement, was_cached)`` from the shared plan cache."""
-        key = prepared_cache_key(runner, query)
-        statement = self.plan_cache.get(key)
-        if statement is not None:
-            return statement, True
-        with compile_lock:
-            statement = self.plan_cache.get(key)
-            if statement is not None:
-                return statement, True
-            statement = runner.prepare(query)
-            self.plan_cache.put(key, statement)
-            return statement, False
+    def _statement(self, runner, query):
+        """``(statement, was_cached)``: ``query``'s prepared statement.
+
+        ``in`` does not touch the hit/miss counters, so the probe for the
+        flag leaves :meth:`CypherRunner.prepare` to count the one lookup.
+        """
+        hit = prepared_cache_key(runner, query) in self.plan_cache
+        return runner.prepare(query), hit
 
     # Execution (worker side) -------------------------------------------------
 
@@ -342,7 +335,7 @@ class QueryService:
     def _execute_query(self, graph, query, parameters, timeout, prepared,
                        submitted, started):
         entry = self.registry.get(graph)
-        runner, compile_lock = self._runner(entry)
+        runner = self._runner(entry)
         if timeout is None:
             timeout = self.default_timeout
         token = (
@@ -354,7 +347,8 @@ class QueryService:
         token.poll()
         queue_seconds = started - submitted
 
-        use_prepared = bool(prepared or parameters or "$" in query)
+        # what the body reports; every text runs as a prepared statement
+        prepared = bool(prepared or parameters or "$" in query)
         hit, table = self.result_cache.get(runner, query, parameters)
         if hit:
             return QueryResult(
@@ -364,36 +358,17 @@ class QueryService:
                 simulated_seconds=0.0,
                 plan_cache_hit=True,
                 result_cache_hit=True,
-                prepared=use_prepared,
+                prepared=prepared,
             )
 
         environment = entry.graph.environment
-        statement = None
-        if use_prepared:
-            statement, plan_hit = self._prepared_statement(
-                runner, compile_lock, query
-            )
-            handler, root = statement.handler, statement.root
-        else:
-            # __contains__ does not touch hit/miss stats, so probing here
-            # keeps the plan-hit flag accurate without double counting
-            plan_hit = runner.plan_cache_key(query, parameters) in (
-                self.plan_cache
-            )
-            with compile_lock:
-                handler, root = runner.compile(query, parameters)
-        if statement is not None:
-            batches, meta, job_metrics = statement.batches(
-                parameters, cancellation=token
-            )
-        else:
-            with environment.job(
-                "service:%s" % graph, cancellation=token
-            ) as job_metrics:
-                batches = root.evaluate().batches(mode=runner.execution_mode())
-            meta = root.meta
+        statement, plan_hit = self._statement(runner, query)
+        with statement.bound(parameters) as root, environment.job(
+            "service:%s" % graph, cancellation=token
+        ) as job_metrics:
+            batches = root.evaluate().batches(mode=runner.execution_mode())
         # the deadline still holds while the result's columns decode
-        table = runner.build_table(handler, batches, meta, token)
+        table = runner.build_table(statement.handler, batches, root.meta, token)
 
         self.metrics.on_job(job_metrics, table)
         self.result_cache.put(runner, query, parameters, table)
@@ -406,7 +381,7 @@ class QueryService:
             ),
             plan_cache_hit=plan_hit,
             result_cache_hit=False,
-            prepared=use_prepared,
+            prepared=prepared,
         )
 
     # Introspection / lifecycle ----------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for Flink-style bulk iteration."""
+"""Tests for Flink-style bulk iteration (the lazy ``iterate``)."""
 
 import pytest
 
@@ -13,7 +13,7 @@ def env():
 def test_iteration_final_working_set(env):
     """Double values each superstep; final working set after 3 iterations."""
     initial = env.from_collection([1, 2, 3])
-    result = env.bulk_iterate(
+    result = env.iterate(
         initial,
         lambda working, i: working.map(lambda x: x * 2),
         max_iterations=3,
@@ -30,7 +30,7 @@ def test_iteration_collects_emissions_per_superstep(env):
         next_working = working.map(lambda x: x + 1)
         return next_working, next_working
 
-    result = env.bulk_iterate(initial, step, max_iterations=4)
+    result = env.iterate(initial, step, max_iterations=4)
     assert sorted(result.collect()) == [2, 3, 4, 5]
 
 
@@ -41,7 +41,7 @@ def test_iteration_terminates_on_empty_working_set(env):
         shrunk = working.filter(lambda x: x > 90)  # empties immediately
         return shrunk, shrunk
 
-    result = env.bulk_iterate(initial, step, max_iterations=100)
+    result = env.iterate(initial, step, max_iterations=100)
     assert result.collect() == []
     # supersteps recorded: only iteration 1 ran
     iterations = {run.iteration for run in env.metrics.runs if run.iteration}
@@ -50,20 +50,22 @@ def test_iteration_terminates_on_empty_working_set(env):
 
 def test_iteration_zero_max_iterations_returns_empty_emissions(env):
     initial = env.from_collection([1, 2])
-    result = env.bulk_iterate(initial, lambda w, i: w, max_iterations=0)
+    result = env.iterate(initial, lambda w, i: w, max_iterations=0)
     assert result.collect() == []
 
 
 def test_iteration_negative_max_raises(env):
     initial = env.from_collection([1])
     with pytest.raises(IterationError):
-        env.bulk_iterate(initial, lambda w, i: w, max_iterations=-1)
+        env.iterate(initial, lambda w, i: w, max_iterations=-1).collect()
 
 
 def test_iteration_step_returning_none_raises(env):
     initial = env.from_collection([1])
     with pytest.raises(IterationError):
-        env.bulk_iterate(initial, lambda w, i: (None, None), max_iterations=2)
+        env.iterate(
+            initial, lambda w, i: (None, None), max_iterations=2
+        ).collect()
 
 
 def test_iteration_can_join_against_static_dataset(env):
@@ -80,13 +82,13 @@ def test_iteration_can_join_against_static_dataset(env):
         )
         return expanded, expanded
 
-    result = env.bulk_iterate(frontier, step, max_iterations=3)
+    result = env.iterate(frontier, step, max_iterations=3)
     assert sorted(result.collect()) == [2, 3, 4]
 
 
 def test_iteration_metrics_tag_supersteps(env):
     initial = env.from_collection([1])
-    env.bulk_iterate(
+    env.iterate(
         initial, lambda w, i: w.map(lambda x: x), max_iterations=3
     ).collect()
     tagged = [run.iteration for run in env.metrics.runs if run.iteration is not None]
@@ -101,7 +103,7 @@ def test_iteration_growth_pattern(env):
         grown = working.flat_map(lambda x: [x, x + 1])
         return grown, None
 
-    result = env.bulk_iterate(
+    result = env.iterate(
         initial, step, max_iterations=3, collect_emissions=False
     )
     assert len(result.collect()) == 8

@@ -273,11 +273,12 @@ def test_paths_beside_properties_equal_reference_and_naive(tangle, query):
 
 def test_residual_predicate_follows_a_rebound_parameter(tangle):
     query = "MATCH (x:N)-[e:a*1..2]->(y) WHERE e.w = $w RETURN *"
-    statement = CypherRunner(tangle).prepare(query)
+    runner = CypherRunner(tangle)
+    statement = runner.prepare(query)
     for weight in (1, 3, 1, 7):
         expected, _ = _check(tangle, query, parameters={"w": weight})
         with tangle.environment.job("rebound") as metrics:
-            embeddings, meta = statement.execute_embeddings({"w": weight})
+            embeddings, meta = runner.execute_embeddings(query, {"w": weight})
         assert sorted(
             canonical_rows_from_embeddings(embeddings, meta)
         ) == expected

@@ -275,23 +275,24 @@ class TestSanitizerForcesPerRecord:
 class TestPlanReuseUnderFusion:
     def test_prepared_statement_rebinds_with_fusion_on(self):
         graph = fresh_graph()
-        statement = CypherRunner(graph).prepare(
-            "MATCH (p:Person {name: $who}) RETURN p.name"
-        )
+        runner = CypherRunner(graph)
+        text = "MATCH (p:Person {name: $who}) RETURN p.name"
+        statement = runner.prepare(text)
         for name in ("Alice", "Bob", "Alice"):
-            rows = statement.execute_table({"who": name})
+            rows = runner.execute_table(text, {"who": name})
             assert rows == [{"p.name": name}]
         assert statement.executions == 3
 
     def test_prepared_var_length_rebinds_with_fusion_on(self):
         # the expansion's supersteps must re-run per binding, fused or not
         graph = fresh_graph()
-        statement = CypherRunner(graph).prepare(
+        runner = CypherRunner(graph)
+        text = (
             "MATCH (p:Person {name: $who})-[e:knows*2..2]->(q:Person) "
             "RETURN *"
         )
-        alice = statement.execute_table({"who": "Alice"})
-        bob = statement.execute_table({"who": "Bob"})
+        alice = runner.execute_table(text, {"who": "Alice"})
+        bob = runner.execute_table(text, {"who": "Bob"})
         assert sorted(row["e"] for row in alice) == [[5, 20, 6], [5, 20, 7]]
         assert alice != bob
 
@@ -305,13 +306,12 @@ class TestPlanReuseUnderFusion:
         graph = fresh_graph()
         statistics = GraphStatistics.from_graph(graph)
         runner = CypherRunner(graph, statistics=statistics)
-        statement = runner.prepare(
-            "MATCH (p:Person {name: $who})-[e:knows]->(q:Person) RETURN *"
-        )
+        text = "MATCH (p:Person {name: $who})-[e:knows]->(q:Person) RETURN *"
+        statement = runner.prepare(text)
         for name in ("Alice", "Eve", "Alice"):
-            first, _ = statement.execute_embeddings({"who": name})
+            first, _ = runner.execute_embeddings(text, {"who": name})
             statement.root.reset()
-            rebuilt, _ = statement.execute_embeddings({"who": name})
+            rebuilt, _ = runner.execute_embeddings(text, {"who": name})
             assert Counter(rebuilt) == Counter(first)
             literal = (
                 "MATCH (p:Person {name: '%s'})-[e:knows]->(q:Person) "

@@ -168,12 +168,17 @@ class TestCompile:
         runner = CypherRunner(figure1_graph)
         assert runner.lint_enabled
         text = "MATCH (p:Person)-[:knows]->(q:Person) WHERE p.name = $name RETURN q.name"
-        runner.compile(text, {"name": "Alice"})
+        handler, root = runner.compile(text)
         assert len(calls) == 1
-        runner.compile(text, {"name": "Alice"})  # a plan cache hit
+        assert runner.compile(text) == (handler, root)  # a plan cache hit
         assert len(calls) == 1
-        runner.compile(text, {"name": "Eve"})
-        assert len(calls) == 2
+        # every binding runs the one statement: nothing is parsed again
+        # (lint re-checks the values on a bound copy of the parsed text)
+        runner.execute_table(text, {"name": "Alice"})
+        runner.execute_table(text, {"name": "Eve"})
+        assert len(calls) == 1
+        stats = runner.plan_cache.stats
+        assert (stats.misses, stats.hits) == (1, 3)
 
     def test_a_blocking_lint_error_keeps_the_query_text(self, figure1_graph, monkeypatch):
         calls = self._count_parses(monkeypatch)

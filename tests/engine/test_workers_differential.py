@@ -94,17 +94,17 @@ def test_prepared_rebinding_reaches_workers():
         )
         pooled = CypherRunner(
             worker_graph, statistics=GraphStatistics.from_graph(worker_graph)
-        ).prepare(query)
+        )
         single = CypherRunner(
             single_graph, statistics=GraphStatistics.from_graph(single_graph)
-        ).prepare(query)
+        )
         for name in (
             dataset.first_name("low"),
             dataset.first_name("high"),
             dataset.first_name("low"),
         ):
-            pooled_rows = pooled.execute_table({"name": name})
-            single_rows = single.execute_table({"name": name})
+            pooled_rows = pooled.execute_table(query, {"name": name})
+            single_rows = single.execute_table(query, {"name": name})
             assert pooled_rows and all(
                 row["p.firstName"] == name for row in pooled_rows
             )

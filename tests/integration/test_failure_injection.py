@@ -119,4 +119,4 @@ class TestDataflowRobustness:
         from repro.dataflow import IterationError
 
         with pytest.raises((JobExecutionError, IterationError)):
-            env.bulk_iterate(initial, step, max_iterations=2).collect()
+            env.iterate(initial, step, max_iterations=2).collect()

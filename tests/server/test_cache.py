@@ -136,16 +136,18 @@ class TestRunnerPlanCache:
 
 class TestCacheKeys:
     def test_key_families_are_disjoint(self, figure1_graph):
+        # two families: the runner's statement key is the prepared key
         runner = CypherRunner(figure1_graph)
         query = "MATCH (p:Person) WHERE p.name = $name RETURN p.name"
         parameters = {"name": "Alice"}
-        plan_key = runner.plan_cache_key(query, parameters)
         prepared_key = prepared_cache_key(runner, query)
         result_key = result_cache_key(runner, query, parameters)
-        assert plan_key[0] == "plan"
+        assert runner.plan_cache_key(query) == prepared_key
         assert prepared_key[0] == "prepared"
         assert result_key[0] == "result"
-        assert len({plan_key, prepared_key, result_key}) == 3
+        assert prepared_key != result_key
+        runner.compile(query)
+        assert runner.plan_cache.keys() == [prepared_key]
 
     def test_prepared_key_ignores_parameters(self, figure1_graph):
         runner = CypherRunner(figure1_graph)

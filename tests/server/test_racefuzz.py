@@ -136,16 +136,16 @@ REBINDS_PER_THREAD = 6
 def test_prepared_rebinding_does_not_bleed_bindings():
     graph = build_graph()
     runner = CypherRunner(graph)
-    statement = runner.prepare(
-        "MATCH (p:Person) WHERE p.name = $name RETURN p.name"
-    )
+    text = "MATCH (p:Person) WHERE p.name = $name RETURN p.name"
+    statement = runner.prepare(text)
 
     def worker(stmt, fuzz):
         rng = fuzz.random()
         for _ in range(REBINDS_PER_THREAD):
             name = NAMES[rng.randrange(len(NAMES))]
             fuzz.step()
-            rows = stmt.execute_table({"name": name})
+            # the runner runs the cached statement under its lock
+            rows = runner.execute_table(stmt.text, {"name": name})
             assert [row["p.name"] for row in rows] == [name], (
                 "binding bled: asked for %r, got %r" % (name, rows)
             )

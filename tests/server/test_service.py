@@ -97,6 +97,21 @@ class TestPreparedStatements:
         with pytest.raises(KeyError):
             service.execute_prepared("stmt-999", {"name": "Alice"})
 
+    @pytest.mark.parametrize("served", [False, True])
+    def test_a_cold_compile_counts_one_miss(self, service, served):
+        # what /metrics plan_cache reads: one miss per cold text, one hit
+        # per warm one, on /prepare as on /query
+        def use():
+            if served:
+                return service.execute("fig1", PARAM_QUERY, {"name": "Eve"})
+            return service.prepare("fig1", PARAM_QUERY)
+
+        stats = service.plan_cache.stats
+        assert use().plan_cache_hit is False
+        assert (stats.misses, stats.hits) == (1, 0)
+        assert use().plan_cache_hit is True
+        assert (stats.misses, stats.hits) == (1, 1)
+
 
 class TestResultCache:
     @pytest.fixture
