@@ -2,6 +2,9 @@
 	wirecheck bench docs-codes examples reports reports-check regret clean \
 	serve-smoke
 
+# every target runs the tree it sits in, installed or not
+export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
 

@@ -26,6 +26,8 @@ exactly for this purpose.  Two binding modes exist:
     binding.assign({"name": "Jan"})                         # before each run
 """
 
+from dataclasses import replace
+
 from .ast import (
     And,
     Comparison,
@@ -35,7 +37,6 @@ from .ast import (
     Parameter,
     PathPattern,
     Query,
-    ReturnClause,
     Xor,
 )
 from .errors import CypherSemanticError
@@ -115,11 +116,13 @@ class ParameterSlot:
     the plan after :meth:`ParameterBinding.assign` sees the new values.
     """
 
-    __slots__ = ("name", "binding")
+    __slots__ = ("name", "binding", "span")
 
-    def __init__(self, name, binding):
+    def __init__(self, name, binding, span=None):
         self.name = name
         self.binding = binding
+        #: the ``$name``'s place in the query text
+        self.span = span
 
     def current(self):
         return self.binding.value_of(self.name)
@@ -133,64 +136,46 @@ class ParameterSlot:
 
 def _transform_query(query, resolve):
     """A structural copy of ``query`` with ``resolve`` applied to every
-    expression position that may hold a parameter."""
+    expression position that may hold a parameter; every clone keeps its
+    node's source span, so plan diagnostics of a ``$parameter`` text
+    point where those of its literal twin do."""
 
     def walk(node):
         resolved = resolve(node)
         if resolved is not node:
             return resolved
-        if isinstance(node, Comparison):
-            return Comparison(node.operator, walk(node.left), walk(node.right))
-        if isinstance(node, And):
-            return And(walk(node.left), walk(node.right))
-        if isinstance(node, Or):
-            return Or(walk(node.left), walk(node.right))
-        if isinstance(node, Xor):
-            return Xor(walk(node.left), walk(node.right))
+        if isinstance(node, (Comparison, And, Or, Xor)):
+            return replace(node, left=walk(node.left), right=walk(node.right))
         if isinstance(node, Not):
-            return Not(walk(node.operand))
+            return replace(node, operand=walk(node.operand))
         return node
 
-    patterns = []
-    for path in query.patterns:
-        nodes = []
-        for node in path.nodes:
-            entries = [(key, walk(value)) for key, value in node.properties]
-            clone = type(node)(node.variable, list(node.labels), entries)
-            nodes.append(clone)
-        relationships = []
-        for rel in path.relationships:
-            entries = [(key, walk(value)) for key, value in rel.properties]
-            clone = type(rel)(
-                rel.variable,
-                list(rel.types),
-                rel.direction,
-                rel.lower,
-                rel.upper,
-                entries,
-            )
-            relationships.append(clone)
-        patterns.append(PathPattern(nodes, relationships))
+    def element(pattern, **lists):
+        properties = [(key, walk(value)) for key, value in pattern.properties]
+        return replace(pattern, properties=properties, **lists)
+
+    patterns = [
+        PathPattern(
+            [element(node, labels=list(node.labels)) for node in path.nodes],
+            [element(rel, types=list(rel.types)) for rel in path.relationships],
+        )
+        for path in query.patterns
+    ]
 
     where = walk(query.where) if query.where is not None else None
 
     returns = query.returns
     if returns is not None:
-        items = [
-            type(item)(walk(item.expression), item.alias)
-            for item in returns.items
-        ]
-        order_by = [
-            type(order)(walk(order.expression), order.descending)
-            for order in returns.order_by
-        ]
-        returns = ReturnClause(
-            star=returns.star,
-            items=items,
-            distinct=returns.distinct,
-            order_by=order_by,
-            skip=returns.skip,
-            limit=returns.limit,
+        returns = replace(
+            returns,
+            items=[
+                replace(item, expression=walk(item.expression))
+                for item in returns.items
+            ],
+            order_by=[
+                replace(order, expression=walk(order.expression))
+                for order in returns.order_by
+            ],
         )
 
     return Query(patterns=patterns, where=where, returns=returns)
@@ -210,7 +195,7 @@ def bind_parameters(query, parameters=None):
                 raise CypherSemanticError(
                     "no value for query parameter $%s" % node.name
                 )
-            return Literal(parameters[node.name])
+            return Literal(parameters[node.name], span=node.span)
         return node
 
     return _transform_query(query, resolve)
@@ -227,7 +212,7 @@ def parameterize(query, binding):
                 raise CypherSemanticError(
                     "parameter $%s is not declared in the binding" % node.name
                 )
-            return ParameterSlot(node.name, binding)
+            return ParameterSlot(node.name, binding, node.span)
         return node
 
     return _transform_query(query, resolve)

@@ -87,6 +87,7 @@ from .shipping import (
     decode_records,
     dump_functions,
     encode_records,
+    ordinal_space_of,
 )
 
 __all__ = ["WorkerPool", "WorkerCrashError", "RemoteWorkerError"]
@@ -624,9 +625,10 @@ class WorkerPool:
             raise cause
         raise JobExecutionError(stage, cause) from cause
 
-    def _run_tasks(self, spec, tasks, token, op_name):
+    def _run_tasks(self, spec, tasks, token, op_name, space):
         """Ship ``tasks`` (partition-indexed payload builders), gather
-        ``(counts, records)`` per task in order."""
+        ``(counts, records)`` per task in order, chunk frames decoded
+        into ``space``."""
         handles = self._ensure_started()
         assignment = assign_partitions(len(tasks), self.workers)
         wire_key, payload = self._wire_spec(spec)
@@ -670,7 +672,7 @@ class WorkerPool:
                     op_name, RemoteWorkerError("task cancelled remotely")
                 )
             _, _seq, counts, fmt, payload = item
-            ordered.append((counts, decode_records(fmt, payload)))
+            ordered.append((counts, decode_records(fmt, payload, space)))
         return ordered
 
     @staticmethod
@@ -734,7 +736,9 @@ class WorkerPool:
             ("chain", source_key, part_index, records)
             for part_index, records in enumerate(partitions)
         ]
-        gathered = self._run_tasks(spec, tasks, token, chain.name)
+        gathered = self._run_tasks(
+            spec, tasks, token, chain.name, ordinal_space_of(partitions)
+        )
         out = [records for _counts, records in gathered]
         worker_counts = [counts for counts, _records in gathered]
         return out, worker_counts
@@ -751,7 +755,10 @@ class WorkerPool:
             ("join", build, probe, build_is_left)
             for build, probe, build_is_left in pairs
         ]
-        gathered = self._run_tasks(spec, tasks, token, operator.name)
+        space = ordinal_space_of(
+            side for build, probe, _ in pairs for side in (build, probe)
+        )
+        gathered = self._run_tasks(spec, tasks, token, operator.name, space)
         return [records for _counts, records in gathered]
 
     def run_repartition_join(self, operator, left_parts, right_parts,
@@ -774,6 +781,7 @@ class WorkerPool:
         bit-identical to the in-process path.
         """
         spec = operator.spec
+        space = ordinal_space_of(list(left_parts) + list(right_parts))
         parallelism = max(len(left_parts), len(right_parts))
         owners = assign_partitions(parallelism, self.workers)
         handles = self._ensure_started()
@@ -894,7 +902,7 @@ class WorkerPool:
                         RemoteWorkerError("task cancelled remotely"),
                     )
                 _, _seq, _counts, fmt, payload = item
-                out[target] = decode_records(fmt, payload)
+                out[target] = decode_records(fmt, payload, space)
             completed = True
             return (
                 out,

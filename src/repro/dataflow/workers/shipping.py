@@ -26,7 +26,10 @@ process, and this module solves both:
   frames*: each chunk's raw column buffers — id entries, offset tables,
   path/prop payloads — are concatenated behind a fixed header, so a
   chunk crosses the ring as a single frame with no per-record object,
-  no per-record length walk, and no pickle byte on either side.
+  no per-record length walk, and no pickle byte on either side.  A
+  frame holds ids: a chunk whose ids are a graph's ordinals is mapped to
+  ids as it is encoded, and the parent maps a worker's answer back into
+  the ordinal space of the inputs it shipped (:func:`ordinal_space_of`).
 
 The three record-batch formats (``FORMAT_EMBEDDINGS`` /
 ``FORMAT_CHUNK`` / ``FORMAT_PICKLE``) are declared in
@@ -55,6 +58,7 @@ __all__ = [
     "load_functions",
     "encode_records",
     "decode_records",
+    "ordinal_space_of",
 ]
 
 #: default cap on a worker's decoded-spec cache.  Part of the wire
@@ -211,7 +215,7 @@ def _encode_chunks(partition):
     pieces = [_CHUNK_COUNT.pack(len(chunks))]
     append = pieces.append
     for chunk in chunks:
-        paths = paths_to_bytes(chunk.paths, chunk.count)
+        paths = paths_to_bytes(chunk.id_paths(), chunk.count)
         props = props_to_bytes(chunk.props, chunk.prop_lens)
         append(_CHUNK_HEADER.pack(
             chunk.count, chunk.columns, len(paths[0]), len(props[0])
@@ -226,8 +230,9 @@ def _encode_chunks(partition):
     return b"".join(pieces)
 
 
-def _decode_chunks(payload):
-    """Reverse of :func:`_encode_chunks`; returns a ColumnarPartition.
+def _decode_chunks(payload, space=None):
+    """Reverse of :func:`_encode_chunks`; returns a ColumnarPartition,
+    its ids as ordinals of ``space`` (``None``: as they are).
 
     Column arrays are read straight off the frame with ``frombuffer``
     and copied into native arrays, the path buffer is read into its id
@@ -272,7 +277,9 @@ def _decode_chunks(payload):
             raise ValueError(
                 "chunk frame rows hold malformed or ragged paths or records"
             )
-        chunks.append(EmbeddingChunk(values, flags, paths, record_segments(*props)))
+        chunks.append(EmbeddingChunk(
+            values, flags, paths, record_segments(*props)
+        ).in_space(space))
     return ColumnarPartition(chunks)
 
 
@@ -309,12 +316,23 @@ def encode_records(records):
     )
 
 
-def decode_records(fmt, payload):
-    """Reverse of :func:`encode_records`."""
+def ordinal_space_of(partitions):
+    """The ordinal space the chunks of ``partitions`` hold ids in, if any:
+    what a worker's answer to them is decoded into."""
+    for partition in partitions:
+        for chunk in getattr(partition, "chunks", ()):
+            if chunk.space is not None:
+                return chunk.space
+    return None
+
+
+def decode_records(fmt, payload, space=None):
+    """Reverse of :func:`encode_records`; a chunk frame's ids become
+    ordinals of ``space`` (``None``: they stay ids)."""
     if fmt == FORMAT_PICKLE:
         return pickle.loads(payload)
     if fmt == FORMAT_CHUNK:
-        return _decode_chunks(payload)
+        return _decode_chunks(payload, space)
     from repro.engine.embedding import Embedding  # lazy: layering
 
     view = memoryview(payload)

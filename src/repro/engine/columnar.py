@@ -67,7 +67,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.epgm import GradoopId, PropertyValue
-from repro.epgm.indexed import _find, key_runs, match_runs
+from repro.epgm.indexed import OrdinalSpace, key_runs, match_runs
 from repro.epgm.property_value import NULL_VALUE
 
 from .embedding import (
@@ -254,6 +254,29 @@ def paths_to_bytes(paths: Paths, count: int) -> Tuple[bytes, Optional[np.ndarray
     return data.tobytes(), _offsets(_path_sizes(paths, count))
 
 
+def _entries_as(values, flags, convert) -> np.ndarray:
+    """``values`` with each id entry (not a PATH entry's offset) passed
+    through ``convert``."""
+    if flags is None:
+        return convert(values)
+    out = values.copy()
+    ids = flags == FLAG_ID
+    out[ids] = convert(values[ids])
+    return out
+
+
+def _paths_as(paths: Paths, convert) -> Paths:
+    """``paths`` with each id a path holds passed through ``convert``; the
+    padding stays 0."""
+    out = []
+    for ids, lens in paths:
+        held = np.arange(ids.shape[1]) < lens[:, None]
+        converted = np.zeros_like(ids)
+        converted[held] = convert(ids[held])
+        out.append((converted, lens))
+    return tuple(out)
+
+
 class Segment:
     """Some of a chunk's record columns: rows of a shared record matrix.
 
@@ -264,7 +287,7 @@ class Segment:
     all ``k``), and chunk row ``r`` reads matrix row ``index[r]``
     (``index`` ``None``: row ``r`` itself).  With a ``locator`` (a
     :class:`VertexLocator` over the matrix) ``index`` holds each row's
-    vertex *id* instead, found in the locator by the first reader.
+    vertex *ordinal* instead, found in the locator by the first reader.
     Kernels move ``index`` as they move ids; a record is gathered only
     when something reads it.  Immutable.
     """
@@ -349,6 +372,11 @@ class EmbeddingChunk:
     matrix zero-padded to at least the widest path, ``lens`` the
     ``int64`` id counts.  A PATH column's value stays its §3.3 offset in
     the row's ``path_data``, the sum of the earlier entries' sizes.
+    An id entry or path id is an ordinal of ``space`` (an
+    :class:`~repro.epgm.indexed.OrdinalSpace`: what every chunk a graph's
+    kernels make holds) or, with ``space`` ``None``, the id itself (a
+    free-standing chunk, a worker's); :meth:`id_values`, :meth:`id_paths`
+    and every decode to embeddings give ids either way.
     ``segments`` hold the property records, their columns in record order
     (:class:`Segment`): int row indexes into shared record matrices, not
     the records.  :attr:`props` gathers them into the record matrix — an
@@ -370,6 +398,7 @@ class EmbeddingChunk:
         "values",
         "paths",
         "segments",
+        "space",
     )
 
     def __init__(
@@ -378,12 +407,14 @@ class EmbeddingChunk:
         flags: Optional[np.ndarray] = None,
         paths: Paths = (),
         segments: Tuple[Segment, ...] = (),
+        space: Optional[OrdinalSpace] = None,
     ) -> None:
         self.count, self.columns = values.shape
         self.flags = flags
         self.values = values
         self.paths = paths
         self.segments = segments
+        self.space = space
 
     def _gathered(self, lens: bool) -> Optional[np.ndarray]:
         if not (self.count and self.segments):
@@ -413,11 +444,35 @@ class EmbeddingChunk:
             index -= segment.width
         raise IndexError("record column out of range")
 
+    def id_values(self) -> np.ndarray:
+        """``values`` with every id entry the id itself: one gather of an
+        ordinal chunk's, a free-standing chunk's as they are."""
+        if self.space is None:
+            return self.values
+        return _entries_as(self.values, self.flags, self.space.ids_of)
+
+    def id_paths(self) -> Paths:
+        """``paths`` holding ids, like :meth:`id_values`."""
+        if self.space is None:
+            return self.paths
+        return _paths_as(self.paths, self.space.ids_of)
+
+    def in_space(self, space: Optional[OrdinalSpace]) -> "EmbeddingChunk":
+        """This chunk with its ids as ordinals of ``space`` (``None``: as
+        ids) — one search per array when ids enter a space."""
+        if space is self.space:
+            return self
+        values, paths = self.id_values(), self.id_paths()
+        if space is not None:
+            values = _entries_as(values, self.flags, space.ordinals)
+            paths = _paths_as(paths, space.ordinals)
+        return EmbeddingChunk(values, self.flags, paths, self.segments, space)
+
     def id_buf(self) -> bytes:
         """The canonical §3.3 id bytes of all rows, concatenated."""
         entries = np.empty(self.count * self.columns, dtype=_ENTRY)
         entries["flag"] = FLAG_ID if self.flags is None else self.flags.ravel()
-        entries["value"] = self.values.ravel()
+        entries["value"] = self.id_values().ravel()
         return entries.tobytes()
 
     def byte_size(self) -> int:
@@ -447,7 +502,7 @@ class EmbeddingChunk:
             map(
                 Embedding,
                 [id_buf[row * width:(row + 1) * width] for row in range(count)],
-                _row_slices(*paths_to_bytes(self.paths, count), count),
+                _row_slices(*paths_to_bytes(self.id_paths(), count), count),
                 _row_slices(*props_to_bytes(self.props, self.prop_lens), count),
             )
         )
@@ -474,6 +529,7 @@ class EmbeddingChunk:
             None if self.flags is None else self.flags.take(rows, axis=0),
             self.take_paths(rows),
             self.take_segments(rows),
+            self.space,
         )
 
     def window(self, start: int, stop: int) -> "EmbeddingChunk":
@@ -484,6 +540,7 @@ class EmbeddingChunk:
             None if self.flags is None else self.flags[rows],
             tuple((ids[rows], lens[rows]) for ids, lens in self.paths),
             tuple(segment.window(start, stop) for segment in self.segments),
+            self.space,
         )
 
     def __repr__(self) -> str:
@@ -562,11 +619,17 @@ def concat_chunks(chunks: Sequence[EmbeddingChunk]) -> EmbeddingChunk:
         flags,
         tuple(map(concat_paths, zip(*[chunk.paths for chunk in chunks]))),
         _concat_segments(chunks),
+        chunks[0].space,
     )
 
 
-def chunk_from_embeddings(records: Sequence[Any]) -> Optional[EmbeddingChunk]:
+def chunk_from_embeddings(
+    records: Sequence[Any], space: Optional[OrdinalSpace] = None
+) -> Optional[EmbeddingChunk]:
     """Encode a batch of embeddings; ``None`` if the batch is not uniform.
+
+    The chunk holds its ids as ordinals of ``space`` (one search per
+    array), or as they are without one.
 
     Uniform means: non-empty, every record an :class:`Embedding`, every
     record with the same column count, the same number of property
@@ -596,7 +659,9 @@ def chunk_from_embeddings(records: Sequence[Any]) -> Optional[EmbeddingChunk]:
     values, flags = decode_entries(
         b"".join([record.id_data for record in records]), count, columns
     )
-    return EmbeddingChunk(values, flags, paths, record_segments(*props))
+    return EmbeddingChunk(
+        values, flags, paths, record_segments(*props)
+    ).in_space(space)
 
 
 # Column decode ---------------------------------------------------------------
@@ -665,7 +730,8 @@ _QUAD = np.uint64(10_000)
 
 def _digits(values: np.ndarray) -> np.ndarray:
     """``(n, width)`` ASCII: each id's decimal digits, right-aligned in as
-    many bytes as the largest id has digits, NUL-padded on the left."""
+    many bytes as the largest id has digits, NUL-padded on the left —
+    by arithmetic, a division per quad of digits."""
     width = len(str(int(values.max())))
     quads = -(-width // 4)
     words = np.empty((len(values), quads), dtype=np.uint32)
@@ -678,22 +744,69 @@ def _digits(values: np.ndarray) -> np.ndarray:
     return words.view(np.uint8)[:, 4 * quads - width:]
 
 
+def _digit_words(space: OrdinalSpace) -> np.ndarray:
+    """The space's digit table, made by :func:`_digits` on first use:
+    row ``v`` is the decimal digits of id ``v`` right-aligned in whole
+    ``uint64`` words, NUL-padded on the left (one word while every id has
+    at most eight digits: then the table is one-dimensional)."""
+    words = space.digit_words
+    if words is None:
+        digits = _digits(space.ids)
+        width = -(-digits.shape[1] // 8) * 8
+        table = np.zeros((len(digits), width), dtype=np.uint8)
+        table[:, width - digits.shape[1]:] = digits
+        words = table.view(np.uint64)
+        if words.shape[1] == 1:
+            words = words.ravel()
+        # threads may race to fill it: each stores an equal table
+        space.digit_words = words
+    return words
+
+
+def _id_digits(values: np.ndarray, space: Optional[OrdinalSpace]) -> np.ndarray:
+    """What :func:`_digits` makes of the ids ``values`` stand for: with a
+    ``space`` (``values`` its ordinals) one gather of its digit table;
+    the width is exact, as ordinals follow id order."""
+    if space is None:
+        return _digits(values)
+    width = len(str(int(space.ids[int(values.max())])))
+    words = _digit_words(space)[values.view(np.intp)]
+    return words.view(np.uint8).reshape(len(values), -1)[:, -width:]
+
+
 IdColumn = Union[np.ndarray, PathMatrix]
+
+
+def column_ids(column: IdColumn, space: Optional[OrdinalSpace]) -> IdColumn:
+    """An id or path column of ``space``'s ordinals as ids (one gather;
+    ``None``: it holds ids)."""
+    if space is None:
+        return column
+    if isinstance(column, tuple):
+        ids, lens = column
+        return space.ids_of(ids), lens
+    return space.ids_of(column)
 
 #: the fewest rows a batch of ids and paths is written by
 #: :func:`id_rows_json` with; below it :func:`rows_json` is faster.  In
 #: rows, not cells: the matrix's fixed cost grows with its columns as the
 #: interleaved writer's cost per row does, so for one to five columns the
-#: two cross at ≈ 100–200 rows
-ID_MATRIX_ROWS = 128
+#: two cross at ≈ 32–48 rows (with the digits one gather of the digit
+#: table; ≈ 100–130 when they were arithmetic per cell)
+ID_MATRIX_ROWS = 48
 
 
-def id_rows_json(keys: Sequence[str], columns: Sequence[IdColumn]) -> bytes:
+def id_rows_json(
+    keys: Sequence[str],
+    columns: Sequence[IdColumn],
+    space: Optional[OrdinalSpace] = None,
+) -> bytes:
     """The rows of a batch as JSON objects joined by ``", "``.
 
     ``keys`` are the JSON texts of the column names; a column is a
-    ``uint64`` id array or a path's ``(ids, lens)`` pair.  Byte for byte
-    what ``json.dumps`` writes for the rows' dicts.
+    ``uint64`` id array or a path's ``(ids, lens)`` pair, of ``space``'s
+    ordinals (``None``: of ids).  Byte for byte what ``json.dumps``
+    writes for the rows' dicts.
     """
     first = columns[0]
     count = len(first[1] if isinstance(first, tuple) else first)
@@ -703,9 +816,9 @@ def id_rows_json(keys: Sequence[str], columns: Sequence[IdColumn]) -> bytes:
         template += b"%s%s: " % (b", " if index else b"", key.encode("ascii"))
         if isinstance(column, tuple):
             template += b"["
-            digits = _path_digits(*column)
+            digits = _path_digits(*column, space)
         else:
-            digits = _digits(column)
+            digits = _id_digits(column, space)
         fields.append((len(template), digits))
         template += bytes(digits.shape[1])
         if isinstance(column, tuple):
@@ -718,13 +831,15 @@ def id_rows_json(keys: Sequence[str], columns: Sequence[IdColumn]) -> bytes:
     return matrix[matrix != 0][:-2].tobytes()
 
 
-def _path_digits(ids: np.ndarray, lens: np.ndarray) -> np.ndarray:
+def _path_digits(
+    ids: np.ndarray, lens: np.ndarray, space: Optional[OrdinalSpace]
+) -> np.ndarray:
     """``(count, width * (2 + digits))``: each id of a path behind its
     ``", "`` (none before the first), NUL past the path's length."""
     count, width = ids.shape
     if not width:
         return np.empty((count, 0), dtype=np.uint8)
-    digits = _digits(ids.reshape(-1))
+    digits = _id_digits(ids.reshape(-1), space)
     entries = np.empty((count, width, 2 + digits.shape[1]), dtype=np.uint8)
     entries[:, :, 0], entries[:, :, 1] = ord(","), ord(" ")
     entries[:, 0, :2] = 0
@@ -804,20 +919,27 @@ def column_height(column: Column) -> int:
     return len(column[1] if isinstance(column, tuple) else column)
 
 
-def column_texts(column: Column, texts: RecordTexts) -> List[str]:
+def column_texts(
+    column: Column, texts: RecordTexts, space: Optional[OrdinalSpace] = None
+) -> List[str]:
     """The JSON text of each cell of ``column``: an id's and a path's
-    ``str``, a record's text from ``texts``, any other value's dump."""
+    ``str`` (ordinals of ``space`` mapped back), a record's text from
+    ``texts``, any other value's dump."""
     if isinstance(column, tuple):
-        return list(map(str, path_lists(column)))
+        return list(map(str, path_lists(column_ids(column, space))))
     if isinstance(column, np.ndarray):
-        cells = column.tolist()
         if column.dtype == object:
-            return list(map(texts.__getitem__, cells))
-        return list(map(str, cells))
+            return list(map(texts.__getitem__, column.tolist()))
+        return list(map(str, column_ids(column, space).tolist()))
     return list(map(_dumps, column))
 
 
-def rows_json(keys: Sequence[str], columns: Sequence[Column], texts: RecordTexts) -> bytes:
+def rows_json(
+    keys: Sequence[str],
+    columns: Sequence[Column],
+    texts: RecordTexts,
+    space: Optional[OrdinalSpace] = None,
+) -> bytes:
     """The rows of a batch as JSON objects joined by ``", "``, written by
     interleaving ready texts.
 
@@ -835,7 +957,7 @@ def rows_json(keys: Sequence[str], columns: Sequence[Column], texts: RecordTexts
     stride = len(row)
     cells = row * column_height(columns[0])
     for index, column in enumerate(columns):
-        cells[2 * index + 1::stride] = column_texts(column, texts)
+        cells[2 * index + 1::stride] = column_texts(column, texts, space)
     cells[-1] = "}"
     return "".join(cells).encode("ascii")
 
@@ -926,7 +1048,11 @@ class ChunkRowBindings:
         column = self._id_columns.get(variable)
         if column is None:
             raise KeyError("variable %r not in embedding" % variable)
-        return GradoopId(int(self.chunk.values[self.row, column]))
+        chunk = self.chunk
+        value = int(chunk.values[self.row, column])
+        if chunk.space is not None:
+            value = int(chunk.space.ids[value])
+        return GradoopId(value)
 
 
 def select_kernel(evaluate, meta):
@@ -988,7 +1114,7 @@ def project_kernel(keep_indices):
                 segment.index, segment.locator,
             )
             for segment, columns in runs
-        ))
+        ), chunk.space)
 
     return kernel
 
@@ -1017,51 +1143,61 @@ _SCAN_ROWS = 4096
 
 
 class VertexLocator:
-    """A vertex leaf table's rows by id.
+    """A vertex leaf table's rows by vertex ordinal.
 
     ``chunk`` holds every row of the table — its one part, or its parts
     concatenated (records gathered into one matrix: only a pool's
-    multi-partition tables) — its records in identity-row segments;
-    ``ids`` are the rows' vertex ids ascending, ``order`` the row each
-    came from.  A vertex lookup searches it instead of sorting its leaf
-    per execution, and an id-indexed :class:`Segment` resolves through it.
+    multi-partition tables) — its records in identity-row segments.
+    ``row_of[v - low]`` is the row of vertex ordinal ``v``, -1 where the
+    table holds none; it spans the rows' ordinals, padded by one -1 on
+    either side, onto which every ordinal outside the span is clipped.
+    A vertex lookup indexes it instead of sorting its leaf per execution,
+    and an ordinal-indexed :class:`Segment` resolves through it.
     """
 
-    __slots__ = ("chunk", "ids", "order", "nbytes")
+    __slots__ = ("chunk", "low", "row_of", "nbytes")
 
     def __init__(self, chunks):
         self.chunk = chunk = concat_chunks(chunks)
-        self.order = np.argsort(chunk.values[:, 0])
-        self.ids = chunk.values[self.order, 0]
-        self.nbytes = self.ids.nbytes + self.order.nbytes
+        ordinals = chunk.values[:, 0].view(np.intp)
+        low = int(ordinals.min()) if chunk.count else 0
+        self.low = low - 1
+        self.row_of = np.full(
+            int(ordinals.max()) - low + 3 if chunk.count else 2, -1, dtype=np.int32
+        )
+        self.row_of[ordinals - self.low] = np.arange(chunk.count)
+        self.nbytes = self.row_of.nbytes
         if chunk not in chunks:
             # its own arrays; the record objects are the parts'
             self.nbytes += chunk.values.nbytes + sum(
                 segment.props.nbytes + segment.lens.nbytes
                 for segment in chunk.segments
             )
-        for array in (self.ids, self.order, chunk.values):
+        for array in (self.row_of, chunk.values):
             array.setflags(write=False)
 
-    def find(self, ids) -> Tuple[np.ndarray, np.ndarray]:
-        """``(rows, hit)``: the row of each of ``ids`` (any row where
+    def find(self, ordinals) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, hit)``: the row of each of ``ordinals`` (-1 where
         ``hit`` is false) and whether the table holds it."""
-        slot, hit = _find(self.ids, ids)
-        return self.order[slot], hit
+        rows = self.row_of[np.clip(
+            ordinals.view(np.intp) - self.low, 0, len(self.row_of) - 1
+        )]
+        return rows, rows >= 0
 
-    def rows(self, ids) -> np.ndarray:
-        """The row of each of ``ids``, every one of which the table holds."""
-        return self.order[np.searchsorted(self.ids, ids)]
+    def rows(self, ordinals) -> np.ndarray:
+        """The row of each of ``ordinals``, every one of which the table
+        holds."""
+        return self.row_of[ordinals.view(np.intp) - self.low]
 
-    def holds(self, ids) -> bool:
-        """Whether the table holds every one of ``ids``."""
-        return bool(_find(self.ids, ids)[1].all())
+    def holds(self, ordinals) -> bool:
+        """Whether the table holds every one of ``ordinals``."""
+        return bool(self.find(ordinals)[1].all())
 
-    def by_id(self, ids) -> Tuple[Segment, ...]:
-        """The table's record segments for rows whose vertex ids are
-        ``ids``, resolved by their first reader."""
+    def by_id(self, ordinals) -> Tuple[Segment, ...]:
+        """The table's record segments for rows whose vertex ordinals are
+        ``ordinals``, resolved by their first reader."""
         return tuple(
-            Segment(segment.props, segment.lens, segment.columns, ids, self)
+            Segment(segment.props, segment.lens, segment.columns, ordinals, self)
             for segment in self.chunk.segments
         )
 
@@ -1176,7 +1312,8 @@ class ColumnarLeaf:
         self.keys = tuple(keys)
 
     def encode(self, elements):
-        """``(chunk, first)`` of ``elements`` (see :class:`LeafTable`)."""
+        """``(chunk, first)`` of ``elements`` (see :class:`LeafTable`),
+        ids as they are."""
         orient, keys = self.orient, self.keys
         values: List[int] = []
         cells: List[bytes] = []
@@ -1233,11 +1370,14 @@ class ColumnarLeaf:
     def run(self, partitions, token):
         """One :class:`LeafPartition` per partition of elements."""
         tables = self.tables
+        space = tables.ordinal_space()
 
         def build():
             parts = []
             for elements in partitions:
-                parts.append(self.encode(elements))
+                chunk, first = self.encode(elements)
+                # the table holds ordinals: one search per part, once
+                parts.append((chunk.in_space(space), first))
                 # a build that outlived the deadline is abandoned
                 if token is not None:
                     token.poll()
@@ -1336,8 +1476,13 @@ def shuffle_split(chunks, key_columns, parallelism, source):
     moved_bytes = 0
     bytes_in = [0] * parallelism
     for chunk in chunks:
+        # placed by id, as a per-record partition's rows are
+        keys, columns = chunk.values, key_columns
+        if chunk.space is not None:
+            keys = chunk.space.ids_of(keys[:, key_columns])
+            columns = tuple(range(len(key_columns)))
         targets = (
-            _hash_keys(chunk.values, key_columns) % np.uint64(parallelism)
+            _hash_keys(keys, columns) % np.uint64(parallelism)
         ).astype(np.intp)
         moved = targets != source
         moved_count = int(np.count_nonzero(moved))
@@ -1559,7 +1704,7 @@ class ColumnarJoinSpec:
         segments = (
             left_chunk.take_segments(left_rows) + right_chunk.take_segments(right_rows)
         )
-        return EmbeddingChunk(merged, flags, paths, segments)
+        return EmbeddingChunk(merged, flags, paths, segments, left_chunk.space)
 
 
 # Expand ----------------------------------------------------------------------
@@ -1582,8 +1727,8 @@ class ColumnarExpandSpec:
 
     The supersteps of the reference dataflow — the same morphism checks
     on every extension, the same emission rule (closing / bound end /
-    zero hop), the same frontier after every superstep — with a hop as a
-    ``searchsorted`` probe and a ``repeat`` fan-out instead of a shuffle
+    zero hop), the same frontier after every superstep — with a hop as an
+    offsets lookup and a ``repeat`` fan-out instead of a shuffle
     of the edge relation.  A frontier *piece* is ``(chunk, origin, ends,
     path)``: row ``i`` left input row ``origin[i]`` of ``chunk``, walked
     ``path[i]`` (``e1, v1, e2, ..., ek``, equally long in every row) and
@@ -1697,7 +1842,8 @@ class ColumnarExpandSpec:
         walked = (path[:, ::-1] if self.reverse else path,
                   np.full(count, hops, dtype=np.int64))
         emitted.append(EmbeddingChunk(
-            values, flags, paths + (walked,), chunk.take_segments(origin)
+            values, flags, paths + (walked,), chunk.take_segments(origin),
+            chunk.space,
         ))
 
 
@@ -1788,7 +1934,9 @@ class ColumnarAdjacencyJoin:
         if flags is not None:
             flags = flags.take(self.take, axis=1)
             flags[:, self.fresh] = FLAG_ID
-        return EmbeddingChunk(values, flags, carried.paths, carried.segments)
+        return EmbeddingChunk(
+            values, flags, carried.paths, carried.segments, carried.space
+        )
 
 
 # Vertex lookup ---------------------------------------------------------------
@@ -1827,9 +1975,9 @@ class ColumnarVertexLookup:
         if not leaf_rows:
             return [[] for _ in partitions]
         selected = None
-        if leaf_rows < len(located.ids):
+        if leaf_rows < located.chunk.count:
             # a leaf with a predicate: the table rows it kept
-            selected = np.zeros(len(located.ids), dtype=bool)
+            selected = np.zeros(located.chunk.count, dtype=bool)
             for partition in leaf:
                 for chunk in partition.chunks:
                     selected[located.rows(chunk.values[:, 0])] = True
@@ -1870,6 +2018,7 @@ class ColumnarVertexLookup:
                 EmbeddingChunk(
                     chunk.values, chunk.flags, chunk.paths,
                     chunk.segments + located.by_id(chunk.values[:, self.key]),
+                    chunk.space,
                 )
                 for chunk in chunks
             ]

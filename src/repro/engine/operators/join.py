@@ -76,7 +76,7 @@ def _run_lookup(graph, kernel, name, ctx, partitions, leaf):
     graph.count("lookup_joins")
     located = leaf[0].table.located
     beneath = kernel.beneath
-    passes = beneath is not None and sum(map(len, leaf)) == len(located.ids)
+    passes = beneath is not None and sum(map(len, leaf)) == located.chunk.count
     if passes:
         adjacency = beneath()[0].adjacency
         passes = graph.resident(

@@ -116,3 +116,55 @@ class TestExecution:
             parameters={"min": 1900},
         )
         assert [row["p.name"] for row in rows] == ["Eve"]
+
+
+class TestCompile:
+    def test_a_parameterized_plan_keeps_the_literal_twins_spans(self, figure1_graph):
+        # the parameter comes last, so every pattern element sits at the
+        # same place in both texts; the rebuilt AST must keep those places
+        from repro.engine.operators import (
+            SelectAndProjectEdges, SelectAndProjectVertices,
+        )
+
+        def leaf_spans(text):
+            root = CypherRunner(figure1_graph).prepare(text).root
+            return [
+                (type(operator).__name__, operator.span())
+                for operator in root.postorder()
+                if isinstance(
+                    operator, (SelectAndProjectVertices, SelectAndProjectEdges)
+                )
+            ]
+
+        pattern = "MATCH (p:Person)-[e:knows]->(q:Person) WHERE q.name = %s"
+        literal = leaf_spans(pattern % "'Alice'")
+        assert len(literal) == 3
+        assert all(span is not None for _, span in literal)
+        assert leaf_spans(pattern % "$name") == literal
+
+    def test_a_bound_literal_keeps_its_parameters_span(self):
+        query = parse("MATCH (p) WHERE p.name = $name")
+        bound = bind_parameters(query, {"name": "Jan"})
+        assert bound.where.right.span == query.where.right.span is not None
+        assert bound.where.span == query.where.span is not None
+
+    def test_a_cold_compile_walks_for_parameters_once(self, figure1_graph, monkeypatch):
+        from repro.cypher import parameters as parameters_module
+        from repro.engine import prepared as prepared_module
+
+        walks = []
+        walk = parameters_module.find_parameters
+
+        def counted(query):
+            walks.append(query)
+            return walk(query)
+
+        monkeypatch.setattr(parameters_module, "find_parameters", counted)
+        monkeypatch.setattr(prepared_module, "find_parameters", counted)
+        runner = CypherRunner(figure1_graph)
+        runner.prepare("MATCH (p:Person)-[:knows]->(q:Person) RETURN q.name")
+        assert len(walks) == 1
+        # a direct QueryHandler still checks its own text
+        with pytest.raises(CypherSemanticError):
+            QueryHandler("MATCH (p) WHERE p.name = $name")
+        assert len(walks) == 2
